@@ -317,12 +317,14 @@ impl Fleet {
         // page count, never more.
         let mut corrupt = Vec::with_capacity(pages);
         let mut device_time = SimDuration::ZERO;
+        // One page buffer, refilled by every read of the pass.
+        let mut bytes = Vec::new();
         for page in 0..pages {
             let start = replica.span.start + page as u64 * page_len;
             let len = replica.span.end.saturating_sub(start).min(page_len);
-            let (bytes, took) =
-                self.members[member].archiver_mut().read_at(ByteSpan::at(start, len))?;
-            device_time += took;
+            device_time += self.members[member]
+                .archiver_mut()
+                .read_at_into(ByteSpan::at(start, len), &mut bytes)?;
             let want = self.checksums.get(&object).and_then(|s| s.crcs.get(page)).copied();
             if want != Some(crc32(&bytes)) {
                 corrupt.push(page);

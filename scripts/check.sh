@@ -20,6 +20,12 @@ cargo run -q -p minos-xtask -- spec --check
 echo "==> cargo test --workspace"
 cargo test --workspace --quiet
 
+# The benchmark package has its own empty [workspace], so the workspace
+# test run above never builds it; test it by manifest so an API change
+# that breaks it fails here.
+echo "==> minos-benchmark tests"
+cargo test --offline --quiet --manifest-path crates/bench/src/bin/minos-benchmark/Cargo.toml
+
 echo "==> exp_pipeline --smoke"
 cargo bench -p minos-bench --bench exp_pipeline -- --smoke
 
