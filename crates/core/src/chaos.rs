@@ -30,6 +30,7 @@
 
 use crate::fleet::{Fleet, HealthMonitor, MemberHealth, RepairQueue, RepairTask, Replica};
 use crate::kernel::{Kernel, KernelEvent};
+use crate::sched::p99;
 use minos_net::{
     crc32, BufferPool, Frame, FramePayload, Link, Priority, ServerRequest, ServerResponse,
 };
@@ -1198,9 +1199,7 @@ pub fn simulate_chaos_workload(config: ChaosWorkloadConfig) -> Result<ChaosRepor
             replication_ok = false;
         }
     }
-    audio_lat.sort_unstable();
-    let p99_rank = (audio_lat.len() * 99).div_ceil(100).saturating_sub(1);
-    let audio_p99 = audio_lat.get(p99_rank).copied().unwrap_or(SimDuration::ZERO);
+    let audio_p99 = p99(&mut audio_lat);
     let total_pages = sessions as u64 * pages_per_session as u64;
     let repair_stats = repairs.stats();
     let health_stats = health.stats();

@@ -20,13 +20,14 @@
 //!   submit time — onto the *next* replica in the object's rendezvous
 //!   ring instead of back onto the member that just lost it.
 //!
-//! [`FleetConnection`] is the client: one shared uplink/downlink (the
-//! paper's broadcast bus), one device timeline per member, and the same
-//! window/deadline/retry discipline as the single-endpoint
-//! [`Connection`](crate::remote). A server that answers
-//! [`ServerResponse::Busy`] gets honored, not hammered: the turned-away
-//! request parks on a kernel timer until the server's own `retry_after`
-//! hint elapses, then resubmits — to a sibling replica when one exists.
+//! [`FleetConnection`] is the client: the one pipelined [`Client`] of
+//! [`crate::transport`], whose [`Backend`] here is the fleet — per-member
+//! service queues and device timelines behind one shared uplink/downlink
+//! (the paper's broadcast bus), rendezvous failover, and heartbeats. A
+//! server that answers [`ServerResponse::Busy`] gets honored, not
+//! hammered: the turned-away request parks on a kernel timer until the
+//! server's own `retry_after` hint elapses, then resubmits — to a sibling
+//! replica when one exists.
 //!
 //! [`simulate_fleet_workload`] is the E16 harness: M sessions demand-page
 //! against N members through the shared link, wake-list-driven via
@@ -52,35 +53,17 @@
 //!   copy from a verified sibling (a fresh WORM append — optical media
 //!   cannot be patched in place).
 
-use crate::kernel::{Kernel, KernelEvent, TimerId};
+use crate::kernel::{Kernel, KernelEvent};
 use crate::prefetch::page_spans;
-use crate::remote::{Landed, PendingFrame, TransportStats};
+use crate::sched::{p99, per_sim_second};
+use crate::transport::{Backend, Client, FleetStats, CONN_ID, DEFAULT_WINDOW};
 use minos_net::{
-    crc32, BufferPool, FaultPlan, FaultyLink, Frame, FramePayload, InflightWindow, Link, Priority,
-    ServerRequest, ServerResponse,
+    crc32, BufferPool, FaultPlan, Frame, FramePayload, Link, Priority, ServerRequest,
+    ServerResponse,
 };
 use minos_server::{ObjectServer, ServiceConfig, ServiceStats};
-use minos_types::{ByteSpan, MinosError, ObjectId, Result, SimClock, SimDuration, SimInstant};
+use minos_types::{ByteSpan, MinosError, ObjectId, Result, SimDuration, SimInstant};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
-
-/// The fleet transport multiplexes every request over one logical
-/// connection id — members tell requests apart by request id, which the
-/// transport keeps globally unique.
-const FLEET_CONN: u64 = 1;
-
-/// Default in-flight window of a [`FleetConnection`].
-const DEFAULT_WINDOW: usize = 32;
-
-/// Default per-request deadline (see [`Connection`](crate::remote): the
-/// sim serves every surviving frame by the time a caller waits on it, so
-/// the deadline only fires on genuine loss).
-const DEFAULT_TIMEOUT: SimDuration = SimDuration::from_millis(500);
-
-/// Default retransmission budget before a request expires inline.
-const DEFAULT_MAX_RETRIES: u32 = 4;
-
-/// Ceiling on the exponential backoff between retransmits.
-const BACKOFF_CAP: SimDuration = SimDuration::from_secs(4);
 
 /// `splitmix64` finalizer: the standard 64-bit avalanche mix. Rendezvous
 /// hashing only needs that distinct `(object, member)` pairs score
@@ -822,90 +805,110 @@ impl RepairQueue {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct FleetTicket(u64);
 
-/// Retransmission and failover state for one in-flight request. Unlike
-/// the single-endpoint connection, the fleet transport keeps this even on
-/// a clean link: failover needs the object identity and the encoded
-/// bytes to re-aim a request at a sibling replica.
-struct FleetOutstanding {
-    /// The object the request reads from — the key back into the
-    /// placement table when the target must change.
-    object: ObjectId,
-    /// The requested span relative to the object's first byte; the
-    /// absolute device span is recomputed per replica.
-    rel: ByteSpan,
-    /// Fleet index of the member currently targeted.
-    target: usize,
-    /// The frame encoded once at submit into a pooled buffer; every
-    /// retransmit resends it verbatim, and a failover re-encodes into the
-    /// same buffer (the replica's device span differs).
-    frame_bytes: Vec<u8>,
-    deadline: SimInstant,
-    attempt: u32,
-    timer: TimerId,
-    /// Whether the request is parked on a `Busy { retry_after }` hint:
-    /// `deadline` is then the earliest instant it may go back on the
-    /// wire, and reaching it costs neither a timeout nor a retry.
-    deferred: bool,
-}
-
-/// Busy-honoring accounting of a [`FleetConnection`], cleared wholesale
-/// by [`FleetConnection::reset_accounting`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FleetStats {
-    /// Requests turned away with [`ServerResponse::Busy`] and parked on a
-    /// kernel timer until the server's `retry_after` hint elapsed.
-    pub busy_deferred: u64,
-    /// Deferred resubmissions that left before their hint elapsed.
-    /// Always zero — the retry timer gates the uplink — and pinned so.
-    pub premature_busy_retries: u64,
-}
-
-/// A pipelined client of a [`Fleet`]: one shared uplink and downlink (the
-/// paper's broadcast bus), one device timeline per member, and per-request
-/// deadline/retry/failover state.
+/// A pipelined client of a [`Fleet`]: the one request lifecycle of
+/// [`crate::transport`] — admit into the in-flight window, encode once into
+/// a pooled buffer, transmit, dispatch, land — over one shared uplink and
+/// downlink (the paper's broadcast bus) and one device timeline per member.
 ///
-/// The request path mirrors the single-endpoint
-/// [`Connection`](crate::remote::Connection) — admit into the in-flight
-/// window, encode once into a pooled buffer, transmit, dispatch, land —
-/// with two fleet-specific moves layered on:
+/// What the fleet adds is where a request goes:
 ///
-/// * a member restart (epoch bump) replays that member's in-flight
-///   requests onto the next replica in each object's rendezvous ring;
+/// * a member restart (epoch bump) or a timeout re-aims the member's
+///   in-flight requests at the next replica in each object's rendezvous
+///   ring;
 /// * a [`ServerResponse::Busy`] reply parks the request on a kernel timer
 ///   for the server's own `retry_after` hint and rotates it to a sibling,
-///   instead of re-offering load to the gate that just shed it.
-pub struct FleetConnection {
-    fleet: Fleet,
-    /// Per-member epoch last handshaken; a mismatch triggers resync.
-    member_epochs: Vec<u64>,
-    link: FaultyLink,
-    clock: SimClock,
-    next_request_id: u64,
-    window: InflightWindow,
-    /// Per-member queues of request frames in transit to that member.
-    pending: Vec<VecDeque<PendingFrame>>,
-    /// Arrival instant of each frame handed to a member's service queue.
-    arrival_at: HashMap<u64, SimInstant>,
-    landed: HashMap<u64, Landed>,
-    outstanding: HashMap<u64, FleetOutstanding>,
-    collected: HashSet<u64>,
-    pool: BufferPool,
-    kernel: Kernel,
-    transport: TransportStats,
-    stats: FleetStats,
-    timeout: SimDuration,
-    max_retries: u32,
-    up_free: SimInstant,
-    /// One device timeline per member: the shared wire feeds N devices.
-    dev_free: Vec<SimInstant>,
-    down_free: SimInstant,
-    /// Heartbeat interval once [`FleetConnection::enable_heartbeat`] has
-    /// armed the health monitor; `None` keeps heartbeats off.
-    heartbeat: Option<SimDuration>,
-    /// Per-member failure detector fed by the heartbeats.
-    health: HealthMonitor,
-    /// Nonce of the next heartbeat ping.
-    next_nonce: u64,
+///   instead of re-offering load to the gate that just shed it;
+/// * optional heartbeats ([`FleetConnection::enable_heartbeat`]) notice a
+///   restart on an idle connection.
+pub type FleetConnection = Client<Fleet>;
+
+/// A fleet: each member queues and serves through its own admission
+/// control, and every request keeps retransmission state so it can fail
+/// over. The route is the object and the span relative to its first byte;
+/// the device span is recomputed per replica.
+impl Backend for Fleet {
+    type Ticket = FleetTicket;
+    type Route = (ObjectId, ByteSpan);
+    const KEEPS_STATE: bool = true;
+    /// Heartbeat ticks fire in the timer drain, so with the monitor on a
+    /// member restart is detected at its first heartbeat; the resync after
+    /// the drain is the safety net for heartbeat-less connections.
+    const RESYNC_AFTER_TIMERS: bool = true;
+
+    fn ticket_id(ticket: FleetTicket) -> u64 {
+        ticket.0
+    }
+
+    fn members(&self) -> usize {
+        self.members.len()
+    }
+
+    fn member_epoch(&self, member: usize) -> u64 {
+        self.epoch(member)
+    }
+
+    fn serve(&mut self, member: usize, request: &ServerRequest) -> (ServerResponse, SimDuration) {
+        self.members[member].handle(request)
+    }
+
+    fn reset_server_stats(&mut self) {
+        self.reset_stats();
+    }
+
+    /// Moves pending frames into each member's service queue and pumps
+    /// every member: served (or rejected) responses cross the member's
+    /// device timeline and the shared downlink, landing timestamped.
+    fn dispatch(conn: &mut FleetConnection) {
+        for m in 0..conn.server.members.len() {
+            while let Some(p) = conn.pending[m].pop_front() {
+                let rid = p.frame.request_id;
+                conn.arrival_at.insert(rid, p.arrival);
+                // The member's admission control is the gate: a frame it
+                // turns away comes back as a Busy reply through the same
+                // ready queue.
+                if conn.server.members[m].enqueue(p.frame).is_err() {
+                    conn.arrival_at.remove(&rid);
+                }
+            }
+            while let Some((frame, charge)) = conn.server.members[m].poll_conn(CONN_ID) {
+                let rid = frame.request_id;
+                let arrival = conn.arrival_at.remove(&rid).unwrap_or(conn.up_free);
+                let done = arrival.max(conn.dev_free[m]) + charge;
+                conn.dev_free[m] = done;
+                if let FramePayload::Response(response) = frame.payload {
+                    conn.land(rid, response, done);
+                }
+            }
+            // The wake list (including the orphans a restart marks) has
+            // been fully served for the fleet's single logical connection;
+            // drain it so it never accumulates.
+            let _ = conn.server.members[m].take_woken();
+        }
+    }
+
+    /// The next replica on the object's rendezvous ring; a single-replica
+    /// object stays put.
+    fn fail_over(
+        &self,
+        &(object, rel): &(ObjectId, ByteSpan),
+        target: usize,
+    ) -> Option<(usize, ServerRequest)> {
+        let replica = self.placements.get(&object)?.next_after(target);
+        (replica.member != target).then(|| (replica.member, fetch_on(replica, rel)))
+    }
+
+    fn on_timer(conn: &mut FleetConnection, event: KernelEvent) {
+        match event {
+            KernelEvent::HealthTick { member } => conn.heartbeat_member(member as usize),
+            _ => conn.kernel.note_spurious(),
+        }
+    }
+}
+
+/// The fetch of `rel` — a span relative to the object's first byte — from
+/// `replica`'s copy.
+fn fetch_on(replica: Replica, rel: ByteSpan) -> ServerRequest {
+    ServerRequest::FetchSpan { span: ByteSpan::at(replica.span.start + rel.start, rel.len()) }
 }
 
 impl FleetConnection {
@@ -925,109 +928,23 @@ impl FleetConnection {
     /// machinery (deadlines, retransmission, duplicate suppression,
     /// failover) engages.
     pub fn with_faults(fleet: Fleet, link: Link, window: usize, plan: FaultPlan) -> Self {
-        let member_epochs: Vec<u64> = fleet.members.iter().map(|m| m.epoch()).collect();
-        let members = fleet.members.len();
-        FleetConnection {
-            fleet,
-            member_epochs,
-            link: FaultyLink::new(link, plan),
-            clock: SimClock::new(),
-            next_request_id: 1,
-            window: InflightWindow::new(window),
-            pending: (0..members).map(|_| VecDeque::new()).collect(),
-            arrival_at: HashMap::new(),
-            landed: HashMap::new(),
-            outstanding: HashMap::new(),
-            collected: HashSet::new(),
-            pool: BufferPool::new(),
-            kernel: Kernel::new(),
-            transport: TransportStats::default(),
-            stats: FleetStats::default(),
-            timeout: DEFAULT_TIMEOUT,
-            max_retries: DEFAULT_MAX_RETRIES,
-            up_free: SimInstant::EPOCH,
-            dev_free: vec![SimInstant::EPOCH; members],
-            down_free: SimInstant::EPOCH,
-            heartbeat: None,
-            health: HealthMonitor::new(members),
-            next_nonce: 1,
-        }
-    }
-
-    /// Overrides the recovery policy: per-request deadline and retransmit
-    /// budget before a request expires with an inline error.
-    pub fn with_recovery(mut self, timeout: SimDuration, max_retries: u32) -> Self {
-        self.timeout = timeout.max(SimDuration::from_micros(1));
-        self.max_retries = max_retries;
-        self
-    }
-
-    /// Total simulated time spent so far.
-    pub fn elapsed(&self) -> SimDuration {
-        self.clock.now().since(SimInstant::EPOCH)
-    }
-
-    /// Payload bytes moved over the shared link so far.
-    pub fn bytes_transferred(&self) -> u64 {
-        self.link.stats().bytes
-    }
-
-    /// Shared-link transfer statistics.
-    pub fn link_stats(&self) -> minos_net::LinkStats {
-        self.link.stats()
-    }
-
-    /// What the fault layer did to the fleet's frames.
-    pub fn fault_stats(&self) -> minos_net::FaultStats {
-        self.link.fault_stats()
-    }
-
-    /// Recovery accounting — timeouts, retries, replays, epoch resyncs,
-    /// failovers — plus the transmit-pool counters.
-    pub fn transport_stats(&self) -> TransportStats {
-        let pool = self.pool.stats();
-        TransportStats {
-            pool_hits: pool.hits,
-            pool_misses: pool.misses,
-            payload_allocs: self.transport.payload_allocs + pool.misses,
-            ..self.transport
-        }
+        Client::open(fleet, link, window, plan)
     }
 
     /// Busy-honoring accounting (deferred resubmissions and the
     /// always-zero premature count).
     pub fn fleet_stats(&self) -> FleetStats {
-        self.stats
-    }
-
-    /// The timer-wheel counters of the recovery machinery.
-    pub fn kernel_stats(&self) -> crate::kernel::KernelStats {
-        self.kernel.stats()
-    }
-
-    /// Requests submitted and not yet collected.
-    pub fn in_flight(&self) -> usize {
-        self.window.len()
-    }
-
-    /// The in-flight window capacity.
-    pub fn window_capacity(&self) -> usize {
-        self.window.capacity()
+        self.busy
     }
 
     /// The fleet behind the connection.
     pub fn fleet(&self) -> &Fleet {
-        &self.fleet
+        &self.server
     }
 
     /// Mutable access to the fleet (restarts, config changes).
     pub fn fleet_mut(&mut self) -> &mut Fleet {
-        &mut self.fleet
-    }
-
-    /// Hands a consumed payload buffer back to the transmit pool.
-    pub fn recycle_payload(&mut self, buf: Vec<u8>) {
-        self.pool.recycle(buf);
+        &mut self.server
     }
 
     /// Starts the deterministic health monitor: every `interval`, each
@@ -1038,12 +955,8 @@ impl FleetConnection {
     /// connection notices a member restart without waiting for its next
     /// submit.
     pub fn enable_heartbeat(&mut self, interval: SimDuration) {
-        let interval = interval.max(SimDuration::from_micros(1));
-        self.heartbeat = Some(interval);
-        for m in 0..self.fleet.members.len() {
-            self.kernel
-                .arm(self.clock.now() + interval, KernelEvent::HealthTick { member: m as u64 });
-        }
+        self.heartbeat = Some(interval.max(SimDuration::from_micros(1)));
+        self.arm_heartbeats();
     }
 
     /// The failure detector fed by the heartbeats.
@@ -1057,7 +970,7 @@ impl FleetConnection {
     /// the member's baseline, and a stale epoch in the echo triggers the
     /// resync machinery immediately. Re-arms the member's next tick.
     fn heartbeat_member(&mut self, m: usize) {
-        if m >= self.fleet.members.len() {
+        if m >= self.server.members.len() {
             self.kernel.note_spurious();
             return;
         }
@@ -1066,76 +979,29 @@ impl FleetConnection {
         self.health.note_ping(m);
         let ping = ServerRequest::Ping { nonce };
         let sent = self.clock.now();
-        let up = self.link.charge(Frame::request(FLEET_CONN, 0, ping).wire_size());
+        let up = self.link.charge(Frame::request(CONN_ID, 0, ping).wire_size());
         let arrival = sent.max(self.up_free) + up;
         self.up_free = arrival;
-        let (answer, _) = self.fleet.members[m].handle(&ServerRequest::Ping { nonce });
+        let (answer, _) = self.server.members[m].handle(&ServerRequest::Ping { nonce });
         let echo_epoch = match &answer {
             ServerResponse::Pong { epoch, .. } => Some(*epoch),
             _ => None,
         };
-        let down = self.link.charge(Frame::response(FLEET_CONN, 0, answer).wire_size());
+        let down = self.link.charge(Frame::response(CONN_ID, 0, answer).wire_size());
         let delivered = arrival.max(self.down_free) + down;
         self.down_free = delivered;
         self.health.note_pong(m, delivered.saturating_since(sent));
-        if let Some(epoch) = echo_epoch {
-            if epoch != self.member_epochs[m] {
-                // The restart is noticed by the heartbeat, not by the
-                // next submit: resync (handshake + replay) right here.
-                self.health.note_epoch_mismatch();
-                self.resync_epochs();
-            }
+        if echo_epoch.is_some_and(|epoch| epoch != self.epochs[m]) {
+            // The restart is noticed by the heartbeat, not by the next
+            // submit: resync (handshake + replay) right here.
+            self.health.note_epoch_mismatch();
+            self.resync();
         }
         if let Some(interval) = self.heartbeat {
             self.kernel.arm(
                 self.clock.now().max(delivered) + interval,
                 KernelEvent::HealthTick { member: m as u64 },
             );
-        }
-    }
-
-    /// Resets the accounting *and* the pipeline state (between experiment
-    /// configurations). A ticket from before the reset is gone — waiting
-    /// on it is a protocol error.
-    pub fn reset_accounting(&mut self) {
-        self.link.reset();
-        self.clock = SimClock::new();
-        self.up_free = SimInstant::EPOCH;
-        self.down_free = SimInstant::EPOCH;
-        for free in &mut self.dev_free {
-            *free = SimInstant::EPOCH;
-        }
-        for queue in &mut self.pending {
-            queue.clear();
-        }
-        self.arrival_at.clear();
-        self.landed.clear();
-        self.outstanding.clear();
-        self.collected.clear();
-        self.pool.reset_stats();
-        // The clock restarts at the epoch, so every armed deadline is
-        // stale: replace the kernel wholesale, counters included.
-        self.kernel = Kernel::new();
-        self.transport = TransportStats::default();
-        self.stats = FleetStats::default();
-        self.window = InflightWindow::new(self.window.capacity());
-        self.fleet.reset_stats();
-        // A reset adopts each member's current epoch: there is no window
-        // left to re-aim, so a restart before the reset costs nothing
-        // after it.
-        for (m, last) in self.member_epochs.iter_mut().enumerate() {
-            *last = self.fleet.members[m].epoch();
-        }
-        // The detector restarts clean, and — since the wholesale kernel
-        // swap dropped the armed ticks — an enabled heartbeat re-arms
-        // from the fresh epoch.
-        self.health = HealthMonitor::new(self.fleet.members.len());
-        self.next_nonce = 1;
-        if let Some(interval) = self.heartbeat {
-            for m in 0..self.fleet.members.len() {
-                self.kernel
-                    .arm(self.clock.now() + interval, KernelEvent::HealthTick { member: m as u64 });
-            }
         }
     }
 
@@ -1146,7 +1012,7 @@ impl FleetConnection {
     /// so retransmits and failovers resend without re-encoding from a
     /// typed request.
     pub fn fetch_page(&mut self, object: ObjectId, rel: ByteSpan) -> Result<FleetTicket> {
-        let Some(placement) = self.fleet.placements.get(&object) else {
+        let Some(placement) = self.server.placements.get(&object) else {
             return Err(MinosError::UnknownObject(object.to_string()));
         };
         if rel.end > placement.primary().span.len() {
@@ -1157,474 +1023,12 @@ impl FleetConnection {
         }
         let request_id = self.admit_slot();
         // Re-borrow after the admit loop: it mutates the transport state.
-        let Some(placement) = self.fleet.placements.get(&object) else {
+        let Some(placement) = self.server.placements.get(&object) else {
             return Err(MinosError::UnknownObject(object.to_string()));
         };
         let replica = placement.replica_for(request_id);
-        let span = ByteSpan::at(replica.span.start + rel.start, rel.len());
-        let deadline = self.clock.now() + self.timeout;
-        let mut frame_bytes = self.pool.lease_vec();
-        Frame::encode_request_into(
-            FLEET_CONN,
-            request_id,
-            Priority::Demand,
-            &ServerRequest::FetchSpan { span },
-            &mut frame_bytes,
-        );
-        let timer = self.kernel.arm(deadline, KernelEvent::RetryDue { request_id, attempt: 0 });
-        self.outstanding.insert(
-            request_id,
-            FleetOutstanding {
-                object,
-                rel,
-                target: replica.member,
-                frame_bytes,
-                deadline,
-                attempt: 0,
-                timer,
-                deferred: false,
-            },
-        );
-        self.transmit_request(request_id);
-        self.window.open(request_id);
+        self.submit_encoded(request_id, replica.member, (object, rel), &fetch_on(replica, rel));
         Ok(FleetTicket(request_id))
-    }
-
-    /// Collects the response for `ticket`, advancing the clock to its
-    /// arrival and returning how long the caller actually waited. A lost
-    /// response is retransmitted after its deadline (with capped
-    /// exponential backoff, failing over to a sibling replica each
-    /// round); a `Busy` turn-away resubmits only after the server's own
-    /// hint elapses. A request that exhausts its retries comes back as an
-    /// inline [`ServerResponse::Error`].
-    pub fn wait(&mut self, ticket: FleetTicket) -> Result<(ServerResponse, SimDuration)> {
-        let started = self.clock.now();
-        loop {
-            self.resync_epochs();
-            self.dispatch();
-            if let Some(landed) = self.landed.remove(&ticket.0) {
-                self.clock.advance_to_at_least(landed.ready_at);
-                let waited = self.clock.now().saturating_since(started);
-                self.window.close(ticket.0);
-                if let Some(out) = self.outstanding.remove(&ticket.0) {
-                    self.kernel.cancel(out.timer);
-                    self.pool.recycle(out.frame_bytes);
-                }
-                self.collected.insert(ticket.0);
-                return Ok((landed.response, waited));
-            }
-            if !self.outstanding.contains_key(&ticket.0) {
-                return Err(MinosError::Protocol(format!(
-                    "unknown or already-collected {ticket:?}"
-                )));
-            }
-            self.force_progress(ticket.0);
-        }
-    }
-
-    /// Drives the fleet to `at` without collecting anything: every
-    /// retransmit deadline and `Busy` retry timer due in the interval
-    /// fires at its exact instant.
-    pub fn advance_to(&mut self, at: SimInstant) {
-        self.dispatch();
-        // Step deadline-to-deadline so backoffs chain from the deadline
-        // itself; intermediate cascade ticks drain empty and the loop
-        // steps on. Heartbeat ticks fire in here too, so with the monitor
-        // enabled a member restart is detected at its first heartbeat —
-        // which is why the resync runs *after* the timer drain, as a
-        // safety net for heartbeat-less connections, not before it.
-        while let Some(next) = self.kernel.next_deadline() {
-            if next > at {
-                break;
-            }
-            self.clock.advance_to_at_least(next);
-            self.drain_retry_wakes();
-        }
-        self.clock.advance_to_at_least(at);
-        self.kernel.advance_to(self.clock.now());
-        self.drain_retry_wakes();
-        self.resync_epochs();
-        self.dispatch();
-        self.settle();
-    }
-
-    /// Admits the next submission into the flow-control window: resyncs
-    /// member epochs, settles arrived responses, and waits out (or forces
-    /// progress on) a full window before allocating the request id.
-    fn admit_slot(&mut self) -> u64 {
-        self.resync_epochs();
-        self.settle();
-        while self.window.is_full() {
-            self.dispatch();
-            self.settle();
-            if !self.window.is_full() {
-                break;
-            }
-            let now = self.clock.now();
-            if let Some(next) = self.landed.values().map(|l| l.ready_at).filter(|&t| t > now).min()
-            {
-                self.clock.advance_to_at_least(next);
-                self.settle();
-                continue;
-            }
-            // Window full with nothing landed and nothing arriving: force
-            // the oldest slot through its deadline machinery rather than
-            // overrunning the flow-control bound.
-            let Some(oldest) = self.window.oldest() else { break };
-            self.force_progress(oldest);
-            self.settle();
-        }
-        let request_id = self.next_request_id;
-        self.next_request_id += 1;
-        request_id
-    }
-
-    /// Puts an outstanding request's stored frame bytes on the wire to
-    /// its current target member. Every transmission — first send,
-    /// timeout retransmit, epoch replay, deferred resubmit — resends the
-    /// bytes encoded at submit (or re-encoded at failover) verbatim.
-    fn transmit_request(&mut self, request_id: u64) {
-        let Some(out) = self.outstanding.get(&request_id) else {
-            return;
-        };
-        // The flow-control window is the admission bound: a request only
-        // reaches the wire through an admitted slot, so the in-transit
-        // queues can never outgrow it (duplicates aside, which the fault
-        // layer caps per transmit).
-        debug_assert!(
-            self.outstanding.len() <= self.window.capacity(),
-            "in-flight requests exceed the admitted window"
-        );
-        let target = out.target;
-        let (up, deliveries) = self.link.transmit(&out.frame_bytes);
-        let arrival = self.clock.now().max(self.up_free) + up;
-        self.up_free = arrival;
-        for delivery in deliveries {
-            match Frame::decode(&delivery.bytes) {
-                Ok(delivered) if delivered.as_request().is_some() => {
-                    self.pending[target].push_back(PendingFrame {
-                        frame: delivered,
-                        arrival: arrival + delivery.delay,
-                    });
-                }
-                Ok(_) => {}
-                Err(_) => self.transport.corrupt_frames += 1,
-            }
-        }
-    }
-
-    /// Re-aims an outstanding request at the next replica on its object's
-    /// rendezvous ring, re-encoding the stored frame for the sibling's
-    /// device layout. A single-replica object stays put — there is
-    /// nowhere else to go — and costs nothing.
-    fn fail_over_target(&mut self, request_id: u64) {
-        let Some(out) = self.outstanding.get_mut(&request_id) else {
-            return;
-        };
-        let Some(placement) = self.fleet.placements.get(&out.object) else {
-            return;
-        };
-        let replica = placement.next_after(out.target);
-        if replica.member == out.target {
-            return;
-        }
-        self.transport.failovers += 1;
-        out.target = replica.member;
-        let span = ByteSpan::at(replica.span.start + out.rel.start, out.rel.len());
-        out.frame_bytes.clear();
-        Frame::encode_request_into(
-            FLEET_CONN,
-            request_id,
-            Priority::Demand,
-            &ServerRequest::FetchSpan { span },
-            &mut out.frame_bytes,
-        );
-    }
-
-    /// Detects member restarts (epoch bumps) and recovers each: a
-    /// `Hello`/`Welcome` handshake round trip is charged on the shared
-    /// wire and the member's device, then every in-flight request aimed
-    /// at the dead incarnation is replayed onto the next replica of its
-    /// object — idempotently, skipping ids whose responses already landed
-    /// or were collected, and leaving `Busy`-deferred requests to their
-    /// own timers.
-    fn resync_epochs(&mut self) {
-        for m in 0..self.fleet.members.len() {
-            if self.fleet.members[m].epoch() == self.member_epochs[m] {
-                continue;
-            }
-            self.transport.epoch_resyncs += 1;
-            let hello = Frame::request(
-                FLEET_CONN,
-                0,
-                ServerRequest::Hello { epoch: self.member_epochs[m] },
-            );
-            let up = self.link.charge(hello.wire_size());
-            let hello_arrival = self.clock.now().max(self.up_free) + up;
-            self.up_free = hello_arrival;
-            let (answer, took) = self.fleet.members[m]
-                .handle(&ServerRequest::Hello { epoch: self.member_epochs[m] });
-            let done = hello_arrival.max(self.dev_free[m]) + took;
-            self.dev_free[m] = done;
-            let welcome = Frame::response(FLEET_CONN, 0, answer);
-            let down = self.link.charge(welcome.wire_size());
-            let delivered = done.max(self.down_free) + down;
-            self.down_free = delivered;
-            self.clock.advance_to_at_least(delivered);
-            self.member_epochs[m] = match welcome.payload {
-                FramePayload::Response(ServerResponse::Welcome { epoch }) => epoch,
-                _ => self.fleet.members[m].epoch(),
-            };
-            // Frames still in transit to the member and frames that died
-            // in its volatile queue are both gone; the member's wake list
-            // names the orphaned connection, and the transport answers by
-            // replaying each loss onto a sibling.
-            self.pending[m].clear();
-            let _ = self.fleet.members[m].take_woken();
-            let lost: Vec<u64> = self
-                .outstanding
-                .iter()
-                .filter(|(rid, o)| {
-                    o.target == m
-                        && !o.deferred
-                        && !self.landed.contains_key(rid)
-                        && !self.collected.contains(rid)
-                })
-                .map(|(&rid, _)| rid)
-                .collect();
-            for rid in lost {
-                self.transport.replays += 1;
-                self.fail_over_target(rid);
-                self.transmit_request(rid);
-            }
-        }
-    }
-
-    /// Moves pending frames into each member's service queue and pumps
-    /// every member: served (or rejected) responses cross the member's
-    /// device timeline and the shared downlink, landing timestamped.
-    fn dispatch(&mut self) {
-        for m in 0..self.fleet.members.len() {
-            while let Some(p) = self.pending[m].pop_front() {
-                let rid = p.frame.request_id;
-                self.arrival_at.insert(rid, p.arrival);
-                // The member's admission control is the gate: a frame it
-                // turns away comes back as a Busy reply through the same
-                // ready queue.
-                if self.fleet.members[m].enqueue(p.frame).is_err() {
-                    self.arrival_at.remove(&rid);
-                }
-            }
-            while let Some((frame, charge)) = self.fleet.members[m].poll_conn(FLEET_CONN) {
-                let rid = frame.request_id;
-                let arrival = self.arrival_at.remove(&rid).unwrap_or(self.up_free);
-                let done = arrival.max(self.dev_free[m]) + charge;
-                self.dev_free[m] = done;
-                let FramePayload::Response(response) = frame.payload else {
-                    continue;
-                };
-                self.land(rid, response, done);
-            }
-            // The wake list has been fully served for the fleet's single
-            // logical connection; drain it so it never accumulates.
-            let _ = self.fleet.members[m].take_woken();
-        }
-    }
-
-    /// Charges the shared downlink for one response frame and lands it.
-    /// On a faulty link the encoded frame crosses the fault layer:
-    /// corrupt copies are counted and discarded (the deadline machinery
-    /// retransmits), duplicates are suppressed by request id.
-    fn land(&mut self, request_id: u64, response: ServerResponse, done: SimInstant) {
-        if self.link.is_clean() {
-            let frame = Frame::response(FLEET_CONN, request_id, response);
-            let down = self.link.charge(frame.wire_size());
-            let delivered = done.max(self.down_free) + down;
-            self.down_free = delivered;
-            let FramePayload::Response(response) = frame.payload else {
-                return;
-            };
-            self.receive(request_id, response, delivered);
-            return;
-        }
-        let frame = Frame::response(FLEET_CONN, request_id, response);
-        let mut bytes = self.pool.lease_vec();
-        frame.encode_into(&mut bytes);
-        let (down, deliveries) = self.link.transmit(&bytes);
-        let delivered = done.max(self.down_free) + down;
-        self.down_free = delivered;
-        for delivery in deliveries {
-            match Frame::decode(&delivery.bytes) {
-                Ok(received) => {
-                    let rid = received.request_id;
-                    let FramePayload::Response(response) = received.payload else {
-                        continue;
-                    };
-                    self.receive(rid, response, delivered + delivery.delay);
-                }
-                Err(_) => self.transport.corrupt_frames += 1,
-            }
-        }
-        self.pool.recycle(bytes);
-    }
-
-    /// Accepts one response at its delivery instant: duplicates are
-    /// suppressed, a `Busy` turn-away for a tracked request parks it on a
-    /// retry timer honoring the server's hint (and rotates it to a
-    /// sibling replica), and anything else lands for collection.
-    fn receive(&mut self, request_id: u64, response: ServerResponse, at: SimInstant) {
-        if self.collected.contains(&request_id) || self.landed.contains_key(&request_id) {
-            self.transport.duplicates += 1;
-            return;
-        }
-        if let ServerResponse::Busy { retry_after } = response {
-            if let Some(out) = self.outstanding.get(&request_id) {
-                if out.deferred {
-                    // A duplicated Busy reply must not double-park.
-                    self.transport.duplicates += 1;
-                    return;
-                }
-                self.stats.busy_deferred += 1;
-                let due = at + retry_after;
-                self.kernel.cancel(out.timer);
-                let attempt = out.attempt;
-                let timer = self.kernel.arm(due, KernelEvent::RetryDue { request_id, attempt });
-                // Resubmit somewhere less loaded when the object has a
-                // sibling copy; with one replica the rotation is a no-op.
-                self.fail_over_target(request_id);
-                if let Some(out) = self.outstanding.get_mut(&request_id) {
-                    out.deferred = true;
-                    out.deadline = due;
-                    out.timer = timer;
-                }
-                return;
-            }
-        }
-        // The response is in hand: the retransmission state is done, its
-        // deadline is void, and the encoded bytes go back to the pool.
-        if let Some(out) = self.outstanding.remove(&request_id) {
-            self.kernel.cancel(out.timer);
-            self.pool.recycle(out.frame_bytes);
-        }
-        self.landed.insert(request_id, Landed { response, ready_at: at });
-    }
-
-    /// Fires every kernel event due at the current clock and handles the
-    /// retry wakes and heartbeat ticks among them; re-advances each round
-    /// because a handler can arm a deadline already behind kernel time.
-    fn drain_retry_wakes(&mut self) {
-        loop {
-            self.kernel.advance_to(self.clock.now());
-            let Some(event) = self.kernel.take_ready() else { break };
-            match event {
-                KernelEvent::RetryDue { request_id, attempt } => {
-                    let now = self.clock.now();
-                    let due = self
-                        .outstanding
-                        .get(&request_id)
-                        .is_some_and(|o| o.attempt == attempt && o.deadline <= now);
-                    if due && !self.landed.contains_key(&request_id) {
-                        self.force_progress(request_id);
-                    } else {
-                        self.kernel.note_spurious();
-                    }
-                }
-                KernelEvent::HealthTick { member } => self.heartbeat_member(member as usize),
-                _ => self.kernel.note_spurious(),
-            }
-        }
-    }
-
-    /// Forces progress on a slot whose response has not landed.
-    ///
-    /// A `Busy`-deferred request waits out its hint, then resubmits to
-    /// its (already rotated) target with a fresh deadline — costing
-    /// neither a timeout nor a retry, and never leaving early (the
-    /// premature counter is pinned zero). A genuinely lost request waits
-    /// out its deadline and either retransmits — failing over to the next
-    /// replica, with capped exponential backoff — or, budget exhausted,
-    /// expires with an inline [`ServerResponse::Error`].
-    fn force_progress(&mut self, request_id: u64) {
-        let Some((deadline, attempt, timer, deferred)) =
-            self.outstanding.get(&request_id).map(|o| (o.deadline, o.attempt, o.timer, o.deferred))
-        else {
-            self.landed.insert(
-                request_id,
-                Landed {
-                    response: ServerResponse::Error(format!(
-                        "request {request_id} lost with no retransmission state"
-                    )),
-                    ready_at: self.clock.now(),
-                },
-            );
-            return;
-        };
-        if deferred {
-            // The hint gates the uplink: the resubmission leaves at the
-            // later of "now" and the due instant, never earlier.
-            self.clock.advance_to_at_least(deadline);
-            if self.clock.now() < deadline {
-                self.stats.premature_busy_retries += 1;
-            }
-            self.kernel.cancel(timer);
-            let next_deadline = self.clock.now() + self.timeout;
-            let fresh =
-                self.kernel.arm(next_deadline, KernelEvent::RetryDue { request_id, attempt });
-            if let Some(out) = self.outstanding.get_mut(&request_id) {
-                out.deferred = false;
-                out.deadline = next_deadline;
-                out.timer = fresh;
-            }
-            self.transmit_request(request_id);
-            return;
-        }
-        self.transport.timeouts += 1;
-        self.clock.advance_to_at_least(deadline);
-        self.kernel.cancel(timer);
-        if attempt >= self.max_retries {
-            if let Some(out) = self.outstanding.remove(&request_id) {
-                self.pool.recycle(out.frame_bytes);
-            }
-            self.landed.insert(
-                request_id,
-                Landed {
-                    response: ServerResponse::Error(format!(
-                        "request {request_id} timed out after {} attempts",
-                        attempt + 1
-                    )),
-                    ready_at: self.clock.now(),
-                },
-            );
-            return;
-        }
-        self.transport.retries += 1;
-        let shift = (attempt + 1).min(16);
-        let backoff =
-            SimDuration::from_micros(self.timeout.as_micros().saturating_mul(1u64 << shift))
-                .min(BACKOFF_CAP);
-        let next_deadline = self.clock.now() + backoff;
-        let fresh = self
-            .kernel
-            .arm(next_deadline, KernelEvent::RetryDue { request_id, attempt: attempt + 1 });
-        if let Some(out) = self.outstanding.get_mut(&request_id) {
-            out.attempt = attempt + 1;
-            out.deadline = next_deadline;
-            out.timer = fresh;
-        }
-        // A timeout is evidence against the target, not just the wire:
-        // the retransmit goes to the next replica on the ring.
-        self.fail_over_target(request_id);
-        self.transmit_request(request_id);
-    }
-
-    /// Retires window slots whose responses have already arrived.
-    fn settle(&mut self) {
-        let now = self.clock.now();
-        let arrived: Vec<u64> =
-            self.landed.iter().filter(|(_, l)| l.ready_at <= now).map(|(&rid, _)| rid).collect();
-        for rid in arrived {
-            self.window.close(rid);
-        }
     }
 }
 
@@ -1697,11 +1101,7 @@ pub struct FleetReport {
 impl FleetReport {
     /// Aggregate demand goodput in verified pages per simulated second.
     pub fn goodput_pages_per_sec(&self) -> f64 {
-        let micros = self.elapsed.as_micros();
-        if micros == 0 {
-            return 0.0;
-        }
-        self.pages as f64 * 1_000_000.0 / micros as f64
+        per_sim_second(self.pages, self.elapsed)
     }
 }
 
@@ -2058,9 +1458,7 @@ pub fn simulate_fleet_workload(config: FleetWorkloadConfig) -> Result<FleetRepor
         }
     }
     let stats = fleet.service_stats();
-    audio_lat.sort_unstable();
-    let p99_rank = (audio_lat.len() * 99).div_ceil(100).saturating_sub(1);
-    let audio_p99 = audio_lat.get(p99_rank).copied().unwrap_or(SimDuration::ZERO);
+    let audio_p99 = p99(&mut audio_lat);
     Ok(FleetReport {
         elapsed: last_delivered.since(SimInstant::EPOCH),
         pages: delivered,
@@ -2082,6 +1480,7 @@ pub fn simulate_fleet_workload(config: FleetWorkloadConfig) -> Result<FleetRepor
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::TransportStats;
 
     #[test]
     fn rendezvous_order_is_a_deterministic_permutation() {

@@ -17,6 +17,9 @@
 //! * [`transparency`] — transparency-set presentation (Figures 5–8);
 //! * [`process`] — process simulation with audio-gated page turns
 //!   (Figures 9–10);
+//! * [`transport`] — the pipelined client: one request lifecycle
+//!   (window, deadlines, backoff, duplicate suppression, `Busy` deferral,
+//!   epoch handshake and replay) over a single server or a fleet;
 //! * [`remote`] — the workstation side of the server protocol: remote
 //!   views, miniature browsing, transfer accounting;
 //! * [`prefetch`] — anticipatory prefetching: prediction policies, the
@@ -50,6 +53,7 @@ pub mod sched;
 pub mod session;
 pub mod tour;
 pub mod transparency;
+pub mod transport;
 pub mod visual;
 
 pub use audio::AudioEngine;
@@ -61,16 +65,13 @@ pub use command::{BrowseCommand, BrowseEvent};
 pub use compose::{compose_screen, resolve_figure};
 pub use fleet::{
     rendezvous_order, simulate_fleet_workload, Fleet, FleetConnection, FleetReport, FleetRestart,
-    FleetStats, FleetTicket, FleetWorkloadConfig, HealthMonitor, HealthStats, MemberHealth,
-    PageChecksums, Placement, RepairQueue, RepairReceipt, RepairStats, RepairTask, Replica,
-    ScrubReport,
+    FleetTicket, FleetWorkloadConfig, HealthMonitor, HealthStats, MemberHealth, PageChecksums,
+    Placement, RepairQueue, RepairReceipt, RepairStats, RepairTask, Replica, ScrubReport,
 };
 pub use kernel::{Kernel, KernelEvent, KernelStats, TimerId};
 pub use prefetch::{page_spans, AnticipatingStore, PrefetchBuffer, PrefetchStats, Prefetcher};
 pub use process::{ProcessRunner, ProcessState};
-pub use remote::{
-    Connection, MiniatureBrowser, ServerEndpoint, Ticket, TransportStats, Workstation,
-};
+pub use remote::{Connection, MiniatureBrowser, Ticket, Workstation};
 pub use sched::{
     simulate_faulty_page_workload, simulate_overload_workload, simulate_page_workload,
     simulate_sched_workload, FaultyWorkloadReport, HubStore, OverloadReport, SchedReport,
@@ -79,4 +80,5 @@ pub use sched::{
 pub use session::{BrowsingSession, ObjectStore, SessionCheckpoint};
 pub use tour::{TourEvent, TourRunner};
 pub use transparency::TransparencyViewer;
+pub use transport::{Backend, Client, FleetStats, TransportStats};
 pub use visual::{VisualEngine, VisualView};

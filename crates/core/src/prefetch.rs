@@ -29,13 +29,12 @@
 //! returns are identical to an unpredicted demand fetch.
 
 use crate::kernel::{Kernel, KernelEvent, KernelStats};
-use crate::remote::{ServerEndpoint, Workstation};
+use crate::remote::Workstation;
 use crate::session::ObjectStore;
 use minos_image::view::MoveDirection;
 use minos_image::View;
 use minos_net::{ServerRequest, ServerResponse};
 use minos_object::MultimediaObject;
-use minos_server::ObjectServer;
 use minos_types::{
     ByteSpan, Encoder, MinosError, ObjectId, Result, SimClock, SimDuration, SimInstant,
 };
@@ -176,8 +175,8 @@ impl PrefetchStats {
 /// needed early. The pipeline's own clock is therefore the presentation
 /// timeline (dwell + stall + opening), while the wrapped workstation's
 /// clock keeps counting serial link and device busy time.
-pub struct PrefetchBuffer<E: ServerEndpoint> {
-    ws: Workstation<E>,
+pub struct PrefetchBuffer {
+    ws: Workstation,
     prefetcher: Prefetcher,
     /// Landed responses awaiting their step, keyed by encoded request.
     buffer: HashMap<Vec<u8>, ServerResponse>,
@@ -199,9 +198,9 @@ pub struct PrefetchBuffer<E: ServerEndpoint> {
     overlap: SimDuration,
 }
 
-impl<E: ServerEndpoint> PrefetchBuffer<E> {
+impl PrefetchBuffer {
     /// Wraps `ws` with a pipeline of the given lookahead depth.
-    pub fn new(ws: Workstation<E>, depth: usize) -> Self {
+    pub fn new(ws: Workstation, depth: usize) -> Self {
         PrefetchBuffer {
             ws,
             prefetcher: Prefetcher::new(depth),
@@ -225,12 +224,12 @@ impl<E: ServerEndpoint> PrefetchBuffer<E> {
     }
 
     /// The wrapped workstation (round trips, bytes).
-    pub fn workstation(&self) -> &Workstation<E> {
+    pub fn workstation(&self) -> &Workstation {
         &self.ws
     }
 
     /// Mutable workstation access (endpoint setup).
-    pub fn workstation_mut(&mut self) -> &mut Workstation<E> {
+    pub fn workstation_mut(&mut self) -> &mut Workstation {
         &mut self.ws
     }
 
@@ -516,7 +515,7 @@ impl<E: ServerEndpoint> PrefetchBuffer<E> {
 /// objects are prefetched in one batch while the user is still dwelling on
 /// the current object.
 pub struct AnticipatingStore {
-    pipeline: PrefetchBuffer<ObjectServer>,
+    pipeline: PrefetchBuffer,
     plan: Vec<ServerRequest>,
     dwell: SimDuration,
 }
@@ -525,17 +524,17 @@ impl AnticipatingStore {
     /// Wraps a server-backed workstation. `dwell` is the reading time
     /// credited per visible-indicator report — the window the prefetch
     /// hides behind.
-    pub fn new(ws: Workstation<ObjectServer>, depth: usize, dwell: SimDuration) -> Self {
+    pub fn new(ws: Workstation, depth: usize, dwell: SimDuration) -> Self {
         AnticipatingStore { pipeline: PrefetchBuffer::new(ws, depth), plan: Vec::new(), dwell }
     }
 
     /// The pipeline (stats, workstation accounting).
-    pub fn pipeline(&self) -> &PrefetchBuffer<ObjectServer> {
+    pub fn pipeline(&self) -> &PrefetchBuffer {
         &self.pipeline
     }
 
     /// Mutable pipeline access.
-    pub fn pipeline_mut(&mut self) -> &mut PrefetchBuffer<ObjectServer> {
+    pub fn pipeline_mut(&mut self) -> &mut PrefetchBuffer {
         &mut self.pipeline
     }
 }
@@ -574,6 +573,7 @@ impl ObjectStore for AnticipatingStore {
 mod tests {
     use super::*;
     use minos_net::Link;
+    use minos_server::ObjectServer;
     use minos_types::{Rect, Size};
 
     /// A server whose archive holds one raw record of `len` patterned
@@ -585,7 +585,7 @@ mod tests {
         (server, record.span)
     }
 
-    fn pipeline(depth: usize, record_len: usize) -> (PrefetchBuffer<ObjectServer>, ByteSpan) {
+    fn pipeline(depth: usize, record_len: usize) -> (PrefetchBuffer, ByteSpan) {
         let (server, span) = blob_server(record_len);
         (PrefetchBuffer::new(Workstation::new(server, Link::ethernet()), depth), span)
     }

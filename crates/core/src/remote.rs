@@ -4,206 +4,126 @@
 //! workstation and requests the appropriate pieces of information from the
 //! multimedia object server subsystems." (§5)
 //!
-//! A [`Workstation`] wraps a server endpoint behind a link model and
-//! accounts for every simulated microsecond and byte: request transfer,
-//! server device time, response transfer. Experiments E5 (views vs whole
-//! images) and E6 (miniature-first browsing) read their numbers from here.
+//! A [`Workstation`] talks to one [`ObjectServer`] over a link and accounts
+//! for every simulated microsecond and byte: request transfer, server
+//! device time, response transfer. Experiments E5 (views vs whole images)
+//! and E6 (miniature-first browsing) read their numbers from here.
 //!
-//! Underneath, every request travels as a [`minos_net::Frame`] on a
-//! pipelined [`Connection`]: [`Connection::submit`] puts a request frame on
-//! the wire and returns a [`Ticket`] immediately, so several requests can
-//! overlap link transfer with server device time; [`Connection::wait`]
-//! collects the response and charges only the time the caller actually had
-//! to wait. The blocking [`Workstation::request`]/
-//! [`Workstation::request_batch`] calls are thin submit-then-wait shims
-//! over this pipeline, so every pre-existing call site keeps its exact
-//! semantics while anticipatory code gets true overlap.
+//! Underneath, every request travels on a [`Connection`]: the pipelined
+//! [`Client`] of [`crate::transport`] over a single server.
+//! [`Connection::submit`] puts a request on the wire and returns a
+//! [`Ticket`] at once, so several requests overlap link transfer with
+//! device time; [`Client::wait`] collects the response and charges only
+//! the time the caller actually had to wait. What is particular to one server lives here: on a clean link
+//! requests travel as typed frames — never encoded, no deadline armed —
+//! and a leading run of adjacent span fetches is served as one device read
+//! and one merged response transfer (the §5 anticipatory shape). The
+//! blocking [`Workstation::request`]/[`Workstation::request_batch`] calls
+//! are thin submit-then-wait shims over this pipeline.
 
-use crate::kernel::{Kernel, KernelEvent, TimerId};
-use minos_image::{Bitmap, View};
-use minos_net::{
-    BufferPool, FaultPlan, FaultyLink, Frame, FramePayload, InflightWindow, Link, Priority,
-    ServerRequest, ServerResponse,
+use crate::transport::{
+    Backend, Client, Landed, PendingFrame, TransportStats, CONN_ID, DEFAULT_WINDOW,
 };
+use minos_image::{Bitmap, View};
+use minos_net::{FaultPlan, Frame, FramePayload, Link, ServerRequest, ServerResponse};
 use minos_object::{ArchivedObject, DataKind, DataPayload};
 use minos_server::ObjectServer;
-use minos_types::{
-    ByteSpan, MinosError, ObjectId, Rect, Result, SimClock, SimDuration, SimInstant, Size,
-};
-use std::collections::{HashMap, HashSet, VecDeque};
-
-/// Anything that can answer protocol requests with a device-time charge.
-pub trait ServerEndpoint {
-    /// Handles one request.
-    fn handle(&mut self, request: &ServerRequest) -> (ServerResponse, SimDuration);
-
-    /// The endpoint's restart epoch. Endpoints that never restart report a
-    /// constant 0; a bump tells the connection its in-flight window was
-    /// lost in the restart and must be replayed.
-    fn epoch(&self) -> u64 {
-        0
-    }
-
-    /// Clears any endpoint-side accounting (service-loop counters and
-    /// overload high-water marks). Endpoints without accounting need not
-    /// override.
-    fn reset_stats(&mut self) {}
-}
-
-impl ServerEndpoint for ObjectServer {
-    fn handle(&mut self, request: &ServerRequest) -> (ServerResponse, SimDuration) {
-        ObjectServer::handle(self, request)
-    }
-
-    fn epoch(&self) -> u64 {
-        ObjectServer::epoch(self)
-    }
-
-    fn reset_stats(&mut self) {
-        self.reset_service_stats();
-    }
-}
+use minos_types::{ByteSpan, MinosError, ObjectId, Rect, Result, SimDuration, Size};
+use std::collections::VecDeque;
 
 /// A handle to a submitted, not-yet-collected request on a [`Connection`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Ticket(u64);
 
-/// A request frame accepted for transmission but not yet served: its bytes
-/// finish arriving at the server at `arrival`. Shared with the fleet
-/// transport ([`crate::fleet`]), which runs the same three-timeline wire
-/// discipline against many members.
-pub(crate) struct PendingFrame {
-    pub(crate) frame: Frame,
-    pub(crate) arrival: SimInstant,
+/// A pipelined connection to one [`ObjectServer`] over a link.
+pub type Connection = Client<ObjectServer>;
+
+/// One server: requests are handled directly (there is no service queue
+/// between the wire and the device), so it never answers `Busy` and has
+/// nowhere to fail over to.
+impl Backend for ObjectServer {
+    type Ticket = Ticket;
+    type Route = ();
+    const KEEPS_STATE: bool = false;
+    /// A single server runs no heartbeats: every dispatch sees the
+    /// current epoch first.
+    const RESYNC_AFTER_TIMERS: bool = false;
+
+    fn ticket_id(ticket: Ticket) -> u64 {
+        ticket.0
+    }
+
+    fn members(&self) -> usize {
+        1
+    }
+
+    fn member_epoch(&self, _member: usize) -> u64 {
+        self.epoch()
+    }
+
+    fn serve(&mut self, _member: usize, request: &ServerRequest) -> (ServerResponse, SimDuration) {
+        self.handle(request)
+    }
+
+    fn reset_server_stats(&mut self) {
+        self.reset_service_stats();
+    }
+
+    /// Moves every pending frame through the server device and the
+    /// downlink. Coalescing applies only on clean links: a mangled merged
+    /// frame would lose the whole run to one bit flip, so faulty links keep
+    /// per-request frames (integrity and retransmission are per frame).
+    fn dispatch(conn: &mut Connection) {
+        loop {
+            let run_len = if conn.link.is_clean() { leading_span_run(&conn.pending[0]) } else { 1 };
+            if run_len > 1 {
+                let run: Vec<PendingFrame> = conn.pending[0].drain(..run_len).collect();
+                conn.dispatch_coalesced(&run);
+                continue;
+            }
+            let Some(p) = conn.pending[0].pop_front() else { break };
+            let (response, took) = match p.frame.as_request() {
+                Some(request) => conn.server.handle(request),
+                None => (
+                    ServerResponse::Error("pending frame carried no request".into()),
+                    SimDuration::ZERO,
+                ),
+            };
+            let done = p.arrival.max(conn.dev_free[0]) + took;
+            conn.dev_free[0] = done;
+            conn.land(p.frame.request_id, response, done);
+        }
+    }
 }
 
-/// A served response whose bytes finish arriving back at `ready_at`.
-pub(crate) struct Landed {
-    pub(crate) response: ServerResponse,
-    pub(crate) ready_at: SimInstant,
+/// Length of the leading run of adjacent span fetches in `pending`.
+fn leading_span_run(pending: &VecDeque<PendingFrame>) -> usize {
+    let mut len = 0;
+    let mut prev_end: Option<u64> = None;
+    for p in pending {
+        let Some(span) = p.frame.as_request().and_then(|r| r.as_span()) else {
+            break;
+        };
+        if prev_end.is_some_and(|end| end != span.start) {
+            break;
+        }
+        prev_end = Some(span.end);
+        len += 1;
+    }
+    len
 }
 
-/// Retransmission state for a request whose response has not yet landed
-/// (kept only on faulty links; a clean link never loses a frame). The
-/// *encoded* frame is what is kept: the request is encoded exactly once at
-/// submit (into a pooled buffer), and every retransmit or epoch replay
-/// resends these bytes verbatim — the old double copy (an owned clone of
-/// the request plus a fresh encode per transmit) is gone.
-struct Outstanding {
-    frame_bytes: Vec<u8>,
-    deadline: SimInstant,
-    attempt: u32,
-    /// The timer-wheel entry armed for `deadline`; cancelled when the
-    /// response lands, rearmed on every retransmit.
-    timer: TimerId,
-}
-
-/// Recovery accounting: what the connection had to do to survive its link.
-/// Cleared by [`Connection::reset_accounting`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TransportStats {
-    /// Deadlines that expired before the response landed.
-    pub timeouts: u64,
-    /// Request frames retransmitted after a timeout.
-    pub retries: u64,
-    /// Received frames that failed to decode (checksum mismatch or
-    /// truncation) and were discarded.
-    pub corrupt_frames: u64,
-    /// Responses discarded because their `request_id` had already landed
-    /// or been collected.
-    pub duplicates: u64,
-    /// Server epoch changes survived: the connection re-handshook and
-    /// replayed its in-flight window after a restart.
-    pub epoch_resyncs: u64,
-    /// Request frames replayed (or retransmitted) because a server restart
-    /// dropped them from the service queue.
-    pub replays: u64,
-    /// Requests re-aimed at a sibling replica after their target member
-    /// restarted or timed out. Always zero on a single-endpoint
-    /// [`Connection`]; counted by the fleet transport ([`crate::fleet`]),
-    /// which has somewhere else to go.
-    pub failovers: u64,
-    /// Transmit-buffer pool leases served from the free list — no
-    /// allocation happened.
-    pub pool_hits: u64,
-    /// Pool leases that had to allocate a fresh buffer (a cold pool or a
-    /// burst deeper than the retained free list).
-    pub pool_misses: u64,
-    /// Fresh payload-buffer allocations on the frame hot path. For a
-    /// connection this is its pool misses: once the pool is warm a
-    /// steady-state window transmits with zero of these.
-    pub payload_allocs: u64,
-}
-
-/// Default pipelining budget: requests that may be in flight at once.
-const DEFAULT_WINDOW: usize = 32;
-
-/// Default per-request deadline. The sim serves every surviving frame by
-/// the time a caller waits on it, so a deadline only ever fires on genuine
-/// loss — it can be short without risking spurious retransmits.
-const DEFAULT_TIMEOUT: SimDuration = SimDuration::from_millis(500);
-
-/// Default retransmission budget before a request expires with an inline
-/// error.
-const DEFAULT_MAX_RETRIES: u32 = 4;
-
-/// Ceiling on the exponential backoff between retransmits.
-const BACKOFF_CAP: SimDuration = SimDuration::from_secs(4);
-
-/// A pipelined connection to a server endpoint over a link.
-///
-/// The connection models three serially-reusable resources — the uplink,
-/// the server device, and the downlink — each as a "free at" instant.
-/// Submitting charges the uplink immediately; [`Connection::dispatch`]
-/// moves pending frames through the device and downlink, coalescing a
-/// leading run of adjacent span fetches into one device read and one
-/// merged downlink transfer (the §5 anticipatory shape, preserved from the
-/// batch path so pipelining never costs extra actuator seeks). Responses
-/// land timestamped; waiting charges only the time between "now" and the
-/// response's arrival — that difference is where pipelining wins.
-pub struct Connection<E: ServerEndpoint> {
-    endpoint: E,
-    /// The endpoint epoch last handshaken; a mismatch at the next submit
-    /// or wait triggers the resync-and-replay path.
-    server_epoch: u64,
-    link: FaultyLink,
-    clock: SimClock,
-    conn_id: u64,
-    next_request_id: u64,
-    window: InflightWindow,
-    pending: VecDeque<PendingFrame>,
-    landed: HashMap<u64, Landed>,
-    outstanding: HashMap<u64, Outstanding>,
-    collected: HashSet<u64>,
-    /// Transmit and payload buffers leased and recycled across the
-    /// connection's lifetime; its hit/miss accounting is merged into
-    /// [`TransportStats`] by [`Connection::transport_stats`].
-    pool: BufferPool,
-    /// The discrete-event kernel holding every outstanding request's
-    /// retransmit deadline, so a lost response on an otherwise-idle
-    /// connection is discovered by [`Connection::advance_to`] at its
-    /// deadline instead of lazily at the next collection.
-    kernel: Kernel,
-    transport: TransportStats,
-    timeout: SimDuration,
-    max_retries: u32,
-    up_free: SimInstant,
-    dev_free: SimInstant,
-    down_free: SimInstant,
-    round_trips: u64,
-}
-
-impl<E: ServerEndpoint> Connection<E> {
-    /// Opens a connection to `endpoint` over `link` with the default
+impl Connection {
+    /// Opens a connection to `server` over `link` with the default
     /// in-flight window.
-    pub fn new(endpoint: E, link: Link) -> Self {
-        Connection::with_window(endpoint, link, DEFAULT_WINDOW)
+    pub fn new(server: ObjectServer, link: Link) -> Self {
+        Connection::with_window(server, link, DEFAULT_WINDOW)
     }
 
     /// Opens a connection with an explicit in-flight window capacity
     /// (capacity 1 degenerates to the old blocking discipline).
-    pub fn with_window(endpoint: E, link: Link, window: usize) -> Self {
-        Connection::with_faults(endpoint, link, window, FaultPlan::none())
+    pub fn with_window(server: ObjectServer, link: Link, window: usize) -> Self {
+        Connection::with_faults(server, link, window, FaultPlan::none())
     }
 
     /// Opens a connection whose link misbehaves according to `plan`. With
@@ -211,243 +131,18 @@ impl<E: ServerEndpoint> Connection<E> {
     /// otherwise every frame crosses the fault layer and the recovery
     /// machinery (deadlines, retransmission, duplicate suppression)
     /// engages.
-    pub fn with_faults(endpoint: E, link: Link, window: usize, plan: FaultPlan) -> Self {
-        let server_epoch = endpoint.epoch();
-        Connection {
-            endpoint,
-            server_epoch,
-            link: FaultyLink::new(link, plan),
-            clock: SimClock::new(),
-            conn_id: 1,
-            next_request_id: 1,
-            window: InflightWindow::new(window),
-            pending: VecDeque::new(),
-            landed: HashMap::new(),
-            outstanding: HashMap::new(),
-            collected: HashSet::new(),
-            pool: BufferPool::new(),
-            kernel: Kernel::new(),
-            transport: TransportStats::default(),
-            timeout: DEFAULT_TIMEOUT,
-            max_retries: DEFAULT_MAX_RETRIES,
-            up_free: SimInstant::EPOCH,
-            dev_free: SimInstant::EPOCH,
-            down_free: SimInstant::EPOCH,
-            round_trips: 0,
-        }
+    pub fn with_faults(server: ObjectServer, link: Link, window: usize, plan: FaultPlan) -> Self {
+        Client::open(server, link, window, plan)
     }
 
-    /// Overrides the recovery policy: per-request deadline and how many
-    /// retransmits are attempted before a request expires with an inline
-    /// [`ServerResponse::Error`].
-    pub fn with_recovery(mut self, timeout: SimDuration, max_retries: u32) -> Self {
-        self.timeout = timeout.max(SimDuration::from_micros(1));
-        self.max_retries = max_retries;
-        self
+    /// The wrapped server.
+    pub fn endpoint(&self) -> &ObjectServer {
+        &self.server
     }
 
-    /// Total simulated time spent so far.
-    pub fn elapsed(&self) -> SimDuration {
-        self.clock.now().since(SimInstant::EPOCH)
-    }
-
-    /// Payload bytes moved over the link so far.
-    pub fn bytes_transferred(&self) -> u64 {
-        self.link.stats().bytes
-    }
-
-    /// Link transfer statistics (messages, bytes, busy time).
-    pub fn link_stats(&self) -> minos_net::LinkStats {
-        self.link.stats()
-    }
-
-    /// What the fault layer did to this connection's frames.
-    pub fn fault_stats(&self) -> minos_net::FaultStats {
-        self.link.fault_stats()
-    }
-
-    /// What the recovery machinery had to do: timeouts, retries, corrupt
-    /// frames discarded, duplicates suppressed — plus the transmit-pool
-    /// accounting (hits, misses, fresh payload allocations).
-    pub fn transport_stats(&self) -> TransportStats {
-        let pool = self.pool.stats();
-        TransportStats {
-            pool_hits: pool.hits,
-            pool_misses: pool.misses,
-            payload_allocs: self.transport.payload_allocs + pool.misses,
-            ..self.transport
-        }
-    }
-
-    /// Round trips so far: times the connection went from idle (nothing in
-    /// flight) to busy. A blocking caller pays one per request; a
-    /// pipelined burst pays one for the whole burst — that is its point.
-    pub fn round_trips(&self) -> u64 {
-        self.round_trips
-    }
-
-    /// Hands a consumed payload buffer back to the connection's transmit
-    /// pool. Callers that drain pipelined span responses can return the
-    /// buffers here so the steady-state hot path re-serves them instead of
-    /// allocating a fresh one per page. Each side recycles into its own
-    /// pool: buffers this connection produced (coalesced batch slices,
-    /// faulty-link decodes) come back here, while payloads the in-process
-    /// server leased on the clean path belong to the server's
-    /// `recycle_payload`.
-    pub fn recycle_payload(&mut self, buf: Vec<u8>) {
-        self.pool.recycle(buf);
-    }
-
-    /// Requests submitted and not yet collected.
-    pub fn in_flight(&self) -> usize {
-        self.window.len()
-    }
-
-    /// The in-flight window capacity.
-    pub fn window_capacity(&self) -> usize {
-        self.window.capacity()
-    }
-
-    /// The wrapped endpoint.
-    pub fn endpoint(&self) -> &E {
-        &self.endpoint
-    }
-
-    /// Mutable endpoint access.
-    pub fn endpoint_mut(&mut self) -> &mut E {
-        &mut self.endpoint
-    }
-
-    /// Resets the accounting *and* the pipeline state (between experiment
-    /// configurations): link statistics, the clock, the round-trip count,
-    /// the resource timelines, and any uncollected frames. A ticket from
-    /// before the reset is gone — waiting on it is a protocol error.
-    pub fn reset_accounting(&mut self) {
-        self.link.reset();
-        self.clock = SimClock::new();
-        self.round_trips = 0;
-        self.up_free = SimInstant::EPOCH;
-        self.dev_free = SimInstant::EPOCH;
-        self.down_free = SimInstant::EPOCH;
-        self.pending.clear();
-        self.landed.clear();
-        self.outstanding.clear();
-        self.collected.clear();
-        self.pool.reset_stats();
-        // The clock restarts at the epoch, so every armed deadline is
-        // stale: replace the kernel wholesale, counters included.
-        self.kernel = Kernel::new();
-        self.transport = TransportStats::default();
-        self.window = InflightWindow::new(self.window.capacity());
-        self.endpoint.reset_stats();
-        // A reset adopts the endpoint's current epoch: there is no window
-        // left to replay, so a restart before the reset costs nothing
-        // after it.
-        self.server_epoch = self.endpoint.epoch();
-    }
-
-    /// Detects a server restart (epoch bump) and recovers: a
-    /// `Hello`/`Welcome` handshake round trip is charged on the wire, then
-    /// the in-flight window is replayed *idempotently* — request ids are
-    /// unchanged and ids whose responses already landed or were collected
-    /// are skipped, so no request is ever served twice into the collected
-    /// stream.
-    fn resync_epoch(&mut self) {
-        if self.endpoint.epoch() == self.server_epoch {
-            return;
-        }
-        self.transport.epoch_resyncs += 1;
-        // The handshake round trip: Hello up, device-free answer, Welcome
-        // down, each on its resource timeline.
-        let hello =
-            Frame::request(self.conn_id, 0, ServerRequest::Hello { epoch: self.server_epoch });
-        let up = self.link.charge(hello.wire_size());
-        let hello_arrival = self.clock.now().max(self.up_free) + up;
-        self.up_free = hello_arrival;
-        let (answer, took) =
-            self.endpoint.handle(&ServerRequest::Hello { epoch: self.server_epoch });
-        let done = hello_arrival.max(self.dev_free) + took;
-        self.dev_free = done;
-        // The answer moves into the frame for an arithmetic wire-size
-        // measurement and is read back out of it — never cloned.
-        let welcome = Frame::response(self.conn_id, 0, answer);
-        let down = self.link.charge(welcome.wire_size());
-        let delivered = done.max(self.down_free) + down;
-        self.down_free = delivered;
-        self.clock.advance_to_at_least(delivered);
-        self.server_epoch = match welcome.payload {
-            FramePayload::Response(ServerResponse::Welcome { epoch }) => epoch,
-            _ => self.endpoint.epoch(),
-        };
-        if self.link.is_clean() {
-            // Requests that reached the restarted server unanswered died
-            // with its volatile queue; put them back on the uplink with
-            // their original ids.
-            let replay: Vec<Frame> = self.pending.drain(..).map(|p| p.frame).collect();
-            for frame in replay {
-                if self.landed.contains_key(&frame.request_id)
-                    || self.collected.contains(&frame.request_id)
-                {
-                    continue;
-                }
-                self.transport.replays += 1;
-                let up = self.link.charge(frame.wire_size());
-                let arrival = self.clock.now().max(self.up_free) + up;
-                self.up_free = arrival;
-                self.pending.push_back(PendingFrame { frame, arrival });
-            }
-            return;
-        }
-        // Faulty links: in-server copies are gone; every still-outstanding
-        // request goes back through the ordinary transmit machinery (its
-        // deadline state is untouched — a replay is not a timeout).
-        self.pending.clear();
-        let lost: Vec<u64> = self
-            .outstanding
-            .keys()
-            .copied()
-            .filter(|rid| !self.landed.contains_key(rid) && !self.collected.contains(rid))
-            .collect();
-        for rid in lost {
-            self.transport.replays += 1;
-            self.transmit_request(rid);
-        }
-    }
-
-    /// Admits the next submission into the flow-control window: resyncs epochs,
-    /// settles arrived responses, waits out (or times out) a full window,
-    /// and allocates the request id.
-    fn admit_slot(&mut self) -> u64 {
-        self.resync_epoch();
-        self.settle();
-        while self.window.is_full() {
-            self.dispatch();
-            self.settle();
-            if !self.window.is_full() {
-                break;
-            }
-            let now = self.clock.now();
-            if let Some(next) = self.landed.values().map(|l| l.ready_at).filter(|&t| t > now).min()
-            {
-                self.clock.advance_to_at_least(next);
-                self.settle();
-                continue;
-            }
-            // Window full with nothing landed and nothing arriving: every
-            // open slot's response was lost on the wire. Force the oldest
-            // slot through a timeout round (retransmit or expire) rather
-            // than opening another slot anyway — the old code broke out
-            // here and silently overran the flow-control bound.
-            let Some(oldest) = self.window.oldest() else { break };
-            self.force_progress(oldest);
-            self.settle();
-        }
-        if self.window.is_empty() {
-            self.round_trips += 1;
-        }
-        let request_id = self.next_request_id;
-        self.next_request_id += 1;
-        request_id
+    /// Mutable server access.
+    pub fn endpoint_mut(&mut self) -> &mut ObjectServer {
+        &mut self.server
     }
 
     /// Submits one request, charging its uplink transfer, and returns a
@@ -457,21 +152,10 @@ impl<E: ServerEndpoint> Connection<E> {
     /// response was lost is forced through the timeout machinery instead
     /// of being overrun.
     pub fn submit(&mut self, request: ServerRequest) -> Ticket {
-        let request_id = self.admit_slot();
-        if self.link.is_clean() {
-            // Fast path: the typed frame is handed to the server directly;
-            // its wire size is computed arithmetically, so nothing is
-            // copied or encoded on the hot path.
-            let frame = Frame::request(self.conn_id, request_id, request);
-            let up = self.link.charge(frame.wire_size());
-            let arrival = self.clock.now().max(self.up_free) + up;
-            self.up_free = arrival;
-            self.pending.push_back(PendingFrame { frame, arrival });
-        } else {
-            self.submit_encoded(request_id, &request);
+        if !self.link.is_clean() {
+            return self.submit_ref(&request);
         }
-        self.window.open(request_id);
-        Ticket(request_id)
+        Ticket(self.submit_typed(request))
     }
 
     /// [`Connection::submit`] from a borrowed request, never cloning:
@@ -480,292 +164,12 @@ impl<E: ServerEndpoint> Connection<E> {
     /// request on a faulty link) encodes straight from the borrow into a
     /// pooled buffer.
     pub fn submit_ref(&mut self, request: &ServerRequest) -> Ticket {
-        let request_id = self.admit_slot();
         match request.plain_copy() {
-            Some(copy) if self.link.is_clean() => {
-                let frame = Frame::request(self.conn_id, request_id, copy);
-                let up = self.link.charge(frame.wire_size());
-                let arrival = self.clock.now().max(self.up_free) + up;
-                self.up_free = arrival;
-                self.pending.push_back(PendingFrame { frame, arrival });
-            }
-            _ => self.submit_encoded(request_id, request),
-        }
-        self.window.open(request_id);
-        Ticket(request_id)
-    }
-
-    /// Encodes `request` once — from its borrow, into a pooled buffer —
-    /// records the bytes as retransmission state, and puts them on the
-    /// wire.
-    fn submit_encoded(&mut self, request_id: u64, request: &ServerRequest) {
-        let deadline = self.clock.now() + self.timeout;
-        let mut frame_bytes = self.pool.lease_vec();
-        Frame::encode_request_into(
-            self.conn_id,
-            request_id,
-            Priority::Demand,
-            request,
-            &mut frame_bytes,
-        );
-        let timer = self.kernel.arm(deadline, KernelEvent::RetryDue { request_id, attempt: 0 });
-        self.outstanding
-            .insert(request_id, Outstanding { frame_bytes, deadline, attempt: 0, timer });
-        self.transmit_request(request_id);
-    }
-
-    /// Puts the outstanding request `request_id`'s stored frame bytes on
-    /// the wire through the fault layer; whatever survives decoding joins
-    /// the pending queue. Every transmission — first send, timeout
-    /// retransmit, epoch replay — resends the identical bytes encoded at
-    /// submit time.
-    fn transmit_request(&mut self, request_id: u64) {
-        let Some(out) = self.outstanding.get(&request_id) else {
-            return;
-        };
-        let (up, deliveries) = self.link.transmit(&out.frame_bytes);
-        let arrival = self.clock.now().max(self.up_free) + up;
-        self.up_free = arrival;
-        for delivery in deliveries {
-            match Frame::decode(&delivery.bytes) {
-                Ok(delivered) if delivered.as_request().is_some() => {
-                    self.pending.push_back(PendingFrame {
-                        frame: delivered,
-                        arrival: arrival + delivery.delay,
-                    });
-                }
-                Ok(_) => {}
-                Err(_) => self.transport.corrupt_frames += 1,
-            }
-        }
-    }
-
-    /// Collects the response for `ticket`, advancing the clock to its
-    /// arrival and returning how long the caller actually waited (zero if
-    /// the response had already landed — that time was won by overlap).
-    /// On a faulty link a lost response is retransmitted after its
-    /// deadline, with capped exponential backoff; a request that exhausts
-    /// its retries comes back as an inline [`ServerResponse::Error`], as do
-    /// server-side errors.
-    pub fn wait(&mut self, ticket: Ticket) -> Result<(ServerResponse, SimDuration)> {
-        let started = self.clock.now();
-        loop {
-            self.resync_epoch();
-            self.dispatch();
-            if let Some(landed) = self.landed.remove(&ticket.0) {
-                self.clock.advance_to_at_least(landed.ready_at);
-                let waited = self.clock.now().saturating_since(started);
-                self.window.close(ticket.0);
-                if let Some(out) = self.outstanding.remove(&ticket.0) {
-                    self.kernel.cancel(out.timer);
-                    self.pool.recycle(out.frame_bytes);
-                }
-                if !self.link.is_clean() {
-                    self.collected.insert(ticket.0);
-                }
-                return Ok((landed.response, waited));
-            }
-            if !self.outstanding.contains_key(&ticket.0) {
-                return Err(MinosError::Protocol(format!(
-                    "unknown or already-collected {ticket:?}"
-                )));
-            }
-            self.force_progress(ticket.0);
-        }
-    }
-
-    /// Collects the response for `ticket` only if it has already arrived;
-    /// never advances the clock (and therefore never times anything out).
-    pub fn poll(&mut self, ticket: Ticket) -> Option<ServerResponse> {
-        self.resync_epoch();
-        self.dispatch();
-        if self.landed.get(&ticket.0)?.ready_at > self.clock.now() {
-            return None;
-        }
-        self.window.close(ticket.0);
-        if let Some(out) = self.outstanding.remove(&ticket.0) {
-            self.kernel.cancel(out.timer);
-            self.pool.recycle(out.frame_bytes);
-        }
-        if !self.link.is_clean() {
-            self.collected.insert(ticket.0);
-        }
-        self.landed.remove(&ticket.0).map(|l| l.response)
-    }
-
-    /// Drives the connection to `at` without collecting anything. The
-    /// timer wheel discovers every retransmit deadline that falls due in
-    /// the interval and fires it: a lost response on an otherwise-idle
-    /// connection retransmits (or expires) *at its deadline*, instead of
-    /// waiting for the next [`Connection::wait`] to stumble on it. Fired
-    /// deadlines whose response landed in the meantime are counted as
-    /// spurious wakes and ignored.
-    pub fn advance_to(&mut self, at: SimInstant) {
-        self.resync_epoch();
-        self.dispatch();
-        // Step armed-deadline to armed-deadline: the clock reaches each
-        // deadline exactly when it fires, so a retransmit's backoff
-        // chains from the deadline — identical to the wait() discipline —
-        // instead of from the far end of the jump. next_deadline may
-        // name an intermediate cascade tick where nothing fires yet;
-        // those rounds drain empty and the loop steps on.
-        while let Some(next) = self.kernel.next_deadline() {
-            if next > at {
-                break;
-            }
-            self.clock.advance_to_at_least(next);
-            self.drain_retry_wakes();
-        }
-        self.clock.advance_to_at_least(at);
-        self.kernel.advance_to(self.clock.now());
-        self.drain_retry_wakes();
-        self.dispatch();
-        self.settle();
-    }
-
-    /// Fires every kernel event due at the current clock and handles the
-    /// retransmit wakes among them. Re-advances each round because a
-    /// handler can arm a deadline already behind kernel time (a capped
-    /// backoff), which lands due immediately and must still be flushed.
-    fn drain_retry_wakes(&mut self) {
-        loop {
-            self.kernel.advance_to(self.clock.now());
-            let Some(event) = self.kernel.take_ready() else { break };
-            let KernelEvent::RetryDue { request_id, attempt } = event else {
-                self.kernel.note_spurious();
-                continue;
-            };
-            let now = self.clock.now();
-            let due = self
-                .outstanding
-                .get(&request_id)
-                .is_some_and(|o| o.attempt == attempt && o.deadline <= now);
-            if due && !self.landed.contains_key(&request_id) {
-                self.force_progress(request_id);
-            } else {
-                self.kernel.note_spurious();
-            }
-        }
-    }
-
-    /// The timer-wheel counters for this connection's recovery machinery.
-    pub fn kernel_stats(&self) -> crate::kernel::KernelStats {
-        self.kernel.stats()
-    }
-
-    /// Drains the connection kernel's trace ring as a JSON array (see
-    /// [`Kernel::drain_trace_json`]).
-    pub fn drain_kernel_trace(&mut self) -> String {
-        self.kernel.drain_trace_json()
-    }
-
-    /// Forces progress on a slot whose response has not landed: waits out
-    /// its deadline, then either retransmits (doubling the deadline, up to
-    /// [`BACKOFF_CAP`]) or — retries exhausted — expires the request with
-    /// an inline [`ServerResponse::Error`] so the slot can settle and the
-    /// pipeline keeps moving. A slot with no retransmission state (clean
-    /// links keep none) lands an inline error immediately: better a typed
-    /// failure than an overrun window or a hang.
-    fn force_progress(&mut self, request_id: u64) {
-        let Some((deadline, attempt, timer)) =
-            self.outstanding.get(&request_id).map(|o| (o.deadline, o.attempt, o.timer))
-        else {
-            self.landed.insert(
-                request_id,
-                Landed {
-                    response: ServerResponse::Error(format!(
-                        "request {request_id} lost with no retransmission state"
-                    )),
-                    ready_at: self.clock.now(),
-                },
-            );
-            return;
-        };
-        self.transport.timeouts += 1;
-        self.clock.advance_to_at_least(deadline);
-        self.kernel.cancel(timer);
-        if attempt >= self.max_retries {
-            if let Some(out) = self.outstanding.remove(&request_id) {
-                self.pool.recycle(out.frame_bytes);
-            }
-            self.landed.insert(
-                request_id,
-                Landed {
-                    response: ServerResponse::Error(format!(
-                        "request {request_id} timed out after {} attempts",
-                        attempt + 1
-                    )),
-                    ready_at: self.clock.now(),
-                },
-            );
-            return;
-        }
-        self.transport.retries += 1;
-        let shift = (attempt + 1).min(16);
-        let backoff =
-            SimDuration::from_micros(self.timeout.as_micros().saturating_mul(1u64 << shift))
-                .min(BACKOFF_CAP);
-        let next_deadline = self.clock.now() + backoff;
-        let timer = self
-            .kernel
-            .arm(next_deadline, KernelEvent::RetryDue { request_id, attempt: attempt + 1 });
-        if let Some(out) = self.outstanding.get_mut(&request_id) {
-            out.attempt = attempt + 1;
-            out.deadline = next_deadline;
-            out.timer = timer;
-        }
-        self.transmit_request(request_id);
-    }
-
-    /// Retires window slots whose responses have already arrived.
-    fn settle(&mut self) {
-        let now = self.clock.now();
-        let arrived: Vec<u64> =
-            self.landed.iter().filter(|(_, l)| l.ready_at <= now).map(|(&rid, _)| rid).collect();
-        for rid in arrived {
-            self.window.close(rid);
-        }
-    }
-
-    /// Length of the leading run of adjacent span fetches in `pending`.
-    fn leading_span_run(&self) -> usize {
-        let mut len = 0;
-        let mut prev_end: Option<u64> = None;
-        for p in &self.pending {
-            let Some(span) = p.frame.as_request().and_then(|r| r.as_span()) else {
-                break;
-            };
-            if prev_end.is_some_and(|end| end != span.start) {
-                break;
-            }
-            prev_end = Some(span.end);
-            len += 1;
-        }
-        len
-    }
-
-    /// Moves every pending frame through the server device and the
-    /// downlink, landing timestamped responses. Coalescing applies only on
-    /// clean links: a mangled merged frame would lose the whole run to one
-    /// bit flip, so faulty links keep per-request frames (integrity and
-    /// retransmission are per frame).
-    fn dispatch(&mut self) {
-        while !self.pending.is_empty() {
-            let run_len = if self.link.is_clean() { self.leading_span_run() } else { 1 };
-            if run_len > 1 {
-                let run: Vec<PendingFrame> = self.pending.drain(..run_len).collect();
-                self.dispatch_coalesced(&run);
-            } else if let Some(p) = self.pending.pop_front() {
-                let (response, took) = match p.frame.as_request() {
-                    Some(request) => self.endpoint.handle(request),
-                    None => (
-                        ServerResponse::Error("pending frame carried no request".into()),
-                        SimDuration::ZERO,
-                    ),
-                };
-                let done = p.arrival.max(self.dev_free) + took;
-                self.dev_free = done;
-                self.deliver(p.frame.request_id, response, done);
+            Some(copy) if self.link.is_clean() => self.submit(copy),
+            _ => {
+                let request_id = self.admit_slot();
+                self.submit_encoded(request_id, 0, (), request);
+                Ticket(request_id)
             }
         }
     }
@@ -780,19 +184,15 @@ impl<E: ServerEndpoint> Connection<E> {
             return;
         };
         let whole = ByteSpan::new(first.start, last.end);
-        let arrival = tail.arrival;
-        let (response, took) = self.endpoint.handle(&ServerRequest::FetchSpan { span: whole });
-        let done = arrival.max(self.dev_free) + took;
-        self.dev_free = done;
+        let (response, took) = self.server.handle(&ServerRequest::FetchSpan { span: whole });
+        let done = tail.arrival.max(self.dev_free[0]) + took;
+        self.dev_free[0] = done;
         match response {
             ServerResponse::Span(bytes) => {
                 // One merged response frame carries the whole run's bytes;
                 // the probe computes its wire size without copying them.
-                let probe = Frame::response(
-                    self.conn_id,
-                    tail.frame.request_id,
-                    ServerResponse::Span(bytes),
-                );
+                let probe =
+                    Frame::response(CONN_ID, tail.frame.request_id, ServerResponse::Span(bytes));
                 let down = self.link.charge(probe.wire_size());
                 let delivered = done.max(self.down_free) + down;
                 self.down_free = delivered;
@@ -839,79 +239,32 @@ impl<E: ServerEndpoint> Connection<E> {
                         }
                         None => format!("coalesced read {whole} failed: {message}"),
                     };
-                    self.deliver(p.frame.request_id, ServerResponse::Error(detail), done);
+                    self.land(p.frame.request_id, ServerResponse::Error(detail), done);
                 }
             }
         }
-    }
-
-    /// Charges the downlink for one response frame and lands it at its
-    /// delivery instant. On a faulty link the encoded frame crosses the
-    /// fault layer: corrupt copies are counted and discarded (the deadline
-    /// machinery will retransmit), duplicates are suppressed by
-    /// `request_id`.
-    fn deliver(&mut self, request_id: u64, response: ServerResponse, done: SimInstant) {
-        if self.link.is_clean() {
-            // Move the response into a typed frame to measure its wire
-            // size arithmetically, then take it back out — no copy, no
-            // encoding on the clean path.
-            let frame = Frame::response(self.conn_id, request_id, response);
-            let down = self.link.charge(frame.wire_size());
-            let delivered = done.max(self.down_free) + down;
-            self.down_free = delivered;
-            let response = match frame.payload {
-                FramePayload::Response(response) => response,
-                _ => ServerResponse::Error("response frame lost its payload".into()),
-            };
-            self.landed.insert(request_id, Landed { response, ready_at: delivered });
-            return;
-        }
-        let frame = Frame::response(self.conn_id, request_id, response);
-        let mut bytes = self.pool.lease_vec();
-        frame.encode_into(&mut bytes);
-        let (down, deliveries) = self.link.transmit(&bytes);
-        let delivered = done.max(self.down_free) + down;
-        self.down_free = delivered;
-        for delivery in deliveries {
-            match Frame::decode(&delivery.bytes) {
-                Ok(received) => {
-                    let rid = received.request_id;
-                    let FramePayload::Response(response) = received.payload else {
-                        continue;
-                    };
-                    if self.collected.contains(&rid) || self.landed.contains_key(&rid) {
-                        self.transport.duplicates += 1;
-                        continue;
-                    }
-                    self.landed
-                        .insert(rid, Landed { response, ready_at: delivered + delivery.delay });
-                }
-                Err(_) => self.transport.corrupt_frames += 1,
-            }
-        }
-        self.pool.recycle(bytes);
     }
 }
 
 /// The workstation: a server endpoint reached over a link, with full time
 /// and transfer accounting. All blocking entry points are submit-then-wait
 /// shims over the pipelined [`Connection`].
-pub struct Workstation<E: ServerEndpoint> {
-    conn: Connection<E>,
+pub struct Workstation {
+    conn: Connection,
 }
 
-impl<E: ServerEndpoint> Workstation<E> {
+impl Workstation {
     /// Connects a workstation to `endpoint` over `link`.
-    pub fn new(endpoint: E, link: Link) -> Self {
-        Workstation { conn: Connection::new(endpoint, link) }
+    pub fn new(server: ObjectServer, link: Link) -> Self {
+        Workstation { conn: Connection::new(server, link) }
     }
 
     /// Connects a workstation whose link misbehaves according to `plan`;
     /// the connection's recovery machinery keeps the blocking entry points
     /// working (lost frames retransmit transparently, exhausted requests
     /// surface as protocol errors).
-    pub fn with_faults(endpoint: E, link: Link, plan: FaultPlan) -> Self {
-        Workstation { conn: Connection::with_faults(endpoint, link, DEFAULT_WINDOW, plan) }
+    pub fn with_faults(server: ObjectServer, link: Link, plan: FaultPlan) -> Self {
+        Workstation { conn: Connection::with_faults(server, link, DEFAULT_WINDOW, plan) }
     }
 
     /// Recovery accounting (timeouts, retries, corrupt frames, duplicates).
@@ -947,18 +300,18 @@ impl<E: ServerEndpoint> Workstation<E> {
     }
 
     /// The wrapped endpoint.
-    pub fn endpoint_mut(&mut self) -> &mut E {
+    pub fn endpoint_mut(&mut self) -> &mut ObjectServer {
         self.conn.endpoint_mut()
     }
 
     /// The underlying pipelined connection.
-    pub fn connection(&self) -> &Connection<E> {
+    pub fn connection(&self) -> &Connection {
         &self.conn
     }
 
     /// Mutable access to the pipelined connection, for callers that want
     /// to overlap submissions instead of blocking per request.
-    pub fn connection_mut(&mut self) -> &mut Connection<E> {
+    pub fn connection_mut(&mut self) -> &mut Connection {
         &mut self.conn
     }
 
@@ -1073,7 +426,7 @@ impl RemoteView {
     }
 
     /// Fetches the current window's pixels from the server.
-    pub fn fetch<E: ServerEndpoint>(&self, ws: &mut Workstation<E>) -> Result<Bitmap> {
+    pub fn fetch(&self, ws: &mut Workstation) -> Result<Bitmap> {
         ws.fetch_view(self.object, self.image, self.view.rect())
     }
 }
@@ -1101,7 +454,7 @@ mod tests {
         (server, receipt.span.start)
     }
 
-    fn workstation() -> (Workstation<ObjectServer>, u64) {
+    fn workstation() -> (Workstation, u64) {
         let (server, base) = server();
         (Workstation::new(server, Link::ethernet()), base)
     }
@@ -1669,10 +1022,7 @@ pub struct MiniatureBrowser {
 
 impl MiniatureBrowser {
     /// Runs a content query and streams the qualifying miniatures.
-    pub fn query<E: ServerEndpoint>(
-        ws: &mut Workstation<E>,
-        keywords: &[&str],
-    ) -> Result<MiniatureBrowser> {
+    pub fn query(ws: &mut Workstation, keywords: &[&str]) -> Result<MiniatureBrowser> {
         let hits = ws.query(keywords)?;
         let stream = ws.miniature_stream(&hits)?;
         Ok(MiniatureBrowser {
@@ -1720,7 +1070,7 @@ impl MiniatureBrowser {
 /// A server-backed object store: browsing sessions resolve relevant-object
 /// targets through the workstation, charging the link for each object's
 /// archived size — the architecture of §5 end to end.
-impl crate::session::ObjectStore for Workstation<ObjectServer> {
+impl crate::session::ObjectStore for Workstation {
     fn fetch(&mut self, id: ObjectId) -> Result<minos_object::MultimediaObject> {
         // Charge the transfer of the archived form over the link.
         let request = ServerRequest::FetchObject { id };

@@ -44,8 +44,9 @@
 use crate::command::{BrowseCommand, BrowseEvent};
 use crate::kernel::{Kernel, KernelEvent, KernelStats};
 use crate::prefetch::page_spans;
-use crate::remote::{Connection, Ticket, TransportStats};
+use crate::remote::{Connection, Ticket};
 use crate::session::{BrowsingSession, ObjectStore};
+use crate::transport::TransportStats;
 use minos_net::{
     BufferPool, FaultPlan, FaultRng, FaultStats, Frame, FramePayload, Link, LinkStats, Priority,
     ServerRequest, ServerResponse,
@@ -728,6 +729,31 @@ pub enum TransportMode {
     },
 }
 
+/// The nearest-rank 99th percentile of `samples`, which it sorts in
+/// place: the smallest sample at or above 99 % of them, zero for none.
+pub(crate) fn p99(samples: &mut [SimDuration]) -> SimDuration {
+    samples.sort_unstable();
+    let rank = (samples.len() * 99).div_ceil(100).saturating_sub(1);
+    samples.get(rank).copied().unwrap_or(SimDuration::ZERO)
+}
+
+/// `count` per simulated second of `elapsed` (zero for an empty run).
+pub(crate) fn per_sim_second(count: u64, elapsed: SimDuration) -> f64 {
+    let micros = elapsed.as_micros();
+    if micros == 0 {
+        return 0.0;
+    }
+    count as f64 * 1_000_000.0 / micros as f64
+}
+
+/// `count` per delivered page (zero when no page was delivered).
+pub(crate) fn per_page(count: u64, pages: u64) -> f64 {
+    if pages == 0 {
+        return 0.0;
+    }
+    count as f64 / pages as f64
+}
+
 /// What one [`simulate_page_workload`] run measured.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WorkloadReport {
@@ -746,21 +772,14 @@ pub struct WorkloadReport {
 impl WorkloadReport {
     /// Aggregate throughput in pages per simulated second.
     pub fn pages_per_sec(&self) -> f64 {
-        let micros = self.elapsed.as_micros();
-        if micros == 0 {
-            return 0.0;
-        }
-        self.pages as f64 * 1_000_000.0 / micros as f64
+        per_sim_second(self.pages, self.elapsed)
     }
 
     /// Fresh allocations per delivered page — the zero-copy pin. A
     /// warmed-up pipeline re-serves pooled buffers, so this stays (well)
     /// under one.
     pub fn allocations_per_page(&self) -> f64 {
-        if self.pages == 0 {
-            return 0.0;
-        }
-        self.payload_allocs as f64 / self.pages as f64
+        per_page(self.payload_allocs, self.pages)
     }
 }
 
@@ -786,11 +805,7 @@ pub struct FaultyWorkloadReport {
 impl FaultyWorkloadReport {
     /// Goodput in verified pages per simulated second.
     pub fn pages_per_sec(&self) -> f64 {
-        let micros = self.elapsed.as_micros();
-        if micros == 0 {
-            return 0.0;
-        }
-        self.pages as f64 * 1_000_000.0 / micros as f64
+        per_sim_second(self.pages, self.elapsed)
     }
 }
 
@@ -909,21 +924,14 @@ pub struct OverloadReport {
 impl OverloadReport {
     /// Demand goodput in verified pages per simulated second.
     pub fn goodput_pages_per_sec(&self) -> f64 {
-        let micros = self.elapsed.as_micros();
-        if micros == 0 {
-            return 0.0;
-        }
-        self.pages as f64 * 1_000_000.0 / micros as f64
+        per_sim_second(self.pages, self.elapsed)
     }
 
     /// Fresh allocations per delivered demand page — the zero-copy pin
     /// under overload. Recycled buffers absorb the 4x offered load, so
     /// steady state stays (well) under one.
     pub fn allocations_per_page(&self) -> f64 {
-        if self.pages == 0 {
-            return 0.0;
-        }
-        self.payload_allocs as f64 / self.pages as f64
+        per_page(self.payload_allocs, self.pages)
     }
 }
 
@@ -1174,14 +1182,13 @@ pub fn simulate_overload_workload(
             }
         }
     }
-    audio_lat.sort();
-    let p99_rank = (audio_lat.len() * 99).div_ceil(100).saturating_sub(1);
+    let audio_p99 = p99(&mut audio_lat);
     let stats = server.service_stats();
     Ok(OverloadReport {
         elapsed: last_delivered.since(SimInstant::EPOCH),
         pages: delivered,
         audio_pages,
-        audio_p99: audio_lat.get(p99_rank).copied().unwrap_or(SimDuration::ZERO),
+        audio_p99,
         audio_worst: audio_lat.last().copied().unwrap_or(SimDuration::ZERO),
         offered,
         prefetch_served,
@@ -1494,8 +1501,7 @@ pub fn simulate_sched_workload(
             );
         }
     }
-    audio_lat.sort();
-    let p99_rank = (audio_lat.len() * 99).div_ceil(100).saturating_sub(1);
+    let audio_p99 = p99(&mut audio_lat);
     let stats = kernel.stats();
     Ok(SchedReport {
         sessions: sessions as u64,
@@ -1507,7 +1513,7 @@ pub fn simulate_sched_workload(
         timers_armed: stats.timers_armed,
         spurious_wakes: stats.spurious_wakes,
         ready_high_water: stats.ready_high_water,
-        audio_p99: audio_lat.get(p99_rank).copied().unwrap_or(SimDuration::ZERO),
+        audio_p99,
         sim_elapsed: kernel.now().since(SimInstant::EPOCH),
     })
 }
@@ -1517,6 +1523,17 @@ mod tests {
     use super::*;
     use minos_corpus::objects::archived_form;
     use minos_corpus::{audio_xray_report, medical_report, subway_map_object};
+
+    #[test]
+    fn p99_is_the_nearest_rank_sample() {
+        let ms = SimDuration::from_millis;
+        // 1..=n ms, unsorted: the rank is ceil(0.99 n), one-based.
+        let samples = |n: u64| -> Vec<SimDuration> { (1..=n).rev().map(ms).collect() };
+        assert_eq!(p99(&mut samples(0)), SimDuration::ZERO);
+        assert_eq!(p99(&mut samples(1)), ms(1));
+        assert_eq!(p99(&mut samples(100)), ms(99));
+        assert_eq!(p99(&mut samples(101)), ms(100));
+    }
 
     fn corpus_server() -> ObjectServer {
         let mut server = ObjectServer::new();

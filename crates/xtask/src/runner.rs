@@ -23,6 +23,7 @@ const QUEUE_SCOPE: &[&str] = &[
     "crates/net/src/",
     "crates/server/src/",
     "crates/core/src/remote.rs",
+    "crates/core/src/transport.rs",
     "crates/core/src/kernel.rs",
     "crates/core/src/fleet.rs",
     "crates/core/src/chaos.rs",
@@ -35,6 +36,7 @@ const ALLOC_SCOPE: &[&str] = &[
     "crates/net/src/frame.rs",
     "crates/net/src/fault.rs",
     "crates/core/src/remote.rs",
+    "crates/core/src/transport.rs",
     "crates/core/src/prefetch.rs",
 ];
 

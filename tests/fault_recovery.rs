@@ -9,9 +9,12 @@
 use minos::corpus;
 use minos::corpus::objects::archived_form;
 use minos::net::{FaultPlan, Link, ServerRequest, ServerResponse};
-use minos::presentation::{simulate_faulty_page_workload, Connection, TransportStats};
+use minos::presentation::{
+    simulate_faulty_page_workload, Backend, Client, Connection, Fleet, FleetConnection,
+    TransportStats,
+};
 use minos::server::ObjectServer;
-use minos::types::{ObjectId, SimDuration, SimInstant};
+use minos::types::{ByteSpan, ObjectId, SimDuration, SimInstant};
 
 const PAGES: usize = 48;
 const PAGE_LEN: u64 = 8192;
@@ -78,13 +81,32 @@ fn idle_connection_retransmits_at_its_deadline() {
     // A response lost on an otherwise-idle connection: nothing ever calls
     // wait(), so before the timer wheel the loss sat undiscovered until
     // the next collection. Driving the connection with advance_to() must
-    // fire the retransmit deadline at the deadline — and only then.
+    // fire the retransmit deadline at the deadline — and only then. Both
+    // clients run the one recovery core, so a single server and a
+    // one-member, unreplicated fleet must expire identically.
     let timeout = SimDuration::from_millis(500);
-    let mut conn =
-        Connection::with_faults(query_server(), Link::ethernet(), 4, FaultPlan::dropping(7, 1.0))
-            .with_recovery(timeout, 2);
+    let plan = FaultPlan::dropping(7, 1.0);
+    let mut conn = Connection::with_faults(query_server(), Link::ethernet(), 4, plan)
+        .with_recovery(timeout, 2);
     let ticket = conn.submit(ServerRequest::Query { keywords: vec!["shadow".into()] });
+    expires_at_its_deadlines(conn, ticket, timeout);
 
+    let mut fleet = Fleet::new(1, 1).unwrap();
+    let object = ObjectId::new(1);
+    fleet.publish_bytes(object, &[7u8; 4096]).unwrap();
+    let mut conn =
+        FleetConnection::with_faults(fleet, Link::ethernet(), 4, plan).with_recovery(timeout, 2);
+    let ticket = conn.fetch_page(object, ByteSpan::at(0, 4096)).unwrap();
+    expires_at_its_deadlines(conn, ticket, timeout);
+}
+
+/// Drives a client whose every frame is dropped from its one submission
+/// to the request's expiry, checking each deadline fires on time.
+fn expires_at_its_deadlines<B: Backend>(
+    mut conn: Client<B>,
+    ticket: B::Ticket,
+    timeout: SimDuration,
+) {
     // Just short of the deadline: armed, but nothing fires.
     conn.advance_to(SimInstant::EPOCH + SimDuration::from_millis(499));
     assert_eq!(conn.transport_stats().timeouts, 0, "no deadline may fire early");

@@ -20,7 +20,7 @@ const RECORD_LEN: usize = 1 << 20;
 const PAGES: usize = 16;
 const DWELL: SimDuration = SimDuration::from_millis(320);
 
-fn pipeline(depth: usize) -> (PrefetchBuffer<ObjectServer>, ByteSpan) {
+fn pipeline(depth: usize) -> (PrefetchBuffer, ByteSpan) {
     let mut server = ObjectServer::new();
     let data: Vec<u8> = (0..RECORD_LEN).map(|i| (i % 251) as u8).collect();
     let (record, _) = server.archiver_mut().store(ObjectId::new(1), &data).unwrap();
