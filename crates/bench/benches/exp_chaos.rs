@@ -1,20 +1,24 @@
 //! Experiment E17 — the self-healing fleet under a chaos schedule.
 //!
-//! The E16 demand-page workload runs against a 4-member, 2-way-replicated
+//! The E16 demand-page workload — the same fleet driver,
+//! `simulate_chaos_workload` — runs against a 4-member, 2-way-replicated
 //! fleet while a declarative, seeded failure schedule replays against it:
 //! one member crashes mid-run and stays down, a second member turns gray
 //! (every charge multiplied) for a long window, and a third member's
-//! optical media decays at 0.1% latent bit rot per read. The self-healing
+//! optical media decays at 2% latent bit rot per read. The self-healing
 //! machinery — kernel-timer heartbeats feeding the health monitor,
 //! proactive re-replication onto ring successors, scrub with read-repair
 //! against publish-time CRCs, and hedged audio reads around the gray
 //! member — has to absorb all of it.
 //!
 //! The pins (`--smoke`, hooked into `scripts/check.sh`): zero lost pages
-//! (every page delivered byte-identical — the harness verifies bytes
+//! (every page delivered byte-identical — the driver verifies bytes
 //! inline), replication restored to k before run end, zero corrupt pages
 //! after the final sweep, zero hint-violating Busy resubmissions, and
-//! hedged audio p99 no worse than twice the healthy-fleet baseline.
+//! hedged audio p99 no worse than twice the healthy-fleet baseline. Every
+//! declared fault must be seen to fire in both chaos rows: the crash is
+//! detected, the gray member is flagged `Slow`, and the rot flips bits
+//! that scrub or read-repair then find.
 //!
 //! The three measured rows (healthy, chaos hedged, chaos unhedged) are
 //! emitted machine-readable as `BENCH_chaos.json` at the repository root.
@@ -36,18 +40,29 @@ const PAGES: usize = 8;
 const PAGE_LEN: u64 = 32768;
 const SEED: u64 = 0xC8A0_5E17;
 
-/// The latent decay rate on the rotting member: 0.1% per read.
-const ROT_PPM: u32 = 1_000;
+/// The latent decay rate on the rotting member: 2% per read. Rot is
+/// drawn once per device read, and the rotting member serves a few
+/// hundred reads a run, so this rate flips a handful of bits — enough
+/// that scrub and read-repair must find them.
+const ROT_PPM: u32 = 20_000;
 
 /// The three afflicted members, derived from the same rendezvous
 /// placement the fleet uses so every failure actually lands on a member
 /// with work: the gray member holds the second replica of the first
 /// audio session's object (it serves that session's later pages, so
-/// hedges have something to race), and the crash and rot fall on two
-/// other members.
+/// hedges have something to race); the crash falls on a member that
+/// shares no object with it, so no object loses both copies at once (k=2
+/// masks one fault per object, and a gray sole survivor leaves a hedge
+/// nothing to race); the rot falls on a third member.
 fn afflicted() -> (usize, usize, usize) {
-    let slow = rendezvous_order(ObjectId::new(1), MEMBERS)[1];
-    let crash = (0..MEMBERS).find(|&m| m != slow).expect("fleet has more than one member");
+    let replicas =
+        |s: usize| rendezvous_order(ObjectId::new(s as u64 + 1), MEMBERS)[..REPLICATION].to_vec();
+    let slow = replicas(0)[1];
+    let shares =
+        |m: usize| (0..SESSIONS).any(|s| replicas(s).contains(&m) && replicas(s).contains(&slow));
+    let crash = (0..MEMBERS)
+        .find(|&m| m != slow && !shares(m))
+        .expect("some member shares no object with the gray member");
     let rot =
         (0..MEMBERS).find(|&m| m != slow && m != crash).expect("fleet has more than two members");
     (slow, crash, rot)
@@ -214,10 +229,20 @@ fn smoke() {
         assert_eq!(r.premature_busy_retries, 0, "{name}: no resubmission beat its hint: {r:?}");
         assert!(r.replication_ok, "{name}: replication restored to k on live members: {r:?}");
     }
-    // The healing pins: the crash was detected and every copy the dead
-    // member held was rebuilt onto a ring successor.
-    assert!(hedged.down_transitions >= 1, "the crash was detected: {hedged:?}");
-    assert!(hedged.repairs_completed >= 1, "lost copies were re-replicated: {hedged:?}");
+    // The declared faults fired, in both chaos rows: the crash was
+    // detected and every copy the dead member held was rebuilt onto a
+    // ring successor, the gray member was flagged, and the rot flipped
+    // bits that scrub or read-repair found.
+    for (name, r) in [("hedged", &hedged), ("unhedged", &unhedged)] {
+        assert!(r.down_transitions >= 1, "{name}: the crash was detected: {r:?}");
+        assert!(r.repairs_completed >= 1, "{name}: lost copies were re-replicated: {r:?}");
+        assert!(r.slow_transitions >= 1, "{name}: the gray member was flagged: {r:?}");
+        assert!(r.bit_rot_flips >= 1, "{name}: the rot flipped a bit: {r:?}");
+        assert!(
+            r.scrub_detected + r.read_repairs >= 1,
+            "{name}: scrub or read-repair found the rot: {r:?}"
+        );
+    }
     // The hedge path actually exercised: audio pages aimed at the gray
     // member raced a speculative duplicate.
     assert!(hedged.hedges_fired >= 1, "hedges fired against the gray member: {hedged:?}");

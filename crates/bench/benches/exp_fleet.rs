@@ -8,13 +8,16 @@
 //! contiguous blocks — so every member's device works in parallel behind
 //! the one wire without costing the optical head its seek locality.
 //!
-//! The claims under test: aggregate goodput scales near-linearly in N
-//! while the devices are the bottleneck (the N=1 -> N=4 ratio at M=64 is
-//! pinned at >= 3x) and flattens once the shared link saturates (N=8);
-//! and a 2-way-replicated fleet survives one member restarting mid-run —
-//! every demand page delivered byte-identical, the orphaned in-flight
-//! pages replayed onto sibling replicas, and no `Busy` resubmission
-//! leaving before its hint.
+//! Every run is a configuration of the one fleet driver,
+//! `simulate_chaos_workload`: an empty failure schedule, no hedging, no
+//! scrub. The claims under test: aggregate goodput scales near-linearly
+//! in N while the devices are the bottleneck (the N=1 -> N=4 ratio at
+//! M=64 is pinned at >= 3x) and flattens once the shared link saturates
+//! (N=8), and no run beats the wire (`pages x` one page response's
+//! transfer time `<= elapsed`); and a 2-way-replicated fleet survives one
+//! member restarting mid-run — every demand page delivered
+//! byte-identical, the work the old incarnation lost replayed onto
+//! sibling replicas, and no `Busy` resubmission leaving before its hint.
 //!
 //! The series is emitted machine-readable as `BENCH_fleet.json` at the
 //! repository root. `--smoke` runs the acceptance pins and is hooked into
@@ -22,10 +25,12 @@
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use minos_bench::{fast_criterion, row};
-use minos_presentation::fleet::{
-    simulate_fleet_workload, FleetReport, FleetRestart, FleetWorkloadConfig,
+use minos_net::{Frame, Link, ServerResponse};
+use minos_presentation::chaos::{
+    simulate_chaos_workload, ChaosReport, ChaosSchedule, ChaosWorkloadConfig,
 };
 use minos_server::ServiceConfig;
+use minos_types::{SimDuration, SimInstant};
 
 const PAGES: usize = 8;
 const PAGE_LEN: u64 = 32768;
@@ -43,23 +48,46 @@ const SMOKE_SESSIONS: usize = 64;
 /// latency-tracked for the audio p99 column.
 const AUDIO_SESSIONS: usize = 8;
 
+/// The member the restart row restarts.
+const RESTARTED: usize = 1;
+
+/// When the restart row restarts it: about a quarter of the way into the
+/// 28 s healthy run, with requests queued on every device.
+const RESTART_AT: SimDuration = SimDuration::from_secs(7);
+
 fn run(
     members: usize,
     replication: usize,
     sessions: usize,
-    restart: Option<FleetRestart>,
-) -> FleetReport {
-    simulate_fleet_workload(FleetWorkloadConfig {
+    schedule: ChaosSchedule,
+) -> ChaosReport {
+    simulate_chaos_workload(ChaosWorkloadConfig {
         members,
         replication,
         sessions,
         audio_sessions: AUDIO_SESSIONS,
         pages_per_session: PAGES,
         page_len: PAGE_LEN,
-        restart,
+        schedule,
+        hedge_delay: None,
+        heartbeat: SimDuration::from_millis(5),
+        scrub_interval: None,
+        repair_spacing: SimDuration::from_millis(2),
         service: ServiceConfig::default(),
     })
     .expect("workload runs")
+}
+
+/// A healthy run: no failure declared.
+fn healthy(members: usize, replication: usize, sessions: usize) -> ChaosReport {
+    run(members, replication, sessions, ChaosSchedule::new(0))
+}
+
+/// The wire time of one page response: no run can deliver its pages
+/// faster than the shared downlink carries them.
+fn page_wire_time() -> SimDuration {
+    let page = Frame::response(1, 1, ServerResponse::Span(vec![0; PAGE_LEN as usize]));
+    Link::ethernet().transfer_cost(page.wire_size())
 }
 
 /// One measured point of the series.
@@ -67,7 +95,7 @@ struct Point {
     members: usize,
     replication: usize,
     sessions: usize,
-    report: FleetReport,
+    report: ChaosReport,
 }
 
 /// The scaling sweep runs unreplicated (each member holds only its
@@ -87,7 +115,7 @@ fn measure_series() -> Vec<Point> {
                     members,
                     replication,
                     sessions,
-                    report: run(members, replication, sessions, None),
+                    report: healthy(members, replication, sessions),
                 });
             }
         }
@@ -96,15 +124,16 @@ fn measure_series() -> Vec<Point> {
 }
 
 /// The mid-run restart row: one member of a 4-member, 2-way-replicated
-/// fleet crashes after a quarter of the pages have landed.
-fn measure_restart() -> FleetReport {
-    let after = (SMOKE_SESSIONS * PAGES) as u64 / 4;
-    run(4, 2, SMOKE_SESSIONS, Some(FleetRestart { member: 1, after_pages: after }))
+/// fleet restarts bare (no crash first) at [`RESTART_AT`], losing its
+/// queues and every response its device had not finished.
+fn measure_restart() -> ChaosReport {
+    let schedule = ChaosSchedule::new(0).restart_at(RESTARTED, SimInstant::EPOCH + RESTART_AT);
+    run(4, 2, SMOKE_SESSIONS, schedule)
 }
 
 /// Writes the series as `BENCH_fleet.json` at the repository root — the
 /// machine-readable perf-trajectory record for this experiment.
-fn emit_json(points: &[Point], restart: &FleetReport) {
+fn emit_json(points: &[Point], restart: &ChaosReport) {
     let mut series = Vec::new();
     for p in points {
         series.push(format!(
@@ -128,7 +157,7 @@ fn emit_json(points: &[Point], restart: &FleetReport) {
          demand pages, rendezvous placement, k in (1, 2) copies per object, one shared \
          10 Mbit/s Ethernet, optical devices\",\n  \"series\": [\n{}\n  ],\n  \
          \"restart\": {{\n    \"members\": 4,\n    \"replication\": 2,\n    \"sessions\": \
-         {SMOKE_SESSIONS},\n    \"restarted_member\": 1,\n    \"pages\": {},\n    \
+         {SMOKE_SESSIONS},\n    \"restarted_member\": {RESTARTED},\n    \"pages\": {},\n    \
          \"failovers\": {},\n    \"epoch_resyncs\": {},\n    \"replays\": {},\n    \
          \"busy_deferred\": {},\n    \"premature_busy_retries\": {}\n  }}\n}}\n",
         series.join(",\n"),
@@ -182,17 +211,21 @@ fn print_series() {
     row(
         "E16",
         &format!(
-            "restart row: 4 members k=2, member 1 down mid-run -> pages {} failovers {} \
-             resyncs {} replays {}",
-            restart.pages, restart.failovers, restart.epoch_resyncs, restart.replays
+            "restart row: 4 members k=2, member {RESTARTED} restarts at {} ms -> pages {} \
+             failovers {} resyncs {} replays {}",
+            RESTART_AT.as_millis(),
+            restart.pages,
+            restart.failovers,
+            restart.epoch_resyncs,
+            restart.replays
         ),
     );
     emit_json(&points, &restart);
 }
 
 fn smoke() {
-    let solo = run(1, 1, SMOKE_SESSIONS, None);
-    let quad = run(4, 2, SMOKE_SESSIONS, None);
+    let solo = healthy(1, 1, SMOKE_SESSIONS);
+    let quad = healthy(4, 2, SMOKE_SESSIONS);
     let ratio = quad.goodput_pages_per_sec() / solo.goodput_pages_per_sec();
     row(
         "E16",
@@ -211,10 +244,28 @@ fn smoke() {
     // deliver at least 3x the aggregate goodput of one member, at the
     // same concurrency.
     assert!(ratio >= 3.0, "N=1 -> N=4 goodput ratio {ratio:.2} fell below the 3x pin");
+    // The wire pin: every page crossed the one shared downlink, so no
+    // run can finish sooner than its pages' back-to-back transfer time.
+    let series = measure_series();
+    let wire = page_wire_time();
+    for p in &series {
+        let floor = wire.as_micros() * p.report.pages;
+        assert!(
+            floor <= p.report.elapsed.as_micros(),
+            "N={} k={} M={}: {} pages need {floor} us of wire, run took {:?}",
+            p.members,
+            p.replication,
+            p.sessions,
+            p.report.pages,
+            p.report.elapsed
+        );
+        assert_eq!(p.report.pages, (p.sessions * PAGES) as u64, "every page delivered");
+    }
     // The failover pin: one member of the replicated fleet restarts
     // mid-run and every demand page still lands byte-identical (the
-    // harness verifies bytes inline), with the orphans replayed onto
-    // sibling replicas and no hint-violating resubmission.
+    // driver verifies bytes inline), with the work its old incarnation
+    // lost replayed onto sibling replicas and no hint-violating
+    // resubmission.
     let restart = measure_restart();
     row(
         "E16",
@@ -230,11 +281,12 @@ fn smoke() {
     assert_eq!(restart.pages, want, "no page lost to the restart: {restart:?}");
     assert!(restart.epoch_resyncs >= 1, "the restart was noticed: {restart:?}");
     assert!(restart.failovers > 0, "orphans re-aimed at siblings: {restart:?}");
+    assert!(restart.replays > 0, "the lost work was replayed: {restart:?}");
     assert_eq!(
         restart.premature_busy_retries, 0,
         "no resubmission beat its retry hint: {restart:?}"
     );
-    emit_json(&measure_series(), &restart);
+    emit_json(&series, &restart);
 }
 
 fn bench(c: &mut Criterion) {
@@ -242,7 +294,7 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e16_fleet");
     for members in [1usize, 4] {
         group.bench_with_input(BenchmarkId::new("members", members), &members, |b, &members| {
-            b.iter(|| run(members, members.min(2), SMOKE_SESSIONS, None))
+            b.iter(|| healthy(members, members.min(2), SMOKE_SESSIONS))
         });
     }
     group.finish();

@@ -1,19 +1,22 @@
-//! The chaos-schedule orchestrator — E17.
+//! The fleet workload driver — E16 and E17 — and its chaos schedules.
 //!
 //! A [`ChaosSchedule`] is a seeded, declarative list of failures —
 //! crashes, restarts, gray slowdowns, partitions, latent bit rot — that
-//! replays identically across the bench harness and the tests. The
-//! orchestrator ([`simulate_chaos_workload`]) drives the self-healing
-//! fleet through the schedule:
+//! replays identically across the bench harness and the tests.
+//! [`simulate_chaos_workload`] is the one fleet page-reader driver: M
+//! sessions demand-page against N members behind one shared link, and
+//! the schedule (empty for the healthy E16 series) is injected while the
+//! self-healing machinery runs:
 //!
 //! * kernel-timer heartbeats feed the [`HealthMonitor`]; a member that
-//!   stops echoing walks `Up → Suspect → Down`, its in-flight pages are
-//!   re-aimed at live siblings, and every replica it held is owed to the
-//!   [`RepairQueue`];
+//!   stops echoing walks `Up → Suspect → Down`, the pages it owed are
+//!   replayed onto live siblings, and every replica it held is owed to
+//!   the [`RepairQueue`]; an echo carrying a new restart epoch replays
+//!   what the old incarnation stranded;
 //! * the repair queue drains one task per [`KernelEvent::RepairDue`]
 //!   timer — the serial spacing is the throttle that keeps rebuild
-//!   traffic (charged to the real device and link timelines) from
-//!   starving foreground audio;
+//!   traffic (charged to the real device timelines) from starving
+//!   foreground audio;
 //! * a low-rate scrub pass walks one member per [`KernelEvent::DeadlineFired`]
 //!   tick; any page failing its publish-time CRC — found by the scrub or
 //!   by an ordinary read — is healed from a verified sibling before the
@@ -24,26 +27,40 @@
 //!   speculative duplicate goes to a sibling and the first valid answer
 //!   wins, the loser suppressed.
 //!
+//! Three invariants hold on every run, each checked by a `debug_assert!`:
+//!
+//! * **Closed loop.** A session's next request leaves no earlier than the
+//!   delivery that freed its window slot.
+//! * **One wire.** Responses cross the shared downlink one at a time, in
+//!   device-completion order, each landing at its own instant.
+//! * **Failures lose work.** A crash or restart of a member drops every
+//!   response its device had not finished; the page is replayed from a
+//!   live copy, which may be the restarted member itself. Nothing lands
+//!   from a dead incarnation.
+//!
 //! The run ends only after every page delivered byte-identical, the
 //! repair queue drained, and a final frozen-media sweep healed every
 //! remaining rotten page — the [`ChaosReport`] pins all of it.
 
-use crate::fleet::{Fleet, HealthMonitor, MemberHealth, RepairQueue, RepairTask, Replica};
+use crate::fleet::{
+    Fleet, HealthMonitor, MemberHealth, RepairQueue, RepairReceipt, RepairTask, Replica,
+};
 use crate::kernel::{Kernel, KernelEvent};
-use crate::sched::p99;
+use crate::sched::{p99, per_sim_second};
 use minos_net::{
     crc32, BufferPool, Frame, FramePayload, Link, Priority, ServerRequest, ServerResponse,
 };
 use minos_server::ServiceConfig;
 use minos_types::{ByteSpan, MinosError, ObjectId, Result, SimDuration, SimInstant};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap};
 
 /// One declared failure in a [`ChaosSchedule`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ChaosEvent {
     /// The member crashes at `at`: it stops answering anything (its
-    /// volatile queues are stranded; its media survives) until a
-    /// matching [`ChaosEvent::RestartAt`].
+    /// volatile queues are stranded, and responses its device had not
+    /// finished are lost; its media survives) until a matching
+    /// [`ChaosEvent::RestartAt`].
     CrashAt {
         /// Fleet index of the crashing member.
         member: usize,
@@ -51,7 +68,8 @@ pub enum ChaosEvent {
         at: SimInstant,
     },
     /// The member restarts at `at`: its epoch bumps, its volatile queues
-    /// clear, and it answers again.
+    /// clear, responses its device had not finished are lost, and it
+    /// answers again.
     RestartAt {
         /// Fleet index of the restarting member.
         member: usize,
@@ -217,6 +235,16 @@ impl ChaosSchedule {
         down
     }
 
+    /// Whether `member` crashes or restarts at some instant in
+    /// `[from, to)`: a response whose device service spans that instant
+    /// dies with the incarnation that started it.
+    pub(crate) fn interrupted(&self, member: usize, from: SimInstant, to: SimInstant) -> bool {
+        self.events.iter().any(|event| {
+            matches!(*event, ChaosEvent::CrashAt { member: m, at } | ChaosEvent::RestartAt { member: m, at }
+                if m == member && from <= at && at < to)
+        })
+    }
+
     /// Whether `member` is partitioned from the workstation at `now`.
     pub fn is_partitioned(&self, member: usize, now: SimInstant) -> bool {
         self.events.iter().any(|event| {
@@ -266,7 +294,9 @@ impl ChaosSchedule {
     }
 }
 
-/// Configuration of one [`simulate_chaos_workload`] run.
+/// Configuration of one [`simulate_chaos_workload`] run. An empty
+/// schedule with hedging and scrub off is the healthy fleet of E16; a
+/// bare [`ChaosSchedule::restart_at`] is its mid-run restart row.
 #[derive(Clone, Debug)]
 pub struct ChaosWorkloadConfig {
     /// Fleet size.
@@ -298,19 +328,33 @@ pub struct ChaosWorkloadConfig {
     pub service: ServiceConfig,
 }
 
-/// What one [`simulate_chaos_workload`] run measured — the E17 report.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// What one [`simulate_chaos_workload`] run measured — the E16 and E17
+/// report.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ChaosReport {
-    /// Wall-clock time until the last demand page was delivered.
+    /// Simulated time until the last demand page was delivered.
     pub elapsed: SimDuration,
     /// Demand pages delivered byte-identical.
     pub pages: u64,
     /// Pages the run failed to deliver — pinned zero.
     pub lost_pages: u64,
-    /// Bytes moved over the shared link (pages, heartbeats, repairs).
+    /// Bytes moved over the shared link (requests, responses, repairs).
     pub bytes: u64,
-    /// 99th-percentile submit-to-delivery latency of the audio pages.
+    /// 99th-percentile submit-to-delivery latency of the audio pages
+    /// (zero when the run had no audio sessions).
     pub audio_p99: SimDuration,
+    /// Pages served by each member, in fleet order — the
+    /// placement-balance evidence.
+    pub served_per_member: Vec<u64>,
+    /// Requests re-aimed at a different member than the one that owed
+    /// them (a replay or a `Busy` rotation).
+    pub failovers: u64,
+    /// Demand pages parked on a retry timer after a `Busy` turn-away.
+    pub busy_deferred: u64,
+    /// Prefetch-class frames the fleet's admission control shed.
+    pub shed: u64,
+    /// Demand frames rejected outright across the fleet.
+    pub busy_rejections: u64,
     /// Speculative duplicates fired at siblings of `Slow` members.
     pub hedges_fired: u64,
     /// Hedges whose duplicate beat the original answer.
@@ -324,7 +368,8 @@ pub struct ChaosReport {
     pub slow_transitions: u64,
     /// Restart epochs the heartbeats noticed and resynced.
     pub epoch_resyncs: u64,
-    /// Pages re-aimed at a sibling after a down declaration or resync.
+    /// Pages sent again because the member that owed them died or
+    /// restarted before answering.
     pub replays: u64,
     /// Re-replication tasks completed.
     pub repairs_completed: u64,
@@ -349,18 +394,30 @@ pub struct ChaosReport {
     pub replication_ok: bool,
 }
 
+impl ChaosReport {
+    /// Aggregate demand goodput in verified pages per simulated second.
+    pub fn goodput_pages_per_sec(&self) -> f64 {
+        per_sim_second(self.pages, self.elapsed)
+    }
+}
+
 /// Demand-page window each session keeps in flight.
 const SESSION_WINDOW: usize = 2;
 /// The scrub timer's `DeadlineFired` correlation key (schedule events use
 /// their index, far below this).
 const SCRUB_KEY: u64 = u64::MAX;
-/// Round budget before the run is declared wedged.
-const MAX_ROUNDS: u32 = 500_000;
+/// Kernel events handled before the run is declared wedged.
+const MAX_EVENTS: u64 = 20_000_000;
 
 /// The per-session byte pattern — session-distinct so a page served from
 /// the wrong object or offset can never verify.
-fn chaos_pattern(session: usize, offset: u64) -> u8 {
+fn pattern(session: usize, offset: u64) -> u8 {
     ((offset + session as u64 * 17) % 241) as u8
+}
+
+/// The object session `s` reads.
+fn object_of(s: usize) -> ObjectId {
+    ObjectId::new(s as u64 + 1)
 }
 
 /// Whether the workstation can currently exchange frames with `member`.
@@ -368,865 +425,782 @@ fn reachable(schedule: &ChaosSchedule, member: usize, now: SimInstant) -> bool {
     !schedule.is_down(member, now) && !schedule.is_partitioned(member, now)
 }
 
-/// Runs the E17 chaos workload: the E16 fleet demand-page loop with the
-/// schedule's failures injected and the self-healing machinery — health
+/// One demand page a member owes the workstation: who asked, which page,
+/// which member and incarnation (restart epoch) it was last sent to, and
+/// the instant its session's window slot freed — kept across replays,
+/// deferrals and hedges, so the p99 measures what the listener felt.
+struct InFlightPage {
+    session: usize,
+    page: usize,
+    member: usize,
+    epoch: u64,
+    issued: SimInstant,
+}
+
+/// One response between its member's device and the workstation.
+struct Landing {
+    member: usize,
+    frame: Frame,
+    /// When the member's service pump took the request.
+    polled: SimInstant,
+    /// When the member's device finished it.
+    done: SimInstant,
+    /// Whether it holds its downlink slot (it is crossing the wire).
+    on_wire: bool,
+}
+
+/// The state of one run: the fleet, the shared wire's two directions,
+/// one device timeline per member, the kernel, the healing machinery,
+/// and every page in flight.
+struct Run {
+    config: ChaosWorkloadConfig,
+    fleet: Fleet,
+    link: Link,
+    kernel: Kernel,
+    health: HealthMonitor,
+    repairs: RepairQueue,
+    repair_idle: bool,
+    /// Heartbeat round trip on an idle wire — the baseline a gray
+    /// member's multiplied echo is compared against.
+    base_rtt_us: u64,
+    up_free: SimInstant,
+    down_free: SimInstant,
+    dev_free: Vec<SimInstant>,
+    /// Arrival instant of each request frame, keyed by (member, request).
+    arrivals: HashMap<(usize, u64), SimInstant>,
+    inflight: HashMap<u64, InFlightPage>,
+    /// Pages parked on a `Busy` hint: when they may leave, and for which
+    /// member.
+    deferred: HashMap<u64, (SimInstant, usize)>,
+    /// Hedge pairing, both ways: a hedge's id is always the larger.
+    hedges: HashMap<u64, u64>,
+    /// Responses past their member's pump, keyed by landing sequence.
+    landing: HashMap<u64, Landing>,
+    next_landing: u64,
+    /// Per member, the connections with frames enqueued since its last
+    /// pump.
+    dirty: Vec<BTreeSet<u64>>,
+    /// The restart epoch of each member as the heartbeats last saw it.
+    epochs: Vec<u64>,
+    next_page: Vec<usize>,
+    next_rid: u64,
+    scrub_cursor: usize,
+    audio_lat: Vec<SimDuration>,
+    report: ChaosReport,
+}
+
+/// Runs one fleet page-reader workload — E16 and E17 alike: every
+/// session keeps [`SESSION_WINDOW`] demand pages in flight against a
+/// `k`-replicated fleet behind one shared Ethernet, while the schedule's
+/// failures are injected and the self-healing machinery — health
 /// heartbeats, proactive re-replication, scrub with read-repair, hedged
-/// audio reads — switched on. See the module docs for the moving parts;
-/// see [`ChaosReport`] for what is pinned.
+/// audio reads — absorbs them. See the module docs for the moving parts
+/// and the three invariants; see [`ChaosReport`] for what is pinned.
 pub fn simulate_chaos_workload(config: ChaosWorkloadConfig) -> Result<ChaosReport> {
-    let ChaosWorkloadConfig {
-        members,
-        replication,
-        sessions,
-        audio_sessions,
-        pages_per_session,
-        page_len,
-        schedule,
-        hedge_delay,
-        heartbeat,
-        scrub_interval,
-        repair_spacing,
-        service,
-    } = config;
-    if sessions == 0 || pages_per_session == 0 || page_len == 0 {
-        return Err(MinosError::Internal("workload needs sessions, pages, and bytes".into()));
-    }
-    if heartbeat == SimDuration::ZERO {
-        return Err(MinosError::Internal("the chaos harness requires a heartbeat".into()));
-    }
-    if let Some(bad) = schedule.events().iter().find(|e| e.member() >= members) {
-        return Err(MinosError::Internal(format!(
-            "schedule event {bad:?} targets a member outside the fleet of {members}"
-        )));
-    }
-    let audio_sessions = audio_sessions.min(sessions);
-    let object_of = |s: usize| ObjectId::new(s as u64 + 1);
+    let mut run = Run::new(config)?;
+    run.drive()?;
+    run.finish()
+}
 
-    let mut fleet = Fleet::new(members, replication)?;
-    fleet.set_service_config(service);
-    fleet.prewarm_payloads(BufferPool::DEFAULT_RETAIN_CAP, page_len as usize);
-    for s in 0..sessions {
-        let data: Vec<u8> =
-            (0..pages_per_session as u64 * page_len).map(|i| chaos_pattern(s, i)).collect();
-        fleet.publish_paged(object_of(s), &data, page_len)?;
-    }
-    // Latent decay starts with the run, seeded per member off the
-    // schedule seed.
-    for m in 0..members {
-        let ppm = schedule.rot_rate_ppm(m);
-        if ppm > 0 {
-            let seed = schedule.seed() ^ (m as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            fleet
-                .member_mut(m)
-                .expect("rot members validated above")
-                .archiver_mut()
-                .device_mut()
-                .set_bit_rot(seed, ppm as f64 / 1_000_000.0);
+impl Run {
+    /// Validates the config, publishes one paged object per session,
+    /// starts the latent decay, and arms the heartbeat, scrub, restart
+    /// and partition-heal timers.
+    fn new(config: ChaosWorkloadConfig) -> Result<Run> {
+        let ChaosWorkloadConfig { members, sessions, pages_per_session, page_len, .. } = config;
+        if sessions == 0 || pages_per_session == 0 || page_len == 0 {
+            return Err(MinosError::Internal("workload needs sessions, pages, and bytes".into()));
         }
-    }
-
-    let mut link = Link::ethernet();
-    // Heartbeat round trip on an idle wire — the baseline a gray member's
-    // multiplied echo is compared against.
-    let base_rtt_us = {
+        if config.heartbeat == SimDuration::ZERO {
+            return Err(MinosError::Internal("the fleet driver requires a heartbeat".into()));
+        }
+        if let Some(bad) = config.schedule.events().iter().find(|e| e.member() >= members) {
+            return Err(MinosError::Internal(format!(
+                "schedule event {bad:?} targets a member outside the fleet of {members}"
+            )));
+        }
+        let mut fleet = Fleet::new(members, config.replication)?;
+        fleet.set_service_config(config.service);
+        fleet.prewarm_payloads(BufferPool::DEFAULT_RETAIN_CAP, page_len as usize);
+        for s in 0..sessions {
+            let data: Vec<u8> =
+                (0..pages_per_session as u64 * page_len).map(|i| pattern(s, i)).collect();
+            fleet.publish_paged(object_of(s), &data, page_len)?;
+        }
+        // Latent decay starts with the run, seeded per member off the
+        // schedule seed.
+        for m in 0..members {
+            let ppm = config.schedule.rot_rate_ppm(m);
+            if ppm > 0 {
+                let seed =
+                    config.schedule.seed() ^ (m as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                fleet
+                    .member_mut(m)
+                    .expect("rot members validated above")
+                    .archiver_mut()
+                    .device_mut()
+                    .set_bit_rot(seed, ppm as f64 / 1_000_000.0);
+            }
+        }
+        let link = Link::ethernet();
         let ping = Frame::request(0, 0, ServerRequest::Ping { nonce: 0 });
         let pong = Frame::response(0, 0, ServerResponse::Pong { nonce: 0, epoch: 0 });
-        (link.transfer_cost(ping.wire_size()) + link.transfer_cost(pong.wire_size())).as_micros()
-    };
-
-    /// One submitted demand page: who asked, which page, which member
-    /// currently owes the answer, and the original submit instant (kept
-    /// across replays, deferrals, and hedges — the p99 measures what the
-    /// listener felt).
-    struct InFlightPage {
-        session: usize,
-        page: usize,
-        member: usize,
-        issued: SimInstant,
-    }
-
-    let mut up_free = SimInstant::EPOCH;
-    let mut down_free = SimInstant::EPOCH;
-    let mut dev_free = vec![SimInstant::EPOCH; members];
-    let mut kernel = Kernel::new();
-    let mut health = HealthMonitor::new(members);
-    let mut repairs = RepairQueue::new();
-    let mut repair_idle = true;
-    let mut arrivals: HashMap<u64, SimInstant> = HashMap::new();
-    let mut inflight: HashMap<u64, InFlightPage> = HashMap::new();
-    let mut deferred: HashMap<u64, SimInstant> = HashMap::new();
-    // Hedge pairing: original ↔ speculative duplicate, both ways.
-    let mut hedge_partner: HashMap<u64, u64> = HashMap::new();
-    let mut hedge_of: HashMap<u64, u64> = HashMap::new();
-    // Responses in flight down the wire: polling a member reserves the
-    // timelines and parks the response here; it is consumed by a
-    // `ResponseLanded` timer at its own delivery timestamp.
-    let mut landing: HashMap<u64, (Frame, SimInstant)> = HashMap::new();
-    let mut next_landing = 0u64;
-    let mut dirty: Vec<BTreeSet<u64>> = (0..members).map(|_| BTreeSet::new()).collect();
-    let mut epochs: Vec<u64> = (0..members).map(|m| fleet.epoch(m)).collect();
-    let mut todo: Vec<VecDeque<usize>> =
-        (0..sessions).map(|_| (0..pages_per_session).collect()).collect();
-    let mut outstanding = vec![0usize; sessions];
-    let mut session_free = vec![SimInstant::EPOCH; sessions];
-    let mut next_rid = 1u64;
-    let mut last_delivered = SimInstant::EPOCH;
-    let mut delivered = 0u64;
-    let mut replays = 0u64;
-    let mut epoch_resyncs = 0u64;
-    let mut hedges_fired = 0u64;
-    let mut hedge_wins = 0u64;
-    let mut duplicates_suppressed = 0u64;
-    let mut scrub_pages = 0u64;
-    let mut scrub_detected = 0u64;
-    let mut scrub_heals = 0u64;
-    let mut read_repairs = 0u64;
-    let mut premature_busy_retries = 0u64;
-    let mut scrub_cursor = 0usize;
-    let mut audio_lat: Vec<SimDuration> = Vec::with_capacity(audio_sessions * pages_per_session);
-
-    // Timers: heartbeats per member, the scrub cadence, restart events
-    // (crashes and slowdowns are pure time queries), and a wake at every
-    // partition heal so stranded frames drain.
-    for m in 0..members {
-        kernel.arm(SimInstant::EPOCH + heartbeat, KernelEvent::HealthTick { member: m as u64 });
-    }
-    if let Some(interval) = scrub_interval {
-        kernel.arm(SimInstant::EPOCH + interval, KernelEvent::DeadlineFired { key: SCRUB_KEY });
-    }
-    for (idx, event) in schedule.events().iter().enumerate() {
-        match *event {
-            ChaosEvent::RestartAt { at, .. } => {
-                kernel.arm(at, KernelEvent::DeadlineFired { key: idx as u64 });
-            }
-            ChaosEvent::PartitionBetween { member, to, .. } => {
-                kernel.arm(to, KernelEvent::ServerWake { member: member as u64 });
-            }
-            _ => {}
+        let base_rtt_us = (link.transfer_cost(ping.wire_size())
+            + link.transfer_cost(pong.wire_size()))
+        .as_micros();
+        // Timers: heartbeats per member, the scrub cadence, restart events
+        // (crashes and slowdowns are pure time queries), and a wake at
+        // every partition heal so stranded frames drain.
+        let mut kernel = Kernel::new();
+        for m in 0..members {
+            kernel.arm(
+                SimInstant::EPOCH + config.heartbeat,
+                KernelEvent::HealthTick { member: m as u64 },
+            );
         }
+        if let Some(interval) = config.scrub_interval {
+            kernel.arm(SimInstant::EPOCH + interval, KernelEvent::DeadlineFired { key: SCRUB_KEY });
+        }
+        for (idx, event) in config.schedule.events().iter().enumerate() {
+            match *event {
+                ChaosEvent::RestartAt { at, .. } => {
+                    kernel.arm(at, KernelEvent::DeadlineFired { key: idx as u64 });
+                }
+                ChaosEvent::PartitionBetween { member, to, .. } => {
+                    kernel.arm(to, KernelEvent::ServerWake { member: member as u64 });
+                }
+                _ => {}
+            }
+        }
+        let audio_pages = config.audio_sessions.min(sessions) * pages_per_session;
+        Ok(Run {
+            epochs: (0..members).map(|m| fleet.epoch(m)).collect(),
+            fleet,
+            link,
+            kernel,
+            health: HealthMonitor::new(members),
+            repairs: RepairQueue::new(),
+            repair_idle: true,
+            base_rtt_us,
+            up_free: SimInstant::EPOCH,
+            down_free: SimInstant::EPOCH,
+            dev_free: vec![SimInstant::EPOCH; members],
+            arrivals: HashMap::new(),
+            inflight: HashMap::new(),
+            deferred: HashMap::new(),
+            hedges: HashMap::new(),
+            landing: HashMap::new(),
+            next_landing: 0,
+            dirty: (0..members).map(|_| BTreeSet::new()).collect(),
+            next_page: vec![0; sessions],
+            next_rid: 1,
+            scrub_cursor: 0,
+            audio_lat: Vec::with_capacity(audio_pages),
+            report: ChaosReport::default(),
+            config,
+        })
     }
 
-    // Picks the live replica that should serve `page` of `s`'s object:
-    // the block-spread holder when it is healthy, else the first live
-    // holder after it on the ring.
-    let pick_target = |fleet: &Fleet,
-                       health: &HealthMonitor,
-                       s: usize,
-                       page: usize,
-                       now: SimInstant|
-     -> Option<Replica> {
-        let placement = fleet.placement(object_of(s))?;
-        let replicas = placement.replicas();
-        let preferred = replicas[page * replicas.len() / pages_per_session];
-        let mut candidate = preferred;
-        for _ in 0..replicas.len() {
-            if reachable(&schedule, candidate.member, now) && !health.is_down(candidate.member) {
+    /// Fills every session's window, then handles kernel events in
+    /// deadline order until every page is delivered and the repair queue
+    /// has drained.
+    fn drive(&mut self) -> Result<()> {
+        for s in 0..self.config.sessions {
+            for _ in 0..SESSION_WINDOW {
+                self.submit(s, SimInstant::EPOCH)?;
+            }
+        }
+        let total = (self.config.sessions * self.config.pages_per_session) as u64;
+        let mut events = 0u64;
+        while self.report.pages < total || !self.repairs.is_empty() || !self.repair_idle {
+            let Some(event) = self.kernel.take_ready() else {
+                let Some(deadline) = self.kernel.next_deadline() else {
+                    return Err(MinosError::Internal("fleet workload wedged with no timer".into()));
+                };
+                self.kernel.advance_to(deadline);
+                continue;
+            };
+            events += 1;
+            if events > MAX_EVENTS {
+                return Err(MinosError::Internal("fleet workload failed to converge".into()));
+            }
+            match event {
+                KernelEvent::ServerWake { member } => self.pump(member as usize),
+                KernelEvent::ResponseLanded { request_id, .. } => self.response(request_id)?,
+                KernelEvent::RetryDue { request_id, .. } => self.retry(request_id)?,
+                KernelEvent::HealthTick { member } => self.heartbeat(member as usize)?,
+                KernelEvent::HedgeFire { request_id } => self.hedge(request_id)?,
+                KernelEvent::RepairDue { .. } => self.repair(),
+                KernelEvent::DeadlineFired { key } if key == SCRUB_KEY => self.scrub()?,
+                KernelEvent::DeadlineFired { key } => {
+                    match self.config.schedule.events().get(key as usize).copied() {
+                        Some(ChaosEvent::RestartAt { member, .. }) => {
+                            self.fleet.restart_member(member)?;
+                            // Device work the old incarnation had not
+                            // finished dies with it. The epoch resync, and
+                            // the replay of what it stranded, happen at the
+                            // next heartbeat echo.
+                            self.dev_free[member] = self.kernel.now();
+                        }
+                        _ => self.kernel.note_spurious(),
+                    }
+                }
+                _ => self.kernel.note_spurious(),
+            }
+        }
+        Ok(())
+    }
+
+    /// Whether `member` can take work at `now`: reachable, and not
+    /// declared down by the detector.
+    fn live(&self, member: usize, now: SimInstant) -> bool {
+        reachable(&self.config.schedule, member, now) && !self.health.is_down(member)
+    }
+
+    /// The first live replica of session `s`'s object walking the
+    /// rendezvous ring from `from`, inclusive.
+    fn first_live(&self, s: usize, from: Replica) -> Option<Replica> {
+        let placement = self.fleet.placement(object_of(s))?;
+        let now = self.kernel.now();
+        let mut candidate = from;
+        for _ in 0..placement.replicas().len() {
+            if self.live(candidate.member, now) {
                 return Some(candidate);
             }
             candidate = placement.next_after(candidate.member);
         }
-        Some(preferred)
-    };
+        None
+    }
 
-    let mut rounds = 0u32;
-    while todo.iter().any(|q| !q.is_empty())
-        || outstanding.iter().any(|&o| o > 0)
-        || !repairs.is_empty()
-        || !repair_idle
-    {
-        rounds += 1;
-        if rounds > MAX_ROUNDS {
-            return Err(MinosError::Internal("chaos workload failed to converge".into()));
+    /// `member`'s copy of session `s`'s object (its ring successor's when
+    /// the copy has moved away).
+    fn replica(&self, s: usize, member: usize) -> Replica {
+        let placement = self.fleet.placement(object_of(s)).expect("published objects stay placed");
+        let held = placement.replicas().iter().find(|r| r.member == member).copied();
+        held.unwrap_or_else(|| placement.next_after(member))
+    }
+
+    /// Asks for session `s`'s next page, if any, in the window slot a
+    /// delivery freed at `freed`. The page goes to the live holder of its
+    /// block of the object — replica `i` of `k` serves the `i`-th run of
+    /// pages, keeping each optical head sequential.
+    fn submit(&mut self, s: usize, freed: SimInstant) -> Result<()> {
+        let page = self.next_page[s];
+        if page == self.config.pages_per_session {
+            return Ok(());
         }
-        // Submissions: each session tops its window back up; the window
-        // is the admission bound (at most SESSION_WINDOW logical pages
-        // per session in flight; hedges ride on their original's slot).
-        let mut submitted = false;
-        for s in 0..sessions {
-            while outstanding[s] < SESSION_WINDOW {
-                let Some(page) = todo[s].pop_front() else {
-                    break;
-                };
-                outstanding[s] += 1;
-                submitted = true;
-                let rid = next_rid;
-                next_rid += 1;
-                let now = up_free.max(down_free);
-                let target = pick_target(&fleet, &health, s, page, now)
-                    .expect("published objects have placements");
-                let span = ByteSpan::at(target.span.start + page as u64 * page_len, page_len);
-                let priority = if s < audio_sessions { Priority::Audio } else { Priority::Demand };
-                let frame = Frame::request_with_priority(
-                    s as u64 + 1,
-                    rid,
-                    priority,
-                    ServerRequest::FetchSpan { span },
-                );
-                // The page is asked for the instant its window slot freed
-                // (the previous delivery), not at the idle uplink
-                // frontier — the latency clock starts when the listener
-                // started waiting.
-                let issued = session_free[s];
-                let arrival = up_free.max(issued) + link.transfer(frame.wire_size());
-                up_free = arrival;
-                arrivals.insert(rid, arrival);
-                inflight
-                    .insert(rid, InFlightPage { session: s, page, member: target.member, issued });
-                fleet
-                    .member_mut(target.member)
-                    .expect("replica indices are in range")
-                    .enqueue(frame)?;
-                dirty[target.member].insert(s as u64 + 1);
-                kernel.arm(arrival, KernelEvent::ServerWake { member: target.member as u64 });
-                // An audio page aimed at a gray member gets a hedge timer:
-                // if the answer has not landed by then, a duplicate goes
-                // to a sibling.
-                if let Some(delay) = hedge_delay {
-                    if s < audio_sessions && health.state(target.member) == MemberHealth::Slow {
-                        kernel.arm(issued + delay, KernelEvent::HedgeFire { request_id: rid });
-                    }
-                }
+        self.next_page[s] += 1;
+        let rid = self.next_rid;
+        self.next_rid += 1;
+        let replicas =
+            self.fleet.placement(object_of(s)).expect("published objects stay placed").replicas();
+        let preferred = replicas[page * replicas.len() / self.config.pages_per_session];
+        let to = self.first_live(s, preferred).unwrap_or(preferred);
+        let page = InFlightPage { session: s, page, member: to.member, epoch: 0, issued: freed };
+        self.inflight.insert(rid, page);
+        let left = self.send(rid, to, freed)?;
+        debug_assert!(left >= freed, "closed loop: page {rid} left before its slot freed");
+        // An audio page aimed at a gray member gets a hedge timer: if the
+        // answer has not landed by then, a duplicate goes to a sibling.
+        if let Some(delay) = self.config.hedge_delay {
+            if s < self.config.audio_sessions && self.health.state(to.member) == MemberHealth::Slow
+            {
+                self.kernel.arm(freed + delay, KernelEvent::HedgeFire { request_id: rid });
             }
         }
+        Ok(())
+    }
 
-        let mut progressed = false;
-        loop {
-            // Release timers in deadline order: each handler must see a
-            // clock near its own deadline, not the far edge of the last
-            // bulk transfer — a heartbeat judged at a leaped-ahead clock
-            // would warm its latency baseline inside a slow window and
-            // never detect the gray member.
-            let event = match kernel.take_ready() {
-                Some(event) => event,
-                None => {
-                    let target = up_free.max(down_free);
-                    match kernel.next_deadline() {
-                        Some(deadline) if deadline <= target => {
-                            kernel.advance_to(deadline);
-                            continue;
-                        }
-                        _ => break,
-                    }
+    /// Puts in-flight page `rid` on the uplink to replica `to`, leaving
+    /// no earlier than `ready`: builds the frame, charges the uplink,
+    /// records the arrival, enqueues the frame at the member, marks the
+    /// session's connection dirty, and arms the member's `ServerWake` at
+    /// the arrival. Returns the departure instant.
+    fn send(&mut self, rid: u64, to: Replica, ready: SimInstant) -> Result<SimInstant> {
+        let epoch = self.fleet.epoch(to.member);
+        let p = self.inflight.get_mut(&rid).expect("only in-flight pages are sent");
+        p.member = to.member;
+        p.epoch = epoch;
+        let (s, page_len) = (p.session, self.config.page_len);
+        let span = ByteSpan::at(to.span.start + p.page as u64 * page_len, page_len);
+        let priority =
+            if s < self.config.audio_sessions { Priority::Audio } else { Priority::Demand };
+        let frame = Frame::request_with_priority(
+            s as u64 + 1,
+            rid,
+            priority,
+            ServerRequest::FetchSpan { span },
+        );
+        let leave = self.up_free.max(ready);
+        self.up_free = leave + self.link.transfer(frame.wire_size());
+        self.arrivals.insert((to.member, rid), self.up_free);
+        self.fleet.member_mut(to.member).expect("replica indices are in range").enqueue(frame)?;
+        self.dirty[to.member].insert(s as u64 + 1);
+        self.kernel.arm(self.up_free, KernelEvent::ServerWake { member: to.member as u64 });
+        Ok(leave)
+    }
+
+    /// Re-aims page `rid` at the next live replica after the member that
+    /// owes it — that member itself when no sibling is live, `None` when
+    /// no copy is.
+    fn fail_over(&mut self, rid: u64) -> Option<Replica> {
+        let p = self.inflight.get(&rid)?;
+        let (s, from) = (p.session, p.member);
+        let next = self.fleet.placement(object_of(s))?.next_after(from);
+        let to = self.first_live(s, next)?;
+        if to.member != from {
+            self.report.failovers += 1;
+        }
+        Some(to)
+    }
+
+    /// The service pump for member `m`: serves the connections marked
+    /// dirty, then whatever its own wake list names (`Busy` rejections,
+    /// restart orphans). Each response holds the member's device, scaled
+    /// by any gray window in force, then waits for the wire at its
+    /// device completion.
+    fn pump(&mut self, m: usize) {
+        let now = self.kernel.now();
+        if !reachable(&self.config.schedule, m, now) {
+            self.kernel.note_spurious();
+            return;
+        }
+        let mut conns: Vec<u64> = std::mem::take(&mut self.dirty[m]).into_iter().collect();
+        while !conns.is_empty() {
+            for conn in conns {
+                while let Some((frame, charge)) =
+                    self.fleet.member_mut(m).expect("wake events name members").poll_conn(conn)
+                {
+                    let arrival = self.arrivals.remove(&(m, frame.request_id)).unwrap_or(now);
+                    let factor = self.config.schedule.slow_factor(m, arrival);
+                    let charge =
+                        SimDuration::from_micros(charge.as_micros().saturating_mul(factor));
+                    let done = arrival.max(self.dev_free[m]) + charge;
+                    self.dev_free[m] = done;
+                    let seq = self.next_landing;
+                    self.next_landing += 1;
+                    let landing = Landing { member: m, frame, polled: now, done, on_wire: false };
+                    self.landing.insert(seq, landing);
+                    self.kernel
+                        .arm(done, KernelEvent::ResponseLanded { conn: m as u64, request_id: seq });
                 }
-            };
-            match event {
-                KernelEvent::ServerWake { member } => {
-                    let m = member as usize;
-                    if m >= members || !reachable(&schedule, m, kernel.now()) {
-                        kernel.note_spurious();
-                        continue;
+            }
+            conns = self.fleet.member_mut(m).expect("wake events name members").take_woken();
+        }
+    }
+
+    /// Response `seq` reached its next instant. At its device completion
+    /// it either dies with its member — a crash or restart during its
+    /// service loses it, and the page stays owed until the detector
+    /// replays it — or takes the next free slot on the one downlink:
+    /// reserving in completion order serializes every response, yet each
+    /// still lands at its own instant, so a hedge races its original.
+    /// At its landing it is handled.
+    fn response(&mut self, seq: u64) -> Result<()> {
+        let schedule = &self.config.schedule;
+        let Some(l) = self.landing.get_mut(&seq) else {
+            self.kernel.note_spurious();
+            return Ok(());
+        };
+        if l.on_wire {
+            let l = self.landing.remove(&seq).expect("checked above");
+            debug_assert!(
+                !schedule.interrupted(l.member, l.polled, l.done),
+                "a response landed from a dead incarnation of member {}",
+                l.member
+            );
+            return self.land(l.member, l.frame);
+        }
+        if schedule.interrupted(l.member, l.polled, l.done) {
+            let l = self.landing.remove(&seq).expect("checked above");
+            self.recycle(l.member, l.frame);
+            return Ok(());
+        }
+        let start = self.down_free.max(l.done);
+        debug_assert!(start >= self.down_free, "two responses overlap on the downlink");
+        self.down_free = start + self.link.transfer(l.frame.wire_size());
+        l.on_wire = true;
+        let conn = l.member as u64;
+        self.kernel.arm(self.down_free, KernelEvent::ResponseLanded { conn, request_id: seq });
+        Ok(())
+    }
+
+    /// Returns a dead or duplicate response's page buffer to its member's
+    /// pool.
+    fn recycle(&mut self, m: usize, frame: Frame) {
+        if let FramePayload::Response(ServerResponse::Span(bytes)) = frame.payload {
+            self.fleet.member_mut(m).expect("landing members are in range").recycle_payload(bytes);
+        }
+    }
+
+    /// Handles a response from member `m` landing now: a verified page is
+    /// delivered (its hedge partner, if any, suppressed), a rotten one is
+    /// healed and re-served, and a `Busy` turn-away parks the page on the
+    /// member's hint.
+    fn land(&mut self, m: usize, frame: Frame) -> Result<()> {
+        let at = self.kernel.now();
+        let rid = frame.request_id;
+        let Some(p) = self.inflight.get(&rid) else {
+            // A hedge loser or a post-partition straggler: the page
+            // already landed through another path.
+            self.report.duplicates_suppressed += 1;
+            self.recycle(m, frame);
+            return Ok(());
+        };
+        let (s, page, issued) = (p.session, p.page, p.issued);
+        let FramePayload::Response(response) = frame.payload else {
+            return Err(MinosError::Internal(format!("member {m} answered with a request")));
+        };
+        match response {
+            ServerResponse::Span(bytes) => {
+                let want = self.fleet.checksums(object_of(s)).and_then(|c| c.crcs.get(page));
+                if bytes.len() as u64 == self.config.page_len && want == Some(&crc32(&bytes)) {
+                    let from = page as u64 * self.config.page_len;
+                    if !bytes.iter().enumerate().all(|(i, &b)| b == pattern(s, from + i as u64)) {
+                        return Err(MinosError::Internal(format!(
+                            "session {s} page {page} passed its CRC with foreign bytes"
+                        )));
                     }
-                    let mut conns: Vec<u64> = dirty[m].iter().copied().collect();
-                    dirty[m].clear();
-                    loop {
-                        for conn in conns.drain(..) {
-                            while let Some((frame, charge)) = fleet
-                                .member_mut(m)
-                                .expect("wake events name fleet members")
-                                .poll_conn(conn)
-                            {
-                                progressed = true;
-                                let rid = frame.request_id;
-                                let arrival = arrivals.remove(&rid).unwrap_or(up_free);
-                                // A gray member is slow at everything: its
-                                // device charge scales with the window in
-                                // force at service time.
-                                let factor = schedule.slow_factor(m, arrival);
-                                let charge = SimDuration::from_micros(
-                                    charge.as_micros().saturating_mul(factor),
-                                );
-                                let done = arrival.max(dev_free[m]) + charge;
-                                dev_free[m] = done;
-                                // The wire charge rides on the device
-                                // completion rather than a strict frontier:
-                                // responses are reserved in poll order, and
-                                // a frontier would force every later poll —
-                                // including a hedge racing a slow member —
-                                // to land after every earlier one. The
-                                // devices are the bottleneck by an order of
-                                // magnitude, so overlapping transfers cost
-                                // nothing observable.
-                                let at = done + link.transfer(frame.wire_size());
-                                down_free = down_free.max(at);
-                                // Deliver at the response's own timestamp,
-                                // not at this wake: a hedge timer falling
-                                // between the two must still see the page
-                                // in flight, or a hedge could never race
-                                // the member it hedges against.
-                                let seq = next_landing;
-                                next_landing += 1;
-                                landing.insert(seq, (frame, at));
-                                kernel.arm(
-                                    at,
-                                    KernelEvent::ResponseLanded { conn: m as u64, request_id: seq },
-                                );
-                            }
+                    if let Some(other) = self.hedges.remove(&rid) {
+                        self.hedges.remove(&other);
+                        self.inflight.remove(&other);
+                        if other < rid {
+                            self.report.hedge_wins += 1;
                         }
-                        conns = fleet
-                            .member_mut(m)
-                            .expect("wake events name fleet members")
-                            .take_woken();
-                        if conns.is_empty() {
+                    }
+                    self.inflight.remove(&rid);
+                    self.deliver(s, issued, at)?;
+                } else {
+                    self.read_repair(rid, m, at)?;
+                }
+                self.fleet
+                    .member_mut(m)
+                    .expect("landing members are in range")
+                    .recycle_payload(bytes);
+            }
+            ServerResponse::Busy { retry_after } => {
+                if self.hedges.get(&rid).is_some_and(|&original| original < rid) {
+                    // A turned-away hedge just dies; the original still
+                    // owes the page.
+                    if let Some(original) = self.hedges.remove(&rid) {
+                        self.hedges.remove(&original);
+                    }
+                    self.inflight.remove(&rid);
+                    return Ok(());
+                }
+                // Honor the hint: park the page on a retry timer, its
+                // window slot held, and rotate it to a live sibling.
+                self.report.busy_deferred += 1;
+                let due = at + retry_after;
+                let to = self.fail_over(rid).map_or(m, |r| r.member);
+                self.deferred.insert(rid, (due, to));
+                self.kernel.arm(due, KernelEvent::RetryDue { request_id: rid, attempt: 0 });
+            }
+            other => {
+                return Err(MinosError::Internal(format!("unexpected response {other:?}")));
+            }
+        }
+        Ok(())
+    }
+
+    /// Delivers one verified page of session `s` at `at`, freeing its
+    /// window slot: the session's next page is asked for right there,
+    /// never before the delivery that freed the slot — a closed loop.
+    fn deliver(&mut self, s: usize, issued: SimInstant, at: SimInstant) -> Result<()> {
+        self.report.pages += 1;
+        self.report.elapsed = self.report.elapsed.max(at.since(SimInstant::EPOCH));
+        if s < self.config.audio_sessions {
+            // One sample per audio page: the capacity reserved up front.
+            debug_assert!(self.audio_lat.len() < self.audio_lat.capacity());
+            self.audio_lat.push(at.saturating_since(issued));
+        }
+        self.submit(s, at)
+    }
+
+    /// Read-repair: member `m`'s stored copy of page `rid` rotted. Heal
+    /// it from a verified sibling, then re-serve the page from the fresh
+    /// copy — unless a hedge partner still owes it, which then races
+    /// alone.
+    fn read_repair(&mut self, rid: u64, m: usize, at: SimInstant) -> Result<()> {
+        self.report.read_repairs += 1;
+        let s = self.inflight.get(&rid).expect("repaired pages are in flight").session;
+        let receipt = self.fleet.heal_copy(object_of(s), m)?;
+        self.charge_copy(&receipt, at);
+        if let Some(other) = self.hedges.remove(&rid) {
+            self.hedges.remove(&other);
+            self.inflight.remove(&rid);
+            return Ok(());
+        }
+        let to = self.replica(s, m);
+        self.send(rid, to, at).map(drop)
+    }
+
+    /// A `Busy`-deferred page's hint elapsed: resubmit it, never before
+    /// the hint.
+    fn retry(&mut self, rid: u64) -> Result<()> {
+        let Some((due, member)) = self.deferred.remove(&rid) else {
+            self.kernel.note_spurious();
+            return Ok(());
+        };
+        let Some(p) = self.inflight.get(&rid) else {
+            self.kernel.note_spurious();
+            return Ok(());
+        };
+        let to = self.replica(p.session, member);
+        if self.send(rid, to, due)? < due {
+            self.report.premature_busy_retries += 1;
+        }
+        Ok(())
+    }
+
+    /// Member `m`'s heartbeat: a reachable member echoes (its round trip
+    /// scaled by any gray window), and an echo carrying a new epoch
+    /// resyncs and replays what the old incarnation stranded; a silent
+    /// member walks toward `Down`, and once down every copy it held is
+    /// owed to the repair queue and every page it owed is replayed.
+    fn heartbeat(&mut self, m: usize) -> Result<()> {
+        let now = self.kernel.now();
+        self.health.note_ping(m);
+        if reachable(&self.config.schedule, m, now) {
+            let factor = self.config.schedule.slow_factor(m, now);
+            let rtt = SimDuration::from_micros(self.base_rtt_us.saturating_mul(factor).max(1));
+            self.health.note_pong(m, rtt);
+            if self.fleet.epoch(m) != self.epochs[m] {
+                self.epochs[m] = self.fleet.epoch(m);
+                self.report.epoch_resyncs += 1;
+                self.replay(m, false)?;
+            }
+        } else if self.health.note_miss(m) == MemberHealth::Down {
+            // Admission dedups, so re-declaring the same death is free.
+            for object in self.fleet.objects_on(m) {
+                if self.repairs.admit(RepairTask { object, lost: m }) && self.repair_idle {
+                    self.repair_idle = false;
+                    let due = now + self.config.repair_spacing;
+                    self.kernel.arm(due, KernelEvent::RepairDue { task: 0 });
+                }
+            }
+            self.replay(m, true)?;
+        }
+        self.kernel.arm(now + self.config.heartbeat, KernelEvent::HealthTick { member: m as u64 });
+        Ok(())
+    }
+
+    /// Replays the pages member `m` owes that died with it — all of them
+    /// when it is down, else those sent to an older incarnation — onto a
+    /// live copy, which may be `m` itself. A page whose answer is already
+    /// on the wire, or that waits on a `Busy` hint, is left alone; one
+    /// with no live copy stays owed until a copy heals.
+    fn replay(&mut self, m: usize, down: bool) -> Result<()> {
+        let epoch = self.fleet.epoch(m);
+        let on_wire: BTreeSet<u64> = self
+            .landing
+            .values()
+            .filter(|l| l.on_wire && l.member == m)
+            .map(|l| l.frame.request_id)
+            .collect();
+        // Sorted so the replay order never depends on hash iteration —
+        // equal seeds must replay identically.
+        let mut lost: Vec<u64> = self
+            .inflight
+            .iter()
+            .filter(|&(rid, p)| {
+                p.member == m
+                    && (down || p.epoch != epoch)
+                    && !self.deferred.contains_key(rid)
+                    && !on_wire.contains(rid)
+            })
+            .map(|(&rid, _)| rid)
+            .collect();
+        lost.sort_unstable();
+        let now = self.kernel.now();
+        for rid in lost {
+            let Some(to) = self.fail_over(rid) else {
+                continue;
+            };
+            self.report.replays += 1;
+            self.send(rid, to, now)?;
+        }
+        Ok(())
+    }
+
+    /// The hedge delay of audio page `rid` expired with the page still
+    /// owed: fire a speculative duplicate at a live sibling — preferring
+    /// one the detector does not consider gray — and let the first valid
+    /// answer win.
+    fn hedge(&mut self, rid: u64) -> Result<()> {
+        let now = self.kernel.now();
+        let pick = self
+            .inflight
+            .get(&rid)
+            .filter(|_| !self.hedges.contains_key(&rid) && !self.deferred.contains_key(&rid));
+        let sibling = pick.and_then(|p| {
+            let placement = self.fleet.placement(object_of(p.session))?;
+            let mut live = placement
+                .replicas()
+                .iter()
+                .filter(|r| r.member != p.member && self.live(r.member, now));
+            let fast = live.clone().find(|r| self.health.state(r.member) != MemberHealth::Slow);
+            fast.or_else(|| live.next()).copied()
+        });
+        let (Some(p), Some(sibling)) = (pick, sibling) else {
+            self.kernel.note_spurious();
+            return Ok(());
+        };
+        let hedge = InFlightPage { member: sibling.member, epoch: 0, ..*p };
+        self.report.hedges_fired += 1;
+        let hedge_rid = self.next_rid;
+        self.next_rid += 1;
+        self.hedges.insert(rid, hedge_rid);
+        self.hedges.insert(hedge_rid, rid);
+        self.inflight.insert(hedge_rid, hedge);
+        self.send(hedge_rid, sibling, now).map(drop)
+    }
+
+    /// Charges one replica copy where it ran — the source read, the
+    /// member-to-member transfer, the target append — starting no earlier
+    /// than `from`. Returns when the copy is durable.
+    fn charge_copy(&mut self, receipt: &RepairReceipt, from: SimInstant) -> SimInstant {
+        let read = from.max(self.dev_free[receipt.source]) + receipt.read_time;
+        self.dev_free[receipt.source] = read;
+        let moved = read + self.link.transfer(receipt.bytes);
+        let durable = moved.max(self.dev_free[receipt.target]) + receipt.write_time;
+        self.dev_free[receipt.target] = durable;
+        durable
+    }
+
+    /// Drains one re-replication task: rebuild the lost copy from a live,
+    /// verified sibling onto the object's ring successor, then arm the
+    /// next task one spacing after this one completes — the throttle.
+    fn repair(&mut self) {
+        let now = self.kernel.now();
+        let Some(task) = self.repairs.pop() else {
+            self.repair_idle = true;
+            self.kernel.note_spurious();
+            return;
+        };
+        let holders: Vec<usize> = self
+            .fleet
+            .placement(task.object)
+            .map(|p| p.replicas().iter().map(|r| r.member).collect())
+            .unwrap_or_default();
+        let mut next_at = now;
+        if holders.contains(&task.lost) {
+            let exclude: Vec<usize> = (0..self.config.members)
+                .filter(|&x| self.config.schedule.is_down(x, now) || self.health.is_down(x))
+                .collect();
+            let sources = holders.iter().filter(|&h| *h != task.lost && !exclude.contains(h));
+            let mut done = false;
+            if let Some(target) = self.fleet.ring_successor(task.object, &exclude) {
+                for &source in sources {
+                    match self.fleet.repair_replica(task.object, task.lost, source, target) {
+                        Ok(receipt) => {
+                            next_at = self.charge_copy(&receipt, now);
+                            self.repairs.note_completed(receipt.bytes);
+                            done = true;
                             break;
                         }
+                        Err(MinosError::Corrupt(_)) => continue,
+                        Err(_) => break,
                     }
                 }
-                KernelEvent::ResponseLanded { conn, request_id } => {
-                    let m = conn as usize;
-                    let Some((frame, at)) = landing.remove(&request_id) else {
-                        kernel.note_spurious();
-                        continue;
-                    };
-                    progressed = true;
-                    let rid = frame.request_id;
-                    last_delivered = last_delivered.max(at);
-                    if !inflight.contains_key(&rid) {
-                        // A hedge loser or a post-partition
-                        // straggler: the page already landed
-                        // through another path.
-                        duplicates_suppressed += 1;
-                        if let FramePayload::Response(ServerResponse::Span(bytes)) = frame.payload {
-                            fleet
-                                .member_mut(m)
-                                .expect("wake events name fleet members")
-                                .recycle_payload(bytes);
-                        }
-                        continue;
-                    }
-                    let meta = inflight.get(&rid).expect("checked above");
-                    let (s, page, issued) = (meta.session, meta.page, meta.issued);
-                    let FramePayload::Response(response) = frame.payload else {
-                        continue;
-                    };
-                    match response {
-                        ServerResponse::Span(bytes) => {
-                            let want = fleet
-                                .checksums(object_of(s))
-                                .and_then(|c| c.crcs.get(page))
-                                .copied();
-                            let clean =
-                                bytes.len() as u64 == page_len && want == Some(crc32(&bytes));
-                            if clean {
-                                let from = page as u64 * page_len;
-                                if !bytes
-                                    .iter()
-                                    .enumerate()
-                                    .all(|(i, &b)| b == chaos_pattern(s, from + i as u64))
-                                {
-                                    return Err(MinosError::Internal(format!(
-                                        "session {s} page {page} passed its CRC \
-                                                     with foreign bytes"
-                                    )));
-                                }
-                                let was_hedge = hedge_of.contains_key(&rid);
-                                let partner =
-                                    hedge_partner.remove(&rid).or_else(|| hedge_of.remove(&rid));
-                                if let Some(other) = partner {
-                                    inflight.remove(&other);
-                                    hedge_partner.remove(&other);
-                                    hedge_of.remove(&other);
-                                    if was_hedge {
-                                        hedge_wins += 1;
-                                    }
-                                }
-                                inflight.remove(&rid);
-                                outstanding[s] -= 1;
-                                session_free[s] = session_free[s].max(at);
-                                delivered += 1;
-                                if s < audio_sessions {
-                                    audio_lat.push(at.saturating_since(issued));
-                                }
-                            } else {
-                                // Read-repair: the stored copy
-                                // rotted. Heal it from a
-                                // verified sibling, then
-                                // re-serve from the fresh span.
-                                read_repairs += 1;
-                                let object = object_of(s);
-                                let receipt = fleet.heal_copy(object, m)?;
-                                let start = at.max(dev_free[receipt.source]);
-                                dev_free[receipt.source] = start + receipt.read_time;
-                                let moved = dev_free[receipt.source] + link.transfer(receipt.bytes);
-                                down_free = down_free.max(moved);
-                                dev_free[m] = moved.max(dev_free[m]) + receipt.write_time;
-                                let partner =
-                                    hedge_partner.remove(&rid).or_else(|| hedge_of.remove(&rid));
-                                inflight.remove(&rid);
-                                if let Some(other) = partner {
-                                    // The partner still owes the
-                                    // page; let it race alone.
-                                    hedge_partner.remove(&other);
-                                    hedge_of.remove(&other);
-                                } else {
-                                    // Re-serve from the healed
-                                    // copy under a fresh id.
-                                    let retry = next_rid;
-                                    next_rid += 1;
-                                    let placement = fleet
-                                        .placement(object)
-                                        .expect("healed objects stay placed");
-                                    let replica = placement
-                                        .replicas()
-                                        .iter()
-                                        .find(|r| r.member == m)
-                                        .copied()
-                                        .expect("heal keeps the member");
-                                    let span = ByteSpan::at(
-                                        replica.span.start + page as u64 * page_len,
-                                        page_len,
-                                    );
-                                    let frame = Frame::request_with_priority(
-                                        s as u64 + 1,
-                                        retry,
-                                        if s < audio_sessions {
-                                            Priority::Audio
-                                        } else {
-                                            Priority::Demand
-                                        },
-                                        ServerRequest::FetchSpan { span },
-                                    );
-                                    let arrival = up_free + link.transfer(frame.wire_size());
-                                    up_free = arrival;
-                                    arrivals.insert(retry, arrival);
-                                    inflight.insert(
-                                        retry,
-                                        InFlightPage { session: s, page, member: m, issued },
-                                    );
-                                    fleet
-                                        .member_mut(m)
-                                        .expect("wake events name fleet members")
-                                        .enqueue(frame)?;
-                                    dirty[m].insert(s as u64 + 1);
-                                    kernel
-                                        .arm(arrival, KernelEvent::ServerWake { member: m as u64 });
-                                }
-                            }
-                            fleet
-                                .member_mut(m)
-                                .expect("wake events name fleet members")
-                                .recycle_payload(bytes);
-                        }
-                        ServerResponse::Busy { retry_after } => {
-                            if hedge_of.contains_key(&rid) {
-                                // A turned-away hedge just
-                                // dies; the original still
-                                // owes the page.
-                                let original = hedge_of.remove(&rid);
-                                if let Some(orig) = original {
-                                    hedge_partner.remove(&orig);
-                                }
-                                inflight.remove(&rid);
-                                continue;
-                            }
-                            let due = at + retry_after;
-                            deferred.insert(rid, due);
-                            kernel.arm(due, KernelEvent::RetryDue { request_id: rid, attempt: 0 });
-                            // Rotate to a live sibling for the
-                            // resubmit.
-                            let now = kernel.now();
-                            if let Some(next) = pick_target(&fleet, &health, s, page, now) {
-                                let p = inflight
-                                    .get_mut(&rid)
-                                    .expect("meta was just read from inflight");
-                                if next.member != p.member {
-                                    p.member = next.member;
-                                } else {
-                                    let placement = fleet
-                                        .placement(object_of(s))
-                                        .expect("published objects have placements");
-                                    p.member = placement.next_after(p.member).member;
-                                }
-                            }
-                        }
-                        other => {
-                            return Err(MinosError::Internal(format!(
-                                "unexpected response {other:?}"
-                            )));
-                        }
-                    }
-                }
-                KernelEvent::RetryDue { request_id, .. } => {
-                    let Some(due) = deferred.remove(&request_id) else {
-                        kernel.note_spurious();
-                        continue;
-                    };
-                    if !inflight.contains_key(&request_id) {
-                        kernel.note_spurious();
-                        continue;
-                    }
-                    progressed = true;
-                    let p = inflight.get(&request_id).expect("checked above");
-                    let (s, page, m) = (p.session, p.page, p.member);
-                    let placement =
-                        fleet.placement(object_of(s)).expect("published objects have placements");
-                    let replica = placement
-                        .replicas()
-                        .iter()
-                        .find(|r| r.member == m)
-                        .copied()
-                        .unwrap_or(placement.next_after(m));
-                    let span = ByteSpan::at(replica.span.start + page as u64 * page_len, page_len);
-                    let frame = Frame::request_with_priority(
-                        s as u64 + 1,
-                        request_id,
-                        if s < audio_sessions { Priority::Audio } else { Priority::Demand },
-                        ServerRequest::FetchSpan { span },
-                    );
-                    // The resubmission may not leave before the hint
-                    // elapses.
-                    let leave = up_free.max(due);
-                    if leave < due {
-                        premature_busy_retries += 1;
-                    }
-                    let arrival = leave + link.transfer(frame.wire_size());
-                    up_free = arrival;
-                    arrivals.insert(request_id, arrival);
-                    if let Some(meta) = inflight.get_mut(&request_id) {
-                        meta.member = replica.member;
-                    }
-                    fleet
-                        .member_mut(replica.member)
-                        .expect("replica indices are in range")
-                        .enqueue(frame)?;
-                    dirty[replica.member].insert(s as u64 + 1);
-                    kernel.arm(arrival, KernelEvent::ServerWake { member: replica.member as u64 });
-                }
-                KernelEvent::HealthTick { member } => {
-                    let m = member as usize;
-                    if m >= members {
-                        kernel.note_spurious();
-                        continue;
-                    }
-                    let now = kernel.now();
-                    health.note_ping(m);
-                    let mut replay = false;
-                    if reachable(&schedule, m, now) {
-                        let factor = schedule.slow_factor(m, now);
-                        let rtt =
-                            SimDuration::from_micros(base_rtt_us.saturating_mul(factor).max(1));
-                        health.note_pong(m, rtt);
-                        if fleet.epoch(m) != epochs[m] {
-                            // The heartbeat noticed a restart: adopt the
-                            // new epoch and replay what died with the old
-                            // incarnation.
-                            epochs[m] = fleet.epoch(m);
-                            epoch_resyncs += 1;
-                            replay = true;
-                        }
-                    } else if health.note_miss(m) == MemberHealth::Down {
-                        replay = true;
-                        // Proactive re-replication: every copy the dead
-                        // member held is owed a rebuild. Admission dedups,
-                        // so re-declaring the same death is free.
-                        for object in fleet.objects_on(m) {
-                            if repairs.admit(RepairTask { object, lost: m }) && repair_idle {
-                                repair_idle = false;
-                                kernel
-                                    .arm(now + repair_spacing, KernelEvent::RepairDue { task: 0 });
-                            }
-                        }
-                    }
-                    if replay {
-                        progressed = true;
-                        // Sorted so the replay order never depends on hash
-                        // iteration — equal seeds must replay identically.
-                        let mut lost: Vec<u64> = inflight
-                            .iter()
-                            .filter(|(rid, p)| p.member == m && !deferred.contains_key(rid))
-                            .map(|(&rid, _)| rid)
-                            .collect();
-                        lost.sort_unstable();
-                        for rid in lost {
-                            let p = inflight.get(&rid).expect("rid collected from inflight");
-                            let (s, page) = (p.session, p.page);
-                            let Some(target) = pick_target(&fleet, &health, s, page, now) else {
-                                continue;
-                            };
-                            if target.member == m {
-                                // No live sibling: the page stays owed to
-                                // this member until it heals.
-                                continue;
-                            }
-                            replays += 1;
-                            let span =
-                                ByteSpan::at(target.span.start + page as u64 * page_len, page_len);
-                            let frame = Frame::request_with_priority(
-                                s as u64 + 1,
-                                rid,
-                                if s < audio_sessions { Priority::Audio } else { Priority::Demand },
-                                ServerRequest::FetchSpan { span },
-                            );
-                            let arrival = up_free + link.transfer(frame.wire_size());
-                            up_free = arrival;
-                            arrivals.insert(rid, arrival);
-                            if let Some(meta) = inflight.get_mut(&rid) {
-                                meta.member = target.member;
-                            }
-                            fleet
-                                .member_mut(target.member)
-                                .expect("replica indices are in range")
-                                .enqueue(frame)?;
-                            dirty[target.member].insert(s as u64 + 1);
-                            kernel.arm(
-                                arrival,
-                                KernelEvent::ServerWake { member: target.member as u64 },
-                            );
-                        }
-                    }
-                    kernel.arm(now + heartbeat, KernelEvent::HealthTick { member });
-                }
-                KernelEvent::HedgeFire { request_id } => {
-                    let Some(p) = inflight.get(&request_id) else {
-                        kernel.note_spurious();
-                        continue;
-                    };
-                    if hedge_partner.contains_key(&request_id) || deferred.contains_key(&request_id)
-                    {
-                        kernel.note_spurious();
-                        continue;
-                    }
-                    let (s, page, cur, issued) = (p.session, p.page, p.member, p.issued);
-                    let now = kernel.now();
-                    let Some(placement) = fleet.placement(object_of(s)).cloned() else {
-                        kernel.note_spurious();
-                        continue;
-                    };
-                    // Prefer a live sibling the detector does not consider
-                    // gray; settle for any live sibling.
-                    let mut pick: Option<Replica> = None;
-                    let mut candidate = placement.next_after(cur);
-                    for _ in 0..placement.replicas().len() {
-                        if candidate.member != cur
-                            && reachable(&schedule, candidate.member, now)
-                            && !health.is_down(candidate.member)
-                        {
-                            if health.state(candidate.member) != MemberHealth::Slow {
-                                pick = Some(candidate);
-                                break;
-                            }
-                            pick.get_or_insert(candidate);
-                        }
-                        candidate = placement.next_after(candidate.member);
-                    }
-                    let Some(sibling) = pick else {
-                        kernel.note_spurious();
-                        continue;
-                    };
-                    progressed = true;
-                    hedges_fired += 1;
-                    let hedge_rid = next_rid;
-                    next_rid += 1;
-                    hedge_partner.insert(request_id, hedge_rid);
-                    hedge_of.insert(hedge_rid, request_id);
-                    let span = ByteSpan::at(sibling.span.start + page as u64 * page_len, page_len);
-                    let frame = Frame::request_with_priority(
-                        s as u64 + 1,
-                        hedge_rid,
-                        Priority::Audio,
-                        ServerRequest::FetchSpan { span },
-                    );
-                    let arrival = up_free + link.transfer(frame.wire_size());
-                    up_free = arrival;
-                    arrivals.insert(hedge_rid, arrival);
-                    inflight.insert(
-                        hedge_rid,
-                        InFlightPage { session: s, page, member: sibling.member, issued },
-                    );
-                    fleet
-                        .member_mut(sibling.member)
-                        .expect("replica indices are in range")
-                        .enqueue(frame)?;
-                    dirty[sibling.member].insert(s as u64 + 1);
-                    kernel.arm(arrival, KernelEvent::ServerWake { member: sibling.member as u64 });
-                }
-                KernelEvent::RepairDue { .. } => {
-                    let now = kernel.now();
-                    let Some(task) = repairs.pop() else {
-                        repair_idle = true;
-                        kernel.note_spurious();
-                        continue;
-                    };
-                    progressed = true;
-                    let holders: Vec<usize> = fleet
-                        .placement(task.object)
-                        .map(|p| p.replicas().iter().map(|r| r.member).collect())
-                        .unwrap_or_default();
-                    let mut next_at = now;
-                    if holders.contains(&task.lost) {
-                        let exclude: Vec<usize> = (0..members)
-                            .filter(|&x| schedule.is_down(x, now) || health.is_down(x))
-                            .collect();
-                        let sources: Vec<usize> = holders
-                            .iter()
-                            .copied()
-                            .filter(|&h| h != task.lost && !exclude.contains(&h))
-                            .collect();
-                        let target = fleet.ring_successor(task.object, &exclude);
-                        let mut done = false;
-                        if let Some(target) = target {
-                            for source in sources {
-                                match fleet.repair_replica(task.object, task.lost, source, target) {
-                                    Ok(receipt) => {
-                                        // Charge the rebuild where it ran:
-                                        // source read, shared wire, target
-                                        // append.
-                                        let start = now.max(dev_free[source]);
-                                        dev_free[source] = start + receipt.read_time;
-                                        let moved = dev_free[source] + link.transfer(receipt.bytes);
-                                        down_free = down_free.max(moved);
-                                        let finished =
-                                            moved.max(dev_free[target]) + receipt.write_time;
-                                        dev_free[target] = finished;
-                                        next_at = finished;
-                                        repairs.note_completed(receipt.bytes);
-                                        done = true;
-                                        break;
-                                    }
-                                    Err(MinosError::Corrupt(_)) => continue,
-                                    Err(_) => break,
-                                }
-                            }
-                        }
-                        if !done {
-                            repairs.note_failed();
-                        }
-                    }
-                    if repairs.is_empty() {
-                        repair_idle = true;
-                    } else {
-                        // The throttle: one task per spacing, measured
-                        // from the previous task's completion.
-                        kernel.arm(next_at + repair_spacing, KernelEvent::RepairDue { task: 0 });
-                    }
-                }
-                KernelEvent::DeadlineFired { key } if key == SCRUB_KEY => {
-                    let now = kernel.now();
-                    let m = scrub_cursor % members;
-                    scrub_cursor += 1;
-                    let mut finished = now;
-                    if reachable(&schedule, m, now) {
-                        progressed = true;
-                        let report = fleet.scrub_member(m)?;
-                        scrub_pages += report.pages;
-                        scrub_detected += report.corrupt.len() as u64;
-                        dev_free[m] = now.max(dev_free[m]) + report.device_time;
-                        let mut objects: Vec<ObjectId> =
-                            report.corrupt.iter().map(|c| c.0).collect();
-                        objects.dedup();
-                        for object in objects {
-                            let receipt = fleet.heal_copy(object, m)?;
-                            scrub_heals += 1;
-                            let start = dev_free[m].max(dev_free[receipt.source]);
-                            dev_free[receipt.source] = start + receipt.read_time;
-                            let moved = dev_free[receipt.source] + link.transfer(receipt.bytes);
-                            down_free = down_free.max(moved);
-                            dev_free[m] = moved.max(dev_free[m]) + receipt.write_time;
-                        }
-                        finished = dev_free[m];
-                    }
-                    if let Some(interval) = scrub_interval {
-                        // Paced off completion, not a wall cadence: a pass
-                        // costs real device time, and arming off `now`
-                        // would let passes pile onto a device faster than
-                        // it can serve them — the interval is the idle gap
-                        // between passes.
-                        kernel.arm(
-                            finished.max(now) + interval,
-                            KernelEvent::DeadlineFired { key: SCRUB_KEY },
-                        );
-                    }
-                }
-                KernelEvent::DeadlineFired { key } => {
-                    match schedule.events().get(key as usize).copied() {
-                        Some(ChaosEvent::RestartAt { member, .. }) => {
-                            progressed = true;
-                            fleet.restart_member(member)?;
-                            // The epoch resync (and the replay of what the
-                            // old incarnation stranded) happens at the next
-                            // heartbeat echo.
-                        }
-                        _ => kernel.note_spurious(),
-                    }
-                }
-                _ => kernel.note_spurious(),
+            }
+            if !done {
+                self.repairs.note_failed();
             }
         }
-        if !progressed && !submitted {
-            // Nothing moved and nothing new went out: jump simulated time
-            // to the next armed deadline (a heartbeat at the latest).
-            let Some(deadline) = kernel.next_deadline() else {
-                return Err(MinosError::Internal("chaos workload wedged with no timer".into()));
-            };
-            kernel.advance_to(deadline);
-            up_free = up_free.max(kernel.now());
+        if self.repairs.is_empty() {
+            self.repair_idle = true;
+        } else {
+            let due = next_at + self.config.repair_spacing;
+            self.kernel.arm(due, KernelEvent::RepairDue { task: 0 });
         }
     }
 
-    // Final sweep: freeze the decay, scrub every member's media (a crash
-    // loses volatile queues, never media), heal what is found, and prove
-    // the archives clean end to end.
-    let mut bit_rot_flips = 0u64;
-    for m in 0..members {
-        let device =
-            fleet.member_mut(m).expect("sweep indices are in range").archiver_mut().device_mut();
-        device.set_bit_rot(0, 0.0);
-        bit_rot_flips += device.bit_rot_flips();
-    }
-    let mut final_corrupt_pages = 0u64;
-    for m in 0..members {
-        let sweep = fleet.scrub_member(m)?;
-        scrub_pages += sweep.pages;
-        scrub_detected += sweep.corrupt.len() as u64;
-        let mut objects: Vec<ObjectId> = sweep.corrupt.iter().map(|c| c.0).collect();
+    /// Heals every object `corrupt` names on member `m` from a verified
+    /// sibling, charged after `m`'s device frees.
+    fn heal(&mut self, m: usize, corrupt: &[(ObjectId, usize)]) -> Result<()> {
+        let mut objects: Vec<ObjectId> = corrupt.iter().map(|c| c.0).collect();
         objects.dedup();
         for object in objects {
-            fleet.heal_copy(object, m)?;
-            scrub_heals += 1;
+            let receipt = self.fleet.heal_copy(object, m)?;
+            self.report.scrub_heals += 1;
+            self.charge_copy(&receipt, self.dev_free[m]);
         }
-        let recheck = fleet.scrub_member(m)?;
-        final_corrupt_pages += recheck.corrupt.len() as u64;
+        Ok(())
     }
-    let end = kernel.now();
-    let want_copies = replication.min(members);
-    let mut replication_ok = true;
-    for s in 0..sessions {
-        let Some(placement) = fleet.placement(object_of(s)) else {
-            replication_ok = false;
-            continue;
-        };
-        let holders: BTreeSet<usize> = placement.replicas().iter().map(|r| r.member).collect();
-        if holders.len() < want_copies || holders.iter().any(|&h| schedule.is_down(h, end)) {
-            replication_ok = false;
+
+    /// One scrub tick: verify the next member's media round-robin, heal
+    /// what it finds, and arm the next pass one interval after this one
+    /// finishes — a pass costs real device time, and arming off `now`
+    /// would pile passes onto a device faster than it serves them.
+    fn scrub(&mut self) -> Result<()> {
+        let now = self.kernel.now();
+        let m = self.scrub_cursor % self.config.members;
+        self.scrub_cursor += 1;
+        let mut finished = now;
+        if reachable(&self.config.schedule, m, now) {
+            let pass = self.fleet.scrub_member(m)?;
+            self.report.scrub_pages += pass.pages;
+            self.report.scrub_detected += pass.corrupt.len() as u64;
+            self.dev_free[m] = now.max(self.dev_free[m]) + pass.device_time;
+            self.heal(m, &pass.corrupt)?;
+            finished = self.dev_free[m];
         }
+        if let Some(interval) = self.config.scrub_interval {
+            let due = finished.max(now) + interval;
+            self.kernel.arm(due, KernelEvent::DeadlineFired { key: SCRUB_KEY });
+        }
+        Ok(())
     }
-    let audio_p99 = p99(&mut audio_lat);
-    let total_pages = sessions as u64 * pages_per_session as u64;
-    let repair_stats = repairs.stats();
-    let health_stats = health.stats();
-    Ok(ChaosReport {
-        elapsed: last_delivered.since(SimInstant::EPOCH),
-        pages: delivered,
-        lost_pages: total_pages.saturating_sub(delivered),
-        bytes: link.stats().bytes,
-        audio_p99,
-        hedges_fired,
-        hedge_wins,
-        duplicates_suppressed,
-        down_transitions: health_stats.down_transitions,
-        slow_transitions: health_stats.slow_transitions,
-        epoch_resyncs,
-        replays,
-        repairs_completed: repair_stats.completed,
-        repair_bytes: repair_stats.bytes_rebuilt,
-        scrub_pages,
-        scrub_detected,
-        scrub_heals,
-        read_repairs,
-        bit_rot_flips,
-        final_corrupt_pages,
-        premature_busy_retries,
-        replication_ok,
-    })
+
+    /// Final sweep: freeze the decay, scrub every member's media (a crash
+    /// loses volatile queues, never media), heal what is found, prove the
+    /// archives clean end to end, and fill in the report.
+    fn finish(mut self) -> Result<ChaosReport> {
+        let members = self.config.members;
+        for m in 0..members {
+            let member = self.fleet.member_mut(m).expect("sweep indices are in range");
+            let device = member.archiver_mut().device_mut();
+            device.set_bit_rot(0, 0.0);
+            self.report.bit_rot_flips += device.bit_rot_flips();
+        }
+        for m in 0..members {
+            let sweep = self.fleet.scrub_member(m)?;
+            self.report.scrub_pages += sweep.pages;
+            self.report.scrub_detected += sweep.corrupt.len() as u64;
+            self.heal(m, &sweep.corrupt)?;
+            self.report.final_corrupt_pages += self.fleet.scrub_member(m)?.corrupt.len() as u64;
+        }
+        let end = self.kernel.now();
+        let want_copies = self.config.replication.min(members);
+        let schedule = &self.config.schedule;
+        let replication_ok = (0..self.config.sessions).all(|s| {
+            self.fleet.placement(object_of(s)).is_some_and(|placement| {
+                let holders: BTreeSet<usize> =
+                    placement.replicas().iter().map(|r| r.member).collect();
+                holders.len() >= want_copies && !holders.iter().any(|&h| schedule.is_down(h, end))
+            })
+        });
+        let total = (self.config.sessions * self.config.pages_per_session) as u64;
+        let (service, health, repairs) =
+            (self.fleet.service_stats(), self.health.stats(), self.repairs.stats());
+        Ok(ChaosReport {
+            lost_pages: total.saturating_sub(self.report.pages),
+            bytes: self.link.stats().bytes,
+            audio_p99: p99(&mut self.audio_lat),
+            served_per_member: (0..members)
+                .map(|m| self.fleet.member(m).map_or(0, |s| s.service_stats().served))
+                .collect(),
+            shed: service.shed,
+            busy_rejections: service.busy_rejections,
+            down_transitions: health.down_transitions,
+            slow_transitions: health.slow_transitions,
+            repairs_completed: repairs.completed,
+            repair_bytes: repairs.bytes_rebuilt,
+            replication_ok,
+            ..self.report
+        })
+    }
 }
 
 #[cfg(test)]
@@ -1337,6 +1311,43 @@ mod tests {
         assert!(report.replication_ok, "replication restored to k: {report:?}");
         assert_eq!(report.final_corrupt_pages, 0);
         assert_eq!(report.premature_busy_retries, 0);
+    }
+
+    #[test]
+    fn fleet_workload_scales_and_survives_a_mid_run_restart() {
+        let base = ChaosWorkloadConfig {
+            members: 1,
+            replication: 1,
+            sessions: 6,
+            audio_sessions: 2,
+            pages_per_session: 4,
+            hedge_delay: None,
+            scrub_interval: None,
+            ..clean_config(1)
+        };
+        let solo = simulate_chaos_workload(base.clone()).expect("solo run");
+        assert_eq!(solo.pages, 24);
+        assert_eq!(solo.epoch_resyncs, 0);
+        assert_eq!(solo.premature_busy_retries, 0);
+        assert!(solo.audio_p99 > SimDuration::ZERO, "audio sessions must be measured: {solo:?}");
+
+        let restart = SimInstant::EPOCH + SimDuration::from_millis(20);
+        let crashed = simulate_chaos_workload(ChaosWorkloadConfig {
+            members: 3,
+            replication: 2,
+            schedule: ChaosSchedule::new(1).restart_at(0, restart),
+            ..base
+        })
+        .expect("restart run");
+        assert_eq!(crashed.pages, 24, "every page survives the restart: {crashed:?}");
+        assert_eq!(crashed.epoch_resyncs, 1, "{crashed:?}");
+        assert!(crashed.replays >= 1, "the restart lost work that was replayed: {crashed:?}");
+        assert_eq!(crashed.premature_busy_retries, 0, "{crashed:?}");
+        assert_eq!(crashed.served_per_member.len(), 3);
+        assert!(
+            crashed.served_per_member.iter().all(|&s| s > 0),
+            "replication must spread load: {crashed:?}"
+        );
     }
 
     #[test]

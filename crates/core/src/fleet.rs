@@ -29,10 +29,10 @@
 //! server's own `retry_after` hint elapses, then resubmits — to a sibling
 //! replica when one exists.
 //!
-//! [`simulate_fleet_workload`] is the E16 harness: M sessions demand-page
-//! against N members through the shared link, wake-list-driven via
-//! [`KernelEvent::ServerWake`], with an optional mid-run member restart to
-//! pin that replicated pages survive a crash byte-identical.
+//! The E16 and E17 workloads drive a fleet through the one driver in
+//! [`crate::chaos`]: M sessions demand-page against N members through the
+//! shared link, wake-list-driven via [`KernelEvent::ServerWake`], with any
+//! restart or other failure declared as a [`crate::chaos::ChaosSchedule`].
 //!
 //! On top of the reactive failover sits the self-healing layer:
 //!
@@ -53,17 +53,12 @@
 //!   copy from a verified sibling (a fresh WORM append — optical media
 //!   cannot be patched in place).
 
-use crate::kernel::{Kernel, KernelEvent};
-use crate::prefetch::page_spans;
-use crate::sched::{p99, per_sim_second};
+use crate::kernel::KernelEvent;
 use crate::transport::{Backend, Client, FleetStats, CONN_ID, DEFAULT_WINDOW};
-use minos_net::{
-    crc32, BufferPool, FaultPlan, Frame, FramePayload, Link, Priority, ServerRequest,
-    ServerResponse,
-};
+use minos_net::{crc32, FaultPlan, Frame, FramePayload, Link, ServerRequest, ServerResponse};
 use minos_server::{ObjectServer, ServiceConfig, ServiceStats};
-use minos_types::{ByteSpan, MinosError, ObjectId, Result, SimDuration, SimInstant};
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use minos_types::{ByteSpan, MinosError, ObjectId, Result, SimDuration};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 /// `splitmix64` finalizer: the standard 64-bit avalanche mix. Rendezvous
 /// hashing only needs that distinct `(object, member)` pairs score
@@ -1032,455 +1027,12 @@ impl FleetConnection {
     }
 }
 
-/// When the E16 harness restarts a fleet member mid-run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FleetRestart {
-    /// Fleet index of the member to restart.
-    pub member: usize,
-    /// Demand pages that must have been delivered before the restart
-    /// triggers (so the crash lands mid-stream, with requests in flight).
-    pub after_pages: u64,
-}
-
-/// Configuration of one [`simulate_fleet_workload`] run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FleetWorkloadConfig {
-    /// Fleet size.
-    pub members: usize,
-    /// Copies stored per object.
-    pub replication: usize,
-    /// Concurrent page-reader sessions.
-    pub sessions: usize,
-    /// Leading sessions (`min(audio_sessions, sessions)`) that submit at
-    /// [`Priority::Audio`] and have their page latency tracked for the
-    /// report's p99 column.
-    pub audio_sessions: usize,
-    /// Demand pages each session reads.
-    pub pages_per_session: usize,
-    /// Bytes per page.
-    pub page_len: u64,
-    /// Optional mid-run member restart.
-    pub restart: Option<FleetRestart>,
-    /// Admission-control policy applied to every member.
-    pub service: ServiceConfig,
-}
-
-/// What one [`simulate_fleet_workload`] run measured — the E16 report.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FleetReport {
-    /// Wall-clock time until the last demand page was delivered.
-    pub elapsed: SimDuration,
-    /// Demand pages delivered byte-identical.
-    pub pages: u64,
-    /// Bytes moved over the shared link.
-    pub bytes: u64,
-    /// Requests re-aimed at a sibling replica (after a restart or a
-    /// `Busy` rotation).
-    pub failovers: u64,
-    /// Member restarts survived via the `Hello`/`Welcome` handshake.
-    pub epoch_resyncs: u64,
-    /// Request frames replayed because a restart dropped them.
-    pub replays: u64,
-    /// Demand pages parked on a retry timer after a `Busy` turn-away.
-    pub busy_deferred: u64,
-    /// Deferred resubmissions that left before their hint elapsed —
-    /// pinned zero.
-    pub premature_busy_retries: u64,
-    /// Prefetch-class frames the fleet's admission control shed.
-    pub shed: u64,
-    /// Demand frames rejected outright across the fleet.
-    pub busy_rejections: u64,
-    /// Pages served by each member, in fleet order — the placement-balance
-    /// evidence.
-    pub served_per_member: Vec<u64>,
-    /// 99th-percentile submit-to-delivery latency of the audio-class
-    /// pages (zero when the run had no audio sessions).
-    pub audio_p99: SimDuration,
-}
-
-impl FleetReport {
-    /// Aggregate demand goodput in verified pages per simulated second.
-    pub fn goodput_pages_per_sec(&self) -> f64 {
-        per_sim_second(self.pages, self.elapsed)
-    }
-}
-
-/// Demand-page window each fleet session keeps in flight.
-const FLEET_WINDOW: usize = 2;
-
-/// The per-session byte pattern: session-distinct so a page served by the
-/// wrong replica (or sliced at the wrong offset) can never verify.
-fn fleet_pattern(session: usize, offset: u64) -> u8 {
-    ((offset + session as u64 * 13) % 251) as u8
-}
-
-/// Runs the E16 workload: `sessions` concurrent readers demand-page
-/// against a fleet of `members` servers over one shared Ethernet-class
-/// link, each object placed by rendezvous hashing onto `replication`
-/// members and its pages spread across that replica set in contiguous
-/// blocks — each replica serves a sequential run of its copy, so the
-/// spread buys balance without costing the optical head its locality.
-///
-/// The run is wake-list driven: every submitted frame arms a
-/// [`KernelEvent::ServerWake`] at its arrival instant, and the service
-/// pump visits exactly the members (and, via
-/// [`ObjectServer::take_woken`], exactly the connections) with landed
-/// work. A member restart mid-run bumps its epoch; the harness
-/// re-handshakes, replays the dead incarnation's in-flight pages onto
-/// sibling replicas, and the run still delivers every page
-/// byte-identical. `Busy` turn-aways park on `RetryDue` timers for the
-/// server's own hint — the E14 discipline, now per member.
-pub fn simulate_fleet_workload(config: FleetWorkloadConfig) -> Result<FleetReport> {
-    let FleetWorkloadConfig {
-        members,
-        replication,
-        sessions,
-        audio_sessions,
-        pages_per_session,
-        page_len,
-        restart,
-        service,
-    } = config;
-    let audio_sessions = audio_sessions.min(sessions);
-    if sessions == 0 || pages_per_session == 0 || page_len == 0 {
-        return Err(MinosError::Internal("workload needs sessions, pages, and bytes".into()));
-    }
-    if let Some(r) = restart {
-        if r.member >= members {
-            return Err(MinosError::Internal(format!(
-                "restart member {} outside fleet of {members}",
-                r.member
-            )));
-        }
-    }
-    let mut fleet = Fleet::new(members, replication)?;
-    fleet.set_service_config(service);
-    fleet.prewarm_payloads(BufferPool::DEFAULT_RETAIN_CAP, page_len as usize);
-    // Per-session objects with session-distinct patterns; remember each
-    // session's placement and per-replica page spans.
-    let mut plans: Vec<(Placement, HashMap<usize, Vec<ByteSpan>>)> = Vec::with_capacity(sessions);
-    for s in 0..sessions {
-        let data: Vec<u8> =
-            (0..pages_per_session as u64 * page_len).map(|i| fleet_pattern(s, i)).collect();
-        let placement = fleet.publish_bytes(ObjectId::new(s as u64 + 1), &data)?;
-        let mut spans: HashMap<usize, Vec<ByteSpan>> = HashMap::new();
-        for replica in placement.replicas() {
-            spans.insert(replica.member, page_spans(replica.span, pages_per_session));
-        }
-        plans.push((placement, spans));
-    }
-    let mut link = Link::ethernet();
-
-    /// One submitted demand page: who asked, which page, which member
-    /// currently owes the answer, and when it was first submitted (busy
-    /// deferrals and replays keep the original instant — the audio p99
-    /// measures what the listener felt, not the last attempt).
-    struct InFlightPage {
-        session: usize,
-        page: usize,
-        member: usize,
-        issued: SimInstant,
-    }
-    let session_priority =
-        |s: usize| if s < audio_sessions { Priority::Audio } else { Priority::Demand };
-    let mut up_free = SimInstant::EPOCH;
-    let mut down_free = SimInstant::EPOCH;
-    let mut dev_free = vec![SimInstant::EPOCH; members];
-    let mut kernel = Kernel::new();
-    let mut arrivals: HashMap<u64, SimInstant> = HashMap::new();
-    let mut inflight: HashMap<u64, InFlightPage> = HashMap::new();
-    // Pages parked on a Busy hint, keyed by request id, valued with the
-    // earliest instant the resubmission may leave.
-    let mut deferred: HashMap<u64, SimInstant> = HashMap::new();
-    // Per-member dirty sets: connections with frames enqueued since the
-    // member's last pump.
-    let mut dirty: Vec<BTreeSet<u64>> = (0..members).map(|_| BTreeSet::new()).collect();
-    let mut epochs: Vec<u64> = (0..members).map(|m| fleet.epoch(m)).collect();
-    let mut todo: Vec<VecDeque<usize>> =
-        (0..sessions).map(|_| (0..pages_per_session).collect()).collect();
-    let mut outstanding = vec![0usize; sessions];
-    let mut next_rid = 1u64;
-    let mut last_delivered = SimInstant::EPOCH;
-    let mut delivered = 0u64;
-    let mut failovers = 0u64;
-    let mut epoch_resyncs = 0u64;
-    let mut replays = 0u64;
-    let mut busy_deferred = 0u64;
-    let mut premature_busy_retries = 0u64;
-    // One latency sample per audio page: bounded by the audio sessions'
-    // share of the page budget.
-    let mut audio_lat: Vec<SimDuration> = Vec::with_capacity(audio_sessions * pages_per_session);
-    let mut restarted = false;
-    let mut rounds = 0u32;
-    while todo.iter().any(|q| !q.is_empty()) || outstanding.iter().any(|&o| o > 0) {
-        rounds += 1;
-        if rounds > 200_000 {
-            return Err(MinosError::Internal("fleet workload failed to converge".into()));
-        }
-        // Submissions: each session tops its demand window back up, a
-        // page's replica chosen by page block — replica i of k serves the
-        // i-th contiguous run of the object's pages, keeping each optical
-        // head sequential. The window is the admission bound: at most
-        // FLEET_WINDOW pages per session are ever in flight.
-        let mut submitted = false;
-        for s in 0..sessions {
-            while outstanding[s] < FLEET_WINDOW {
-                let Some(page) = todo[s].pop_front() else {
-                    break;
-                };
-                outstanding[s] += 1;
-                submitted = true;
-                let rid = next_rid;
-                next_rid += 1;
-                let replicas = plans[s].0.replicas();
-                let replica = replicas[page * replicas.len() / pages_per_session];
-                let span = plans[s].1[&replica.member][page];
-                let frame = Frame::request_with_priority(
-                    s as u64 + 1,
-                    rid,
-                    session_priority(s),
-                    ServerRequest::FetchSpan { span },
-                );
-                let issued = up_free;
-                let arrival = up_free + link.transfer(frame.wire_size());
-                up_free = arrival;
-                arrivals.insert(rid, arrival);
-                inflight
-                    .insert(rid, InFlightPage { session: s, page, member: replica.member, issued });
-                fleet
-                    .member_mut(replica.member)
-                    .expect("replica indices are in range")
-                    .enqueue(frame)?;
-                dirty[replica.member].insert(s as u64 + 1);
-                kernel.arm(arrival, KernelEvent::ServerWake { member: replica.member as u64 });
-            }
-        }
-        // The mid-run crash: once enough pages have landed, one member
-        // loses its volatile queues (its device contents survive). The
-        // frames submitted above die with it and must be replayed.
-        if let Some(r) = restart {
-            if !restarted && delivered >= r.after_pages {
-                fleet.restart_member(r.member)?;
-                restarted = true;
-            }
-        }
-        // Epoch resync: re-handshake each bumped member and replay its
-        // lost in-flight pages onto sibling replicas (deferred pages keep
-        // their timers — they were not in any queue).
-        for m in 0..members {
-            if fleet.epoch(m) == epochs[m] {
-                continue;
-            }
-            epoch_resyncs += 1;
-            let hello = Frame::request(0, 0, ServerRequest::Hello { epoch: epochs[m] });
-            let up = link.transfer(hello.wire_size());
-            let hello_arrival = up_free + up;
-            up_free = hello_arrival;
-            let (answer, took) = fleet
-                .member_mut(m)
-                .expect("resync indices are in range")
-                .handle(&ServerRequest::Hello { epoch: epochs[m] });
-            let done = hello_arrival.max(dev_free[m]) + took;
-            dev_free[m] = done;
-            let welcome = Frame::response(0, 0, answer);
-            down_free = done.max(down_free) + link.transfer(welcome.wire_size());
-            epochs[m] = match welcome.payload {
-                FramePayload::Response(ServerResponse::Welcome { epoch }) => epoch,
-                _ => fleet.epoch(m),
-            };
-            let lost: Vec<u64> = inflight
-                .iter()
-                .filter(|(rid, p)| p.member == m && !deferred.contains_key(rid))
-                .map(|(&rid, _)| rid)
-                .collect();
-            for rid in lost {
-                replays += 1;
-                let p = inflight.get_mut(&rid).expect("rid collected from inflight");
-                let next = plans[p.session].0.next_after(p.member);
-                if next.member != p.member {
-                    failovers += 1;
-                }
-                p.member = next.member;
-                let span = plans[p.session].1[&next.member][p.page];
-                let frame = Frame::request_with_priority(
-                    p.session as u64 + 1,
-                    rid,
-                    session_priority(p.session),
-                    ServerRequest::FetchSpan { span },
-                );
-                let arrival = up_free + link.transfer(frame.wire_size());
-                up_free = arrival;
-                arrivals.insert(rid, arrival);
-                let conn = frame.conn_id;
-                fleet
-                    .member_mut(next.member)
-                    .expect("replica indices are in range")
-                    .enqueue(frame)?;
-                dirty[next.member].insert(conn);
-                kernel.arm(arrival, KernelEvent::ServerWake { member: next.member as u64 });
-            }
-        }
-        // Serve: advance the kernel to the wire frontier and handle every
-        // wake. A ServerWake pumps one member — first the connections the
-        // harness marked dirty, then whatever the member's own wake list
-        // names (Busy rejections, restart orphans) — and a RetryDue puts
-        // a deferred page back on the wire, never before its hint.
-        let mut progressed = false;
-        loop {
-            kernel.advance_to(up_free.max(down_free));
-            let Some(event) = kernel.take_ready() else { break };
-            match event {
-                KernelEvent::ServerWake { member } => {
-                    let m = member as usize;
-                    let mut conns: Vec<u64> = dirty[m].iter().copied().collect();
-                    dirty[m].clear();
-                    loop {
-                        for conn in conns.drain(..) {
-                            while let Some((frame, charge)) = fleet
-                                .member_mut(m)
-                                .expect("wake events name fleet members")
-                                .poll_conn(conn)
-                            {
-                                progressed = true;
-                                let rid = frame.request_id;
-                                let arrival = arrivals.remove(&rid).unwrap_or(up_free);
-                                let done = arrival.max(dev_free[m]) + charge;
-                                dev_free[m] = done;
-                                let at = done.max(down_free) + link.transfer(frame.wire_size());
-                                down_free = at;
-                                last_delivered = last_delivered.max(at);
-                                let Some(meta) = inflight.get(&rid) else {
-                                    continue;
-                                };
-                                let (s, page, issued) = (meta.session, meta.page, meta.issued);
-                                let FramePayload::Response(response) = frame.payload else {
-                                    continue;
-                                };
-                                match response {
-                                    ServerResponse::Span(bytes) => {
-                                        let from = page as u64 * page_len;
-                                        let ok = bytes.len() as u64 == page_len
-                                            && bytes.iter().enumerate().all(|(i, &b)| {
-                                                b == fleet_pattern(s, from + i as u64)
-                                            });
-                                        if !ok {
-                                            return Err(MinosError::Internal(format!(
-                                                "session {s} page {page} corrupt"
-                                            )));
-                                        }
-                                        fleet
-                                            .member_mut(m)
-                                            .expect("wake events name fleet members")
-                                            .recycle_payload(bytes);
-                                        inflight.remove(&rid);
-                                        outstanding[s] -= 1;
-                                        delivered += 1;
-                                        if s < audio_sessions {
-                                            audio_lat.push(at.saturating_since(issued));
-                                        }
-                                    }
-                                    ServerResponse::Busy { retry_after } => {
-                                        // Honor the hint: park the page on
-                                        // a retry timer, keep its window
-                                        // slot held, and rotate it to the
-                                        // next replica for the resubmit.
-                                        busy_deferred += 1;
-                                        let due = at + retry_after;
-                                        deferred.insert(rid, due);
-                                        kernel.arm(
-                                            due,
-                                            KernelEvent::RetryDue { request_id: rid, attempt: 0 },
-                                        );
-                                        let p = inflight
-                                            .get_mut(&rid)
-                                            .expect("meta was just read from inflight");
-                                        p.member = plans[s].0.next_after(p.member).member;
-                                    }
-                                    other => {
-                                        return Err(MinosError::Internal(format!(
-                                            "unexpected response {other:?}"
-                                        )));
-                                    }
-                                }
-                            }
-                        }
-                        conns = fleet
-                            .member_mut(m)
-                            .expect("wake events name fleet members")
-                            .take_woken();
-                        if conns.is_empty() {
-                            break;
-                        }
-                    }
-                }
-                KernelEvent::RetryDue { request_id, .. } => {
-                    let Some(due) = deferred.remove(&request_id) else {
-                        kernel.note_spurious();
-                        continue;
-                    };
-                    progressed = true;
-                    let p = inflight.get(&request_id).expect("deferred pages stay in flight");
-                    let (s, page, m) = (p.session, p.page, p.member);
-                    let span = plans[s].1[&m][page];
-                    let frame = Frame::request_with_priority(
-                        s as u64 + 1,
-                        request_id,
-                        session_priority(s),
-                        ServerRequest::FetchSpan { span },
-                    );
-                    // The resubmission may not leave before the hint
-                    // elapses: the uplink is pushed out to the due
-                    // instant if it would otherwise be free earlier.
-                    let leave = up_free.max(due);
-                    if leave < due {
-                        premature_busy_retries += 1;
-                    }
-                    let arrival = leave + link.transfer(frame.wire_size());
-                    up_free = arrival;
-                    arrivals.insert(request_id, arrival);
-                    fleet.member_mut(m).expect("replica indices are in range").enqueue(frame)?;
-                    dirty[m].insert(s as u64 + 1);
-                    kernel.arm(arrival, KernelEvent::ServerWake { member: m as u64 });
-                }
-                _ => kernel.note_spurious(),
-            }
-        }
-        if !progressed && !submitted {
-            // Nothing moved and nothing new went out: every live page is
-            // parked on a timer beyond the wire frontier. Jump simulated
-            // time to the next armed deadline (cascade ticks that ready
-            // nothing just loop again); no deadline at all is a wedge.
-            let Some(deadline) = kernel.next_deadline() else {
-                return Err(MinosError::Internal("fleet workload wedged with no timer".into()));
-            };
-            kernel.advance_to(deadline);
-            up_free = up_free.max(kernel.now());
-        }
-    }
-    let stats = fleet.service_stats();
-    let audio_p99 = p99(&mut audio_lat);
-    Ok(FleetReport {
-        elapsed: last_delivered.since(SimInstant::EPOCH),
-        pages: delivered,
-        bytes: link.stats().bytes,
-        failovers,
-        epoch_resyncs,
-        replays,
-        busy_deferred,
-        premature_busy_retries,
-        shed: stats.shed,
-        busy_rejections: stats.busy_rejections,
-        served_per_member: (0..members)
-            .map(|m| fleet.member(m).map_or(0, |s| s.service_stats().served))
-            .collect(),
-        audio_p99,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::transport::TransportStats;
+    use minos_types::SimInstant;
+    use std::collections::BTreeSet;
 
     #[test]
     fn rendezvous_order_is_a_deterministic_permutation() {
@@ -1654,42 +1206,6 @@ mod tests {
         let ticket = conn.fetch_page(object, ByteSpan::at(0, 4096)).expect("resubmit");
         let (response, _) = conn.wait(ticket).expect("recollect");
         assert!(matches!(response, ServerResponse::Span(_)));
-    }
-
-    #[test]
-    fn fleet_workload_scales_and_survives_a_mid_run_restart() {
-        let service = ServiceConfig::default();
-        let base = FleetWorkloadConfig {
-            members: 1,
-            replication: 1,
-            sessions: 6,
-            audio_sessions: 2,
-            pages_per_session: 4,
-            page_len: 2048,
-            restart: None,
-            service,
-        };
-        let solo = simulate_fleet_workload(base).expect("solo run");
-        assert_eq!(solo.pages, 24);
-        assert_eq!(solo.epoch_resyncs, 0);
-        assert_eq!(solo.premature_busy_retries, 0);
-        assert!(solo.audio_p99 > SimDuration::ZERO, "audio sessions must be measured: {solo:?}");
-
-        let crashed = simulate_fleet_workload(FleetWorkloadConfig {
-            members: 3,
-            replication: 2,
-            restart: Some(FleetRestart { member: 0, after_pages: 6 }),
-            ..base
-        })
-        .expect("restart run");
-        assert_eq!(crashed.pages, 24, "every page survives the restart: {crashed:?}");
-        assert_eq!(crashed.epoch_resyncs, 1, "{crashed:?}");
-        assert_eq!(crashed.premature_busy_retries, 0, "{crashed:?}");
-        assert_eq!(crashed.served_per_member.len(), 3);
-        assert!(
-            crashed.served_per_member.iter().all(|&s| s > 0),
-            "replication must spread load: {crashed:?}"
-        );
     }
 
     #[test]

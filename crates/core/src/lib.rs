@@ -31,11 +31,11 @@
 //! * [`fleet`] — the sharded object-server fleet: rendezvous placement,
 //!   k-way replication, and replica failover over the epoch handshake
 //!   (§2, §5);
-//! * [`chaos`] — the chaos-schedule orchestrator: declarative failure
-//!   schedules (crashes, restarts, slowdowns, partitions, bit rot)
-//!   driven through the self-healing fleet — health heartbeats,
-//!   proactive re-replication, scrub with read-repair, and hedged
-//!   audio reads.
+//! * [`chaos`] — the one fleet workload driver (E16, E17) and its
+//!   declarative failure schedules (crashes, restarts, slowdowns,
+//!   partitions, bit rot), driven through the self-healing fleet —
+//!   health heartbeats, proactive re-replication, scrub with
+//!   read-repair, and hedged audio reads.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -64,9 +64,9 @@ pub use chaos::{
 pub use command::{BrowseCommand, BrowseEvent};
 pub use compose::{compose_screen, resolve_figure};
 pub use fleet::{
-    rendezvous_order, simulate_fleet_workload, Fleet, FleetConnection, FleetReport, FleetRestart,
-    FleetTicket, FleetWorkloadConfig, HealthMonitor, HealthStats, MemberHealth, PageChecksums,
-    Placement, RepairQueue, RepairReceipt, RepairStats, RepairTask, Replica, ScrubReport,
+    rendezvous_order, Fleet, FleetConnection, FleetTicket, HealthMonitor, HealthStats,
+    MemberHealth, PageChecksums, Placement, RepairQueue, RepairReceipt, RepairStats, RepairTask,
+    Replica, ScrubReport,
 };
 pub use kernel::{Kernel, KernelEvent, KernelStats, TimerId};
 pub use prefetch::{page_spans, AnticipatingStore, PrefetchBuffer, PrefetchStats, Prefetcher};

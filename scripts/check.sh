@@ -44,4 +44,10 @@ cargo bench -p minos-bench --bench exp_fleet -- --smoke
 echo "==> exp_chaos --smoke"
 cargo bench -p minos-bench --bench exp_chaos -- --smoke
 
+# Every smoke above rewrites its BENCH file from a deterministic run, so a
+# row that changed without being committed shows up as a diff here.
+# BENCH_sched.json stays out: its wall_us column is host-dependent.
+echo "==> BENCH drift"
+git diff --exit-code -- BENCH_transport.json BENCH_fleet.json BENCH_overload.json BENCH_chaos.json
+
 echo "All checks passed."

@@ -1,11 +1,14 @@
 //! Integration pins for experiment E17: the self-healing fleet.
 //!
-//! Three 10-seed sweeps over the chaos harness, each pinning one healing
+//! Four 10-seed sweeps over the fleet driver, each pinning one healing
 //! loop end to end. Byte identity is implicit in every assertion on
-//! `pages`: the harness verifies each delivered page against the
+//! `pages`: the driver verifies each delivered page against the
 //! published pattern and its stored CRC inline and errors on the first
 //! foreign byte, so a run that reports all pages delivered IS a run
-//! where every page came back byte-identical.
+//! where every page came back byte-identical. Test builds keep the
+//! driver's `debug_assert!`s on, so every sweep also checks its three
+//! invariants: a closed loop, one wire, and nothing landing from a dead
+//! incarnation.
 
 use minos::presentation::fleet::rendezvous_order;
 use minos::presentation::{
@@ -74,6 +77,26 @@ fn crash_repair_restores_replication_to_k_for_every_object() {
             "seed {seed}: one repair per lost copy: {report:?}"
         );
         assert!(report.replication_ok, "seed {seed}: replication restored to k: {report:?}");
+        assert_eq!(report.premature_busy_retries, 0, "seed {seed}: hint violated: {report:?}");
+    }
+}
+
+#[test]
+fn bare_restart_replays_the_work_its_old_incarnation_lost() {
+    for seed in 0..10u64 {
+        let victim = (seed as usize) % MEMBERS;
+        // No crash first: the member restarts in place, mid-run, with
+        // requests queued and in service on its device.
+        let report = run(ChaosSchedule::new(seed).restart_at(victim, ms(100)));
+        let want = (SESSIONS * PAGES) as u64;
+        assert_eq!(report.pages, want, "seed {seed}: every page delivered: {report:?}");
+        assert_eq!(report.lost_pages, 0, "seed {seed}: zero lost pages: {report:?}");
+        assert!(report.epoch_resyncs >= 1, "seed {seed}: the restart was noticed: {report:?}");
+        // The restart dropped the responses its device had not finished;
+        // each such page was sent again, not left owed forever.
+        assert!(report.replays >= 1, "seed {seed}: the lost work was replayed: {report:?}");
+        assert_eq!(report.down_transitions, 0, "seed {seed}: a restart is not a death: {report:?}");
+        assert!(report.replication_ok, "seed {seed}: replication intact: {report:?}");
         assert_eq!(report.premature_busy_retries, 0, "seed {seed}: hint violated: {report:?}");
     }
 }
