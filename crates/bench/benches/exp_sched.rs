@@ -15,9 +15,11 @@
 //! cost is fleet setup, not per-tick scanning).
 //!
 //! The series is emitted machine-readable as `BENCH_sched.json` at the
-//! repository root. `--smoke` runs the acceptance pin — N = 10,000 fires
-//! exactly the events N = 64 fires, with zero spurious wakes — and is
-//! hooked into `scripts/check.sh`.
+//! repository root by the full bench run. `--smoke` runs the acceptance pin
+//! — N = 10,000 fires exactly the events N = 64 fires, with zero spurious
+//! wakes — and checks a fresh series against the committed file, every
+//! line but the host-dependent `wall_us`; it is hooked into
+//! `scripts/check.sh`.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use minos_bench::{fast_criterion, row};
@@ -57,9 +59,12 @@ fn measure_series() -> Vec<Point> {
         .collect()
 }
 
-/// Writes the series as `BENCH_sched.json` at the repository root — the
+/// The committed series, at the repository root.
+const BENCH_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sched.json");
+
+/// Renders the series as the `BENCH_sched.json` document — the
 /// machine-readable perf-trajectory record for this experiment.
-fn emit_json(points: &[Point]) {
+fn series_json(points: &[Point]) -> String {
     let mut series = Vec::new();
     for p in points {
         series.push(format!(
@@ -79,18 +84,27 @@ fn emit_json(points: &[Point]) {
             p.wall.as_micros(),
         ));
     }
-    let json = format!(
+    format!(
         "{{\n  \"experiment\": \"E15\",\n  \"workload\": \"N-session fleet, {ACTIVE} active x {PAGES} x \
          {PAGE_LEN} B pages, audio stride 8 @ 250ms, text dwell 1s, 10 Mbit/s Ethernet, \
          timer-wheel run loop\",\n  \"series\": [\n{}\n  ]\n}}\n",
         series.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sched.json");
-    if let Err(e) = std::fs::write(path, json) {
+    )
+}
+
+/// Writes the series to `BENCH_sched.json`.
+fn emit_json(points: &[Point]) {
+    if let Err(e) = std::fs::write(BENCH_PATH, series_json(points)) {
         row("E15", &format!("could not write BENCH_sched.json: {e}"));
     } else {
         row("E15", "series written to BENCH_sched.json");
     }
+}
+
+/// The lines of a series document that do not depend on the host: all of
+/// them but the `wall_us` timings.
+fn deterministic_lines(json: &str) -> Vec<&str> {
+    json.lines().filter(|line| !line.trim_start().starts_with("\"wall_us\"")).collect()
 }
 
 fn print_series() {
@@ -153,9 +167,20 @@ fn smoke() {
     assert_eq!(fleet.audio_p99, base.audio_p99, "identical audio tail");
     assert_eq!(base.spurious_wakes, 0, "no wake fired for an idle slot: {base:?}");
     assert_eq!(fleet.spurious_wakes, 0, "idle dwellers never woke: {fleet:?}");
-    // The full series is cheap (simulated time), so the machine-readable
-    // artifact is always the complete five-point sweep.
-    emit_json(&measure_series());
+    // The full series is cheap (simulated time), so the smoke reruns the
+    // complete five-point sweep and holds it to the committed file, line for
+    // line except the host-dependent `wall_us`. It never rewrites the file:
+    // only the full bench run does.
+    let fresh = series_json(&measure_series());
+    let committed = std::fs::read_to_string(BENCH_PATH).expect("BENCH_sched.json is committed");
+    let (fresh, committed) = (deterministic_lines(&fresh), deterministic_lines(&committed));
+    if let Some((line, (new, old))) =
+        fresh.iter().zip(&committed).enumerate().find(|(_, (new, old))| new != old)
+    {
+        panic!("BENCH_sched.json drifted at deterministic line {line}: committed {old:?}, fresh {new:?}");
+    }
+    assert_eq!(fresh.len(), committed.len(), "BENCH_sched.json drifted in length");
+    row("E15", "series matches BENCH_sched.json (wall_us aside)");
 }
 
 fn bench(c: &mut Criterion) {

@@ -26,6 +26,13 @@ cargo test --workspace --quiet
 echo "==> minos-benchmark tests"
 cargo test --offline --quiet --manifest-path crates/bench/src/bin/minos-benchmark/Cargo.toml
 
+# Its unit tests use 1 KiB pages; one real lossy_scan round runs 32 KiB
+# frames through encode, CRC and decode, and the exit code gates its byte
+# checks, counter reconciliation and premises.
+echo "==> minos-benchmark lossy_scan (full-size pages)"
+cargo run --release --offline --manifest-path crates/bench/src/bin/minos-benchmark/Cargo.toml \
+    -- --workload lossy_scan --seed 1 --seconds 0
+
 echo "==> exp_pipeline --smoke"
 cargo bench -p minos-bench --bench exp_pipeline -- --smoke
 
@@ -44,9 +51,10 @@ cargo bench -p minos-bench --bench exp_fleet -- --smoke
 echo "==> exp_chaos --smoke"
 cargo bench -p minos-bench --bench exp_chaos -- --smoke
 
-# Every smoke above rewrites its BENCH file from a deterministic run, so a
-# row that changed without being committed shows up as a diff here.
-# BENCH_sched.json stays out: its wall_us column is host-dependent.
+# Every smoke above but exp_sched's rewrites its BENCH file from a
+# deterministic run, so a row that changed without being committed shows up
+# as a diff here. exp_sched --smoke checks BENCH_sched.json itself, all but
+# the host-dependent wall_us, and leaves the file alone.
 echo "==> BENCH drift"
 git diff --exit-code -- BENCH_transport.json BENCH_fleet.json BENCH_overload.json BENCH_chaos.json
 

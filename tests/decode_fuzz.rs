@@ -78,6 +78,20 @@ fn frame_with_payload_tag(conn: u64, rid: u64, tag: u8) -> Vec<u8> {
     bytes
 }
 
+/// A framed 32 KiB page response (the §5 page size): its checksum runs
+/// through every lane of eight 4 KiB superblocks of `crc32`, where the
+/// palette's frames stay on the single-chain path.
+fn page_frame(conn: u64, rid: u64) -> Frame {
+    let mut state = conn ^ rid;
+    let page = (0..32_768)
+        .map(|_| {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            state.to_le_bytes()[7]
+        })
+        .collect();
+    Frame::response(conn, rid, ServerResponse::Span(page))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -89,9 +103,11 @@ proptest! {
         blob in proptest::collection::vec(any::<u8>(), 0..64),
         cut in any::<usize>(),
     ) {
-        let bytes = sample_frame(choice, conn, rid, blob).encode();
-        let cut = cut % bytes.len(); // strictly shorter than the full frame
-        prop_assert!(Frame::decode(bytes.get(..cut).unwrap_or_default()).is_err());
+        for frame in [sample_frame(choice, conn, rid, blob), page_frame(conn, rid)] {
+            let bytes = frame.encode();
+            let cut = cut % bytes.len(); // strictly shorter than the full frame
+            prop_assert!(Frame::decode(bytes.get(..cut).unwrap_or_default()).is_err());
+        }
     }
 
     #[test]
@@ -103,14 +119,16 @@ proptest! {
         at in any::<usize>(),
         bit in 0u8..8,
     ) {
-        let mut bytes = sample_frame(choice, conn, rid, blob).encode();
-        let at = at % bytes.len();
-        if let Some(byte) = bytes.get_mut(at) {
-            *byte ^= 1 << bit;
+        for frame in [sample_frame(choice, conn, rid, blob), page_frame(conn, rid)] {
+            let mut bytes = frame.encode();
+            let at = at % bytes.len();
+            if let Some(byte) = bytes.get_mut(at) {
+                *byte ^= 1 << bit;
+            }
+            // Anywhere the flip lands — envelope, payload, or the trailer
+            // itself — the checksum mismatch is what reports it.
+            prop_assert!(matches!(Frame::decode(&bytes), Err(MinosError::Corrupt(_))));
         }
-        // Anywhere the flip lands — envelope, payload, or the trailer
-        // itself — the checksum mismatch is what reports it.
-        prop_assert!(matches!(Frame::decode(&bytes), Err(MinosError::Corrupt(_))));
     }
 
     #[test]
