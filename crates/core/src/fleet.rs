@@ -51,7 +51,9 @@
 //!   ([`PageChecksums`]); [`Fleet::scrub_member`] walks a member's
 //!   archive verifying them, and [`Fleet::heal_copy`] re-homes a corrupt
 //!   copy from a verified sibling (a fresh WORM append — optical media
-//!   cannot be patched in place).
+//!   cannot be patched in place). Over a faulty link the same CRCs are
+//!   what a whole page is sent under, so a rotten page read fails at the
+//!   client and is fetched again from a sibling.
 
 use crate::kernel::KernelEvent;
 use crate::transport::{Backend, Client, FleetStats, CONN_ID, DEFAULT_WINDOW};
@@ -144,13 +146,19 @@ impl Placement {
 }
 
 /// Per-page CRC32 checksums of an object, computed at publish time — the
-/// ground truth scrub and read-repair verify stored copies against.
+/// ground truth scrub and read-repair verify stored copies against, and
+/// the CRC a whole page is sent under.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PageChecksums {
     /// Page granularity the object was published at.
     pub page_len: u64,
     /// CRC32 of each page in order (the final page may be short).
     pub crcs: Vec<u32>,
+    /// Whether the object was published page by page
+    /// ([`Fleet::publish_paged`]). An object published whole
+    /// ([`Fleet::publish_bytes`]) has one checksum over all its bytes and
+    /// no pages for a response frame to be sent under.
+    pub paged: bool,
 }
 
 /// What one replica repair moved: where the clean bytes came from, where
@@ -233,7 +241,7 @@ impl Fleet {
     /// checksum granularity is the whole object; page-granular workloads
     /// publish through [`Fleet::publish_paged`] instead.
     pub fn publish_bytes(&mut self, object: ObjectId, bytes: &[u8]) -> Result<Placement> {
-        self.publish_paged(object, bytes, (bytes.len() as u64).max(1))
+        self.publish(object, bytes, (bytes.len() as u64).max(1), false)
     }
 
     /// Stores `bytes` as `object` on its `k` rendezvous members, records
@@ -244,6 +252,18 @@ impl Fleet {
         object: ObjectId,
         bytes: &[u8],
         page_len: u64,
+    ) -> Result<Placement> {
+        self.publish(object, bytes, page_len, true)
+    }
+
+    /// Stores and checksums `object` at `page_len` granularity; `paged`
+    /// records which of the two publish calls it came through.
+    fn publish(
+        &mut self,
+        object: ObjectId,
+        bytes: &[u8],
+        page_len: u64,
+        paged: bool,
     ) -> Result<Placement> {
         if page_len == 0 {
             return Err(MinosError::Internal("publish page length must be positive".into()));
@@ -257,7 +277,7 @@ impl Fleet {
             replicas.push(Replica { member, span: record.span });
         }
         let crcs = bytes.chunks(page_len as usize).map(crc32).collect();
-        self.checksums.insert(object, PageChecksums { page_len, crcs });
+        self.checksums.insert(object, PageChecksums { page_len, crcs, paged });
         let placement = Placement { replicas };
         self.placements.insert(object, placement.clone());
         Ok(placement)
@@ -898,6 +918,24 @@ impl Backend for Fleet {
             _ => conn.kernel.note_spurious(),
         }
     }
+
+    /// The publish-time CRC of the page `rel` names, when `rel` is exactly
+    /// one whole page of a [`Fleet::publish_paged`] object and `len` is
+    /// that page's length. An unaligned or partial span, a short final
+    /// page and a [`Fleet::publish_bytes`] object get `None`.
+    fn span_crc(&self, &(object, rel): &(ObjectId, ByteSpan), len: u64) -> Option<u32> {
+        let sums = self.checksums.get(&object)?;
+        let object_len = self.placements.get(&object)?.primary().span.len();
+        let whole_page = sums.paged
+            && rel.len() == sums.page_len
+            && len == sums.page_len
+            && rel.start % sums.page_len == 0
+            && rel.end <= object_len;
+        if !whole_page {
+            return None;
+        }
+        sums.crcs.get(usize::try_from(rel.start / sums.page_len).ok()?).copied()
+    }
 }
 
 /// The fetch of `rel` — a span relative to the object's first byte — from
@@ -923,7 +961,13 @@ impl FleetConnection {
     /// machinery (deadlines, retransmission, duplicate suppression,
     /// failover) engages.
     pub fn with_faults(fleet: Fleet, link: Link, window: usize, plan: FaultPlan) -> Self {
-        Client::open(fleet, link, window, plan)
+        let mut conn = Client::open(fleet, link, window, plan);
+        // One pool for the connection and its members: a page collected
+        // and recycled goes back to the pool the member leases from.
+        for member in &mut conn.server.members {
+            member.adopt_pool(conn.pool.clone());
+        }
+        conn
     }
 
     /// Busy-honoring accounting (deferred resubmissions and the
@@ -1118,6 +1162,65 @@ mod tests {
             .collect();
         assert_eq!(served.iter().sum::<u64>(), pages as u64);
         assert_eq!(served.iter().filter(|&&s| s > 0).count(), 2, "{served:?}");
+    }
+
+    #[test]
+    fn span_crc_vouches_only_for_whole_published_pages() {
+        let mut fleet = Fleet::new(2, 2).expect("valid shape");
+        let paged = ObjectId::new(1);
+        let whole = ObjectId::new(2);
+        // Two full pages of 1 KiB and a short final page of 100 bytes.
+        let body: Vec<u8> = (0..2148u64).map(|i| (i % 253) as u8).collect();
+        fleet.publish_paged(paged, &body, 1024).expect("publish paged");
+        fleet.publish_bytes(whole, &body).expect("publish whole");
+        let crc = |object, start, len, payload| {
+            fleet.span_crc(&(object, ByteSpan::at(start, len)), payload)
+        };
+        assert_eq!(crc(paged, 0, 1024, 1024), Some(crc32(&body[..1024])));
+        assert_eq!(crc(paged, 1024, 1024, 1024), Some(crc32(&body[1024..2048])));
+        assert_eq!(crc(paged, 512, 1024, 1024), None, "unaligned");
+        assert_eq!(crc(paged, 0, 512, 512), None, "partial");
+        assert_eq!(crc(paged, 0, 1024, 512), None, "a payload of another length");
+        assert_eq!(crc(paged, 2048, 100, 100), None, "the short final page");
+        assert_eq!(crc(paged, 2048, 1024, 1024), None, "past the end");
+        assert_eq!(crc(whole, 0, body.len() as u64, body.len() as u64), None, "publish_bytes");
+        assert_eq!(crc(ObjectId::new(3), 0, 1024, 1024), None, "unpublished");
+    }
+
+    #[test]
+    fn collected_pages_recycle_into_the_pool_members_lease_from() {
+        // Clean and lossy alike: once the first round has warmed the one
+        // pool the connection shares with its members, later rounds lease
+        // every page, frame and decode buffer from it.
+        for plan in [FaultPlan::none(), FaultPlan::corrupting(5, 0.05)] {
+            let mut fleet = Fleet::new(3, 2).expect("valid shape");
+            let object = ObjectId::new(4);
+            let body: Vec<u8> = (0..16_384u64).map(|i| (i % 249) as u8).collect();
+            fleet.publish_paged(object, &body, 2048).expect("publish");
+            let mut conn = FleetConnection::with_faults(fleet, Link::ethernet(), 8, plan);
+            let allocs = |conn: &FleetConnection| {
+                conn.transport_stats().payload_allocs + conn.fleet().service_stats().payload_allocs
+            };
+            let mut after_first_round = 0;
+            for round in 0..3 {
+                let tickets: Vec<FleetTicket> = (0..8u64)
+                    .map(|page| conn.fetch_page(object, ByteSpan::at(page * 2048, 2048)))
+                    .collect::<Result<_>>()
+                    .expect("submit");
+                for ticket in tickets {
+                    let (response, _) = conn.wait(ticket).expect("collect");
+                    let ServerResponse::Span(bytes) = response else {
+                        panic!("unexpected response {response:?}");
+                    };
+                    conn.recycle_payload(bytes);
+                }
+                if round == 0 {
+                    after_first_round = allocs(&conn);
+                }
+            }
+            assert!(after_first_round > 0, "a cold pool allocates: {plan:?}");
+            assert_eq!(allocs(&conn), after_first_round, "warm rounds allocate nothing: {plan:?}");
+        }
     }
 
     #[test]

@@ -207,7 +207,7 @@ impl Connection {
                             // Per-request payloads come out of the pool, so a
                             // steady-state pipeline re-serves the same buffers
                             // instead of allocating per page.
-                            let mut payload = self.pool.lease_vec();
+                            let mut payload = self.lease();
                             payload.extend_from_slice(slice);
                             ServerResponse::Span(payload)
                         }

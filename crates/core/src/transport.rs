@@ -43,6 +43,18 @@ use minos_types::{MinosError, Result, SimClock, SimDuration, SimInstant};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 
+/// Leases a buffer from `pool`, counting a hit or a miss (a fresh
+/// allocation) in `stats`.
+fn lease_counted(pool: &BufferPool, stats: &mut TransportStats) -> Vec<u8> {
+    if pool.free_buffers() > 0 {
+        stats.pool_hits += 1;
+    } else {
+        stats.pool_misses += 1;
+        stats.payload_allocs += 1;
+    }
+    pool.lease_vec()
+}
+
 /// The one logical connection id every request travels under: servers
 /// tell requests apart by request id, which the client keeps unique.
 pub(crate) const CONN_ID: u64 = 1;
@@ -116,6 +128,14 @@ pub trait Backend: Sized {
     fn on_timer(client: &mut Client<Self>, _event: KernelEvent) {
         client.kernel.note_spurious();
     }
+
+    /// The CRC32 of the `len` payload bytes a request on `route` should
+    /// come back with, when the side already holds it: a faulty-link
+    /// response frame then composes its trailer from it instead of
+    /// rereading the payload. `None` takes the full pass.
+    fn span_crc(&self, _route: &Self::Route, _len: u64) -> Option<u32> {
+        None
+    }
 }
 
 /// A request frame accepted for transmission but not yet served: its bytes
@@ -176,11 +196,13 @@ pub struct TransportStats {
     /// restarted, timed out or answered `Busy`. Always zero on a single
     /// server, which has nowhere else to go.
     pub failovers: u64,
-    /// Transmit-buffer pool leases served from the free list — no
-    /// allocation happened.
+    /// The client's own pool leases served from the free list — no
+    /// allocation happened. A fleet's members lease from the same pool and
+    /// count their leases in their service stats, so each lease is counted
+    /// once, by whoever took it.
     pub pool_hits: u64,
-    /// Pool leases that had to allocate a fresh buffer (a cold pool or a
-    /// burst deeper than the retained free list).
+    /// The client's own pool leases that had to allocate a fresh buffer (a
+    /// cold pool or a burst deeper than the retained free list).
     pub pool_misses: u64,
     /// Fresh payload-buffer allocations on the frame hot path: the pool
     /// misses. Once the pool is warm a steady-state window transmits with
@@ -226,8 +248,8 @@ pub struct Client<B: Backend> {
     outstanding: HashMap<u64, Outstanding<B::Route>>,
     collected: HashSet<u64>,
     /// Transmit and payload buffers leased and recycled across the
-    /// client's lifetime; its hit/miss accounting is merged into
-    /// [`TransportStats`] by [`Client::transport_stats`].
+    /// client's lifetime, shared with a fleet's members. Leases go through
+    /// [`Client::lease`], which counts them in [`TransportStats`].
     pub(crate) pool: BufferPool,
     /// Every outstanding request's retransmit deadline (and any heartbeat
     /// tick), so a loss on an idle client is discovered by
@@ -316,13 +338,7 @@ impl<B: Backend> Client<B> {
     /// frames, duplicates, replays, epoch resyncs, failovers — plus the
     /// transmit-pool accounting (hits, misses, fresh payload allocations).
     pub fn transport_stats(&self) -> TransportStats {
-        let pool = self.pool.stats();
-        TransportStats {
-            pool_hits: pool.hits,
-            pool_misses: pool.misses,
-            payload_allocs: self.transport.payload_allocs + pool.misses,
-            ..self.transport
-        }
+        self.transport
     }
 
     /// The timer-wheel counters of the recovery machinery.
@@ -355,12 +371,17 @@ impl<B: Backend> Client<B> {
 
     /// Hands a consumed payload buffer back to the transmit pool, so the
     /// steady-state hot path re-serves it instead of allocating a fresh
-    /// one per page. Each side recycles into its own pool: buffers this
-    /// client produced (coalesced slices, faulty-link decodes) come back
-    /// here, while payloads a server leased belong to its own
-    /// `recycle_payload`.
+    /// one per page. A fleet's members lease their span payloads from this
+    /// same pool, so a collected page is recycled into the pool that leased
+    /// it; a single server keeps its own pool, and the buffers this client
+    /// produced (coalesced slices, faulty-link decodes) come back here.
     pub fn recycle_payload(&mut self, buf: Vec<u8>) {
         self.pool.recycle(buf);
+    }
+
+    /// Leases a buffer from the pool, counting the lease as this client's.
+    pub(crate) fn lease(&mut self) -> Vec<u8> {
+        lease_counted(&self.pool, &mut self.transport)
     }
 
     /// Resets the accounting *and* the pipeline state (between experiment
@@ -491,7 +512,7 @@ impl<B: Backend> Client<B> {
         request: &ServerRequest,
     ) {
         let deadline = self.clock.now() + self.timeout;
-        let mut frame_bytes = self.pool.lease_vec();
+        let mut frame_bytes = self.lease();
         Frame::encode_request_into(
             CONN_ID,
             request_id,
@@ -713,9 +734,18 @@ impl<B: Backend> Client<B> {
     }
 
     /// Charges the downlink for one response frame and lands it at its
-    /// delivery instant. On a faulty link the encoded frame crosses the
-    /// fault layer: corrupt copies are counted and discarded (the deadline
-    /// machinery retransmits), and every surviving copy is received.
+    /// delivery instant. On a faulty link the frame is encoded and crosses
+    /// the fault layer: corrupt copies are counted and discarded (the
+    /// deadline machinery retransmits), and every surviving copy is
+    /// received into a pooled buffer.
+    ///
+    /// The sender's trailer over a span the backend holds a CRC for (a
+    /// whole published page, [`Backend::span_crc`]) is composed from that
+    /// CRC, so the page is checksummed once, by the receiver, not twice.
+    /// The check is then end to end: a page that rotted on the device, or
+    /// a stale span, fails at the receiver like wire damage and is fetched
+    /// again, failed over where the backend can. Other responses, and
+    /// duplicates of a request already in hand, take the full pass.
     pub(crate) fn land(&mut self, request_id: u64, response: ServerResponse, done: SimInstant) {
         let frame = Frame::response(CONN_ID, request_id, response);
         if self.link.is_clean() {
@@ -730,13 +760,27 @@ impl<B: Backend> Client<B> {
             }
             return;
         }
-        let mut bytes = self.pool.lease_vec();
-        frame.encode_into(&mut bytes);
+        let payload_crc = match (&frame.payload, self.outstanding.get(&request_id)) {
+            (FramePayload::Response(ServerResponse::Span(page)), Some(out)) => {
+                self.server.span_crc(&out.route, page.len() as u64)
+            }
+            _ => None,
+        };
+        let mut bytes = self.lease();
+        frame.encode_into_with_payload_crc(&mut bytes, payload_crc);
+        // The page is on the wire; its buffer goes back to the pool, where
+        // the decode below leases it again.
+        if let FramePayload::Response(ServerResponse::Span(page)) = frame.payload {
+            self.pool.recycle(page);
+        }
         let (down, deliveries) = self.link.transmit(&bytes);
         let delivered = done.max(self.down_free) + down;
         self.down_free = delivered;
         for delivery in deliveries {
-            match Frame::decode(&delivery.bytes) {
+            let decoded = Frame::decode_with(&delivery.bytes, &mut || {
+                lease_counted(&self.pool, &mut self.transport)
+            });
+            match decoded {
                 Ok(Frame { request_id, payload: FramePayload::Response(response), .. }) => {
                     self.receive(request_id, response, delivered + delivery.delay);
                 }

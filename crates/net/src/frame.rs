@@ -36,9 +36,10 @@ const CRC_LANE_LEN: usize = 1_024;
 /// Slicing-by-16 steps in one lane.
 const CRC_LANE_BLOCKS: usize = CRC_LANE_LEN / CRC_SLICE;
 
-/// The lookup tables behind [`crc32`]. Built once on first use (20 KiB);
-/// building them with `array::from_fn` instead of a `const fn` keeps the
-/// construction free of bare indexing (the net crate is panic-audited).
+/// The lookup tables behind [`crc32`] and [`crc32_combine`]. Built once on
+/// first use (20 KiB); building them with `array::from_fn` instead of a
+/// `const fn` keeps the construction free of bare indexing (the net crate
+/// is panic-audited).
 struct CrcTables {
     /// Slicing-by-16: `slice[0][b]` is the CRC register after shifting
     /// byte `b` through it, and `slice[k][b]` is the same register after
@@ -48,6 +49,10 @@ struct CrcTables {
     /// bytes: `S(c)` is the XOR of `lane_shift[k][byte k of c]`. `S` is
     /// linear over GF(2), so four byte tables cover all 32 bits.
     lane_shift: [[u32; 256]; 4],
+    /// `x2n[k]` is `x^(2^k) mod P`, as zlib's `x2n_table`. The powers
+    /// repeat with period 32 (the order of `x` divides `2^32 - 1`), so 32
+    /// entries cover every exponent.
+    x2n: [u32; 32],
 }
 
 fn crc_tables() -> &'static CrcTables {
@@ -62,11 +67,13 @@ fn crc_tables() -> &'static CrcTables {
                 (0..k).fold(t0.get(byte).copied().unwrap_or(0), |c, _| step(c))
             })
         });
-        let shift = x8n_mod_p(CRC_LANE_LEN as u64);
+        // x^1 in reflected form, squared k times.
+        let x2n = std::array::from_fn(|k| (0..k).fold(1 << 30, |p, _| multmodp(p, p)));
+        let shift = x8n_mod_p(&x2n, CRC_LANE_LEN);
         let lane_shift = std::array::from_fn(|k| {
             std::array::from_fn(|byte| multmodp(shift, (byte as u32) << (8 * k)))
         });
-        CrcTables { slice, lane_shift }
+        CrcTables { slice, lane_shift, x2n }
     })
 }
 
@@ -84,19 +91,30 @@ fn multmodp(a: u32, mut b: u32) -> u32 {
 }
 
 /// `x^(8n) mod P`: the operator that advances a CRC register over `n` zero
-/// bytes, by square-and-multiply as zlib's `x2nmodp`.
-fn x8n_mod_p(mut n: u64) -> u32 {
-    // x^8 = x^(2^3), in reflected form.
-    let mut square = (0..3).fold(1 << 30, |p, _| multmodp(p, p));
+/// bytes, as zlib's `x2nmodp(n, 3)`. One [`multmodp`] per set bit of `n`,
+/// so a power-of-two page costs one.
+fn x8n_mod_p(x2n: &[u32; 32], mut n: usize) -> u32 {
+    // 8n = n · 2^3: bit j of n selects x^(2^(j+3)).
     let mut power = 1 << 31;
+    let mut k = 3;
     while n != 0 {
         if n & 1 != 0 {
-            power = multmodp(square, power);
+            power = multmodp(x2n.get(k % 32).copied().unwrap_or(0), power);
         }
-        square = multmodp(square, square);
         n >>= 1;
+        k += 1;
     }
     power
+}
+
+/// The CRC-32 of `a ++ b` from `crc_a = crc32(a)`, `crc_b = crc32(b)` and
+/// `len_b = b.len()`, without reading either input: zlib's
+/// `crc32_combine`. CRC is linear over GF(2), so `crc_a` is advanced over
+/// `len_b` zero bytes (one multiplication by `x^(8·len_b) mod P`) and
+/// XORed with `crc_b`. Costs one [`multmodp`] per set bit of `len_b`, plus
+/// one.
+pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
+    multmodp(x8n_mod_p(&crc_tables().x2n, len_b), crc_a) ^ crc_b
 }
 
 /// One slicing-by-16 step: the register after folding `block` into `crc`.
@@ -143,7 +161,7 @@ fn shift_lane(lane_shift: &[[u32; 256]; 4], crc: u32) -> u32 {
 /// index-free: every lookup is a `get` on a 256-entry table by a `u8`,
 /// which the compiler proves in bounds.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let CrcTables { slice, lane_shift } = crc_tables();
+    let CrcTables { slice, lane_shift, .. } = crc_tables();
     let (blocks, tail) = bytes.as_chunks::<CRC_SLICE>();
     let (lanes, lane_rest) = blocks.as_chunks::<CRC_LANE_BLOCKS>();
     let (superblocks, superblock_rest) = lanes.as_chunks::<CRC_LANES>();
@@ -168,6 +186,21 @@ pub fn crc32(bytes: &[u8]) -> u32 {
         crc = (crc >> 8) ^ t0.get(usize::from((crc as u8) ^ byte)).copied().unwrap_or(0);
     }
     !crc
+}
+
+/// Appends the CRC32 trailer to an encoded frame body. `known_suffix` is
+/// `(crc32(suffix), suffix.len())` for a body that ends in bytes whose CRC
+/// the caller already holds: only the bytes before them are read, and the
+/// two CRCs are combined. A suffix longer than the body takes the full
+/// pass.
+fn seal(mut body: Vec<u8>, known_suffix: Option<(u32, usize)>) -> Vec<u8> {
+    let composed = known_suffix.and_then(|(suffix_crc, len)| {
+        let prefix = body.get(..body.len().checked_sub(len)?)?;
+        Some(crc32_combine(crc32(prefix), suffix_crc, len))
+    });
+    let crc = composed.unwrap_or_else(|| crc32(&body));
+    body.extend_from_slice(&crc.to_le_bytes());
+    body
 }
 
 /// The service class a frame travels under (§5 overload policy).
@@ -264,16 +297,23 @@ impl FramePayload {
         1 + varint_len(inner) + inner
     }
 
-    /// Decodes an envelope payload produced by [`FramePayload::encode`].
-    pub fn decode(bytes: &[u8]) -> Result<FramePayload> {
+    /// [`FramePayload::decode`] with span payload buffers from `lease`.
+    /// (It sits first so that the wire-tag audit reads its match as the
+    /// decoder's.)
+    fn decode_with(bytes: &[u8], lease: &mut impl FnMut() -> Vec<u8>) -> Result<FramePayload> {
         let mut d = Decoder::new(bytes);
         let payload = match d.get_u8()? {
             1 => FramePayload::Request(ServerRequest::decode(d.get_bytes_ref()?)?),
-            2 => FramePayload::Response(ServerResponse::decode(d.get_bytes_ref()?)?),
+            2 => FramePayload::Response(ServerResponse::decode_with(d.get_bytes_ref()?, lease)?),
             other => return Err(MinosError::Codec(format!("unknown frame payload tag {other}"))),
         };
         d.expect_end()?;
         Ok(payload)
+    }
+
+    /// Decodes an envelope payload produced by [`FramePayload::encode`].
+    pub fn decode(bytes: &[u8]) -> Result<FramePayload> {
+        FramePayload::decode_with(bytes, &mut Vec::new)
     }
 }
 
@@ -346,16 +386,35 @@ impl Frame {
     /// a whole frame without a single allocation. Byte-for-byte identical
     /// to [`Frame::encode`].
     pub fn encode_into(&self, out: &mut Vec<u8>) {
+        self.encode_into_with_payload_crc(out, None);
+    }
+
+    /// [`Frame::encode_into`] for a frame whose payload CRC the sender
+    /// already holds. When this is a [`ServerResponse::Span`] response and
+    /// `payload_crc` is `Some(crc32(page))`, every byte is still written,
+    /// but only the envelope before the page (about 12 bytes) is
+    /// checksummed: the page is the body's suffix, so the trailer is
+    /// [`crc32_combine`] of the prefix's CRC and `payload_crc`, and the
+    /// page is never reread. With a correct `payload_crc` the output is
+    /// byte-identical to [`Frame::encode_into`]; with a wrong one the
+    /// receiver's full check fails, which is the point: the trailer then
+    /// vouches for the bytes the CRC was taken over, not for what the
+    /// sender happened to hold. Any other frame, or `None`, takes the full
+    /// pass.
+    pub fn encode_into_with_payload_crc(&self, out: &mut Vec<u8>, payload_crc: Option<u32>) {
         let mut e = Encoder::reuse(std::mem::take(out));
         e.put_varint(self.conn_id);
         e.put_varint(self.request_id);
         e.put_u8(self.priority.wire_tag());
         e.put_varint(self.payload.wire_size());
         self.payload.encode_to(&mut e);
-        let mut bytes = e.finish();
-        let crc = crc32(&bytes);
-        bytes.extend_from_slice(&crc.to_le_bytes());
-        *out = bytes;
+        let suffix = match (&self.payload, payload_crc) {
+            (FramePayload::Response(ServerResponse::Span(page)), Some(crc)) => {
+                Some((crc, page.len()))
+            }
+            _ => None,
+        };
+        *out = seal(e.finish(), suffix);
     }
 
     /// Encodes a request frame's wire bytes straight from a borrowed
@@ -381,16 +440,21 @@ impl Frame {
         e.put_u8(1);
         e.put_varint(inner);
         request.encode_to(&mut e);
-        let mut bytes = e.finish();
-        let crc = crc32(&bytes);
-        bytes.extend_from_slice(&crc.to_le_bytes());
-        *out = bytes;
+        *out = seal(e.finish(), None);
     }
 
     /// Decodes a frame produced by [`Frame::encode`], verifying the CRC32
     /// trailer first: bytes altered in transit surface as a typed
     /// [`MinosError::Corrupt`] instead of a garbage decode.
     pub fn decode(bytes: &[u8]) -> Result<Frame> {
+        Frame::decode_with(bytes, &mut Vec::new)
+    }
+
+    /// [`Frame::decode`] that copies a [`ServerResponse::Span`] payload
+    /// into a buffer from `lease` (a pool's, on the receive hot path)
+    /// instead of a fresh allocation. `lease` is called only for a span
+    /// payload, after the trailer has verified.
+    pub fn decode_with(bytes: &[u8], lease: &mut impl FnMut() -> Vec<u8>) -> Result<Frame> {
         let Some(body_len) = bytes.len().checked_sub(CRC_TRAILER_LEN) else {
             return Err(MinosError::Codec(format!(
                 "frame of {} bytes is shorter than its checksum trailer",
@@ -411,7 +475,7 @@ impl Frame {
         let conn_id = d.get_varint()?;
         let request_id = d.get_varint()?;
         let priority = Priority::from_wire(d.get_u8()?)?;
-        let payload = FramePayload::decode(d.get_bytes_ref()?)?;
+        let payload = FramePayload::decode_with(d.get_bytes_ref()?, lease)?;
         d.expect_end()?;
         Ok(Frame { conn_id, request_id, priority, payload })
     }
@@ -785,7 +849,7 @@ mod tests {
     fn lane_shift_table_advances_over_one_lane_of_zero_bytes() {
         // The combine constant x^8192 mod P, checked against the plain
         // definition: feed 1,024 zero bytes through the single-byte table.
-        let CrcTables { slice: [t0, ..], lane_shift } = crc_tables();
+        let CrcTables { slice: [t0, ..], lane_shift, .. } = crc_tables();
         for (k, table) in lane_shift.iter().enumerate() {
             for (byte, &entry) in table.iter().enumerate() {
                 let start = (byte as u32) << (8 * k);
@@ -817,6 +881,90 @@ mod tests {
                 bytes.len()
             );
         }
+    }
+
+    #[test]
+    fn crc32_combine_joins_known_vectors_and_empty_sides() {
+        assert_eq!(crc32_combine(crc32(b"1234"), crc32(b"56789"), 5), 0xcbf4_3926);
+        let page = lcg_bytes(11, 4_096);
+        assert_eq!(crc32_combine(crc32(b""), crc32(&page), page.len()), crc32(&page));
+        assert_eq!(crc32_combine(crc32(&page), crc32(b""), 0), crc32(&page));
+        assert_eq!(crc32_combine(0, 0, 0), 0);
+    }
+
+    #[test]
+    fn power_table_repeats_with_period_32() {
+        // zlib indexes x2n by k mod 32; that is exact only if squaring the
+        // last entry comes back to the first.
+        let CrcTables { x2n, .. } = crc_tables();
+        assert_eq!(multmodp(x2n[31], x2n[31]), x2n[0]);
+        // And the operator matches feeding zero bytes, across bit widths.
+        let CrcTables { slice: [t0, ..], .. } = crc_tables();
+        for n in [0, 1, 3, 12, 1_000, 4_095, 4_096, 32_768, 100_003] {
+            let fed = (0..n).fold(0x1234_5678u32, |c, _| (c >> 8) ^ t0[(c & 0xff) as usize]);
+            assert_eq!(multmodp(x8n_mod_p(x2n, n), 0x1234_5678), fed, "{n} zero bytes");
+        }
+    }
+
+    #[test]
+    fn composed_page_frames_are_byte_identical_to_the_full_pass() {
+        let mut composed = Vec::new();
+        for len in [1, 4_095, 4_096, 32_768] {
+            let page = lcg_bytes(len as u32, len);
+            let crc = crc32(&page);
+            let frame = Frame::response(3, 1 << 20, ServerResponse::Span(page));
+            frame.encode_into_with_payload_crc(&mut composed, Some(crc));
+            assert_eq!(composed, frame.encode(), "page of {len} bytes");
+            assert_eq!(Frame::decode(&composed).unwrap(), frame);
+        }
+    }
+
+    #[test]
+    fn a_known_crc_only_composes_span_responses() {
+        // Anything but a span response ignores the CRC it is handed.
+        let frames = [
+            Frame::request(1, 1, sample_request()),
+            Frame::response(1, 2, ServerResponse::Error("lost".into())),
+            Frame::response(1, 3, ServerResponse::Object(vec![9; 64])),
+        ];
+        let mut buf = Vec::new();
+        for frame in frames {
+            frame.encode_into_with_payload_crc(&mut buf, Some(0xdead_beef));
+            assert_eq!(buf, frame.encode(), "{frame:?}");
+        }
+    }
+
+    #[test]
+    fn a_wrong_known_crc_is_corrupt_at_the_receiver() {
+        let page = lcg_bytes(5, 32_768);
+        let wrong = crc32(&page) ^ 1;
+        let mut bytes = Vec::new();
+        Frame::response(1, 7, ServerResponse::Span(page))
+            .encode_into_with_payload_crc(&mut bytes, Some(wrong));
+        assert!(matches!(Frame::decode(&bytes), Err(MinosError::Corrupt(_))));
+    }
+
+    #[test]
+    fn decode_with_leases_only_for_span_payloads() {
+        let mut leases = 0;
+        let mut lease = || {
+            leases += 1;
+            Vec::with_capacity(64)
+        };
+        let span = Frame::response(1, 2, ServerResponse::Span(vec![4; 48])).encode();
+        let back = Frame::decode_with(&span, &mut lease).unwrap();
+        let FramePayload::Response(ServerResponse::Span(bytes)) = back.payload else {
+            panic!("span response expected: {back:?}");
+        };
+        assert_eq!((bytes.as_slice(), bytes.capacity()), (&[4u8; 48][..], 64));
+        for other in [Frame::request(1, 1, sample_request()).encode(), {
+            let mut mangled = span.clone();
+            mangled[6] ^= 1;
+            mangled
+        }] {
+            let _ = Frame::decode_with(&other, &mut lease);
+        }
+        assert_eq!(leases, 1, "requests and corrupt frames lease nothing");
     }
 
     #[test]
@@ -853,6 +1001,17 @@ mod tests {
         #[test]
         fn crc32_matches_bitwise(bytes in proptest::collection::vec(any::<u8>(), 0..20_000)) {
             prop_assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
+        }
+
+        #[test]
+        fn crc32_combine_matches_the_concatenation(
+            a in proptest::collection::vec(any::<u8>(), 0..20_000),
+            b in proptest::collection::vec(any::<u8>(), 0..20_000),
+        ) {
+            let joined = [a.as_slice(), b.as_slice()].concat();
+            prop_assert_eq!(crc32_combine(crc32(&a), crc32(&b), b.len()), crc32(&joined));
+            prop_assert_eq!(crc32_combine(crc32(&[]), crc32(&b), b.len()), crc32(&b));
+            prop_assert_eq!(crc32_combine(crc32(&a), crc32(&[]), 0), crc32(&a));
         }
 
         #[test]

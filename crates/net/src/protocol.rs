@@ -388,12 +388,22 @@ impl ServerResponse {
         e.finish()
     }
 
-    /// Decodes from wire bytes.
-    pub fn decode(bytes: &[u8]) -> Result<ServerResponse> {
+    /// [`ServerResponse::decode`] that copies span payloads into buffers
+    /// from `lease` instead of fresh allocations. (It sits first so that
+    /// the wire-tag audit reads its match as the decoder's.)
+    pub(crate) fn decode_with(
+        bytes: &[u8],
+        lease: &mut impl FnMut() -> Vec<u8>,
+    ) -> Result<ServerResponse> {
         let mut d = Decoder::new(bytes);
         let resp = match d.get_u8()? {
             1 => ServerResponse::Object(d.get_bytes()?),
-            2 => ServerResponse::Span(d.get_bytes()?),
+            2 => {
+                let page = d.get_bytes_ref()?;
+                let mut buf = lease();
+                buf.extend_from_slice(page);
+                ServerResponse::Span(buf)
+            }
             3 => ServerResponse::View(d.get_bytes()?),
             4 => ServerResponse::Miniature(d.get_bytes()?),
             5 => {
@@ -410,7 +420,7 @@ impl ServerResponse {
                 let n = d.get_len()?;
                 let mut responses = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let sub = ServerResponse::decode(d.get_bytes_ref()?)?;
+                    let sub = ServerResponse::decode_with(d.get_bytes_ref()?, lease)?;
                     if matches!(sub, ServerResponse::Batch(_)) {
                         return Err(MinosError::Codec("nested response batch".into()));
                     }
@@ -429,6 +439,11 @@ impl ServerResponse {
         };
         d.expect_end()?;
         Ok(resp)
+    }
+
+    /// Decodes from wire bytes.
+    pub fn decode(bytes: &[u8]) -> Result<ServerResponse> {
+        ServerResponse::decode_with(bytes, &mut Vec::new)
     }
 
     /// Bytes on the wire — what the link charges for this response —

@@ -86,6 +86,14 @@ impl ObjectServer {
         self.pool.recycle(buf);
     }
 
+    /// Leases span payloads from `pool` from now on, dropping the server's
+    /// own. A client that shares its pool with the servers it reads from
+    /// recycles each collected page into the pool that leased it, so the
+    /// next read reuses the buffer instead of allocating one.
+    pub fn adopt_pool(&mut self, pool: BufferPool) {
+        self.pool = pool;
+    }
+
     /// Stocks the payload pool with `buffers` empty buffers of `capacity`
     /// bytes before any traffic, counted separately in
     /// [`minos_net::PoolStats::prewarmed`] — cold-start leases then hit

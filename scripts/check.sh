@@ -26,12 +26,16 @@ cargo test --workspace --quiet
 echo "==> minos-benchmark tests"
 cargo test --offline --quiet --manifest-path crates/bench/src/bin/minos-benchmark/Cargo.toml
 
-# Its unit tests use 1 KiB pages; one real lossy_scan round runs 32 KiB
-# frames through encode, CRC and decode, and the exit code gates its byte
-# checks, counter reconciliation and premises.
-echo "==> minos-benchmark lossy_scan (full-size pages)"
-cargo run --release --offline --manifest-path crates/bench/src/bin/minos-benchmark/Cargo.toml \
-    -- --workload lossy_scan --seed 1 --seconds 0
+# Its unit tests use 1 KiB pages; one real round per fleet workload runs
+# 32 KiB pages: lossy_scan through encode, CRC and decode, page_scan and
+# churn through the pool their members share with the connection. Each
+# exit code gates the round's byte checks, counter reconciliation and
+# premises.
+for workload in lossy_scan page_scan churn; do
+    echo "==> minos-benchmark $workload (full-size pages)"
+    cargo run --release --offline --manifest-path crates/bench/src/bin/minos-benchmark/Cargo.toml \
+        -- --workload "$workload" --seed 1 --seconds 0
+done
 
 echo "==> exp_pipeline --smoke"
 cargo bench -p minos-bench --bench exp_pipeline -- --smoke

@@ -164,3 +164,38 @@ fn reset_accounting_clears_transport_stats() {
     let (response, _) = conn.wait(ticket).unwrap();
     assert_eq!(response, ServerResponse::Hits(vec![ObjectId::new(1)]));
 }
+
+#[test]
+fn a_rotten_page_is_not_delivered_as_valid_over_a_lossy_link() {
+    // Member 0's media flips bits on every read. Over a faulty link the
+    // sender's trailer is composed from each page's publish-time CRC, so
+    // a rotten page fails the client's check like wire damage and is
+    // fetched again from the sibling copy, instead of arriving with a
+    // trailer that vouches for whatever the device returned.
+    const ROT_PAGES: usize = 16;
+    const ROT_PAGE_LEN: usize = 4096;
+    let object = ObjectId::new(1);
+    let body: Vec<u8> = (0..ROT_PAGES * ROT_PAGE_LEN).map(|i| (i * 7 % 251) as u8).collect();
+    let mut fleet = Fleet::new(2, 2).unwrap();
+    fleet.publish_paged(object, &body, ROT_PAGE_LEN as u64).unwrap();
+    fleet.member_mut(0).unwrap().archiver_mut().device_mut().set_bit_rot(7, 1.0);
+    let plan = FaultPlan::dropping(SEED, 0.01);
+    let mut conn = FleetConnection::with_faults(fleet, Link::ethernet(), WINDOW, plan);
+    let tickets: Vec<_> = (0..ROT_PAGES)
+        .map(|page| {
+            let rel = ByteSpan::at((page * ROT_PAGE_LEN) as u64, ROT_PAGE_LEN as u64);
+            (page, conn.fetch_page(object, rel).unwrap())
+        })
+        .collect();
+    for (page, ticket) in tickets {
+        let (response, _) = conn.wait(ticket).unwrap();
+        let ServerResponse::Span(bytes) = response else {
+            panic!("page {page}: unexpected {response:?}");
+        };
+        let want = &body[page * ROT_PAGE_LEN..][..ROT_PAGE_LEN];
+        assert!(bytes == want, "page {page} came back with different bytes");
+    }
+    let transport = conn.transport_stats();
+    assert!(transport.corrupt_frames > 0, "rotten pages must fail the check: {transport:?}");
+    assert!(transport.failovers > 0, "and be fetched from the sibling: {transport:?}");
+}
