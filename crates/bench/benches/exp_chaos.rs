@@ -1,7 +1,7 @@
 //! Experiment E17 — the self-healing fleet under a chaos schedule.
 //!
-//! The E16 demand-page workload — the same fleet driver,
-//! `simulate_chaos_workload` — runs against a 4-member, 2-way-replicated
+//! The E16 demand-page workload — the same driver, `workload::run` —
+//! runs against a 4-member, 2-way-replicated
 //! fleet while a declarative, seeded failure schedule replays against it:
 //! one member crashes mid-run and stays down, a second member turns gray
 //! (every charge multiplied) for a long window, and a third member's
@@ -25,11 +25,9 @@
 
 use criterion::{criterion_group, Criterion};
 use minos_bench::{fast_criterion, row};
-use minos_presentation::chaos::{
-    simulate_chaos_workload, ChaosReport, ChaosSchedule, ChaosWorkloadConfig,
-};
+use minos_presentation::chaos::ChaosSchedule;
 use minos_presentation::fleet::rendezvous_order;
-use minos_server::ServiceConfig;
+use minos_presentation::workload::{self, RunReport, WorkloadConfig};
 use minos_types::{ObjectId, SimDuration, SimInstant};
 
 const MEMBERS: usize = 4;
@@ -81,20 +79,16 @@ fn chaos_schedule() -> ChaosSchedule {
         .bit_rot(rot, ROT_PPM)
 }
 
-fn run(schedule: ChaosSchedule, hedge: Option<SimDuration>) -> ChaosReport {
-    simulate_chaos_workload(ChaosWorkloadConfig {
+fn run(schedule: ChaosSchedule, hedge: Option<SimDuration>) -> RunReport {
+    workload::run(WorkloadConfig {
         members: MEMBERS,
         replication: REPLICATION,
-        sessions: SESSIONS,
         audio_sessions: AUDIO_SESSIONS,
-        pages_per_session: PAGES,
-        page_len: PAGE_LEN,
         schedule,
         hedge_delay: hedge,
-        heartbeat: SimDuration::from_millis(5),
+        heartbeat: Some(SimDuration::from_millis(5)),
         scrub_interval: Some(SimDuration::from_millis(25)),
-        repair_spacing: SimDuration::from_millis(2),
-        service: ServiceConfig::default(),
+        ..WorkloadConfig::new(SESSIONS, PAGES, PAGE_LEN)
     })
     .expect("chaos workload runs")
 }
@@ -103,19 +97,19 @@ fn run(schedule: ChaosSchedule, hedge: Option<SimDuration>) -> ChaosReport {
 /// been owed noticeably longer than a healthy wire round trip.
 const HEDGE_DELAY: SimDuration = SimDuration::from_millis(20);
 
-fn healthy() -> ChaosReport {
+fn healthy() -> RunReport {
     run(ChaosSchedule::new(SEED), None)
 }
 
-fn chaos_hedged() -> ChaosReport {
+fn chaos_hedged() -> RunReport {
     run(chaos_schedule(), Some(HEDGE_DELAY))
 }
 
-fn chaos_unhedged() -> ChaosReport {
+fn chaos_unhedged() -> RunReport {
     run(chaos_schedule(), None)
 }
 
-fn json_row(name: &str, r: &ChaosReport) -> String {
+fn json_row(name: &str, r: &RunReport) -> String {
     format!(
         "    \"{name}\": {{\n      \"pages\": {},\n      \"lost_pages\": {},\n      \
          \"elapsed_us\": {},\n      \"audio_p99_us\": {},\n      \"hedges_fired\": {},\n      \
@@ -150,7 +144,7 @@ fn json_row(name: &str, r: &ChaosReport) -> String {
 }
 
 /// Writes the three rows as `BENCH_chaos.json` at the repository root.
-fn emit_json(healthy: &ChaosReport, hedged: &ChaosReport, unhedged: &ChaosReport) {
+fn emit_json(healthy: &RunReport, hedged: &RunReport, unhedged: &RunReport) {
     let json = format!(
         "{{\n  \"experiment\": \"E17\",\n  \"workload\": \"{SESSIONS} sessions x {PAGES} x \
          {PAGE_LEN} B demand pages, {MEMBERS} members k={REPLICATION}, one mid-run crash, one \
@@ -169,7 +163,7 @@ fn emit_json(healthy: &ChaosReport, hedged: &ChaosReport, unhedged: &ChaosReport
     }
 }
 
-fn print_row(name: &str, r: &ChaosReport) {
+fn print_row(name: &str, r: &RunReport) {
     row(
         "E17",
         &format!(

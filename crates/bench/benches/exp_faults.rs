@@ -25,7 +25,7 @@
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use minos_bench::{fast_criterion, row};
 use minos_net::FaultPlan;
-use minos_presentation::sched::{simulate_faulty_page_workload, FaultyWorkloadReport};
+use minos_presentation::workload::{simulate_faulty_page_workload, FaultyWorkloadReport};
 
 const PAGES: usize = 48;
 const PAGE_LEN: u64 = 8192;

@@ -8,9 +8,8 @@
 //! contiguous blocks — so every member's device works in parallel behind
 //! the one wire without costing the optical head its seek locality.
 //!
-//! Every run is a configuration of the one fleet driver,
-//! `simulate_chaos_workload`: an empty failure schedule, no hedging, no
-//! scrub. The claims under test: aggregate goodput scales near-linearly
+//! Every run is a configuration of the one workload driver,
+//! `workload::run`: an empty failure schedule, no hedging, no scrub. The claims under test: aggregate goodput scales near-linearly
 //! in N while the devices are the bottleneck (the N=1 -> N=4 ratio at
 //! M=64 is pinned at >= 3x) and flattens once the shared link saturates
 //! (N=8), and no run beats the wire (`pages x` one page response's
@@ -26,10 +25,8 @@
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use minos_bench::{fast_criterion, row};
 use minos_net::{Frame, Link, ServerResponse};
-use minos_presentation::chaos::{
-    simulate_chaos_workload, ChaosReport, ChaosSchedule, ChaosWorkloadConfig,
-};
-use minos_server::ServiceConfig;
+use minos_presentation::chaos::ChaosSchedule;
+use minos_presentation::workload::{self, RunReport, WorkloadConfig};
 use minos_types::{SimDuration, SimInstant};
 
 const PAGES: usize = 8;
@@ -55,31 +52,20 @@ const RESTARTED: usize = 1;
 /// 28 s healthy run, with requests queued on every device.
 const RESTART_AT: SimDuration = SimDuration::from_secs(7);
 
-fn run(
-    members: usize,
-    replication: usize,
-    sessions: usize,
-    schedule: ChaosSchedule,
-) -> ChaosReport {
-    simulate_chaos_workload(ChaosWorkloadConfig {
+fn run(members: usize, replication: usize, sessions: usize, schedule: ChaosSchedule) -> RunReport {
+    workload::run(WorkloadConfig {
         members,
         replication,
-        sessions,
         audio_sessions: AUDIO_SESSIONS,
-        pages_per_session: PAGES,
-        page_len: PAGE_LEN,
         schedule,
-        hedge_delay: None,
-        heartbeat: SimDuration::from_millis(5),
-        scrub_interval: None,
-        repair_spacing: SimDuration::from_millis(2),
-        service: ServiceConfig::default(),
+        heartbeat: Some(SimDuration::from_millis(5)),
+        ..WorkloadConfig::new(sessions, PAGES, PAGE_LEN)
     })
     .expect("workload runs")
 }
 
 /// A healthy run: no failure declared.
-fn healthy(members: usize, replication: usize, sessions: usize) -> ChaosReport {
+fn healthy(members: usize, replication: usize, sessions: usize) -> RunReport {
     run(members, replication, sessions, ChaosSchedule::new(0))
 }
 
@@ -95,7 +81,7 @@ struct Point {
     members: usize,
     replication: usize,
     sessions: usize,
-    report: ChaosReport,
+    report: RunReport,
 }
 
 /// The scaling sweep runs unreplicated (each member holds only its
@@ -126,14 +112,14 @@ fn measure_series() -> Vec<Point> {
 /// The mid-run restart row: one member of a 4-member, 2-way-replicated
 /// fleet restarts bare (no crash first) at [`RESTART_AT`], losing its
 /// queues and every response its device had not finished.
-fn measure_restart() -> ChaosReport {
+fn measure_restart() -> RunReport {
     let schedule = ChaosSchedule::new(0).restart_at(RESTARTED, SimInstant::EPOCH + RESTART_AT);
     run(4, 2, SMOKE_SESSIONS, schedule)
 }
 
 /// Writes the series as `BENCH_fleet.json` at the repository root — the
 /// machine-readable perf-trajectory record for this experiment.
-fn emit_json(points: &[Point], restart: &ChaosReport) {
+fn emit_json(points: &[Point], restart: &RunReport) {
     let mut series = Vec::new();
     for p in points {
         series.push(format!(

@@ -21,7 +21,7 @@
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use minos_bench::{fast_criterion, row};
-use minos_presentation::sched::{simulate_overload_workload, OverloadReport};
+use minos_presentation::workload::{simulate_overload_workload, RunReport};
 use minos_server::ServiceConfig;
 
 const PAGES: usize = 8;
@@ -33,15 +33,15 @@ const SESSIONS: [usize; 5] = [1, 4, 16, 48, 64];
 /// The pinned operating point for the smoke acceptance run.
 const SMOKE_SESSIONS: usize = 48;
 
-fn run(sessions: usize, config: ServiceConfig) -> OverloadReport {
+fn run(sessions: usize, config: ServiceConfig) -> RunReport {
     simulate_overload_workload(sessions, PAGES, PAGE_LEN, config).expect("workload runs")
 }
 
 /// One measured point of the series: both disciplines at one session count.
 struct Point {
     sessions: usize,
-    admitted: OverloadReport,
-    unbounded: OverloadReport,
+    admitted: RunReport,
+    unbounded: RunReport,
 }
 
 fn measure_series() -> Vec<Point> {

@@ -1,53 +1,115 @@
 //! Experiment E12 — pipelined transport vs the blocking request path.
 //!
 //! N concurrent sessions each pull 8 pages of 8 KB from the optical
-//! server over one shared 10 Mbit/s Ethernet link. The blocking transport
-//! serializes every page into a full round trip; the framed transport
-//! keeps a window of request frames in flight per session, lets the
-//! server interleave connections, and coalesces adjacent spans into one
-//! merged response. The series reports aggregate pages/sec for both
-//! transports and the speedup ratio per session count; the acceptance
-//! claim (pipelined ≥ 2× blocking at N = 16) is also pinned as a unit
-//! test in `minos-presentation`.
+//! server over one shared 10 Mbit/s Ethernet link. Both disciplines are
+//! configurations of the one workload driver, `workload::run`: the
+//! blocking transport keeps one request in flight per session (window 1);
+//! the pipelined transport keeps a window of request frames in flight,
+//! lets the server interleave connections, and coalesces adjacent spans
+//! into one device read. The series reports aggregate pages/sec for both
+//! windows and the speedup ratio per session count; the acceptance claim
+//! (pipelined ≥ 2× blocking at N = 16) is also pinned as a unit test in
+//! `minos-presentation`.
 //!
-//! `--smoke` runs a small bounded workload and asserts the pipelined
-//! transport is no slower — the CI hook in `scripts/check.sh`.
+//! The series is emitted machine-readable as `BENCH_pipeline.json` at the
+//! repository root. `--smoke` runs a small bounded workload, asserts the
+//! pipelined transport is no slower and that the steady state allocates
+//! no payload buffer, and rewrites the file — the CI hook in
+//! `scripts/check.sh`.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use minos_bench::{fast_criterion, row};
-use minos_presentation::sched::{simulate_page_workload, TransportMode, WorkloadReport};
+use minos_presentation::workload::{self, RunReport, WorkloadConfig};
 
 const PAGES_PER_SESSION: usize = 8;
 const PAGE_LEN: u64 = 8192;
 const WINDOW: usize = 8;
 
-fn run(sessions: usize, mode: TransportMode) -> WorkloadReport {
-    simulate_page_workload(sessions, PAGES_PER_SESSION, PAGE_LEN, mode).expect("workload runs")
+/// The E12 load axis: concurrent session counts.
+const SESSIONS: [usize; 3] = [1, 4, 16];
+
+fn run(sessions: usize, pages: usize, window: usize) -> RunReport {
+    workload::run(WorkloadConfig { window, ..WorkloadConfig::new(sessions, pages, PAGE_LEN) })
+        .expect("workload runs")
+}
+
+/// One measured point of the series: both windows at one session count.
+struct Point {
+    sessions: usize,
+    blocking: RunReport,
+    pipelined: RunReport,
+}
+
+fn measure_series() -> Vec<Point> {
+    SESSIONS
+        .iter()
+        .map(|&sessions| Point {
+            sessions,
+            blocking: run(sessions, PAGES_PER_SESSION, 1),
+            pipelined: run(sessions, PAGES_PER_SESSION, WINDOW),
+        })
+        .collect()
+}
+
+/// The zero-copy steady-state point: 8 sessions streaming 64 pages each.
+fn steady() -> RunReport {
+    run(8, 64, WINDOW)
+}
+
+/// Writes the series as `BENCH_pipeline.json` at the repository root —
+/// the machine-readable perf-trajectory record for this experiment.
+fn emit_json(points: &[Point], steady: &RunReport) {
+    let series: Vec<String> = points
+        .iter()
+        .map(|p| {
+            format!(
+                "    {{\n      \"sessions\": {},\n      \"blocking_pages_per_sec\": {:.4},\n      \
+                 \"pipelined_pages_per_sec\": {:.4},\n      \"speedup\": {:.4},\n      \
+                 \"pipelined_allocs_per_page\": {:.4}\n    }}",
+                p.sessions,
+                p.blocking.goodput_pages_per_sec(),
+                p.pipelined.goodput_pages_per_sec(),
+                p.pipelined.goodput_pages_per_sec() / p.blocking.goodput_pages_per_sec(),
+                p.pipelined.allocations_per_page(),
+            )
+        })
+        .collect();
+    let json = format!(
+        "{{\n  \"experiment\": \"E12\",\n  \"workload\": \"N sessions x {PAGES_PER_SESSION} x \
+         {PAGE_LEN} B pages, one optical server, 10 Mbit/s Ethernet, blocking = window 1, \
+         pipelined = window {WINDOW}\",\n  \"series\": [\n{}\n  ],\n  \"steady_state\": {{\n    \
+         \"sessions\": 8,\n    \"pages\": {},\n    \"payload_allocs\": {}\n  }}\n}}\n",
+        series.join(",\n"),
+        steady.pages,
+        steady.payload_allocs,
+    );
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
+    if let Err(e) = std::fs::write(path, json) {
+        row("E12", &format!("could not write BENCH_pipeline.json: {e}"));
+    } else {
+        row("E12", "series written to BENCH_pipeline.json");
+    }
 }
 
 fn print_series() {
     row("E12", "workload = 8 x 8 KB pages/session; link = 10 Mbit/s Ethernet;");
-    row("E12", &format!("optical server; pipelined window = {WINDOW} frames/session"));
+    row("E12", &format!("optical server; blocking window = 1, pipelined window = {WINDOW}"));
     row("E12", "sessions  blocking_pg/s  pipelined_pg/s  speedup  alloc/pg");
-    for sessions in [1usize, 4, 16] {
-        let blocking = run(sessions, TransportMode::Blocking);
-        let pipelined = run(sessions, TransportMode::Pipelined { window: WINDOW });
+    let points = measure_series();
+    for p in &points {
         row(
             "E12",
             &format!(
-                "{sessions:>8}  {:>13.2}  {:>14.2}  {:>6.2}x  {:>8.3}",
-                blocking.pages_per_sec(),
-                pipelined.pages_per_sec(),
-                pipelined.pages_per_sec() / blocking.pages_per_sec(),
-                pipelined.allocations_per_page(),
+                "{:>8}  {:>13.2}  {:>14.2}  {:>6.2}x  {:>8.3}",
+                p.sessions,
+                p.blocking.goodput_pages_per_sec(),
+                p.pipelined.goodput_pages_per_sec(),
+                p.pipelined.goodput_pages_per_sec() / p.blocking.goodput_pages_per_sec(),
+                p.pipelined.allocations_per_page(),
             ),
         );
     }
-    // The zero-copy steady-state point: long sessions amortize the cold
-    // pool's working set to (well) under one allocation per page.
-    let steady =
-        simulate_page_workload(8, 64, PAGE_LEN, TransportMode::Pipelined { window: WINDOW })
-            .expect("workload runs");
+    let steady = steady();
     row(
         "E12",
         &format!(
@@ -57,17 +119,18 @@ fn print_series() {
             steady.pages
         ),
     );
+    emit_json(&points, &steady);
 }
 
 fn smoke() {
-    let blocking = run(2, TransportMode::Blocking);
-    let pipelined = run(2, TransportMode::Pipelined { window: 4 });
+    let blocking = run(2, PAGES_PER_SESSION, 1);
+    let pipelined = run(2, PAGES_PER_SESSION, 4);
     row(
         "E12",
         &format!(
             "smoke: 2 sessions  blocking {:.2} pg/s  pipelined {:.2} pg/s",
-            blocking.pages_per_sec(),
-            pipelined.pages_per_sec()
+            blocking.goodput_pages_per_sec(),
+            pipelined.goodput_pages_per_sec()
         ),
     );
     assert!(
@@ -78,11 +141,10 @@ fn smoke() {
     );
     assert_eq!(pipelined.pages, blocking.pages, "both transports served every page");
     // The pooled-buffer acceptance pin: at the steady-state operating
-    // point (window 8, 64 pages/session) the transport recycles consumed
-    // pages, so fresh payload allocations stay at or under one per page.
-    let steady =
-        simulate_page_workload(8, 64, PAGE_LEN, TransportMode::Pipelined { window: WINDOW })
-            .expect("workload runs");
+    // point (window 8, 64 pages/session) every consumed page is recycled
+    // into a pool stocked with the in-flight working set, so no page
+    // needs a fresh payload allocation.
+    let steady = steady();
     row(
         "E12",
         &format!(
@@ -92,11 +154,10 @@ fn smoke() {
             steady.pages
         ),
     );
-    assert!(
-        steady.allocations_per_page() <= 1.0,
-        "pooled buffers hold allocations at or under one per page: {:.3}",
-        steady.allocations_per_page()
-    );
+    assert_eq!(steady.payload_allocs, 0, "pooled buffers serve every page: {steady:?}");
+    // The full series is cheap (simulated time), so the machine-readable
+    // artifact is always the complete sweep.
+    emit_json(&measure_series(), &steady);
 }
 
 fn bench(c: &mut Criterion) {
@@ -104,10 +165,10 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e12_pipeline");
     for sessions in [1usize, 16] {
         group.bench_with_input(BenchmarkId::new("blocking", sessions), &sessions, |b, &n| {
-            b.iter(|| run(n, TransportMode::Blocking))
+            b.iter(|| run(n, PAGES_PER_SESSION, 1))
         });
         group.bench_with_input(BenchmarkId::new("pipelined", sessions), &sessions, |b, &n| {
-            b.iter(|| run(n, TransportMode::Pipelined { window: WINDOW }))
+            b.iter(|| run(n, PAGES_PER_SESSION, WINDOW))
         });
     }
     group.finish();

@@ -1,50 +1,67 @@
-//! Experiment E15 — discrete-event scheduling cost versus fleet size.
+//! Experiment E15 — discrete-event scheduling cost versus the paced
+//! session population.
 //!
-//! A fleet of N connected sessions of which only 32 are active: every
-//! 8th active session turns a page each 250 ms on an audio playback
-//! deadline, the rest dwell 1 s between page turns, and the remaining
-//! N − 32 sessions sit connected but idle. The run loop is the timer
-//! wheel's: it jumps from armed deadline to armed deadline via
-//! `Kernel::next_deadline`, so an idle session — which has no timer
-//! armed — costs nothing after admission.
+//! N dwell-paced sessions each read 16 pages of 8 KB from one optical
+//! server over one shared 10 Mbit/s Ethernet link, one page in flight at
+//! a time: every 8th session is an audio session asking for its next page
+//! one 250 ms playback period after the last landed, the rest are text
+//! readers dwelling 1 s between page turns. Every run is a configuration
+//! of the one workload driver, `workload::run`, with real optical reads;
+//! it jumps from armed deadline to armed deadline, so a session costs
+//! kernel work only when its dwell ends or its page moves.
 //!
-//! The claim under test: total kernel events, timers armed, simulated
-//! completion time, and the audio-class p99 are functions of the *active*
-//! population alone — byte-identical from N = 64 to N = 10,000 — and the
-//! wall-clock cost of the run grows sublinearly in N (the only per-idle
-//! cost is fleet setup, not per-tick scanning).
+//! The claim under test: kernel work is a fixed number of events per
+//! page — the dwell timer, the server wake, the device completion and the
+//! landing — at every population, with no timer wasted and no wake
+//! spurious, while the audio tail grows once the device saturates. (That
+//! idle sessions cost nothing at all is pinned on the session scheduler,
+//! `idle_sessions_cost_the_kernel_nothing`.)
 //!
 //! The series is emitted machine-readable as `BENCH_sched.json` at the
-//! repository root by the full bench run. `--smoke` runs the acceptance pin
-//! — N = 10,000 fires exactly the events N = 64 fires, with zero spurious
-//! wakes — and checks a fresh series against the committed file, every
-//! line but the host-dependent `wall_us`; it is hooked into
+//! repository root by the full bench run. `--smoke` runs the acceptance
+//! pin — four events and four timers per page, zero spurious wakes, at
+//! every population — and checks a fresh series against the committed
+//! file, every line but the host-dependent `wall_us`; it is hooked into
 //! `scripts/check.sh`.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use minos_bench::{fast_criterion, row};
-use minos_presentation::sched::{simulate_sched_workload, SchedReport};
+use minos_presentation::workload::{self, Dwell, RunReport, WorkloadConfig};
+use minos_types::SimDuration;
 
-const ACTIVE: usize = 32;
 const PAGES: usize = 16;
 const PAGE_LEN: u64 = 8192;
 
-/// The E15 load axis: fleet sizes at a fixed active population.
-const SESSIONS: [usize; 5] = [64, 256, 1024, 4096, 10_000];
+/// Every `AUDIO_STRIDE`th session is audio-paced.
+const AUDIO_STRIDE: usize = 8;
 
-/// The pinned operating points for the smoke acceptance run.
-const SMOKE_BASE: usize = 64;
-const SMOKE_FLEET: usize = 10_000;
+/// The paced population's think times: the audio playback period and the
+/// text reading dwell.
+const DWELL: Dwell =
+    Dwell { audio: SimDuration::from_millis(250), text: SimDuration::from_secs(1) };
 
-fn run(sessions: usize) -> SchedReport {
-    simulate_sched_workload(sessions, ACTIVE, PAGES, PAGE_LEN).expect("workload runs")
+/// Kernel events per page: dwell timer, server wake, device completion,
+/// landing.
+const EVENTS_PER_PAGE: u64 = 4;
+
+/// The E15 load axis: dwell-paced session counts.
+const SESSIONS: [usize; 5] = [8, 16, 32, 64, 128];
+
+fn run(sessions: usize) -> RunReport {
+    workload::run(WorkloadConfig {
+        audio_sessions: sessions / AUDIO_STRIDE,
+        window: 1,
+        dwell: DWELL,
+        ..WorkloadConfig::new(sessions, PAGES, PAGE_LEN)
+    })
+    .expect("workload runs")
 }
 
 /// One measured point of the series: the report plus the wall-clock cost
 /// of producing it.
 struct Point {
     sessions: usize,
-    report: SchedReport,
+    report: RunReport,
     wall: std::time::Duration,
 }
 
@@ -68,26 +85,26 @@ fn series_json(points: &[Point]) -> String {
     let mut series = Vec::new();
     for p in points {
         series.push(format!(
-            "    {{\n      \"sessions\": {},\n      \"active\": {},\n      \"pages\": {},\n      \
+            "    {{\n      \"sessions\": {},\n      \"audio_sessions\": {},\n      \"pages\": {},\n      \
              \"events\": {},\n      \"timers_armed\": {},\n      \"spurious_wakes\": {},\n      \
              \"ready_high_water\": {},\n      \"audio_p99_us\": {},\n      \
              \"sim_elapsed_us\": {},\n      \"wall_us\": {}\n    }}",
             p.sessions,
-            p.report.active,
+            p.sessions / AUDIO_STRIDE,
             p.report.pages,
-            p.report.events,
-            p.report.timers_armed,
-            p.report.spurious_wakes,
-            p.report.ready_high_water,
+            p.report.kernel.events_fired,
+            p.report.kernel.timers_armed,
+            p.report.kernel.spurious_wakes,
+            p.report.kernel.ready_high_water,
             p.report.audio_p99.as_micros(),
-            p.report.sim_elapsed.as_micros(),
+            p.report.elapsed.as_micros(),
             p.wall.as_micros(),
         ));
     }
     format!(
-        "{{\n  \"experiment\": \"E15\",\n  \"workload\": \"N-session fleet, {ACTIVE} active x {PAGES} x \
-         {PAGE_LEN} B pages, audio stride 8 @ 250ms, text dwell 1s, 10 Mbit/s Ethernet, \
-         timer-wheel run loop\",\n  \"series\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"experiment\": \"E15\",\n  \"workload\": \"N dwell-paced sessions x {PAGES} x \
+         {PAGE_LEN} B pages, window 1, audio stride {AUDIO_STRIDE} @ 250ms, text dwell 1s, \
+         one optical server, 10 Mbit/s Ethernet, workload driver\",\n  \"series\": [\n{}\n  ]\n}}\n",
         series.join(",\n")
     )
 }
@@ -110,24 +127,22 @@ fn deterministic_lines(json: &str) -> Vec<&str> {
 fn print_series() {
     row(
         "E15",
-        &format!(
-            "workload = N-session fleet, {ACTIVE} active x {PAGES} x 8 KB pages; wheel-driven;"
-        ),
+        &format!("workload = N dwell-paced sessions x {PAGES} x 8 KB pages; window 1; optical;"),
     );
-    row("E15", "sessions    events  timers  spurious  ready_hw  p99_ms  sim_s    wall_ms");
+    row("E15", "sessions    events  timers  spurious  ready_hw  p99_ms   sim_s    wall_ms");
     let points = measure_series();
     for p in &points {
         row(
             "E15",
             &format!(
-                "{:>8}  {:>8}  {:>6}  {:>8}  {:>8}  {:>6.2}  {:>5.1}  {:>8.2}",
+                "{:>8}  {:>8}  {:>6}  {:>8}  {:>8}  {:>6.1}  {:>6.1}  {:>8.2}",
                 p.sessions,
-                p.report.events,
-                p.report.timers_armed,
-                p.report.spurious_wakes,
-                p.report.ready_high_water,
+                p.report.kernel.events_fired,
+                p.report.kernel.timers_armed,
+                p.report.kernel.spurious_wakes,
+                p.report.kernel.ready_high_water,
                 p.report.audio_p99.as_micros() as f64 / 1_000.0,
-                p.report.sim_elapsed.as_micros() as f64 / 1_000_000.0,
+                p.report.elapsed.as_micros() as f64 / 1_000_000.0,
                 p.wall.as_micros() as f64 / 1_000.0,
             ),
         );
@@ -136,42 +151,32 @@ fn print_series() {
 }
 
 fn smoke() {
-    let base = run(SMOKE_BASE);
-    let fleet = run(SMOKE_FLEET);
-    row(
-        "E15",
-        &format!(
-            "smoke: {SMOKE_BASE} vs {SMOKE_FLEET} sessions  events {} vs {}  spurious {} vs {}  \
-             p99 {:.2} vs {:.2} ms",
-            base.events,
-            fleet.events,
-            base.spurious_wakes,
-            fleet.spurious_wakes,
-            base.audio_p99.as_micros() as f64 / 1_000.0,
-            fleet.audio_p99.as_micros() as f64 / 1_000.0,
-        ),
-    );
-    // The acceptance pin: scheduling work is a function of the active
-    // population alone. Growing the fleet 156x changes nothing the kernel
-    // counts — not events, not timers, not the simulated finish line, not
-    // the audio tail — and no wake ever finds an empty slot.
-    let want = (ACTIVE * PAGES) as u64;
-    assert_eq!(base.pages, want, "every active page completed: {base:?}");
-    assert_eq!(fleet.pages, want, "the full fleet completes the same pages: {fleet:?}");
-    assert_eq!(
-        fleet.events, base.events,
-        "events scale with active sessions, never with the fleet"
-    );
-    assert_eq!(fleet.timers_armed, base.timers_armed, "armed timers likewise");
-    assert_eq!(fleet.sim_elapsed, base.sim_elapsed, "identical simulated completion");
-    assert_eq!(fleet.audio_p99, base.audio_p99, "identical audio tail");
-    assert_eq!(base.spurious_wakes, 0, "no wake fired for an idle slot: {base:?}");
-    assert_eq!(fleet.spurious_wakes, 0, "idle dwellers never woke: {fleet:?}");
-    // The full series is cheap (simulated time), so the smoke reruns the
-    // complete five-point sweep and holds it to the committed file, line for
-    // line except the host-dependent `wall_us`. It never rewrites the file:
-    // only the full bench run does.
-    let fresh = series_json(&measure_series());
+    let points = measure_series();
+    // The acceptance pin: kernel work is a function of the pages the
+    // paced sessions turn — four events per page at every population,
+    // every armed timer fired, and no wake ever finds nothing to do.
+    for p in &points {
+        let r = &p.report;
+        row(
+            "E15",
+            &format!(
+                "smoke: {} sessions  events {}  timers {}  spurious {}  p99 {:.1} ms",
+                p.sessions,
+                r.kernel.events_fired,
+                r.kernel.timers_armed,
+                r.kernel.spurious_wakes,
+                r.audio_p99.as_micros() as f64 / 1_000.0,
+            ),
+        );
+        assert_eq!(r.pages, (p.sessions * PAGES) as u64, "every paced page landed: {r:?}");
+        assert_eq!(r.kernel.events_fired, EVENTS_PER_PAGE * r.pages, "events per page: {r:?}");
+        assert_eq!(r.kernel.timers_armed, r.kernel.events_fired, "no timer wasted: {r:?}");
+        assert_eq!(r.kernel.spurious_wakes, 0, "no wake found nothing to do: {r:?}");
+    }
+    // The full series is cheap (simulated time), so the smoke holds it to
+    // the committed file, line for line except the host-dependent
+    // `wall_us`. It never rewrites the file: only the full bench run does.
+    let fresh = series_json(&points);
     let committed = std::fs::read_to_string(BENCH_PATH).expect("BENCH_sched.json is committed");
     let (fresh, committed) = (deterministic_lines(&fresh), deterministic_lines(&committed));
     if let Some((line, (new, old))) =
@@ -186,8 +191,8 @@ fn smoke() {
 fn bench(c: &mut Criterion) {
     print_series();
     let mut group = c.benchmark_group("e15_sched");
-    for sessions in [SMOKE_BASE, SMOKE_FLEET] {
-        group.bench_with_input(BenchmarkId::new("fleet", sessions), &sessions, |b, &n| {
+    for sessions in [SESSIONS[0], SESSIONS[SESSIONS.len() - 1]] {
+        group.bench_with_input(BenchmarkId::new("paced", sessions), &sessions, |b, &n| {
             b.iter(|| run(n))
         });
     }

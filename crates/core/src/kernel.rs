@@ -68,6 +68,12 @@ pub enum KernelEvent {
         /// Consumer-chosen session tag.
         session: u64,
     },
+    /// A paced session's dwell elapsed — a text reader's reading time or
+    /// an audio session's playback period: its next page is due.
+    PageDue {
+        /// Consumer-chosen session tag.
+        session: u64,
+    },
     /// A fleet member has request frames due to arrive: the service pump
     /// should visit that member (and drain its wake list) at this instant.
     ServerWake {
@@ -334,6 +340,9 @@ fn event_json(event: &KernelEvent, out: &mut String) {
         }
         KernelEvent::PrefetchWindowOpen { session } => {
             write!(out, "\"event\":\"PrefetchWindowOpen\",\"session\":{session}")
+        }
+        KernelEvent::PageDue { session } => {
+            write!(out, "\"event\":\"PageDue\",\"session\":{session}")
         }
         KernelEvent::ServerWake { member } => {
             write!(out, "\"event\":\"ServerWake\",\"member\":{member}")
@@ -722,6 +731,7 @@ mod tests {
         k.post(at, KernelEvent::DeadlineFired { key: 11 });
         k.post(at, KernelEvent::AudioDeadline { session: 2 });
         k.post(at, KernelEvent::PrefetchWindowOpen { session: 6 });
+        k.post(at, KernelEvent::PageDue { session: 5 });
         k.post(at, KernelEvent::ServerWake { member: 4 });
         k.post(at, KernelEvent::HealthTick { member: 1 });
         k.post(at, KernelEvent::RepairDue { task: 9 });
@@ -732,6 +742,7 @@ mod tests {
             "\"event\":\"DeadlineFired\",\"key\":11",
             "\"event\":\"AudioDeadline\",\"session\":2",
             "\"event\":\"PrefetchWindowOpen\",\"session\":6",
+            "\"event\":\"PageDue\",\"session\":5",
             "\"event\":\"ServerWake\",\"member\":4",
             "\"event\":\"HealthTick\",\"member\":1",
             "\"event\":\"RepairDue\",\"task\":9",

@@ -31,11 +31,13 @@
 //! * [`fleet`] — the sharded object-server fleet: rendezvous placement,
 //!   k-way replication, and replica failover over the epoch handshake
 //!   (§2, §5);
-//! * [`chaos`] — the one fleet workload driver (E16, E17) and its
-//!   declarative failure schedules (crashes, restarts, slowdowns,
-//!   partitions, bit rot), driven through the self-healing fleet —
-//!   health heartbeats, proactive re-replication, scrub with
-//!   read-repair, and hedged audio reads.
+//! * [`chaos`] — declarative failure schedules (crashes, restarts,
+//!   slowdowns, partitions, bit rot) for the fleet experiments;
+//! * [`workload`] — the one workload driver (E12, E14–E17): sessions
+//!   paging from a fleet behind one shared link, with prefetch fan-out,
+//!   dwell pacing, and the self-healing machinery — health heartbeats,
+//!   proactive re-replication, scrub with read-repair, and hedged audio
+//!   reads — plus E13's fault-injected reader.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -55,12 +57,10 @@ pub mod tour;
 pub mod transparency;
 pub mod transport;
 pub mod visual;
+pub mod workload;
 
 pub use audio::AudioEngine;
-pub use chaos::{
-    simulate_chaos_workload, ChaosEvent, ChaosReport, ChaosSchedule, ChaosStats,
-    ChaosWorkloadConfig,
-};
+pub use chaos::{ChaosEvent, ChaosSchedule, ChaosStats};
 pub use command::{BrowseCommand, BrowseEvent};
 pub use compose::{compose_screen, resolve_figure};
 pub use fleet::{
@@ -72,13 +72,13 @@ pub use kernel::{Kernel, KernelEvent, KernelStats, TimerId};
 pub use prefetch::{page_spans, AnticipatingStore, PrefetchBuffer, PrefetchStats, Prefetcher};
 pub use process::{ProcessRunner, ProcessState};
 pub use remote::{Connection, MiniatureBrowser, Ticket, Workstation};
-pub use sched::{
-    simulate_faulty_page_workload, simulate_overload_workload, simulate_page_workload,
-    simulate_sched_workload, FaultyWorkloadReport, HubStore, OverloadReport, SchedReport,
-    SessionKey, SessionScheduler, TransportMode, WorkloadReport,
-};
+pub use sched::{HubStore, SessionKey, SessionScheduler};
 pub use session::{BrowsingSession, ObjectStore, SessionCheckpoint};
 pub use tour::{TourEvent, TourRunner};
 pub use transparency::TransparencyViewer;
 pub use transport::{Backend, Client, FleetStats, TransportStats};
 pub use visual::{VisualEngine, VisualView};
+pub use workload::{
+    simulate_faulty_page_workload, simulate_overload_workload, Dwell, FaultyWorkloadReport,
+    RunReport, WorkloadConfig,
+};

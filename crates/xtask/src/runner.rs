@@ -26,7 +26,7 @@ const QUEUE_SCOPE: &[&str] = &[
     "crates/core/src/transport.rs",
     "crates/core/src/kernel.rs",
     "crates/core/src/fleet.rs",
-    "crates/core/src/chaos.rs",
+    "crates/core/src/workload.rs",
 ];
 
 /// Modules on the per-message hot path where the buffer pool is the law:

@@ -60,6 +60,7 @@ cargo bench -p minos-bench --bench exp_chaos -- --smoke
 # as a diff here. exp_sched --smoke checks BENCH_sched.json itself, all but
 # the host-dependent wall_us, and leaves the file alone.
 echo "==> BENCH drift"
-git diff --exit-code -- BENCH_transport.json BENCH_fleet.json BENCH_overload.json BENCH_chaos.json
+git diff --exit-code -- BENCH_pipeline.json BENCH_transport.json BENCH_fleet.json \
+    BENCH_overload.json BENCH_chaos.json
 
 echo "All checks passed."

@@ -11,10 +11,8 @@
 //! incarnation.
 
 use minos::presentation::fleet::rendezvous_order;
-use minos::presentation::{
-    simulate_chaos_workload, ChaosReport, ChaosSchedule, ChaosWorkloadConfig,
-};
-use minos::server::ServiceConfig;
+use minos::presentation::workload::{self, RunReport, WorkloadConfig};
+use minos::presentation::ChaosSchedule;
 use minos::types::{ObjectId, SimDuration, SimInstant};
 
 const MEMBERS: usize = 4;
@@ -28,20 +26,15 @@ fn ms(t: u64) -> SimInstant {
     SimInstant::EPOCH + SimDuration::from_millis(t)
 }
 
-fn run(schedule: ChaosSchedule) -> ChaosReport {
-    simulate_chaos_workload(ChaosWorkloadConfig {
+fn run(schedule: ChaosSchedule) -> RunReport {
+    workload::run(WorkloadConfig {
         members: MEMBERS,
         replication: REPLICATION,
-        sessions: SESSIONS,
         audio_sessions: AUDIO_SESSIONS,
-        pages_per_session: PAGES,
-        page_len: PAGE_LEN,
         schedule,
-        hedge_delay: None,
-        heartbeat: SimDuration::from_millis(5),
+        heartbeat: Some(SimDuration::from_millis(5)),
         scrub_interval: Some(SimDuration::from_millis(25)),
-        repair_spacing: SimDuration::from_millis(2),
-        service: ServiceConfig::default(),
+        ..WorkloadConfig::new(SESSIONS, PAGES, PAGE_LEN)
     })
     .expect("chaos workload runs")
 }
