@@ -16,9 +16,9 @@
 //! * **Failover** rides the epoch handshake from the restart protocol: a
 //!   member restart bumps its epoch, the fleet transport re-handshakes
 //!   `Hello`/`Welcome`, and every in-flight request aimed at the dead
-//!   incarnation is replayed — verbatim, from the pooled bytes encoded at
-//!   submit time — onto the *next* replica in the object's rendezvous
-//!   ring instead of back onto the member that just lost it.
+//!   incarnation is replayed, in request-id order and under its original
+//!   id, onto the *next* replica in the object's rendezvous ring instead of
+//!   back onto the member that just lost it.
 //!
 //! [`FleetConnection`] is the client: the one pipelined [`Client`] of
 //! [`crate::transport`], whose [`Backend`] here is the fleet — per-member
@@ -821,9 +821,12 @@ impl RepairQueue {
 pub struct FleetTicket(u64);
 
 /// A pipelined client of a [`Fleet`]: the one request lifecycle of
-/// [`crate::transport`] — admit into the in-flight window, encode once into
-/// a pooled buffer, transmit, dispatch, land — over one shared uplink and
+/// [`crate::transport`] — admit into the in-flight window, keep the request
+/// for replay, transmit, dispatch, land — over one shared uplink and
 /// downlink (the paper's broadcast bus) and one device timeline per member.
+/// On a clean link every request travels as a typed frame; over a fault
+/// plan it is encoded once into a pooled buffer and those bytes are what
+/// every retransmit resends.
 ///
 /// What the fleet adds is where a request goes:
 ///
@@ -896,8 +899,8 @@ impl Backend for Fleet {
             }
             // The wake list (including the orphans a restart marks) has
             // been fully served for the fleet's single logical connection;
-            // drain it so it never accumulates.
-            let _ = conn.server.members[m].take_woken();
+            // clear it so it never accumulates.
+            conn.server.members[m].clear_woken();
         }
     }
 
@@ -1047,9 +1050,10 @@ impl FleetConnection {
     /// Submits a demand fetch of `rel` — a span relative to `object`'s
     /// first byte — and returns a ticket for collecting the page later.
     /// The replica is chosen by request id, spreading an object's pages
-    /// across its copies; the frame is encoded once into a pooled buffer
-    /// so retransmits and failovers resend without re-encoding from a
-    /// typed request.
+    /// across its copies. The request is kept for replay and failover: on
+    /// a clean link it travels as a typed frame, and over a fault plan it
+    /// is encoded once into a pooled buffer whose bytes every retransmit
+    /// resends.
     pub fn fetch_page(&mut self, object: ObjectId, rel: ByteSpan) -> Result<FleetTicket> {
         let Some(placement) = self.server.placements.get(&object) else {
             return Err(MinosError::UnknownObject(object.to_string()));
@@ -1066,7 +1070,7 @@ impl FleetConnection {
             return Err(MinosError::UnknownObject(object.to_string()));
         };
         let replica = placement.replica_for(request_id);
-        self.submit_encoded(request_id, replica.member, (object, rel), &fetch_on(replica, rel));
+        self.submit_tracked(request_id, replica.member, (object, rel), fetch_on(replica, rel));
         Ok(FleetTicket(request_id))
     }
 }

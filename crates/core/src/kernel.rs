@@ -16,8 +16,9 @@
 //! simulated seconds) are parked at the horizon and re-filed on each
 //! cascade until their true deadline is in range.
 
+use crate::idhash::IdSet;
 use minos_types::{SimDuration, SimInstant};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 
 /// Bits per wheel level: each level has `1 << SLOT_BITS` slots.
@@ -365,10 +366,10 @@ fn event_json(event: &KernelEvent, out: &mut String) {
 pub struct Kernel {
     wheel: TimerWheel,
     /// Ids currently armed (in a slot or on the due list, not yet fired).
-    armed_ids: HashSet<u64>,
+    armed_ids: IdSet,
     /// Armed ids whose timer was cancelled: dropped (and counted
     /// spurious) when their deadline fires.
-    cancelled: HashSet<u64>,
+    cancelled: IdSet,
     ready: VecDeque<KernelEvent>,
     trace: TraceLog,
     stats: KernelStats,
@@ -386,8 +387,8 @@ impl Kernel {
     pub fn new() -> Self {
         Kernel {
             wheel: TimerWheel::new(),
-            armed_ids: HashSet::new(),
-            cancelled: HashSet::new(),
+            armed_ids: IdSet::default(),
+            cancelled: IdSet::default(),
             ready: VecDeque::new(),
             trace: TraceLog::new(),
             stats: KernelStats::default(),

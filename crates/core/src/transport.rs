@@ -13,12 +13,15 @@
 //!   the downlink are serially-reusable resources, each a "free at"
 //!   instant, so pipelined requests overlap link transfer with device
 //!   time and waiting charges only what overlap did not hide.
-//! * **Recovery.** On a [`FaultyLink`] every request is encoded once into
-//!   a pooled buffer and carries a deadline on the [`Kernel`] timer wheel:
-//!   a loss retransmits those bytes with capped exponential backoff until
-//!   the retry budget expires it into an inline [`ServerResponse::Error`];
-//!   corrupt frames are discarded and duplicates suppressed by request id;
-//!   a `Busy { retry_after }` reply parks the request until the server's
+//! * **Recovery.** A request that keeps retransmission state carries a
+//!   deadline on the [`Kernel`] timer wheel: a loss retransmits it with
+//!   capped exponential backoff until the retry budget expires it into an
+//!   inline [`ServerResponse::Error`]. What is kept is the request itself
+//!   on a clean link, where every send is a typed frame; only where a
+//!   [`FaultyLink`] can mangle frames is the request encoded once into a
+//!   pooled buffer and those bytes resent. Corrupt frames are discarded,
+//!   duplicates are suppressed by a collected-id watermark, and a
+//!   `Busy { retry_after }` reply parks the request until the server's
 //!   own hint elapses.
 //! * **Restarts.** A member whose epoch moved is re-handshaken with
 //!   `Hello`/`Welcome`, and whatever its dead incarnation lost is replayed
@@ -34,13 +37,14 @@
 //! [`ObjectServer`]: minos_server::ObjectServer
 
 use crate::fleet::HealthMonitor;
+use crate::idhash::{IdMap, IdSet};
 use crate::kernel::{Kernel, KernelEvent, KernelStats, TimerId};
 use minos_net::{
     BufferPool, FaultPlan, FaultStats, FaultyLink, Frame, FramePayload, InflightWindow, Link,
     LinkStats, Priority, ServerRequest, ServerResponse,
 };
 use minos_types::{MinosError, Result, SimClock, SimDuration, SimInstant};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Leases a buffer from `pool`, counting a hit or a miss (a fresh
@@ -87,8 +91,8 @@ pub trait Backend: Sized {
 
     /// Whether every request keeps retransmission state even on a clean
     /// link. A single server on a clean link loses nothing, so its typed
-    /// frames go out unencoded and arm no timer; a fleet always needs the
-    /// encoded bytes to fail over.
+    /// frames arm no timer and keep nothing; a fleet always keeps the
+    /// request, to replay it when a member restarts and to fail it over.
     const KEEPS_STATE: bool;
 
     /// Whether [`Client::advance_to`] resyncs epochs after draining due
@@ -151,16 +155,25 @@ pub(crate) struct Landed {
     pub(crate) ready_at: SimInstant,
 }
 
+/// What every retransmit, replay or deferred resubmit of a request is
+/// built from. A failover replaces it with the request for the new
+/// member's layout.
+enum Resend {
+    /// A plain-value request on a clean link: each send is a typed frame
+    /// around a [`ServerRequest::plain_copy`] of it, charged by wire size.
+    Typed(ServerRequest),
+    /// The request encoded once into a pooled buffer, for a link whose
+    /// fault layer can mangle what crosses it (or a request that owns heap
+    /// data): each send resends these bytes verbatim.
+    Encoded(Vec<u8>),
+}
+
 /// Retransmission state for a request whose response has not yet landed.
-/// The *encoded* frame is what is kept: the request is encoded exactly
-/// once at submit (into a pooled buffer), and every retransmit, replay or
-/// deferred resubmit resends these bytes verbatim; only a failover
-/// re-encodes them, into the same buffer, for the new member's layout.
 struct Outstanding<R> {
     /// The member the request is currently aimed at.
     target: usize,
     route: R,
-    frame_bytes: Vec<u8>,
+    resend: Resend,
     deadline: SimInstant,
     attempt: u32,
     /// The timer-wheel entry armed for `deadline`; cancelled when the
@@ -210,6 +223,42 @@ pub struct TransportStats {
     pub payload_allocs: u64,
 }
 
+/// The request ids whose responses were collected, as a cumulative
+/// watermark plus the ids collected above it out of order: the anti-replay
+/// window of RFC 4303 §3.4.3. Every id at or below `floor` was collected or
+/// issued before the last reset, so the set only holds ids collected past
+/// the oldest one still uncollected; its size is bounded by the span of
+/// uncollected ids, not by how many responses were ever read.
+#[derive(Debug, Default)]
+struct Collected {
+    floor: u64,
+    above: IdSet,
+}
+
+impl Collected {
+    /// Whether `id`'s response was already collected (or belongs to a
+    /// generation before the last reset).
+    fn contains(&self, id: u64) -> bool {
+        id <= self.floor || self.above.contains(&id)
+    }
+
+    /// Records `id` as collected, advancing the watermark over every id
+    /// it makes contiguous.
+    fn insert(&mut self, id: u64) {
+        if id <= self.floor {
+            return;
+        }
+        if id != self.floor + 1 {
+            self.above.insert(id);
+            return;
+        }
+        self.floor = id;
+        while !self.above.is_empty() && self.above.remove(&(self.floor + 1)) {
+            self.floor += 1;
+        }
+    }
+}
+
 /// Busy-honoring accounting, cleared by [`Client::reset_accounting`].
 /// Only fleet members answer `Busy` through a client (a single server is
 /// served directly), so a [`Connection`](crate::remote::Connection) keeps
@@ -243,10 +292,10 @@ pub struct Client<B: Backend> {
     /// Per-member queues of request frames in transit to that member.
     pub(crate) pending: Vec<VecDeque<PendingFrame>>,
     /// Arrival instant of each frame handed to a member's service queue.
-    pub(crate) arrival_at: HashMap<u64, SimInstant>,
-    pub(crate) landed: HashMap<u64, Landed>,
-    outstanding: HashMap<u64, Outstanding<B::Route>>,
-    collected: HashSet<u64>,
+    pub(crate) arrival_at: IdMap<SimInstant>,
+    pub(crate) landed: IdMap<Landed>,
+    outstanding: IdMap<Outstanding<B::Route>>,
+    collected: Collected,
     /// Transmit and payload buffers leased and recycled across the
     /// client's lifetime, shared with a fleet's members. Leases go through
     /// [`Client::lease`], which counts them in [`TransportStats`].
@@ -285,10 +334,10 @@ impl<B: Backend> Client<B> {
             next_request_id: 1,
             window: InflightWindow::new(window),
             pending: (0..members).map(|_| VecDeque::new()).collect(),
-            arrival_at: HashMap::new(),
-            landed: HashMap::new(),
-            outstanding: HashMap::new(),
-            collected: HashSet::new(),
+            arrival_at: IdMap::default(),
+            landed: IdMap::default(),
+            outstanding: IdMap::default(),
+            collected: Collected::default(),
             pool: BufferPool::new(),
             kernel: Kernel::new(),
             transport: TransportStats::default(),
@@ -402,7 +451,9 @@ impl<B: Backend> Client<B> {
         self.arrival_at.clear();
         self.landed.clear();
         self.outstanding.clear();
-        self.collected.clear();
+        // Every id issued so far is gone with the reset: the watermark
+        // moves past them, so the next generation starts with an empty set.
+        self.collected = Collected { floor: self.next_request_id - 1, above: IdSet::default() };
         self.pool.reset_stats();
         // The clock restarts at the epoch, so every armed deadline is
         // stale: replace the kernel wholesale, counters included.
@@ -502,8 +553,7 @@ impl<B: Backend> Client<B> {
     }
 
     /// Encodes `request` once — from its borrow, into a pooled buffer —
-    /// records the bytes as retransmission state with a deadline, puts
-    /// them on the wire to `target`, and opens the request's window slot.
+    /// as its retransmission state, and submits it to `target`.
     pub(crate) fn submit_encoded(
         &mut self,
         request_id: u64,
@@ -511,35 +561,55 @@ impl<B: Backend> Client<B> {
         route: B::Route,
         request: &ServerRequest,
     ) {
+        let mut bytes = self.lease();
+        encode_request(request_id, request, &mut bytes);
+        self.track(request_id, target, route, Resend::Encoded(bytes));
+    }
+
+    /// Keeps `request`, moved in, as its retransmission state and submits
+    /// it to `target`. Only where a send cannot be a typed frame (a faulty
+    /// link, or a request that owns heap data) is it encoded instead.
+    pub(crate) fn submit_tracked(
+        &mut self,
+        request_id: u64,
+        target: usize,
+        route: B::Route,
+        request: ServerRequest,
+    ) {
+        if self.link.is_clean() && request.plain_copy().is_some() {
+            self.track(request_id, target, route, Resend::Typed(request));
+        } else {
+            self.submit_encoded(request_id, target, route, &request);
+        }
+    }
+
+    /// Records `resend` as the request's retransmission state with a
+    /// deadline, puts it on the wire to `target`, and opens the request's
+    /// window slot.
+    fn track(&mut self, request_id: u64, target: usize, route: B::Route, resend: Resend) {
         let deadline = self.clock.now() + self.timeout;
-        let mut frame_bytes = self.lease();
-        Frame::encode_request_into(
-            CONN_ID,
-            request_id,
-            Priority::Demand,
-            request,
-            &mut frame_bytes,
-        );
         let timer = self.kernel.arm(deadline, KernelEvent::RetryDue { request_id, attempt: 0 });
         self.outstanding.insert(
             request_id,
-            Outstanding {
-                target,
-                route,
-                frame_bytes,
-                deadline,
-                attempt: 0,
-                timer,
-                deferred: false,
-            },
+            Outstanding { target, route, resend, deadline, attempt: 0, timer, deferred: false },
         );
         self.transmit_request(request_id);
         self.window.open(request_id);
     }
 
-    /// Puts an outstanding request's stored frame bytes on the wire to its
-    /// current target through the fault layer; whatever survives decoding
-    /// joins that member's pending queue.
+    /// Drops a request's retransmission state: its deadline is void and
+    /// any encoded bytes go back to the pool.
+    fn retire(&mut self, out: Outstanding<B::Route>) {
+        self.kernel.cancel(out.timer);
+        if let Resend::Encoded(bytes) = out.resend {
+            self.pool.recycle(bytes);
+        }
+    }
+
+    /// Sends an outstanding request to its current target. A kept request
+    /// (always plain-valued, so its copy never fails) goes up as a typed
+    /// frame; kept bytes cross the fault layer, and whatever survives
+    /// decoding joins that member's pending queue.
     fn transmit_request(&mut self, request_id: u64) {
         let Some(out) = self.outstanding.get(&request_id) else {
             return;
@@ -553,7 +623,16 @@ impl<B: Backend> Client<B> {
             "in-flight requests exceed the admitted window"
         );
         let target = out.target;
-        let (up, deliveries) = self.link.transmit(&out.frame_bytes);
+        let bytes = match &out.resend {
+            Resend::Encoded(bytes) => bytes,
+            Resend::Typed(request) => {
+                if let Some(copy) = request.plain_copy() {
+                    self.uplink(target, Frame::request(CONN_ID, request_id, copy));
+                }
+                return;
+            }
+        };
+        let (up, deliveries) = self.link.transmit(bytes);
         let arrival = self.clock.now().max(self.up_free) + up;
         self.up_free = arrival;
         for delivery in deliveries {
@@ -573,8 +652,10 @@ impl<B: Backend> Client<B> {
     }
 
     /// Re-aims an outstanding request at the member the backend fails it
-    /// over to, re-encoding the stored frame for that member in place. A
-    /// request with nowhere else to go stays put and costs nothing.
+    /// over to, replacing its retransmission state with the request for
+    /// that member (encoded bytes are rewritten in place). A request with
+    /// nowhere else to go stays put and costs nothing. Failover requests
+    /// are span fetches, so a typed state stays typed.
     fn fail_over_target(&mut self, request_id: u64) {
         let Some(out) = self.outstanding.get_mut(&request_id) else {
             return;
@@ -584,14 +665,13 @@ impl<B: Backend> Client<B> {
         };
         self.transport.failovers += 1;
         out.target = target;
-        out.frame_bytes.clear();
-        Frame::encode_request_into(
-            CONN_ID,
-            request_id,
-            Priority::Demand,
-            &request,
-            &mut out.frame_bytes,
-        );
+        match &mut out.resend {
+            Resend::Typed(kept) => {
+                debug_assert!(request.plain_copy().is_some(), "a typed state must stay copyable");
+                *kept = request;
+            }
+            Resend::Encoded(bytes) => encode_request(request_id, &request, bytes),
+        }
     }
 
     /// Detects member restarts (epoch bumps) and recovers each: a
@@ -631,7 +711,7 @@ impl<B: Backend> Client<B> {
                 let replay: Vec<Frame> = self.pending[m].drain(..).map(|p| p.frame).collect();
                 for frame in replay {
                     let rid = frame.request_id;
-                    if self.landed.contains_key(&rid) || self.collected.contains(&rid) {
+                    if self.landed.contains_key(&rid) || self.collected.contains(rid) {
                         continue;
                     }
                     self.transport.replays += 1;
@@ -644,18 +724,21 @@ impl<B: Backend> Client<B> {
             // back through the ordinary transmit machinery (a replay is not
             // a timeout), re-aimed first where the backend has somewhere
             // else to go. Busy-deferred requests keep their own timers.
+            // They replay in request-id order, so one seed always serves
+            // them in one order.
             self.pending[m].clear();
-            let lost: Vec<u64> = self
+            let mut lost: Vec<u64> = self
                 .outstanding
                 .iter()
-                .filter(|(rid, o)| {
+                .filter(|(&rid, o)| {
                     o.target == m
                         && !o.deferred
-                        && !self.landed.contains_key(rid)
+                        && !self.landed.contains_key(&rid)
                         && !self.collected.contains(rid)
                 })
                 .map(|(&rid, _)| rid)
                 .collect();
+            lost.sort_unstable();
             for rid in lost {
                 self.transport.replays += 1;
                 self.fail_over_target(rid);
@@ -682,8 +765,7 @@ impl<B: Backend> Client<B> {
                 let waited = self.clock.now().saturating_since(started);
                 self.window.close(id);
                 if let Some(out) = self.outstanding.remove(&id) {
-                    self.kernel.cancel(out.timer);
-                    self.pool.recycle(out.frame_bytes);
+                    self.retire(out);
                 }
                 if self.keeps_state() {
                     self.collected.insert(id);
@@ -796,7 +878,7 @@ impl<B: Backend> Client<B> {
     /// retry timer honoring the server's hint (and fails it over where the
     /// backend can), and anything else lands for collection.
     fn receive(&mut self, request_id: u64, response: ServerResponse, at: SimInstant) {
-        if self.collected.contains(&request_id) || self.landed.contains_key(&request_id) {
+        if self.collected.contains(request_id) || self.landed.contains_key(&request_id) {
             self.transport.duplicates += 1;
             return;
         }
@@ -823,11 +905,9 @@ impl<B: Backend> Client<B> {
                 return;
             }
         }
-        // The response is in hand: the retransmission state is done, its
-        // deadline is void, and the encoded bytes go back to the pool.
+        // The response is in hand: the retransmission state is done.
         if let Some(out) = self.outstanding.remove(&request_id) {
-            self.kernel.cancel(out.timer);
-            self.pool.recycle(out.frame_bytes);
+            self.retire(out);
         }
         self.landed.insert(request_id, Landed { response, ready_at: at });
     }
@@ -903,7 +983,7 @@ impl<B: Backend> Client<B> {
         self.kernel.cancel(timer);
         if attempt >= self.max_retries {
             if let Some(out) = self.outstanding.remove(&request_id) {
-                self.pool.recycle(out.frame_bytes);
+                self.retire(out);
             }
             let attempts = attempt + 1;
             self.expire(
@@ -942,10 +1022,144 @@ impl<B: Backend> Client<B> {
     /// Retires window slots whose responses have already arrived.
     fn settle(&mut self) {
         let now = self.clock.now();
-        let arrived: Vec<u64> =
-            self.landed.iter().filter(|(_, l)| l.ready_at <= now).map(|(&rid, _)| rid).collect();
-        for rid in arrived {
-            self.window.close(rid);
+        for (&rid, landed) in &self.landed {
+            if landed.ready_at <= now {
+                self.window.close(rid);
+            }
         }
+    }
+}
+
+/// Encodes `request` as a request frame into `bytes`, replacing what they
+/// held and reusing their capacity.
+fn encode_request(request_id: u64, request: &ServerRequest, bytes: &mut Vec<u8>) {
+    bytes.clear();
+    Frame::encode_request_into(CONN_ID, request_id, Priority::Demand, request, bytes);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fleet::{Fleet, FleetConnection, FleetTicket};
+    use minos_types::{ByteSpan, ObjectId};
+
+    const PAGE: u64 = 1024;
+
+    /// A clean connection with an in-flight window of `window` to a
+    /// `members`-member, k=1 fleet holding one 32-page object.
+    fn clean(members: usize, window: usize) -> (FleetConnection, ObjectId) {
+        let mut fleet = Fleet::new(members, 1).expect("valid shape");
+        let object = ObjectId::new(7);
+        let body: Vec<u8> = (0..32 * PAGE).map(|i| (i % 251) as u8).collect();
+        fleet.publish_paged(object, &body, PAGE).expect("publish");
+        (FleetConnection::with_window(fleet, Link::ethernet(), window), object)
+    }
+
+    fn fetch(conn: &mut FleetConnection, object: ObjectId, page: u64) -> FleetTicket {
+        conn.fetch_page(object, ByteSpan::at(page * PAGE, PAGE)).expect("submit")
+    }
+
+    fn collect(conn: &mut FleetConnection, ticket: FleetTicket) {
+        let (response, _) = conn.wait(ticket).expect("collect");
+        let ServerResponse::Span(bytes) = response else {
+            panic!("unexpected response {response:?}");
+        };
+        conn.recycle_payload(bytes);
+    }
+
+    #[test]
+    fn out_of_order_collection_advances_the_watermark() {
+        let (mut conn, object) = clean(1, 8);
+        let tickets: Vec<FleetTicket> = (0..3).map(|page| fetch(&mut conn, object, page)).collect();
+        let ids: Vec<u64> = tickets.iter().map(|&t| Fleet::ticket_id(t)).collect();
+        assert_eq!(ids, [1, 2, 3]);
+        collect(&mut conn, tickets[2]);
+        assert_eq!(conn.collected.floor, 0);
+        assert!(conn.collected.contains(3) && !conn.collected.contains(1));
+        collect(&mut conn, tickets[0]);
+        assert_eq!(conn.collected.floor, 1);
+        collect(&mut conn, tickets[1]);
+        assert_eq!(conn.collected.floor, 3, "collecting 2 closes the gap up to 3");
+        assert!(conn.collected.above.is_empty());
+    }
+
+    #[test]
+    fn a_duplicate_below_the_watermark_is_counted_and_never_lands() {
+        let (mut conn, object) = clean(1, 8);
+        let ticket = fetch(&mut conn, object, 0);
+        let id = Fleet::ticket_id(ticket);
+        collect(&mut conn, ticket);
+        assert!(id <= conn.collected.floor);
+        let at = conn.clock.now();
+        conn.receive(id, ServerResponse::Span(vec![0; PAGE as usize]), at);
+        assert_eq!(conn.transport_stats().duplicates, 1);
+        assert!(!conn.landed.contains_key(&id), "a duplicate must not land");
+        assert!(matches!(conn.wait(ticket), Err(MinosError::Protocol(_))));
+    }
+
+    #[test]
+    fn a_ticket_from_before_a_reset_is_still_a_protocol_error() {
+        let (mut conn, object) = clean(1, 8);
+        let collected = fetch(&mut conn, object, 0);
+        collect(&mut conn, collected);
+        let uncollected = fetch(&mut conn, object, 1);
+        conn.reset_accounting();
+        for ticket in [collected, uncollected] {
+            assert!(matches!(conn.wait(ticket), Err(MinosError::Protocol(_))), "{ticket:?}");
+        }
+        // The next generation starts at the watermark, with nothing held
+        // above it for the ids the reset dropped.
+        let fresh = fetch(&mut conn, object, 2);
+        collect(&mut conn, fresh);
+        assert_eq!(conn.collected.floor, Fleet::ticket_id(fresh));
+        assert!(conn.collected.above.is_empty());
+    }
+
+    #[test]
+    fn collected_ids_above_the_watermark_stay_within_the_window() {
+        let window = 8;
+        let (mut conn, object) = clean(2, window);
+        for i in 0..10 * window as u64 {
+            let ticket = fetch(&mut conn, object, i % 32);
+            collect(&mut conn, ticket);
+            assert!(conn.collected.above.len() <= window, "after {} fetches", i + 1);
+        }
+        // Pipelined windows collected newest first hold ids above the
+        // watermark only until the oldest of the window is collected.
+        for _ in 0..10 {
+            let tickets: Vec<FleetTicket> =
+                (0..window as u64).map(|page| fetch(&mut conn, object, page)).collect();
+            for &ticket in tickets.iter().rev() {
+                collect(&mut conn, ticket);
+                assert!(conn.collected.above.len() < window);
+            }
+            assert!(conn.collected.above.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_restart_replays_lost_requests_in_id_order() {
+        let run = || {
+            let (mut conn, object) = clean(1, 8);
+            // Every other page, so no two requests coalesce into one read.
+            let tickets: Vec<FleetTicket> =
+                (0..6).map(|page| fetch(&mut conn, object, 2 * page)).collect();
+            // All six frames are still on the uplink when the member
+            // restarts: the first wait resyncs, replays them and serves
+            // every one.
+            conn.fleet_mut().restart_member(0).expect("member 0 exists");
+            collect(&mut conn, tickets[0]);
+            let mut ready: Vec<(u64, SimInstant)> =
+                conn.landed.iter().map(|(&id, l)| (id, l.ready_at)).collect();
+            ready.sort_unstable();
+            assert_eq!(ready.len(), 5);
+            assert!(ready.windows(2).all(|w| w[0].1 < w[1].1), "served out of id order: {ready:?}");
+            for &ticket in &tickets[1..] {
+                collect(&mut conn, ticket);
+            }
+            assert_eq!(conn.transport_stats().replays, 6);
+            conn.elapsed()
+        };
+        assert_eq!(run(), run());
     }
 }

@@ -26,12 +26,13 @@ cargo test --workspace --quiet
 echo "==> minos-benchmark tests"
 cargo test --offline --quiet --manifest-path crates/bench/src/bin/minos-benchmark/Cargo.toml
 
-# Its unit tests use 1 KiB pages; one real round per fleet workload runs
-# 32 KiB pages: lossy_scan through encode, CRC and decode, page_scan and
-# churn through the pool their members share with the connection. Each
-# exit code gates the round's byte checks, counter reconciliation and
-# premises.
-for workload in lossy_scan page_scan churn; do
+# Its unit tests use 1 KiB pages; one real round per workload runs 32 KiB
+# pages: lossy_scan through encode, CRC and decode, page_scan and churn
+# through the pool their members share with the connection, and browse
+# through the session scheduler, whose every tick arms and cancels kernel
+# timers. Each exit code gates the round's byte checks, counter
+# reconciliation and premises.
+for workload in lossy_scan page_scan churn browse; do
     echo "==> minos-benchmark $workload (full-size pages)"
     cargo run --release --offline --manifest-path crates/bench/src/bin/minos-benchmark/Cargo.toml \
         -- --workload "$workload" --seed 1 --seconds 0
