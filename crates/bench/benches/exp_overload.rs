@@ -14,14 +14,17 @@
 //! under the configured cap, and the audio-class p99 stays bounded while
 //! the unbounded baseline's tail grows with everything queued ahead of it.
 //!
-//! The series is emitted machine-readable as `BENCH_overload.json` at the
+//! Each run is a config of the one workload driver, `workload::run`. The
+//! series is emitted machine-readable as `BENCH_overload.json` at the
 //! repository root. `--smoke` runs the acceptance pin — at 48 sessions the
 //! admitted run sheds prefetch without a single demand rejection and beats
-//! the unbounded audio p99 — and is hooked into `scripts/check.sh`.
+//! the unbounded audio p99, the unbounded backlog outgrows the global cap,
+//! and no `Busy` retry fires before its hint — and is hooked into
+//! `scripts/check.sh`.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use minos_bench::{fast_criterion, row};
-use minos_presentation::workload::{simulate_overload_workload, RunReport};
+use minos_presentation::workload::{self, RunReport, WorkloadConfig};
 use minos_server::ServiceConfig;
 
 const PAGES: usize = 8;
@@ -33,8 +36,17 @@ const SESSIONS: [usize; 5] = [1, 4, 16, 48, 64];
 /// The pinned operating point for the smoke acceptance run.
 const SMOKE_SESSIONS: usize = 48;
 
-fn run(sessions: usize, config: ServiceConfig) -> RunReport {
-    simulate_overload_workload(sessions, PAGES, PAGE_LEN, config).expect("workload runs")
+/// The E14 config of the one workload driver: one member, session 0
+/// audio-class, window 2, three prefetches per demand page, under
+/// `service`.
+fn run(sessions: usize, service: ServiceConfig) -> RunReport {
+    workload::run(WorkloadConfig {
+        audio_sessions: 1,
+        prefetch_per_page: 3,
+        service,
+        ..WorkloadConfig::new(sessions, PAGES, PAGE_LEN)
+    })
+    .expect("workload runs")
 }
 
 /// One measured point of the series: both disciplines at one session count.
@@ -164,6 +176,13 @@ fn smoke() {
         admitted.queue_high_water <= ServiceConfig::DEFAULT_GLOBAL_CAP as u64,
         "queue bounded by the global cap: {admitted:?}"
     );
+    assert!(
+        unbounded.queue_high_water > ServiceConfig::DEFAULT_GLOBAL_CAP as u64,
+        "without the caps the backlog outgrows them: {unbounded:?}"
+    );
+    // Every `Busy` retry waited out the server's hint.
+    assert_eq!(admitted.premature_busy_retries, 0, "{admitted:?}");
+    assert_eq!(unbounded.premature_busy_retries, 0, "{unbounded:?}");
     assert!(
         admitted.audio_p99 < unbounded.audio_p99,
         "audio p99 {:?} (admitted) must beat {:?} (unbounded)",

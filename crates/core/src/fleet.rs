@@ -496,14 +496,6 @@ impl Fleet {
         }
     }
 
-    /// Prewarms every member's payload pool (see
-    /// [`ObjectServer::prewarm_payloads`]).
-    pub fn prewarm_payloads(&mut self, buffers: usize, capacity: usize) {
-        for member in &mut self.members {
-            member.prewarm_payloads(buffers, capacity);
-        }
-    }
-
     /// Fleet-wide service accounting: every member's counters merged into
     /// one [`ServiceStats`] (sums for the monotone counters, maxima for
     /// the high-water marks).

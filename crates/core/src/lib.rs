@@ -80,6 +80,5 @@ pub use transparency::TransparencyViewer;
 pub use transport::{Backend, Client, FleetStats, TransportStats};
 pub use visual::{VisualEngine, VisualView};
 pub use workload::{
-    simulate_faulty_page_workload, simulate_overload_workload, Dwell, FaultyWorkloadReport,
-    RunReport, WorkloadConfig,
+    simulate_faulty_page_workload, Dwell, FaultyWorkloadReport, RunReport, WorkloadConfig,
 };

@@ -1,6 +1,6 @@
-//! The one workload driver — E12 and E15 through E17 — plus the two
-//! readers that keep loops of their own (E13's fault-injected reader and
-//! E14's overload loop) and the helpers every report shares.
+//! The one workload driver — E12 and E14 through E17 — plus E13's
+//! fault-injected reader, which keeps the one client, and the helpers
+//! every report shares.
 //!
 //! [`run`] is the one page-reader simulation of §5: sessions demand-page
 //! their objects from a fleet of optical servers behind one shared
@@ -9,6 +9,9 @@
 //!
 //! * **E12** — one member, k = 1, window 8 ("pipelined") against window 1
 //!   ("blocking");
+//! * **E14** — one member under the [`ServiceConfig`] admission caps (or
+//!   none), every demand page towing `prefetch_per_page` stride-scattered
+//!   prefetch-class fetches: a 4x offered load the caps must shed;
 //! * **E15** — dwell-paced sessions at window 1: audio sessions ask for a
 //!   page each playback period, text readers after each reading dwell;
 //! * **E16/E17** — k-replicated fleets with a [`ChaosSchedule`] of
@@ -34,13 +37,24 @@
 //!     speculative duplicate goes to a sibling and the first valid answer
 //!     wins, the loser suppressed.
 //!
-//! Every optional path — dwell, heartbeats, hedges, scrub — arms nothing when its knob is zero or `None`, so each experiment runs
+//! Every optional path — dwell, prefetch, heartbeats, hedges, scrub —
+//! arms nothing when its knob is zero or `None`, so each experiment runs
 //! exactly the events its own knobs ask for.
 //!
-//! Three invariants hold on every run, each checked by a `debug_assert!`:
+//! A member's device pulls its work. A request frame crosses the uplink
+//! to the member's in-transit queue; its `ServerWake` at arrival hands
+//! every frame that has arrived to the member's service queue — so
+//! admission control sees the real backlog — and starts the device if it
+//! is idle. A device completion hands its response to the downlink and
+//! polls the next request, in the member's own rotation.
+//!
+//! Four invariants hold on every run, each checked by a `debug_assert!`:
 //!
 //! * **Closed loop.** A session's next request leaves no earlier than the
 //!   delivery that freed its window slot.
+//! * **One device.** A member serves one request at a time, and only
+//!   requests that have arrived. A restart frees the device; the old
+//!   incarnation's completion never polls again.
 //! * **One wire.** Responses cross the shared downlink one at a time, in
 //!   device-completion order, each landing at its own instant.
 //! * **Failures lose work.** A crash or restart of a member drops every
@@ -52,12 +66,10 @@
 //! repair queue drained, and a final frozen-media sweep healed every
 //! remaining rotten page — the [`RunReport`] pins all of it.
 //!
-//! [`simulate_overload_workload`] (E14) offers four times its demand load
-//! as prefetch-class traffic against the [`ServiceConfig`] admission caps
-//! in a round-synchronous loop of its own (its docs say why), and
 //! [`simulate_faulty_page_workload`] (E13) is one reader through the one
 //! client [`Connection`] over a link that drops, corrupts and duplicates
-//! frames, measuring the goodput its recovery preserves.
+//! frames, measuring the goodput its recovery preserves. It stays off
+//! the driver: folding it would add loss recovery to the driver.
 
 use crate::chaos::{ChaosEvent, ChaosSchedule};
 use crate::fleet::{
@@ -131,6 +143,10 @@ pub struct WorkloadConfig {
     /// Demand pages each session keeps in flight; 1 is the blocking
     /// discipline.
     pub window: usize,
+    /// Prefetch-class fetches each demand page tows, stride-scattered
+    /// (every seventh page on) so they never coalesce with it. They are
+    /// served or shed, never replayed; zero sends none.
+    pub prefetch_per_page: usize,
     /// Per-class think time: a session asks for a page one dwell after
     /// its window slot frees (or after the run starts, for its first).
     pub dwell: Dwell,
@@ -154,8 +170,8 @@ pub struct WorkloadConfig {
 impl WorkloadConfig {
     /// `sessions` text readers of `pages_per_session` pages of `page_len`
     /// bytes against one unreplicated member under the default admission
-    /// caps: two demand pages in flight each, no dwell, no failures, no
-    /// heartbeats, no hedging, no scrub.
+    /// caps: two demand pages in flight each, no prefetch, no dwell, no
+    /// failures, no heartbeats, no hedging, no scrub.
     pub fn new(sessions: usize, pages_per_session: usize, page_len: u64) -> Self {
         WorkloadConfig {
             members: 1,
@@ -165,6 +181,7 @@ impl WorkloadConfig {
             pages_per_session,
             page_len,
             window: 2,
+            prefetch_per_page: 0,
             dwell: Dwell::default(),
             schedule: ChaosSchedule::new(0),
             hedge_delay: None,
@@ -272,6 +289,9 @@ impl RunReport {
 const SCRUB_KEY: u64 = u64::MAX;
 /// Kernel events handled before the run is declared wedged.
 const MAX_EVENTS: u64 = 20_000_000;
+/// Pages between a demand page and each prefetch it tows: far enough
+/// that no run of them is adjacent, so the overload is real device work.
+const PREFETCH_STRIDE: usize = 7;
 
 /// The per-session byte pattern — session-distinct so a page served from
 /// the wrong object or offset can never verify.
@@ -310,8 +330,10 @@ struct InFlightPage {
 /// One response between its member's device and the workstation.
 struct Landing {
     member: usize,
+    /// The member's restart epoch when its device took the request.
+    epoch: u64,
     frame: Frame,
-    /// When the member's service pump took the request.
+    /// When the member's device took the request.
     polled: SimInstant,
     /// When the member's device finished it.
     done: SimInstant,
@@ -336,20 +358,21 @@ struct Run {
     up_free: SimInstant,
     down_free: SimInstant,
     dev_free: Vec<SimInstant>,
-    /// Arrival instant of each request frame, keyed by (member, request).
-    arrivals: HashMap<(usize, u64), SimInstant>,
+    /// Per member, whether its device is serving a request.
+    serving: Vec<bool>,
+    /// Per member, the request frames on the uplink, in arrival order.
+    transit: Vec<VecDeque<(SimInstant, Frame)>>,
+    /// Per member, the arrival of the newest frame its service queue took.
+    last_arrival: Vec<SimInstant>,
     inflight: HashMap<u64, InFlightPage>,
     /// Pages parked on a `Busy` hint: when they may leave, and for which
     /// member.
     deferred: HashMap<u64, (SimInstant, usize)>,
     /// Hedge pairing, both ways: a hedge's id is always the larger.
     hedges: HashMap<u64, u64>,
-    /// Responses past their member's pump, keyed by landing sequence.
+    /// Responses a member's device has taken, keyed by landing sequence.
     landing: HashMap<u64, Landing>,
     next_landing: u64,
-    /// Per member, the connections with frames enqueued since its last
-    /// pump.
-    dirty: Vec<BTreeSet<u64>>,
     /// The restart epoch of each member as the heartbeats last saw it.
     epochs: Vec<u64>,
     next_page: Vec<usize>,
@@ -364,7 +387,7 @@ struct Run {
 /// Ethernet, while the schedule's failures are injected and the
 /// self-healing machinery — health heartbeats, proactive re-replication,
 /// scrub with read-repair, hedged audio reads — absorbs them. See the
-/// module docs for the moving parts and the three invariants; see
+/// module docs for the moving parts and the four invariants; see
 /// [`RunReport`] for what is pinned.
 pub fn run(config: WorkloadConfig) -> Result<RunReport> {
     let mut run = Run::new(config)?;
@@ -476,13 +499,14 @@ impl Run {
             up_free: SimInstant::EPOCH,
             down_free: SimInstant::EPOCH,
             dev_free: vec![SimInstant::EPOCH; members],
-            arrivals: HashMap::new(),
+            serving: vec![false; members],
+            transit: (0..members).map(|_| VecDeque::new()).collect(),
+            last_arrival: vec![SimInstant::EPOCH; members],
             inflight: HashMap::new(),
             deferred: HashMap::new(),
             hedges: HashMap::new(),
             landing: HashMap::new(),
             next_landing: 0,
-            dirty: (0..members).map(|_| BTreeSet::new()).collect(),
             next_page: vec![0; sessions],
             next_rid: 1,
             scrub_cursor: 0,
@@ -516,7 +540,7 @@ impl Run {
                 return Err(MinosError::Internal("fleet workload failed to converge".into()));
             }
             match event {
-                KernelEvent::ServerWake { member } => self.pump(member as usize),
+                KernelEvent::ServerWake { member } => self.arrive(member as usize)?,
                 KernelEvent::ResponseLanded { request_id, .. } => self.response(request_id)?,
                 KernelEvent::RetryDue { request_id, .. } => self.retry(request_id)?,
                 KernelEvent::HealthTick { member } => self.heartbeat(member as usize)?,
@@ -531,10 +555,13 @@ impl Run {
                         Some(ChaosEvent::RestartAt { member, .. }) => {
                             self.fleet.restart_member(member)?;
                             // Device work the old incarnation had not
-                            // finished dies with it. The epoch resync, and
+                            // finished dies with it, and so does every
+                            // request sent to it. The epoch resync, and
                             // the replay of what it stranded, happen at the
                             // next heartbeat echo.
                             self.dev_free[member] = self.kernel.now();
+                            self.serving[member] = false;
+                            self.transit[member].clear();
                         }
                         _ => self.kernel.note_spurious(),
                     }
@@ -589,9 +616,9 @@ impl Run {
     }
 
     /// Asks for session `s`'s next page, if any, in the window slot freed
-    /// at `freed`. The page goes to the live holder of its block of the
-    /// object — replica `i` of `k` serves the `i`-th run of pages, keeping
-    /// each optical head sequential.
+    /// at `freed`, with the prefetches it tows. The page goes to the live
+    /// holder of its block of the object — replica `i` of `k` serves the
+    /// `i`-th run of pages, keeping each optical head sequential.
     fn submit(&mut self, s: usize, freed: SimInstant) -> Result<()> {
         let page = self.next_page[s];
         if page == self.config.pages_per_session {
@@ -604,10 +631,16 @@ impl Run {
             self.fleet.placement(object_of(s)).expect("published objects stay placed").replicas();
         let preferred = replicas[page * replicas.len() / self.config.pages_per_session];
         let to = self.first_live(s, preferred).unwrap_or(preferred);
-        let page = InFlightPage { session: s, page, member: to.member, epoch: 0, issued: freed };
-        self.inflight.insert(rid, page);
-        let left = self.send(rid, to, freed)?;
+        let p = InFlightPage { session: s, page, member: to.member, epoch: 0, issued: freed };
+        self.inflight.insert(rid, p);
+        let left = self.send(rid, to, freed);
         debug_assert!(left >= freed, "closed loop: page {rid} left before its slot freed");
+        for j in 1..=self.config.prefetch_per_page {
+            let ahead = (page + j * PREFETCH_STRIDE) % self.config.pages_per_session;
+            let frame = self.fetch(s, ahead, to, self.next_rid, Priority::Prefetch);
+            self.next_rid += 1;
+            self.uplink(to.member, frame, freed);
+        }
         // An audio page aimed at a gray member gets a hedge timer: if the
         // answer has not landed by then, a duplicate goes to a sibling.
         if let Some(delay) = self.config.hedge_delay {
@@ -619,33 +652,37 @@ impl Run {
         Ok(())
     }
 
-    /// Puts in-flight page `rid` on the uplink to replica `to`, leaving
-    /// no earlier than `ready`: builds the frame, charges the uplink,
-    /// records the arrival, enqueues the frame at the member, marks the
-    /// session's connection dirty, and arms the member's `ServerWake` at
-    /// the arrival. Returns the departure instant.
-    fn send(&mut self, rid: u64, to: Replica, ready: SimInstant) -> Result<SimInstant> {
+    /// Request `rid` for page `page` of session `s`'s copy on `to`.
+    fn fetch(&self, s: usize, page: usize, to: Replica, rid: u64, priority: Priority) -> Frame {
+        let page_len = self.config.page_len;
+        let span = ByteSpan::at(to.span.start + page as u64 * page_len, page_len);
+        Frame::request_with_priority(s as u64 + 1, rid, priority, ServerRequest::FetchSpan { span })
+    }
+
+    /// Sends in-flight page `rid` to replica `to`, leaving no earlier than
+    /// `ready`, and records which member and incarnation owe it. Returns
+    /// the departure instant.
+    fn send(&mut self, rid: u64, to: Replica, ready: SimInstant) -> SimInstant {
         let epoch = self.fleet.epoch(to.member);
         let p = self.inflight.get_mut(&rid).expect("only in-flight pages are sent");
         p.member = to.member;
         p.epoch = epoch;
-        let (s, page_len) = (p.session, self.config.page_len);
-        let span = ByteSpan::at(to.span.start + p.page as u64 * page_len, page_len);
+        let (s, page) = (p.session, p.page);
         let priority =
             if s < self.config.audio_sessions { Priority::Audio } else { Priority::Demand };
-        let frame = Frame::request_with_priority(
-            s as u64 + 1,
-            rid,
-            priority,
-            ServerRequest::FetchSpan { span },
-        );
+        let frame = self.fetch(s, page, to, rid, priority);
+        self.uplink(to.member, frame, ready)
+    }
+
+    /// Puts `frame` on the uplink to `member`, leaving no earlier than
+    /// `ready`, into the member's in-transit queue, and arms the member's
+    /// `ServerWake` at its arrival. Returns the departure instant.
+    fn uplink(&mut self, member: usize, frame: Frame, ready: SimInstant) -> SimInstant {
         let leave = self.up_free.max(ready);
         self.up_free = leave + self.link.transfer(frame.wire_size());
-        self.arrivals.insert((to.member, rid), self.up_free);
-        self.fleet.member_mut(to.member).expect("replica indices are in range").enqueue(frame)?;
-        self.dirty[to.member].insert(s as u64 + 1);
-        self.kernel.arm(self.up_free, KernelEvent::ServerWake { member: to.member as u64 });
-        Ok(leave)
+        self.transit[member].push_back((self.up_free, frame));
+        self.kernel.arm(self.up_free, KernelEvent::ServerWake { member: member as u64 });
+        leave
     }
 
     /// Re-aims page `rid` at the next live replica after the member that
@@ -662,39 +699,58 @@ impl Run {
         Some(to)
     }
 
-    /// The service pump for member `m`: serves the connections marked
-    /// dirty, then whatever its own wake list names (`Busy` rejections,
-    /// restart orphans). Each response holds the member's device, scaled
-    /// by any gray window in force, then waits for the wire at its
-    /// device completion.
-    fn pump(&mut self, m: usize) {
+    /// Member `m`'s `ServerWake`: every request frame that has reached it
+    /// joins its service queue, so admission sees the real backlog, and
+    /// an idle device starts on the next. An unreachable member takes
+    /// nothing; what reaches it waits in transit for the partition to
+    /// heal.
+    fn arrive(&mut self, m: usize) -> Result<()> {
         let now = self.kernel.now();
         if !reachable(&self.config.schedule, m, now) {
             self.kernel.note_spurious();
+            return Ok(());
+        }
+        let member = self.fleet.member_mut(m).expect("wake events name members");
+        while let Some((at, frame)) = self.transit[m].pop_front_if(|(at, _)| *at <= now) {
+            self.last_arrival[m] = at;
+            member.enqueue(frame)?;
+        }
+        self.poll(m);
+        Ok(())
+    }
+
+    /// Starts member `m`'s idle device on the next request of its own
+    /// rotation, the charge scaled by any gray window in force. A device
+    /// that a scrub pass or a replica copy still holds is polled when it
+    /// frees.
+    fn poll(&mut self, m: usize) {
+        let now = self.kernel.now();
+        if self.serving[m] || !reachable(&self.config.schedule, m, now) {
             return;
         }
-        let mut conns: Vec<u64> = std::mem::take(&mut self.dirty[m]).into_iter().collect();
-        while !conns.is_empty() {
-            for conn in conns {
-                while let Some((frame, charge)) =
-                    self.fleet.member_mut(m).expect("wake events name members").poll_conn(conn)
-                {
-                    let arrival = self.arrivals.remove(&(m, frame.request_id)).unwrap_or(now);
-                    let factor = self.config.schedule.slow_factor(m, arrival);
-                    let charge =
-                        SimDuration::from_micros(charge.as_micros().saturating_mul(factor));
-                    let done = arrival.max(self.dev_free[m]) + charge;
-                    self.dev_free[m] = done;
-                    let seq = self.next_landing;
-                    self.next_landing += 1;
-                    let landing = Landing { member: m, frame, polled: now, done, on_wire: false };
-                    self.landing.insert(seq, landing);
-                    self.kernel
-                        .arm(done, KernelEvent::ResponseLanded { conn: m as u64, request_id: seq });
-                }
-            }
-            conns = self.fleet.member_mut(m).expect("wake events name members").take_woken();
+        if self.dev_free[m] > now {
+            self.kernel.arm(self.dev_free[m], KernelEvent::ServerWake { member: m as u64 });
+            return;
         }
+        let member = self.fleet.member_mut(m).expect("polled members are in range");
+        let Some((frame, charge)) = member.poll_timed() else {
+            return;
+        };
+        let epoch = member.epoch();
+        let busy = |l: &Landing| l.member == m && l.epoch == epoch && !l.on_wire && l.done > now;
+        debug_assert!(
+            self.last_arrival[m] <= now && !self.landing.values().any(busy),
+            "one device: member {m} polled a request in transit or while serving"
+        );
+        let factor = self.config.schedule.slow_factor(m, now);
+        let done = now + SimDuration::from_micros(charge.as_micros().saturating_mul(factor));
+        self.dev_free[m] = done;
+        self.serving[m] = true;
+        let seq = self.next_landing;
+        self.next_landing += 1;
+        let landing = Landing { member: m, epoch, frame, polled: now, done, on_wire: false };
+        self.landing.insert(seq, landing);
+        self.kernel.arm(done, KernelEvent::ResponseLanded { conn: m as u64, request_id: seq });
     }
 
     /// Response `seq` reached its next instant. At its device completion
@@ -703,7 +759,9 @@ impl Run {
     /// replays it — or takes the next free slot on the one downlink:
     /// reserving in completion order serializes every response, yet each
     /// still lands at its own instant, so a hedge races its original.
-    /// At its landing it is handled.
+    /// Either way the device frees and polls its next request, unless a
+    /// restart has already freed it for a new incarnation. At its landing
+    /// the response is handled.
     fn response(&mut self, seq: u64) -> Result<()> {
         let schedule = &self.config.schedule;
         let Some(l) = self.landing.get_mut(&seq) else {
@@ -719,35 +777,49 @@ impl Run {
             );
             return self.land(l.member, l.frame);
         }
-        if schedule.interrupted(l.member, l.polled, l.done) {
+        let (m, epoch) = (l.member, l.epoch);
+        if schedule.interrupted(m, l.polled, l.done) {
             let l = self.landing.remove(&seq).expect("checked above");
-            self.recycle(l.member, l.frame);
-            return Ok(());
+            self.recycle(m, l.frame);
+        } else {
+            let start = self.down_free.max(l.done);
+            debug_assert!(start >= self.down_free, "two responses overlap on the downlink");
+            self.down_free = start + self.link.transfer(l.frame.wire_size());
+            l.on_wire = true;
+            let landed = KernelEvent::ResponseLanded { conn: m as u64, request_id: seq };
+            self.kernel.arm(self.down_free, landed);
         }
-        let start = self.down_free.max(l.done);
-        debug_assert!(start >= self.down_free, "two responses overlap on the downlink");
-        self.down_free = start + self.link.transfer(l.frame.wire_size());
-        l.on_wire = true;
-        let conn = l.member as u64;
-        self.kernel.arm(self.down_free, KernelEvent::ResponseLanded { conn, request_id: seq });
+        if epoch == self.fleet.epoch(m) {
+            self.serving[m] = false;
+            self.poll(m);
+        }
         Ok(())
     }
 
-    /// Returns a dead or duplicate response's page buffer to its member's
-    /// pool.
+    /// Returns a dead, duplicate or speculative response's page buffer
+    /// to its member's pool.
     fn recycle(&mut self, m: usize, frame: Frame) {
         if let FramePayload::Response(ServerResponse::Span(bytes)) = frame.payload {
             self.fleet.member_mut(m).expect("landing members are in range").recycle_payload(bytes);
         }
     }
 
-    /// Handles a response from member `m` landing now: a verified page is
-    /// delivered (its hedge partner, if any, suppressed), a rotten one is
-    /// healed and re-served, and a `Busy` turn-away parks the page on the
-    /// member's hint.
+    /// Handles a response from member `m` landing now: a prefetch is
+    /// counted and dropped, a verified page is delivered (its hedge
+    /// partner, if any, suppressed), a rotten one is healed and re-served,
+    /// and a `Busy` turn-away parks the page on the member's hint.
     fn land(&mut self, m: usize, frame: Frame) -> Result<()> {
         let at = self.kernel.now();
         let rid = frame.request_id;
+        if frame.priority == Priority::Prefetch {
+            // Speculation costs device and wire time; its bytes go back
+            // to the pool unread, and a shed prefetch is simply dropped.
+            if let FramePayload::Response(ServerResponse::Span(_)) = frame.payload {
+                self.report.prefetch_served += 1;
+            }
+            self.recycle(m, frame);
+            return Ok(());
+        }
         let Some(p) = self.inflight.get(&rid) else {
             // A hedge loser or a post-partition straggler: the page
             // already landed through another path.
@@ -839,7 +911,8 @@ impl Run {
             return Ok(());
         }
         let to = self.replica(s, m);
-        self.send(rid, to, at).map(drop)
+        self.send(rid, to, at);
+        Ok(())
     }
 
     /// A `Busy`-deferred page's retry timer fired: resubmit it. A timer
@@ -857,7 +930,8 @@ impl Run {
             self.report.premature_busy_retries += 1;
         }
         let to = self.replica(p.session, member);
-        self.send(rid, to, due).map(drop)
+        self.send(rid, to, due);
+        Ok(())
     }
 
     /// Member `m`'s heartbeat: a reachable member echoes (its round trip
@@ -927,7 +1001,7 @@ impl Run {
                 continue;
             };
             self.report.replays += 1;
-            self.send(rid, to, now)?;
+            self.send(rid, to, now);
         }
         Ok(())
     }
@@ -962,7 +1036,8 @@ impl Run {
         self.hedges.insert(rid, hedge_rid);
         self.hedges.insert(hedge_rid, rid);
         self.inflight.insert(hedge_rid, hedge);
-        self.send(hedge_rid, sibling, now).map(drop)
+        self.send(hedge_rid, sibling, now);
+        Ok(())
     }
 
     /// Charges one replica copy where it ran — the source read, the
@@ -1114,242 +1189,6 @@ impl Run {
             ..self.report
         })
     }
-}
-
-/// Demand-page window each E14 session keeps in flight.
-const OVERLOAD_WINDOW: usize = 2;
-
-/// Speculative prefetch-class fetches issued per demand page by E14 —
-/// one demand page plus three anticipatory fetches is the paper-scale
-/// "4x offered load".
-const OVERLOAD_PREFETCH_FACTOR: usize = 3;
-
-/// Runs the E14 workload: `sessions` concurrent readers, each keeping
-/// [`OVERLOAD_WINDOW`] demand pages in flight and fanning every demand
-/// page out into [`OVERLOAD_PREFETCH_FACTOR`] speculative prefetch-class
-/// fetches — a 4x offered load against a server admitting under `config`
-/// (pass [`ServiceConfig::unbounded`] for the no-shedding baseline).
-///
-/// Session 0 is the audio-driven reader: its demand pages are
-/// [`Priority::Audio`] (never sheddable) and its connection is served
-/// ahead of the rotation, mirroring the scheduler's deadline policy. Its
-/// per-page service latency distribution is the experiment's stall curve.
-/// Prefetch spans are stride-scattered so the service loop cannot coalesce
-/// them away — the overload is real device work, not adjacent-run sugar.
-///
-/// Every demand page is verified byte-for-byte; a demand page the server
-/// turns away with [`ServerResponse::Busy`] is parked on a kernel
-/// `RetryDue` timer armed at delivery time plus the reply's `retry_after`
-/// hint, and resubmitted only once that timer fires — the client honors
-/// the server's own backlog estimate instead of hammering an overloaded
-/// admission gate on the very next round. A run either completes or
-/// reports the failure typed.
-///
-/// E14 keeps this round-synchronous loop of its own: [`run`]'s members
-/// commit device time the moment a request arrives, so their queues
-/// never hold the backlog admission control exists to bound. Here every
-/// round's requests queue at the server before it drains them.
-pub fn simulate_overload_workload(
-    sessions: usize,
-    pages_per_session: usize,
-    page_len: u64,
-    config: ServiceConfig,
-) -> Result<RunReport> {
-    if sessions == 0 || pages_per_session == 0 || page_len == 0 {
-        return Err(MinosError::Internal("workload needs sessions, pages, and bytes".into()));
-    }
-    let mut server = ObjectServer::new();
-    server.set_service_config(config);
-    // Stock the payload pool up front so cold-start leases hit the free
-    // list: payload_allocs then measures steady state, not warmup.
-    server.prewarm_payloads(BufferPool::DEFAULT_RETAIN_CAP, page_len as usize);
-    let mut spans: Vec<Vec<ByteSpan>> = Vec::with_capacity(sessions);
-    for s in 0..sessions {
-        let data: Vec<u8> =
-            (0..pages_per_session as u64 * page_len).map(|i| pattern(s, i)).collect();
-        let (record, _) = server.archiver_mut().store(object_of(s), &data)?;
-        spans.push(page_spans(record.span, pages_per_session));
-    }
-    let mut link = Link::ethernet();
-
-    /// One request the server owes: whose page, whether it is
-    /// speculative, when it left the client, and when it arrives.
-    struct Sent {
-        session: usize,
-        page: usize,
-        prefetch: bool,
-        left: SimInstant,
-        arrival: SimInstant,
-    }
-    let mut up_free = SimInstant::EPOCH;
-    let mut dev_free = SimInstant::EPOCH;
-    let mut down_free = SimInstant::EPOCH;
-    let mut sent: HashMap<u64, Sent> = HashMap::new();
-    let mut todo: Vec<VecDeque<usize>> =
-        (0..sessions).map(|_| (0..pages_per_session).collect()).collect();
-    let mut outstanding = vec![0usize; sessions];
-    // This round's requests — (session, page, prefetch, not before) — due
-    // retries first, then fresh pages with their speculative fan-out.
-    let mut batch: Vec<(usize, usize, bool, SimInstant)> = Vec::new();
-    let mut next_rid = 1u64;
-    let mut last_delivered = SimInstant::EPOCH;
-    let mut report = RunReport::default();
-    let mut audio_lat: Vec<SimDuration> = Vec::new();
-    // Demand pages turned away with `Busy` park here (keyed by the
-    // rejected request id) until their kernel `RetryDue` timer fires;
-    // their window slot stays held so the session does not overdrive the
-    // server while it waits.
-    let mut kernel = Kernel::new();
-    let mut deferred: HashMap<u64, (usize, usize, SimInstant)> = HashMap::new();
-    // Queues every retry whose timer fired; one firing before its hint's
-    // due instant is premature.
-    let drain_due_retries = |kernel: &mut Kernel,
-                             deferred: &mut HashMap<u64, (usize, usize, SimInstant)>,
-                             batch: &mut Vec<(usize, usize, bool, SimInstant)>,
-                             report: &mut RunReport| {
-        while let Some(event) = kernel.take_ready() {
-            if let KernelEvent::RetryDue { request_id, .. } = event {
-                if let Some((s, page, due)) = deferred.remove(&request_id) {
-                    report.premature_busy_retries += u64::from(kernel.now() < due);
-                    batch.push((s, page, false, due));
-                }
-            }
-        }
-    };
-    let mut rounds = 0u32;
-    while todo.iter().any(|q| !q.is_empty()) || outstanding.iter().any(|&o| o > 0) {
-        rounds += 1;
-        if rounds > 100_000 {
-            return Err(MinosError::Internal("overload workload failed to converge".into()));
-        }
-        kernel.advance_to(up_free.max(down_free));
-        drain_due_retries(&mut kernel, &mut deferred, &mut batch, &mut report);
-        for s in 0..sessions {
-            while outstanding[s] < OVERLOAD_WINDOW {
-                let Some(page) = todo[s].pop_front() else {
-                    break;
-                };
-                outstanding[s] += 1;
-                batch.push((s, page, false, SimInstant::EPOCH));
-                for j in 1..=OVERLOAD_PREFETCH_FACTOR {
-                    // Stride-scattered speculation: never adjacent to the
-                    // demand span, so runs cannot coalesce it into a
-                    // single cheap device pass.
-                    batch.push((s, (page + j * 7) % pages_per_session, true, SimInstant::EPOCH));
-                }
-            }
-        }
-        if batch.is_empty() && !deferred.is_empty() {
-            // Every live page is parked on a retry timer and the server is
-            // drained: nothing can move until a timer fires, so jump
-            // simulated time to the next deadline. Intermediate
-            // `next_deadline` values may be cascade ticks that ready
-            // nothing — keep stepping until a retry surfaces.
-            while batch.is_empty() {
-                let Some(deadline) = kernel.next_deadline() else {
-                    return Err(MinosError::Internal(
-                        "deferred retries with no armed timer".into(),
-                    ));
-                };
-                kernel.advance_to(deadline);
-                drain_due_retries(&mut kernel, &mut deferred, &mut batch, &mut report);
-            }
-            // The wait was real wall-clock idleness for the client side.
-            up_free = up_free.max(kernel.now());
-        }
-        for (session, page, prefetch, due) in batch.drain(..) {
-            let class = if prefetch {
-                Priority::Prefetch
-            } else if session == 0 {
-                Priority::Audio
-            } else {
-                Priority::Demand
-            };
-            let request = ServerRequest::FetchSpan { span: spans[session][page] };
-            let frame = Frame::request_with_priority(session as u64 + 1, next_rid, class, request);
-            // A retry may not leave before the server's hint elapses —
-            // the uplink timeline is pushed out to the due instant if it
-            // would otherwise be free earlier.
-            let left = up_free.max(due);
-            up_free = left + link.transfer(frame.wire_size());
-            sent.insert(next_rid, Sent { session, page, prefetch, left, arrival: up_free });
-            next_rid += 1;
-            server.enqueue(frame)?;
-        }
-        // Deadline-aware service: the audio connection drains first, then
-        // the server's own round-robin rotation.
-        while let Some((frame, charge)) = server.poll_conn(1).or_else(|| server.poll_timed()) {
-            let Some(req) = sent.remove(&frame.request_id) else {
-                return Err(MinosError::Internal(format!("unrequested response {frame:?}")));
-            };
-            let done = req.arrival.max(dev_free) + charge;
-            dev_free = done;
-            let at = done.max(down_free) + link.transfer(frame.wire_size());
-            down_free = at;
-            last_delivered = last_delivered.max(at);
-            let s = req.session;
-            let FramePayload::Response(response) = frame.payload else {
-                continue;
-            };
-            match response {
-                ServerResponse::Span(bytes) => {
-                    if req.prefetch {
-                        // Speculative bytes cost real device and downlink
-                        // time; the workload discards the contents but
-                        // hands the buffer back to the server's pool.
-                        report.prefetch_served += 1;
-                        server.recycle_payload(bytes);
-                        continue;
-                    }
-                    if !holds_pattern(s, req.page, page_len, &bytes) {
-                        return Err(MinosError::Internal(format!(
-                            "session {s} page {} came back with foreign bytes",
-                            req.page
-                        )));
-                    }
-                    server.recycle_payload(bytes);
-                    outstanding[s] -= 1;
-                    report.pages += 1;
-                    if s == 0 {
-                        audio_lat.push(at.since(req.left));
-                    }
-                }
-                ServerResponse::Busy { retry_after } => {
-                    if req.prefetch {
-                        continue;
-                    }
-                    // Honor the hint: the turned-away demand page parks on
-                    // a retry timer and resubmits only after `retry_after`
-                    // has elapsed past the reply's delivery. Its window
-                    // slot stays held — the session must not use the
-                    // rejection as licence to offer even more load.
-                    let rid = frame.request_id;
-                    kernel.arm(
-                        at + retry_after,
-                        KernelEvent::RetryDue { request_id: rid, attempt: 0 },
-                    );
-                    deferred.insert(rid, (s, req.page, at + retry_after));
-                    report.busy_deferred += 1;
-                }
-                other => {
-                    return Err(MinosError::Internal(format!("unexpected response {other:?}")));
-                }
-            }
-        }
-    }
-    let stats = server.service_stats();
-    Ok(RunReport {
-        elapsed: last_delivered.since(SimInstant::EPOCH),
-        bytes: link.stats().bytes,
-        audio_pages: audio_lat.len() as u64,
-        audio_p99: p99(&mut audio_lat),
-        shed: stats.shed,
-        busy_rejections: stats.busy_rejections,
-        queue_high_water: stats.queue_high_water,
-        payload_allocs: stats.payload_allocs,
-        kernel: kernel.stats(),
-        ..report
-    })
 }
 
 /// What one [`simulate_faulty_page_workload`] run measured — the E13
@@ -1601,9 +1440,19 @@ mod tests {
         assert!(ratio >= 2.0, "pipelined/blocking ratio {ratio:.2}");
     }
 
-    /// The E14 reader at six 4 KB pages a session, under `service`.
+    /// The E14 config at six 4 KB pages a session, under `service`: one
+    /// audio reader, window 2, three prefetches per demand page.
+    fn overload_config(sessions: usize, service: ServiceConfig) -> WorkloadConfig {
+        WorkloadConfig {
+            audio_sessions: 1,
+            prefetch_per_page: 3,
+            service,
+            ..WorkloadConfig::new(sessions, 6, 4_096)
+        }
+    }
+
     fn overload(sessions: usize, service: ServiceConfig) -> RunReport {
-        simulate_overload_workload(sessions, 6, 4_096, service).unwrap()
+        run(overload_config(sessions, service)).unwrap()
     }
 
     #[test]
@@ -1643,6 +1492,11 @@ mod tests {
         // The overload is real: the admission control had prefetches to
         // shed, and it only ever shed prefetches.
         assert!(admitted.shed > 0, "{admitted:?}");
+        // Admission sees the backlog, not only the opening burst: the
+        // first 16 x 2 x (1 + 3) frames over a global cap of 32 can shed at
+        // most 96, and a member that polls when its device frees keeps
+        // shedding after that.
+        assert!(admitted.shed > 16 * 2 * 4 - 32, "{admitted:?}");
         assert_eq!(admitted.busy_rejections, 0, "demand never turned away: {admitted:?}");
         assert_eq!(unbounded.shed, 0);
         assert!(admitted.prefetch_served < unbounded.prefetch_served);
@@ -1658,6 +1512,15 @@ mod tests {
             unbounded.audio_p99
         );
         assert!(admitted.goodput_pages_per_sec() > unbounded.goodput_pages_per_sec());
+    }
+
+    #[test]
+    fn equal_overload_configs_produce_equal_reports() {
+        let caps = ServiceConfig { per_conn_cap: 8, global_cap: 32, ..ServiceConfig::default() };
+        let a = run(overload_config(16, caps)).unwrap();
+        let b = run(overload_config(16, caps)).unwrap();
+        assert_eq!(a, b, "the E14 config must replay identically");
+        assert!(a.prefetch_served > 0 && a.shed > 0, "{a:?}");
     }
 
     #[test]

@@ -94,15 +94,6 @@ impl ObjectServer {
         self.pool = pool;
     }
 
-    /// Stocks the payload pool with `buffers` empty buffers of `capacity`
-    /// bytes before any traffic, counted separately in
-    /// [`minos_net::PoolStats::prewarmed`] — cold-start leases then hit
-    /// the free list instead of registering as allocations, so small-N
-    /// alloc metrics measure the steady state rather than warmup.
-    pub fn prewarm_payloads(&mut self, buffers: usize, capacity: usize) {
-        self.pool.prewarm(buffers, capacity);
-    }
-
     /// Replaces the service queue's admission configuration (queued work
     /// is kept; only the caps and retry hint change).
     pub fn set_service_config(&mut self, config: ServiceConfig) {

@@ -16,9 +16,9 @@ use minos::corpus::objects::archived_form;
 use minos::corpus::{audio_xray_report, medical_report, subway_map_object};
 use minos::net::{Link, ServerRequest, ServerResponse};
 use minos::object::MultimediaObject;
+use minos::presentation::workload::{self, RunReport, WorkloadConfig};
 use minos::presentation::{
-    simulate_overload_workload, BrowseCommand, BrowsingSession, Connection, ObjectStore,
-    SessionCheckpoint,
+    BrowseCommand, BrowsingSession, Connection, ObjectStore, SessionCheckpoint,
 };
 use minos::server::{ObjectServer, ServiceConfig};
 use minos::text::PaginateConfig;
@@ -28,12 +28,22 @@ const SESSIONS: usize = 48;
 const PAGES: usize = 8;
 const PAGE_LEN: u64 = 8_192;
 
+/// The E14 config of the one workload driver under `service`: session 0
+/// audio-class, window 2, three prefetches per demand page.
+fn overload(service: ServiceConfig) -> RunReport {
+    workload::run(WorkloadConfig {
+        audio_sessions: 1,
+        prefetch_per_page: 3,
+        service,
+        ..WorkloadConfig::new(SESSIONS, PAGES, PAGE_LEN)
+    })
+    .unwrap()
+}
+
 #[test]
 fn admission_control_bounds_the_queue_and_the_audio_tail() {
-    let admitted =
-        simulate_overload_workload(SESSIONS, PAGES, PAGE_LEN, ServiceConfig::default()).unwrap();
-    let unbounded =
-        simulate_overload_workload(SESSIONS, PAGES, PAGE_LEN, ServiceConfig::unbounded()).unwrap();
+    let admitted = overload(ServiceConfig::default());
+    let unbounded = overload(ServiceConfig::unbounded());
 
     // Full goodput either way: shedding costs speculation, never a page.
     assert_eq!(admitted.pages, (SESSIONS * PAGES) as u64);
@@ -50,6 +60,8 @@ fn admission_control_bounds_the_queue_and_the_audio_tail() {
     // admission control it is not.
     assert!(admitted.queue_high_water <= ServiceConfig::DEFAULT_GLOBAL_CAP as u64, "{admitted:?}");
     assert!(unbounded.queue_high_water > ServiceConfig::DEFAULT_GLOBAL_CAP as u64, "{unbounded:?}");
+    assert_eq!(admitted.premature_busy_retries, 0, "{admitted:?}");
+    assert_eq!(unbounded.premature_busy_retries, 0, "{unbounded:?}");
 
     // The payoff: the audio-class tail stays below the unbounded
     // collapse, and demand goodput is higher because the device never
