@@ -17,7 +17,7 @@
 //! cascade until their true deadline is in range.
 
 use crate::idhash::IdSet;
-use minos_types::{SimDuration, SimInstant};
+use minos_types::SimInstant;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
@@ -225,16 +225,23 @@ impl TimerWheel {
         best
     }
 
-    /// Drains one slot and re-files (or fires) every entry it held.
+    /// Drains one slot and re-files (or fires) every entry it held. The
+    /// slot gets its emptied vector back, capacity and all: a flushed
+    /// slot's entries always re-file into a lower level (or, parked at the
+    /// horizon, into a different top-level slot), never into itself, so
+    /// the slot stays empty while they are placed.
     fn flush_slot(&mut self, level: usize, slot: usize) {
         if self.occupied[level] & (1u64 << slot) == 0 {
             return;
         }
         self.occupied[level] &= !(1u64 << slot);
-        let drained = std::mem::take(&mut self.slots[level * SLOTS + slot]);
-        for entry in drained {
+        let index = level * SLOTS + slot;
+        let mut drained = std::mem::take(&mut self.slots[index]);
+        for entry in drained.drain(..) {
             self.place(entry);
         }
+        debug_assert!(self.slots[index].is_empty(), "a flush re-filed into its own slot");
+        self.slots[index] = drained;
     }
 
     /// Advances the wheel to `target` ticks, moving every entry whose
@@ -514,11 +521,6 @@ impl Kernel {
     }
 }
 
-/// Convenience: the instant `delay` after `at`.
-pub fn after(at: SimInstant, delay: SimDuration) -> SimInstant {
-    at + delay
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -754,8 +756,22 @@ mod tests {
     }
 
     #[test]
-    fn after_offsets_an_instant() {
-        let at = SimInstant::from_micros(10);
-        assert_eq!(after(at, SimDuration::from_micros(5)), SimInstant::from_micros(15));
+    fn a_cascaded_slot_keeps_its_capacity() {
+        let mut k = Kernel::new();
+        // Delta 100 files at level 1, slot 1; crossing tick 64 cascades
+        // it into level 0, and tick 100 fires it.
+        k.arm(SimInstant::from_micros(100), ev(1));
+        let level1 = SLOTS + 1;
+        let capacity = k.wheel.slots[level1].capacity();
+        assert!(capacity > 0);
+        k.advance_to(SimInstant::from_micros(64));
+        assert!(k.wheel.slots[level1].is_empty());
+        assert_eq!(k.wheel.slots[level1].capacity(), capacity, "the cascade kept the vector");
+        assert_eq!(k.wheel.slots[36].len(), 1, "re-filed at level 0, slot 100 % 64");
+        let level0 = k.wheel.slots[36].capacity();
+        k.advance_to(SimInstant::from_micros(100));
+        assert_eq!(k.take_ready(), Some(ev(1)));
+        assert!(k.wheel.slots[36].is_empty());
+        assert_eq!(k.wheel.slots[36].capacity(), level0, "firing kept the vector too");
     }
 }

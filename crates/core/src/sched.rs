@@ -567,10 +567,14 @@ impl SessionScheduler {
         // scan's single pre-tick service_order() saw.
         let audio_before = self.audio_set.clone();
         // Fire this tick's audio playback deadlines through the kernel.
+        // The kernel first catches up with the tick instant, so the
+        // deadlines, due now, go straight onto its due list instead of
+        // being filed a tick ahead and cascading down the wheel.
         let mut audio_wake: Vec<usize> = Vec::new();
         {
             let mut hub = self.hub.borrow_mut();
             let now = hub.clock.now();
+            hub.kernel.advance_to(now);
             for &i in &self.audio_set {
                 hub.kernel.post(now, KernelEvent::AudioDeadline { session: i as u64 });
             }
@@ -1008,6 +1012,93 @@ mod tests {
         // Only the kernel path goes through the event kernel.
         assert!(kernel_stats.events_fired > 0);
         assert_eq!(legacy_stats, KernelStats::default());
+    }
+
+    /// `(at_us, verb, event)` of every record in a drained kernel trace.
+    fn trace_records(json: &str) -> Vec<(u64, String, String)> {
+        let body = json.trim_start_matches('[').trim_end_matches(']');
+        if body.is_empty() {
+            return Vec::new();
+        }
+        body.split("},{")
+            .map(|rec| {
+                let field = |name: &str| {
+                    let key = format!("\"{name}\":");
+                    let rest = &rec[rec.find(&key).expect("trace field") + key.len()..];
+                    let end = rest.find([',', '}']).unwrap_or(rest.len());
+                    rest[..end].trim_matches('"').to_string()
+                };
+                (field("at_us").parse().unwrap(), field("verb"), field("event"))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn each_tick_posts_and_fires_its_wakes_at_the_tick_instant() {
+        // The scheduler kernel's observability for a fixed script: every
+        // wake a tick posts fires at that tick's instant, audio deadlines
+        // first, then connection wakes, each group's arms before its fires.
+        let config = PaginateConfig::default();
+        let page = SimDuration::from_secs(5);
+        let mut sched = SessionScheduler::new(corpus_server(), Link::ethernet());
+        let (map, _) = sched.open(ObjectId::new(3), config, page).unwrap();
+        let (audio, _) = sched.open(ObjectId::new(2), config, page).unwrap();
+        let (report, _) = sched.open(ObjectId::new(1), config, page).unwrap();
+        assert_eq!(sched.drain_kernel_trace(), "[]", "opening posts nothing");
+        let script = [
+            (report, BrowseCommand::NextPage),
+            (map, BrowseCommand::SelectRelevant(0)),
+            (report, BrowseCommand::NextPage),
+            (map, BrowseCommand::ReturnFromRelevant),
+            (report, BrowseCommand::PreviousPage),
+            (map, BrowseCommand::SelectRelevant(1)),
+        ];
+        let ticks = 12;
+        let (mut audio_posts, mut conn_posts) = (0u64, 0u64);
+        for step in 0..ticks {
+            if let Some((key, command)) = script.get(step) {
+                sched.apply(*key, command.clone()).unwrap();
+            }
+            assert!(sched.session(audio).unwrap().audio().is_some(), "audio stays audio");
+            let at = sched.elapsed().as_micros();
+            sched.tick(SimDuration::from_millis(500));
+            let records = trace_records(&sched.drain_kernel_trace());
+            assert!(records.iter().all(|r| r.0 == at), "tick {step} off its instant: {records:?}");
+            let count =
+                |event: &str| records.iter().filter(|r| r.1 == "arm" && r.2 == event).count();
+            let (a, c) = (count("AudioDeadline"), count("ResponseLanded"));
+            assert_eq!(a, 1, "one audio session, one deadline per tick");
+            let expected: Vec<(&str, &str)> = [
+                ("arm", "AudioDeadline", a),
+                ("fire", "AudioDeadline", a),
+                ("arm", "ResponseLanded", c),
+                ("fire", "ResponseLanded", c),
+            ]
+            .iter()
+            .flat_map(|&(verb, event, n)| std::iter::repeat_n((verb, event), n))
+            .collect();
+            let got: Vec<(&str, &str)> =
+                records.iter().map(|r| (r.1.as_str(), r.2.as_str())).collect();
+            assert_eq!(got, expected, "tick {step}");
+            audio_posts += a as u64;
+            conn_posts += c as u64;
+        }
+        assert_eq!(audio_posts, ticks as u64);
+        assert!(conn_posts > 0, "the script's fetches woke their connections");
+        let stats = sched.kernel_stats();
+        assert_eq!(stats.timers_armed, audio_posts + conn_posts);
+        assert_eq!(stats.events_fired, stats.timers_armed, "every post fires, none is cancelled");
+        // The spurious wakes are connection wakes whose responses an
+        // earlier pump had already served, never an audio deadline.
+        assert_eq!(
+            stats,
+            KernelStats {
+                events_fired: 16,
+                timers_armed: 16,
+                spurious_wakes: 3,
+                ready_high_water: 3
+            }
+        );
     }
 
     #[test]

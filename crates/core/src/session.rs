@@ -478,7 +478,7 @@ impl<S: ObjectStore> BrowsingSession<S> {
         let mut events = vec![BrowseEvent::ReturnedToParent(parent)];
         // Re-announce the restored page so UIs repaint.
         match &self.top().engine {
-            ModeEngine::Visual(e) => events.push(BrowseEvent::PageShown(e.view().page_index)),
+            ModeEngine::Visual(e) => events.push(BrowseEvent::PageShown(e.page_index())),
             ModeEngine::Audio(e) => {
                 events.push(BrowseEvent::PageShown(e.current_page().unwrap_or(0)))
             }

@@ -159,26 +159,32 @@ impl VisualEngine {
         })
     }
 
+    /// The active pinned region, if any, and the form the screen pages
+    /// through: the region's own pagination, or the base form.
+    fn active_form(&self) -> (Option<&PinnedRegion>, &PresentationForm) {
+        match self.active_region_index() {
+            Some(ri) => (Some(&self.regions[ri]), &self.regions[ri].form),
+            None => (None, &self.base_form),
+        }
+    }
+
+    /// 0-based index of the shown page within the active form: the
+    /// [`VisualView::page_index`] of [`VisualEngine::view`], without
+    /// cloning the page.
+    pub fn page_index(&self) -> usize {
+        self.active_form().1.page_containing(self.pos).unwrap_or(0)
+    }
+
     /// What the screen shows now.
     pub fn view(&self) -> VisualView {
-        if let Some(ri) = self.active_region_index() {
-            let region = &self.regions[ri];
-            let idx = region.form.page_containing(self.pos).unwrap_or(0);
-            return VisualView {
-                page: region.form.page(idx).cloned().unwrap_or_default(),
-                page_index: idx,
-                page_count: region.form.page_count(),
-                pinned_message: Some(region.message),
-                reserved_top: region.reserved,
-            };
-        }
-        let idx = self.base_form.page_containing(self.pos).unwrap_or(0);
+        let (region, form) = self.active_form();
+        let idx = form.page_containing(self.pos).unwrap_or(0);
         VisualView {
-            page: self.base_form.page(idx).cloned().unwrap_or_default(),
+            page: form.page(idx).cloned().unwrap_or_default(),
             page_index: idx,
-            page_count: self.base_form.page_count(),
-            pinned_message: None,
-            reserved_top: 0,
+            page_count: form.page_count(),
+            pinned_message: region.map(|r| r.message),
+            reserved_top: region.map_or(0, |r| r.reserved),
         }
     }
 
@@ -208,7 +214,7 @@ impl VisualEngine {
             }
             self.pinned_now = now;
         }
-        events.push(BrowseEvent::PageShown(self.view().page_index));
+        events.push(BrowseEvent::PageShown(self.page_index()));
         events
     }
 
@@ -222,50 +228,28 @@ impl VisualEngine {
     /// Turn to the next page of the active form; past the end of a pinned
     /// region this exits the region (Figure 4's final page turn).
     pub fn next_page(&mut self) -> Vec<BrowseEvent> {
-        if let Some(ri) = self.active_region_index() {
-            let region = &self.regions[ri];
-            let idx = region.form.page_containing(self.pos).unwrap_or(0);
-            if idx + 1 < region.form.page_count() {
-                let start = region.form.page(idx + 1).and_then(|p| p.span).map(|s| s.start);
-                if let Some(start) = start {
-                    return self.goto_pos(start);
-                }
-            }
-            let exit = region.span.end.min(self.doc.len());
-            return self.goto_pos(exit);
+        let (region, form) = self.active_form();
+        let idx = form.page_containing(self.pos).unwrap_or(0);
+        let next = form.page(idx + 1).and_then(|p| p.span).map(|s| s.start);
+        let exit = region.map(|r| r.span.end.min(self.doc.len()));
+        match next.or(exit) {
+            Some(pos) => self.goto_pos(pos),
+            None => vec![BrowseEvent::PageShown(self.page_index())],
         }
-        let idx = self.base_form.page_containing(self.pos).unwrap_or(0);
-        if idx + 1 < self.base_form.page_count() {
-            if let Some(start) = self.base_form.page(idx + 1).and_then(|p| p.span).map(|s| s.start)
-            {
-                return self.goto_pos(start);
-            }
-        }
-        vec![BrowseEvent::PageShown(self.view().page_index)]
     }
 
     /// Turn to the previous page of the active form; before a pinned
     /// region's first page this exits backwards.
     pub fn previous_page(&mut self) -> Vec<BrowseEvent> {
-        if let Some(ri) = self.active_region_index() {
-            let region = &self.regions[ri];
-            let idx = region.form.page_containing(self.pos).unwrap_or(0);
-            if idx > 0 {
-                let start = region.form.page(idx - 1).and_then(|p| p.span).map(|s| s.start);
-                if let Some(start) = start {
-                    return self.goto_pos(start);
-                }
-            }
-            return self.goto_pos(region.span.start.saturating_sub(1));
+        let (region, form) = self.active_form();
+        let idx = form.page_containing(self.pos).unwrap_or(0);
+        let prev =
+            idx.checked_sub(1).and_then(|i| form.page(i)).and_then(|p| p.span).map(|s| s.start);
+        let exit = region.map(|r| r.span.start.saturating_sub(1));
+        match prev.or(exit) {
+            Some(pos) => self.goto_pos(pos),
+            None => vec![BrowseEvent::PageShown(self.page_index())],
         }
-        let idx = self.base_form.page_containing(self.pos).unwrap_or(0);
-        if idx > 0 {
-            if let Some(start) = self.base_form.page(idx - 1).and_then(|p| p.span).map(|s| s.start)
-            {
-                return self.goto_pos(start);
-            }
-        }
-        vec![BrowseEvent::PageShown(self.view().page_index)]
     }
 
     /// Advance `delta` pages of the *base* form (absolute page
@@ -292,7 +276,7 @@ impl VisualEngine {
     fn goto_base_page(&mut self, index: usize) -> Vec<BrowseEvent> {
         match self.base_form.page(index).and_then(|p| p.span) {
             Some(span) => self.goto_pos(span.start),
-            None => vec![BrowseEvent::PageShown(self.view().page_index)],
+            None => vec![BrowseEvent::PageShown(self.page_index())],
         }
     }
 
@@ -300,7 +284,7 @@ impl VisualEngine {
     pub fn next_unit(&mut self, level: LogicalLevel) -> Vec<BrowseEvent> {
         match self.doc.tree().next_start_after(level, self.pos) {
             Some(unit) => self.goto_pos(unit.span.start),
-            None => vec![BrowseEvent::PageShown(self.view().page_index)],
+            None => vec![BrowseEvent::PageShown(self.page_index())],
         }
     }
 
@@ -308,7 +292,7 @@ impl VisualEngine {
     pub fn previous_unit(&mut self, level: LogicalLevel) -> Vec<BrowseEvent> {
         match self.doc.tree().prev_start_before(level, self.pos) {
             Some(unit) => self.goto_pos(unit.span.start),
-            None => vec![BrowseEvent::PageShown(self.view().page_index)],
+            None => vec![BrowseEvent::PageShown(self.page_index())],
         }
     }
 
@@ -316,11 +300,10 @@ impl VisualEngine {
     /// pattern" (§2).
     pub fn find_pattern(&mut self, pattern: &str) -> Vec<BrowseEvent> {
         let searcher = PatternSearcher::new(pattern);
-        let chars: Vec<char> = self.doc.text().chars().collect();
-        match searcher.find_next(&chars, self.pos + 1) {
+        match searcher.find_next(self.doc.chars(), self.pos + 1) {
             Some(hit) => {
                 let mut events = self.goto_pos(hit);
-                let page = self.view().page_index;
+                let page = self.page_index();
                 events.push(BrowseEvent::PatternFound { page });
                 events
             }
@@ -357,14 +340,14 @@ mod tests {
     use minos_corpus::medical_report;
     use minos_types::ObjectId;
 
+    /// Small pages, so the report and its pinned region span several.
+    fn small_pages() -> PaginateConfig {
+        PaginateConfig { page_size: minos_types::Size::new(420, 260), margin: 10, block_gap: 6 }
+    }
+
     fn engine() -> (MultimediaObject, VisualEngine) {
         let obj = medical_report(ObjectId::new(1), 42);
-        let config = PaginateConfig {
-            page_size: minos_types::Size::new(420, 260),
-            margin: 10,
-            block_gap: 6,
-        };
-        let engine = VisualEngine::new(&obj, 0, config).unwrap();
+        let engine = VisualEngine::new(&obj, 0, small_pages()).unwrap();
         (obj, engine)
     }
 
@@ -522,6 +505,84 @@ mod tests {
         e.seek(0);
         let events = e.seek(span.start + 1);
         assert!(events.contains(&BrowseEvent::VoiceMessagePlayed(0)));
+    }
+
+    #[test]
+    fn page_index_matches_the_view_through_a_scripted_walk() {
+        // The report's text with a pinned x-ray over the findings chapter
+        // and a show-once note over the conclusion.
+        let report = medical_report(ObjectId::new(1), 42);
+        let mut obj =
+            MultimediaObject::new(ObjectId::new(6), "walk", minos_object::DrivingMode::Visual);
+        obj.text_segments = report.text_segments.clone();
+        obj.images = report.images.clone();
+        let chapters: Vec<CharSpan> =
+            obj.text_segments[0].tree().chapters.iter().map(|c| c.span).collect();
+        for (span, image, show_once) in [(chapters[0], Some(0), false), (chapters[1], None, true)] {
+            obj.messages.push(minos_object::LogicalMessage {
+                anchor: Anchor::TextSegment { segment: 0, span },
+                body: MessageBody::Visual {
+                    content: minos_object::VisualMessageContent {
+                        text: Some("note".into()),
+                        image,
+                    },
+                    show_once,
+                },
+            });
+        }
+        obj.archive().unwrap();
+        let mut e = VisualEngine::new(&obj, 0, small_pages()).unwrap();
+        let end = e.document().len();
+        let mut seen = Vec::new();
+        macro_rules! step {
+            ($call:expr) => {{
+                let events = $call;
+                assert_eq!(
+                    e.page_index(),
+                    e.view().page_index,
+                    "after {} at {}",
+                    stringify!($call),
+                    e.position()
+                );
+                seen.extend(events);
+            }};
+        }
+        step!(e.open());
+        // Backwards from the end: into the show-once note, out of it, into
+        // the pinned x-ray and out of its front.
+        step!(e.seek(end));
+        for _ in 0..60 {
+            step!(e.previous_page());
+        }
+        assert_eq!(e.page_index(), 0);
+        // Forwards: into and out of the x-ray; the note stays suppressed.
+        for _ in 0..60 {
+            step!(e.next_page());
+        }
+        assert!(e.position() >= chapters[1].start, "paged past the x-ray");
+        for delta in [-3, 2, -100, 1] {
+            step!(e.advance_pages(delta));
+        }
+        for page in [2, 5, 999, 1] {
+            step!(e.goto_page(PageNumber::new(page).unwrap()));
+        }
+        for level in [LogicalLevel::Chapter, LogicalLevel::Paragraph] {
+            for _ in 0..4 {
+                step!(e.next_unit(level));
+            }
+            for _ in 0..3 {
+                step!(e.previous_unit(level));
+            }
+        }
+        step!(e.seek(0));
+        for pattern in ["shadow", "shadow", "shadow", "three months", "zzznotthere"] {
+            step!(e.find_pattern(pattern));
+        }
+        let count = |event: BrowseEvent| seen.iter().filter(|ev| **ev == event).count();
+        assert_eq!(count(BrowseEvent::VisualMessagePinned(1)), 1, "show-once pins once");
+        assert!(count(BrowseEvent::VisualMessagePinned(0)) >= 2, "x-ray pinned both ways");
+        assert!(count(BrowseEvent::VisualMessageUnpinned) >= 3, "regions left both ways");
+        assert!(seen.iter().any(|ev| matches!(ev, BrowseEvent::PatternFound { .. })));
     }
 
     #[test]

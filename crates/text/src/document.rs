@@ -120,7 +120,8 @@ impl Document {
         self.chars.is_empty()
     }
 
-    /// The whole stream as a `String` (for search and display).
+    /// The whole stream as a `String` (for display; search reads
+    /// [`Document::chars`] in place).
     pub fn text(&self) -> String {
         self.chars.iter().collect()
     }

@@ -29,9 +29,10 @@ cargo test --offline --quiet --manifest-path crates/bench/src/bin/minos-benchmar
 # Its unit tests use 1 KiB pages; one real round per workload runs 32 KiB
 # pages: lossy_scan through encode, CRC and decode, page_scan and churn
 # through the pool their members share with the connection, and browse
-# through the session scheduler, whose every tick arms and cancels kernel
-# timers. Each exit code gates the round's byte checks, counter
-# reconciliation and premises.
+# through the session scheduler, whose every tick posts its audio and
+# connection wakes at the tick instant and fires them, cancelling none.
+# Each exit code gates the round's byte checks, counter reconciliation
+# and premises.
 for workload in lossy_scan page_scan churn browse; do
     echo "==> minos-benchmark $workload (full-size pages)"
     cargo run --release --offline --manifest-path crates/bench/src/bin/minos-benchmark/Cargo.toml \
