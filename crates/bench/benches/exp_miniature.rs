@@ -21,11 +21,10 @@ fn print_series() {
         let ids: Vec<ObjectId> = bases.iter().map(|(id, _)| *id).collect();
         ws.miniature_stream(&ids).unwrap();
         let (mb, mt) = (ws.bytes_transferred(), ws.elapsed());
-        ws.reset_accounting();
         for (id, base) in &bases {
             ws.fetch_object(*id, *base).unwrap();
         }
-        let (fb, ft) = (ws.bytes_transferred(), ws.elapsed());
+        let (fb, ft) = (ws.bytes_transferred() - mb, ws.elapsed() - mt);
         row(
             "E6",
             &format!(

@@ -33,9 +33,8 @@ fn print_series() {
         let mut ws = Workstation::new(server, Link::ethernet());
         ws.fetch_view(ObjectId::new(1), 0, Rect::new(50, 50, 200, 150)).unwrap();
         let (vb, vt) = (ws.bytes_transferred(), ws.elapsed());
-        ws.reset_accounting();
         ws.fetch_view(ObjectId::new(1), 0, Rect::new(0, 0, side, side)).unwrap();
-        let (fb, ft) = (ws.bytes_transferred(), ws.elapsed());
+        let (fb, ft) = (ws.bytes_transferred() - vb, ws.elapsed() - vt);
         row(
             "E5",
             &format!(

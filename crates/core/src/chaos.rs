@@ -78,22 +78,6 @@ impl ChaosEvent {
     }
 }
 
-/// Injection accounting of one schedule, cleared wholesale by
-/// [`ChaosSchedule::reset_stats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ChaosStats {
-    /// Crash events admitted.
-    pub crashes: u64,
-    /// Restart events admitted.
-    pub restarts: u64,
-    /// Gray-slowdown windows admitted.
-    pub slow_windows: u64,
-    /// Partition windows admitted.
-    pub partitions: u64,
-    /// Members given a latent bit-rot rate.
-    pub rot_members: u64,
-}
-
 /// A seeded, declarative failure schedule.
 ///
 /// Events are declared in chronological order per member (queries fold
@@ -104,14 +88,13 @@ pub struct ChaosStats {
 pub struct ChaosSchedule {
     seed: u64,
     events: Vec<ChaosEvent>,
-    stats: ChaosStats,
 }
 
 impl ChaosSchedule {
     /// An empty schedule deriving all randomness (bit-rot draws) from
     /// `seed`.
     pub fn new(seed: u64) -> Self {
-        ChaosSchedule { seed, events: Vec::new(), stats: ChaosStats::default() }
+        ChaosSchedule { seed, events: Vec::new() }
     }
 
     /// The schedule's seed.
@@ -124,28 +107,15 @@ impl ChaosSchedule {
         &self.events
     }
 
-    /// Admits one event; the schedule is bounded by its declaration —
-    /// events only enter through the typed builders below.
-    fn admit_event(&mut self, event: ChaosEvent) {
-        match event {
-            ChaosEvent::CrashAt { .. } => self.stats.crashes += 1,
-            ChaosEvent::RestartAt { .. } => self.stats.restarts += 1,
-            ChaosEvent::SlowBetween { .. } => self.stats.slow_windows += 1,
-            ChaosEvent::PartitionBetween { .. } => self.stats.partitions += 1,
-            ChaosEvent::BitRot { .. } => self.stats.rot_members += 1,
-        }
-        self.events.push(event);
-    }
-
     /// Declares a crash of `member` at `at`.
     pub fn crash_at(mut self, member: usize, at: SimInstant) -> Self {
-        self.admit_event(ChaosEvent::CrashAt { member, at });
+        self.events.push(ChaosEvent::CrashAt { member, at });
         self
     }
 
     /// Declares a restart of `member` at `at`.
     pub fn restart_at(mut self, member: usize, at: SimInstant) -> Self {
-        self.admit_event(ChaosEvent::RestartAt { member, at });
+        self.events.push(ChaosEvent::RestartAt { member, at });
         self
     }
 
@@ -158,20 +128,20 @@ impl ChaosSchedule {
         to: SimInstant,
         factor: u64,
     ) -> Self {
-        self.admit_event(ChaosEvent::SlowBetween { member, from, to, factor: factor.max(1) });
+        self.events.push(ChaosEvent::SlowBetween { member, from, to, factor: factor.max(1) });
         self
     }
 
     /// Declares a partition of `member` between `from` and `to`.
     pub fn partition_between(mut self, member: usize, from: SimInstant, to: SimInstant) -> Self {
-        self.admit_event(ChaosEvent::PartitionBetween { member, from, to });
+        self.events.push(ChaosEvent::PartitionBetween { member, from, to });
         self
     }
 
     /// Declares latent bit rot on `member`'s media at `rate_ppm` flips
     /// per million reads.
     pub fn bit_rot(mut self, member: usize, rate_ppm: u32) -> Self {
-        self.admit_event(ChaosEvent::BitRot { member, rate_ppm });
+        self.events.push(ChaosEvent::BitRot { member, rate_ppm });
         self
     }
 
@@ -237,16 +207,6 @@ impl ChaosSchedule {
             .max()
             .unwrap_or(0)
     }
-
-    /// Injection accounting.
-    pub fn stats(&self) -> ChaosStats {
-        self.stats
-    }
-
-    /// Clears the injection accounting (the declared events survive).
-    pub fn reset_stats(&mut self) {
-        self.stats = ChaosStats::default();
-    }
 }
 
 #[cfg(test)]
@@ -275,20 +235,6 @@ mod tests {
         assert!(!schedule.is_partitioned(2, at(3)));
         assert_eq!(schedule.rot_rate_ppm(1), 1000);
         assert_eq!(schedule.rot_rate_ppm(0), 0);
-        let stats = schedule.stats();
-        assert_eq!(
-            (
-                stats.crashes,
-                stats.restarts,
-                stats.slow_windows,
-                stats.partitions,
-                stats.rot_members
-            ),
-            (1, 1, 1, 1, 1)
-        );
-        let mut schedule = schedule;
-        schedule.reset_stats();
-        assert_eq!(schedule.stats(), ChaosStats::default());
-        assert_eq!(schedule.events().len(), 5, "reset clears accounting, not events");
+        assert_eq!(schedule.events().len(), 5);
     }
 }

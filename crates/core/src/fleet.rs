@@ -506,13 +506,6 @@ impl Fleet {
         }
         merged
     }
-
-    /// Clears every member's service accounting.
-    pub fn reset_stats(&mut self) {
-        for member in &mut self.members {
-            member.reset_service_stats();
-        }
-    }
 }
 
 /// Consecutive heartbeat misses before a member is suspected.
@@ -546,8 +539,7 @@ pub enum MemberHealth {
     Slow,
 }
 
-/// Heartbeat accounting, cleared wholesale by
-/// [`HealthMonitor::reset_stats`].
+/// Heartbeat accounting.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HealthStats {
     /// Heartbeat pings sent.
@@ -572,9 +564,9 @@ pub struct HealthStats {
 /// Misses walk a member `Up → Suspect → Down`; a pong is positive proof
 /// of life and recovers it immediately. Each member also carries a
 /// rolling latency baseline (EWMA of its own healthy echoes): an echo
-/// [`SLOW_MULT`]× above a warmed baseline marks the member
+/// `SLOW_MULT`× above a warmed baseline marks the member
 /// [`MemberHealth::Slow`] without poisoning the baseline, and
-/// [`RECOVER_AFTER`] consecutive healthy echoes clear it.
+/// `RECOVER_AFTER` consecutive healthy echoes clear it.
 #[derive(Clone, Debug)]
 pub struct HealthMonitor {
     state: Vec<MemberHealth>,
@@ -702,12 +694,6 @@ impl HealthMonitor {
     pub fn stats(&self) -> HealthStats {
         self.stats
     }
-
-    /// Clears the accounting (detector state survives — a reset must not
-    /// forget who is down).
-    pub fn reset_stats(&mut self) {
-        self.stats = HealthStats::default();
-    }
 }
 
 /// One queued re-replication task: rebuild `object`'s copy that was lost
@@ -720,8 +706,7 @@ pub struct RepairTask {
     pub lost: usize,
 }
 
-/// Re-replication accounting, cleared wholesale by
-/// [`RepairQueue::reset_stats`].
+/// Re-replication accounting.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RepairStats {
     /// Tasks admitted into the queue.
@@ -799,12 +784,6 @@ impl RepairQueue {
     pub fn stats(&self) -> RepairStats {
         self.stats
     }
-
-    /// Clears the accounting (the dedup set survives: a loss already
-    /// repaired or in flight must not be re-admitted by a stats reset).
-    pub fn reset_stats(&mut self) {
-        self.stats = RepairStats::default();
-    }
 }
 
 /// A handle to a submitted, not-yet-collected request on a
@@ -859,10 +838,6 @@ impl Backend for Fleet {
 
     fn serve(&mut self, member: usize, request: &ServerRequest) -> (ServerResponse, SimDuration) {
         self.members[member].handle(request)
-    }
-
-    fn reset_server_stats(&mut self) {
-        self.reset_stats();
     }
 
     /// Moves pending frames into each member's service queue and pumps
@@ -1070,7 +1045,6 @@ impl FleetConnection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::TransportStats;
     use minos_types::SimInstant;
     use std::collections::BTreeSet;
 
@@ -1285,29 +1259,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_accounting_clears_fleet_and_transport_state() {
-        let mut fleet = Fleet::new(2, 1).expect("valid shape");
-        let object = ObjectId::new(2);
-        fleet.publish_bytes(object, &vec![5u8; 4096]).expect("publish");
-        let mut conn = FleetConnection::new(fleet, Link::ethernet());
-        let ticket = conn.fetch_page(object, ByteSpan::at(0, 4096)).expect("submit");
-        let (response, _) = conn.wait(ticket).expect("collect");
-        assert!(matches!(response, ServerResponse::Span(_)));
-        assert!(conn.bytes_transferred() > 0);
-        conn.reset_accounting();
-        assert_eq!(conn.bytes_transferred(), 0);
-        assert_eq!(conn.elapsed(), SimDuration::ZERO);
-        assert_eq!(conn.in_flight(), 0);
-        assert_eq!(conn.transport_stats(), TransportStats::default());
-        assert_eq!(conn.fleet_stats(), FleetStats::default());
-        assert_eq!(conn.fleet().service_stats().served, 0);
-        // The pipeline still works after the reset.
-        let ticket = conn.fetch_page(object, ByteSpan::at(0, 4096)).expect("resubmit");
-        let (response, _) = conn.wait(ticket).expect("recollect");
-        assert!(matches!(response, ServerResponse::Span(_)));
-    }
-
-    #[test]
     fn health_monitor_walks_up_suspect_down_and_recovers() {
         let mut health = HealthMonitor::new(2);
         assert_eq!(health.state(0), MemberHealth::Up);
@@ -1322,8 +1273,6 @@ mod tests {
         assert_eq!(stats.misses, 2);
         assert_eq!(stats.down_transitions, 1);
         assert_eq!(stats.recoveries, 1);
-        health.reset_stats();
-        assert_eq!(health.stats(), HealthStats::default());
     }
 
     #[test]
@@ -1445,8 +1394,5 @@ mod tests {
         assert_eq!(stats.deduped, 1);
         assert_eq!(stats.completed, 1);
         assert_eq!(stats.bytes_rebuilt, 4096);
-        queue.reset_stats();
-        assert_eq!(queue.stats(), RepairStats::default());
-        assert!(!queue.is_empty(), "reset clears accounting, not pending work");
     }
 }

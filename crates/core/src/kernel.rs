@@ -9,7 +9,7 @@
 //! simulation advances directly from one armed instant to the next, so an
 //! idle session costs zero work and per-event cost is independent of N.
 //!
-//! The wheel is hierarchical — [`LEVELS`] levels of [`SLOTS`] slots at a
+//! The wheel is hierarchical — `LEVELS` levels of `SLOTS` slots at a
 //! 1 µs tick resolution, with a per-level occupancy bitmap — so arming,
 //! cancelling, and finding the next armed instant are all O(1) in the
 //! number of idle timers. Deadlines beyond the wheel horizon (≈16.8
@@ -101,7 +101,7 @@ pub enum KernelEvent {
     },
 }
 
-/// Kernel counters, cleared wholesale by [`Kernel::reset_stats`].
+/// Kernel counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KernelStats {
     /// Events delivered onto the ready queue.
@@ -495,11 +495,6 @@ impl Kernel {
         self.stats
     }
 
-    /// Clears the counter block wholesale.
-    pub fn reset_stats(&mut self) {
-        self.stats = KernelStats::default();
-    }
-
     /// Drains the trace ring as a JSON array of `{at_us, verb, event, …}`
     /// records (oldest first; `verb` ∈ `arm`/`fire`/`spurious`).
     pub fn drain_trace_json(&mut self) -> String {
@@ -682,7 +677,7 @@ mod tests {
     }
 
     #[test]
-    fn ready_high_water_tracks_batched_fires_and_reset_clears_all() {
+    fn ready_high_water_tracks_batched_fires() {
         let mut k = Kernel::new();
         for i in 0..5 {
             k.arm(SimInstant::from_micros(50), ev(i));
@@ -700,8 +695,6 @@ mod tests {
                 ready_high_water: 5
             }
         );
-        k.reset_stats();
-        assert_eq!(k.stats(), KernelStats::default());
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub mod visual;
 pub mod workload;
 
 pub use audio::AudioEngine;
-pub use chaos::{ChaosEvent, ChaosSchedule, ChaosStats};
+pub use chaos::{ChaosEvent, ChaosSchedule};
 pub use command::{BrowseCommand, BrowseEvent};
 pub use compose::{compose_screen, resolve_figure};
 pub use fleet::{

@@ -245,27 +245,6 @@ impl PrefetchBuffer {
         }
     }
 
-    /// Resets the accounting (between experiment configurations): every
-    /// [`PrefetchStats`] counter, the presentation clock, and the wrapped
-    /// workstation's own accounting. Whatever is still buffered or in
-    /// flight is recycled back to the transport pool first — a fresh
-    /// measurement run must not inherit prefetches the last one paid for.
-    pub fn reset_accounting(&mut self) {
-        self.evict_buffered();
-        self.inflight_remaining = SimDuration::ZERO;
-        self.ws.reset_accounting();
-        // The presentation clock restarts at the epoch, so the kernel's
-        // timeline restarts with it, counters included.
-        self.kernel = Kernel::new();
-        self.clock = SimClock::new();
-        self.hits = 0;
-        self.misses = 0;
-        self.prefetched = 0;
-        self.opening = SimDuration::ZERO;
-        self.stall = SimDuration::ZERO;
-        self.overlap = SimDuration::ZERO;
-    }
-
     /// Presentation time elapsed: opening + dwells + stalls.
     pub fn elapsed(&self) -> SimDuration {
         self.clock.now().since(SimInstant::EPOCH)
@@ -682,32 +661,6 @@ mod tests {
             let (stats, _) = run_pages(depth, 65_536, 8, SimDuration::from_millis(50));
             assert_eq!(stats.hits + stats.misses, 8, "depth {depth}");
         }
-    }
-
-    #[test]
-    fn reset_accounting_clears_every_counter_and_the_pipeline() {
-        // Regression: PrefetchStats had no reset path at all (the R002
-        // finding) — a second experiment configuration inherited the first
-        // one's hits, opening latency, and buffered prefetches.
-        let (mut pipe, span) = pipeline(2, 32_768);
-        let plan: Vec<ServerRequest> =
-            page_spans(span, 4).into_iter().map(|span| ServerRequest::FetchSpan { span }).collect();
-        pipe.prime(&plan).unwrap();
-        for (i, need) in plan.iter().enumerate() {
-            pipe.step(need, &plan[i + 1..], SimDuration::from_millis(20)).unwrap();
-        }
-        let before = pipe.stats();
-        assert!(before.hits + before.misses > 0);
-        assert!(before.opening > SimDuration::ZERO);
-        assert!(pipe.workstation().round_trips() > 0);
-
-        pipe.reset_accounting();
-        assert_eq!(pipe.stats(), PrefetchStats::default());
-        assert_eq!(pipe.elapsed(), SimDuration::ZERO);
-        assert_eq!(pipe.workstation().round_trips(), 0);
-        assert!(pipe.buffer.is_empty(), "buffered prefetches must not survive a reset");
-        assert!(pipe.inflight.is_empty());
-        assert_eq!(pipe.inflight_remaining, SimDuration::ZERO);
     }
 
     #[test]

@@ -65,10 +65,6 @@ impl Backend for ObjectServer {
         self.handle(request)
     }
 
-    fn reset_server_stats(&mut self) {
-        self.reset_service_stats();
-    }
-
     /// Moves every pending frame through the server device and the
     /// downlink. Coalescing applies only on clean links: a mangled merged
     /// frame would lose the whole run to one bit flip, so faulty links keep
@@ -286,11 +282,6 @@ impl Workstation {
     /// counts as one — that is its point).
     pub fn round_trips(&self) -> u64 {
         self.conn.round_trips()
-    }
-
-    /// Resets the accounting (between experiment configurations).
-    pub fn reset_accounting(&mut self) {
-        self.conn.reset_accounting()
     }
 
     /// Hands a consumed payload buffer back to the connection's pool (see
@@ -522,18 +513,6 @@ mod tests {
     }
 
     #[test]
-    fn accounting_resets() {
-        let (mut ws, _) = workstation();
-        ws.query(&["anything"]).unwrap();
-        assert!(ws.bytes_transferred() > 0);
-        assert_eq!(ws.round_trips(), 1);
-        ws.reset_accounting();
-        assert_eq!(ws.bytes_transferred(), 0);
-        assert_eq!(ws.elapsed(), SimDuration::ZERO);
-        assert_eq!(ws.round_trips(), 0);
-    }
-
-    #[test]
     fn batch_is_one_round_trip_with_inline_errors() {
         let (mut ws, _) = workstation();
         let responses = ws
@@ -662,37 +641,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_accounting_also_clears_pipeline_state() {
-        // Regression: resetting between experiment configurations must
-        // clear the link statistics *and* the pipeline (in-flight frames,
-        // resource timelines), or the next configuration inherits phantom
-        // bytes and a busy downlink.
-        let (mut ws, _) = workstation();
-        let conn = ws.connection_mut();
-        let stale = conn.submit(ServerRequest::FetchMiniature { id: ObjectId::new(1) });
-        conn.submit(ServerRequest::FetchMiniature { id: ObjectId::new(2) });
-        assert!(conn.in_flight() > 0);
-        assert!(ws.bytes_transferred() > 0);
-
-        ws.reset_accounting();
-        assert_eq!(ws.bytes_transferred(), 0);
-        assert_eq!(ws.elapsed(), SimDuration::ZERO);
-        assert_eq!(ws.round_trips(), 0);
-        assert_eq!(ws.connection().in_flight(), 0, "in-flight frames cleared");
-        assert_eq!(ws.connection().link_stats().messages, 0);
-        assert!(
-            matches!(ws.connection_mut().wait(stale), Err(MinosError::Protocol(_))),
-            "tickets from before the reset are gone"
-        );
-
-        // Post-reset accounting covers exactly the new work: one query up,
-        // one hits response down.
-        ws.query(&["shadow"]).unwrap();
-        assert_eq!(ws.connection().link_stats().messages, 2);
-        assert_eq!(ws.round_trips(), 1);
-    }
-
-    #[test]
     fn corrupted_frames_are_retransmitted_to_completion() {
         let (faulty_server, base) = server();
         let mut ws = Workstation::with_faults(
@@ -781,52 +729,6 @@ mod tests {
         let (r2, _) = conn.wait(t2).unwrap();
         assert!(matches!(r2, ServerResponse::Error(_)));
         assert_eq!(conn.in_flight(), 0);
-    }
-
-    #[test]
-    fn transport_stats_fully_cleared_by_reset() {
-        // Regression: every TransportStats counter and the fault-layer
-        // accounting must go back to zero, or the next experiment
-        // configuration inherits phantom recovery work.
-        let (server, _) = server();
-        let mut conn = Connection::with_faults(
-            server,
-            Link::ethernet(),
-            DEFAULT_WINDOW,
-            minos_net::FaultPlan::chaos(11, 0.4),
-        )
-        .with_recovery(SimDuration::from_millis(50), 3);
-        for i in 0..12u64 {
-            let ticket =
-                conn.submit(ServerRequest::FetchMiniature { id: ObjectId::new(1 + (i % 2)) });
-            let _ = conn.wait(ticket);
-        }
-        let stats = conn.transport_stats();
-        assert!(
-            stats.timeouts > 0 || stats.corrupt_frames > 0 || stats.duplicates > 0,
-            "the chaos plan produced recovery work: {stats:?}"
-        );
-        // A restart right before the reset adds the epoch counters to the
-        // pile the reset must clear.
-        conn.endpoint_mut().restart();
-        let ticket = conn.submit(ServerRequest::FetchMiniature { id: ObjectId::new(1) });
-        let _ = conn.wait(ticket);
-        assert!(conn.transport_stats().epoch_resyncs > 0);
-        // Queue traffic bumps the endpoint's overload accounting too.
-        conn.endpoint_mut()
-            .enqueue(Frame::request(9, 1, ServerRequest::FetchMiniature { id: ObjectId::new(1) }))
-            .unwrap();
-        let _ = conn.endpoint_mut().poll();
-        assert!(conn.endpoint().service_stats().queue_high_water > 0);
-        conn.reset_accounting();
-        assert_eq!(conn.transport_stats(), TransportStats::default());
-        assert_eq!(conn.fault_stats(), minos_net::FaultStats::default());
-        assert_eq!(conn.link_stats(), minos_net::LinkStats::default());
-        assert_eq!(conn.in_flight(), 0);
-        assert_eq!(conn.elapsed(), SimDuration::ZERO);
-        // The endpoint-side service counters (shed, busy_rejections,
-        // high-water marks) are part of the same reset path.
-        assert_eq!(*conn.endpoint().service_stats(), minos_server::ServiceStats::default());
     }
 
     #[test]
@@ -967,11 +869,6 @@ mod tests {
             stats.payload_allocs, stats.pool_misses,
             "every fresh allocation on this path is a pool miss: {stats:?}"
         );
-        conn.reset_accounting();
-        let cleared = conn.transport_stats();
-        assert_eq!(cleared.pool_hits, 0);
-        assert_eq!(cleared.pool_misses, 0);
-        assert_eq!(cleared.payload_allocs, 0);
     }
 
     #[test]

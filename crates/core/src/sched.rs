@@ -39,7 +39,7 @@ use minos_server::{ObjectServer, ServiceConfig, ServiceStats};
 use minos_text::PaginateConfig;
 use minos_types::{MinosError, ObjectId, Result, SimClock, SimDuration, SimInstant};
 use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
 
 /// Fault state for one connection whose frames misbehave on the shared
@@ -212,7 +212,7 @@ impl Hub {
     }
 }
 
-/// An [`ObjectStore`] backed by a scheduler [`Hub`]: demand fetches pump
+/// An [`ObjectStore`] backed by a scheduler `Hub`: demand fetches pump
 /// the shared service loop immediately; `note_upcoming` hints become
 /// request frames whose transfers land during subsequent scheduler ticks,
 /// hidden behind every session's dwell.
@@ -227,6 +227,9 @@ pub struct HubStore {
     cache: HashMap<ObjectId, (MultimediaObject, SimInstant)>,
     /// Outstanding object requests by request id.
     pending: HashMap<u64, ObjectId>,
+    /// Objects the server answered with an error. The answer is final, so
+    /// the next demand fetch of the object fails at it instead of retrying.
+    refused: HashSet<ObjectId>,
     waited: SimDuration,
 }
 
@@ -238,6 +241,7 @@ impl HubStore {
             demand_class: Priority::Demand,
             cache: HashMap::new(),
             pending: HashMap::new(),
+            refused: HashSet::new(),
             waited: SimDuration::ZERO,
         }
     }
@@ -264,7 +268,9 @@ impl HubStore {
         self.waited
     }
 
-    /// Moves landed responses for this connection into the object cache.
+    /// Moves landed responses for this connection into the object cache,
+    /// noting server errors as refusals. A `Busy` turn-away is dropped: the
+    /// request is simply outstanding again.
     fn collect(&mut self) {
         let mut hub = self.hub.borrow_mut();
         let Some(landed) = hub.landed.remove(&self.conn_id) else {
@@ -274,26 +280,35 @@ impl HubStore {
             let Some(id) = self.pending.remove(&rid) else {
                 continue;
             };
-            if !matches!(response, ServerResponse::Object(_)) {
-                continue;
-            }
-            if let Some(object) = hub.server.resident_object(id).cloned() {
-                self.cache.insert(id, (object, delivered));
+            match response {
+                ServerResponse::Object(_) => {
+                    if let Some(object) = hub.server.resident_object(id).cloned() {
+                        self.cache.insert(id, (object, delivered));
+                    }
+                }
+                ServerResponse::Error(_) => {
+                    self.refused.insert(id);
+                }
+                _ => {}
             }
         }
     }
 }
 
 /// Demand-fetch attempts before a [`HubStore`] gives up on an object: the
-/// initial submission plus retransmissions of requests whose frames (or
-/// response frames) were lost on a faulty connection.
+/// initial submission plus resubmissions of requests whose frames (or
+/// response frames) were lost on a faulty connection or turned away
+/// `Busy`. A server error ends the fetch at once.
 const FETCH_ATTEMPTS: usize = 4;
 
 impl ObjectStore for HubStore {
     fn fetch(&mut self, id: ObjectId) -> Result<MultimediaObject> {
         self.collect();
         let mut attempts = 0;
-        while !self.cache.contains_key(&id) && attempts < FETCH_ATTEMPTS {
+        while !self.cache.contains_key(&id)
+            && !self.refused.contains(&id)
+            && attempts < FETCH_ATTEMPTS
+        {
             if attempts > 0 {
                 // The previous attempt's frames are lost on the wire. Its
                 // pending entries are stale — left in place they would
@@ -316,6 +331,7 @@ impl ObjectStore for HubStore {
             self.collect();
             attempts += 1;
         }
+        self.refused.remove(&id);
         let Some((object, available)) = self.cache.remove(&id) else {
             return Err(MinosError::UnknownObject(id.to_string()));
         };
@@ -894,6 +910,17 @@ mod tests {
         assert_eq!(sched.session(key).unwrap().object().id, ObjectId::new(4));
         let waited_after = sched.session(key).unwrap().store().waited();
         assert!(waited_after > waited_before, "the demand miss paid the transfer wait");
+    }
+
+    #[test]
+    fn an_unknown_object_fails_after_one_round_trip() {
+        let mut sched = SessionScheduler::new(ObjectServer::new(), Link::ethernet());
+        let opened =
+            sched.open(ObjectId::new(99), PaginateConfig::default(), SimDuration::from_secs(5));
+        assert!(matches!(opened, Err(MinosError::UnknownObject(_))), "{:?}", opened.err());
+        // The server's error answers the request: nothing is resubmitted.
+        assert_eq!(sched.service_stats().served, 1);
+        assert_eq!(sched.link_stats().messages, 2, "one request up, one error down");
     }
 
     #[test]

@@ -115,9 +115,6 @@ pub trait Backend: Sized {
     /// `member` directly, with its device-time charge.
     fn serve(&mut self, member: usize, request: &ServerRequest) -> (ServerResponse, SimDuration);
 
-    /// Clears the side's service accounting.
-    fn reset_server_stats(&mut self);
-
     /// Moves every pending frame through its member's device and lands the
     /// responses on the client.
     fn dispatch(client: &mut Client<Self>);
@@ -186,7 +183,7 @@ struct Outstanding<R> {
 }
 
 /// Recovery accounting: what a client had to do to survive its link and
-/// its servers. Cleared by [`Client::reset_accounting`].
+/// its servers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TransportStats {
     /// Deadlines that expired before the response landed.
@@ -225,9 +222,9 @@ pub struct TransportStats {
 
 /// The request ids whose responses were collected, as a cumulative
 /// watermark plus the ids collected above it out of order: the anti-replay
-/// window of RFC 4303 §3.4.3. Every id at or below `floor` was collected or
-/// issued before the last reset, so the set only holds ids collected past
-/// the oldest one still uncollected; its size is bounded by the span of
+/// window of RFC 4303 §3.4.3. Every id at or below `floor` was collected,
+/// so the set only holds ids collected past the oldest one still
+/// uncollected; its size is bounded by the span of
 /// uncollected ids, not by how many responses were ever read.
 #[derive(Debug, Default)]
 struct Collected {
@@ -236,8 +233,7 @@ struct Collected {
 }
 
 impl Collected {
-    /// Whether `id`'s response was already collected (or belongs to a
-    /// generation before the last reset).
+    /// Whether `id`'s response was already collected.
     fn contains(&self, id: u64) -> bool {
         id <= self.floor || self.above.contains(&id)
     }
@@ -259,10 +255,9 @@ impl Collected {
     }
 }
 
-/// Busy-honoring accounting, cleared by [`Client::reset_accounting`].
-/// Only fleet members answer `Busy` through a client (a single server is
-/// served directly), so a [`Connection`](crate::remote::Connection) keeps
-/// these at zero.
+/// Busy-honoring accounting. Only fleet members answer `Busy` through a
+/// client (a single server is served directly), so a
+/// [`Connection`](crate::remote::Connection) keeps these at zero.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FleetStats {
     /// Requests turned away with [`ServerResponse::Busy`] and parked on a
@@ -431,48 +426,6 @@ impl<B: Backend> Client<B> {
     /// Leases a buffer from the pool, counting the lease as this client's.
     pub(crate) fn lease(&mut self) -> Vec<u8> {
         lease_counted(&self.pool, &mut self.transport)
-    }
-
-    /// Resets the accounting *and* the pipeline state (between experiment
-    /// configurations): link statistics, the clock, the round-trip count,
-    /// the resource timelines, the server-side counters and any
-    /// uncollected frames. A ticket from before the reset is gone —
-    /// waiting on it is a protocol error.
-    pub fn reset_accounting(&mut self) {
-        self.link.reset();
-        self.clock = SimClock::new();
-        self.round_trips = 0;
-        self.up_free = SimInstant::EPOCH;
-        self.down_free = SimInstant::EPOCH;
-        self.dev_free.fill(SimInstant::EPOCH);
-        for queue in &mut self.pending {
-            queue.clear();
-        }
-        self.arrival_at.clear();
-        self.landed.clear();
-        self.outstanding.clear();
-        // Every id issued so far is gone with the reset: the watermark
-        // moves past them, so the next generation starts with an empty set.
-        self.collected = Collected { floor: self.next_request_id - 1, above: IdSet::default() };
-        self.pool.reset_stats();
-        // The clock restarts at the epoch, so every armed deadline is
-        // stale: replace the kernel wholesale, counters included.
-        self.kernel = Kernel::new();
-        self.transport = TransportStats::default();
-        self.busy = FleetStats::default();
-        self.window = InflightWindow::new(self.window.capacity());
-        self.server.reset_server_stats();
-        // A reset adopts each member's current epoch: there is no window
-        // left to replay, so a restart before the reset costs nothing
-        // after it.
-        for (m, last) in self.epochs.iter_mut().enumerate() {
-            *last = self.server.member_epoch(m);
-        }
-        // The detector restarts clean, and — since the kernel swap dropped
-        // the armed ticks — an enabled heartbeat re-arms from the epoch.
-        self.health = HealthMonitor::new(self.epochs.len());
-        self.next_nonce = 1;
-        self.arm_heartbeats();
     }
 
     /// Arms one heartbeat tick per member an interval from now, if
@@ -1095,24 +1048,6 @@ mod tests {
         assert_eq!(conn.transport_stats().duplicates, 1);
         assert!(!conn.landed.contains_key(&id), "a duplicate must not land");
         assert!(matches!(conn.wait(ticket), Err(MinosError::Protocol(_))));
-    }
-
-    #[test]
-    fn a_ticket_from_before_a_reset_is_still_a_protocol_error() {
-        let (mut conn, object) = clean(1, 8);
-        let collected = fetch(&mut conn, object, 0);
-        collect(&mut conn, collected);
-        let uncollected = fetch(&mut conn, object, 1);
-        conn.reset_accounting();
-        for ticket in [collected, uncollected] {
-            assert!(matches!(conn.wait(ticket), Err(MinosError::Protocol(_))), "{ticket:?}");
-        }
-        // The next generation starts at the watermark, with nothing held
-        // above it for the ids the reset dropped.
-        let fresh = fetch(&mut conn, object, 2);
-        collect(&mut conn, fresh);
-        assert_eq!(conn.collected.floor, Fleet::ticket_id(fresh));
-        assert!(conn.collected.above.is_empty());
     }
 
     #[test]

@@ -300,14 +300,6 @@ impl FaultyLink {
         let deliveries = self.plan.apply(&mut self.rng, bytes, &mut self.stats);
         (took, deliveries)
     }
-
-    /// Resets link accounting, fault counters, and the decision stream
-    /// back to the seed (between experiment configurations).
-    pub fn reset(&mut self) {
-        self.link.reset_stats();
-        self.stats = FaultStats::default();
-        self.rng = FaultRng::new(self.plan.seed);
-    }
 }
 
 #[cfg(test)]
@@ -407,26 +399,6 @@ mod tests {
             assert_eq!(a.transmit(&bytes), b.transmit(&bytes));
         }
         assert_eq!(a.fault_stats(), b.fault_stats());
-        // A reset replays the same stream again.
-        let before = a.fault_stats();
-        a.reset();
-        for _ in 0..50 {
-            let _ = a.transmit(&frame_bytes());
-        }
-        assert_eq!(a.fault_stats(), before);
-    }
-
-    #[test]
-    fn reset_clears_all_accounting() {
-        let mut fl = FaultyLink::new(Link::ethernet(), FaultPlan::chaos(9, 0.5));
-        for _ in 0..20 {
-            let _ = fl.transmit(&frame_bytes());
-        }
-        assert!(fl.stats().bytes > 0);
-        assert!(fl.fault_stats().frames > 0);
-        fl.reset();
-        assert_eq!(fl.stats(), LinkStats::default());
-        assert_eq!(fl.fault_stats(), FaultStats::default());
     }
 
     #[test]

@@ -111,7 +111,7 @@ fn x8n_mod_p(x2n: &[u32; 32], mut n: usize) -> u32 {
 /// `len_b = b.len()`, without reading either input: zlib's
 /// `crc32_combine`. CRC is linear over GF(2), so `crc_a` is advanced over
 /// `len_b` zero bytes (one multiplication by `x^(8·len_b) mod P`) and
-/// XORed with `crc_b`. Costs one [`multmodp`] per set bit of `len_b`, plus
+/// XORed with `crc_b`. Costs one `multmodp` per set bit of `len_b`, plus
 /// one.
 pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
     multmodp(x8n_mod_p(&crc_tables().x2n, len_b), crc_a) ^ crc_b

@@ -66,11 +66,6 @@ impl Link {
     pub fn stats(&self) -> LinkStats {
         self.stats
     }
-
-    /// Resets the accounting (between experiment runs).
-    pub fn reset_stats(&mut self) {
-        self.stats = LinkStats::default();
-    }
 }
 
 #[cfg(test)]
@@ -100,8 +95,6 @@ mod tests {
         assert_eq!(s.messages, 2);
         assert_eq!(s.bytes, 3_000);
         assert_eq!(s.busy, link.transfer_cost(1_000) + link.transfer_cost(2_000));
-        link.reset_stats();
-        assert_eq!(link.stats(), LinkStats::default());
     }
 
     #[test]

@@ -147,11 +147,6 @@ impl BufferPool {
     pub fn stats(&self) -> PoolStats {
         self.inner.borrow().stats
     }
-
-    /// Zeroes the accounting; retained buffers are untouched.
-    pub fn reset_stats(&self) {
-        self.inner.borrow_mut().stats = PoolStats::default();
-    }
 }
 
 impl Default for BufferPool {
@@ -302,16 +297,5 @@ mod tests {
         small.prewarm(10, 64);
         assert_eq!(small.free_buffers(), 2);
         assert_eq!(small.stats().prewarmed, 2);
-    }
-
-    #[test]
-    fn reset_stats_zeroes_accounting_and_keeps_buffers() {
-        let pool = BufferPool::new();
-        let mut v = pool.lease_vec();
-        v.push(1);
-        pool.recycle(v);
-        pool.reset_stats();
-        assert_eq!(pool.stats(), PoolStats::default());
-        assert_eq!(pool.free_buffers(), 1, "retained buffers survive a stats reset");
     }
 }

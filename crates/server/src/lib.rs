@@ -22,4 +22,4 @@ pub mod service;
 
 pub use index::InvertedIndex;
 pub use server::{ObjectServer, PublishReceipt};
-pub use service::{ConnectionServiceStats, ServiceConfig, ServiceStats};
+pub use service::{ServiceConfig, ServiceStats};

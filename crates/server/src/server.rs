@@ -131,13 +131,6 @@ impl ObjectServer {
         }
     }
 
-    /// Zeroes the service-loop accounting, including the overload counters
-    /// (`shed`, `busy_rejections`, high-water marks).
-    pub fn reset_service_stats(&mut self) {
-        self.service.reset_stats();
-        self.pool.reset_stats();
-    }
-
     /// The archiver (for experiment setup: request spans, device stats).
     pub fn archiver(&self) -> &Archiver<OpticalDisk> {
         &self.archiver
@@ -855,8 +848,6 @@ mod tests {
         assert_eq!(stats.enqueued, 4);
         assert_eq!(stats.served, 4);
         assert!(stats.busy > SimDuration::ZERO);
-        assert_eq!(stats.per_connection[&1].served, 3);
-        assert_eq!(stats.per_connection[&2].served, 1);
     }
 
     #[test]
@@ -1034,9 +1025,6 @@ mod tests {
         assert_eq!(served.request_id, 1);
         assert!(matches!(served.payload, FramePayload::Response(ServerResponse::Span(_))));
         assert_eq!(server.service_stats().shed, 1);
-        server.reset_service_stats();
-        assert_eq!(server.service_stats().shed, 0);
-        assert_eq!(server.service_stats().queue_high_water, 0);
     }
 
     #[test]
@@ -1078,11 +1066,6 @@ mod tests {
         );
         assert!(stats.pool_hits > 0, "rounds two and three lease recycled buffers: {stats:?}");
         assert_eq!(stats.payload_allocs, stats.pool_misses);
-        server.reset_service_stats();
-        let cleared = server.service_stats();
-        assert_eq!(cleared.pool_hits, 0);
-        assert_eq!(cleared.pool_misses, 0);
-        assert_eq!(cleared.payload_allocs, 0);
     }
 
     #[test]

@@ -94,16 +94,14 @@ pub struct ServiceStats {
     /// `pool_misses`; kept as its own counter so reports can aggregate the
     /// transport and service sides uniformly).
     pub payload_allocs: u64,
-    /// Per-connection service accounting.
-    pub per_connection: BTreeMap<u64, ConnectionServiceStats>,
 }
 
 impl ServiceStats {
     /// Folds another server's accounting into this one — the fleet-wide
     /// aggregate a `Fleet` reports across its members. Counters and device
-    /// time add; high-water marks take the max (each mark describes one
-    /// queue's peak, and queues in different servers never share depth);
-    /// per-connection entries merge by connection id.
+    /// time add; the high-water mark takes the max (each mark describes
+    /// one queue's peak, and queues in different servers never share
+    /// depth).
     pub fn merge(&mut self, other: &ServiceStats) {
         self.enqueued += other.enqueued;
         self.served += other.served;
@@ -115,24 +113,7 @@ impl ServiceStats {
         self.pool_hits += other.pool_hits;
         self.pool_misses += other.pool_misses;
         self.payload_allocs += other.payload_allocs;
-        for (&conn, theirs) in &other.per_connection {
-            let ours = self.per_connection.entry(conn).or_default();
-            ours.served += theirs.served;
-            ours.busy += theirs.busy;
-            ours.high_water = ours.high_water.max(theirs.high_water);
-        }
     }
-}
-
-/// Service accounting for one connection.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ConnectionServiceStats {
-    /// Response frames served to this connection.
-    pub served: u64,
-    /// Device time spent on this connection's requests.
-    pub busy: SimDuration,
-    /// Most request frames this connection ever had queued at once.
-    pub high_water: u64,
 }
 
 /// The connection-fair frame queue behind `ObjectServer::enqueue`/`poll`.
@@ -214,8 +195,6 @@ impl ServiceQueue {
             self.rotation.push_back(conn);
         }
         queue.push_back(frame);
-        let per_conn = self.stats.per_connection.entry(conn).or_default();
-        per_conn.high_water = per_conn.high_water.max(queue.len() as u64);
     }
 
     /// Answers a shed or rejected frame with a `Busy` reply carrying the
@@ -270,12 +249,6 @@ impl ServiceQueue {
     /// Accounting so far.
     pub(crate) fn stats(&self) -> &ServiceStats {
         &self.stats
-    }
-
-    /// Zeroes the accounting (counters and high-water marks); queued work
-    /// is untouched.
-    pub(crate) fn reset_stats(&mut self) {
-        self.stats = ServiceStats::default();
     }
 
     /// Drops all queued and staged work — what a restart loses — keeping
@@ -354,9 +327,6 @@ impl ServiceQueue {
     pub(crate) fn finish(&mut self, frame: Frame, charge: SimDuration) {
         self.stats.served += 1;
         self.stats.busy += charge;
-        let conn = self.stats.per_connection.entry(frame.conn_id).or_default();
-        conn.served += 1;
-        conn.busy += charge;
         self.woken.insert(frame.conn_id);
         self.ready.push_back((frame, charge));
     }
@@ -531,23 +501,6 @@ mod tests {
         q.admit(span_frame(2, 2, Priority::Demand));
         let stats = q.stats();
         assert_eq!(stats.queue_high_water, 3);
-        assert_eq!(stats.per_connection[&1].high_water, 2);
-        assert_eq!(stats.per_connection[&2].high_water, 2);
-    }
-
-    #[test]
-    fn reset_stats_zeroes_overload_counters_and_keeps_work() {
-        let mut q =
-            queue(ServiceConfig { per_conn_cap: 1, global_cap: 100, ..ServiceConfig::default() });
-        q.admit(span_frame(1, 1, Priority::Demand));
-        q.admit(span_frame(1, 2, Priority::Prefetch));
-        q.admit(span_frame(1, 3, Priority::Demand));
-        assert!(q.stats().shed > 0);
-        assert!(q.stats().busy_rejections > 0);
-        assert!(q.stats().queue_high_water > 0);
-        q.reset_stats();
-        assert_eq!(q.stats(), &ServiceStats::default());
-        assert_eq!(q.pending(), 1, "queued work survives a stats reset");
     }
 
     #[test]
@@ -632,11 +585,7 @@ mod tests {
             queue_high_water: 5,
             ..ServiceStats::default()
         };
-        a.per_connection.insert(
-            1,
-            ConnectionServiceStats { served: 3, busy: SimDuration::from_micros(40), high_water: 2 },
-        );
-        let mut b = ServiceStats {
+        let b = ServiceStats {
             enqueued: 2,
             served: 2,
             busy: SimDuration::from_micros(10),
@@ -644,11 +593,6 @@ mod tests {
             queue_high_water: 3,
             ..ServiceStats::default()
         };
-        b.per_connection.insert(
-            1,
-            ConnectionServiceStats { served: 2, busy: SimDuration::from_micros(10), high_water: 4 },
-        );
-        b.per_connection.insert(2, ConnectionServiceStats::default());
         a.merge(&b);
         assert_eq!(a.enqueued, 6);
         assert_eq!(a.served, 5);
@@ -656,8 +600,5 @@ mod tests {
         assert_eq!(a.shed, 1);
         assert_eq!(a.busy_rejections, 1);
         assert_eq!(a.queue_high_water, 5, "high water is a max, not a sum");
-        assert_eq!(a.per_connection[&1].served, 5);
-        assert_eq!(a.per_connection[&1].high_water, 4);
-        assert!(a.per_connection.contains_key(&2));
     }
 }

@@ -163,24 +163,6 @@ pub const RULES: &[Rule] = &[
         ratchetable: true,
     },
     Rule {
-        code: "R001",
-        pass: "reset-completeness",
-        summary: "reset path covers some but not all fields of a Stats/Report struct",
-        ratchetable: true,
-    },
-    Rule {
-        code: "R002",
-        pass: "reset-completeness",
-        summary: "Stats struct has no reset path in its module",
-        ratchetable: true,
-    },
-    Rule {
-        code: "R003",
-        pass: "reset-completeness",
-        summary: "containing type's reset fn never touches a stats-bearing field",
-        ratchetable: true,
-    },
-    Rule {
         code: "C001",
         pass: "codec-coverage",
         summary: "type encodes but has no decode",

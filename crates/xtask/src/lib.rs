@@ -4,7 +4,7 @@
 //! (pages, logical units, pattern search) has a voice counterpart (§1–2).
 //! The client/server protocol surface and the simulated-time arithmetic are
 //! the contracts everything else rides on. This crate turns those contracts
-//! into machine checks — nine homegrown passes over the workspace source
+//! into machine checks — eight homegrown passes over the workspace source
 //! tree, with no external dependencies (crates.io is unreachable in the
 //! build environment):
 //!
@@ -35,11 +35,6 @@
 //!   public browsing-primitive surface of `crates/text` and `crates/voice`
 //!   and fails when either side of the paper's Section 2 vocabulary is
 //!   missing its counterpart.
-//! * [`passes::reset`] — **reset-completeness audit** (`R0xx`): parses
-//!   every `*Stats`/`*Report` struct in the accounting scope (`net`,
-//!   `server`, `core`) and verifies the module's `reset*`/`clear*`/
-//!   `*_accounting` fns, taken together, rebuild it or touch every field
-//!   — plus delegation drift on the containing types (`R003`).
 //! * [`passes::codec_cov`] — **codec-coverage audit** (`C0xx`): over the
 //!   codec scope, every encoding type must round-trip (`C001`), element
 //!   counts must flow through `Decoder::get_len` (`C002`), and versioned
@@ -50,9 +45,8 @@
 //!   its conformance invariants (`X001`), and diffs it against the
 //!   committed golden `spec/protocol.json` (`X002`).
 //!
-//! Panic-freedom, queue-growth, allocation-hygiene, unit-safety,
-//! reset-completeness, and `C002` codec-coverage
-//! findings may be *ratcheted* through the
+//! Panic-freedom, queue-growth, allocation-hygiene, unit-safety and
+//! `C002` codec-coverage findings may be *ratcheted* through the
 //! committed `lint-allow.toml`: existing debt is enumerated per file with a
 //! cap, the lint fails when a file exceeds its cap **and** when a cap is
 //! stale (fewer findings than allowed), so the debt can only shrink.

@@ -87,8 +87,7 @@ fn run_lint(root: &Path, json: bool) -> ExitCode {
         Ok(outcome) if outcome.is_clean() => {
             println!(
                 "minos-xtask lint: {} files clean (wire tags, panic-freedom, queue growth, \
-                 alloc hygiene, unit-safety, text/voice symmetry, reset completeness, \
-                 codec coverage)",
+                 alloc hygiene, unit-safety, text/voice symmetry, codec coverage)",
                 outcome.checked_files
             );
             ExitCode::SUCCESS

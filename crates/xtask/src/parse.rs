@@ -1,10 +1,8 @@
 //! Shared brace-level parsing helpers for the semantic passes.
 //!
-//! The reset-completeness and codec-coverage passes (and the spec
-//! extractor) all need the same structural facts about a code view:
-//! where the `impl` blocks are and whom they belong to, which `fn`s a
-//! block declares, which `struct`s a file defines and what fields they
-//! carry. Everything here works on the comment/string-stripped code view
+//! The codec-coverage pass and the spec extractor need the same
+//! structural facts about a code view: where the `impl` blocks are and
+//! whom they belong to, and which `fn`s a block declares. Everything here works on the comment/string-stripped code view
 //! of a [`crate::source::SourceFile`], so string contents can never fake
 //! a keyword, and every offset maps back to a real line.
 
@@ -31,39 +29,6 @@ pub struct FnItem {
     pub at: usize,
     /// Body range: from the opening `{` to just past its matching `}`.
     pub body: (usize, usize),
-}
-
-/// One `struct` item with a braced body: its name, the byte offset of the
-/// `struct` keyword, and the body range. Tuple and unit structs are
-/// skipped — the reset audit cares about named accounting fields.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StructItem {
-    /// The struct's name.
-    pub name: String,
-    /// Byte offset of the `struct` keyword in the code view.
-    pub at: usize,
-    /// Body range: from the opening `{` to just past its matching `}`.
-    pub body: (usize, usize),
-}
-
-/// One named struct field: its name, the type text after the colon, and
-/// the byte offset of the field name.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FieldItem {
-    /// The field's name.
-    pub name: String,
-    /// The raw type text (generics and all).
-    pub ty: String,
-    /// Byte offset of the field name in the code view.
-    pub at: usize,
-}
-
-/// Finds `needle` at or after `from` and returns the byte range of the
-/// brace-balanced body that follows it (from the opening `{` to just past
-/// its matching `}`). Gives up if a `;` ends the item first.
-pub fn item_body_from(code: &str, from: usize, needle: &str) -> Option<(usize, usize)> {
-    let at = from + code.get(from..)?.find(needle)?;
-    body_after(code, at + needle.len())
 }
 
 /// The brace-balanced body starting at the first `{` at or after `from`,
@@ -203,72 +168,6 @@ pub fn fns_in(code: &str, range: (usize, usize)) -> Vec<FnItem> {
     out
 }
 
-/// All braced `struct` items of a code view.
-pub fn structs(code: &str) -> Vec<StructItem> {
-    let mut out = Vec::new();
-    let mut from = 0;
-    while let Some(found) = code[from..].find("struct ") {
-        let at = from + found;
-        from = at + 7;
-        if !keyword_at(code, at) {
-            continue;
-        }
-        let name = ident_at(code, at + 7);
-        if name.is_empty() {
-            continue;
-        }
-        let Some(body) = body_after(code, at + 7 + name.len()) else {
-            continue;
-        };
-        out.push(StructItem { name, at, body });
-        from = body.1;
-    }
-    out
-}
-
-/// The named fields declared at depth 1 of a struct body.
-pub fn struct_fields(code: &str, body: (usize, usize)) -> Vec<FieldItem> {
-    let slice = &code[body.0..body.1];
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut offset = 0;
-    for line in slice.split_inclusive('\n') {
-        let depth_at_start = depth;
-        for b in line.bytes() {
-            match b {
-                b'{' | b'(' | b'<' => depth += 1,
-                b'}' | b')' | b'>' => depth = depth.saturating_sub(1),
-                _ => {}
-            }
-        }
-        if depth_at_start == 1 {
-            let trimmed = line.trim_start();
-            let lead = line.len() - trimmed.len();
-            let decl = if let Some(rest) = trimmed.strip_prefix("pub(") {
-                rest.split_once(')').map_or(rest, |(_, r)| r).trim_start()
-            } else if let Some(rest) = trimmed.strip_prefix("pub ") {
-                rest
-            } else {
-                trimmed
-            };
-            if !decl.starts_with('#') {
-                if let Some(colon) = decl.find(':') {
-                    let name = decl[..colon].trim().to_string();
-                    let ty = decl[colon + 1..].trim().trim_end_matches(',').to_string();
-                    if !name.is_empty()
-                        && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
-                        && name.chars().next().is_some_and(|c| !c.is_ascii_uppercase())
-                    {
-                        out.push(FieldItem { name, ty, at: body.0 + offset + lead });
-                    }
-                }
-            }
-        }
-        offset += line.len();
-    }
-    out
-}
-
 /// Whether `word` occurs in `text` with identifier boundaries on both
 /// sides (so `stall` never matches `install`).
 pub fn mentions_word(text: &str, word: &str) -> bool {
@@ -312,19 +211,13 @@ mod tests {
     use super::*;
 
     const SRC: &str = "\
-pub struct FooStats {
-    pub hits: u64,
-    pub misses: u64,
-}
-
 struct Holder {
-    stats: FooStats,
-    pool: BufferPool,
+    hits: u64,
 }
 
 impl<E: Endpoint> Holder {
-    pub fn reset_stats(&mut self) {
-        self.stats = FooStats::default();
+    pub fn hits(&self) -> u64 {
+        self.hits
     }
     fn helper(&self) -> u64 {
         0
@@ -332,23 +225,9 @@ impl<E: Endpoint> Holder {
 }
 
 impl Endpoint for Holder {
-    fn reset(&mut self) {}
+    fn poll(&mut self) {}
 }
 ";
-
-    #[test]
-    fn finds_structs_and_fields() {
-        let items = structs(SRC);
-        let names: Vec<&str> = items.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, vec!["FooStats", "Holder"]);
-        let fields = struct_fields(SRC, items[0].body);
-        assert_eq!(fields.len(), 2);
-        assert_eq!(fields[0].name, "hits");
-        assert_eq!(fields[0].ty, "u64");
-        let fields = struct_fields(SRC, items[1].body);
-        assert_eq!(fields[1].name, "pool");
-        assert_eq!(fields[1].ty, "BufferPool");
-    }
 
     #[test]
     fn finds_impls_with_generics_and_trait_targets() {
@@ -358,7 +237,7 @@ impl Endpoint for Holder {
         assert_eq!(blocks[1].owner, "Holder");
         let fns = fns_in(SRC, blocks[0].body);
         let names: Vec<&str> = fns.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, vec!["reset_stats", "helper"]);
+        assert_eq!(names, vec!["hits", "helper"]);
     }
 
     #[test]

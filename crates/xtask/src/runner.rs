@@ -2,9 +2,7 @@
 
 use crate::allow;
 use crate::diag::Diagnostic;
-use crate::passes::{
-    alloc_hygiene, codec_cov, panic_free, queue_growth, reset, symmetry, units, wire,
-};
+use crate::passes::{alloc_hygiene, codec_cov, panic_free, queue_growth, symmetry, units, wire};
 use crate::sig;
 use crate::source::{self, SourceFile};
 use std::io;
@@ -43,11 +41,6 @@ const ALLOC_SCOPE: &[&str] = &[
 /// The one file allowed to touch raw microsecond words: it owns the
 /// saturating conversion helpers everything else must use.
 const UNIT_EXEMPT: &str = "crates/types/src/time.rs";
-
-/// The accounting scope of the reset-completeness audit: every crate that
-/// grew a `*Stats` struct in a hardening PR (and shipped a reset-drift bug
-/// in two of them).
-const RESET_SCOPE: &[&str] = &["crates/net/src/", "crates/server/src/", "crates/core/src/"];
 
 /// The hand-written codecs the codec-coverage audit holds to round-trip,
 /// bounded-count, and version-check discipline.
@@ -140,15 +133,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintOutcome> {
         files.iter().filter(|f| f.rel != UNIT_EXEMPT).cloned().collect();
     findings.extend(units::run(&unit_scope));
 
-    // (3b) Reset-completeness audit over the accounting scope.
-    let accounting: Vec<SourceFile> = files
-        .iter()
-        .filter(|f| RESET_SCOPE.iter().any(|scope| f.rel.starts_with(scope)))
-        .cloned()
-        .collect();
-    findings.extend(reset::run(&accounting));
-
-    // (3c) Codec-coverage audit over the hand-written codecs.
+    // (3b) Codec-coverage audit over the hand-written codecs.
     let codecs: Vec<SourceFile> =
         files.iter().filter(|f| CODEC_SCOPE.contains(&f.rel.as_str())).cloned().collect();
     findings.extend(codec_cov::run(&codecs));

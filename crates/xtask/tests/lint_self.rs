@@ -5,7 +5,7 @@
 use std::path::{Path, PathBuf};
 
 use minos_xtask::passes::{
-    alloc_hygiene, codec_cov, panic_free, queue_growth, reset, symmetry, units, wire,
+    alloc_hygiene, codec_cov, panic_free, queue_growth, symmetry, units, wire,
 };
 use minos_xtask::sig;
 use minos_xtask::{lint_workspace, Diagnostic, ProtocolSpec, SourceFile};
@@ -126,29 +126,6 @@ fn symmetric_fixtures_are_clean() {
     let text = sig::pub_fns(&fixture("symmetry_text.rs"));
     let voice = sig::pub_fns(&fixture("symmetry_voice_good.rs"));
     let diags = symmetry::run(&text, &voice);
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn reset_bad_fixture_trips_every_rule() {
-    let diags = reset::run(&[fixture("reset_bad.rs")]);
-    let mut seen = rules(&diags);
-    seen.sort_unstable();
-    assert_eq!(seen, vec!["R001", "R002", "R003"], "got {diags:?}");
-    assert!(
-        diags.iter().any(|d| d.rule == "R001" && d.message.contains("stall")),
-        "R001 names the missed field: {diags:?}"
-    );
-    assert!(
-        diags.iter().any(|d| d.rule == "R003" && d.message.contains("Conn::pipe")),
-        "R003 names the drifted field: {diags:?}"
-    );
-    assert_anchored(&diags, "reset_bad.rs");
-}
-
-#[test]
-fn reset_good_fixture_is_clean() {
-    let diags = reset::run(&[fixture("reset_good.rs")]);
     assert!(diags.is_empty(), "{diags:?}");
 }
 

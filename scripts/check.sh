@@ -17,6 +17,11 @@ cargo run -q -p minos-xtask -- lint
 echo "==> minos-xtask spec --check"
 cargo run -q -p minos-xtask -- spec --check
 
+# Rustdoc warnings as errors: a doc link to a private or deleted item
+# fails here instead of rendering as dead text.
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings as errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+
 echo "==> cargo test --workspace"
 cargo test --workspace --quiet
 

@@ -20,11 +20,16 @@ use minos::voice::recognize::{Recognizer, RecognizerConfig, UtteranceIndex};
 use minos::voice::synth::{synthesize, SpeakerProfile};
 
 /// E5: retrieving a view window moves far fewer bytes than the whole
-/// image, and the gap grows with image size.
+/// image, and the gap grows with image size. The whole-image fetch is
+/// measured as the difference it adds to the workstation's running totals.
 #[test]
 fn e5_views_beat_whole_image_transfer() {
+    // (side, window bytes, window µs, whole-image bytes, whole-image µs):
+    // exact, so any drift in the transfer or device model shows up here.
+    let pinned =
+        [(600u32, 3_810, 81_259, 45_063, 275_248), (1_200, 3_810, 81_291, 180_063, 923_248)];
     let mut ratios = Vec::new();
-    for (i, side) in [600u32, 1_200].into_iter().enumerate() {
+    for (i, (side, pin_wb, pin_wt, pin_fb, pin_ft)) in pinned.into_iter().enumerate() {
         let id = ObjectId::new(i as u64 + 1);
         let mut object = minos::object::MultimediaObject::new(
             id,
@@ -39,10 +44,15 @@ fn e5_views_beat_whole_image_transfer() {
         let mut ws = Workstation::new(server, Link::ethernet());
 
         ws.fetch_view(id, 0, Rect::new(0, 0, 200, 150)).unwrap();
-        let window_bytes = ws.bytes_transferred();
-        ws.reset_accounting();
+        let (window_bytes, window_time) = (ws.bytes_transferred(), ws.elapsed());
         ws.fetch_view(id, 0, Rect::new(0, 0, side, side)).unwrap();
-        let full_bytes = ws.bytes_transferred();
+        let full_bytes = ws.bytes_transferred() - window_bytes;
+        let full_time = ws.elapsed() - window_time;
+        assert_eq!(
+            (window_bytes, window_time, full_bytes, full_time),
+            (pin_wb, SimDuration::from_micros(pin_wt), pin_fb, SimDuration::from_micros(pin_ft)),
+            "side {side}"
+        );
         assert!(window_bytes * 5 < full_bytes, "side {side}: {window_bytes} vs {full_bytes}");
         ratios.push(full_bytes as f64 / window_bytes as f64);
     }
@@ -50,7 +60,8 @@ fn e5_views_beat_whole_image_transfer() {
 }
 
 /// E6: the miniature-first interface delivers a first impression for far
-/// fewer bytes than shipping whole objects.
+/// fewer bytes than shipping whole objects. The full-object pass is
+/// measured as the difference it adds to the running totals.
 #[test]
 fn e6_miniatures_beat_full_objects() {
     let mut server = ObjectServer::new();
@@ -66,12 +77,16 @@ fn e6_miniatures_beat_full_objects() {
     let miniature_bytes = ws.bytes_transferred();
     let miniature_time = ws.elapsed();
 
-    ws.reset_accounting();
     for (id, base) in &bases {
         ws.fetch_object(*id, *base).unwrap();
     }
-    let full_bytes = ws.bytes_transferred();
-    let full_time = ws.elapsed();
+    let full_bytes = ws.bytes_transferred() - miniature_bytes;
+    let full_time = ws.elapsed() - miniature_time;
+    assert_eq!(
+        (miniature_bytes, miniature_time, full_bytes, full_time),
+        (1_494, SimDuration::from_micros(361_638), 244_122, SimDuration::from_micros(1_524_954)),
+        "exact transfer volumes and simulated times"
+    );
     assert!(miniature_bytes * 10 < full_bytes, "miniatures {miniature_bytes} vs full {full_bytes}");
     // Seek latency dominates tiny reads on the optical device, so the
     // time gap is narrower than the byte gap; it must still be decisive.
