@@ -40,7 +40,7 @@ fn play(depth: usize) -> (PrefetchStats, u64) {
 
 fn print_series() {
     row("E11", "record = 1 MB in 16 x 64 KB pages; dwell = 320 ms/page;");
-    row("E11", "link = 10 Mbit/s Ethernet; optical server; batch spans coalesce");
+    row("E11", "link = 10 Mbit/s Ethernet; optical server; adjacent spans coalesce");
     row("E11", "depth  opening  total_stall  stall/page  trips  hits  misses  wasted");
     for depth in [0usize, 1, 2, 4] {
         let (stats, trips) = play(depth);

@@ -57,7 +57,7 @@
 
 use crate::kernel::KernelEvent;
 use crate::transport::{Backend, Client, FleetStats, CONN_ID, DEFAULT_WINDOW};
-use minos_net::{crc32, FaultPlan, Frame, FramePayload, Link, ServerRequest, ServerResponse};
+use minos_net::{crc32, FaultPlan, Frame, Link, ServerRequest, ServerResponse};
 use minos_server::{ObjectServer, ServiceConfig, ServiceStats};
 use minos_types::{ByteSpan, MinosError, ObjectId, Result, SimDuration};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -223,11 +223,6 @@ impl Fleet {
             placements: HashMap::new(),
             checksums: HashMap::new(),
         })
-    }
-
-    /// Member count.
-    pub fn member_count(&self) -> usize {
-        self.members.len()
     }
 
     /// Copies stored per object.
@@ -828,47 +823,12 @@ impl Backend for Fleet {
         ticket.0
     }
 
-    fn members(&self) -> usize {
-        self.members.len()
+    fn servers(&self) -> &[ObjectServer] {
+        &self.members
     }
 
-    fn member_epoch(&self, member: usize) -> u64 {
-        self.epoch(member)
-    }
-
-    fn serve(&mut self, member: usize, request: &ServerRequest) -> (ServerResponse, SimDuration) {
-        self.members[member].handle(request)
-    }
-
-    /// Moves pending frames into each member's service queue and pumps
-    /// every member: served (or rejected) responses cross the member's
-    /// device timeline and the shared downlink, landing timestamped.
-    fn dispatch(conn: &mut FleetConnection) {
-        for m in 0..conn.server.members.len() {
-            while let Some(p) = conn.pending[m].pop_front() {
-                let rid = p.frame.request_id;
-                conn.arrival_at.insert(rid, p.arrival);
-                // The member's admission control is the gate: a frame it
-                // turns away comes back as a Busy reply through the same
-                // ready queue.
-                if conn.server.members[m].enqueue(p.frame).is_err() {
-                    conn.arrival_at.remove(&rid);
-                }
-            }
-            while let Some((frame, charge)) = conn.server.members[m].poll_conn(CONN_ID) {
-                let rid = frame.request_id;
-                let arrival = conn.arrival_at.remove(&rid).unwrap_or(conn.up_free);
-                let done = arrival.max(conn.dev_free[m]) + charge;
-                conn.dev_free[m] = done;
-                if let FramePayload::Response(response) = frame.payload {
-                    conn.land(rid, response, done);
-                }
-            }
-            // The wake list (including the orphans a restart marks) has
-            // been fully served for the fleet's single logical connection;
-            // clear it so it never accumulates.
-            conn.server.members[m].clear_woken();
-        }
+    fn servers_mut(&mut self) -> &mut [ObjectServer] {
+        &mut self.members
     }
 
     /// The next replica on the object's rendezvous ring; a single-replica
@@ -931,13 +891,7 @@ impl FleetConnection {
     /// machinery (deadlines, retransmission, duplicate suppression,
     /// failover) engages.
     pub fn with_faults(fleet: Fleet, link: Link, window: usize, plan: FaultPlan) -> Self {
-        let mut conn = Client::open(fleet, link, window, plan);
-        // One pool for the connection and its members: a page collected
-        // and recycled goes back to the pool the member leases from.
-        for member in &mut conn.server.members {
-            member.adopt_pool(conn.pool.clone());
-        }
-        conn
+        Client::open(fleet, link, window, plan)
     }
 
     /// Busy-honoring accounting (deferred resubmissions and the

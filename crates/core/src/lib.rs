@@ -23,7 +23,7 @@
 //! * [`remote`] — the workstation side of the server protocol: remote
 //!   views, miniature browsing, transfer accounting;
 //! * [`prefetch`] — anticipatory prefetching: prediction policies, the
-//!   batched prefetch pipeline, and stall-time accounting (§5);
+//!   pipelined prefetch buffer, and stall-time accounting (§5);
 //! * [`kernel`] — the discrete-event simulation kernel: hierarchical
 //!   timer wheel, typed wake events, ready queue, and trace ring;
 //! * [`sched`] — the multi-session scheduler: N concurrent sessions over

@@ -5,7 +5,7 @@
 //! Presentation positions are strong predictors: a reader's next text page,
 //! a playback's next audio pages, a tour's next stop, a roaming view's next
 //! window, the relevant objects whose indicators are on screen. This module
-//! turns those predictions into *one* batched round trip per lookahead
+//! turns those predictions into *one* pipelined round trip per lookahead
 //! window and overlaps the transfer with the user's dwell on the current
 //! material, so the continuity metric — stall time — shrinks as the
 //! prefetch depth grows.
@@ -257,7 +257,7 @@ impl PrefetchBuffer {
     /// [`PrefetchStats::stall`], which measures interruptions of an
     /// *ongoing* presentation.
     pub fn prime(&mut self, plan: &[ServerRequest]) -> Result<SimDuration> {
-        let window = self.uncovered(plan, self.prefetcher.depth() + 1, None)?;
+        let window = self.uncovered(plan, self.prefetcher.depth() + 1, None);
         if window.is_empty() {
             return Ok(SimDuration::ZERO);
         }
@@ -278,9 +278,6 @@ impl PrefetchBuffer {
         plan: &[ServerRequest],
         dwell: SimDuration,
     ) -> Result<(ServerResponse, SimDuration)> {
-        if matches!(need, ServerRequest::Batch { .. }) {
-            return Err(MinosError::Protocol("batches are issued by the pipeline".into()));
-        }
         let key = need.encode();
         let mut stall = SimDuration::ZERO;
 
@@ -369,7 +366,7 @@ impl PrefetchBuffer {
         if depth == 0 || !self.inflight.is_empty() || self.buffer.len() > depth {
             return Ok(());
         }
-        let window = self.uncovered(plan, depth, exclude)?;
+        let window = self.uncovered(plan, depth, exclude);
         if window.is_empty() {
             return Ok(());
         }
@@ -389,15 +386,12 @@ impl PrefetchBuffer {
         plan: &'p [ServerRequest],
         limit: usize,
         exclude: Option<&[u8]>,
-    ) -> Result<Vec<(Vec<u8>, &'p ServerRequest)>> {
+    ) -> Vec<(Vec<u8>, &'p ServerRequest)> {
         let mut window: Vec<(Vec<u8>, &ServerRequest)> = Vec::new();
         let mut scratch = Vec::new();
         for request in plan {
             if window.len() >= limit {
                 break;
-            }
-            if matches!(request, ServerRequest::Batch { .. }) {
-                return Err(MinosError::Protocol("plans cannot contain batches".into()));
             }
             let mut e = Encoder::reuse(std::mem::take(&mut scratch));
             request.encode_to(&mut e);
@@ -413,7 +407,7 @@ impl PrefetchBuffer {
                 window.push((std::mem::take(&mut scratch), request));
             }
         }
-        Ok(window)
+        window
     }
 
     /// Submits one pipelined burst — every request goes on the wire before
@@ -510,11 +504,6 @@ impl AnticipatingStore {
     /// The pipeline (stats, workstation accounting).
     pub fn pipeline(&self) -> &PrefetchBuffer {
         &self.pipeline
-    }
-
-    /// Mutable pipeline access.
-    pub fn pipeline_mut(&mut self) -> &mut PrefetchBuffer {
-        &mut self.pipeline
     }
 }
 
@@ -787,7 +776,15 @@ mod tests {
                 }
             }
             pipe.evict_buffered();
-            pipe.workstation().transport_stats()
+            // The server leases span payloads from the pool it shares with
+            // the connection; both sides' leases count.
+            let ws = pipe.workstation();
+            let mut leases = ws.connection().endpoint().service_stats().clone();
+            let transport = ws.transport_stats();
+            leases.pool_hits += transport.pool_hits;
+            leases.pool_misses += transport.pool_misses;
+            leases.payload_allocs += transport.payload_allocs;
+            leases
         };
         let dropped = run(false);
         let recycled = run(true);

@@ -10,26 +10,26 @@
 //! and E6 (miniature-first browsing) read their numbers from here.
 //!
 //! Underneath, every request travels on a [`Connection`]: the pipelined
-//! [`Client`] of [`crate::transport`] over a single server.
+//! [`Client`] of [`crate::transport`] over a single server, served through
+//! that server's service queue exactly as each member of a fleet is.
 //! [`Connection::submit`] puts a request on the wire and returns a
 //! [`Ticket`] at once, so several requests overlap link transfer with
 //! device time; [`Client::wait`] collects the response and charges only
-//! the time the caller actually had to wait. What is particular to one server lives here: on a clean link
-//! requests travel as typed frames — never encoded, no deadline armed —
-//! and a leading run of adjacent span fetches is served as one device read
-//! and one merged response transfer (the §5 anticipatory shape). The
-//! blocking [`Workstation::request`]/[`Workstation::request_batch`] calls
-//! are thin submit-then-wait shims over this pipeline.
+//! the time the caller actually had to wait. What is particular to one
+//! server lives here: on a clean link requests travel as typed frames —
+//! never encoded, no deadline armed. A run of adjacent span fetches (the
+//! §5 anticipatory shape) is coalesced by the server into one device read,
+//! and each page crosses the downlink as its own response frame once its
+//! share of the read is done. The blocking
+//! [`Workstation::request`]/[`Workstation::request_batch`] calls are thin
+//! submit-then-wait shims over this pipeline.
 
-use crate::transport::{
-    Backend, Client, Landed, PendingFrame, TransportStats, CONN_ID, DEFAULT_WINDOW,
-};
+use crate::transport::{Backend, Client, TransportStats, DEFAULT_WINDOW};
 use minos_image::{Bitmap, View};
-use minos_net::{FaultPlan, Frame, FramePayload, Link, ServerRequest, ServerResponse};
+use minos_net::{FaultPlan, Link, ServerRequest, ServerResponse};
 use minos_object::{ArchivedObject, DataKind, DataPayload};
 use minos_server::ObjectServer;
-use minos_types::{ByteSpan, MinosError, ObjectId, Rect, Result, SimDuration, Size};
-use std::collections::VecDeque;
+use minos_types::{MinosError, ObjectId, Rect, Result, SimDuration, Size};
 
 /// A handle to a submitted, not-yet-collected request on a [`Connection`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -38,9 +38,15 @@ pub struct Ticket(u64);
 /// A pipelined connection to one [`ObjectServer`] over a link.
 pub type Connection = Client<ObjectServer>;
 
-/// One server: requests are handled directly (there is no service queue
-/// between the wire and the device), so it never answers `Busy` and has
-/// nowhere to fail over to.
+/// One server, a fleet of one: the client dispatches every frame through
+/// its service queue, as it does for each fleet member, and it has nowhere
+/// to fail over to. It does not answer `Busy` either: no [`Connection`]
+/// here opens a window wider than the default, which fits the queue's
+/// [`ServiceConfig::DEFAULT_PER_CONN_CAP`] (a compile-time check holds
+/// them together), so admission lets every frame in. (A wider window could be turned away, and the client would
+/// park the request on the server's hint as it does for a fleet.)
+///
+/// [`ServiceConfig::DEFAULT_PER_CONN_CAP`]: minos_server::ServiceConfig::DEFAULT_PER_CONN_CAP
 impl Backend for ObjectServer {
     type Ticket = Ticket;
     type Route = ();
@@ -53,60 +59,13 @@ impl Backend for ObjectServer {
         ticket.0
     }
 
-    fn members(&self) -> usize {
-        1
+    fn servers(&self) -> &[ObjectServer] {
+        std::slice::from_ref(self)
     }
 
-    fn member_epoch(&self, _member: usize) -> u64 {
-        self.epoch()
+    fn servers_mut(&mut self) -> &mut [ObjectServer] {
+        std::slice::from_mut(self)
     }
-
-    fn serve(&mut self, _member: usize, request: &ServerRequest) -> (ServerResponse, SimDuration) {
-        self.handle(request)
-    }
-
-    /// Moves every pending frame through the server device and the
-    /// downlink. Coalescing applies only on clean links: a mangled merged
-    /// frame would lose the whole run to one bit flip, so faulty links keep
-    /// per-request frames (integrity and retransmission are per frame).
-    fn dispatch(conn: &mut Connection) {
-        loop {
-            let run_len = if conn.link.is_clean() { leading_span_run(&conn.pending[0]) } else { 1 };
-            if run_len > 1 {
-                let run: Vec<PendingFrame> = conn.pending[0].drain(..run_len).collect();
-                conn.dispatch_coalesced(&run);
-                continue;
-            }
-            let Some(p) = conn.pending[0].pop_front() else { break };
-            let (response, took) = match p.frame.as_request() {
-                Some(request) => conn.server.handle(request),
-                None => (
-                    ServerResponse::Error("pending frame carried no request".into()),
-                    SimDuration::ZERO,
-                ),
-            };
-            let done = p.arrival.max(conn.dev_free[0]) + took;
-            conn.dev_free[0] = done;
-            conn.land(p.frame.request_id, response, done);
-        }
-    }
-}
-
-/// Length of the leading run of adjacent span fetches in `pending`.
-fn leading_span_run(pending: &VecDeque<PendingFrame>) -> usize {
-    let mut len = 0;
-    let mut prev_end: Option<u64> = None;
-    for p in pending {
-        let Some(span) = p.frame.as_request().and_then(|r| r.as_span()) else {
-            break;
-        };
-        if prev_end.is_some_and(|end| end != span.start) {
-            break;
-        }
-        prev_end = Some(span.end);
-        len += 1;
-    }
-    len
 }
 
 impl Connection {
@@ -169,77 +128,6 @@ impl Connection {
             }
         }
     }
-
-    /// Serves a run of adjacent span fetches as one device read and one
-    /// merged downlink transfer, slicing the bytes back per request.
-    fn dispatch_coalesced(&mut self, run: &[PendingFrame]) {
-        let spans: Vec<ByteSpan> =
-            run.iter().filter_map(|p| p.frame.as_request().and_then(|r| r.as_span())).collect();
-        let (Some(first), Some(last), Some(tail)) = (spans.first(), spans.last(), run.last())
-        else {
-            return;
-        };
-        let whole = ByteSpan::new(first.start, last.end);
-        let (response, took) = self.server.handle(&ServerRequest::FetchSpan { span: whole });
-        let done = tail.arrival.max(self.dev_free[0]) + took;
-        self.dev_free[0] = done;
-        match response {
-            ServerResponse::Span(bytes) => {
-                // One merged response frame carries the whole run's bytes;
-                // the probe computes its wire size without copying them.
-                let probe =
-                    Frame::response(CONN_ID, tail.frame.request_id, ServerResponse::Span(bytes));
-                let down = self.link.charge(probe.wire_size());
-                let delivered = done.max(self.down_free) + down;
-                self.down_free = delivered;
-                let bytes = match probe.payload {
-                    FramePayload::Response(ServerResponse::Span(bytes)) => bytes,
-                    _ => Vec::new(),
-                };
-                for (p, span) in run.iter().zip(&spans) {
-                    let from = (span.start - whole.start) as usize;
-                    let sliced = match bytes.get(from..from + span.len() as usize) {
-                        Some(slice) => {
-                            // Per-request payloads come out of the pool, so a
-                            // steady-state pipeline re-serves the same buffers
-                            // instead of allocating per page.
-                            let mut payload = self.lease();
-                            payload.extend_from_slice(slice);
-                            ServerResponse::Span(payload)
-                        }
-                        None => ServerResponse::Error(format!(
-                            "coalesced read lost {span} inside {whole}"
-                        )),
-                    };
-                    self.landed.insert(
-                        p.frame.request_id,
-                        Landed { response: sliced, ready_at: delivered },
-                    );
-                }
-                // The merged carrier buffer has been sliced apart; hand it
-                // back so the next merged read reuses it.
-                self.pool.recycle(bytes);
-            }
-            other => {
-                let message = match other {
-                    ServerResponse::Error(message) => message,
-                    other => format!("unexpected response {other:?}"),
-                };
-                for (i, p) in run.iter().enumerate() {
-                    // Each request owns an error naming its slice of the
-                    // merged read — built once per request, not cloned
-                    // from a shared buffer.
-                    let detail = match spans.get(i) {
-                        Some(span) => {
-                            format!("coalesced read {whole} failed for {span}: {message}")
-                        }
-                        None => format!("coalesced read {whole} failed: {message}"),
-                    };
-                    self.land(p.frame.request_id, ServerResponse::Error(detail), done);
-                }
-            }
-        }
-    }
 }
 
 /// The workstation: a server endpoint reached over a link, with full time
@@ -278,8 +166,8 @@ impl Workstation {
         self.conn.bytes_transferred()
     }
 
-    /// Request/response round trips so far (a batch or pipelined burst
-    /// counts as one — that is its point).
+    /// Request/response round trips so far (a pipelined burst counts as
+    /// one — that is its point).
     pub fn round_trips(&self) -> u64 {
         self.conn.round_trips()
     }
@@ -319,9 +207,10 @@ impl Workstation {
 
     /// Issues several requests as one pipelined burst, returning one
     /// response per request in order. The burst counts as a single round
-    /// trip; adjacent span fetches coalesce into one device read and one
-    /// merged response transfer; per-request failures come back as inline
-    /// [`ServerResponse::Error`] entries rather than failing the call.
+    /// trip; the server coalesces adjacent span fetches into one device
+    /// read, and each page still comes back in its own response frame;
+    /// per-request failures come back as inline [`ServerResponse::Error`]
+    /// entries rather than failing the call.
     pub fn request_batch(&mut self, requests: Vec<ServerRequest>) -> Result<Vec<ServerResponse>> {
         let tickets: Vec<Ticket> = requests.into_iter().map(|r| self.conn.submit(r)).collect();
         tickets.into_iter().map(|t| self.conn.wait(t).map(|(response, _)| response)).collect()
@@ -429,6 +318,7 @@ mod tests {
     use minos_corpus::{medical_report, subway_map_object};
     use minos_image::view::MoveDirection;
     use minos_server::ObjectServer;
+    use minos_types::ByteSpan;
 
     fn server() -> (ObjectServer, u64) {
         let mut server = ObjectServer::new();
@@ -589,16 +479,15 @@ mod tests {
     }
 
     #[test]
-    fn adjacent_span_submissions_coalesce_on_the_wire() {
+    fn adjacent_span_submissions_coalesce_into_one_device_read() {
         let mut server = ObjectServer::new();
         let data: Vec<u8> = (0..32_768u32).map(|i| (i % 251) as u8).collect();
         let (record, _) = server.archiver_mut().store(ObjectId::new(9), &data).unwrap();
         let chunk = record.span.len() / 4;
 
         let mut serial = Workstation::new(server, Link::ethernet());
-        let spans: Vec<minos_types::ByteSpan> = (0..4)
-            .map(|i| minos_types::ByteSpan::at(record.span.start + i * chunk, chunk))
-            .collect();
+        let spans: Vec<ByteSpan> =
+            (0..4).map(|i| ByteSpan::at(record.span.start + i * chunk, chunk)).collect();
         for &span in &spans {
             serial.request(&ServerRequest::FetchSpan { span }).unwrap();
         }
@@ -620,15 +509,16 @@ mod tests {
                 (span.start..span.end).map(|b| (b as usize % 251) as u8).collect();
             assert_eq!(bytes, expect, "coalesced slice for {span}");
         }
-        let stats = pipelined.connection().link_stats();
-        assert_eq!(stats.messages, 5, "4 requests + 1 merged response");
+        // The server read the four pages in one pass; each still came back
+        // in its own response frame.
+        assert_eq!(pipelined.connection().link_stats().messages, 8, "4 requests + 4 responses");
+        assert_eq!(pipelined.connection().endpoint().service_stats().coalesced_runs, 1);
         assert!(
-            stats.bytes < serial_stats.bytes,
-            "merged {} vs serial {} bytes",
-            stats.bytes,
-            serial_stats.bytes
+            pipelined.elapsed() < serial.elapsed(),
+            "pipelined {} vs serial {}",
+            pipelined.elapsed(),
+            serial.elapsed()
         );
-        assert!(pipelined.elapsed() < serial.elapsed());
     }
 
     #[test]
@@ -873,13 +763,17 @@ mod tests {
 
     #[test]
     fn coalesced_span_payloads_recycle_through_the_pool() {
-        // A coalesced run slices per-request payloads out of one merged
-        // response. Those slices lease from the pool; a caller that hands
-        // consumed payloads back via recycle_payload keeps the allocation
-        // count flat across rounds.
+        // The server slices a coalesced run into per-request payloads
+        // leased from the pool it shares with the connection; a caller that
+        // hands consumed payloads back via recycle_payload keeps the
+        // allocation count flat across rounds, on both sides of the wire.
         let (server, base) = server();
         let mut conn = Connection::new(server, Link::ethernet());
         let spans: Vec<ByteSpan> = (0..3).map(|i| ByteSpan::at(base + i * 512, 512)).collect();
+        let leases = |conn: &Connection| {
+            let (transport, service) = (conn.transport_stats(), conn.endpoint().service_stats());
+            (transport.pool_hits + service.pool_hits, transport.pool_misses + service.pool_misses)
+        };
         let mut misses_after_first_round = 0;
         for round in 0..3 {
             let tickets: Vec<Ticket> =
@@ -891,17 +785,15 @@ mod tests {
                     other => panic!("expected span bytes, got {other:?}"),
                 }
             }
+            let (hits, misses) = leases(&conn);
             if round == 0 {
-                misses_after_first_round = conn.transport_stats().pool_misses;
+                misses_after_first_round = misses;
                 assert!(misses_after_first_round > 0);
+            } else {
+                assert_eq!(misses, misses_after_first_round, "round {round} allocated");
+                assert!(hits >= 4 * round, "round {round} leased recycled buffers: {hits}");
             }
         }
-        let stats = conn.transport_stats();
-        assert_eq!(
-            stats.pool_misses, misses_after_first_round,
-            "later rounds must not allocate: {stats:?}"
-        );
-        assert!(stats.pool_hits >= 6, "rounds two and three are all pool hits: {stats:?}");
     }
 }
 

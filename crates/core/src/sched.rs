@@ -123,18 +123,22 @@ impl Hub {
         let up = self.link.transfer(frame.wire_size());
         let arrival = self.clock.now().max(self.up_free) + up;
         self.up_free = arrival;
-        self.arrivals.insert((conn, rid), arrival);
+        // Only a copy that reaches the server's queue is answered, and the
+        // answer's delivery is what takes the arrival back out: a frame
+        // lost on the way up must leave no entry behind.
         if let Some(f) = self.faults.get_mut(&conn) {
             let bytes = frame.encode();
             for delivery in f.plan.apply(&mut f.rng, &bytes, &mut f.stats) {
                 if let Ok(delivered) = Frame::decode(&delivery.bytes) {
                     if delivered.as_request().is_some() {
                         self.server.enqueue(delivered)?;
+                        self.arrivals.insert((conn, rid), arrival);
                     }
                 }
             }
         } else {
             self.server.enqueue(frame)?;
+            self.arrivals.insert((conn, rid), arrival);
         }
         Ok(rid)
     }
@@ -910,6 +914,28 @@ mod tests {
         assert_eq!(sched.session(key).unwrap().object().id, ObjectId::new(4));
         let waited_after = sched.session(key).unwrap().store().waited();
         assert!(waited_after > waited_before, "the demand miss paid the transfer wait");
+    }
+
+    #[test]
+    fn lost_request_frames_leave_no_arrival_behind() {
+        let config = PaginateConfig::default();
+        let page = SimDuration::from_secs(5);
+        let mut sched = SessionScheduler::new(corpus_server(), Link::ethernet());
+        let (key, _) = sched.open(ObjectId::new(3), config, page).unwrap();
+        sched.inject_faults(key, FaultPlan::dropping(21, 0.5)).unwrap();
+        // At this loss rate a selection can exhaust its retries and fail;
+        // succeeded or not, no command may leave an arrival behind.
+        for _ in 0..20 {
+            let _ = sched.apply(key, BrowseCommand::SelectRelevant(0));
+            let _ = sched.apply(key, BrowseCommand::ReturnFromRelevant);
+            sched.tick(SimDuration::from_secs(1));
+        }
+        assert!(sched.fault_stats(key).unwrap().dropped > 0, "the plan dropped frames");
+        // Every arrival left on record belongs to a frame still queued at
+        // the server; a request frame lost on the uplink records none.
+        let hub = sched.hub.borrow();
+        assert_eq!(hub.server.pending_frames(), 0);
+        assert_eq!(hub.arrivals.len(), 0, "arrivals kept for frames the server never saw");
     }
 
     #[test]

@@ -26,15 +26,17 @@
 //! * **Restarts.** A member whose epoch moved is re-handshaken with
 //!   `Hello`/`Welcome`, and whatever its dead incarnation lost is replayed
 //!   idempotently under the original request ids.
+//! * **Service.** Every pending frame enters its member's
+//!   [`ObjectServer`] service queue and comes back through
+//!   [`ObjectServer::poll_conn`], so adjacent span fetches are coalesced
+//!   in one place, the server's, for one server and a fleet alike.
 //!
 //! What differs between one server and a fleet sits behind [`Backend`]:
-//! how pending frames are served, where a request goes when its member
-//! fails, and which timer events other than retransmits mean something.
-//! [`Connection`](crate::remote::Connection) (one [`ObjectServer`]) and
-//! [`FleetConnection`](crate::fleet::FleetConnection) (a
-//! [`Fleet`](crate::fleet::Fleet)) are its two instantiations.
-//!
-//! [`ObjectServer`]: minos_server::ObjectServer
+//! where a request goes when its member fails, and which timer events
+//! other than retransmits mean something.
+//! [`Connection`](crate::remote::Connection) (one [`ObjectServer`], a
+//! fleet of one) and [`FleetConnection`](crate::fleet::FleetConnection)
+//! (a [`Fleet`](crate::fleet::Fleet)) are its two instantiations.
 
 use crate::fleet::HealthMonitor;
 use crate::idhash::{IdMap, IdSet};
@@ -43,6 +45,7 @@ use minos_net::{
     BufferPool, FaultPlan, FaultStats, FaultyLink, Frame, FramePayload, InflightWindow, Link,
     LinkStats, Priority, ServerRequest, ServerResponse,
 };
+use minos_server::{ObjectServer, ServiceConfig};
 use minos_types::{MinosError, Result, SimClock, SimDuration, SimInstant};
 use std::collections::VecDeque;
 use std::fmt;
@@ -63,8 +66,11 @@ fn lease_counted(pool: &BufferPool, stats: &mut TransportStats) -> Vec<u8> {
 /// tell requests apart by request id, which the client keeps unique.
 pub(crate) const CONN_ID: u64 = 1;
 
-/// Default pipelining budget: requests that may be in flight at once.
+/// Default pipelining budget: requests that may be in flight at once. It
+/// fits a server's default per-connection queue cap, so admission never
+/// turns a full default window away `Busy`.
 pub(crate) const DEFAULT_WINDOW: usize = 32;
+const _: () = assert!(DEFAULT_WINDOW <= ServiceConfig::DEFAULT_PER_CONN_CAP);
 
 /// Default per-request deadline. The sim serves every surviving frame by
 /// the time a caller waits on it, so a deadline only ever fires on genuine
@@ -79,8 +85,8 @@ const DEFAULT_MAX_RETRIES: u32 = 4;
 const BACKOFF_CAP: SimDuration = SimDuration::from_secs(4);
 
 /// The server side of a [`Client`]: what one server and a fleet of them do
-/// differently. Members are numbered `0..members()`; a single server is a
-/// fleet of one.
+/// differently. Members are the indices of [`Backend::servers`]; a single
+/// server is a fleet of one.
 pub trait Backend: Sized {
     /// The handle a submission returns.
     type Ticket: Copy + fmt::Debug;
@@ -104,20 +110,11 @@ pub trait Backend: Sized {
     /// The request id a ticket stands for.
     fn ticket_id(ticket: Self::Ticket) -> u64;
 
-    /// Member count.
-    fn members(&self) -> usize;
+    /// The servers behind the client, one per member.
+    fn servers(&self) -> &[ObjectServer];
 
-    /// The restart epoch of `member`; a bump tells the client that the
-    /// member's in-flight work was lost.
-    fn member_epoch(&self, member: usize) -> u64;
-
-    /// Serves one control request (the epoch handshake, a heartbeat) on
-    /// `member` directly, with its device-time charge.
-    fn serve(&mut self, member: usize, request: &ServerRequest) -> (ServerResponse, SimDuration);
-
-    /// Moves every pending frame through its member's device and lands the
-    /// responses on the client.
-    fn dispatch(client: &mut Client<Self>);
+    /// Mutable access to the servers behind the client.
+    fn servers_mut(&mut self) -> &mut [ObjectServer];
 
     /// Where a request aimed at `target` goes instead, and the request to
     /// send there; `None` when there is nowhere else to go.
@@ -141,15 +138,15 @@ pub trait Backend: Sized {
 
 /// A request frame accepted for transmission but not yet served: its bytes
 /// finish arriving at the server at `arrival`.
-pub(crate) struct PendingFrame {
-    pub(crate) frame: Frame,
-    pub(crate) arrival: SimInstant,
+struct PendingFrame {
+    frame: Frame,
+    arrival: SimInstant,
 }
 
 /// A served response whose bytes finish arriving back at `ready_at`.
-pub(crate) struct Landed {
-    pub(crate) response: ServerResponse,
-    pub(crate) ready_at: SimInstant,
+struct Landed {
+    response: ServerResponse,
+    ready_at: SimInstant,
 }
 
 /// What every retransmit, replay or deferred resubmit of a request is
@@ -207,9 +204,9 @@ pub struct TransportStats {
     /// server, which has nowhere else to go.
     pub failovers: u64,
     /// The client's own pool leases served from the free list — no
-    /// allocation happened. A fleet's members lease from the same pool and
-    /// count their leases in their service stats, so each lease is counted
-    /// once, by whoever took it.
+    /// allocation happened. Its servers lease span payloads from the same
+    /// pool and count those leases in their service stats, so each lease is
+    /// counted once, by whoever took it.
     pub pool_hits: u64,
     /// The client's own pool leases that had to allocate a fresh buffer (a
     /// cold pool or a burst deeper than the retained free list).
@@ -255,9 +252,10 @@ impl Collected {
     }
 }
 
-/// Busy-honoring accounting. Only fleet members answer `Busy` through a
-/// client (a single server is served directly), so a
-/// [`Connection`](crate::remote::Connection) keeps these at zero.
+/// Busy-honoring accounting. A [`Connection`](crate::remote::Connection)
+/// keeps these at zero while its window fits its server's per-connection
+/// queue cap, as every `Connection` here does: its one server then never
+/// answers `Busy`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FleetStats {
     /// Requests turned away with [`ServerResponse::Busy`] and parked on a
@@ -285,16 +283,17 @@ pub struct Client<B: Backend> {
     next_request_id: u64,
     window: InflightWindow,
     /// Per-member queues of request frames in transit to that member.
-    pub(crate) pending: Vec<VecDeque<PendingFrame>>,
+    pending: Vec<VecDeque<PendingFrame>>,
     /// Arrival instant of each frame handed to a member's service queue.
-    pub(crate) arrival_at: IdMap<SimInstant>,
-    pub(crate) landed: IdMap<Landed>,
+    arrival_at: IdMap<SimInstant>,
+    landed: IdMap<Landed>,
     outstanding: IdMap<Outstanding<B::Route>>,
     collected: Collected,
     /// Transmit and payload buffers leased and recycled across the
-    /// client's lifetime, shared with a fleet's members. Leases go through
-    /// [`Client::lease`], which counts them in [`TransportStats`].
-    pub(crate) pool: BufferPool,
+    /// client's lifetime, shared with its servers. The client's own leases
+    /// go through [`Client::lease`], which counts them in
+    /// [`TransportStats`].
+    pool: BufferPool,
     /// Every outstanding request's retransmit deadline (and any heartbeat
     /// tick), so a loss on an idle client is discovered by
     /// [`Client::advance_to`] at its deadline.
@@ -319,10 +318,16 @@ pub struct Client<B: Backend> {
 impl<B: Backend> Client<B> {
     /// Opens a client of `server` over `link` misbehaving according to
     /// `plan`, with an in-flight window of `window` requests.
-    pub(crate) fn open(server: B, link: Link, window: usize, plan: FaultPlan) -> Self {
-        let members = server.members();
+    pub(crate) fn open(mut server: B, link: Link, window: usize, plan: FaultPlan) -> Self {
+        // One pool for the client and its servers: a page collected and
+        // recycled goes back to the pool its server leases from.
+        let pool = BufferPool::new();
+        for member in server.servers_mut() {
+            member.adopt_pool(pool.clone());
+        }
+        let members = server.servers().len();
         Client {
-            epochs: (0..members).map(|m| server.member_epoch(m)).collect(),
+            epochs: server.servers().iter().map(ObjectServer::epoch).collect(),
             server,
             link: FaultyLink::new(link, plan),
             clock: SimClock::new(),
@@ -333,7 +338,7 @@ impl<B: Backend> Client<B> {
             landed: IdMap::default(),
             outstanding: IdMap::default(),
             collected: Collected::default(),
-            pool: BufferPool::new(),
+            pool,
             kernel: Kernel::new(),
             transport: TransportStats::default(),
             busy: FleetStats::default(),
@@ -408,17 +413,11 @@ impl<B: Backend> Client<B> {
         self.window.len()
     }
 
-    /// The in-flight window capacity.
-    pub fn window_capacity(&self) -> usize {
-        self.window.capacity()
-    }
-
     /// Hands a consumed payload buffer back to the transmit pool, so the
     /// steady-state hot path re-serves it instead of allocating a fresh
-    /// one per page. A fleet's members lease their span payloads from this
-    /// same pool, so a collected page is recycled into the pool that leased
-    /// it; a single server keeps its own pool, and the buffers this client
-    /// produced (coalesced slices, faulty-link decodes) come back here.
+    /// one per page. The client's servers lease their span payloads from
+    /// this same pool, so a collected page (or a faulty-link decode of it)
+    /// is recycled into the pool that leased it.
     pub fn recycle_payload(&mut self, buf: Vec<u8>) {
         self.pool.recycle(buf);
     }
@@ -451,7 +450,7 @@ impl<B: Backend> Client<B> {
         self.resync();
         self.settle();
         while self.window.is_full() {
-            B::dispatch(self);
+            self.dispatch();
             self.settle();
             if !self.window.is_full() {
                 break;
@@ -636,7 +635,7 @@ impl<B: Backend> Client<B> {
     pub(crate) fn resync(&mut self) {
         for m in 0..self.epochs.len() {
             let last = self.epochs[m];
-            if self.server.member_epoch(m) == last {
+            if self.server.servers()[m].epoch() == last {
                 continue;
             }
             self.transport.epoch_resyncs += 1;
@@ -644,7 +643,8 @@ impl<B: Backend> Client<B> {
             let up = self.link.charge(hello.wire_size());
             let hello_arrival = self.clock.now().max(self.up_free) + up;
             self.up_free = hello_arrival;
-            let (answer, took) = self.server.serve(m, &ServerRequest::Hello { epoch: last });
+            let (answer, took) =
+                self.server.servers_mut()[m].handle(&ServerRequest::Hello { epoch: last });
             let done = hello_arrival.max(self.dev_free[m]) + took;
             self.dev_free[m] = done;
             // The answer moves into the frame for an arithmetic wire-size
@@ -656,7 +656,7 @@ impl<B: Backend> Client<B> {
             self.clock.advance_to_at_least(delivered);
             self.epochs[m] = match welcome.payload {
                 FramePayload::Response(ServerResponse::Welcome { epoch }) => epoch,
-                _ => self.server.member_epoch(m),
+                _ => self.server.servers()[m].epoch(),
             };
             if !self.keeps_state() {
                 // Typed frames that reached the restarted server unanswered
@@ -712,7 +712,7 @@ impl<B: Backend> Client<B> {
         let started = self.clock.now();
         loop {
             self.resync();
-            B::dispatch(self);
+            self.dispatch();
             if let Some(landed) = self.landed.remove(&id) {
                 self.clock.advance_to_at_least(landed.ready_at);
                 let waited = self.clock.now().saturating_since(started);
@@ -744,7 +744,7 @@ impl<B: Backend> Client<B> {
         if !B::RESYNC_AFTER_TIMERS {
             self.resync();
         }
-        B::dispatch(self);
+        self.dispatch();
         // Step armed-deadline to armed-deadline: the clock reaches each
         // deadline exactly when it fires, so a retransmit's backoff chains
         // from the deadline — identical to the wait() discipline — instead
@@ -764,8 +764,37 @@ impl<B: Backend> Client<B> {
         if B::RESYNC_AFTER_TIMERS {
             self.resync();
         }
-        B::dispatch(self);
+        self.dispatch();
         self.settle();
+    }
+
+    /// Moves every pending frame into its member's service queue and pumps
+    /// each member: served (or rejected) responses cross the member's
+    /// device timeline and the shared downlink, landing timestamped. The
+    /// member's admission control is the gate: a frame it turns away comes
+    /// back as a `Busy` reply through the same ready queue.
+    fn dispatch(&mut self) {
+        for m in 0..self.pending.len() {
+            while let Some(p) = self.pending[m].pop_front() {
+                let rid = p.frame.request_id;
+                self.arrival_at.insert(rid, p.arrival);
+                if self.server.servers_mut()[m].enqueue(p.frame).is_err() {
+                    self.arrival_at.remove(&rid);
+                }
+            }
+            while let Some((frame, charge)) = self.server.servers_mut()[m].poll_conn(CONN_ID) {
+                let rid = frame.request_id;
+                let arrival = self.arrival_at.remove(&rid).unwrap_or(self.up_free);
+                let done = arrival.max(self.dev_free[m]) + charge;
+                self.dev_free[m] = done;
+                if let FramePayload::Response(response) = frame.payload {
+                    self.land(rid, response, done);
+                }
+            }
+            // The wake list has been fully served for the client's single
+            // logical connection; clear it so it never accumulates.
+            self.server.servers_mut()[m].clear_woken();
+        }
     }
 
     /// Charges the downlink for one response frame and lands it at its
@@ -781,7 +810,7 @@ impl<B: Backend> Client<B> {
     /// a stale span, fails at the receiver like wire damage and is fetched
     /// again, failed over where the backend can. Other responses, and
     /// duplicates of a request already in hand, take the full pass.
-    pub(crate) fn land(&mut self, request_id: u64, response: ServerResponse, done: SimInstant) {
+    fn land(&mut self, request_id: u64, response: ServerResponse, done: SimInstant) {
         let frame = Frame::response(CONN_ID, request_id, response);
         if self.link.is_clean() {
             // The response moved into a typed frame to measure its wire

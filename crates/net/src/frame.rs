@@ -667,24 +667,11 @@ mod tests {
                 9,
                 ServerRequest::Query { keywords: vec!["x-ray".into(), "shadow".into()] },
             ),
-            Frame::request(
-                2,
-                5,
-                ServerRequest::Batch {
-                    requests: vec![sample_request(), ServerRequest::Query { keywords: vec![] }],
-                },
-            ),
+            Frame::request(2, 5, ServerRequest::Query { keywords: vec![] }),
             Frame::response(7, 42, ServerResponse::Span(vec![0xa5; 10_000])),
             Frame::response(1, 2, ServerResponse::Hits(vec![ObjectId::new(1 << 50)])),
             Frame::response(1, 3, ServerResponse::Error("lost".into())),
-            Frame::response(
-                1,
-                4,
-                ServerResponse::Batch(vec![
-                    ServerResponse::Span(vec![1, 2, 3]),
-                    ServerResponse::Error("missing".into()),
-                ]),
-            ),
+            Frame::response(1, 4, ServerResponse::Hits(vec![])),
             Frame::request(5, 0, ServerRequest::Hello { epoch: u64::MAX }),
             Frame::request(5, 6, ServerRequest::Probe),
             Frame::response(5, 0, ServerResponse::Welcome { epoch: 1 << 33 }),
@@ -718,18 +705,13 @@ mod tests {
             Frame::request(
                 2,
                 5,
-                ServerRequest::Batch {
-                    requests: vec![sample_request(), ServerRequest::Query { keywords: vec![] }],
-                },
+                ServerRequest::Query { keywords: vec!["x-ray".into(), String::new()] },
             ),
             Frame::response(7, 42, ServerResponse::Span(vec![0xa5; 4_096])),
             Frame::response(
                 1,
                 4,
-                ServerResponse::Batch(vec![
-                    ServerResponse::Span(vec![1, 2, 3]),
-                    ServerResponse::Error("missing".into()),
-                ]),
+                ServerResponse::Hits(vec![ObjectId::new(1), ObjectId::new(u64::MAX)]),
             ),
             Frame::request_with_priority(6, 7, Priority::Prefetch, sample_request()),
         ];
@@ -749,9 +731,7 @@ mod tests {
         let requests = vec![
             sample_request(),
             ServerRequest::Query { keywords: vec!["x-ray".into(), "shadow".into()] },
-            ServerRequest::Batch {
-                requests: vec![sample_request(), ServerRequest::Query { keywords: vec![] }],
-            },
+            ServerRequest::Query { keywords: vec![] },
             ServerRequest::Hello { epoch: u64::MAX },
             ServerRequest::Probe,
         ];

@@ -16,12 +16,7 @@ use minos_types::{
 
 /// Wire bytes of a length-prefixed string or byte block.
 fn prefixed_len(len: usize) -> u64 {
-    prefixed_len_of(len as u64)
-}
-
-/// Wire bytes of a length-prefixed block whose body is `len` bytes.
-fn prefixed_len_of(len: u64) -> u64 {
-    varint_len(len) + len
+    varint_len(len as u64) + len as u64
 }
 
 /// A request from the workstation to the server.
@@ -65,16 +60,6 @@ pub enum ServerRequest {
         /// Attribute value.
         value: String,
     },
-    /// Several requests answered in one round trip — the anticipatory
-    /// prefetch path (§5). The presentation manager predicts the next
-    /// pages/windows and bundles their fetches so the link latency and the
-    /// optical actuator overhead are paid once per batch, not once per
-    /// page. Batches never nest.
-    Batch {
-        /// The bundled requests, answered in order. None may itself be a
-        /// batch.
-        requests: Vec<ServerRequest>,
-    },
     /// (Re-)establishes a connection with the server, announcing the last
     /// server epoch the workstation saw. The server answers with
     /// [`ServerResponse::Welcome`] carrying its current epoch; a mismatch
@@ -115,10 +100,6 @@ pub enum ServerResponse {
     Hits(Vec<ObjectId>),
     /// Server-side failure.
     Error(String),
-    /// One response per request of a [`ServerRequest::Batch`], in request
-    /// order. Individual failures appear as inline [`ServerResponse::Error`]
-    /// entries; the batch itself still succeeds.
-    Batch(Vec<ServerResponse>),
     /// Answers [`ServerRequest::Hello`] with the server's current epoch.
     Welcome {
         /// The server's current epoch; bumped by every restart.
@@ -182,16 +163,6 @@ impl ServerRequest {
                 e.put_str(name);
                 e.put_str(value);
             }
-            ServerRequest::Batch { requests } => {
-                e.put_u8(7);
-                e.put_varint(requests.len() as u64);
-                for r in requests {
-                    // Length prefix computed arithmetically, body encoded
-                    // in place: no per-sub-request buffer.
-                    e.put_varint(r.wire_size());
-                    r.encode_to(e);
-                }
-            }
             ServerRequest::Hello { epoch } => {
                 e.put_u8(8);
                 e.put_varint(*epoch);
@@ -248,18 +219,6 @@ impl ServerRequest {
                 ServerRequest::Query { keywords }
             }
             6 => ServerRequest::QueryAttribute { name: d.get_str()?, value: d.get_str()? },
-            7 => {
-                let n = d.get_len()?;
-                let mut requests = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let sub = ServerRequest::decode(d.get_bytes_ref()?)?;
-                    if matches!(sub, ServerRequest::Batch { .. }) {
-                        return Err(MinosError::Codec("nested request batch".into()));
-                    }
-                    requests.push(sub);
-                }
-                ServerRequest::Batch { requests }
-            }
             8 => ServerRequest::Hello { epoch: d.get_varint()? },
             9 => ServerRequest::Probe,
             10 => ServerRequest::Ping { nonce: d.get_varint()? },
@@ -283,10 +242,6 @@ impl ServerRequest {
             ServerRequest::QueryAttribute { name, value } => {
                 prefixed_len(name.len()) + prefixed_len(value.len())
             }
-            ServerRequest::Batch { requests } => {
-                varint_len(requests.len() as u64)
-                    + requests.iter().map(|r| prefixed_len_of(r.wire_size())).sum::<u64>()
-            }
             ServerRequest::Hello { epoch } => varint_len(*epoch),
             ServerRequest::Probe => 0,
             ServerRequest::Ping { nonce } => varint_len(*nonce),
@@ -309,13 +264,13 @@ impl ServerRequest {
             ServerRequest::Ping { nonce } => Some(ServerRequest::Ping { nonce: *nonce }),
             ServerRequest::FetchView { .. }
             | ServerRequest::Query { .. }
-            | ServerRequest::QueryAttribute { .. }
-            | ServerRequest::Batch { .. } => None,
+            | ServerRequest::QueryAttribute { .. } => None,
         }
     }
 
-    /// The fetched span, if this is a span fetch (used by transports that
-    /// coalesce adjacent span requests into one device read).
+    /// The fetched span, if this is a span fetch (used by the server's
+    /// service queue to find the run of adjacent span fetches it coalesces
+    /// into one device read).
     pub fn as_span(&self) -> Option<ByteSpan> {
         match self {
             ServerRequest::FetchSpan { span } => Some(*span),
@@ -356,14 +311,6 @@ impl ServerResponse {
             ServerResponse::Error(msg) => {
                 e.put_u8(6);
                 e.put_str(msg);
-            }
-            ServerResponse::Batch(responses) => {
-                e.put_u8(7);
-                e.put_varint(responses.len() as u64);
-                for r in responses {
-                    e.put_varint(r.wire_size());
-                    r.encode_to(e);
-                }
             }
             ServerResponse::Welcome { epoch } => {
                 e.put_u8(8);
@@ -416,18 +363,6 @@ impl ServerResponse {
                 ServerResponse::Hits(ids)
             }
             6 => ServerResponse::Error(d.get_str()?),
-            7 => {
-                let n = d.get_len()?;
-                let mut responses = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let sub = ServerResponse::decode_with(d.get_bytes_ref()?, lease)?;
-                    if matches!(sub, ServerResponse::Batch(_)) {
-                        return Err(MinosError::Codec("nested response batch".into()));
-                    }
-                    responses.push(sub);
-                }
-                ServerResponse::Batch(responses)
-            }
             8 => ServerResponse::Welcome { epoch: d.get_varint()? },
             9 => ServerResponse::Busy { retry_after: SimDuration::from_micros(d.get_varint()?) },
             10 => {
@@ -459,10 +394,6 @@ impl ServerResponse {
                     + ids.iter().map(|id| varint_len(id.raw())).sum::<u64>()
             }
             ServerResponse::Error(msg) => prefixed_len(msg.len()),
-            ServerResponse::Batch(responses) => {
-                varint_len(responses.len() as u64)
-                    + responses.iter().map(|r| prefixed_len_of(r.wire_size())).sum::<u64>()
-            }
             ServerResponse::Welcome { epoch } => varint_len(*epoch),
             ServerResponse::Busy { retry_after } => varint_len(retry_after.as_micros()),
             ServerResponse::Pong { nonce, epoch } => varint_len(*nonce) + varint_len(*epoch),
@@ -530,18 +461,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_wire_sizes_match_encoding() {
-        let req = ServerRequest::Batch { requests: all_requests() };
-        assert_eq!(req.wire_size(), req.encode().len() as u64);
-        let resp = ServerResponse::Batch(vec![
-            ServerResponse::Span(vec![7; 300]),
-            ServerResponse::Error("missing".into()),
-            ServerResponse::Hits(vec![ObjectId::new(u64::MAX)]),
-        ]);
-        assert_eq!(resp.wire_size(), resp.encode().len() as u64);
-    }
-
-    #[test]
     fn huge_claimed_counts_are_rejected_before_allocation() {
         // A count varint claiming ~2^62 elements with two bytes of input
         // left must fail the bound check, not size a Vec or spin a loop.
@@ -552,18 +471,26 @@ mod tests {
         let bytes = e.finish();
         assert!(matches!(ServerRequest::decode(&bytes), Err(MinosError::Codec(_))));
         assert!(matches!(ServerResponse::decode(&bytes), Err(MinosError::Codec(_))));
-        let mut e = Encoder::new();
-        e.put_u8(7); // Batch tag.
-        e.put_varint(u64::MAX);
-        let bytes = e.finish();
-        assert!(ServerRequest::decode(&bytes).is_err());
-        assert!(ServerResponse::decode(&bytes).is_err());
     }
 
     #[test]
     fn bad_tags_and_truncation_rejected() {
         assert!(ServerRequest::decode(&[99]).is_err());
         assert!(ServerResponse::decode(&[0]).is_err());
+        // Tag 7 is unassigned in both directions: an old batch frame is an
+        // unknown tag, whatever follows it.
+        for body in [&[7u8][..], &[7, 0], &[7, 2, 1, 4]] {
+            let request = ServerRequest::decode(body);
+            assert!(
+                matches!(&request, Err(MinosError::Codec(m)) if m == "unknown request tag 7"),
+                "{request:?}"
+            );
+            let response = ServerResponse::decode(body);
+            assert!(
+                matches!(&response, Err(MinosError::Codec(m)) if m == "unknown response tag 7"),
+                "{response:?}"
+            );
+        }
         assert!(ServerRequest::decode(&[]).is_err());
         let bytes = ServerRequest::FetchObject { id: ObjectId::new(1) }.encode();
         assert!(ServerRequest::decode(&bytes[..bytes.len() - 1]).is_err());
@@ -571,41 +498,6 @@ mod tests {
         let mut bytes = ServerResponse::Error("x".into()).encode();
         bytes.push(0);
         assert!(ServerResponse::decode(&bytes).is_err());
-    }
-
-    #[test]
-    fn batches_round_trip() {
-        let req = ServerRequest::Batch { requests: all_requests() };
-        assert_eq!(ServerRequest::decode(&req.encode()).unwrap(), req);
-        let empty = ServerRequest::Batch { requests: vec![] };
-        assert_eq!(ServerRequest::decode(&empty.encode()).unwrap(), empty);
-
-        let resp = ServerResponse::Batch(vec![
-            ServerResponse::Span(vec![1, 2, 3]),
-            ServerResponse::Error("missing".into()),
-            ServerResponse::Object(vec![]),
-        ]);
-        assert_eq!(ServerResponse::decode(&resp.encode()).unwrap(), resp);
-    }
-
-    #[test]
-    fn nested_batches_rejected() {
-        let nested =
-            ServerRequest::Batch { requests: vec![ServerRequest::Batch { requests: vec![] }] };
-        assert!(ServerRequest::decode(&nested.encode()).is_err());
-        let nested = ServerResponse::Batch(vec![ServerResponse::Batch(vec![])]);
-        assert!(ServerResponse::decode(&nested.encode()).is_err());
-    }
-
-    #[test]
-    fn batch_wire_overhead_is_small() {
-        // Batching adds framing only: one tag + count + per-item length
-        // prefixes. The whole point is that it is much cheaper than the
-        // per-message link latency it replaces.
-        let requests = all_requests();
-        let singles: u64 = requests.iter().map(ServerRequest::wire_size).sum();
-        let batch = ServerRequest::Batch { requests };
-        assert!(batch.wire_size() < singles + 16);
     }
 
     #[test]

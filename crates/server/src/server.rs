@@ -251,7 +251,6 @@ impl ObjectServer {
                 ServerResponse::Hits(self.index.query_attribute(name, value)),
                 SimDuration::ZERO,
             )),
-            ServerRequest::Batch { requests } => self.handle_batch(requests),
             // The epoch handshake: answered from memory, no device time.
             ServerRequest::Hello { .. } => {
                 Ok((ServerResponse::Welcome { epoch: self.epoch }, SimDuration::ZERO))
@@ -269,86 +268,6 @@ impl ObjectServer {
                 Ok((ServerResponse::Pong { nonce: *nonce, epoch: self.epoch }, SimDuration::ZERO))
             }
         }
-    }
-
-    /// Answers a prefetch batch in one round trip.
-    ///
-    /// Individual failures become inline [`ServerResponse::Error`] entries
-    /// so one bad prediction cannot sink the rest of the batch. Runs of
-    /// *adjacent* span fetches — the common case, since anticipated pages
-    /// are contiguous on the write-once disk — are coalesced into a single
-    /// device read: the actuator pays one seek and one rotational delay for
-    /// the merged span instead of one per page, and the bytes are sliced
-    /// back into exact per-request responses.
-    fn handle_batch(
-        &mut self,
-        requests: &[ServerRequest],
-    ) -> Result<(ServerResponse, SimDuration)> {
-        if requests.iter().any(|r| matches!(r, ServerRequest::Batch { .. })) {
-            return Err(MinosError::Protocol("nested request batch".into()));
-        }
-        let mut responses = Vec::with_capacity(requests.len());
-        let mut total = SimDuration::ZERO;
-        let mut rest = requests;
-        while let Some(request) = rest.first() {
-            let run = Self::adjacent_span_run(rest);
-            if let (Some(first), Some(last)) = (run.first(), run.last()) {
-                if run.len() > 1 {
-                    let whole = ByteSpan::new(first.start, last.end);
-                    let mut merged = self.lease_payload();
-                    match self.archiver.read_at_into(whole, &mut merged) {
-                        Ok(took) => {
-                            total += took;
-                            for span in &run {
-                                let from = (span.start - whole.start) as usize;
-                                let to = from + span.len() as usize;
-                                let Some(slice) = merged.get(from..to) else {
-                                    return Err(MinosError::Internal(format!(
-                                        "coalesced read lost {span}: {from}..{to} outside \
-                                         {} bytes",
-                                        merged.len()
-                                    )));
-                                };
-                                let mut payload = self.lease_payload();
-                                payload.extend_from_slice(slice);
-                                responses.push(ServerResponse::Span(payload));
-                            }
-                        }
-                        Err(e) => {
-                            let msg = e.to_string();
-                            responses
-                                .extend(run.iter().map(|_| ServerResponse::Error(msg.clone())));
-                        }
-                    }
-                    self.pool.recycle(merged);
-                    rest = rest.get(run.len()..).unwrap_or_default();
-                    continue;
-                }
-            }
-            let (resp, took) = self.handle(request);
-            total += took;
-            responses.push(resp);
-            rest = rest.get(1..).unwrap_or_default();
-        }
-        Ok((ServerResponse::Batch(responses), total))
-    }
-
-    /// The leading run of span fetches where each span starts exactly where
-    /// the previous one ends (empty if the first request is not a span
-    /// fetch).
-    fn adjacent_span_run(requests: &[ServerRequest]) -> Vec<ByteSpan> {
-        let mut run: Vec<ByteSpan> = Vec::new();
-        for request in requests {
-            match request {
-                ServerRequest::FetchSpan { span }
-                    if run.last().is_none_or(|prev| prev.end == span.start) =>
-                {
-                    run.push(*span);
-                }
-                _ => break,
-            }
-        }
-        run
     }
 
     /// Accepts one framed request into the queued service loop. Only
@@ -422,7 +341,7 @@ impl ObjectServer {
     }
 
     /// Empties the completion wake list without building it — for a
-    /// caller with a single connection that polls it after every batch.
+    /// caller with a single connection that polls it after every dispatch.
     pub fn clear_woken(&mut self) {
         self.service.clear_woken();
     }
@@ -735,73 +654,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_answers_in_order_with_inline_errors() {
-        let mut server = ObjectServer::new();
-        let id = make_published(&mut server, 8, "batched content");
-        let span = server.record_span(id).unwrap();
-        let (resp, took) = server.handle(&ServerRequest::Batch {
-            requests: vec![
-                ServerRequest::FetchObject { id },
-                ServerRequest::FetchObject { id: ObjectId::new(404) },
-                ServerRequest::FetchSpan { span: ByteSpan::new(span.start, span.start + 8) },
-            ],
-        });
-        let ServerResponse::Batch(responses) = resp else {
-            panic!("expected batch response");
-        };
-        assert_eq!(responses.len(), 3);
-        assert!(matches!(responses[0], ServerResponse::Object(_)));
-        assert!(matches!(responses[1], ServerResponse::Error(_)));
-        assert!(matches!(&responses[2], ServerResponse::Span(b) if b.len() == 8));
-        assert!(took > SimDuration::ZERO);
-    }
-
-    #[test]
-    fn batch_coalesces_adjacent_spans_into_one_read() {
-        // Two identical servers; one takes the pages batched, the other one
-        // by one. The batch pays the seek + rotational overhead once.
-        let mut batched = ObjectServer::new();
-        let mut serial = ObjectServer::new();
-        let body = "page data ".repeat(400);
-        let id = make_published(&mut batched, 9, &body);
-        make_published(&mut serial, 9, &body);
-        let whole = batched.record_span(id).unwrap();
-        let pages: Vec<ByteSpan> =
-            (0..4).map(|i| ByteSpan::at(whole.start + i * 1_000, 1_000)).collect();
-
-        let (resp, batch_time) = batched.handle(&ServerRequest::Batch {
-            requests: pages.iter().map(|&span| ServerRequest::FetchSpan { span }).collect(),
-        });
-        let ServerResponse::Batch(responses) = resp else {
-            panic!("expected batch response");
-        };
-
-        let mut serial_time = SimDuration::ZERO;
-        for (i, &span) in pages.iter().enumerate() {
-            let (resp, took) = serial.handle(&ServerRequest::FetchSpan { span });
-            serial_time += took;
-            // Coalescing must not change the bytes: each sliced response
-            // matches the one-at-a-time read exactly.
-            assert_eq!(responses[i], resp, "page {i}");
-        }
-        // Serial pays 4 × (seek + rotation); the batch pays it once.
-        assert!(
-            batch_time + SimDuration::from_millis(100) < serial_time,
-            "batch {batch_time} vs serial {serial_time}"
-        );
-    }
-
-    #[test]
-    fn nested_batches_rejected_by_server() {
-        let mut server = ObjectServer::new();
-        let (resp, took) = server.handle(&ServerRequest::Batch {
-            requests: vec![ServerRequest::Batch { requests: vec![] }],
-        });
-        assert!(matches!(resp, ServerResponse::Error(_)));
-        assert_eq!(took, SimDuration::ZERO);
-    }
-
-    #[test]
     fn span_fetch_serves_descriptor_pointers() {
         let mut server = ObjectServer::new();
         let id = make_published(&mut server, 7, "pointer target text");
@@ -863,11 +715,13 @@ mod tests {
         let solo_id = make_published(&mut solo, 1, "coalesced service run over the archive");
         let solo_span = solo.record_span(solo_id).unwrap();
         let mut serial = SimDuration::ZERO;
+        let mut solo_pages = Vec::new();
         for i in 0..4 {
-            let (_, took) = solo.handle(&ServerRequest::FetchSpan {
+            let (page, took) = solo.handle(&ServerRequest::FetchSpan {
                 span: ByteSpan::at(solo_span.start + i * chunk, chunk),
             });
             serial += took;
+            solo_pages.push(page);
         }
 
         for i in 0..4u64 {
@@ -889,8 +743,11 @@ mod tests {
         for (i, frame) in frames.iter().enumerate() {
             assert_eq!(frame.request_id, i as u64);
             match &frame.payload {
-                FramePayload::Response(ServerResponse::Span(bytes)) => {
+                // Coalescing must not change the bytes: each sliced page
+                // equals the solo server's one-at-a-time read.
+                FramePayload::Response(page @ ServerResponse::Span(bytes)) => {
                     assert_eq!(bytes.len() as u64, chunk);
+                    assert_eq!(page, &solo_pages[i], "page {i}");
                 }
                 other => panic!("unexpected {other:?}"),
             }

@@ -4,9 +4,10 @@
 //! transport (see [`minos_net::frame`]) the server instead *queues* request
 //! frames from many connections and serves them in connection-fair
 //! round-robin order. Adjacent span fetches queued by one connection — the
-//! anticipatory-prefetch shape — are still coalesced into a single device
-//! read, exactly as the batch path coalesces them, so pipelining never
-//! costs extra actuator seeks.
+//! anticipatory-prefetch shape — are coalesced into a single device read
+//! (this queue's `take_run` picks the run, and the server reads it once),
+//! so pipelining never costs extra actuator seeks. This is the only place
+//! in the system where spans are coalesced.
 //!
 //! Queues are *bounded*: admission control rejects work beyond a
 //! per-connection and a global cap instead of letting an overloaded server

@@ -22,8 +22,8 @@ fn workspace_contract_conforms() {
     // The load-bearing facts of the contract, pinned explicitly so a
     // parser regression that extracts nothing cannot pass as "no drift".
     let spec = &outcome.spec;
-    assert_eq!(spec.request_tags.len(), 10, "ten request tags: {spec:?}");
-    assert_eq!(spec.response_tags.len(), 10, "ten response tags: {spec:?}");
+    assert_eq!(spec.request_tags.len(), 9, "nine request tags (7 is retired): {spec:?}");
+    assert_eq!(spec.response_tags.len(), 9, "nine response tags (7 is retired): {spec:?}");
     assert_eq!(spec.envelope_tags.len(), 2, "request/response envelope: {spec:?}");
     assert_eq!(spec.priority_bytes.len(), 3, "audio/demand/prefetch: {spec:?}");
     assert_eq!(spec.priority_bytes.get("Audio"), Some(&0), "audio preempts: {spec:?}");

@@ -44,6 +44,14 @@ for workload in lossy_scan page_scan churn browse; do
         -- --workload "$workload" --seed 1 --seconds 0
 done
 
+# Every example runs to completion, not only compiles: they drive the
+# Workstation, Fleet and scheduler paths end to end from the facade.
+for example in quickstart medical_xray voice_dictation subway_map city_tour office_document \
+    archive_browser; do
+    echo "==> example $example"
+    cargo run --release --offline --quiet --example "$example" > /dev/null
+done
+
 echo "==> exp_pipeline --smoke"
 cargo bench -p minos-bench --bench exp_pipeline -- --smoke
 

@@ -17,9 +17,9 @@ use minos::net::{
 use minos::types::{ByteSpan, Decoder, Encoder, MinosError, ObjectId, SimDuration};
 use proptest::prelude::*;
 
-/// A palette of representative frames: both directions, scalar and batch
-/// payloads, the overload-control messages (epoch handshake and busy
-/// rejection), a fuzzed blob for the variable-length bodies.
+/// A palette of representative frames: both directions, scalar and
+/// list-carrying payloads, the overload-control messages (epoch handshake
+/// and busy rejection), a fuzzed blob for the variable-length bodies.
 fn sample_frame(choice: u8, conn: u64, rid: u64, blob: Vec<u8>) -> Frame {
     match choice % 6 {
         0 => {
@@ -28,12 +28,7 @@ fn sample_frame(choice: u8, conn: u64, rid: u64, blob: Vec<u8>) -> Frame {
         1 => Frame::request(
             conn,
             rid,
-            ServerRequest::Batch {
-                requests: vec![
-                    ServerRequest::FetchSpan { span: ByteSpan::at(0, 1_024) },
-                    ServerRequest::Query { keywords: vec!["laser".into(), "disc".into()] },
-                ],
-            },
+            ServerRequest::Query { keywords: vec!["laser".into(), "disc".into()] },
         ),
         2 => Frame::response(conn, rid, ServerResponse::Span(blob)),
         3 => Frame::request_with_priority(
@@ -50,12 +45,7 @@ fn sample_frame(choice: u8, conn: u64, rid: u64, blob: Vec<u8>) -> Frame {
         _ => Frame::response(
             conn,
             rid,
-            ServerResponse::Batch(vec![
-                ServerResponse::Span(blob),
-                ServerResponse::Hits(vec![ObjectId::new(7)]),
-                ServerResponse::Error("inline".into()),
-                ServerResponse::Welcome { epoch: rid },
-            ]),
+            ServerResponse::Hits(vec![ObjectId::new(7), ObjectId::new(rid), ObjectId::new(conn)]),
         ),
     }
 }

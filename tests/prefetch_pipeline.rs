@@ -7,6 +7,8 @@
 //! * stall time strictly decreases from prefetch depth 0 to 1 to 2 (and
 //!   depth 4 stalls no more than depth 2);
 //! * batching strictly reduces round trips;
+//! * the E11 table (opening, stall, round trips, hits and misses per
+//!   depth) holds to the microsecond;
 //! * every page's bytes are identical at every depth — and identical even
 //!   when the prediction plan is deliberately wrong.
 
@@ -90,7 +92,7 @@ fn sequential_prefetch_wastes_nothing() {
 }
 
 #[test]
-fn batched_adjacent_pages_share_one_response_message() {
+fn adjacent_pages_coalesce_into_one_device_read() {
     // Serial: four adjacent page fetches cost a request and a response
     // message each — eight messages on the wire.
     let (mut serial, span) = pipeline(0);
@@ -103,25 +105,49 @@ fn batched_adjacent_pages_share_one_response_message() {
     let serial_stats = serial.workstation().connection().link_stats();
     assert_eq!(serial_stats.messages, 8, "serial: one round trip per page");
 
-    // Batched: the four requests still go up individually, but the server
-    // coalesces the adjacent spans into one device read and the transport
-    // returns them as a single merged response message — five messages,
-    // strictly fewer framing bytes, identical page content.
-    let (mut batched, span) = pipeline(0);
+    // Pipelined: the four requests queue at the server together, which
+    // coalesces the adjacent spans into one device read; each page still
+    // comes back in its own response message, with identical content.
+    let (mut pipelined, span) = pipeline(0);
     let plan: Vec<ServerRequest> =
         page_spans(span, 4).into_iter().map(|span| ServerRequest::FetchSpan { span }).collect();
-    let responses = batched.workstation_mut().request_batch(plan.clone()).unwrap();
+    let responses = pipelined.workstation_mut().request_batch(plan.clone()).unwrap();
     for (i, (need, response)) in plan.iter().zip(&responses).enumerate() {
         assert_page_bytes(i, need, response);
     }
-    let batched_stats = batched.workstation().connection().link_stats();
-    assert_eq!(batched_stats.messages, 5, "batched: four requests up, one merged response down");
-    assert!(
-        batched_stats.bytes < serial_stats.bytes,
-        "merged framing moves fewer bytes: {} vs {}",
-        batched_stats.bytes,
-        serial_stats.bytes
-    );
+    let ws = pipelined.workstation();
+    assert_eq!(ws.connection().link_stats().messages, 8, "four requests up, four pages down");
+    assert_eq!(ws.connection().endpoint().service_stats().coalesced_runs, 1);
+    let serial_elapsed = serial.workstation().elapsed();
+    assert!(ws.elapsed() < serial_elapsed, "pipelined {} vs serial {serial_elapsed}", ws.elapsed());
+}
+
+/// E11 as EXPERIMENTS.md tabulates it, per depth: opening and total stall
+/// in microseconds, round trips, hits and misses.
+const E11: [(usize, u64, u64, u64, u64, u64); 4] = [
+    (0, 373_844, 5_604_030, 16, 1, 15),
+    (1, 635_988, 696_826, 15, 16, 0),
+    (2, 898_132, 0, 8, 16, 0),
+    (4, 1_422_420, 0, 4, 16, 0),
+];
+
+#[test]
+fn e11_table_is_pinned() {
+    let table: Vec<_> = E11
+        .iter()
+        .map(|&(depth, ..)| {
+            let (stats, trips) = play(depth);
+            (
+                depth,
+                stats.opening.as_micros(),
+                stats.stall.as_micros(),
+                trips,
+                stats.hits,
+                stats.misses,
+            )
+        })
+        .collect();
+    assert_eq!(table, E11);
 }
 
 #[test]
