@@ -21,18 +21,20 @@
 //!   back onto the member that just lost it.
 //!
 //! [`FleetConnection`] is the client: the one pipelined [`Client`] of
-//! [`crate::transport`], whose [`Backend`] here is the fleet — per-member
-//! service queues and device timelines behind one shared uplink/downlink
-//! (the paper's broadcast bus), rendezvous failover, and heartbeats. A
-//! server that answers [`ServerResponse::Busy`] gets honored, not
-//! hammered: the turned-away request parks on a kernel timer until the
-//! server's own `retry_after` hint elapses, then resubmits — to a sibling
-//! replica when one exists.
+//! [`crate::transport`] over the fleet — per-member service queues and
+//! device timelines behind one shared uplink/downlink (the paper's
+//! broadcast bus), rendezvous failover, and heartbeats. A server that
+//! answers [`ServerResponse::Busy`] gets honored, not hammered: the
+//! turned-away request parks on a kernel timer until the server's own
+//! `retry_after` hint elapses, then resubmits — to a sibling replica when
+//! one exists. A single [`ObjectServer`] is a fleet of one
+//! (`Fleet::from(server)`), served by the same client.
 //!
-//! The E16 and E17 workloads drive a fleet through the one driver in
-//! [`crate::chaos`]: M sessions demand-page against N members through the
-//! shared link, wake-list-driven via [`KernelEvent::ServerWake`], with any
-//! restart or other failure declared as a [`crate::chaos::ChaosSchedule`].
+//! The E12 and E14–E17 workloads drive a fleet through the one driver,
+//! [`crate::workload::run`]: M sessions demand-page against N members
+//! through the shared link, wake-list-driven via
+//! [`KernelEvent::ServerWake`], with any restart or other failure declared
+//! as a [`crate::chaos::ChaosSchedule`].
 //!
 //! On top of the reactive failover sits the self-healing layer:
 //!
@@ -56,8 +58,8 @@
 //!   client and is fetched again from a sibling.
 
 use crate::kernel::KernelEvent;
-use crate::transport::{Backend, Client, FleetStats, CONN_ID, DEFAULT_WINDOW};
-use minos_net::{crc32, FaultPlan, Frame, Link, ServerRequest, ServerResponse};
+use crate::transport::{Client, Route, Ticket, CONN_ID};
+use minos_net::{crc32, Frame, ServerRequest, ServerResponse};
 use minos_server::{ObjectServer, ServiceConfig, ServiceStats};
 use minos_types::{ByteSpan, MinosError, ObjectId, Result, SimDuration};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -202,6 +204,20 @@ pub struct Fleet {
     /// Publish-time page checksums, keyed by object — what scrub and
     /// read-repair verify stored copies against.
     checksums: HashMap<ObjectId, PageChecksums>,
+}
+
+/// A single server as a fleet of one, holding one copy of whatever it
+/// already stores. Nothing is placed on it, so every request to it is raw:
+/// it has nowhere to fail over to and no page CRC.
+impl From<ObjectServer> for Fleet {
+    fn from(server: ObjectServer) -> Self {
+        Fleet {
+            members: vec![server],
+            replication: 1,
+            placements: HashMap::new(),
+            checksums: HashMap::new(),
+        }
+    }
 }
 
 impl Fleet {
@@ -783,8 +799,7 @@ impl RepairQueue {
 
 /// A handle to a submitted, not-yet-collected request on a
 /// [`FleetConnection`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct FleetTicket(u64);
+pub type FleetTicket = Ticket;
 
 /// A pipelined client of a [`Fleet`]: the one request lifecycle of
 /// [`crate::transport`] — admit into the in-flight window, keep the request
@@ -804,56 +819,37 @@ pub struct FleetTicket(u64);
 ///   instead of re-offering load to the gate that just shed it;
 /// * optional heartbeats ([`FleetConnection::enable_heartbeat`]) notice a
 ///   restart on an idle connection.
-pub type FleetConnection = Client<Fleet>;
+pub type FleetConnection = Client;
 
-/// A fleet: each member queues and serves through its own admission
-/// control, and every request keeps retransmission state so it can fail
-/// over. The route is the object and the span relative to its first byte;
-/// the device span is recomputed per replica.
-impl Backend for Fleet {
-    type Ticket = FleetTicket;
-    type Route = (ObjectId, ByteSpan);
-    const KEEPS_STATE: bool = true;
-    /// Heartbeat ticks fire in the timer drain, so with the monitor on a
-    /// member restart is detected at its first heartbeat; the resync after
-    /// the drain is the safety net for heartbeat-less connections.
-    const RESYNC_AFTER_TIMERS: bool = true;
-
-    fn ticket_id(ticket: FleetTicket) -> u64 {
-        ticket.0
-    }
-
-    fn servers(&self) -> &[ObjectServer] {
+/// What the client asks of its fleet. The route of a page fetch is the
+/// object and the span relative to its first byte; the device span is
+/// recomputed per replica.
+impl Fleet {
+    /// The servers behind the client, one per member.
+    pub(crate) fn servers(&self) -> &[ObjectServer] {
         &self.members
     }
 
-    fn servers_mut(&mut self) -> &mut [ObjectServer] {
+    /// Mutable access to the servers behind the client.
+    pub(crate) fn servers_mut(&mut self) -> &mut [ObjectServer] {
         &mut self.members
     }
 
-    /// The next replica on the object's rendezvous ring; a single-replica
-    /// object stays put.
-    fn fail_over(
-        &self,
-        &(object, rel): &(ObjectId, ByteSpan),
-        target: usize,
-    ) -> Option<(usize, ServerRequest)> {
+    /// Where a request on `route` aimed at `target` goes instead, and the
+    /// request to send there: the next replica on the object's rendezvous
+    /// ring. A raw request and a single-replica object stay put.
+    pub(crate) fn fail_over(&self, route: &Route, target: usize) -> Option<(usize, ServerRequest)> {
+        let (object, rel) = (*route)?;
         let replica = self.placements.get(&object)?.next_after(target);
         (replica.member != target).then(|| (replica.member, fetch_on(replica, rel)))
     }
 
-    fn on_timer(conn: &mut FleetConnection, event: KernelEvent) {
-        match event {
-            KernelEvent::HealthTick { member } => conn.heartbeat_member(member as usize),
-            _ => conn.kernel.note_spurious(),
-        }
-    }
-
-    /// The publish-time CRC of the page `rel` names, when `rel` is exactly
+    /// The publish-time CRC of the page `route` names, when it is exactly
     /// one whole page of a [`Fleet::publish_paged`] object and `len` is
-    /// that page's length. An unaligned or partial span, a short final
-    /// page and a [`Fleet::publish_bytes`] object get `None`.
-    fn span_crc(&self, &(object, rel): &(ObjectId, ByteSpan), len: u64) -> Option<u32> {
+    /// that page's length. A raw request, an unaligned or partial span, a
+    /// short final page and a [`Fleet::publish_bytes`] object get `None`.
+    pub(crate) fn span_crc(&self, route: &Route, len: u64) -> Option<u32> {
+        let (object, rel) = (*route)?;
         let sums = self.checksums.get(&object)?;
         let object_len = self.placements.get(&object)?.primary().span.len();
         let whole_page = sums.paged
@@ -875,39 +871,14 @@ fn fetch_on(replica: Replica, rel: ByteSpan) -> ServerRequest {
 }
 
 impl FleetConnection {
-    /// Opens a connection to `fleet` over `link` with the default
-    /// in-flight window and a clean fault plan.
-    pub fn new(fleet: Fleet, link: Link) -> Self {
-        FleetConnection::with_faults(fleet, link, DEFAULT_WINDOW, FaultPlan::none())
-    }
-
-    /// Opens a connection with an explicit in-flight window capacity.
-    pub fn with_window(fleet: Fleet, link: Link, window: usize) -> Self {
-        FleetConnection::with_faults(fleet, link, window, FaultPlan::none())
-    }
-
-    /// Opens a connection whose shared link misbehaves according to
-    /// `plan`: every frame crosses the fault layer and the recovery
-    /// machinery (deadlines, retransmission, duplicate suppression,
-    /// failover) engages.
-    pub fn with_faults(fleet: Fleet, link: Link, window: usize, plan: FaultPlan) -> Self {
-        Client::open(fleet, link, window, plan)
-    }
-
-    /// Busy-honoring accounting (deferred resubmissions and the
-    /// always-zero premature count).
-    pub fn fleet_stats(&self) -> FleetStats {
-        self.busy
-    }
-
     /// The fleet behind the connection.
     pub fn fleet(&self) -> &Fleet {
-        &self.server
+        &self.fleet
     }
 
     /// Mutable access to the fleet (restarts, config changes).
     pub fn fleet_mut(&mut self) -> &mut Fleet {
-        &mut self.server
+        &mut self.fleet
     }
 
     /// Starts the deterministic health monitor: every `interval`, each
@@ -932,8 +903,8 @@ impl FleetConnection {
     /// `Ping` from memory, no device time); the echo's round trip feeds
     /// the member's baseline, and a stale epoch in the echo triggers the
     /// resync machinery immediately. Re-arms the member's next tick.
-    fn heartbeat_member(&mut self, m: usize) {
-        if m >= self.server.members.len() {
+    pub(crate) fn heartbeat_member(&mut self, m: usize) {
+        if m >= self.fleet.members.len() {
             self.kernel.note_spurious();
             return;
         }
@@ -945,7 +916,7 @@ impl FleetConnection {
         let up = self.link.charge(Frame::request(CONN_ID, 0, ping).wire_size());
         let arrival = sent.max(self.up_free) + up;
         self.up_free = arrival;
-        let (answer, _) = self.server.members[m].handle(&ServerRequest::Ping { nonce });
+        let (answer, _) = self.fleet.members[m].handle(&ServerRequest::Ping { nonce });
         let echo_epoch = match &answer {
             ServerResponse::Pong { epoch, .. } => Some(*epoch),
             _ => None,
@@ -975,8 +946,8 @@ impl FleetConnection {
     /// a clean link it travels as a typed frame, and over a fault plan it
     /// is encoded once into a pooled buffer whose bytes every retransmit
     /// resends.
-    pub fn fetch_page(&mut self, object: ObjectId, rel: ByteSpan) -> Result<FleetTicket> {
-        let Some(placement) = self.server.placements.get(&object) else {
+    pub fn fetch_page(&mut self, object: ObjectId, rel: ByteSpan) -> Result<Ticket> {
+        let Some(placement) = self.fleet.placements.get(&object) else {
             return Err(MinosError::UnknownObject(object.to_string()));
         };
         if rel.end > placement.primary().span.len() {
@@ -987,18 +958,24 @@ impl FleetConnection {
         }
         let request_id = self.admit_slot();
         // Re-borrow after the admit loop: it mutates the transport state.
-        let Some(placement) = self.server.placements.get(&object) else {
+        let Some(placement) = self.fleet.placements.get(&object) else {
             return Err(MinosError::UnknownObject(object.to_string()));
         };
         let replica = placement.replica_for(request_id);
-        self.submit_tracked(request_id, replica.member, (object, rel), fetch_on(replica, rel));
-        Ok(FleetTicket(request_id))
+        self.submit_tracked(
+            request_id,
+            replica.member,
+            Some((object, rel)),
+            fetch_on(replica, rel),
+        );
+        Ok(Ticket(request_id))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minos_net::{FaultPlan, Link};
     use minos_types::SimInstant;
     use std::collections::BTreeSet;
 
@@ -1098,7 +1075,7 @@ mod tests {
         fleet.publish_paged(paged, &body, 1024).expect("publish paged");
         fleet.publish_bytes(whole, &body).expect("publish whole");
         let crc = |object, start, len, payload| {
-            fleet.span_crc(&(object, ByteSpan::at(start, len)), payload)
+            fleet.span_crc(&Some((object, ByteSpan::at(start, len))), payload)
         };
         assert_eq!(crc(paged, 0, 1024, 1024), Some(crc32(&body[..1024])));
         assert_eq!(crc(paged, 1024, 1024, 1024), Some(crc32(&body[1024..2048])));
@@ -1176,7 +1153,7 @@ mod tests {
         assert_eq!(transport.epoch_resyncs, 1, "{transport:?}");
         assert!(transport.replays >= 1, "{transport:?}");
         assert!(transport.failovers >= 1, "{transport:?}");
-        assert_eq!(conn.fleet_stats().premature_busy_retries, 0);
+        assert_eq!(conn.transport_stats().premature_busy_retries, 0);
     }
 
     #[test]
@@ -1206,7 +1183,7 @@ mod tests {
             assert_eq!(bytes, expect, "page {page}");
             conn.recycle_payload(bytes);
         }
-        let stats = conn.fleet_stats();
+        let stats = conn.transport_stats();
         assert!(stats.busy_deferred > 0, "cap 1 against a burst of 8 must defer: {stats:?}");
         assert_eq!(stats.premature_busy_retries, 0, "{stats:?}");
         assert!(conn.fleet().service_stats().busy_rejections > 0);

@@ -19,7 +19,8 @@
 //!   (Figures 9–10);
 //! * [`transport`] — the pipelined client: one request lifecycle
 //!   (window, deadlines, backoff, duplicate suppression, `Busy` deferral,
-//!   epoch handshake and replay) over a single server or a fleet;
+//!   epoch handshake and replay) over a fleet, a single server being a
+//!   fleet of one;
 //! * [`remote`] — the workstation side of the server protocol: remote
 //!   views, miniature browsing, transfer accounting;
 //! * [`prefetch`] — anticipatory prefetching: prediction policies, the
@@ -72,12 +73,12 @@ pub use fleet::{
 pub use kernel::{Kernel, KernelEvent, KernelStats, TimerId};
 pub use prefetch::{page_spans, AnticipatingStore, PrefetchBuffer, PrefetchStats, Prefetcher};
 pub use process::{ProcessRunner, ProcessState};
-pub use remote::{Connection, MiniatureBrowser, Ticket, Workstation};
+pub use remote::{Connection, MiniatureBrowser, Workstation};
 pub use sched::{HubStore, SessionKey, SessionScheduler};
 pub use session::{BrowsingSession, ObjectStore, SessionCheckpoint};
 pub use tour::{TourEvent, TourRunner};
 pub use transparency::TransparencyViewer;
-pub use transport::{Backend, Client, FleetStats, TransportStats};
+pub use transport::{Client, Ticket, TransportStats};
 pub use visual::{VisualEngine, VisualView};
 pub use workload::{
     simulate_faulty_page_workload, Dwell, FaultyWorkloadReport, RunReport, WorkloadConfig,

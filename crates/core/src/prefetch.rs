@@ -420,7 +420,7 @@ impl PrefetchBuffer {
         self.prefetched += window.len() as u64;
         let before = self.ws.elapsed();
         let conn = self.ws.connection_mut();
-        let tickets: Vec<(Vec<u8>, crate::remote::Ticket)> =
+        let tickets: Vec<(Vec<u8>, crate::transport::Ticket)> =
             window.into_iter().map(|(key, request)| (key, conn.submit_ref(request))).collect();
         for (key, ticket) in tickets {
             let (response, _) = conn.wait(ticket)?;

@@ -10,123 +10,67 @@
 //! and E6 (miniature-first browsing) read their numbers from here.
 //!
 //! Underneath, every request travels on a [`Connection`]: the pipelined
-//! [`Client`] of [`crate::transport`] over a single server, served through
-//! that server's service queue exactly as each member of a fleet is.
+//! [`Client`] of [`crate::transport`] over a single server, a fleet of one,
+//! served and recovered exactly as each member of a fleet is.
 //! [`Connection::submit`] puts a request on the wire and returns a
 //! [`Ticket`] at once, so several requests overlap link transfer with
 //! device time; [`Client::wait`] collects the response and charges only
-//! the time the caller actually had to wait. What is particular to one
-//! server lives here: on a clean link requests travel as typed frames —
-//! never encoded, no deadline armed. A run of adjacent span fetches (the
-//! §5 anticipatory shape) is coalesced by the server into one device read,
-//! and each page crosses the downlink as its own response frame once its
-//! share of the read is done. The blocking
+//! the time the caller actually had to wait. A request keeps its
+//! retransmission state under a deadline, and a `Busy` reply parks it on
+//! the server's hint; on a clean link it still travels as a typed frame,
+//! never encoded. A run of adjacent span fetches (the §5 anticipatory
+//! shape) is coalesced by the server into one device read, and each page
+//! crosses the downlink as its own response frame once its share of the
+//! read is done. The blocking
 //! [`Workstation::request`]/[`Workstation::request_batch`] calls are thin
 //! submit-then-wait shims over this pipeline.
 
-use crate::transport::{Backend, Client, TransportStats, DEFAULT_WINDOW};
+use crate::transport::{Client, Ticket, TransportStats, DEFAULT_WINDOW};
 use minos_image::{Bitmap, View};
 use minos_net::{FaultPlan, Link, ServerRequest, ServerResponse};
 use minos_object::{ArchivedObject, DataKind, DataPayload};
 use minos_server::ObjectServer;
 use minos_types::{MinosError, ObjectId, Rect, Result, SimDuration, Size};
 
-/// A handle to a submitted, not-yet-collected request on a [`Connection`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct Ticket(u64);
-
-/// A pipelined connection to one [`ObjectServer`] over a link.
-pub type Connection = Client<ObjectServer>;
-
-/// One server, a fleet of one: the client dispatches every frame through
-/// its service queue, as it does for each fleet member, and it has nowhere
-/// to fail over to. It does not answer `Busy` either: no [`Connection`]
-/// here opens a window wider than the default, which fits the queue's
-/// [`ServiceConfig::DEFAULT_PER_CONN_CAP`] (a compile-time check holds
-/// them together), so admission lets every frame in. (A wider window could be turned away, and the client would
-/// park the request on the server's hint as it does for a fleet.)
-///
-/// [`ServiceConfig::DEFAULT_PER_CONN_CAP`]: minos_server::ServiceConfig::DEFAULT_PER_CONN_CAP
-impl Backend for ObjectServer {
-    type Ticket = Ticket;
-    type Route = ();
-    const KEEPS_STATE: bool = false;
-    /// A single server runs no heartbeats: every dispatch sees the
-    /// current epoch first.
-    const RESYNC_AFTER_TIMERS: bool = false;
-
-    fn ticket_id(ticket: Ticket) -> u64 {
-        ticket.0
-    }
-
-    fn servers(&self) -> &[ObjectServer] {
-        std::slice::from_ref(self)
-    }
-
-    fn servers_mut(&mut self) -> &mut [ObjectServer] {
-        std::slice::from_mut(self)
-    }
-}
+/// A pipelined connection to one [`ObjectServer`] over a link: the
+/// [`Client`] of a fleet of one.
+pub type Connection = Client;
 
 impl Connection {
-    /// Opens a connection to `server` over `link` with the default
-    /// in-flight window.
-    pub fn new(server: ObjectServer, link: Link) -> Self {
-        Connection::with_window(server, link, DEFAULT_WINDOW)
-    }
-
-    /// Opens a connection with an explicit in-flight window capacity
-    /// (capacity 1 degenerates to the old blocking discipline).
-    pub fn with_window(server: ObjectServer, link: Link, window: usize) -> Self {
-        Connection::with_faults(server, link, window, FaultPlan::none())
-    }
-
-    /// Opens a connection whose link misbehaves according to `plan`. With
-    /// a clean plan this is byte-for-byte identical to [`Connection::new`];
-    /// otherwise every frame crosses the fault layer and the recovery
-    /// machinery (deadlines, retransmission, duplicate suppression)
-    /// engages.
-    pub fn with_faults(server: ObjectServer, link: Link, window: usize, plan: FaultPlan) -> Self {
-        Client::open(server, link, window, plan)
-    }
-
-    /// The wrapped server.
+    /// The wrapped server: member 0, the only one of a single-server
+    /// connection.
     pub fn endpoint(&self) -> &ObjectServer {
-        &self.server
+        &self.fleet.servers()[0]
     }
 
     /// Mutable server access.
     pub fn endpoint_mut(&mut self) -> &mut ObjectServer {
-        &mut self.server
+        &mut self.fleet.servers_mut()[0]
     }
 
-    /// Submits one request, charging its uplink transfer, and returns a
-    /// ticket for collecting the response later. If the in-flight window
-    /// is exhausted the call first waits out the oldest response (the
-    /// pipelined analogue of blocking); on a faulty link a slot whose
+    /// Submits one request to member 0, charging its uplink transfer, and
+    /// returns a ticket for collecting the response later. If the in-flight
+    /// window is exhausted the call first waits out the oldest response
+    /// (the pipelined analogue of blocking); on a faulty link a slot whose
     /// response was lost is forced through the timeout machinery instead
     /// of being overrun.
     pub fn submit(&mut self, request: ServerRequest) -> Ticket {
-        if !self.link.is_clean() {
-            return self.submit_ref(&request);
-        }
-        Ticket(self.submit_typed(request))
+        let request_id = self.admit_slot();
+        self.submit_tracked(request_id, 0, None, request);
+        Ticket(request_id)
     }
 
     /// [`Connection::submit`] from a borrowed request, never cloning:
-    /// plain-value requests are copied field-for-field onto the clean
-    /// path's typed frame, and anything that owns heap data (or any
-    /// request on a faulty link) encodes straight from the borrow into a
-    /// pooled buffer.
+    /// plain-value requests are copied field-for-field, and anything that
+    /// owns heap data encodes straight from the borrow into a pooled
+    /// buffer.
     pub fn submit_ref(&mut self, request: &ServerRequest) -> Ticket {
-        match request.plain_copy() {
-            Some(copy) if self.link.is_clean() => self.submit(copy),
-            _ => {
-                let request_id = self.admit_slot();
-                self.submit_encoded(request_id, 0, (), request);
-                Ticket(request_id)
-            }
+        if let Some(copy) = request.plain_copy() {
+            return self.submit(copy);
         }
+        let request_id = self.admit_slot();
+        self.submit_encoded(request_id, 0, None, request);
+        Ticket(request_id)
     }
 }
 
@@ -519,6 +463,36 @@ mod tests {
             pipelined.elapsed(),
             serial.elapsed()
         );
+    }
+
+    #[test]
+    fn a_window_wider_than_the_queue_cap_parks_busy_requests() {
+        // A window of 64 against the default per-connection cap of 32: the
+        // server turns half the burst away `Busy`, and each turned-away
+        // request waits out the server's hint and is served, never handed
+        // to the caller as its answer.
+        const PAGES: u64 = 64;
+        let mut server = ObjectServer::new();
+        let data: Vec<u8> = (0..2 * PAGES * 1024).map(|i| (i % 251) as u8).collect();
+        let (record, _) = server.archiver_mut().store(ObjectId::new(9), &data).unwrap();
+        let mut conn = Connection::with_window(server, Link::ethernet(), PAGES as usize);
+        // Every other KiB, so no two fetches coalesce into one read.
+        let spans: Vec<ByteSpan> =
+            (0..PAGES).map(|i| ByteSpan::at(record.span.start + 2 * i * 1024, 1024)).collect();
+        let tickets: Vec<Ticket> =
+            spans.iter().map(|&span| conn.submit(ServerRequest::FetchSpan { span })).collect();
+        for (ticket, span) in tickets.into_iter().zip(&spans) {
+            let (response, _) = conn.wait(ticket).unwrap();
+            let ServerResponse::Span(bytes) = response else {
+                panic!("{span} answered {response:?}");
+            };
+            let from = span.start - record.span.start;
+            let expect: Vec<u8> = (from..from + 1024).map(|b| (b % 251) as u8).collect();
+            assert_eq!(bytes, expect, "{span}");
+        }
+        let stats = conn.transport_stats();
+        assert_eq!(stats.busy_deferred, 32, "{stats:?}");
+        assert_eq!(stats.premature_busy_retries, 0, "{stats:?}");
     }
 
     #[test]

@@ -335,9 +335,16 @@ impl ObjectStore for HubStore {
             self.collect();
             attempts += 1;
         }
-        self.refused.remove(&id);
+        let refused = self.refused.remove(&id);
         let Some((object, available)) = self.cache.remove(&id) else {
-            return Err(MinosError::UnknownObject(id.to_string()));
+            // Only the server's refusal says the object is unknown; attempts
+            // lost on the wire or turned away say nothing about it.
+            if refused {
+                return Err(MinosError::UnknownObject(id.to_string()));
+            }
+            return Err(MinosError::Protocol(format!(
+                "fetch of {id} unanswered after {attempts} attempts"
+            )));
         };
         let mut hub = self.hub.borrow_mut();
         let wait = available.saturating_since(hub.clock.now());
@@ -947,6 +954,19 @@ mod tests {
         // The server's error answers the request: nothing is resubmitted.
         assert_eq!(sched.service_stats().served, 1);
         assert_eq!(sched.link_stats().messages, 2, "one request up, one error down");
+    }
+
+    #[test]
+    fn a_fetch_lost_on_the_wire_is_a_protocol_error_not_an_unknown_object() {
+        let config = PaginateConfig::default();
+        let page = SimDuration::from_secs(5);
+        let mut sched = SessionScheduler::new(corpus_server(), Link::ethernet());
+        let (key, _) = sched.open(ObjectId::new(3), config, page).unwrap();
+        sched.inject_faults(key, FaultPlan::dropping(5, 1.0)).unwrap();
+        // Every attempt is lost, yet the server holds the object.
+        let selected = sched.apply(key, BrowseCommand::SelectRelevant(0));
+        assert!(matches!(selected, Err(MinosError::Protocol(_))), "{:?}", selected.err());
+        assert!(sched.hub.borrow().server.resident_object(ObjectId::new(4)).is_some());
     }
 
     #[test]

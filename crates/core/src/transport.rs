@@ -13,32 +13,33 @@
 //!   the downlink are serially-reusable resources, each a "free at"
 //!   instant, so pipelined requests overlap link transfer with device
 //!   time and waiting charges only what overlap did not hide.
-//! * **Recovery.** A request that keeps retransmission state carries a
+//! * **Recovery.** Every request keeps retransmission state and carries a
 //!   deadline on the [`Kernel`] timer wheel: a loss retransmits it with
 //!   capped exponential backoff until the retry budget expires it into an
 //!   inline [`ServerResponse::Error`]. What is kept is the request itself
 //!   on a clean link, where every send is a typed frame; only where a
-//!   [`FaultyLink`] can mangle frames is the request encoded once into a
-//!   pooled buffer and those bytes resent. Corrupt frames are discarded,
-//!   duplicates are suppressed by a collected-id watermark, and a
-//!   `Busy { retry_after }` reply parks the request until the server's
-//!   own hint elapses.
+//!   [`FaultyLink`] can mangle frames (or the request owns heap data) is
+//!   the request encoded once into a pooled buffer and those bytes resent.
+//!   Corrupt frames are discarded, duplicates are suppressed by a
+//!   collected-id watermark, and a `Busy { retry_after }` reply parks the
+//!   request until the server's own hint elapses.
 //! * **Restarts.** A member whose epoch moved is re-handshaken with
 //!   `Hello`/`Welcome`, and whatever its dead incarnation lost is replayed
-//!   idempotently under the original request ids.
+//!   idempotently under the original request ids, in request-id order.
 //! * **Service.** Every pending frame enters its member's
 //!   [`ObjectServer`] service queue and comes back through
 //!   [`ObjectServer::poll_conn`], so adjacent span fetches are coalesced
-//!   in one place, the server's, for one server and a fleet alike.
+//!   in one place, the server's.
 //!
-//! What differs between one server and a fleet sits behind [`Backend`]:
-//! where a request goes when its member fails, and which timer events
-//! other than retransmits mean something.
-//! [`Connection`](crate::remote::Connection) (one [`ObjectServer`], a
-//! fleet of one) and [`FleetConnection`](crate::fleet::FleetConnection)
-//! (a [`Fleet`](crate::fleet::Fleet)) are its two instantiations.
+//! The server side is always a [`Fleet`]; a single server is a fleet of
+//! one (`Fleet::from(server)`). A fleet page fetch names its object, so it
+//! can fail over to a sibling replica and ride its page's publish-time
+//! CRC; a raw request to one server has nowhere else to go.
+//! [`Connection`](crate::remote::Connection) and
+//! [`FleetConnection`](crate::fleet::FleetConnection) are two names for the
+//! one [`Client`].
 
-use crate::fleet::HealthMonitor;
+use crate::fleet::{Fleet, HealthMonitor};
 use crate::idhash::{IdMap, IdSet};
 use crate::kernel::{Kernel, KernelEvent, KernelStats, TimerId};
 use minos_net::{
@@ -46,9 +47,8 @@ use minos_net::{
     LinkStats, Priority, ServerRequest, ServerResponse,
 };
 use minos_server::{ObjectServer, ServiceConfig};
-use minos_types::{MinosError, Result, SimClock, SimDuration, SimInstant};
+use minos_types::{ByteSpan, MinosError, ObjectId, Result, SimClock, SimDuration, SimInstant};
 use std::collections::VecDeque;
-use std::fmt;
 
 /// Leases a buffer from `pool`, counting a hit or a miss (a fresh
 /// allocation) in `stats`.
@@ -84,57 +84,15 @@ const DEFAULT_MAX_RETRIES: u32 = 4;
 /// Ceiling on the exponential backoff between retransmits.
 const BACKOFF_CAP: SimDuration = SimDuration::from_secs(4);
 
-/// The server side of a [`Client`]: what one server and a fleet of them do
-/// differently. Members are the indices of [`Backend::servers`]; a single
-/// server is a fleet of one.
-pub trait Backend: Sized {
-    /// The handle a submission returns.
-    type Ticket: Copy + fmt::Debug;
+/// A handle to a submitted, not-yet-collected request on a [`Client`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct Ticket(pub(crate) u64);
 
-    /// What a failover needs, beyond the target member, to re-aim a
-    /// request at another copy of its data.
-    type Route;
-
-    /// Whether every request keeps retransmission state even on a clean
-    /// link. A single server on a clean link loses nothing, so its typed
-    /// frames arm no timer and keep nothing; a fleet always keeps the
-    /// request, to replay it when a member restarts and to fail it over.
-    const KEEPS_STATE: bool;
-
-    /// Whether [`Client::advance_to`] resyncs epochs after draining due
-    /// timers instead of before its first dispatch. Heartbeats fire inside
-    /// the drain, so a side that runs them resyncs last: a restart is then
-    /// noticed by the heartbeat, and the resync is the safety net.
-    const RESYNC_AFTER_TIMERS: bool;
-
-    /// The request id a ticket stands for.
-    fn ticket_id(ticket: Self::Ticket) -> u64;
-
-    /// The servers behind the client, one per member.
-    fn servers(&self) -> &[ObjectServer];
-
-    /// Mutable access to the servers behind the client.
-    fn servers_mut(&mut self) -> &mut [ObjectServer];
-
-    /// Where a request aimed at `target` goes instead, and the request to
-    /// send there; `None` when there is nowhere else to go.
-    fn fail_over(&self, _route: &Self::Route, _target: usize) -> Option<(usize, ServerRequest)> {
-        None
-    }
-
-    /// Handles a fired timer other than a retransmit deadline.
-    fn on_timer(client: &mut Client<Self>, _event: KernelEvent) {
-        client.kernel.note_spurious();
-    }
-
-    /// The CRC32 of the `len` payload bytes a request on `route` should
-    /// come back with, when the side already holds it: a faulty-link
-    /// response frame then composes its trailer from it instead of
-    /// rereading the payload. `None` takes the full pass.
-    fn span_crc(&self, _route: &Self::Route, _len: u64) -> Option<u32> {
-        None
-    }
-}
+/// What a failover needs, beyond the target member, to re-aim a request at
+/// another copy of its data: the object and the span relative to its first
+/// byte. `None` for a raw request to one server, which has nowhere else to
+/// go and no page CRC.
+pub(crate) type Route = Option<(ObjectId, ByteSpan)>;
 
 /// A request frame accepted for transmission but not yet served: its bytes
 /// finish arriving at the server at `arrival`.
@@ -163,10 +121,10 @@ enum Resend {
 }
 
 /// Retransmission state for a request whose response has not yet landed.
-struct Outstanding<R> {
+struct Outstanding {
     /// The member the request is currently aimed at.
     target: usize,
-    route: R,
+    route: Route,
     resend: Resend,
     deadline: SimInstant,
     attempt: u32,
@@ -203,6 +161,12 @@ pub struct TransportStats {
     /// restarted, timed out or answered `Busy`. Always zero on a single
     /// server, which has nowhere else to go.
     pub failovers: u64,
+    /// Requests turned away with [`ServerResponse::Busy`] and parked on a
+    /// kernel timer until the server's `retry_after` hint elapsed.
+    pub busy_deferred: u64,
+    /// Deferred resubmissions that left before their hint elapsed.
+    /// Always zero — the retry timer gates the uplink — and pinned so.
+    pub premature_busy_retries: u64,
     /// The client's own pool leases served from the free list — no
     /// allocation happened. Its servers lease span payloads from the same
     /// pool and count those leases in their service stats, so each lease is
@@ -252,21 +216,7 @@ impl Collected {
     }
 }
 
-/// Busy-honoring accounting. A [`Connection`](crate::remote::Connection)
-/// keeps these at zero while its window fits its server's per-connection
-/// queue cap, as every `Connection` here does: its one server then never
-/// answers `Busy`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FleetStats {
-    /// Requests turned away with [`ServerResponse::Busy`] and parked on a
-    /// kernel timer until the server's `retry_after` hint elapsed.
-    pub busy_deferred: u64,
-    /// Deferred resubmissions that left before their hint elapsed.
-    /// Always zero — the retry timer gates the uplink — and pinned so.
-    pub premature_busy_retries: u64,
-}
-
-/// A pipelined client of a [`Backend`] over one shared link (the paper's
+/// A pipelined client of a [`Fleet`] over one shared link (the paper's
 /// broadcast bus).
 ///
 /// Submitting charges the uplink at once and returns a ticket; pending
@@ -274,8 +224,8 @@ pub struct FleetStats {
 /// whenever the client dispatches; responses land timestamped, and
 /// [`Client::wait`] charges only the time between "now" and the response's
 /// arrival — that difference is where pipelining wins.
-pub struct Client<B: Backend> {
-    pub(crate) server: B,
+pub struct Client {
+    pub(crate) fleet: Fleet,
     /// Per-member epoch last handshaken; a mismatch triggers the resync.
     pub(crate) epochs: Vec<u64>,
     pub(crate) link: FaultyLink,
@@ -287,7 +237,7 @@ pub struct Client<B: Backend> {
     /// Arrival instant of each frame handed to a member's service queue.
     arrival_at: IdMap<SimInstant>,
     landed: IdMap<Landed>,
-    outstanding: IdMap<Outstanding<B::Route>>,
+    outstanding: IdMap<Outstanding>,
     collected: Collected,
     /// Transmit and payload buffers leased and recycled across the
     /// client's lifetime, shared with its servers. The client's own leases
@@ -299,7 +249,6 @@ pub struct Client<B: Backend> {
     /// [`Client::advance_to`] at its deadline.
     pub(crate) kernel: Kernel,
     transport: TransportStats,
-    pub(crate) busy: FleetStats,
     timeout: SimDuration,
     max_retries: u32,
     pub(crate) up_free: SimInstant,
@@ -315,20 +264,41 @@ pub struct Client<B: Backend> {
     pub(crate) next_nonce: u64,
 }
 
-impl<B: Backend> Client<B> {
-    /// Opens a client of `server` over `link` misbehaving according to
-    /// `plan`, with an in-flight window of `window` requests.
-    pub(crate) fn open(mut server: B, link: Link, window: usize, plan: FaultPlan) -> Self {
+impl Client {
+    /// Opens a client of `servers` (a [`Fleet`], or one [`ObjectServer`] as
+    /// a fleet of one) over `link` with the default in-flight window.
+    pub fn new(servers: impl Into<Fleet>, link: Link) -> Self {
+        Client::with_window(servers, link, DEFAULT_WINDOW)
+    }
+
+    /// Opens a client with an explicit in-flight window capacity (capacity
+    /// 1 degenerates to the blocking discipline).
+    pub fn with_window(servers: impl Into<Fleet>, link: Link, window: usize) -> Self {
+        Client::with_faults(servers, link, window, FaultPlan::none())
+    }
+
+    /// Opens a client whose shared link misbehaves according to `plan`.
+    /// With a clean plan this is identical to [`Client::with_window`];
+    /// otherwise every frame crosses the fault layer and the recovery
+    /// machinery (deadlines, retransmission, duplicate suppression,
+    /// failover) engages.
+    pub fn with_faults(
+        servers: impl Into<Fleet>,
+        link: Link,
+        window: usize,
+        plan: FaultPlan,
+    ) -> Self {
+        let mut fleet = servers.into();
         // One pool for the client and its servers: a page collected and
         // recycled goes back to the pool its server leases from.
         let pool = BufferPool::new();
-        for member in server.servers_mut() {
+        for member in fleet.servers_mut() {
             member.adopt_pool(pool.clone());
         }
-        let members = server.servers().len();
+        let members = fleet.servers().len();
         Client {
-            epochs: server.servers().iter().map(ObjectServer::epoch).collect(),
-            server,
+            epochs: fleet.servers().iter().map(ObjectServer::epoch).collect(),
+            fleet,
             link: FaultyLink::new(link, plan),
             clock: SimClock::new(),
             next_request_id: 1,
@@ -341,7 +311,6 @@ impl<B: Backend> Client<B> {
             pool,
             kernel: Kernel::new(),
             transport: TransportStats::default(),
-            busy: FleetStats::default(),
             timeout: DEFAULT_TIMEOUT,
             max_retries: DEFAULT_MAX_RETRIES,
             up_free: SimInstant::EPOCH,
@@ -384,8 +353,9 @@ impl<B: Backend> Client<B> {
     }
 
     /// What the recovery machinery had to do — timeouts, retries, corrupt
-    /// frames, duplicates, replays, epoch resyncs, failovers — plus the
-    /// transmit-pool accounting (hits, misses, fresh payload allocations).
+    /// frames, duplicates, replays, epoch resyncs, failovers, `Busy`
+    /// deferrals — plus the transmit-pool accounting (hits, misses, fresh
+    /// payload allocations).
     pub fn transport_stats(&self) -> TransportStats {
         self.transport
     }
@@ -437,12 +407,6 @@ impl<B: Backend> Client<B> {
         }
     }
 
-    /// Whether requests keep retransmission state: always on a side that
-    /// needs it for failover, otherwise only on a faulty link.
-    fn keeps_state(&self) -> bool {
-        B::KEEPS_STATE || !self.link.is_clean()
-    }
-
     /// Admits the next submission into the flow-control window: resyncs
     /// epochs, settles arrived responses, waits out (or forces progress
     /// on) a full window, and allocates the request id.
@@ -478,15 +442,6 @@ impl<B: Backend> Client<B> {
         request_id
     }
 
-    /// Admits `request` and sends it to member 0 as a typed frame. Only a
-    /// side that keeps no retransmission state submits this way.
-    pub(crate) fn submit_typed(&mut self, request: ServerRequest) -> u64 {
-        let request_id = self.admit_slot();
-        self.uplink(0, Frame::request(CONN_ID, request_id, request));
-        self.window.open(request_id);
-        request_id
-    }
-
     /// Puts a typed request frame on the uplink to `member`, charging its
     /// wire size arithmetically — nothing is copied or encoded.
     fn uplink(&mut self, member: usize, frame: Frame) {
@@ -510,7 +465,7 @@ impl<B: Backend> Client<B> {
         &mut self,
         request_id: u64,
         target: usize,
-        route: B::Route,
+        route: Route,
         request: &ServerRequest,
     ) {
         let mut bytes = self.lease();
@@ -525,7 +480,7 @@ impl<B: Backend> Client<B> {
         &mut self,
         request_id: u64,
         target: usize,
-        route: B::Route,
+        route: Route,
         request: ServerRequest,
     ) {
         if self.link.is_clean() && request.plain_copy().is_some() {
@@ -538,7 +493,7 @@ impl<B: Backend> Client<B> {
     /// Records `resend` as the request's retransmission state with a
     /// deadline, puts it on the wire to `target`, and opens the request's
     /// window slot.
-    fn track(&mut self, request_id: u64, target: usize, route: B::Route, resend: Resend) {
+    fn track(&mut self, request_id: u64, target: usize, route: Route, resend: Resend) {
         let deadline = self.clock.now() + self.timeout;
         let timer = self.kernel.arm(deadline, KernelEvent::RetryDue { request_id, attempt: 0 });
         self.outstanding.insert(
@@ -551,7 +506,7 @@ impl<B: Backend> Client<B> {
 
     /// Drops a request's retransmission state: its deadline is void and
     /// any encoded bytes go back to the pool.
-    fn retire(&mut self, out: Outstanding<B::Route>) {
+    fn retire(&mut self, out: Outstanding) {
         self.kernel.cancel(out.timer);
         if let Resend::Encoded(bytes) = out.resend {
             self.pool.recycle(bytes);
@@ -603,7 +558,7 @@ impl<B: Backend> Client<B> {
         }
     }
 
-    /// Re-aims an outstanding request at the member the backend fails it
+    /// Re-aims an outstanding request at the member the fleet fails it
     /// over to, replacing its retransmission state with the request for
     /// that member (encoded bytes are rewritten in place). A request with
     /// nowhere else to go stays put and costs nothing. Failover requests
@@ -612,7 +567,7 @@ impl<B: Backend> Client<B> {
         let Some(out) = self.outstanding.get_mut(&request_id) else {
             return;
         };
-        let Some((target, request)) = self.server.fail_over(&out.route, out.target) else {
+        let Some((target, request)) = self.fleet.fail_over(&out.route, out.target) else {
             return;
         };
         self.transport.failovers += 1;
@@ -635,7 +590,7 @@ impl<B: Backend> Client<B> {
     pub(crate) fn resync(&mut self) {
         for m in 0..self.epochs.len() {
             let last = self.epochs[m];
-            if self.server.servers()[m].epoch() == last {
+            if self.fleet.servers()[m].epoch() == last {
                 continue;
             }
             self.transport.epoch_resyncs += 1;
@@ -644,7 +599,7 @@ impl<B: Backend> Client<B> {
             let hello_arrival = self.clock.now().max(self.up_free) + up;
             self.up_free = hello_arrival;
             let (answer, took) =
-                self.server.servers_mut()[m].handle(&ServerRequest::Hello { epoch: last });
+                self.fleet.servers_mut()[m].handle(&ServerRequest::Hello { epoch: last });
             let done = hello_arrival.max(self.dev_free[m]) + took;
             self.dev_free[m] = done;
             // The answer moves into the frame for an arithmetic wire-size
@@ -656,26 +611,12 @@ impl<B: Backend> Client<B> {
             self.clock.advance_to_at_least(delivered);
             self.epochs[m] = match welcome.payload {
                 FramePayload::Response(ServerResponse::Welcome { epoch }) => epoch,
-                _ => self.server.servers()[m].epoch(),
+                _ => self.fleet.servers()[m].epoch(),
             };
-            if !self.keeps_state() {
-                // Typed frames that reached the restarted server unanswered
-                // died with its volatile queue; put them back on the uplink.
-                let replay: Vec<Frame> = self.pending[m].drain(..).map(|p| p.frame).collect();
-                for frame in replay {
-                    let rid = frame.request_id;
-                    if self.landed.contains_key(&rid) || self.collected.contains(rid) {
-                        continue;
-                    }
-                    self.transport.replays += 1;
-                    self.uplink(m, frame);
-                }
-                continue;
-            }
             // Frames in transit to the member and frames in its volatile
             // queue are both gone: every request still aimed at it goes
             // back through the ordinary transmit machinery (a replay is not
-            // a timeout), re-aimed first where the backend has somewhere
+            // a timeout), re-aimed first where the fleet has somewhere
             // else to go. Busy-deferred requests keep their own timers.
             // They replay in request-id order, so one seed always serves
             // them in one order.
@@ -704,11 +645,11 @@ impl<B: Backend> Client<B> {
     /// arrival and returning how long the caller actually waited (zero if
     /// the response had already landed — that time was won by overlap). A
     /// lost response is retransmitted after its deadline with capped
-    /// exponential backoff (failing over where the backend can); a request
+    /// exponential backoff (failing over where the fleet can); a request
     /// that exhausts its retries comes back as an inline
     /// [`ServerResponse::Error`], as do server-side errors.
-    pub fn wait(&mut self, ticket: B::Ticket) -> Result<(ServerResponse, SimDuration)> {
-        let id = B::ticket_id(ticket);
+    pub fn wait(&mut self, ticket: Ticket) -> Result<(ServerResponse, SimDuration)> {
+        let id = ticket.0;
         let started = self.clock.now();
         loop {
             self.resync();
@@ -720,9 +661,7 @@ impl<B: Backend> Client<B> {
                 if let Some(out) = self.outstanding.remove(&id) {
                     self.retire(out);
                 }
-                if self.keeps_state() {
-                    self.collected.insert(id);
-                }
+                self.collected.insert(id);
                 return Ok((landed.response, waited));
             }
             if !self.outstanding.contains_key(&id) {
@@ -739,11 +678,11 @@ impl<B: Backend> Client<B> {
     /// heartbeat tick that falls due in the interval and fires it at its
     /// exact instant: a lost response on an otherwise-idle client
     /// retransmits (or expires) *at its deadline*, instead of waiting for
-    /// the next [`Client::wait`] to stumble on it.
+    /// the next [`Client::wait`] to stumble on it. Epochs are resynced after
+    /// the timers: heartbeats fire among them, so with the monitor on a
+    /// restart is noticed by its heartbeat, and the resync is the safety
+    /// net.
     pub fn advance_to(&mut self, at: SimInstant) {
-        if !B::RESYNC_AFTER_TIMERS {
-            self.resync();
-        }
         self.dispatch();
         // Step armed-deadline to armed-deadline: the clock reaches each
         // deadline exactly when it fires, so a retransmit's backoff chains
@@ -761,9 +700,7 @@ impl<B: Backend> Client<B> {
         self.clock.advance_to_at_least(at);
         self.kernel.advance_to(self.clock.now());
         self.drain_retry_wakes();
-        if B::RESYNC_AFTER_TIMERS {
-            self.resync();
-        }
+        self.resync();
         self.dispatch();
         self.settle();
     }
@@ -778,11 +715,11 @@ impl<B: Backend> Client<B> {
             while let Some(p) = self.pending[m].pop_front() {
                 let rid = p.frame.request_id;
                 self.arrival_at.insert(rid, p.arrival);
-                if self.server.servers_mut()[m].enqueue(p.frame).is_err() {
+                if self.fleet.servers_mut()[m].enqueue(p.frame).is_err() {
                     self.arrival_at.remove(&rid);
                 }
             }
-            while let Some((frame, charge)) = self.server.servers_mut()[m].poll_conn(CONN_ID) {
+            while let Some((frame, charge)) = self.fleet.servers_mut()[m].poll_conn(CONN_ID) {
                 let rid = frame.request_id;
                 let arrival = self.arrival_at.remove(&rid).unwrap_or(self.up_free);
                 let done = arrival.max(self.dev_free[m]) + charge;
@@ -793,7 +730,7 @@ impl<B: Backend> Client<B> {
             }
             // The wake list has been fully served for the client's single
             // logical connection; clear it so it never accumulates.
-            self.server.servers_mut()[m].clear_woken();
+            self.fleet.servers_mut()[m].clear_woken();
         }
     }
 
@@ -803,12 +740,12 @@ impl<B: Backend> Client<B> {
     /// deadline machinery retransmits), and every surviving copy is
     /// received into a pooled buffer.
     ///
-    /// The sender's trailer over a span the backend holds a CRC for (a
-    /// whole published page, [`Backend::span_crc`]) is composed from that
-    /// CRC, so the page is checksummed once, by the receiver, not twice.
-    /// The check is then end to end: a page that rotted on the device, or
-    /// a stale span, fails at the receiver like wire damage and is fetched
-    /// again, failed over where the backend can. Other responses, and
+    /// The sender's trailer over a span the fleet holds a CRC for (a
+    /// whole published page) is composed from that CRC, so the page is
+    /// checksummed once, by the receiver, not twice. The check is then end
+    /// to end: a page that rotted on the device, or a stale span, fails at
+    /// the receiver like wire damage and is fetched again, failed over
+    /// where the fleet can. Other responses, and
     /// duplicates of a request already in hand, take the full pass.
     fn land(&mut self, request_id: u64, response: ServerResponse, done: SimInstant) {
         let frame = Frame::response(CONN_ID, request_id, response);
@@ -826,7 +763,7 @@ impl<B: Backend> Client<B> {
         }
         let payload_crc = match (&frame.payload, self.outstanding.get(&request_id)) {
             (FramePayload::Response(ServerResponse::Span(page)), Some(out)) => {
-                self.server.span_crc(&out.route, page.len() as u64)
+                self.fleet.span_crc(&out.route, page.len() as u64)
             }
             _ => None,
         };
@@ -856,9 +793,9 @@ impl<B: Backend> Client<B> {
     }
 
     /// Accepts one response at its delivery instant: duplicates are
-    /// suppressed, a `Busy` turn-away for a tracked request parks it on a
-    /// retry timer honoring the server's hint (and fails it over where the
-    /// backend can), and anything else lands for collection.
+    /// suppressed, a `Busy` turn-away parks the request on a retry timer
+    /// honoring the server's hint (and fails it over where the fleet can),
+    /// and anything else lands for collection.
     fn receive(&mut self, request_id: u64, response: ServerResponse, at: SimInstant) {
         if self.collected.contains(request_id) || self.landed.contains_key(&request_id) {
             self.transport.duplicates += 1;
@@ -871,7 +808,7 @@ impl<B: Backend> Client<B> {
                     self.transport.duplicates += 1;
                     return;
                 }
-                self.busy.busy_deferred += 1;
+                self.transport.busy_deferred += 1;
                 let due = at + retry_after;
                 self.kernel.cancel(out.timer);
                 let attempt = out.attempt;
@@ -894,18 +831,24 @@ impl<B: Backend> Client<B> {
         self.landed.insert(request_id, Landed { response, ready_at: at });
     }
 
-    /// Fires every kernel event due at the current clock and handles the
-    /// retransmit wakes among them, handing any other event to the
-    /// backend. Re-advances each round because a handler can arm a
-    /// deadline already behind kernel time (a capped backoff), which lands
-    /// due immediately and must still be flushed.
+    /// Fires every kernel event due at the current clock: retransmit
+    /// wakes and heartbeat ticks. Re-advances each round because a handler
+    /// can arm a deadline already behind kernel time (a capped backoff),
+    /// which lands due immediately and must still be flushed.
     fn drain_retry_wakes(&mut self) {
         loop {
             self.kernel.advance_to(self.clock.now());
             let Some(event) = self.kernel.take_ready() else { break };
-            let KernelEvent::RetryDue { request_id, attempt } = event else {
-                B::on_timer(self, event);
-                continue;
+            let (request_id, attempt) = match event {
+                KernelEvent::RetryDue { request_id, attempt } => (request_id, attempt),
+                KernelEvent::HealthTick { member } => {
+                    self.heartbeat_member(member as usize);
+                    continue;
+                }
+                _ => {
+                    self.kernel.note_spurious();
+                    continue;
+                }
             };
             let now = self.clock.now();
             let due = self
@@ -926,7 +869,7 @@ impl<B: Backend> Client<B> {
     /// fresh deadline — costing neither a timeout nor a retry, and never
     /// leaving early. A genuinely lost request waits out its deadline and
     /// either retransmits (doubling the deadline, up to [`BACKOFF_CAP`],
-    /// and failing over where the backend can) or — retries exhausted —
+    /// and failing over where the fleet can) or — retries exhausted —
     /// expires with an inline [`ServerResponse::Error`] so the slot can
     /// settle and the pipeline keeps moving. A slot with no retransmission
     /// state lands an inline error at once: better a typed failure than an
@@ -946,7 +889,7 @@ impl<B: Backend> Client<B> {
             // later of "now" and the due instant, never earlier.
             self.clock.advance_to_at_least(deadline);
             if self.clock.now() < deadline {
-                self.busy.premature_busy_retries += 1;
+                self.transport.premature_busy_retries += 1;
             }
             self.kernel.cancel(timer);
             let next_deadline = self.clock.now() + self.timeout;
@@ -989,7 +932,7 @@ impl<B: Backend> Client<B> {
             out.timer = fresh;
         }
         // A timeout is evidence against the target, not just the wire: the
-        // retransmit goes wherever the backend fails it over to.
+        // retransmit goes wherever the fleet fails it over to.
         self.fail_over_target(request_id);
         self.transmit_request(request_id);
     }
@@ -1053,7 +996,7 @@ mod tests {
     fn out_of_order_collection_advances_the_watermark() {
         let (mut conn, object) = clean(1, 8);
         let tickets: Vec<FleetTicket> = (0..3).map(|page| fetch(&mut conn, object, page)).collect();
-        let ids: Vec<u64> = tickets.iter().map(|&t| Fleet::ticket_id(t)).collect();
+        let ids: Vec<u64> = tickets.iter().map(|t| t.0).collect();
         assert_eq!(ids, [1, 2, 3]);
         collect(&mut conn, tickets[2]);
         assert_eq!(conn.collected.floor, 0);
@@ -1069,7 +1012,7 @@ mod tests {
     fn a_duplicate_below_the_watermark_is_counted_and_never_lands() {
         let (mut conn, object) = clean(1, 8);
         let ticket = fetch(&mut conn, object, 0);
-        let id = Fleet::ticket_id(ticket);
+        let id = ticket.0;
         collect(&mut conn, ticket);
         assert!(id <= conn.collected.floor);
         let at = conn.clock.now();

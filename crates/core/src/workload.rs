@@ -77,8 +77,8 @@ use crate::fleet::{
 };
 use crate::kernel::{Kernel, KernelEvent, KernelStats};
 use crate::prefetch::page_spans;
-use crate::remote::{Connection, Ticket};
-use crate::transport::TransportStats;
+use crate::remote::Connection;
+use crate::transport::{Ticket, TransportStats};
 use minos_net::{
     crc32, BufferPool, FaultPlan, FaultStats, Frame, FramePayload, Link, Priority, ServerRequest,
     ServerResponse,
@@ -161,8 +161,6 @@ pub struct WorkloadConfig {
     /// Scrub cadence (one member per tick, round-robin); `None` disables
     /// the background scrub (read-repair still heals what reads surface).
     pub scrub_interval: Option<SimDuration>,
-    /// Spacing between repair tasks — the re-replication throttle.
-    pub repair_spacing: SimDuration,
     /// Admission-control policy applied to every member.
     pub service: ServiceConfig,
 }
@@ -187,7 +185,6 @@ impl WorkloadConfig {
             hedge_delay: None,
             heartbeat: None,
             scrub_interval: None,
-            repair_spacing: SimDuration::from_millis(2),
             service: ServiceConfig::default(),
         }
     }
@@ -292,6 +289,8 @@ const MAX_EVENTS: u64 = 20_000_000;
 /// Pages between a demand page and each prefetch it tows: far enough
 /// that no run of them is adjacent, so the overload is real device work.
 const PREFETCH_STRIDE: usize = 7;
+/// Spacing between repair tasks — the re-replication throttle.
+const REPAIR_SPACING: SimDuration = SimDuration::from_millis(2);
 
 /// The per-session byte pattern — session-distinct so a page served from
 /// the wrong object or offset can never verify.
@@ -956,7 +955,7 @@ impl Run {
             for object in self.fleet.objects_on(m) {
                 if self.repairs.admit(RepairTask { object, lost: m }) && self.repair_idle {
                     self.repair_idle = false;
-                    let due = now + self.config.repair_spacing;
+                    let due = now + REPAIR_SPACING;
                     self.kernel.arm(due, KernelEvent::RepairDue { task: 0 });
                 }
             }
@@ -1095,7 +1094,7 @@ impl Run {
         if self.repairs.is_empty() {
             self.repair_idle = true;
         } else {
-            let due = next_at + self.config.repair_spacing;
+            let due = next_at + REPAIR_SPACING;
             self.kernel.arm(due, KernelEvent::RepairDue { task: 0 });
         }
     }

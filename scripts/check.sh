@@ -11,6 +11,15 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The benchmark package has its own empty [workspace], so the two steps
+# above never see it; format-check and lint it by manifest.
+echo "==> minos-benchmark fmt --check"
+cargo fmt --manifest-path crates/bench/src/bin/minos-benchmark/Cargo.toml -- --check
+
+echo "==> minos-benchmark clippy -D warnings"
+cargo clippy --offline --manifest-path crates/bench/src/bin/minos-benchmark/Cargo.toml \
+    --all-targets -- -D warnings
+
 echo "==> minos-xtask lint"
 cargo run -q -p minos-xtask -- lint
 
@@ -25,9 +34,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> cargo test --workspace"
 cargo test --workspace --quiet
 
-# The benchmark package has its own empty [workspace], so the workspace
-# test run above never builds it; test it by manifest so an API change
-# that breaks it fails here.
+# Nor does the workspace test run above build it; test it by manifest so
+# an API change that breaks it fails here.
 echo "==> minos-benchmark tests"
 cargo test --offline --quiet --manifest-path crates/bench/src/bin/minos-benchmark/Cargo.toml
 

@@ -10,7 +10,7 @@ use minos::corpus;
 use minos::corpus::objects::archived_form;
 use minos::net::{FaultPlan, Link, ServerRequest, ServerResponse};
 use minos::presentation::{
-    simulate_faulty_page_workload, Backend, Client, Connection, Fleet, FleetConnection,
+    simulate_faulty_page_workload, Client, Connection, Fleet, FleetConnection, Ticket,
 };
 use minos::server::ObjectServer;
 use minos::types::{ByteSpan, ObjectId, SimDuration, SimInstant};
@@ -101,11 +101,7 @@ fn idle_connection_retransmits_at_its_deadline() {
 
 /// Drives a client whose every frame is dropped from its one submission
 /// to the request's expiry, checking each deadline fires on time.
-fn expires_at_its_deadlines<B: Backend>(
-    mut conn: Client<B>,
-    ticket: B::Ticket,
-    timeout: SimDuration,
-) {
+fn expires_at_its_deadlines(mut conn: Client, ticket: Ticket, timeout: SimDuration) {
     // Just short of the deadline: armed, but nothing fires.
     conn.advance_to(SimInstant::EPOCH + SimDuration::from_millis(499));
     assert_eq!(conn.transport_stats().timeouts, 0, "no deadline may fire early");

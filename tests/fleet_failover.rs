@@ -82,8 +82,7 @@ fn replicated_pages_survive_a_mid_stream_restart_under_chaos() {
             "seed {seed}: the restart must be noticed: {transport:?}"
         );
         assert_eq!(
-            conn.fleet_stats().premature_busy_retries,
-            0,
+            transport.premature_busy_retries, 0,
             "seed {seed}: a deferred resubmission left before its hint"
         );
         // The fault plan really bit: chaos at 3% over ~24 round trips
