@@ -25,7 +25,7 @@
 //! device timelines behind one shared uplink/downlink (the paper's
 //! broadcast bus), rendezvous failover, and heartbeats. A server that
 //! answers [`ServerResponse::Busy`] gets honored, not hammered: the
-//! turned-away request parks on a kernel timer until the server's own
+//! turned-away request parks on the retransmit timer until the server's own
 //! `retry_after` hint elapses, then resubmits — to a sibling replica when
 //! one exists. A single [`ObjectServer`] is a fleet of one
 //! (`Fleet::from(server)`), served by the same client.
@@ -814,8 +814,8 @@ pub type FleetTicket = Ticket;
 /// * a member restart (epoch bump) or a timeout re-aims the member's
 ///   in-flight requests at the next replica in each object's rendezvous
 ///   ring;
-/// * a [`ServerResponse::Busy`] reply parks the request on a kernel timer
-///   for the server's own `retry_after` hint and rotates it to a sibling,
+/// * a [`ServerResponse::Busy`] reply parks the request on the retransmit
+///   timer for the server's own `retry_after` hint and rotates it to a sibling,
 ///   instead of re-offering load to the gate that just shed it;
 /// * optional heartbeats ([`FleetConnection::enable_heartbeat`]) notice a
 ///   restart on an idle connection.

@@ -1,21 +1,20 @@
-//! One deterministic hasher for the tables keyed by integer ids.
+//! One deterministic hasher for the sets of integer ids.
 //!
-//! Request ids and timer ids are unique `u64`s handed out in sequence.
-//! std's default SipHash spends most of each lookup defending against
-//! adversarial keys that these tables never see, and its per-process
-//! random seed makes their iteration order differ between two runs of one
-//! seed. [`IdHasher`] is one rotate, xor and Fibonacci multiply per word
-//! (the FxHash step): equal on every run, and because the multiplier is
-//! odd, consecutive ids land in distinct buckets of any power-of-two
-//! table.
+//! Timer ids are unique `u64`s handed out in sequence. std's default
+//! SipHash spends most of each lookup defending against adversarial keys
+//! that these sets never see, and its per-process random seed makes their
+//! iteration order differ between two runs of one seed. [`IdHasher`] is
+//! one rotate, xor and Fibonacci multiply per word (the FxHash step):
+//! equal on every run, and because the multiplier is odd, consecutive ids
+//! land in distinct buckets of any power-of-two table.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// 2^64 / φ, rounded to odd: the Fibonacci-hashing multiplier.
 const SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// The hasher behind [`IdMap`] and [`IdSet`].
+/// The hasher behind [`IdSet`].
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct IdHasher(u64);
 
@@ -40,10 +39,7 @@ impl Hasher for IdHasher {
 /// Builds [`IdHasher`]s; the same on every run.
 pub(crate) type IdBuildHasher = BuildHasherDefault<IdHasher>;
 
-/// A map keyed by request or timer id.
-pub(crate) type IdMap<V> = HashMap<u64, V, IdBuildHasher>;
-
-/// A set of request or timer ids.
+/// A set of timer ids.
 pub(crate) type IdSet = HashSet<u64, IdBuildHasher>;
 
 #[cfg(test)]

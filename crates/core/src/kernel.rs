@@ -51,12 +51,12 @@ pub enum KernelEvent {
         /// Consumer-chosen correlation key.
         key: u64,
     },
-    /// A per-request retransmit deadline expired without a response.
+    /// A connection's retransmit timer expired: the earliest deadline of
+    /// its in-flight requests, when the timer was armed, has passed.
     RetryDue {
-        /// The outstanding request whose deadline passed.
+        /// The request whose deadline the timer was armed for.
         request_id: u64,
-        /// The attempt count the deadline was armed for; a fired event
-        /// whose attempt no longer matches the outstanding state is stale.
+        /// That request's attempt count when the timer was armed.
         attempt: u32,
     },
     /// An audio session's next buffer deadline: the device must be fed.

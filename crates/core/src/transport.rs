@@ -6,23 +6,33 @@
 //! requester, and everything a request goes through between submit and
 //! collection is written here once:
 //!
-//! * **Flow control.** Submissions are admitted into a bounded
-//!   [`InflightWindow`]; a full window is waited out, or its oldest slot
-//!   is forced through the deadline machinery, never overrun.
+//! * **One request table.** Request ids are dense per connection, so
+//!   every request from submit to collection is one slot of a ring
+//!   indexed by `request_id - base`, where `base` is the oldest
+//!   uncollected id. The slot holds the request's retransmission state,
+//!   the arrival instant of its frame, its landed response and its window
+//!   and collected flags; collecting the oldest request pops its slot, so
+//!   a warm connection reuses the ring instead of allocating.
+//! * **Flow control.** Submissions are admitted into a bounded window of
+//!   open slots; a full window is waited out, or its oldest slot is forced
+//!   through the deadline machinery, never overrun.
 //! * **Three timelines.** The uplink, one device per server member and
 //!   the downlink are serially-reusable resources, each a "free at"
 //!   instant, so pipelined requests overlap link transfer with device
 //!   time and waiting charges only what overlap did not hide.
-//! * **Recovery.** Every request keeps retransmission state and carries a
-//!   deadline on the [`Kernel`] timer wheel: a loss retransmits it with
-//!   capped exponential backoff until the retry budget expires it into an
-//!   inline [`ServerResponse::Error`]. What is kept is the request itself
-//!   on a clean link, where every send is a typed frame; only where a
+//! * **Recovery.** Every request keeps retransmission state and its own
+//!   deadline: a loss retransmits it with capped exponential backoff until
+//!   the retry budget expires it into an inline [`ServerResponse::Error`].
+//!   The connection keeps one retransmit timer on the [`Kernel`] wheel,
+//!   armed for the earliest deadline (RFC 6298 §5); when it fires, every
+//!   request whose deadline passed is handled in deadline order, then the
+//!   timer is re-armed for the next. What is kept is the request itself on
+//!   a clean link, where every send is a typed frame; only where a
 //!   [`FaultyLink`] can mangle frames (or the request owns heap data) is
 //!   the request encoded once into a pooled buffer and those bytes resent.
-//!   Corrupt frames are discarded, duplicates are suppressed by a
-//!   collected-id watermark, and a `Busy { retry_after }` reply parks the
-//!   request until the server's own hint elapses.
+//!   Corrupt frames are discarded, duplicates of a landed or collected
+//!   response are suppressed by the table, and a `Busy { retry_after }`
+//!   reply parks the request until the server's own hint elapses.
 //! * **Restarts.** A member whose epoch moved is re-handshaken with
 //!   `Hello`/`Welcome`, and whatever its dead incarnation lost is replayed
 //!   idempotently under the original request ids, in request-id order.
@@ -40,11 +50,10 @@
 //! one [`Client`].
 
 use crate::fleet::{Fleet, HealthMonitor};
-use crate::idhash::{IdMap, IdSet};
 use crate::kernel::{Kernel, KernelEvent, KernelStats, TimerId};
 use minos_net::{
-    BufferPool, FaultPlan, FaultStats, FaultyLink, Frame, FramePayload, InflightWindow, Link,
-    LinkStats, Priority, ServerRequest, ServerResponse,
+    BufferPool, FaultPlan, FaultStats, FaultyLink, Frame, FramePayload, Link, LinkStats, Priority,
+    ServerRequest, ServerResponse,
 };
 use minos_server::{ObjectServer, ServiceConfig};
 use minos_types::{ByteSpan, MinosError, ObjectId, Result, SimClock, SimDuration, SimInstant};
@@ -127,14 +136,39 @@ struct Outstanding {
     route: Route,
     resend: Resend,
     deadline: SimInstant,
+    /// When `deadline` was set, in the connection's arm order: requests
+    /// whose deadlines tie are handled in the order they were set.
+    armed: u64,
     attempt: u32,
-    /// The timer-wheel entry armed for `deadline`; cancelled when the
-    /// response lands, rearmed on every retransmit.
-    timer: TimerId,
     /// Whether the request is parked on a `Busy { retry_after }` hint:
     /// `deadline` is then the earliest instant it may go back on the
     /// wire, and reaching it costs neither a timeout nor a retry.
     deferred: bool,
+}
+
+/// One request's row in the request table, from submit to collection.
+#[derive(Default)]
+struct Slot {
+    /// Retransmission state, until the response lands.
+    out: Option<Outstanding>,
+    /// When the request's frame finished arriving at its member: stamped
+    /// as the frame enters the member's service queue and taken when its
+    /// response is served.
+    ///
+    /// Known defect: when a request frame is duplicated in transit, the
+    /// later copy's arrival overwrites the earlier copy's, the first
+    /// response served takes it, and the second falls back to the uplink's
+    /// free instant. Fixing it moves simulated timing on lossy links, so it
+    /// waits for the device model to move into the fleet.
+    arrival: Option<SimInstant>,
+    /// The response, once it has landed, until it is collected.
+    landed: Option<Landed>,
+    /// Whether the request holds a place in the flow-control window: from
+    /// its submit until its response has arrived.
+    open: bool,
+    /// Whether the response was collected; a collected slot is popped
+    /// once every older slot is collected too.
+    collected: bool,
 }
 
 /// Recovery accounting: what a client had to do to survive its link and
@@ -161,8 +195,8 @@ pub struct TransportStats {
     /// restarted, timed out or answered `Busy`. Always zero on a single
     /// server, which has nowhere else to go.
     pub failovers: u64,
-    /// Requests turned away with [`ServerResponse::Busy`] and parked on a
-    /// kernel timer until the server's `retry_after` hint elapsed.
+    /// Requests turned away with [`ServerResponse::Busy`] and parked on the
+    /// retransmit timer until the server's `retry_after` hint elapsed.
     pub busy_deferred: u64,
     /// Deferred resubmissions that left before their hint elapsed.
     /// Always zero — the retry timer gates the uplink — and pinned so.
@@ -181,41 +215,6 @@ pub struct TransportStats {
     pub payload_allocs: u64,
 }
 
-/// The request ids whose responses were collected, as a cumulative
-/// watermark plus the ids collected above it out of order: the anti-replay
-/// window of RFC 4303 §3.4.3. Every id at or below `floor` was collected,
-/// so the set only holds ids collected past the oldest one still
-/// uncollected; its size is bounded by the span of
-/// uncollected ids, not by how many responses were ever read.
-#[derive(Debug, Default)]
-struct Collected {
-    floor: u64,
-    above: IdSet,
-}
-
-impl Collected {
-    /// Whether `id`'s response was already collected.
-    fn contains(&self, id: u64) -> bool {
-        id <= self.floor || self.above.contains(&id)
-    }
-
-    /// Records `id` as collected, advancing the watermark over every id
-    /// it makes contiguous.
-    fn insert(&mut self, id: u64) {
-        if id <= self.floor {
-            return;
-        }
-        if id != self.floor + 1 {
-            self.above.insert(id);
-            return;
-        }
-        self.floor = id;
-        while !self.above.is_empty() && self.above.remove(&(self.floor + 1)) {
-            self.floor += 1;
-        }
-    }
-}
-
 /// A pipelined client of a [`Fleet`] over one shared link (the paper's
 /// broadcast bus).
 ///
@@ -230,24 +229,31 @@ pub struct Client {
     pub(crate) epochs: Vec<u64>,
     pub(crate) link: FaultyLink,
     pub(crate) clock: SimClock,
-    next_request_id: u64,
-    window: InflightWindow,
+    /// The request table: slot `i` is request `base + i`, and the next
+    /// request id is the one past its end.
+    table: VecDeque<Slot>,
+    /// The oldest uncollected request id.
+    base: u64,
+    /// The flow-control window's capacity: most slots open at once.
+    window_cap: usize,
+    /// Slots currently open.
+    open: usize,
     /// Per-member queues of request frames in transit to that member.
     pending: Vec<VecDeque<PendingFrame>>,
-    /// Arrival instant of each frame handed to a member's service queue.
-    arrival_at: IdMap<SimInstant>,
-    landed: IdMap<Landed>,
-    outstanding: IdMap<Outstanding>,
-    collected: Collected,
     /// Transmit and payload buffers leased and recycled across the
     /// client's lifetime, shared with its servers. The client's own leases
     /// go through [`Client::lease`], which counts them in
     /// [`TransportStats`].
     pool: BufferPool,
-    /// Every outstanding request's retransmit deadline (and any heartbeat
-    /// tick), so a loss on an idle client is discovered by
-    /// [`Client::advance_to`] at its deadline.
+    /// The connection's one retransmit timer (and any heartbeat tick), so
+    /// a loss on an idle client is discovered by [`Client::advance_to`] at
+    /// its deadline.
     pub(crate) kernel: Kernel,
+    /// The retransmit timer's deadline and handle, while armed. It is
+    /// never later than any outstanding request's deadline.
+    retry_timer: Option<(SimInstant, TimerId)>,
+    /// Arm-order stamp of the next deadline set.
+    next_armed: u64,
     transport: TransportStats,
     timeout: SimDuration,
     max_retries: u32,
@@ -301,15 +307,16 @@ impl Client {
             fleet,
             link: FaultyLink::new(link, plan),
             clock: SimClock::new(),
-            next_request_id: 1,
-            window: InflightWindow::new(window),
+            table: VecDeque::new(),
+            base: 1,
+            // A window that can never open would deadlock the pipeline.
+            window_cap: window.max(1),
+            open: 0,
             pending: (0..members).map(|_| VecDeque::new()).collect(),
-            arrival_at: IdMap::default(),
-            landed: IdMap::default(),
-            outstanding: IdMap::default(),
-            collected: Collected::default(),
             pool,
             kernel: Kernel::new(),
+            retry_timer: None,
+            next_armed: 0,
             transport: TransportStats::default(),
             timeout: DEFAULT_TIMEOUT,
             max_retries: DEFAULT_MAX_RETRIES,
@@ -380,7 +387,63 @@ impl Client {
 
     /// Requests submitted and not yet collected.
     pub fn in_flight(&self) -> usize {
-        self.window.len()
+        self.open
+    }
+
+    /// Where `request_id`'s slot sits in the table, unless the request was
+    /// collected (the index may lie past the end for an id never
+    /// submitted).
+    fn slot_index(&self, request_id: u64) -> Option<usize> {
+        usize::try_from(request_id.checked_sub(self.base)?).ok()
+    }
+
+    /// The table slot of `request_id`, unless it was collected (or never
+    /// submitted).
+    fn slot(&self, request_id: u64) -> Option<&Slot> {
+        self.table.get(self.slot_index(request_id)?)
+    }
+
+    /// Mutable access to the table slot of `request_id`.
+    fn slot_mut(&mut self, request_id: u64) -> Option<&mut Slot> {
+        let at = self.slot_index(request_id)?;
+        self.table.get_mut(at)
+    }
+
+    /// Retransmission state of `request_id`, while its response has not
+    /// landed.
+    fn outstanding(&self, request_id: u64) -> Option<&Outstanding> {
+        self.slot(request_id)?.out.as_ref()
+    }
+
+    /// Mutable retransmission state of `request_id`.
+    fn outstanding_mut(&mut self, request_id: u64) -> Option<&mut Outstanding> {
+        self.slot_mut(request_id)?.out.as_mut()
+    }
+
+    /// The oldest request still holding a window place.
+    fn oldest_open(&self) -> Option<u64> {
+        let at = self.table.iter().position(|slot| slot.open)?;
+        Some(self.base + at as u64)
+    }
+
+    /// Sets `request_id`'s deadline, stamps it in arm order, and pulls the
+    /// retransmit timer forward if the deadline is earlier than the one it
+    /// is armed for.
+    fn set_deadline(&mut self, request_id: u64, deadline: SimInstant) {
+        let armed = self.next_armed;
+        self.next_armed += 1;
+        let Some(out) = self.outstanding_mut(request_id) else { return };
+        out.deadline = deadline;
+        out.armed = armed;
+        let attempt = out.attempt;
+        if self.retry_timer.is_some_and(|(at, _)| at <= deadline) {
+            return;
+        }
+        if let Some((_, timer)) = self.retry_timer.take() {
+            self.kernel.cancel(timer);
+        }
+        let timer = self.kernel.arm(deadline, KernelEvent::RetryDue { request_id, attempt });
+        self.retry_timer = Some((deadline, timer));
     }
 
     /// Hands a consumed payload buffer back to the transmit pool, so the
@@ -413,15 +476,15 @@ impl Client {
     pub(crate) fn admit_slot(&mut self) -> u64 {
         self.resync();
         self.settle();
-        while self.window.is_full() {
+        while self.open >= self.window_cap {
             self.dispatch();
             self.settle();
-            if !self.window.is_full() {
+            if self.open < self.window_cap {
                 break;
             }
             let now = self.clock.now();
-            if let Some(next) = self.landed.values().map(|l| l.ready_at).filter(|&t| t > now).min()
-            {
+            let arriving = self.table.iter().filter_map(|slot| slot.landed.as_ref());
+            if let Some(next) = arriving.map(|l| l.ready_at).filter(|&t| t > now).min() {
                 self.clock.advance_to_at_least(next);
                 self.settle();
                 continue;
@@ -430,16 +493,16 @@ impl Client {
             // open slot's response was lost on the wire. Force the oldest
             // slot through a timeout round (retransmit or expire) rather
             // than overrunning the flow-control bound.
-            let Some(oldest) = self.window.oldest() else { break };
+            let Some(oldest) = self.oldest_open() else { break };
             self.force_progress(oldest);
             self.settle();
         }
-        if self.window.is_empty() {
+        if self.open == 0 {
             self.round_trips += 1;
         }
-        let request_id = self.next_request_id;
-        self.next_request_id += 1;
-        request_id
+        // An id whose submit fails after admission never reaches the
+        // table, and the next admission reuses it.
+        self.base + self.table.len() as u64
     }
 
     /// Puts a typed request frame on the uplink to `member`, charging its
@@ -448,7 +511,7 @@ impl Client {
         // Every typed frame in transit belongs to an admitted slot (a clean
         // link neither loses nor duplicates), so the window bounds them.
         debug_assert!(
-            self.pending.iter().map(VecDeque::len).sum::<usize>() < self.window.capacity(),
+            self.pending.iter().map(VecDeque::len).sum::<usize>() < self.window_cap,
             "frames in transit exceed the admitted window"
         );
         let up = self.link.charge(frame.wire_size());
@@ -490,24 +553,26 @@ impl Client {
         }
     }
 
-    /// Records `resend` as the request's retransmission state with a
-    /// deadline, puts it on the wire to `target`, and opens the request's
-    /// window slot.
+    /// Opens the request's slot in the table with `resend` as its
+    /// retransmission state and a deadline, and puts it on the wire to
+    /// `target`. Admission already made room in the window, whose capacity
+    /// bounds the open slots.
     fn track(&mut self, request_id: u64, target: usize, route: Route, resend: Resend) {
+        debug_assert!(self.open < self.window_cap, "a submit overran the window capacity");
+        debug_assert_eq!(request_id, self.base + self.table.len() as u64, "ids are dense");
         let deadline = self.clock.now() + self.timeout;
-        let timer = self.kernel.arm(deadline, KernelEvent::RetryDue { request_id, attempt: 0 });
-        self.outstanding.insert(
-            request_id,
-            Outstanding { target, route, resend, deadline, attempt: 0, timer, deferred: false },
-        );
+        let out =
+            Outstanding { target, route, resend, deadline, armed: 0, attempt: 0, deferred: false };
+        self.table.push_back(Slot { out: Some(out), open: true, ..Slot::default() });
+        self.open += 1;
+        self.set_deadline(request_id, deadline);
         self.transmit_request(request_id);
-        self.window.open(request_id);
     }
 
-    /// Drops a request's retransmission state: its deadline is void and
-    /// any encoded bytes go back to the pool.
+    /// Drops a request's retransmission state: any encoded bytes go back to
+    /// the pool. Its deadline dies with it; the retransmit timer is left to
+    /// find nothing due.
     fn retire(&mut self, out: Outstanding) {
-        self.kernel.cancel(out.timer);
         if let Resend::Encoded(bytes) = out.resend {
             self.pool.recycle(bytes);
         }
@@ -518,17 +583,18 @@ impl Client {
     /// frame; kept bytes cross the fault layer, and whatever survives
     /// decoding joins that member's pending queue.
     fn transmit_request(&mut self, request_id: u64) {
-        let Some(out) = self.outstanding.get(&request_id) else {
-            return;
-        };
         // The flow-control window is the admission bound: a request only
         // reaches the wire through an admitted slot, so the in-transit
         // queues can never outgrow it (duplicates aside, which the fault
         // layer caps per transmit).
         debug_assert!(
-            self.outstanding.len() <= self.window.capacity(),
+            self.table.iter().filter(|slot| slot.out.is_some()).count() <= self.window_cap,
             "in-flight requests exceed the admitted window"
         );
+        let slot = self.slot_index(request_id).and_then(|at| self.table.get(at));
+        let Some(out) = slot.and_then(|slot| slot.out.as_ref()) else {
+            return;
+        };
         let target = out.target;
         let bytes = match &out.resend {
             Resend::Encoded(bytes) => bytes,
@@ -564,7 +630,10 @@ impl Client {
     /// nowhere else to go stays put and costs nothing. Failover requests
     /// are span fetches, so a typed state stays typed.
     fn fail_over_target(&mut self, request_id: u64) {
-        let Some(out) = self.outstanding.get_mut(&request_id) else {
+        let Some(at) = self.slot_index(request_id) else {
+            return;
+        };
+        let Some(out) = self.table.get_mut(at).and_then(|slot| slot.out.as_mut()) else {
             return;
         };
         let Some((target, request)) = self.fleet.fail_over(&out.route, out.target) else {
@@ -617,23 +686,16 @@ impl Client {
             // queue are both gone: every request still aimed at it goes
             // back through the ordinary transmit machinery (a replay is not
             // a timeout), re-aimed first where the fleet has somewhere
-            // else to go. Busy-deferred requests keep their own timers.
-            // They replay in request-id order, so one seed always serves
-            // them in one order.
+            // else to go. Busy-deferred requests keep their own deadlines.
+            // They replay in table order, which is request-id order, so one
+            // seed always serves them in one order.
             self.pending[m].clear();
-            let mut lost: Vec<u64> = self
-                .outstanding
-                .iter()
-                .filter(|(&rid, o)| {
-                    o.target == m
-                        && !o.deferred
-                        && !self.landed.contains_key(&rid)
-                        && !self.collected.contains(rid)
-                })
-                .map(|(&rid, _)| rid)
-                .collect();
-            lost.sort_unstable();
-            for rid in lost {
+            for at in 0..self.table.len() {
+                let lost = self.table.get(at).and_then(|slot| slot.out.as_ref());
+                if !lost.is_some_and(|o| o.target == m && !o.deferred) {
+                    continue;
+                }
+                let rid = self.base + at as u64;
                 self.transport.replays += 1;
                 self.fail_over_target(rid);
                 self.transmit_request(rid);
@@ -654,29 +716,36 @@ impl Client {
         loop {
             self.resync();
             self.dispatch();
-            if let Some(landed) = self.landed.remove(&id) {
-                self.clock.advance_to_at_least(landed.ready_at);
-                let waited = self.clock.now().saturating_since(started);
-                self.window.close(id);
-                if let Some(out) = self.outstanding.remove(&id) {
-                    self.retire(out);
-                }
-                self.collected.insert(id);
-                return Ok((landed.response, waited));
-            }
-            if !self.outstanding.contains_key(&id) {
+            let slot = self.slot_mut(id).filter(|slot| slot.landed.is_some() || slot.out.is_some());
+            let Some(slot) = slot else {
                 return Err(MinosError::Protocol(format!(
                     "unknown or already-collected {ticket:?}"
                 )));
+            };
+            if let Some(landed) = slot.landed.take() {
+                // A landed response has no retransmission state left.
+                debug_assert!(slot.out.is_none(), "a landed request kept its resend state");
+                slot.collected = true;
+                if std::mem::take(&mut slot.open) {
+                    self.open -= 1;
+                }
+                while self.table.front().is_some_and(|slot| slot.collected) {
+                    self.table.pop_front();
+                    self.base += 1;
+                }
+                self.clock.advance_to_at_least(landed.ready_at);
+                let waited = self.clock.now().saturating_since(started);
+                return Ok((landed.response, waited));
             }
             self.force_progress(id);
         }
     }
 
     /// Drives the client to `at` without collecting anything. The timer
-    /// wheel discovers every retransmit deadline, `Busy` retry timer and
-    /// heartbeat tick that falls due in the interval and fires it at its
-    /// exact instant: a lost response on an otherwise-idle client
+    /// wheel discovers every retransmit deadline, `Busy` hint and heartbeat
+    /// tick that falls due in the interval, through the retransmit timer
+    /// and the heartbeat timers, and handles it at its exact instant: a
+    /// lost response on an otherwise-idle client
     /// retransmits (or expires) *at its deadline*, instead of waiting for
     /// the next [`Client::wait`] to stumble on it. Epochs are resynced after
     /// the timers: heartbeats fire among them, so with the monitor on a
@@ -714,14 +783,15 @@ impl Client {
         for m in 0..self.pending.len() {
             while let Some(p) = self.pending[m].pop_front() {
                 let rid = p.frame.request_id;
-                self.arrival_at.insert(rid, p.arrival);
-                if self.fleet.servers_mut()[m].enqueue(p.frame).is_err() {
-                    self.arrival_at.remove(&rid);
+                let accepted = self.fleet.servers_mut()[m].enqueue(p.frame).is_ok();
+                if let Some(slot) = self.slot_mut(rid) {
+                    slot.arrival = accepted.then_some(p.arrival);
                 }
             }
             while let Some((frame, charge)) = self.fleet.servers_mut()[m].poll_conn(CONN_ID) {
                 let rid = frame.request_id;
-                let arrival = self.arrival_at.remove(&rid).unwrap_or(self.up_free);
+                let arrival = self.slot_mut(rid).and_then(|slot| slot.arrival.take());
+                let arrival = arrival.unwrap_or(self.up_free);
                 let done = arrival.max(self.dev_free[m]) + charge;
                 self.dev_free[m] = done;
                 if let FramePayload::Response(response) = frame.payload {
@@ -761,7 +831,7 @@ impl Client {
             }
             return;
         }
-        let payload_crc = match (&frame.payload, self.outstanding.get(&request_id)) {
+        let payload_crc = match (&frame.payload, self.outstanding(request_id)) {
             (FramePayload::Response(ServerResponse::Span(page)), Some(out)) => {
                 self.fleet.span_crc(&out.route, page.len() as u64)
             }
@@ -797,69 +867,82 @@ impl Client {
     /// honoring the server's hint (and fails it over where the fleet can),
     /// and anything else lands for collection.
     fn receive(&mut self, request_id: u64, response: ServerResponse, at: SimInstant) {
-        if self.collected.contains(request_id) || self.landed.contains_key(&request_id) {
+        let Some(slot) = self.slot_mut(request_id).filter(|slot| !slot.collected) else {
+            self.transport.duplicates += 1;
+            return;
+        };
+        if slot.landed.is_some() {
             self.transport.duplicates += 1;
             return;
         }
-        if let ServerResponse::Busy { retry_after } = response {
-            if let Some(out) = self.outstanding.get(&request_id) {
-                if out.deferred {
-                    // A duplicated Busy reply must not double-park.
-                    self.transport.duplicates += 1;
-                    return;
-                }
-                self.transport.busy_deferred += 1;
-                let due = at + retry_after;
-                self.kernel.cancel(out.timer);
-                let attempt = out.attempt;
-                let timer = self.kernel.arm(due, KernelEvent::RetryDue { request_id, attempt });
-                // Resubmit somewhere less loaded when there is a sibling
-                // copy; otherwise the failover is a no-op.
-                self.fail_over_target(request_id);
-                if let Some(out) = self.outstanding.get_mut(&request_id) {
-                    out.deferred = true;
-                    out.deadline = due;
-                    out.timer = timer;
-                }
+        if let (ServerResponse::Busy { retry_after }, Some(out)) = (&response, &slot.out) {
+            if out.deferred {
+                // A duplicated Busy reply must not double-park.
+                self.transport.duplicates += 1;
                 return;
             }
+            self.transport.busy_deferred += 1;
+            let due = at + *retry_after;
+            // Resubmit somewhere less loaded when there is a sibling copy;
+            // otherwise the failover is a no-op.
+            self.fail_over_target(request_id);
+            if let Some(out) = self.outstanding_mut(request_id) {
+                out.deferred = true;
+            }
+            self.set_deadline(request_id, due);
+            return;
         }
         // The response is in hand: the retransmission state is done.
-        if let Some(out) = self.outstanding.remove(&request_id) {
+        if let Some(out) = slot.out.take() {
             self.retire(out);
         }
-        self.landed.insert(request_id, Landed { response, ready_at: at });
+        if let Some(slot) = self.slot_mut(request_id) {
+            slot.landed = Some(Landed { response, ready_at: at });
+        }
     }
 
-    /// Fires every kernel event due at the current clock: retransmit
-    /// wakes and heartbeat ticks. Re-advances each round because a handler
-    /// can arm a deadline already behind kernel time (a capped backoff),
-    /// which lands due immediately and must still be flushed.
+    /// Fires every kernel event due at the current clock: the retransmit
+    /// timer and heartbeat ticks. Re-advances each round because a handler
+    /// can move the clock (a heartbeat's resync), and what falls due by
+    /// the new instant must still be flushed.
     fn drain_retry_wakes(&mut self) {
         loop {
             self.kernel.advance_to(self.clock.now());
             let Some(event) = self.kernel.take_ready() else { break };
-            let (request_id, attempt) = match event {
-                KernelEvent::RetryDue { request_id, attempt } => (request_id, attempt),
-                KernelEvent::HealthTick { member } => {
-                    self.heartbeat_member(member as usize);
-                    continue;
-                }
-                _ => {
-                    self.kernel.note_spurious();
-                    continue;
-                }
-            };
-            let now = self.clock.now();
-            let due = self
-                .outstanding
-                .get(&request_id)
-                .is_some_and(|o| o.attempt == attempt && o.deadline <= now);
-            if due && !self.landed.contains_key(&request_id) {
-                self.force_progress(request_id);
-            } else {
-                self.kernel.note_spurious();
+            match event {
+                KernelEvent::RetryDue { .. } => self.retransmit_due(),
+                KernelEvent::HealthTick { member } => self.heartbeat_member(member as usize),
+                _ => self.kernel.note_spurious(),
             }
+        }
+    }
+
+    /// The retransmit timer fired: forces progress on every request whose
+    /// deadline has passed, in deadline order and, among equal deadlines,
+    /// in the order they were set, then re-arms the timer for the earliest
+    /// deadline left. A firing that finds nothing due (its request landed
+    /// first) is a spurious wake.
+    fn retransmit_due(&mut self) {
+        self.retry_timer = None;
+        let now = self.clock.now();
+        let overdue = self.table.iter().enumerate().filter_map(|(at, slot)| {
+            let out = slot.out.as_ref().filter(|o| o.deadline <= now)?;
+            Some((out.deadline, out.armed, self.base + at as u64))
+        });
+        let mut due: Vec<(SimInstant, u64, u64)> = overdue.collect();
+        due.sort_unstable();
+        if due.is_empty() {
+            self.kernel.note_spurious();
+        }
+        for (_, _, request_id) in due {
+            self.force_progress(request_id);
+        }
+        let next = self.table.iter().enumerate().filter_map(|(at, slot)| {
+            slot.out.as_ref().map(|o| (o.deadline, o.armed, self.base + at as u64, o.attempt))
+        });
+        if let Some((deadline, _, request_id, attempt)) = next.min() {
+            let timer = self.kernel.arm(deadline, KernelEvent::RetryDue { request_id, attempt });
+            self.retry_timer = Some((deadline, timer));
         }
     }
 
@@ -875,8 +958,8 @@ impl Client {
     /// state lands an inline error at once: better a typed failure than an
     /// overrun window or a hang.
     fn force_progress(&mut self, request_id: u64) {
-        let Some((deadline, attempt, timer, deferred)) =
-            self.outstanding.get(&request_id).map(|o| (o.deadline, o.attempt, o.timer, o.deferred))
+        let Some((deadline, attempt, deferred)) =
+            self.outstanding(request_id).map(|o| (o.deadline, o.attempt, o.deferred))
         else {
             self.expire(
                 request_id,
@@ -891,23 +974,17 @@ impl Client {
             if self.clock.now() < deadline {
                 self.transport.premature_busy_retries += 1;
             }
-            self.kernel.cancel(timer);
-            let next_deadline = self.clock.now() + self.timeout;
-            let fresh =
-                self.kernel.arm(next_deadline, KernelEvent::RetryDue { request_id, attempt });
-            if let Some(out) = self.outstanding.get_mut(&request_id) {
+            if let Some(out) = self.outstanding_mut(request_id) {
                 out.deferred = false;
-                out.deadline = next_deadline;
-                out.timer = fresh;
             }
+            self.set_deadline(request_id, self.clock.now() + self.timeout);
             self.transmit_request(request_id);
             return;
         }
         self.transport.timeouts += 1;
         self.clock.advance_to_at_least(deadline);
-        self.kernel.cancel(timer);
         if attempt >= self.max_retries {
-            if let Some(out) = self.outstanding.remove(&request_id) {
+            if let Some(out) = self.slot_mut(request_id).and_then(|slot| slot.out.take()) {
                 self.retire(out);
             }
             let attempts = attempt + 1;
@@ -922,15 +999,10 @@ impl Client {
         let backoff =
             SimDuration::from_micros(self.timeout.as_micros().saturating_mul(1u64 << shift))
                 .min(BACKOFF_CAP);
-        let next_deadline = self.clock.now() + backoff;
-        let fresh = self
-            .kernel
-            .arm(next_deadline, KernelEvent::RetryDue { request_id, attempt: attempt + 1 });
-        if let Some(out) = self.outstanding.get_mut(&request_id) {
+        if let Some(out) = self.outstanding_mut(request_id) {
             out.attempt = attempt + 1;
-            out.deadline = next_deadline;
-            out.timer = fresh;
         }
+        self.set_deadline(request_id, self.clock.now() + backoff);
         // A timeout is evidence against the target, not just the wire: the
         // retransmit goes wherever the fleet fails it over to.
         self.fail_over_target(request_id);
@@ -940,16 +1012,18 @@ impl Client {
     /// Lands an inline error for `request_id` now.
     fn expire(&mut self, request_id: u64, message: String) {
         let ready_at = self.clock.now();
-        self.landed
-            .insert(request_id, Landed { response: ServerResponse::Error(message), ready_at });
+        if let Some(slot) = self.slot_mut(request_id) {
+            slot.landed = Some(Landed { response: ServerResponse::Error(message), ready_at });
+        }
     }
 
-    /// Retires window slots whose responses have already arrived.
+    /// Closes the window places of requests whose responses have arrived.
     fn settle(&mut self) {
         let now = self.clock.now();
-        for (&rid, landed) in &self.landed {
-            if landed.ready_at <= now {
-                self.window.close(rid);
+        for slot in &mut self.table {
+            if slot.open && slot.landed.as_ref().is_some_and(|l| l.ready_at <= now) {
+                slot.open = false;
+                self.open -= 1;
             }
         }
     }
@@ -993,54 +1067,66 @@ mod tests {
     }
 
     #[test]
-    fn out_of_order_collection_advances_the_watermark() {
+    fn out_of_order_collection_pops_slots_once_the_oldest_is_collected() {
         let (mut conn, object) = clean(1, 8);
         let tickets: Vec<FleetTicket> = (0..3).map(|page| fetch(&mut conn, object, page)).collect();
         let ids: Vec<u64> = tickets.iter().map(|t| t.0).collect();
         assert_eq!(ids, [1, 2, 3]);
         collect(&mut conn, tickets[2]);
-        assert_eq!(conn.collected.floor, 0);
-        assert!(conn.collected.contains(3) && !conn.collected.contains(1));
+        assert_eq!((conn.base, conn.table.len()), (1, 3));
+        assert!(conn.slot(3).is_some_and(|slot| slot.collected));
+        assert!(conn.slot(1).is_some_and(|slot| !slot.collected));
         collect(&mut conn, tickets[0]);
-        assert_eq!(conn.collected.floor, 1);
+        assert_eq!((conn.base, conn.table.len()), (2, 2));
         collect(&mut conn, tickets[1]);
-        assert_eq!(conn.collected.floor, 3, "collecting 2 closes the gap up to 3");
-        assert!(conn.collected.above.is_empty());
+        assert_eq!(conn.base, 4, "collecting 2 pops the collected 3 with it");
+        assert!(conn.table.is_empty());
     }
 
     #[test]
-    fn a_duplicate_below_the_watermark_is_counted_and_never_lands() {
+    fn a_duplicate_below_the_base_is_counted_and_never_lands() {
         let (mut conn, object) = clean(1, 8);
         let ticket = fetch(&mut conn, object, 0);
         let id = ticket.0;
         collect(&mut conn, ticket);
-        assert!(id <= conn.collected.floor);
+        assert!(id < conn.base);
         let at = conn.clock.now();
         conn.receive(id, ServerResponse::Span(vec![0; PAGE as usize]), at);
         assert_eq!(conn.transport_stats().duplicates, 1);
-        assert!(!conn.landed.contains_key(&id), "a duplicate must not land");
+        assert!(conn.slot(id).is_none() && conn.table.is_empty(), "a duplicate must not land");
         assert!(matches!(conn.wait(ticket), Err(MinosError::Protocol(_))));
     }
 
     #[test]
-    fn collected_ids_above_the_watermark_stay_within_the_window() {
+    fn the_table_stays_within_the_window_under_in_order_collection() {
         let window = 8;
         let (mut conn, object) = clean(2, window);
+        // A sliding window collected oldest first: each collection pops
+        // the slot it read.
+        let mut inflight = VecDeque::new();
         for i in 0..10 * window as u64 {
-            let ticket = fetch(&mut conn, object, i % 32);
-            collect(&mut conn, ticket);
-            assert!(conn.collected.above.len() <= window, "after {} fetches", i + 1);
+            inflight.push_back(fetch(&mut conn, object, i % 32));
+            assert!(conn.table.len() <= window, "after {} fetches", i + 1);
+            if inflight.len() == window {
+                let ticket = inflight.pop_front().expect("a full window");
+                collect(&mut conn, ticket);
+                assert_eq!(conn.base, ticket.0 + 1);
+            }
         }
-        // Pipelined windows collected newest first hold ids above the
-        // watermark only until the oldest of the window is collected.
+        while let Some(ticket) = inflight.pop_front() {
+            collect(&mut conn, ticket);
+        }
+        assert!(conn.table.is_empty());
+        // Whole windows collected newest first keep their collected slots
+        // only until the oldest of the window is collected.
         for _ in 0..10 {
             let tickets: Vec<FleetTicket> =
                 (0..window as u64).map(|page| fetch(&mut conn, object, page)).collect();
             for &ticket in tickets.iter().rev() {
                 collect(&mut conn, ticket);
-                assert!(conn.collected.above.len() < window);
+                assert!(conn.table.len() <= window);
             }
-            assert!(conn.collected.above.is_empty());
+            assert!(conn.table.is_empty());
         }
     }
 
@@ -1056,9 +1142,9 @@ mod tests {
             // every one.
             conn.fleet_mut().restart_member(0).expect("member 0 exists");
             collect(&mut conn, tickets[0]);
-            let mut ready: Vec<(u64, SimInstant)> =
-                conn.landed.iter().map(|(&id, l)| (id, l.ready_at)).collect();
-            ready.sort_unstable();
+            let ready: Vec<(u64, SimInstant)> = (conn.base..conn.base + conn.table.len() as u64)
+                .filter_map(|id| Some((id, conn.slot(id)?.landed.as_ref()?.ready_at)))
+                .collect();
             assert_eq!(ready.len(), 5);
             assert!(ready.windows(2).all(|w| w[0].1 < w[1].1), "served out of id order: {ready:?}");
             for &ticket in &tickets[1..] {
@@ -1068,5 +1154,26 @@ mod tests {
             conn.elapsed()
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn a_clean_run_arms_at_most_one_retransmit_timer_per_window() {
+        const PAGES: u64 = 1_000;
+        let window = 16;
+        let (mut conn, object) = clean(2, window);
+        let mut inflight = VecDeque::new();
+        for i in 0..PAGES {
+            inflight.push_back(fetch(&mut conn, object, i % 32));
+            if inflight.len() == window {
+                let ticket = inflight.pop_front().expect("a full window");
+                collect(&mut conn, ticket);
+            }
+        }
+        while let Some(ticket) = inflight.pop_front() {
+            collect(&mut conn, ticket);
+        }
+        let armed = conn.kernel_stats().timers_armed;
+        assert!(armed <= 1 + PAGES / window as u64, "{armed} timers for {PAGES} pages");
+        assert_eq!(conn.transport_stats().timeouts, 0);
     }
 }

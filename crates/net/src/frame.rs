@@ -8,14 +8,9 @@
 //! responses complete out of order and still find their way back to the
 //! submitting session. The inner wire tags of the protocol enums are
 //! untouched; the envelope is purely additive framing.
-//!
-//! [`InflightWindow`] is the per-connection flow-control companion: it
-//! bounds how many request frames may be unacknowledged at once, so a
-//! pipelined client cannot bury the server queue arbitrarily deep.
 
 use crate::protocol::{ServerRequest, ServerResponse};
 use minos_types::{varint_len, Decoder, Encoder, MinosError, Result};
-use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
 /// Bytes of the CRC32 trailer every encoded frame carries.
@@ -502,68 +497,6 @@ impl Frame {
     }
 }
 
-/// Per-connection flow control: the set of request ids submitted but not
-/// yet delivered back, bounded by a fixed capacity.
-///
-/// The window is the pipelining budget — a client keeps submitting until
-/// [`InflightWindow::is_full`], then must wait for a delivery before the
-/// next submit. Capacity 1 degenerates to the old blocking discipline.
-#[derive(Clone, Debug)]
-pub struct InflightWindow {
-    capacity: usize,
-    ids: BTreeSet<u64>,
-}
-
-impl InflightWindow {
-    /// A window admitting up to `capacity` unacknowledged requests
-    /// (a zero capacity is bumped to 1: a window that can never open
-    /// would deadlock the pipeline).
-    pub fn new(capacity: usize) -> Self {
-        InflightWindow { capacity: capacity.max(1), ids: BTreeSet::new() }
-    }
-
-    /// The maximum number of in-flight requests.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Requests currently in flight.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Whether nothing is in flight.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Whether the window is exhausted (submit must wait).
-    pub fn is_full(&self) -> bool {
-        self.ids.len() >= self.capacity
-    }
-
-    /// Admits `request_id`; returns `false` (and admits nothing) if the
-    /// window is full or the id is already in flight.
-    pub fn open(&mut self, request_id: u64) -> bool {
-        if self.is_full() || self.ids.contains(&request_id) {
-            return false;
-        }
-        self.ids.insert(request_id)
-    }
-
-    /// Retires `request_id` on delivery; returns `false` if it was not in
-    /// flight.
-    pub fn close(&mut self, request_id: u64) -> bool {
-        self.ids.remove(&request_id)
-    }
-
-    /// The oldest (smallest) in-flight request id — the one a blocked
-    /// submitter should wait on.
-    pub fn oldest(&self) -> Option<u64> {
-        self.ids.first().copied()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -945,30 +878,6 @@ mod tests {
             let _ = Frame::decode_with(&other, &mut lease);
         }
         assert_eq!(leases, 1, "requests and corrupt frames lease nothing");
-    }
-
-    #[test]
-    fn window_admits_up_to_capacity() {
-        let mut w = InflightWindow::new(2);
-        assert_eq!(w.capacity(), 2);
-        assert!(w.open(1));
-        assert!(w.open(2));
-        assert!(w.is_full());
-        assert!(!w.open(3), "full window admits nothing");
-        assert!(!w.open(1), "duplicate ids rejected");
-        assert_eq!(w.oldest(), Some(1));
-        assert!(w.close(1));
-        assert!(!w.close(1), "double close rejected");
-        assert!(w.open(3));
-        assert_eq!(w.len(), 2);
-    }
-
-    #[test]
-    fn zero_capacity_window_still_opens() {
-        let mut w = InflightWindow::new(0);
-        assert_eq!(w.capacity(), 1);
-        assert!(w.open(1));
-        assert!(w.is_full());
     }
 
     proptest! {

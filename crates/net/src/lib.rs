@@ -20,7 +20,7 @@ pub mod pool;
 pub mod protocol;
 
 pub use fault::{Delivery, FaultPlan, FaultRng, FaultStats, FaultyLink};
-pub use frame::{crc32, crc32_combine, Frame, FramePayload, InflightWindow, Priority};
+pub use frame::{crc32, crc32_combine, Frame, FramePayload, Priority};
 pub use link::{Link, LinkStats, ETHERNET_10MBIT};
 pub use pool::{BufferPool, PoolStats, PooledBuf};
 pub use protocol::{ServerRequest, ServerResponse};

@@ -44,6 +44,10 @@ pub struct ObjectServer {
     /// Recycled payload buffers for span reads: steady-state serving
     /// re-fills returned buffers instead of allocating one per page.
     pool: BufferPool,
+    /// The run being served and, for a run longer than one frame, its
+    /// spans: kept so that serving allocates nothing once warm.
+    run: Vec<Frame>,
+    spans: Vec<ByteSpan>,
     epoch: u64,
 }
 
@@ -67,6 +71,8 @@ impl ObjectServer {
             miniature_factor: 8,
             service: ServiceQueue::default(),
             pool: BufferPool::new(),
+            run: Vec::new(),
+            spans: Vec::new(),
             epoch: 0,
         }
     }
@@ -355,52 +361,19 @@ impl ObjectServer {
     /// fetches becomes a single coalesced device read sliced back into
     /// per-frame responses; anything else is served one frame at a time.
     fn serve_conn(&mut self, conn: u64) {
-        let run = self.service.take_run(conn);
-        if run.is_empty() {
-            return;
-        }
-        let spans: Vec<ByteSpan> =
-            run.iter().filter_map(|f| f.as_request().and_then(|r| r.as_span())).collect();
-        if let (Some(head), Some(tail)) = (spans.first(), spans.last()) {
-            if run.len() > 1 && spans.len() == run.len() {
-                let whole = ByteSpan::new(head.start, tail.end);
-                let mut merged = self.lease_payload();
-                match self.archiver.read_at_into(whole, &mut merged) {
-                    Ok(took) => {
-                        self.service.note_coalesced();
-                        let share = took / run.len() as u64;
-                        let remainder = took - share * (run.len() as u64 - 1);
-                        for (i, (frame, span)) in run.iter().zip(&spans).enumerate() {
-                            let from = (span.start - whole.start) as usize;
-                            let response = match merged.get(from..from + span.len() as usize) {
-                                Some(slice) => {
-                                    let mut payload = self.lease_payload();
-                                    payload.extend_from_slice(slice);
-                                    ServerResponse::Span(payload)
-                                }
-                                None => ServerResponse::Error(format!(
-                                    "coalesced read lost {span} inside {whole}"
-                                )),
-                            };
-                            let charge = if i == 0 { remainder } else { share };
-                            self.service.finish(frame.reply(response), charge);
-                        }
-                    }
-                    Err(e) => {
-                        let message = e.to_string();
-                        for frame in &run {
-                            self.service.finish(
-                                frame.reply(ServerResponse::Error(message.clone())),
-                                SimDuration::ZERO,
-                            );
-                        }
-                    }
-                }
-                self.pool.recycle(merged);
-                return;
+        let mut run = std::mem::take(&mut self.run);
+        self.service.take_run(conn, &mut run);
+        if run.len() > 1 {
+            let mut spans = std::mem::take(&mut self.spans);
+            spans.clear();
+            spans.extend(run.iter().filter_map(|f| f.as_request().and_then(|r| r.as_span())));
+            if spans.len() == run.len() {
+                self.serve_coalesced(&run, &spans);
+                run.clear();
             }
+            self.spans = spans;
         }
-        for frame in run {
+        for frame in run.drain(..) {
             let (response, took) = match frame.as_request() {
                 Some(request) => self.handle(request),
                 None => (
@@ -410,6 +383,50 @@ impl ObjectServer {
             };
             self.service.finish(frame.reply(response), took);
         }
+        self.run = run;
+    }
+
+    /// Serves a run of adjacent span fetches, `spans` being the run's
+    /// spans in order, as one device read sliced back into per-frame
+    /// responses.
+    fn serve_coalesced(&mut self, run: &[Frame], spans: &[ByteSpan]) {
+        let (Some(head), Some(tail)) = (spans.first(), spans.last()) else {
+            return;
+        };
+        let whole = ByteSpan::new(head.start, tail.end);
+        let mut merged = self.lease_payload();
+        match self.archiver.read_at_into(whole, &mut merged) {
+            Ok(took) => {
+                self.service.note_coalesced();
+                let share = took / run.len() as u64;
+                let remainder = took - share * (run.len() as u64 - 1);
+                for (i, (frame, span)) in run.iter().zip(spans).enumerate() {
+                    let from = (span.start - whole.start) as usize;
+                    let response = match merged.get(from..from + span.len() as usize) {
+                        Some(slice) => {
+                            let mut payload = self.lease_payload();
+                            payload.extend_from_slice(slice);
+                            ServerResponse::Span(payload)
+                        }
+                        None => ServerResponse::Error(format!(
+                            "coalesced read lost {span} inside {whole}"
+                        )),
+                    };
+                    let charge = if i == 0 { remainder } else { share };
+                    self.service.finish(frame.reply(response), charge);
+                }
+            }
+            Err(e) => {
+                let message = e.to_string();
+                for frame in run {
+                    self.service.finish(
+                        frame.reply(ServerResponse::Error(message.clone())),
+                        SimDuration::ZERO,
+                    );
+                }
+            }
+        }
+        self.pool.recycle(merged);
     }
 
     /// The typed object, if resident (used by the presentation manager

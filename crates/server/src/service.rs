@@ -25,7 +25,7 @@
 
 use minos_net::{Frame, ServerResponse};
 use minos_types::SimDuration;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Admission-control knobs for the service queue.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -120,7 +120,9 @@ impl ServiceStats {
 /// The connection-fair frame queue behind `ObjectServer::enqueue`/`poll`.
 #[derive(Debug, Default)]
 pub(crate) struct ServiceQueue {
-    /// Per-connection FIFO of request frames awaiting service.
+    /// Per-connection FIFO of request frames awaiting service. A queue
+    /// that drains is kept, capacity and all, for the connection's next
+    /// frame.
     queues: BTreeMap<u64, VecDeque<Frame>>,
     /// Round-robin rotation of connections with queued work.
     rotation: VecDeque<u64>,
@@ -131,8 +133,8 @@ pub(crate) struct ServiceQueue {
     /// Connections with server-side activity (a request admitted or a
     /// response landed) since the last wake drain — the wake list the
     /// event-driven scheduler consumes instead of polling every
-    /// connection.
-    woken: BTreeSet<u64>,
+    /// connection. Sorted and free of duplicates.
+    woken: Vec<u64>,
     config: ServiceConfig,
     stats: ServiceStats,
 }
@@ -157,7 +159,7 @@ impl ServiceQueue {
         let conn = frame.conn_id;
         // Arrival is a wake: the event-driven scheduler must visit this
         // connection on its next pump even if nothing has landed yet.
-        self.woken.insert(conn);
+        self.wake(conn);
         let conn_full =
             self.queues.get(&conn).map(VecDeque::len).unwrap_or(0) >= self.config.per_conn_cap;
         let global_full = self.pending >= self.config.global_cap;
@@ -205,7 +207,7 @@ impl ServiceQueue {
     fn reject(&mut self, frame: Frame, hint: SimDuration) {
         let retry_after = hint.max(ServiceConfig::MIN_RETRY_AFTER);
         let reply = frame.reply(ServerResponse::Busy { retry_after });
-        self.woken.insert(reply.conn_id);
+        self.wake(reply.conn_id);
         self.ready.push_back((reply, SimDuration::ZERO));
     }
 
@@ -227,7 +229,6 @@ impl ServiceQueue {
         let victim = queue.remove(at)?;
         self.pending = self.pending.saturating_sub(1);
         if queue.is_empty() {
-            self.queues.remove(&victim_conn);
             if let Some(slot) = self.rotation.iter().position(|&c| c == victim_conn) {
                 self.rotation.remove(slot);
             }
@@ -256,23 +257,29 @@ impl ServiceQueue {
     /// the accounting and the admission configuration. The wake list is
     /// cleared too: its entries name connections whose frames were just
     /// dropped, and a stale wake would send the event-driven scheduler to
-    /// poll a connection with nothing staged. Returns the connections that
-    /// lost queued or staged frames so the caller can re-mark exactly
-    /// those as woken — they must be revisited to notice the loss.
+    /// poll a connection with nothing staged. Returns, in connection-id
+    /// order, the connections that lost queued or staged frames so the
+    /// caller can re-mark exactly those as woken — they must be revisited
+    /// to notice the loss.
     pub(crate) fn clear_queues(&mut self) -> Vec<u64> {
-        let mut orphans: BTreeSet<u64> = self.queues.keys().copied().collect();
-        orphans.extend(self.ready.iter().map(|(frame, _)| frame.conn_id));
-        self.queues.clear();
+        let queued = self.queues.iter().filter(|(_, q)| !q.is_empty()).map(|(&conn, _)| conn);
+        let mut orphans: Vec<u64> =
+            queued.chain(self.ready.iter().map(|(frame, _)| frame.conn_id)).collect();
+        orphans.sort_unstable();
+        orphans.dedup();
+        self.queues.values_mut().for_each(VecDeque::clear);
         self.rotation.clear();
         self.ready.clear();
         self.woken.clear();
         self.pending = 0;
-        orphans.into_iter().collect()
+        orphans
     }
 
     /// Marks `conn` for the next wake drain without touching its queue.
     pub(crate) fn wake(&mut self, conn: u64) {
-        self.woken.insert(conn);
+        if let Err(at) = self.woken.binary_search(&conn) {
+            self.woken.insert(at, conn);
+        }
     }
 
     /// The next connection in round-robin order (removed from the
@@ -292,12 +299,13 @@ impl ServiceQueue {
         true
     }
 
-    /// Pops `conn`'s leading adjacent-span run (or, failing that, its
-    /// single head frame), re-queueing the connection if frames remain.
-    /// The rotation never outgrows the set of capped connection queues.
-    pub(crate) fn take_run(&mut self, conn: u64) -> Vec<Frame> {
+    /// Appends `conn`'s leading adjacent-span run (or, failing that, its
+    /// single head frame) to `run`, re-queueing the connection if frames
+    /// remain. The rotation never outgrows the set of capped connection
+    /// queues.
+    pub(crate) fn take_run(&mut self, conn: u64, run: &mut Vec<Frame>) {
         let Some(queue) = self.queues.get_mut(&conn) else {
-            return Vec::new();
+            return;
         };
         let mut len = 0usize;
         let mut prev_end: Option<u64> = None;
@@ -312,14 +320,11 @@ impl ServiceQueue {
             len += 1;
         }
         let take = len.max(1).min(queue.len());
-        let run: Vec<Frame> = queue.drain(..take).collect();
-        self.pending = self.pending.saturating_sub(run.len());
-        if queue.is_empty() {
-            self.queues.remove(&conn);
-        } else {
+        run.extend(queue.drain(..take));
+        self.pending = self.pending.saturating_sub(take);
+        if !queue.is_empty() {
             self.rotation.push_back(conn);
         }
-        run
     }
 
     /// Records one served response frame with its device-time charge. The
@@ -328,7 +333,7 @@ impl ServiceQueue {
     pub(crate) fn finish(&mut self, frame: Frame, charge: SimDuration) {
         self.stats.served += 1;
         self.stats.busy += charge;
-        self.woken.insert(frame.conn_id);
+        self.wake(frame.conn_id);
         self.ready.push_back((frame, charge));
     }
 
@@ -352,9 +357,7 @@ impl ServiceQueue {
     /// `Busy`-rejected) since the last drain, in connection-id order.
     /// Event-driven callers pump exactly these instead of polling all N.
     pub(crate) fn take_woken(&mut self) -> Vec<u64> {
-        let woken: Vec<u64> = self.woken.iter().copied().collect();
-        self.woken.clear();
-        woken
+        std::mem::take(&mut self.woken)
     }
 
     /// Empties the wake list without reading it: for a caller that polls
@@ -394,6 +397,12 @@ mod tests {
             priority,
             ServerRequest::FetchSpan { span: ByteSpan::at(rid * 100, 100) },
         )
+    }
+
+    fn take_run(queue: &mut ServiceQueue, conn: u64) -> Vec<Frame> {
+        let mut run = Vec::new();
+        queue.take_run(conn, &mut run);
+        run
     }
 
     fn busy_replies(queue: &mut ServiceQueue) -> Vec<(u64, u64)> {
@@ -449,7 +458,7 @@ mod tests {
         // The evicted prefetch (rid 2) got the busy reply; the audio frame
         // took its place.
         assert_eq!(busy_replies(&mut q), vec![(1, 2)]);
-        let run = q.take_run(1);
+        let run = take_run(&mut q, 1);
         let kept: Vec<u64> = run.iter().map(|f| f.request_id).collect();
         assert_eq!(kept, vec![1], "head demand frame intact");
     }
@@ -480,7 +489,7 @@ mod tests {
         assert_eq!(q.pending(), 3);
         assert_eq!(q.stats().shed, 1);
         assert_eq!(busy_replies(&mut q), vec![(1, 3)]);
-        assert!(q.take_run(2).iter().any(|f| f.priority == Priority::Audio));
+        assert!(take_run(&mut q, 2).iter().any(|f| f.priority == Priority::Audio));
     }
 
     #[test]
@@ -498,7 +507,7 @@ mod tests {
         q.admit(span_frame(1, 1, Priority::Demand));
         q.admit(span_frame(1, 2, Priority::Demand));
         q.admit(span_frame(2, 1, Priority::Demand));
-        let _ = q.take_run(1);
+        let _ = take_run(&mut q, 1);
         q.admit(span_frame(2, 2, Priority::Demand));
         let stats = q.stats();
         assert_eq!(stats.queue_high_water, 3);
@@ -515,7 +524,7 @@ mod tests {
         assert!(q.next_conn().is_none());
         assert!(q.pop_ready().is_none());
         assert_eq!(q.stats().enqueued, enqueued);
-        assert!(q.take_run(1).is_empty());
+        assert!(take_run(&mut q, 1).is_empty());
     }
 
     #[test]

@@ -52,6 +52,26 @@ for workload in lossy_scan page_scan churn browse; do
         -- --workload "$workload" --seed 1 --seconds 0
 done
 
+# The client keeps one retransmit timer per connection, armed for the
+# earliest deadline, instead of arming and cancelling one per request.
+# A traced seed-1 round reports the kernel counters that pin it; both are
+# deterministic counts. page_scan may arm at most one timer per window of
+# 16 pages, and churn's kernel wakes may be at most a quarter spurious.
+kernel_gate() {
+    value=$(cargo run --release --offline --quiet \
+        --manifest-path crates/bench/src/bin/minos-benchmark/Cargo.toml \
+        -- --workload "$1" --seed 1 --seconds 0 --trace 1 |
+        awk -v metric="$2" '$1 == metric { print $2 }')
+    echo "    $1 $2 = $value (bound $3)"
+    if ! awk -v v="$value" -v bound="$3" 'BEGIN { exit !(v != "" && v <= bound) }'; then
+        echo "$1: $2 = $value exceeds $3" >&2
+        exit 1
+    fi
+}
+echo "==> minos-benchmark kernel timer gate"
+kernel_gate page_scan kernel.timers_per_op 0.0625
+kernel_gate churn kernel.spurious_share 0.25
+
 # Every example runs to completion, not only compiles: they drive the
 # Workstation, Fleet and scheduler paths end to end from the facade.
 for example in quickstart medical_xray voice_dictation subway_map city_tour office_document \

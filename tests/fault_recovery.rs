@@ -8,9 +8,10 @@
 
 use minos::corpus;
 use minos::corpus::objects::archived_form;
-use minos::net::{FaultPlan, Link, ServerRequest, ServerResponse};
+use minos::net::{FaultPlan, Link, LinkStats, ServerRequest, ServerResponse};
 use minos::presentation::{
     simulate_faulty_page_workload, Client, Connection, Fleet, FleetConnection, Ticket,
+    TransportStats,
 };
 use minos::server::ObjectServer;
 use minos::types::{ByteSpan, ObjectId, SimDuration, SimInstant};
@@ -182,4 +183,96 @@ fn a_rotten_page_is_not_delivered_as_valid_over_a_lossy_link() {
     let transport = conn.transport_stats();
     assert!(transport.corrupt_frames > 0, "rotten pages must fail the check: {transport:?}");
     assert!(transport.failovers > 0, "and be fetched from the sibling: {transport:?}");
+}
+
+#[test]
+fn tied_deadlines_retransmit_at_pinned_instants_under_advance_to() {
+    // Six requests submitted at one instant share one deadline. Every
+    // frame crosses a dropping link, a member restarts between backoff
+    // rounds and its heartbeat replays what it lost, and each member queues
+    // one frame per connection, turning the rest away `Busy`. The three
+    // backoff rounds driven by advance_to
+    // must put every retransmit, replay and resubmit on the wire at the
+    // pinned instants: any reordering of tied deadlines, or a deadline
+    // fired early or late, moves the clock, the link or the counters.
+    const PAGE: u64 = 4096;
+    let object = ObjectId::new(5);
+    let body: Vec<u8> = (0..8 * PAGE).map(|i| (i * 13 % 251) as u8).collect();
+    let mut fleet = Fleet::new(3, 2).unwrap();
+    fleet.publish_paged(object, &body, PAGE).unwrap();
+    fleet.set_service_config(minos::server::ServiceConfig {
+        per_conn_cap: 1,
+        global_cap: 64,
+        retry_slice: SimDuration::from_millis(3),
+    });
+    let timeout = SimDuration::from_millis(500);
+    let mut conn =
+        FleetConnection::with_faults(fleet, Link::ethernet(), 8, FaultPlan::dropping(26, 0.25))
+            .with_recovery(timeout, 8);
+    conn.enable_heartbeat(SimDuration::from_millis(100));
+    let tickets: Vec<(u64, Ticket)> = (0..6)
+        .map(|page| (page, conn.fetch_page(object, ByteSpan::at(page * PAGE, PAGE)).unwrap()))
+        .collect();
+    assert_eq!(conn.elapsed(), SimDuration::ZERO, "all six deadlines tie at 500 ms");
+
+    // Per round: elapsed µs, timeouts, retries, failovers, Busy
+    // deferrals, replays, link messages, link bytes, link busy µs.
+    let mut rounds = Vec::new();
+    for (i, ms) in [500u64, 1_500, 3_500].into_iter().enumerate() {
+        if i == 1 {
+            conn.fleet_mut().restart_member(0).unwrap();
+        }
+        conn.advance_to(SimInstant::EPOCH + SimDuration::from_millis(ms));
+        let (t, l) = (conn.transport_stats(), conn.link_stats());
+        rounds.push([
+            conn.elapsed().as_micros(),
+            t.timeouts,
+            t.retries,
+            t.failovers,
+            t.busy_deferred,
+            t.replays,
+            l.messages,
+            l.bytes,
+            l.busy.as_micros(),
+        ]);
+    }
+    assert_eq!(
+        rounds,
+        [
+            [500_000, 3, 3, 4, 1, 0, 43, 16_968, 99_593],
+            [1_500_000, 5, 5, 7, 1, 1, 104, 25_940, 228_800],
+            [3_500_000, 7, 7, 10, 2, 1, 222, 31_523, 469_325],
+        ]
+    );
+    let mut waits = Vec::new();
+    for (page, ticket) in tickets {
+        let (response, waited) = conn.wait(ticket).unwrap();
+        let ServerResponse::Span(bytes) = response else {
+            panic!("page {page}: unexpected {response:?}");
+        };
+        let at = (page * PAGE) as usize;
+        assert!(bytes == body[at..at + PAGE as usize], "page {page} came back different");
+        waits.push(waited.as_micros());
+    }
+    assert_eq!(waits, [0, 0, 0, 0, 80_703, 4_578_688]);
+    assert_eq!(conn.elapsed(), SimDuration::from_micros(8_159_391));
+    assert_eq!(
+        conn.transport_stats(),
+        TransportStats {
+            timeouts: 9,
+            retries: 9,
+            epoch_resyncs: 1,
+            replays: 1,
+            failovers: 12,
+            busy_deferred: 2,
+            pool_hits: 18,
+            pool_misses: 8,
+            payload_allocs: 8,
+            ..TransportStats::default()
+        }
+    );
+    assert_eq!(
+        conn.link_stats(),
+        LinkStats { messages: 226, bytes: 35_685, busy: SimDuration::from_micros(480_656) }
+    );
 }
