@@ -74,29 +74,23 @@ fn command(choice: u8, n: u8) -> BrowseCommand {
 }
 
 /// Deterministic LCG driving the golden-stream scripts. Not proptest:
-/// the seeds are pinned, so the kernel and legacy schedulers replay the
-/// exact same script and their event streams can be compared byte for
-/// byte.
+/// the seeds are pinned, so every run replays the exact same script and
+/// its event streams can be compared byte for byte with the fixture.
 fn lcg_next(state: &mut u64) -> u64 {
     *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
     *state >> 33
 }
 
-/// Replays `seed`'s script against a scheduler in the given mode and
-/// returns everything observable: every apply result, every drained tick
-/// event stream, the shared-link accounting, and the elapsed sim time.
+/// Replays `seed`'s script against a scheduler and returns everything
+/// observable: every apply result, every drained tick event stream, the
+/// shared-link accounting, and the elapsed sim time.
 fn golden_stream(
-    legacy: bool,
     seed: u64,
     sessions: usize,
 ) -> (Vec<Option<Vec<BrowseEvent>>>, LinkStats, SimDuration) {
     let config = PaginateConfig::default();
     let page = SimDuration::from_secs(5);
-    let mut sched = if legacy {
-        SessionScheduler::legacy(corpus_server(), Link::ethernet())
-    } else {
-        SessionScheduler::new(corpus_server(), Link::ethernet())
-    };
+    let mut sched = SessionScheduler::new(corpus_server(), Link::ethernet());
     let mut stream = Vec::new();
     let mut keys = Vec::new();
     for i in 0..sessions {
@@ -119,23 +113,38 @@ fn golden_stream(
     (stream, sched.link_stats(), sched.elapsed())
 }
 
+/// `seed`'s golden stream as fixture text: a header line, one line per
+/// stream entry (its `Debug` text), the shared-link accounting and the
+/// elapsed sim time in microseconds.
+fn golden_record(seed: u64, sessions: usize) -> String {
+    let (stream, link, elapsed) = golden_stream(seed, sessions);
+    let mut record = format!("seed {seed} sessions {sessions}\n");
+    for entry in &stream {
+        record.push_str(&format!("{entry:?}\n"));
+    }
+    record.push_str(&format!("link {link:?}\nelapsed_us {}\n", elapsed.as_micros()));
+    record
+}
+
+/// The golden seeds, each with its session count (2..=16).
+const GOLDEN_SEEDS: [u64; 10] = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89];
+
 #[test]
 fn kernel_scheduler_matches_legacy_rotation_golden_streams() {
-    // The equivalence pin for the event-driven tick: across ≥8 pinned
-    // seeds and fleet sizes up to 16, the kernel-mode scheduler and the
-    // legacy full-rotation scan must produce byte-identical session
-    // event streams, identical shared-link accounting, and identical
-    // simulated time.
-    for seed in [1u64, 2, 3, 5, 8, 13, 21, 34, 55, 89] {
-        let sessions = 2 + (seed as usize % 15); // 2..=16
-        let (kernel_stream, kernel_link, kernel_elapsed) = golden_stream(false, seed, sessions);
-        let (legacy_stream, legacy_link, legacy_elapsed) = golden_stream(true, seed, sessions);
-        assert_eq!(
-            kernel_stream, legacy_stream,
-            "event streams diverged at seed {seed} with {sessions} sessions"
-        );
-        assert_eq!(kernel_link, legacy_link, "link accounting diverged at seed {seed}");
-        assert_eq!(kernel_elapsed, legacy_elapsed, "sim time diverged at seed {seed}");
+    // The equivalence pin for the scheduler: across ten pinned seeds and
+    // up to 16 sessions, the event streams, shared-link accounting and
+    // simulated time must match, byte for byte, the fixture recorded from
+    // the full-rotation scan the event-driven tick replaced.
+    let fixture = include_str!("fixtures/sched_golden_streams.txt");
+    let expected: Vec<String> = fixture
+        .split("\n\n")
+        .filter(|record| !record.is_empty())
+        .map(|record| format!("{}\n", record.trim_end_matches('\n')))
+        .collect();
+    assert_eq!(expected.len(), GOLDEN_SEEDS.len(), "one fixture record per seed");
+    for (seed, want) in GOLDEN_SEEDS.into_iter().zip(&expected) {
+        let sessions = 2 + (seed as usize % 15);
+        assert_eq!(&golden_record(seed, sessions), want, "seed {seed} with {sessions} sessions");
     }
 }
 
