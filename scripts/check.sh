@@ -45,12 +45,26 @@ cargo test --offline --quiet --manifest-path crates/bench/src/bin/minos-benchmar
 # through the session scheduler, whose every tick posts its audio and
 # connection wakes at the tick instant and fires them, cancelling none.
 # Each exit code gates the round's byte checks, counter reconciliation
-# and premises.
+# and premises. Their simulated metrics are deterministic, so each
+# round's sim_* and verified_ratio lines must also equal, byte for byte,
+# the ones committed in scripts/sim_seed1.txt.
+sim=$(mktemp)
 for workload in lossy_scan page_scan churn browse; do
     echo "==> minos-benchmark $workload (full-size pages)"
-    cargo run --release --offline --manifest-path crates/bench/src/bin/minos-benchmark/Cargo.toml \
-        -- --workload "$workload" --seed 1 --seconds 0
+    out=$(cargo run --release --offline \
+        --manifest-path crates/bench/src/bin/minos-benchmark/Cargo.toml \
+        -- --workload "$workload" --seed 1 --seconds 0)
+    printf '%s\n' "$out"
+    printf '%s\n' "$out" |
+        awk -v w="$workload" '$1 ~ /^sim_/ || $1 == "verified_ratio" { print w, $0 }' >>"$sim"
 done
+echo "==> simulated metrics at seed 1 match scripts/sim_seed1.txt"
+if ! diff -u scripts/sim_seed1.txt "$sim"; then
+    rm -f "$sim"
+    echo "simulated metrics differ from scripts/sim_seed1.txt" >&2
+    exit 1
+fi
+rm -f "$sim"
 
 # The client keeps one retransmit timer per connection, armed for the
 # earliest deadline, instead of arming and cancelling one per request.
