@@ -71,7 +71,7 @@ pub use fleet::{
     Replica, ScrubReport,
 };
 pub use kernel::{Kernel, KernelEvent, KernelStats, TimerId};
-pub use prefetch::{page_spans, AnticipatingStore, PrefetchBuffer, PrefetchStats, Prefetcher};
+pub use prefetch::{page_spans, PrefetchBuffer, PrefetchStats, Prefetcher};
 pub use process::{ProcessRunner, ProcessState};
 pub use remote::{Connection, MiniatureBrowser, Workstation};
 pub use sched::{HubStore, SessionKey, SessionScheduler};

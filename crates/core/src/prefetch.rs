@@ -10,7 +10,7 @@
 //! material, so the continuity metric — stall time — shrinks as the
 //! prefetch depth grows.
 //!
-//! Three pieces cooperate:
+//! Two pieces cooperate:
 //!
 //! * [`Prefetcher`] maps a presentation position to the next `depth`
 //!   requests (the prediction policies).
@@ -19,10 +19,6 @@
 //!   their cost behind presentation dwell via
 //!   [`SimClock::advance_overlapped`], and accounts hits, misses, wasted
 //!   prefetches, opening latency, and stall.
-//! * [`AnticipatingStore`] plugs the pipeline under a
-//!   [`BrowsingSession`](crate::session::BrowsingSession) so visible
-//!   relevant-object indicators are fetched while the user is still
-//!   reading.
 //!
 //! A wrong prediction is only ever wasted transfer: presented content is
 //! read through the same request/response types, so the bytes a step
@@ -30,14 +26,10 @@
 
 use crate::kernel::{Kernel, KernelEvent, KernelStats};
 use crate::remote::Workstation;
-use crate::session::ObjectStore;
 use minos_image::view::MoveDirection;
 use minos_image::View;
 use minos_net::{ServerRequest, ServerResponse};
-use minos_object::MultimediaObject;
-use minos_types::{
-    ByteSpan, Encoder, MinosError, ObjectId, Result, SimClock, SimDuration, SimInstant,
-};
+use minos_types::{ByteSpan, Encoder, ObjectId, Result, SimClock, SimDuration, SimInstant};
 use std::collections::HashMap;
 
 /// Divides an archived record into `pages` contiguous spans — the transfer
@@ -218,11 +210,6 @@ impl PrefetchBuffer {
         }
     }
 
-    /// The prediction policies (for drivers that build plans).
-    pub fn prefetcher(&self) -> Prefetcher {
-        self.prefetcher
-    }
-
     /// The wrapped workstation (round trips, bytes).
     pub fn workstation(&self) -> &Workstation {
         &self.ws
@@ -310,16 +297,6 @@ impl PrefetchBuffer {
         self.hide(dwell);
         self.stall += stall;
         Ok((response, stall))
-    }
-
-    /// Credits presentation time without consuming a resource: the user is
-    /// dwelling on the current material while `plan` names what they are
-    /// likely to want next. Issues a prediction batch if the link is free
-    /// and hides it behind the dwell.
-    pub fn anticipate(&mut self, plan: &[ServerRequest], dwell: SimDuration) -> Result<()> {
-        self.arm_window(plan, None)?;
-        self.hide(dwell);
-        Ok(())
     }
 
     /// Routes one refill opportunity through the event kernel: the
@@ -480,60 +457,6 @@ impl PrefetchBuffer {
         if self.inflight_remaining == SimDuration::ZERO {
             self.land();
         }
-    }
-}
-
-/// An [`ObjectStore`] that anticipates relevant-object selection: whenever
-/// the browsing session reports which indicators are visible, their target
-/// objects are prefetched in one batch while the user is still dwelling on
-/// the current object.
-pub struct AnticipatingStore {
-    pipeline: PrefetchBuffer,
-    plan: Vec<ServerRequest>,
-    dwell: SimDuration,
-}
-
-impl AnticipatingStore {
-    /// Wraps a server-backed workstation. `dwell` is the reading time
-    /// credited per visible-indicator report — the window the prefetch
-    /// hides behind.
-    pub fn new(ws: Workstation, depth: usize, dwell: SimDuration) -> Self {
-        AnticipatingStore { pipeline: PrefetchBuffer::new(ws, depth), plan: Vec::new(), dwell }
-    }
-
-    /// The pipeline (stats, workstation accounting).
-    pub fn pipeline(&self) -> &PrefetchBuffer {
-        &self.pipeline
-    }
-}
-
-impl ObjectStore for AnticipatingStore {
-    fn fetch(&mut self, id: ObjectId) -> Result<MultimediaObject> {
-        let need = ServerRequest::FetchObject { id };
-        let (response, _stall) = self.pipeline.step(&need, &self.plan, SimDuration::ZERO)?;
-        let ServerResponse::Object(bytes) = response else {
-            return Err(MinosError::Protocol(format!("unexpected response to {need:?}")));
-        };
-        // The archived bytes are consumed here (the resident copy stands
-        // in for the decode); the buffer goes back to the pool.
-        self.pipeline.recycle_response(ServerResponse::Object(bytes));
-        // As in the plain server-backed store, the server's resident copy
-        // stands in for the workstation-side decode of the fetched bytes.
-        self.pipeline
-            .workstation_mut()
-            .endpoint_mut()
-            .resident_object(id)
-            .cloned()
-            .ok_or_else(|| MinosError::UnknownObject(id.to_string()))
-    }
-
-    fn note_upcoming(&mut self, targets: &[ObjectId]) {
-        self.plan = self.pipeline.prefetcher().predict_relevant(targets);
-        // Anticipation must never fail the browsing operation that
-        // triggered it; a failed prediction batch is simply no prefetch.
-        // The plan is borrowed in place: `pipeline` and `plan` are
-        // disjoint fields, so no copy is needed per tick.
-        let _ = self.pipeline.anticipate(&self.plan, self.dwell);
     }
 }
 
