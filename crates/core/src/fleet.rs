@@ -59,7 +59,7 @@
 
 use crate::kernel::KernelEvent;
 use crate::transport::{Client, Route, Ticket, CONN_ID};
-use minos_net::{crc32, Frame, ServerRequest, ServerResponse};
+use minos_net::{crc32, Frame, Priority, ServerRequest, ServerResponse};
 use minos_server::{ObjectServer, ServiceConfig, ServiceStats};
 use minos_types::{ByteSpan, MinosError, ObjectId, Result, SimDuration};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -913,7 +913,7 @@ impl FleetConnection {
         self.health.note_ping(m);
         let ping = ServerRequest::Ping { nonce };
         let sent = self.clock.now();
-        let up = self.link.charge(Frame::request(CONN_ID, 0, ping).wire_size());
+        let up = self.link.transfer(Frame::request(CONN_ID, 0, ping).wire_size());
         let arrival = sent.max(self.up_free) + up;
         self.up_free = arrival;
         let (answer, _) = self.fleet.members[m].handle(&ServerRequest::Ping { nonce });
@@ -921,7 +921,7 @@ impl FleetConnection {
             ServerResponse::Pong { epoch, .. } => Some(*epoch),
             _ => None,
         };
-        let down = self.link.charge(Frame::response(CONN_ID, 0, answer).wire_size());
+        let down = self.link.transfer(Frame::response(CONN_ID, 0, answer).wire_size());
         let delivered = arrival.max(self.down_free) + down;
         self.down_free = delivered;
         self.health.note_pong(m, delivered.saturating_since(sent));
@@ -956,7 +956,7 @@ impl FleetConnection {
                 placement.primary().span.len()
             )));
         }
-        let request_id = self.admit_slot();
+        let request_id = self.admit_slot(CONN_ID);
         // Re-borrow after the admit loop: it mutates the transport state.
         let Some(placement) = self.fleet.placements.get(&object) else {
             return Err(MinosError::UnknownObject(object.to_string()));
@@ -964,6 +964,7 @@ impl FleetConnection {
         let replica = placement.replica_for(request_id);
         self.submit_tracked(
             request_id,
+            (CONN_ID, Priority::Demand),
             replica.member,
             Some((object, rel)),
             fetch_on(replica, rel),

@@ -6,16 +6,23 @@
 //! requester, and everything a request goes through between submit and
 //! collection is written here once:
 //!
-//! * **One request table.** Request ids are dense per connection, so
-//!   every request from submit to collection is one slot of a ring
-//!   indexed by `request_id - base`, where `base` is the oldest
-//!   uncollected id. The slot holds the request's retransmission state,
-//!   the arrival instant of its frame, its landed response and its window
-//!   and collected flags; collecting the oldest request pops its slot, so
-//!   a warm connection reuses the ring instead of allocating.
-//! * **Flow control.** Submissions are admitted into a bounded window of
-//!   open slots; a full window is waited out, or its oldest slot is forced
-//!   through the deadline machinery, never overrun.
+//! * **One request table.** Request ids are dense per client, so every
+//!   request from submit to collection is one slot of a ring indexed by
+//!   `request_id - base`, where `base` is the oldest uncollected id. The
+//!   slot holds the request's connection, its retransmission state, the
+//!   arrival instant of its frame, its landed response and its window and
+//!   collected flags; collecting the oldest request pops its slot, so a
+//!   warm connection reuses the ring instead of allocating.
+//! * **Many connections.** A client carries any number of connections
+//!   (the session scheduler opens one per session) over one wire, one
+//!   fleet, one set of timelines, one buffer pool and one clock, all
+//!   drawing request ids from the one table. Each connection has its own
+//!   flow-control window and its own fault layer; a caller waiting on a
+//!   request has its own connection served first, then every member's
+//!   rotation. A single caller uses connection 1.
+//! * **Flow control.** A connection's submissions are admitted into a
+//!   bounded window of open slots; a full window is waited out, or its
+//!   oldest slot is forced through the deadline machinery, never overrun.
 //! * **Three timelines.** The uplink, one device per server member and
 //!   the downlink are serially-reusable resources, each a "free at"
 //!   instant, so pipelined requests overlap link transfer with device
@@ -23,13 +30,14 @@
 //! * **Recovery.** Every request keeps retransmission state and its own
 //!   deadline: a loss retransmits it with capped exponential backoff until
 //!   the retry budget expires it into an inline [`ServerResponse::Error`].
-//!   The connection keeps one retransmit timer on the [`Kernel`] wheel,
+//!   The client keeps one retransmit timer on the [`Kernel`] wheel,
 //!   armed for the earliest deadline (RFC 6298 §5); when it fires, every
 //!   request whose deadline passed is handled in deadline order, then the
 //!   timer is re-armed for the next. What is kept is the request itself on
-//!   a clean link, where every send is a typed frame; only where a
-//!   [`FaultyLink`] can mangle frames (or the request owns heap data) is
-//!   the request encoded once into a pooled buffer and those bytes resent.
+//!   a clean connection, where every send is a typed frame; only where a
+//!   connection's [`FaultLayer`] can mangle frames (or the request owns
+//!   heap data) is the request encoded once into a pooled buffer and
+//!   those bytes resent.
 //!   Corrupt frames are discarded, duplicates of a landed or collected
 //!   response are suppressed by the table, and a `Busy { retry_after }`
 //!   reply parks the request until the server's own hint elapses.
@@ -47,12 +55,13 @@
 //! CRC; a raw request to one server has nowhere else to go.
 //! [`Connection`](crate::remote::Connection) and
 //! [`FleetConnection`](crate::fleet::FleetConnection) are two names for the
-//! one [`Client`].
+//! one [`Client`], and the [`SessionScheduler`](crate::sched::SessionScheduler)
+//! runs each of its sessions as one connection of a client.
 
 use crate::fleet::{Fleet, HealthMonitor};
 use crate::kernel::{Kernel, KernelEvent, KernelStats, TimerId};
 use minos_net::{
-    BufferPool, FaultPlan, FaultStats, FaultyLink, Frame, FramePayload, Link, LinkStats, Priority,
+    BufferPool, FaultLayer, FaultPlan, FaultStats, Frame, FramePayload, Link, LinkStats, Priority,
     ServerRequest, ServerResponse,
 };
 use minos_server::{ObjectServer, ServiceConfig};
@@ -71,8 +80,9 @@ fn lease_counted(pool: &BufferPool, stats: &mut TransportStats) -> Vec<u8> {
     pool.lease_vec()
 }
 
-/// The one logical connection id every request travels under: servers
-/// tell requests apart by request id, which the client keeps unique.
+/// The connection every single-caller request travels under. Servers tell
+/// requests apart by request id, which the client keeps unique across all
+/// its connections.
 pub(crate) const CONN_ID: u64 = 1;
 
 /// Default pipelining budget: requests that may be in flight at once. It
@@ -111,9 +121,12 @@ struct PendingFrame {
 }
 
 /// A served response whose bytes finish arriving back at `ready_at`.
-struct Landed {
-    response: ServerResponse,
-    ready_at: SimInstant,
+pub(crate) struct Landed {
+    pub(crate) response: ServerResponse,
+    pub(crate) ready_at: SimInstant,
+    /// Whether the client gave the request up itself, retries exhausted:
+    /// the inline error then says nothing about what the server holds.
+    pub(crate) expired: bool,
 }
 
 /// What every retransmit, replay or deferred resubmit of a request is
@@ -133,6 +146,8 @@ enum Resend {
 struct Outstanding {
     /// The member the request is currently aimed at.
     target: usize,
+    /// The service class every send of the request travels at.
+    priority: Priority,
     route: Route,
     resend: Resend,
     deadline: SimInstant,
@@ -149,6 +164,8 @@ struct Outstanding {
 /// One request's row in the request table, from submit to collection.
 #[derive(Default)]
 struct Slot {
+    /// The connection the request travels on.
+    conn: u64,
     /// Retransmission state, until the response lands.
     out: Option<Outstanding>,
     /// When the request's frame finished arriving at its member: stamped
@@ -163,7 +180,7 @@ struct Slot {
     arrival: Option<SimInstant>,
     /// The response, once it has landed, until it is collected.
     landed: Option<Landed>,
-    /// Whether the request holds a place in the flow-control window: from
+    /// Whether the request holds a place in its connection's window: from
     /// its submit until its response has arrived.
     open: bool,
     /// Whether the response was collected; a collected slot is popped
@@ -215,6 +232,20 @@ pub struct TransportStats {
     pub payload_allocs: u64,
 }
 
+/// One connection's own state on a client's shared wire.
+pub(crate) struct Conn {
+    /// What the link does to this connection's frames.
+    faults: FaultLayer,
+    /// Requests holding a place in this connection's window.
+    open: usize,
+}
+
+impl Conn {
+    fn new(plan: FaultPlan) -> Self {
+        Conn { faults: FaultLayer::new(plan), open: 0 }
+    }
+}
+
 /// A pipelined client of a [`Fleet`] over one shared link (the paper's
 /// broadcast bus).
 ///
@@ -227,17 +258,18 @@ pub struct Client {
     pub(crate) fleet: Fleet,
     /// Per-member epoch last handshaken; a mismatch triggers the resync.
     pub(crate) epochs: Vec<u64>,
-    pub(crate) link: FaultyLink,
+    pub(crate) link: Link,
+    /// Connection `c`'s state at index `c - 1`.
+    conns: Vec<Conn>,
     pub(crate) clock: SimClock,
     /// The request table: slot `i` is request `base + i`, and the next
     /// request id is the one past its end.
     table: VecDeque<Slot>,
     /// The oldest uncollected request id.
     base: u64,
-    /// The flow-control window's capacity: most slots open at once.
+    /// Each connection's flow-control window: most slots it holds open at
+    /// once.
     window_cap: usize,
-    /// Slots currently open.
-    open: usize,
     /// Per-member queues of request frames in transit to that member.
     pending: Vec<VecDeque<PendingFrame>>,
     /// Transmit and payload buffers leased and recycled across the
@@ -245,8 +277,8 @@ pub struct Client {
     /// go through [`Client::lease`], which counts them in
     /// [`TransportStats`].
     pool: BufferPool,
-    /// The connection's one retransmit timer (and any heartbeat tick), so
-    /// a loss on an idle client is discovered by [`Client::advance_to`] at
+    /// The client's one retransmit timer (and any heartbeat tick), so a
+    /// loss on an idle client is discovered by [`Client::advance_to`] at
     /// its deadline.
     pub(crate) kernel: Kernel,
     /// The retransmit timer's deadline and handle, while armed. It is
@@ -283,11 +315,11 @@ impl Client {
         Client::with_faults(servers, link, window, FaultPlan::none())
     }
 
-    /// Opens a client whose shared link misbehaves according to `plan`.
-    /// With a clean plan this is identical to [`Client::with_window`];
-    /// otherwise every frame crosses the fault layer and the recovery
-    /// machinery (deadlines, retransmission, duplicate suppression,
-    /// failover) engages.
+    /// Opens a client whose connection 1 misbehaves on the link according
+    /// to `plan`. With a clean plan this is identical to
+    /// [`Client::with_window`]; otherwise every frame of the connection
+    /// crosses the fault layer and the recovery machinery (deadlines,
+    /// retransmission, duplicate suppression, failover) engages.
     pub fn with_faults(
         servers: impl Into<Fleet>,
         link: Link,
@@ -305,13 +337,13 @@ impl Client {
         Client {
             epochs: fleet.servers().iter().map(ObjectServer::epoch).collect(),
             fleet,
-            link: FaultyLink::new(link, plan),
+            link,
+            conns: vec![Conn::new(plan)],
             clock: SimClock::new(),
             table: VecDeque::new(),
             base: 1,
             // A window that can never open would deadlock the pipeline.
             window_cap: window.max(1),
-            open: 0,
             pending: (0..members).map(|_| VecDeque::new()).collect(),
             pool,
             kernel: Kernel::new(),
@@ -354,9 +386,38 @@ impl Client {
         self.link.stats()
     }
 
-    /// What the fault layer did to this client's frames.
+    /// What the fault layer did to connection 1's frames.
     pub fn fault_stats(&self) -> FaultStats {
-        self.link.fault_stats()
+        self.conn_faults(CONN_ID)
+    }
+
+    /// What the fault layer did to `conn`'s frames (zeros for a connection
+    /// never used).
+    pub(crate) fn conn_faults(&self, conn: u64) -> FaultStats {
+        self.conns.get(conn_index(conn)).map(|c| c.faults.stats()).unwrap_or_default()
+    }
+
+    /// Makes `conn`'s frames misbehave according to `plan` from now on (a
+    /// clean plan heals the connection and zeroes its fault counts). The
+    /// plan applies to the connection's responses and to the requests it
+    /// submits from now on; a request already kept as a typed frame stays
+    /// typed.
+    pub(crate) fn set_faults(&mut self, conn: u64, plan: FaultPlan) {
+        self.conn_mut(conn).faults = FaultLayer::new(plan);
+    }
+
+    /// Connection `conn`'s state, opened clean on first use.
+    fn conn_mut(&mut self, conn: u64) -> &mut Conn {
+        let at = conn_index(conn);
+        while self.conns.len() <= at {
+            self.conns.push(Conn::new(FaultPlan::none()));
+        }
+        &mut self.conns[at]
+    }
+
+    /// Whether no fault plan can touch `conn`'s frames.
+    fn is_clean(&self, conn: u64) -> bool {
+        self.conns.get(conn_index(conn)).is_none_or(|c| c.faults.is_clean())
     }
 
     /// What the recovery machinery had to do — timeouts, retries, corrupt
@@ -387,7 +448,7 @@ impl Client {
 
     /// Requests submitted and not yet collected.
     pub fn in_flight(&self) -> usize {
-        self.open
+        self.conns.iter().map(|c| c.open).sum()
     }
 
     /// Where `request_id`'s slot sits in the table, unless the request was
@@ -420,9 +481,9 @@ impl Client {
         self.slot_mut(request_id)?.out.as_mut()
     }
 
-    /// The oldest request still holding a window place.
-    fn oldest_open(&self) -> Option<u64> {
-        let at = self.table.iter().position(|slot| slot.open)?;
+    /// The oldest request of `conn` still holding a window place.
+    fn oldest_open(&self, conn: u64) -> Option<u64> {
+        let at = self.table.iter().position(|slot| slot.open && slot.conn == conn)?;
         Some(self.base + at as u64)
     }
 
@@ -470,20 +531,21 @@ impl Client {
         }
     }
 
-    /// Admits the next submission into the flow-control window: resyncs
-    /// epochs, settles arrived responses, waits out (or forces progress
-    /// on) a full window, and allocates the request id.
-    pub(crate) fn admit_slot(&mut self) -> u64 {
+    /// Admits the next submission on `conn` into its flow-control window:
+    /// resyncs epochs, settles arrived responses, waits out (or forces
+    /// progress on) a full window, and allocates the request id.
+    pub(crate) fn admit_slot(&mut self, conn: u64) -> u64 {
         self.resync();
         self.settle();
-        while self.open >= self.window_cap {
-            self.dispatch();
+        while self.conn_mut(conn).open >= self.window_cap {
+            self.dispatch(&[]);
             self.settle();
-            if self.open < self.window_cap {
+            if self.conn_mut(conn).open < self.window_cap {
                 break;
             }
             let now = self.clock.now();
-            let arriving = self.table.iter().filter_map(|slot| slot.landed.as_ref());
+            let own = self.table.iter().filter(|slot| slot.conn == conn);
+            let arriving = own.filter_map(|slot| slot.landed.as_ref());
             if let Some(next) = arriving.map(|l| l.ready_at).filter(|&t| t > now).min() {
                 self.clock.advance_to_at_least(next);
                 self.settle();
@@ -493,11 +555,11 @@ impl Client {
             // open slot's response was lost on the wire. Force the oldest
             // slot through a timeout round (retransmit or expire) rather
             // than overrunning the flow-control bound.
-            let Some(oldest) = self.oldest_open() else { break };
+            let Some(oldest) = self.oldest_open(conn) else { break };
             self.force_progress(oldest);
             self.settle();
         }
-        if self.open == 0 {
+        if self.in_flight() == 0 {
             self.round_trips += 1;
         }
         // An id whose submit fails after admission never reaches the
@@ -509,12 +571,13 @@ impl Client {
     /// wire size arithmetically — nothing is copied or encoded.
     fn uplink(&mut self, member: usize, frame: Frame) {
         // Every typed frame in transit belongs to an admitted slot (a clean
-        // link neither loses nor duplicates), so the window bounds them.
+        // link neither loses nor duplicates), so the windows bound them.
         debug_assert!(
-            self.pending.iter().map(VecDeque::len).sum::<usize>() < self.window_cap,
-            "frames in transit exceed the admitted window"
+            self.pending.iter().map(VecDeque::len).sum::<usize>()
+                < self.window_cap * self.conns.len(),
+            "frames in transit exceed the admitted windows"
         );
-        let up = self.link.charge(frame.wire_size());
+        let up = self.link.transfer(frame.wire_size());
         let arrival = self.clock.now().max(self.up_free) + up;
         self.up_free = arrival;
         if let Some(queue) = self.pending.get_mut(member) {
@@ -523,48 +586,69 @@ impl Client {
     }
 
     /// Encodes `request` once — from its borrow, into a pooled buffer —
-    /// as its retransmission state, and submits it to `target`.
+    /// as its retransmission state, and submits it on `conn` at `priority`
+    /// to `target`.
     pub(crate) fn submit_encoded(
         &mut self,
         request_id: u64,
+        (conn, priority): (u64, Priority),
         target: usize,
         route: Route,
         request: &ServerRequest,
     ) {
         let mut bytes = self.lease();
-        encode_request(request_id, request, &mut bytes);
-        self.track(request_id, target, route, Resend::Encoded(bytes));
+        encode_request(conn, request_id, priority, request, &mut bytes);
+        self.track(request_id, (conn, priority), target, route, Resend::Encoded(bytes));
     }
 
     /// Keeps `request`, moved in, as its retransmission state and submits
-    /// it to `target`. Only where a send cannot be a typed frame (a faulty
-    /// link, or a request that owns heap data) is it encoded instead.
+    /// it on `conn` at `priority` to `target`. Only where a send cannot be
+    /// a typed frame (a faulty connection, or a request that owns heap
+    /// data) is it encoded instead.
     pub(crate) fn submit_tracked(
         &mut self,
         request_id: u64,
+        (conn, priority): (u64, Priority),
         target: usize,
         route: Route,
         request: ServerRequest,
     ) {
-        if self.link.is_clean() && request.plain_copy().is_some() {
-            self.track(request_id, target, route, Resend::Typed(request));
+        if self.is_clean(conn) && request.plain_copy().is_some() {
+            self.track(request_id, (conn, priority), target, route, Resend::Typed(request));
         } else {
-            self.submit_encoded(request_id, target, route, &request);
+            self.submit_encoded(request_id, (conn, priority), target, route, &request);
         }
     }
 
     /// Opens the request's slot in the table with `resend` as its
     /// retransmission state and a deadline, and puts it on the wire to
-    /// `target`. Admission already made room in the window, whose capacity
-    /// bounds the open slots.
-    fn track(&mut self, request_id: u64, target: usize, route: Route, resend: Resend) {
-        debug_assert!(self.open < self.window_cap, "a submit overran the window capacity");
+    /// `target`. Admission already made room in the connection's window,
+    /// whose capacity bounds its open slots.
+    fn track(
+        &mut self,
+        request_id: u64,
+        (conn, priority): (u64, Priority),
+        target: usize,
+        route: Route,
+        resend: Resend,
+    ) {
+        let window_cap = self.window_cap;
+        let open = &mut self.conn_mut(conn).open;
+        debug_assert!(*open < window_cap, "a submit overran the window capacity");
+        *open += 1;
         debug_assert_eq!(request_id, self.base + self.table.len() as u64, "ids are dense");
         let deadline = self.clock.now() + self.timeout;
-        let out =
-            Outstanding { target, route, resend, deadline, armed: 0, attempt: 0, deferred: false };
-        self.table.push_back(Slot { out: Some(out), open: true, ..Slot::default() });
-        self.open += 1;
+        let out = Outstanding {
+            target,
+            priority,
+            route,
+            resend,
+            deadline,
+            armed: 0,
+            attempt: 0,
+            deferred: false,
+        };
+        self.table.push_back(Slot { conn, out: Some(out), open: true, ..Slot::default() });
         self.set_deadline(request_id, deadline);
         self.transmit_request(request_id);
     }
@@ -588,11 +672,12 @@ impl Client {
         // queues can never outgrow it (duplicates aside, which the fault
         // layer caps per transmit).
         debug_assert!(
-            self.table.iter().filter(|slot| slot.out.is_some()).count() <= self.window_cap,
-            "in-flight requests exceed the admitted window"
+            self.table.iter().filter(|slot| slot.out.is_some()).count()
+                <= self.window_cap * self.conns.len(),
+            "in-flight requests exceed the admitted windows"
         );
         let slot = self.slot_index(request_id).and_then(|at| self.table.get(at));
-        let Some(out) = slot.and_then(|slot| slot.out.as_ref()) else {
+        let Some((conn, out)) = slot.and_then(|slot| Some((slot.conn, slot.out.as_ref()?))) else {
             return;
         };
         let target = out.target;
@@ -600,12 +685,15 @@ impl Client {
             Resend::Encoded(bytes) => bytes,
             Resend::Typed(request) => {
                 if let Some(copy) = request.plain_copy() {
-                    self.uplink(target, Frame::request(CONN_ID, request_id, copy));
+                    let priority = out.priority;
+                    let frame = Frame::request_with_priority(conn, request_id, priority, copy);
+                    self.uplink(target, frame);
                 }
                 return;
             }
         };
-        let (up, deliveries) = self.link.transmit(bytes);
+        let up = self.link.transfer(bytes.len() as u64);
+        let deliveries = self.conns[conn_index(conn)].faults.apply(bytes);
         let arrival = self.clock.now().max(self.up_free) + up;
         self.up_free = arrival;
         for delivery in deliveries {
@@ -633,7 +721,10 @@ impl Client {
         let Some(at) = self.slot_index(request_id) else {
             return;
         };
-        let Some(out) = self.table.get_mut(at).and_then(|slot| slot.out.as_mut()) else {
+        let Some(slot) = self.table.get_mut(at) else {
+            return;
+        };
+        let Some(out) = slot.out.as_mut() else {
             return;
         };
         let Some((target, request)) = self.fleet.fail_over(&out.route, out.target) else {
@@ -646,7 +737,9 @@ impl Client {
                 debug_assert!(request.plain_copy().is_some(), "a typed state must stay copyable");
                 *kept = request;
             }
-            Resend::Encoded(bytes) => encode_request(request_id, &request, bytes),
+            Resend::Encoded(bytes) => {
+                encode_request(slot.conn, request_id, out.priority, &request, bytes);
+            }
         }
     }
 
@@ -664,7 +757,7 @@ impl Client {
             }
             self.transport.epoch_resyncs += 1;
             let hello = Frame::request(CONN_ID, 0, ServerRequest::Hello { epoch: last });
-            let up = self.link.charge(hello.wire_size());
+            let up = self.link.transfer(hello.wire_size());
             let hello_arrival = self.clock.now().max(self.up_free) + up;
             self.up_free = hello_arrival;
             let (answer, took) =
@@ -674,7 +767,7 @@ impl Client {
             // The answer moves into the frame for an arithmetic wire-size
             // measurement and is read back out of it — never cloned.
             let welcome = Frame::response(CONN_ID, 0, answer);
-            let down = self.link.charge(welcome.wire_size());
+            let down = self.link.transfer(welcome.wire_size());
             let delivered = done.max(self.down_free) + down;
             self.down_free = delivered;
             self.clock.advance_to_at_least(delivered);
@@ -711,34 +804,57 @@ impl Client {
     /// that exhausts its retries comes back as an inline
     /// [`ServerResponse::Error`], as do server-side errors.
     pub fn wait(&mut self, ticket: Ticket) -> Result<(ServerResponse, SimDuration)> {
-        let id = ticket.0;
         let started = self.clock.now();
+        let landed = self.collect(ticket)?;
+        self.clock.advance_to_at_least(landed.ready_at);
+        Ok((landed.response, self.clock.now().saturating_since(started)))
+    }
+
+    /// Serves and recovers `ticket`'s request until its response lands,
+    /// its own connection served first, and collects the response without
+    /// moving the clock to its arrival.
+    pub(crate) fn collect(&mut self, ticket: Ticket) -> Result<Landed> {
+        let id = ticket.0;
         loop {
             self.resync();
-            self.dispatch();
-            let slot = self.slot_mut(id).filter(|slot| slot.landed.is_some() || slot.out.is_some());
-            let Some(slot) = slot else {
+            let conn = self.slot(id).map_or(CONN_ID, |slot| slot.conn);
+            self.dispatch(&[conn]);
+            if self.slot(id).is_none_or(|slot| slot.landed.is_none() && slot.out.is_none()) {
                 return Err(MinosError::Protocol(format!(
                     "unknown or already-collected {ticket:?}"
                 )));
-            };
-            if let Some(landed) = slot.landed.take() {
-                // A landed response has no retransmission state left.
-                debug_assert!(slot.out.is_none(), "a landed request kept its resend state");
-                slot.collected = true;
-                if std::mem::take(&mut slot.open) {
-                    self.open -= 1;
-                }
-                while self.table.front().is_some_and(|slot| slot.collected) {
-                    self.table.pop_front();
-                    self.base += 1;
-                }
-                self.clock.advance_to_at_least(landed.ready_at);
-                let waited = self.clock.now().saturating_since(started);
-                return Ok((landed.response, waited));
+            }
+            if let Some(landed) = self.take_landed(ticket) {
+                return Ok(landed);
             }
             self.force_progress(id);
         }
+    }
+
+    /// Collects `ticket`'s response if it has landed, without moving the
+    /// clock: its slot closes, and the table pops every collected slot
+    /// from its front.
+    pub(crate) fn take_landed(&mut self, ticket: Ticket) -> Option<Landed> {
+        let slot = self.slot_mut(ticket.0)?;
+        let landed = slot.landed.take()?;
+        // A landed response has no retransmission state left.
+        debug_assert!(slot.out.is_none(), "a landed request kept its resend state");
+        slot.collected = true;
+        let conn = slot.conn;
+        if std::mem::take(&mut slot.open) {
+            self.conn_mut(conn).open -= 1;
+        }
+        while self.table.front().is_some_and(|slot| slot.collected) {
+            self.table.pop_front();
+            self.base += 1;
+        }
+        Some(landed)
+    }
+
+    /// The connection of every landed, uncollected response, in request-id
+    /// order (a connection repeats once per response).
+    pub(crate) fn landed_conns(&self) -> impl Iterator<Item = u64> + '_ {
+        self.table.iter().filter(|slot| slot.landed.is_some()).map(|slot| slot.conn)
     }
 
     /// Drives the client to `at` without collecting anything. The timer
@@ -752,7 +868,7 @@ impl Client {
     /// restart is noticed by its heartbeat, and the resync is the safety
     /// net.
     pub fn advance_to(&mut self, at: SimInstant) {
-        self.dispatch();
+        self.dispatch(&[]);
         // Step armed-deadline to armed-deadline: the clock reaches each
         // deadline exactly when it fires, so a retransmit's backoff chains
         // from the deadline — identical to the wait() discipline — instead
@@ -770,37 +886,59 @@ impl Client {
         self.kernel.advance_to(self.clock.now());
         self.drain_retry_wakes();
         self.resync();
-        self.dispatch();
+        self.dispatch(&[]);
         self.settle();
     }
 
+    /// Moves the request frames in transit to member `m` into its service
+    /// queue, stamping each slot with its frame's arrival. The member's
+    /// admission control is the gate: a frame it turns away comes back as
+    /// a `Busy` reply through the same ready queue.
+    pub(crate) fn enqueue_pending(&mut self, m: usize) {
+        while let Some(p) = self.pending[m].pop_front() {
+            let rid = p.frame.request_id;
+            let accepted = self.fleet.servers_mut()[m].enqueue(p.frame).is_ok();
+            if let Some(slot) = self.slot_mut(rid) {
+                slot.arrival = accepted.then_some(p.arrival);
+            }
+        }
+    }
+
     /// Moves every pending frame into its member's service queue and pumps
-    /// each member: served (or rejected) responses cross the member's
-    /// device timeline and the shared downlink, landing timestamped. The
-    /// member's admission control is the gate: a frame it turns away comes
-    /// back as a `Busy` reply through the same ready queue.
-    fn dispatch(&mut self) {
+    /// each member, serving the connections in `first` in order, then the
+    /// member's own rotation: served (or rejected) responses cross the
+    /// member's device timeline and the shared downlink, landing
+    /// timestamped. Returns how many of the polls of `first` found nothing
+    /// to serve.
+    pub(crate) fn dispatch(&mut self, first: &[u64]) -> usize {
+        let mut idle = 0;
         for m in 0..self.pending.len() {
-            while let Some(p) = self.pending[m].pop_front() {
-                let rid = p.frame.request_id;
-                let accepted = self.fleet.servers_mut()[m].enqueue(p.frame).is_ok();
-                if let Some(slot) = self.slot_mut(rid) {
-                    slot.arrival = accepted.then_some(p.arrival);
+            self.enqueue_pending(m);
+            for &conn in first {
+                let mut served = false;
+                while let Some((frame, charge)) = self.fleet.servers_mut()[m].poll_conn(conn) {
+                    served = true;
+                    self.serve(m, frame, charge);
                 }
+                idle += usize::from(!served);
             }
-            while let Some((frame, charge)) = self.fleet.servers_mut()[m].poll_conn(CONN_ID) {
-                let rid = frame.request_id;
-                let arrival = self.slot_mut(rid).and_then(|slot| slot.arrival.take());
-                let arrival = arrival.unwrap_or(self.up_free);
-                let done = arrival.max(self.dev_free[m]) + charge;
-                self.dev_free[m] = done;
-                if let FramePayload::Response(response) = frame.payload {
-                    self.land(rid, response, done);
-                }
+            while let Some((frame, charge)) = self.fleet.servers_mut()[m].poll_timed() {
+                self.serve(m, frame, charge);
             }
-            // The wake list has been fully served for the client's single
-            // logical connection; clear it so it never accumulates.
-            self.fleet.servers_mut()[m].clear_woken();
+        }
+        idle
+    }
+
+    /// Books one served frame on member `m`'s device timeline, from its
+    /// request frame's arrival, and lands its response.
+    fn serve(&mut self, m: usize, frame: Frame, charge: SimDuration) {
+        let rid = frame.request_id;
+        let arrival = self.slot_mut(rid).and_then(|slot| slot.arrival.take());
+        let arrival = arrival.unwrap_or(self.up_free);
+        let done = arrival.max(self.dev_free[m]) + charge;
+        self.dev_free[m] = done;
+        if let FramePayload::Response(response) = frame.payload {
+            self.land(frame.conn_id, rid, response, done);
         }
     }
 
@@ -817,13 +955,13 @@ impl Client {
     /// the receiver like wire damage and is fetched again, failed over
     /// where the fleet can. Other responses, and
     /// duplicates of a request already in hand, take the full pass.
-    fn land(&mut self, request_id: u64, response: ServerResponse, done: SimInstant) {
-        let frame = Frame::response(CONN_ID, request_id, response);
-        if self.link.is_clean() {
+    fn land(&mut self, conn: u64, request_id: u64, response: ServerResponse, done: SimInstant) {
+        let frame = Frame::response(conn, request_id, response);
+        if self.is_clean(conn) {
             // The response moved into a typed frame to measure its wire
             // size arithmetically and is taken back out — no copy, no
             // encoding on the clean path.
-            let down = self.link.charge(frame.wire_size());
+            let down = self.link.transfer(frame.wire_size());
             let delivered = done.max(self.down_free) + down;
             self.down_free = delivered;
             if let FramePayload::Response(response) = frame.payload {
@@ -844,7 +982,8 @@ impl Client {
         if let FramePayload::Response(ServerResponse::Span(page)) = frame.payload {
             self.pool.recycle(page);
         }
-        let (down, deliveries) = self.link.transmit(&bytes);
+        let down = self.link.transfer(bytes.len() as u64);
+        let deliveries = self.conn_mut(conn).faults.apply(&bytes);
         let delivered = done.max(self.down_free) + down;
         self.down_free = delivered;
         for delivery in deliveries {
@@ -897,7 +1036,7 @@ impl Client {
             self.retire(out);
         }
         if let Some(slot) = self.slot_mut(request_id) {
-            slot.landed = Some(Landed { response, ready_at: at });
+            slot.landed = Some(Landed { response, ready_at: at, expired: false });
         }
     }
 
@@ -1013,7 +1152,8 @@ impl Client {
     fn expire(&mut self, request_id: u64, message: String) {
         let ready_at = self.clock.now();
         if let Some(slot) = self.slot_mut(request_id) {
-            slot.landed = Some(Landed { response: ServerResponse::Error(message), ready_at });
+            let response = ServerResponse::Error(message);
+            slot.landed = Some(Landed { response, ready_at, expired: true });
         }
     }
 
@@ -1023,17 +1163,37 @@ impl Client {
         for slot in &mut self.table {
             if slot.open && slot.landed.as_ref().is_some_and(|l| l.ready_at <= now) {
                 slot.open = false;
-                self.open -= 1;
+                self.conns[conn_index(slot.conn)].open -= 1;
             }
         }
     }
 }
 
-/// Encodes `request` as a request frame into `bytes`, replacing what they
-/// held and reusing their capacity.
-fn encode_request(request_id: u64, request: &ServerRequest, bytes: &mut Vec<u8>) {
+#[cfg(test)]
+impl Client {
+    /// Table slots whose responses have landed (collected or not) and that
+    /// the table still keeps.
+    pub(crate) fn settled_slots(&self) -> usize {
+        self.table.iter().filter(|slot| slot.out.is_none()).count()
+    }
+}
+
+/// Where connection `conn`'s state sits in [`Client::conns`].
+fn conn_index(conn: u64) -> usize {
+    usize::try_from(conn.saturating_sub(1)).unwrap_or(usize::MAX)
+}
+
+/// Encodes `request` as a request frame on `conn` at `priority` into
+/// `bytes`, replacing what they held and reusing their capacity.
+fn encode_request(
+    conn: u64,
+    request_id: u64,
+    priority: Priority,
+    request: &ServerRequest,
+    bytes: &mut Vec<u8>,
+) {
     bytes.clear();
-    Frame::encode_request_into(CONN_ID, request_id, Priority::Demand, request, bytes);
+    Frame::encode_request_into(conn, request_id, priority, request, bytes);
 }
 
 #[cfg(test)]

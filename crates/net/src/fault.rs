@@ -18,7 +18,7 @@
 //!   `Frame::encode`), recovery is the connection's job (deadlines and
 //!   retransmission in `core::remote`).
 
-use crate::link::{Link, LinkStats};
+use crate::link::Link;
 use minos_types::SimDuration;
 use std::borrow::Cow;
 
@@ -234,6 +234,40 @@ impl FaultPlan {
     }
 }
 
+/// One sender's fault layer: a plan, the deterministic decision stream
+/// it draws from, and what it did so far. A [`FaultyLink`] is one layer
+/// on a [`Link`]; a client carrying many connections over one link keeps
+/// one layer per connection, so each connection's faults replay from its
+/// own seed whatever its neighbours send.
+#[derive(Clone, Debug)]
+pub struct FaultLayer {
+    plan: FaultPlan,
+    rng: FaultRng,
+    stats: FaultStats,
+}
+
+impl FaultLayer {
+    /// A layer running `plan` from the start of its seed's stream.
+    pub fn new(plan: FaultPlan) -> Self {
+        FaultLayer { plan, rng: FaultRng::new(plan.seed), stats: FaultStats::default() }
+    }
+
+    /// Whether the plan can never alter a frame.
+    pub fn is_clean(&self) -> bool {
+        self.plan.is_clean()
+    }
+
+    /// What the layer has done so far.
+    pub fn stats(&self) -> FaultStats {
+        self.stats
+    }
+
+    /// Runs one encoded frame through the plan (see [`FaultPlan::apply`]).
+    pub fn apply<'a>(&mut self, bytes: &'a [u8]) -> Vec<Delivery<'a>> {
+        self.plan.apply(&mut self.rng, bytes, &mut self.stats)
+    }
+}
+
 /// A [`Link`] with a fault plan attached.
 ///
 /// Transfers charge the wrapped link for the *original* frame length —
@@ -243,52 +277,18 @@ impl FaultPlan {
 #[derive(Clone, Debug)]
 pub struct FaultyLink {
     link: Link,
-    plan: FaultPlan,
-    rng: FaultRng,
-    stats: FaultStats,
+    faults: FaultLayer,
 }
 
 impl FaultyLink {
     /// Attaches `plan` to `link`.
     pub fn new(link: Link, plan: FaultPlan) -> Self {
-        FaultyLink { link, plan, rng: FaultRng::new(plan.seed), stats: FaultStats::default() }
-    }
-
-    /// A faulty link whose plan is clean — behaves exactly like the bare
-    /// `link`.
-    pub fn clean(link: Link) -> Self {
-        FaultyLink::new(link, FaultPlan::none())
-    }
-
-    /// Whether the plan can never alter a frame.
-    pub fn is_clean(&self) -> bool {
-        self.plan.is_clean()
-    }
-
-    /// The attached plan.
-    pub fn plan(&self) -> FaultPlan {
-        self.plan
-    }
-
-    /// The wrapped link's transfer accounting.
-    pub fn stats(&self) -> LinkStats {
-        self.link.stats()
+        FaultyLink { link, faults: FaultLayer::new(plan) }
     }
 
     /// What the fault layer has done so far.
     pub fn fault_stats(&self) -> FaultStats {
-        self.stats
-    }
-
-    /// Pure cost query for transferring `bytes` over the wrapped link.
-    pub fn transfer_cost(&self, bytes: u64) -> SimDuration {
-        self.link.transfer_cost(bytes)
-    }
-
-    /// Charges wire time for `bytes` without fault processing — the typed
-    /// fast path transports keep when the plan is clean.
-    pub fn charge(&mut self, bytes: u64) -> SimDuration {
-        self.link.transfer(bytes)
+        self.faults.stats()
     }
 
     /// Transfers one encoded frame: charges wire time for its full length,
@@ -297,8 +297,7 @@ impl FaultyLink {
     /// `bytes`; only mangled ones own a rewritten copy.
     pub fn transmit<'a>(&mut self, bytes: &'a [u8]) -> (SimDuration, Vec<Delivery<'a>>) {
         let took = self.link.transfer(bytes.len() as u64);
-        let deliveries = self.plan.apply(&mut self.rng, bytes, &mut self.stats);
-        (took, deliveries)
+        (took, self.faults.apply(bytes))
     }
 }
 
@@ -312,8 +311,7 @@ mod tests {
 
     #[test]
     fn clean_plan_is_a_passthrough() {
-        let mut fl = FaultyLink::clean(Link::ethernet());
-        assert!(fl.is_clean());
+        let mut fl = FaultyLink::new(Link::ethernet(), FaultPlan::none());
         let bytes = frame_bytes();
         let (took, deliveries) = fl.transmit(&bytes);
         assert_eq!(took, Link::ethernet().transfer_cost(bytes.len() as u64));
@@ -335,7 +333,7 @@ mod tests {
         let (took, deliveries) = fl.transmit(&bytes);
         assert!(deliveries.is_empty());
         assert!(took > SimDuration::ZERO);
-        let stats = fl.stats();
+        let stats = fl.link.stats();
         assert_eq!(stats.bytes, bytes.len() as u64, "lost bytes occupied the wire");
         assert_eq!(fl.fault_stats().dropped, 1);
     }

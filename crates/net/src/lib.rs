@@ -19,7 +19,7 @@ pub mod link;
 pub mod pool;
 pub mod protocol;
 
-pub use fault::{Delivery, FaultPlan, FaultRng, FaultStats, FaultyLink};
+pub use fault::{Delivery, FaultLayer, FaultPlan, FaultRng, FaultStats, FaultyLink};
 pub use frame::{crc32, crc32_combine, Frame, FramePayload, Priority};
 pub use link::{Link, LinkStats, ETHERNET_10MBIT};
 pub use pool::{BufferPool, PoolStats, PooledBuf};

@@ -346,12 +346,6 @@ impl ObjectServer {
         self.service.take_woken()
     }
 
-    /// Empties the completion wake list without building it — for a
-    /// caller with a single connection that polls it after every dispatch.
-    pub fn clear_woken(&mut self) {
-        self.service.clear_woken();
-    }
-
     /// Accounting for the queued service loop.
     pub fn service_stats(&self) -> &ServiceStats {
         self.service.stats()

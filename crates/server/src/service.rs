@@ -360,12 +360,6 @@ impl ServiceQueue {
         std::mem::take(&mut self.woken)
     }
 
-    /// Empties the wake list without reading it: for a caller that polls
-    /// its one connection regardless.
-    pub(crate) fn clear_woken(&mut self) {
-        self.woken.clear();
-    }
-
     /// The oldest uncollected response, if any.
     pub(crate) fn pop_ready(&mut self) -> Option<(Frame, SimDuration)> {
         self.ready.pop_front()
