@@ -16,16 +16,24 @@
 //! coalesce adjacent spans the faulty runs must serve frame-by-frame —
 //! the comparison isolates recovery cost.
 //!
-//! The series is also emitted machine-readable as `BENCH_transport.json`
-//! at the repository root. `--smoke` runs the acceptance pin — at 1 %
-//! frame corruption the pipelined transport retries to completion with
-//! ≥ 80 % of its fault-free throughput — and is hooked into
-//! `scripts/check.sh`.
+//! Both clocks are recorded: each row carries the wall-clock time the two
+//! simulations of its rate took (`wall_us`), and the file carries what
+//! `crc32` costs per KiB of one 8 KiB page frame (`crc32_ns_per_kib`),
+//! the check every delivered frame pays at the receiver.
+//!
+//! The series is emitted machine-readable as `BENCH_transport.json` at the
+//! repository root by the full bench run. `--smoke` runs the acceptance
+//! pin — at 1 % frame corruption the pipelined transport retries to
+//! completion with ≥ 80 % of its fault-free throughput — and checks a
+//! fresh series against the committed file, every line but the
+//! host-dependent timings; it is hooked into `scripts/check.sh`.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use minos_bench::{fast_criterion, row};
-use minos_net::FaultPlan;
+use minos_bench::{assert_matches_committed, fast_criterion, row};
+use minos_net::{crc32, FaultPlan, Frame, ServerResponse};
 use minos_presentation::workload::{simulate_faulty_page_workload, FaultyWorkloadReport};
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 const PAGES: usize = 48;
 const PAGE_LEN: u64 = 8192;
@@ -47,23 +55,61 @@ fn run(window: usize, rate: f64) -> FaultyWorkloadReport {
     simulate_faulty_page_workload(PAGES, PAGE_LEN, window, plan(rate)).expect("workload runs")
 }
 
-/// One measured point of the series: both transports at one fault rate.
+/// One measured point of the series: both transports at one fault rate,
+/// plus the wall-clock cost of simulating them.
 struct Point {
     rate: f64,
     blocking: FaultyWorkloadReport,
     pipelined: FaultyWorkloadReport,
+    wall: Duration,
 }
 
 fn measure_series() -> Vec<Point> {
     RATES
         .iter()
-        .map(|&rate| Point { rate, blocking: run(1, rate), pipelined: run(PIPELINED_WINDOW, rate) })
+        .map(|&rate| {
+            let start = Instant::now();
+            let (blocking, pipelined) = (run(1, rate), run(PIPELINED_WINDOW, rate));
+            Point { rate, blocking, pipelined, wall: start.elapsed() }
+        })
         .collect()
 }
 
-/// Writes the series as `BENCH_transport.json` at the repository root —
-/// the machine-readable perf-trajectory record for this experiment.
-fn emit_json(points: &[Point]) {
+/// Batches the CRC probe times; the reported figure is their median.
+const CRC_BATCHES: usize = 15;
+/// `crc32` calls per batch.
+const CRC_PER_BATCH: usize = 64;
+
+/// What `crc32` costs per KiB of one encoded 8 KiB page frame, the check
+/// the receiver runs on every delivered frame: the median of
+/// [`CRC_BATCHES`] timed batches, after one warm-up batch.
+fn crc32_ns_per_kib() -> f64 {
+    let page: Vec<u8> = (0..PAGE_LEN).map(|i| (i % 251) as u8).collect();
+    let frame = Frame::response(1, 1, ServerResponse::Span(page)).encode();
+    let mut per_kib: Vec<f64> = (0..=CRC_BATCHES)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..CRC_PER_BATCH {
+                black_box(crc32(black_box(&frame)));
+            }
+            let ns = start.elapsed().as_nanos() as f64 / CRC_PER_BATCH as f64;
+            ns / (frame.len() as f64 / 1024.0)
+        })
+        .skip(1)
+        .collect();
+    per_kib.sort_by(f64::total_cmp);
+    per_kib[CRC_BATCHES / 2]
+}
+
+/// The committed series, at the repository root.
+const BENCH_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_transport.json");
+
+/// The keys whose values depend on the host, not on the simulation.
+const HOST_KEYS: [&str; 2] = ["wall_us", "crc32_ns_per_kib"];
+
+/// Renders the series as the `BENCH_transport.json` document — the
+/// machine-readable perf-trajectory record for this experiment.
+fn series_json(points: &[Point], crc_ns_per_kib: f64) -> String {
     let clean_pipelined = points.first().map(|p| p.pipelined.pages_per_sec()).unwrap_or(0.0);
     let mut series = Vec::new();
     for p in points {
@@ -73,23 +119,28 @@ fn emit_json(points: &[Point]) {
             "    {{\n      \"fault_rate\": {},\n      \"blocking_pages_per_sec\": {:.4},\n      \
              \"pipelined_pages_per_sec\": {:.4},\n      \"pipelined_goodput_ratio\": {ratio:.4},\n      \
              \"pipelined_retries\": {},\n      \"pipelined_corrupt_frames\": {},\n      \
-             \"pages_failed\": {}\n    }}",
+             \"pages_failed\": {},\n      \"wall_us\": {}\n    }}",
             p.rate,
             p.blocking.pages_per_sec(),
             p.pipelined.pages_per_sec(),
             p.pipelined.transport.retries,
             p.pipelined.transport.corrupt_frames,
             p.blocking.failed + p.pipelined.failed,
+            p.wall.as_micros(),
         ));
     }
-    let json = format!(
+    format!(
         "{{\n  \"experiment\": \"E13\",\n  \"workload\": \"{PAGES} x {PAGE_LEN} B pages, strided, \
          10 Mbit/s Ethernet, optical server\",\n  \"pipelined_window\": {PIPELINED_WINDOW},\n  \
-         \"seed\": {SEED},\n  \"series\": [\n{}\n  ]\n}}\n",
+         \"seed\": {SEED},\n  \"crc32_ns_per_kib\": {crc_ns_per_kib:.1},\n  \
+         \"series\": [\n{}\n  ]\n}}\n",
         series.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_transport.json");
-    if let Err(e) = std::fs::write(path, json) {
+    )
+}
+
+/// Writes the series to `BENCH_transport.json`.
+fn emit_json(points: &[Point]) {
+    if let Err(e) = std::fs::write(BENCH_PATH, series_json(points, crc32_ns_per_kib())) {
         row("E13", &format!("could not write BENCH_transport.json: {e}"));
     } else {
         row("E13", "series written to BENCH_transport.json");
@@ -105,7 +156,10 @@ fn print_series() {
              {PIPELINED_WINDOW}"
         ),
     );
-    row("E13", "fault_rate  blocking_pg/s  pipelined_pg/s  goodput_ratio  retries  failed");
+    row(
+        "E13",
+        "fault_rate  blocking_pg/s  pipelined_pg/s  goodput_ratio  retries  failed  wall_ms",
+    );
     let points = measure_series();
     let clean = points.first().map(|p| p.pipelined.pages_per_sec()).unwrap_or(0.0);
     for p in &points {
@@ -113,13 +167,14 @@ fn print_series() {
         row(
             "E13",
             &format!(
-                "{:>10}  {:>13.2}  {:>14.2}  {:>13.2}  {:>7}  {:>6}",
+                "{:>10}  {:>13.2}  {:>14.2}  {:>13.2}  {:>7}  {:>6}  {:>7.2}",
                 format!("{:.3}%", p.rate * 100.0),
                 p.blocking.pages_per_sec(),
                 p.pipelined.pages_per_sec(),
                 ratio,
                 p.pipelined.transport.retries,
                 p.blocking.failed + p.pipelined.failed,
+                p.wall.as_micros() as f64 / 1_000.0,
             ),
         );
     }
@@ -147,9 +202,12 @@ fn smoke() {
     assert_eq!(faulty.pages, PAGES as u64, "every page recovered: {:?}", faulty.transport);
     assert_eq!(faulty.failed, 0, "no request exhausted its retries");
     assert!(ratio >= 0.8, "goodput ratio {ratio:.3} under 1% corruption fell below 0.8");
-    // The full series is cheap (simulated time), so the machine-readable
-    // artifact is always the complete four-rate sweep.
-    emit_json(&measure_series());
+    // The full series is cheap (simulated time), so the smoke holds it to
+    // the committed file, line for line except the host-dependent timings.
+    // It never rewrites the file: only the full bench run does.
+    let fresh = series_json(&measure_series(), crc32_ns_per_kib());
+    assert_matches_committed(BENCH_PATH, &fresh, &HOST_KEYS);
+    row("E13", "series matches BENCH_transport.json (wall_us and crc32_ns_per_kib aside)");
 }
 
 fn bench(c: &mut Criterion) {

@@ -25,7 +25,7 @@
 //! `scripts/check.sh`.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use minos_bench::{fast_criterion, row};
+use minos_bench::{assert_matches_committed, fast_criterion, row};
 use minos_presentation::workload::{self, Dwell, RunReport, WorkloadConfig};
 use minos_types::SimDuration;
 
@@ -118,12 +118,6 @@ fn emit_json(points: &[Point]) {
     }
 }
 
-/// The lines of a series document that do not depend on the host: all of
-/// them but the `wall_us` timings.
-fn deterministic_lines(json: &str) -> Vec<&str> {
-    json.lines().filter(|line| !line.trim_start().starts_with("\"wall_us\"")).collect()
-}
-
 fn print_series() {
     row(
         "E15",
@@ -176,15 +170,7 @@ fn smoke() {
     // The full series is cheap (simulated time), so the smoke holds it to
     // the committed file, line for line except the host-dependent
     // `wall_us`. It never rewrites the file: only the full bench run does.
-    let fresh = series_json(&points);
-    let committed = std::fs::read_to_string(BENCH_PATH).expect("BENCH_sched.json is committed");
-    let (fresh, committed) = (deterministic_lines(&fresh), deterministic_lines(&committed));
-    if let Some((line, (new, old))) =
-        fresh.iter().zip(&committed).enumerate().find(|(_, (new, old))| new != old)
-    {
-        panic!("BENCH_sched.json drifted at deterministic line {line}: committed {old:?}, fresh {new:?}");
-    }
-    assert_eq!(fresh.len(), committed.len(), "BENCH_sched.json drifted in length");
+    assert_matches_committed(BENCH_PATH, &series_json(&points), &["wall_us"]);
     row("E15", "series matches BENCH_sched.json (wall_us aside)");
 }
 

@@ -71,3 +71,28 @@ pub fn mixed_archive(n: u64) -> Vec<MultimediaObject> {
 pub fn row(experiment: &str, series: &str) {
     println!("[{experiment}] {series}");
 }
+
+/// Holds a fresh series document to the committed one at `path`, line for
+/// line, except the lines whose key is one of `host_keys` (wall-clock
+/// timings, which depend on the host). Panics naming the first line that
+/// drifted.
+pub fn assert_matches_committed(path: &str, fresh: &str, host_keys: &[&str]) {
+    let committed =
+        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path} is committed: {e}"));
+    let deterministic = |json: &str| -> Vec<String> {
+        json.lines()
+            .filter(|line| {
+                let line = line.trim_start();
+                !host_keys.iter().any(|k| line.starts_with(&format!("\"{k}\"")))
+            })
+            .map(str::to_owned)
+            .collect()
+    };
+    let (fresh, committed) = (deterministic(fresh), deterministic(&committed));
+    if let Some((line, (new, old))) =
+        fresh.iter().zip(&committed).enumerate().find(|(_, (new, old))| new != old)
+    {
+        panic!("{path} drifted at deterministic line {line}: committed {old:?}, fresh {new:?}");
+    }
+    assert_eq!(fresh.len(), committed.len(), "{path} drifted in length");
+}
