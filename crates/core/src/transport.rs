@@ -1007,12 +1007,10 @@ impl Client {
     /// and anything else lands for collection.
     fn receive(&mut self, request_id: u64, response: ServerResponse, at: SimInstant) {
         let Some(slot) = self.slot_mut(request_id).filter(|slot| !slot.collected) else {
-            self.transport.duplicates += 1;
-            return;
+            return self.discard_duplicate(response);
         };
         if slot.landed.is_some() {
-            self.transport.duplicates += 1;
-            return;
+            return self.discard_duplicate(response);
         }
         if let (ServerResponse::Busy { retry_after }, Some(out)) = (&response, &slot.out) {
             if out.deferred {
@@ -1037,6 +1035,16 @@ impl Client {
         }
         if let Some(slot) = self.slot_mut(request_id) {
             slot.landed = Some(Landed { response, ready_at: at, expired: false });
+        }
+    }
+
+    /// Counts a response to a request already answered or collected, and
+    /// hands the page buffer it carries back to the pool it was leased
+    /// from, so the next decode reuses it instead of allocating.
+    fn discard_duplicate(&mut self, response: ServerResponse) {
+        self.transport.duplicates += 1;
+        if let ServerResponse::Span(page) = response {
+            self.pool.recycle(page);
         }
     }
 
@@ -1251,9 +1259,15 @@ mod tests {
         collect(&mut conn, ticket);
         assert!(id < conn.base);
         let at = conn.clock.now();
+        let free = conn.pool.free_buffers();
         conn.receive(id, ServerResponse::Span(vec![0; PAGE as usize]), at);
         assert_eq!(conn.transport_stats().duplicates, 1);
         assert!(conn.slot(id).is_none() && conn.table.is_empty(), "a duplicate must not land");
+        assert_eq!(
+            conn.pool.free_buffers(),
+            free + 1,
+            "the duplicate's page goes back to the pool"
+        );
         assert!(matches!(conn.wait(ticket), Err(MinosError::Protocol(_))));
     }
 
