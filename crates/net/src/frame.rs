@@ -19,20 +19,43 @@ const CRC_TRAILER_LEN: usize = 4;
 /// The reflected IEEE 802.3 CRC-32 polynomial.
 const CRC_POLY: u32 = 0xedb8_8320;
 
-/// Bytes [`crc32`] folds per step.
+/// Bytes one slicing-by-16 step of [`crc32`]'s table chain consumes.
 const CRC_SLICE: usize = 16;
 
-/// Independent checksum chains [`crc32`] runs side by side.
-const CRC_LANES: usize = 4;
+/// Bytes per word of [`crc32`]'s fold: the scale `s` of the multiple.
+const FOLD_WORD: usize = 8;
 
-/// Bytes in one lane of a superblock (1 KiB).
-const CRC_LANE_LEN: usize = 1_024;
+/// Words in the fold window: the multiple's degree, `300s` bytes.
+const FOLD_WINDOW: usize = 300;
 
-/// Slicing-by-16 steps in one lane.
-const CRC_LANE_BLOCKS: usize = CRC_LANE_LEN / CRC_SLICE;
+/// The multiple's three inner taps, in words: a folded word is XORed
+/// forward into the words this far ahead of it, and into the one
+/// [`FOLD_WINDOW`] ahead.
+const FOLD_TAPS: [usize; 3] = [145, 183, 211];
+
+/// The slot boundaries of the runs one round of the fold is cut into. No
+/// run straddles a tap, so each tap reads one contiguous range, and none
+/// is longer than `FOLD_WINDOW - 211` words, so no range it reads
+/// overlaps the run it writes.
+const FOLD_RUNS: [usize; 6] = [0, 89, 145, 183, 211, 300];
+
+/// Inputs shorter than this take the table chain alone: below it the
+/// fold's fixed cost (one pass over the window) exceeds the chain it
+/// saves (the measured break-even; see [`crc32`]).
+const FOLD_MIN_LEN: usize = 3_300;
+
+// The fold needs at least one whole word before the window.
+const _: () = assert!(FOLD_MIN_LEN >= (FOLD_WINDOW + 1) * FOLD_WORD);
+
+/// One fold word, as bytes.
+type Word = [u8; FOLD_WORD];
+
+/// A run's worth of zero words: what a tap reads in the last pass, where
+/// the word it would read lies inside the window, not before it.
+static FOLD_ZEROS: [Word; FOLD_WINDOW - 211] = [[0; FOLD_WORD]; FOLD_WINDOW - 211];
 
 /// The lookup tables behind [`crc32`] and [`crc32_combine`]. Built once on
-/// first use (20 KiB); building them with `array::from_fn` instead of a
+/// first use (16 KiB); building them with `array::from_fn` instead of a
 /// `const fn` keeps the construction free of bare indexing (the net crate
 /// is panic-audited).
 struct CrcTables {
@@ -40,10 +63,6 @@ struct CrcTables {
     /// byte `b` through it, and `slice[k][b]` is the same register after
     /// `k` further zero bytes.
     slice: [[u32; 256]; CRC_SLICE],
-    /// The lane shift `S`, advancing a register over [`CRC_LANE_LEN`] zero
-    /// bytes: `S(c)` is the XOR of `lane_shift[k][byte k of c]`. `S` is
-    /// linear over GF(2), so four byte tables cover all 32 bits.
-    lane_shift: [[u32; 256]; 4],
     /// `x2n[k]` is `x^(2^k) mod P`, as zlib's `x2n_table`. The powers
     /// repeat with period 32 (the order of `x` divides `2^32 - 1`), so 32
     /// entries cover every exponent.
@@ -64,11 +83,7 @@ fn crc_tables() -> &'static CrcTables {
         });
         // x^1 in reflected form, squared k times.
         let x2n = std::array::from_fn(|k| (0..k).fold(1 << 30, |p, _| multmodp(p, p)));
-        let shift = x8n_mod_p(&x2n, CRC_LANE_LEN);
-        let lane_shift = std::array::from_fn(|k| {
-            std::array::from_fn(|byte| multmodp(shift, (byte as u32) << (8 * k)))
-        });
-        CrcTables { slice, lane_shift, x2n }
+        CrcTables { slice, x2n }
     })
 }
 
@@ -112,75 +127,140 @@ pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
     multmodp(x8n_mod_p(&crc_tables().x2n, len_b), crc_a) ^ crc_b
 }
 
-/// One slicing-by-16 step: the register after folding `block` into `crc`.
-fn fold_block(slice: &[[u32; 256]; CRC_SLICE], crc: u32, block: &[u8; CRC_SLICE]) -> u32 {
-    // Byte j of the block is followed by 15 - j more bytes, so it is looked
-    // up in table 15 - j.
-    let word = u128::from_le_bytes(*block) ^ u128::from(crc);
-    slice
-        .iter()
-        .rev()
-        .zip(word.to_le_bytes())
-        .fold(0, |acc, (table, byte)| acc ^ table.get(usize::from(byte)).copied().unwrap_or(0))
-}
-
-/// The lane shift `S`: `crc` advanced over one lane of zero bytes.
-fn shift_lane(lane_shift: &[[u32; 256]; 4], crc: u32) -> u32 {
-    lane_shift
-        .iter()
-        .zip(crc.to_le_bytes())
-        .fold(0, |acc, (table, byte)| acc ^ table.get(usize::from(byte)).copied().unwrap_or(0))
-}
-
-/// CRC-32 (IEEE 802.3, reflected polynomial), slicing-by-16 over four
-/// independent lanes.
-///
-/// Every frame trailer, every publish-time page checksum and every scrub
-/// and repair verification runs through here, so it is on the wall-clock
-/// path of each 32 KiB page the fleet stores, serves over a lossy link or
-/// scrubs. A slicing-by-16 step folds 16 bytes with one table lookup per
-/// byte, but each step's lookups wait on the register the previous step
-/// produced, so a single chain is bound by load latency, not by how many
-/// loads the core can issue. The input is therefore walked in 4 KiB
-/// superblocks of four contiguous 1 KiB lanes stepped together: lane 0
-/// starts from the running register, lanes 1–3 from zero, and the four
-/// chains have no data dependency on each other. CRC is linear, so the
-/// lanes join as `S(S(S(c0) ^ c1) ^ c2) ^ c3`, where `S` advances a
-/// register over 1 KiB of zero bytes (multiplication by `x^8192 mod P`,
-/// a 4 × 256 table). Whatever is left under 4 KiB, which is all of a
-/// request frame, runs the single chain and a bytewise tail.
-///
-/// On a 2-vCPU x86-64 Xeon the bitwise form (8 shifts per byte) cost
-/// about 6 µs per KiB, the single chain about 0.6 µs, and the four lanes
-/// 0.25–0.5 µs depending on the sibling hyperthread's load. Safe and
-/// index-free: every lookup is a `get` on a 256-entry table by a `u8`,
-/// which the compiler proves in bounds.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let CrcTables { slice, lane_shift, .. } = crc_tables();
+/// The table chain: the register `crc` advanced over `bytes`, one
+/// slicing-by-16 step per 16 bytes and then one lookup per byte left.
+fn chain(slice: &[[u32; 256]; CRC_SLICE], mut crc: u32, bytes: &[u8]) -> u32 {
     let (blocks, tail) = bytes.as_chunks::<CRC_SLICE>();
-    let (lanes, lane_rest) = blocks.as_chunks::<CRC_LANE_BLOCKS>();
-    let (superblocks, superblock_rest) = lanes.as_chunks::<CRC_LANES>();
-    let mut crc = u32::MAX;
-    for [l0, l1, l2, l3] in superblocks {
-        let (mut c0, mut c1, mut c2, mut c3) = (crc, 0, 0, 0);
-        for (((b0, b1), b2), b3) in l0.iter().zip(l1).zip(l2).zip(l3) {
-            c0 = fold_block(slice, c0, b0);
-            c1 = fold_block(slice, c1, b1);
-            c2 = fold_block(slice, c2, b2);
-            c3 = fold_block(slice, c3, b3);
-        }
-        crc = shift_lane(lane_shift, c0) ^ c1;
-        crc = shift_lane(lane_shift, crc) ^ c2;
-        crc = shift_lane(lane_shift, crc) ^ c3;
-    }
-    for block in superblock_rest.as_flattened().iter().chain(lane_rest) {
-        crc = fold_block(slice, crc, block);
+    for block in blocks {
+        // Byte j of the block is followed by 15 - j more bytes, so it is
+        // looked up in table 15 - j. Only bytes 0-3 depend on the register
+        // the step before produced, so they are XORed in last: the other
+        // twelve lookups then run ahead instead of queueing behind them,
+        // which halves the chain's time per byte.
+        let word = u128::from_le_bytes(*block) ^ u128::from(crc);
+        crc = slice
+            .iter()
+            .zip(word.to_le_bytes().into_iter().rev())
+            .fold(0, |acc, (table, byte)| acc ^ table.get(usize::from(byte)).copied().unwrap_or(0));
     }
     let [t0, ..] = slice;
     for &byte in tail {
         crc = (crc >> 8) ^ t0.get(usize::from((crc as u8) ^ byte)).copied().unwrap_or(0);
     }
-    !crc
+    crc
+}
+
+/// Folds `words` into the window slots `lo..lo + words.len()`, a range
+/// inside one of [`FOLD_RUNS`]: slot `j` becomes `word ^ slot[j] ^
+/// slot[j - 145] ^ slot[j - 183] ^ slot[j - 211]`, slot indices modulo
+/// [`FOLD_WINDOW`]. In the `last` pass a tap whose source lies inside the
+/// window (`j >= tap`) reads zero instead.
+fn fold_run(window: &mut [Word; FOLD_WINDOW], lo: usize, words: &[Word], last: bool) {
+    let len = words.len();
+    let hi = lo + len;
+    let Some((before, rest)) = window.split_at_mut_checked(lo) else { return };
+    let Some((run, after)) = rest.split_at_mut_checked(len) else { return };
+    // A slot at or past the tap reads this round's word, written earlier
+    // in the pass; one before it reads the previous round's, not yet
+    // overwritten.
+    let source = |tap: usize| match lo.checked_sub(tap) {
+        Some(_) if last => FOLD_ZEROS.get(..len),
+        Some(at) => before.get(at..at + len),
+        None => {
+            let at = (lo + FOLD_WINDOW - tap).checked_sub(hi)?;
+            after.get(at..at + len)
+        }
+    };
+    let [Some(a), Some(b), Some(c)] = FOLD_TAPS.map(source) else { return };
+    let load = |w: &Word| u64::from_le_bytes(*w);
+    for ((((v, x), a), b), c) in run.iter_mut().zip(words).zip(a).zip(b).zip(c) {
+        *v = (load(v) ^ load(x) ^ load(a) ^ load(b) ^ load(c)).to_le_bytes();
+    }
+}
+
+/// One round of the fold: `words` into the window slots `start..`, run by
+/// run.
+fn fold_round(window: &mut [Word; FOLD_WINDOW], start: usize, mut words: &[Word], last: bool) {
+    for (&lo, &hi) in FOLD_RUNS.iter().zip(FOLD_RUNS.iter().skip(1)) {
+        let lo = lo.max(start);
+        let Some((run, rest)) = hi.checked_sub(lo).and_then(|len| words.split_at_checked(len))
+        else {
+            continue;
+        };
+        fold_run(window, lo, run, last);
+        words = rest;
+    }
+}
+
+/// CRC-32 (IEEE 802.3, reflected polynomial): a folding pass over all but
+/// the last 2,400 bytes, then one slicing-by-16 chain over those.
+///
+/// Every frame trailer, every publish-time page checksum and every scrub
+/// and repair verification runs through here, so it is on the wall-clock
+/// path of each 32 KiB page the fleet stores, serves over a lossy link or
+/// scrubs. A table chain is bound by load latency: each 16-byte step
+/// waits on the register the step before produced. The fold, after
+/// Russell's Chorba CRC (2024, in zlib-ng), takes the chain off all but a
+/// fixed tail of the input.
+///
+/// **The identity.** `Q(x) = x^2400 + x^1240 + x^936 + x^712 + 1` is a
+/// multiple of the CRC-32 polynomial `P` (a unit test reduces it to 0).
+/// Over GF(2), `Q(x)^8 = Q(x^8)`, so
+/// `x^19200 + x^9920 + x^7488 + x^5696 + 1` is one too; its exponents are
+/// 8 × 8 × {300, 155, 117, 89, 0} bits.
+/// A message's CRC is its polynomial mod `P` (the first byte is the
+/// highest degree), so adding a multiple of `P` leaves it unchanged. For
+/// a byte at offset `p` with at least 2,400 bytes after it, add the
+/// multiple shifted to put its `x^19200` term on that byte: the byte is
+/// cleared, and XORed into the bytes 1,160, 1,464, 1,688 and 2,400
+/// further on.
+///
+/// **The pass.** Fold in 8-byte words (`s = 8`), first to last: word `i`
+/// of the folded region becomes `v[i] = x[i] ^ v[i - 145] ^ v[i - 183] ^
+/// v[i - 211] ^ v[i - 300]`, counting only sources inside the region.
+/// Every word before the last 300 is cleared, so the CRC is that of zeros
+/// followed by the 2,400-byte tail, which the table chain reads. The
+/// `0xFFFFFFFF` initial register is the same as XORing it into the first
+/// four bytes with a zero register, and leading zeros leave a zero
+/// register unchanged, so the tail is chained from zero. No scratch copy
+/// of the input is made: the last 300 words of `v` live in a 2,400-byte
+/// window on the stack, indexed modulo 300, and each round of 300 words
+/// is cut at the taps into runs that read and write disjoint slices, so
+/// the XORs vectorize. Under 3.3 KB the fold costs more than it saves and
+/// the chain reads everything, as it does for every request frame.
+///
+/// **The scale.** A larger `s` leaves the chain a longer tail (`300s`
+/// bytes) for the same work per byte in the fold, so `s` is set by
+/// measurement. On a 2-vCPU x86-64 Xeon (SSE2), best of 150 interleaved
+/// runs, in ns per KiB of an 8 KiB page frame and of a 32 KiB page: the
+/// four-lane chain the fold replaced, 256 and 256; the chain alone, 325
+/// and 324 (700 before its lookups were reordered); the fold at `s = 4`,
+/// 168 and 133; at `s = 8`, 189 and 118. The pages the fleet stores and
+/// serves are 32 KiB. At `s = 8` the fold breaks even with the chain alone
+/// at about 3.3 KB. Safe and index-free: every table lookup is a `get` by
+/// a `u8`, and the window is reached through `split_at_mut` and `zip`.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let CrcTables { slice, .. } = crc_tables();
+    if bytes.len() < FOLD_MIN_LEN {
+        return !chain(slice, u32::MAX, bytes);
+    }
+    let (words, rest) = bytes.as_chunks::<FOLD_WORD>();
+    let (head, tail) = words.split_at(words.len() - FOLD_WINDOW);
+    // Rounds are aligned so that the last folded word lands in the last
+    // slot: the first round is partial and starts at slot `start`, and
+    // the slots before it stand for words before the input, which are 0.
+    let start = (FOLD_WINDOW - head.len() % FOLD_WINDOW) % FOLD_WINDOW;
+    let (first, rounds) = head.split_at(FOLD_WINDOW - start);
+    let mut window = [[0; FOLD_WORD]; FOLD_WINDOW];
+    if let Some(init) = window.get_mut(start) {
+        *init = u64::from(u32::MAX).to_le_bytes();
+    }
+    fold_round(&mut window, start, first, false);
+    for round in rounds.chunks_exact(FOLD_WINDOW) {
+        fold_round(&mut window, 0, round, false);
+    }
+    fold_round(&mut window, 0, tail, true);
+    !chain(slice, chain(slice, 0, window.as_flattened()), rest)
 }
 
 /// Appends the CRC32 trailer to an encoded frame body. `known_suffix` is
@@ -739,52 +819,71 @@ mod tests {
 
     #[test]
     fn crc32_matches_bitwise_at_every_length_and_alignment() {
-        // Every block/tail split of lengths 0..=64; lengths straddling one,
-        // two and three 4 KiB superblocks (every superblock, lane-rest,
-        // block-rest and tail split near each boundary); and a framed
-        // 32 KiB page. Each at every start offset within one 16-byte step.
-        const SUPERBLOCK: usize = CRC_LANES * CRC_LANE_LEN;
-        let framed_page = 8 * SUPERBLOCK + 12;
+        // Every block/tail split of lengths 0..=64; lengths within 17 bytes
+        // of the fold threshold; lengths whose folded part ends within 17
+        // bytes of each run boundary of its first and second round (each
+        // tap distance and the window); a framed 32 KiB page; and 64 KiB.
+        // Each at every start offset within one 16-byte step.
+        let run_ends = FOLD_RUNS.iter().skip(1);
         let lengths: Vec<usize> = (0..=64)
-            .chain((1..=3).flat_map(|k| k * SUPERBLOCK - 17..=k * SUPERBLOCK + 17))
-            .chain([framed_page])
+            .chain(FOLD_MIN_LEN - 17..=FOLD_MIN_LEN + 17)
+            .chain(
+                run_ends
+                    .flat_map(|&end| {
+                        [1, 2].map(|round| (round * FOLD_WINDOW + end) * FOLD_WORD).into_iter()
+                    })
+                    .flat_map(|len| len - 17..=len + 17),
+            )
+            .chain([32_768 + 12, 65_536])
             .collect();
-        let buf = lcg_bytes(0x2545_f491, framed_page + CRC_SLICE);
+        let buf = lcg_bytes(0x2545_f491, 65_536 + CRC_SLICE);
         for start in 0..CRC_SLICE {
             for &len in &lengths {
                 let slice = &buf[start..start + len];
                 assert_eq!(crc32(slice), crc32_bitwise(slice), "offset {start}, length {len}");
             }
         }
-    }
-
-    #[test]
-    fn lane_shift_table_advances_over_one_lane_of_zero_bytes() {
-        // The combine constant x^8192 mod P, checked against the plain
-        // definition: feed 1,024 zero bytes through the single-byte table.
-        let CrcTables { slice: [t0, ..], lane_shift, .. } = crc_tables();
-        for (k, table) in lane_shift.iter().enumerate() {
-            for (byte, &entry) in table.iter().enumerate() {
-                let start = (byte as u32) << (8 * k);
-                let fed = (0..CRC_LANE_LEN).fold(start, |c, _| (c >> 8) ^ t0[(c & 0xff) as usize]);
-                assert_eq!(entry, fed, "lane_shift[{k}][{byte}]");
-            }
+        // A 1 MiB object at a word-aligned and an unaligned start.
+        let object = lcg_bytes(0x9e37_79b9, (1 << 20) + 1);
+        for slice in [&object[..1 << 20], &object[1..]] {
+            assert_eq!(crc32(slice), crc32_bitwise(slice), "1 MiB");
         }
     }
 
     #[test]
-    fn bit_flips_at_every_lane_boundary_of_a_page_frame_are_corrupt() {
-        // A framed 32 KiB response: flip one bit at the first and last byte
-        // of every lane (and so of every superblock), of the sub-superblock
-        // rest, and in each trailer byte.
+    fn the_fold_multiple_reduces_to_zero() {
+        // x^(8·300s) + x^(8·155s) + x^(8·117s) + x^(8·89s) + 1 mod P, with
+        // s = FOLD_WORD: the multiple the fold adds must be 0 mod P, or
+        // the fold would change the remainder.
+        let x2n = &crc_tables().x2n;
+        let exponents = [FOLD_WINDOW, 155, 117, 89, 0];
+        let sum = exponents.iter().fold(0, |acc, &bytes| acc ^ x8n_mod_p(x2n, bytes * FOLD_WORD));
+        assert_eq!(sum, 0);
+        // The taps are the window minus the inner exponents.
+        assert_eq!(FOLD_TAPS.map(|tap| FOLD_WINDOW - tap), [155, 117, 89]);
+    }
+
+    #[test]
+    fn bit_flips_at_every_fold_tap_of_a_page_frame_are_corrupt() {
+        // A framed 32 KiB response: flip one bit in each of the first four
+        // bytes (where the initial register is folded in), at the start of
+        // every window-long stretch of the body and each tap distance after
+        // it (and the byte before each), at the first and last byte of the
+        // chained tail, and in each trailer byte.
         let bytes = Frame::response(3, 17, ServerResponse::Span(lcg_bytes(7, 32_768))).encode();
         let body = bytes.len() - CRC_TRAILER_LEN;
-        let mut positions: Vec<usize> = (0..body)
-            .step_by(CRC_LANE_LEN)
-            .flat_map(|lane| [lane, (lane + CRC_LANE_LEN).min(body) - 1])
-            .collect();
+        let window = FOLD_WINDOW * FOLD_WORD;
+        let offsets = FOLD_RUNS.map(|words| words * FOLD_WORD);
+        let mut positions: Vec<usize> = (0..4).collect();
+        for stretch in (0..body).step_by(window) {
+            for offset in offsets {
+                positions.extend([stretch + offset, (stretch + offset).max(1) - 1]);
+            }
+        }
+        positions.extend([body - window - 1, body - window, body - 1]);
         positions.extend(body..bytes.len());
-        assert!(positions.len() > 2 * 32, "covers all 32 lanes and the trailer");
+        positions.retain(|&at| at < bytes.len());
+        assert!(positions.len() > 10 * (body / window), "covers every stretch and the trailer");
         for at in positions {
             let mut mangled = bytes.clone();
             mangled[at] ^= 1 << (at % 8);
@@ -888,7 +987,7 @@ mod tests {
         }
 
         #[test]
-        fn crc32_matches_bitwise(bytes in proptest::collection::vec(any::<u8>(), 0..20_000)) {
+        fn crc32_matches_bitwise(bytes in proptest::collection::vec(any::<u8>(), 0..70_000)) {
             prop_assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
         }
 

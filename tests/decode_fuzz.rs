@@ -69,8 +69,8 @@ fn frame_with_payload_tag(conn: u64, rid: u64, tag: u8) -> Vec<u8> {
 }
 
 /// A framed 32 KiB page response (the §5 page size): its checksum runs
-/// through every lane of eight 4 KiB superblocks of `crc32`, where the
-/// palette's frames stay on the single-chain path.
+/// through `crc32`'s fold and then its chain over the last 2,400 bytes,
+/// where the palette's frames, under 3.3 KB, take the chain alone.
 fn page_frame(conn: u64, rid: u64) -> Frame {
     let mut state = conn ^ rid;
     let page = (0..32_768)

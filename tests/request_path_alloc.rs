@@ -5,10 +5,12 @@
 //! retransmit timer, the service queue and the payload pool all reuse
 //! what the first pages left behind. This counts allocations across
 //! `fetch_page` → `wait` → `recycle_payload` on a 4-member, k=2 fleet
-//! with 16 requests in flight. Lives in the facade tests because the
-//! library crates forbid the `unsafe` a `#[global_allocator]` needs.
+//! with 16 requests in flight. The receiver's per-frame work is pinned
+//! the same way: the CRC of a page and the decode of a framed page into
+//! a leased buffer allocate nothing. Lives in the facade tests because
+//! the library crates forbid the `unsafe` a `#[global_allocator]` needs.
 
-use minos::net::{Link, ServerResponse};
+use minos::net::{crc32, Frame, FramePayload, Link, ServerResponse};
 use minos::presentation::{Fleet, FleetConnection, FleetTicket};
 use minos::types::{ByteSpan, ObjectId};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -99,4 +101,30 @@ fn a_warm_clean_page_allocates_nothing() {
     scan(&mut conn, &mut inflight, &mut next, MEASURED);
     let per_page = (allocations() - before) as f64 / MEASURED as f64;
     assert_eq!(per_page, 0.0, "a warm clean page allocated {per_page} times");
+}
+
+/// `crc32` of a 32 KiB page makes no heap allocation, the first call this
+/// thread makes included: that call builds the lookup tables unless
+/// another test's thread got there first, and they live in a static
+/// either way; the fold's window lives on the stack. Nor does
+/// `Frame::decode_with` of a framed page when its lease hands out a buffer
+/// with room for the page.
+#[test]
+fn a_page_crc_and_a_warm_page_decode_allocate_nothing() {
+    const PAGE: usize = 32 * 1024;
+    let page: Vec<u8> = (0..PAGE).map(|i| (i % 251) as u8).collect();
+    let before = allocations();
+    std::hint::black_box(crc32(std::hint::black_box(&page)));
+    assert_eq!(allocations() - before, 0, "crc32 of a 32 KiB page allocated");
+
+    let framed = Frame::response(1, 7, ServerResponse::Span(page.clone())).encode();
+    let mut warm = Some(Vec::with_capacity(PAGE));
+    let before = allocations();
+    let frame = Frame::decode_with(&framed, &mut || warm.take().unwrap_or_default()).unwrap();
+    assert_eq!(allocations() - before, 0, "a warm decode of a framed page allocated");
+    assert!(warm.is_none(), "the decode took the leased buffer");
+    let FramePayload::Response(ServerResponse::Span(bytes)) = frame.payload else {
+        panic!("unexpected payload {:?}", frame.payload);
+    };
+    assert_eq!(bytes, page);
 }
