@@ -47,23 +47,26 @@ cargo test --offline --quiet --manifest-path crates/bench/src/bin/minos-benchmar
 # Each exit code gates the round's byte checks, counter reconciliation
 # and premises. Their simulated metrics are deterministic, so each
 # round's sim_* and verified_ratio lines must also equal, byte for byte,
-# the ones committed in scripts/sim_seed1.txt.
+# the ones committed in scripts/sim_seed<seed>.txt, at seeds 1, 2 and 11.
 sim=$(mktemp)
-for workload in lossy_scan page_scan churn browse; do
-    echo "==> minos-benchmark $workload (full-size pages)"
-    out=$(cargo run --release --offline \
-        --manifest-path crates/bench/src/bin/minos-benchmark/Cargo.toml \
-        -- --workload "$workload" --seed 1 --seconds 0)
-    printf '%s\n' "$out"
-    printf '%s\n' "$out" |
-        awk -v w="$workload" '$1 ~ /^sim_/ || $1 == "verified_ratio" { print w, $0 }' >>"$sim"
+for seed in 1 2 11; do
+    : >"$sim"
+    for workload in lossy_scan page_scan churn browse; do
+        echo "==> minos-benchmark $workload, seed $seed (full-size pages)"
+        out=$(cargo run --release --offline \
+            --manifest-path crates/bench/src/bin/minos-benchmark/Cargo.toml \
+            -- --workload "$workload" --seed "$seed" --seconds 0)
+        printf '%s\n' "$out"
+        printf '%s\n' "$out" |
+            awk -v w="$workload" '$1 ~ /^sim_/ || $1 == "verified_ratio" { print w, $0 }' >>"$sim"
+    done
+    echo "==> simulated metrics at seed $seed match scripts/sim_seed$seed.txt"
+    if ! diff -u "scripts/sim_seed$seed.txt" "$sim"; then
+        rm -f "$sim"
+        echo "simulated metrics differ from scripts/sim_seed$seed.txt" >&2
+        exit 1
+    fi
 done
-echo "==> simulated metrics at seed 1 match scripts/sim_seed1.txt"
-if ! diff -u scripts/sim_seed1.txt "$sim"; then
-    rm -f "$sim"
-    echo "simulated metrics differ from scripts/sim_seed1.txt" >&2
-    exit 1
-fi
 rm -f "$sim"
 
 # A traced seed-1 round reports per-layer counters that are deterministic
