@@ -25,8 +25,8 @@
 //!   views, miniature browsing, transfer accounting;
 //! * [`prefetch`] — anticipatory prefetching: prediction policies, the
 //!   pipelined prefetch buffer, and stall-time accounting (§5);
-//! * [`kernel`] — the discrete-event simulation kernel: hierarchical
-//!   timer wheel, typed wake events, ready queue, and trace ring;
+//! * [`kernel`] — the discrete-event simulation kernel: timer heap,
+//!   typed wake events, ready queue, and trace ring;
 //! * [`sched`] — the multi-session scheduler: N concurrent sessions over
 //!   one shared link, event-driven with audio-first deadlines (§5);
 //! * [`fleet`] — the sharded object-server fleet: rendezvous placement,

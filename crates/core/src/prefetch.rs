@@ -324,7 +324,7 @@ impl PrefetchBuffer {
         Ok(())
     }
 
-    /// The timer-wheel counters behind anticipation: windows fired,
+    /// The kernel counters behind anticipation: windows fired,
     /// armed, and the ones that found nothing to issue.
     pub fn kernel_stats(&self) -> KernelStats {
         self.kernel.stats()

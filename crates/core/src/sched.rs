@@ -365,8 +365,8 @@ impl SessionScheduler {
         let audio_before = self.audio_set.clone();
         // Fire this tick's audio playback deadlines through the kernel.
         // The kernel first catches up with the tick instant, so the
-        // deadlines, due now, go straight onto its due list instead of
-        // being filed a tick ahead and cascading down the wheel.
+        // deadlines, due now, go onto its due FIFO instead of through its
+        // timer heap.
         let mut audio_wake: Vec<usize> = Vec::new();
         let now = self.client.borrow().clock.now();
         self.kernel.advance_to(now);

@@ -30,7 +30,7 @@
 //! * **Recovery.** Every request keeps retransmission state and its own
 //!   deadline: a loss retransmits it with capped exponential backoff until
 //!   the retry budget expires it into an inline [`ServerResponse::Error`].
-//!   The client keeps one retransmit timer on the [`Kernel`] wheel,
+//!   The client keeps one retransmit timer on the [`Kernel`],
 //!   armed for the earliest deadline (RFC 6298 §5); when it fires, every
 //!   request whose deadline passed is handled in deadline order, then the
 //!   timer is re-armed for the next. What is kept is the request itself on
@@ -428,7 +428,7 @@ impl Client {
         self.transport
     }
 
-    /// The timer-wheel counters of the recovery machinery.
+    /// The kernel counters of the recovery machinery.
     pub fn kernel_stats(&self) -> KernelStats {
         self.kernel.stats()
     }
@@ -857,8 +857,8 @@ impl Client {
         self.table.iter().filter(|slot| slot.landed.is_some()).map(|slot| slot.conn)
     }
 
-    /// Drives the client to `at` without collecting anything. The timer
-    /// wheel discovers every retransmit deadline, `Busy` hint and heartbeat
+    /// Drives the client to `at` without collecting anything. The kernel
+    /// discovers every retransmit deadline, `Busy` hint and heartbeat
     /// tick that falls due in the interval, through the retransmit timer
     /// and the heartbeat timers, and handles it at its exact instant: a
     /// lost response on an otherwise-idle client
@@ -872,9 +872,7 @@ impl Client {
         // Step armed-deadline to armed-deadline: the clock reaches each
         // deadline exactly when it fires, so a retransmit's backoff chains
         // from the deadline — identical to the wait() discipline — instead
-        // of from the far end of the jump. next_deadline may name an
-        // intermediate cascade tick where nothing fires yet; those rounds
-        // drain empty and the loop steps on.
+        // of from the far end of the jump.
         while let Some(next) = self.kernel.next_deadline() {
             if next > at {
                 break;

@@ -1195,7 +1195,9 @@ impl Run {
 /// exhausted retries, and what the recovery machinery did to get there.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultyWorkloadReport {
-    /// Wall-clock time until the last response (or expiry) was collected.
+    /// Simulated time (the connection's clock) until the last response
+    /// (or expiry) was collected; [`FaultyWorkloadReport::pages_per_sec`]
+    /// divides by it.
     pub elapsed: SimDuration,
     /// Pages delivered byte-identical to the stored pattern.
     pub pages: u64,

@@ -79,7 +79,7 @@ fn query_server() -> ObjectServer {
 #[test]
 fn idle_connection_retransmits_at_its_deadline() {
     // A response lost on an otherwise-idle connection: nothing ever calls
-    // wait(), so before the timer wheel the loss sat undiscovered until
+    // wait(), so without kernel timers the loss would sit undiscovered until
     // the next collection. Driving the connection with advance_to() must
     // fire the retransmit deadline at the deadline — and only then. Both
     // clients run the one recovery core, so a single server and a
@@ -108,7 +108,7 @@ fn expires_at_its_deadlines(mut conn: Client, ticket: Ticket, timeout: SimDurati
     assert_eq!(conn.transport_stats().timeouts, 0, "no deadline may fire early");
     assert!(conn.kernel_stats().timers_armed >= 1);
 
-    // At the deadline the wheel wakes the slot: one timeout, one
+    // At the deadline the kernel wakes the slot: one timeout, one
     // retransmit, a fresh (backed-off) deadline armed.
     conn.advance_to(SimInstant::EPOCH + timeout);
     let after_first = conn.transport_stats();
@@ -122,7 +122,7 @@ fn expires_at_its_deadlines(mut conn: Client, ticket: Ticket, timeout: SimDurati
     assert_eq!(exhausted.timeouts, 3, "initial send + 2 retries all timed out");
     assert_eq!(exhausted.retries, 2, "the retry budget was spent");
     let stats = conn.kernel_stats();
-    assert!(stats.events_fired >= 3, "each deadline fired through the wheel: {stats:?}");
+    assert!(stats.events_fired >= 3, "each deadline fired through the kernel: {stats:?}");
     let (response, _) = conn.wait(ticket).unwrap();
     assert!(
         matches!(response, ServerResponse::Error(_)),
