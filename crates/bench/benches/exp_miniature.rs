@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use minos_bench::{fast_criterion, mixed_archive, row, server_with};
 use minos_net::Link;
-use minos_presentation::Workstation;
+use minos_presentation::Client;
 use minos_types::ObjectId;
 
 fn print_series() {
@@ -17,7 +17,7 @@ fn print_series() {
     row("E6", "hits  mini_bytes  mini_time  full_bytes  full_time  byte_ratio");
     for n in [4u64, 8, 16] {
         let (server, bases) = server_with(mixed_archive(n));
-        let mut ws = Workstation::new(server, Link::ethernet());
+        let mut ws = Client::new(server, Link::ethernet());
         let ids: Vec<ObjectId> = bases.iter().map(|(id, _)| *id).collect();
         ws.miniature_stream(&ids).unwrap();
         let (mb, mt) = (ws.bytes_transferred(), ws.elapsed());
@@ -43,12 +43,12 @@ fn bench(c: &mut Criterion) {
         let n = 8u64;
         let (server, bases) = server_with(mixed_archive(n));
         let ids: Vec<ObjectId> = bases.iter().map(|(id, _)| *id).collect();
-        let mut ws = Workstation::new(server, Link::ethernet());
+        let mut ws = Client::new(server, Link::ethernet());
         group.bench_with_input(BenchmarkId::new("miniature_stream", n), &ids, |b, ids| {
             b.iter(|| ws.miniature_stream(ids).unwrap())
         });
         let (server, bases2) = server_with(mixed_archive(n));
-        let mut ws_full = Workstation::new(server, Link::ethernet());
+        let mut ws_full = Client::new(server, Link::ethernet());
         group.bench_with_input(BenchmarkId::new("full_objects", n), &bases2, |b, bases| {
             b.iter(|| {
                 for (id, base) in bases {

@@ -12,7 +12,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use minos_bench::{fast_criterion, row};
 use minos_net::{Link, ServerRequest};
 use minos_presentation::prefetch::{page_spans, PrefetchBuffer, PrefetchStats};
-use minos_presentation::Workstation;
+use minos_presentation::Client;
 use minos_server::ObjectServer;
 use minos_types::{ByteSpan, ObjectId, SimDuration};
 
@@ -24,7 +24,7 @@ fn pipeline(depth: usize) -> (PrefetchBuffer, ByteSpan) {
     let mut server = ObjectServer::new();
     let data = vec![0xA5u8; RECORD_LEN];
     let (record, _) = server.archiver_mut().store(ObjectId::new(1), &data).unwrap();
-    (PrefetchBuffer::new(Workstation::new(server, Link::ethernet()), depth), record.span)
+    (PrefetchBuffer::new(Client::new(server, Link::ethernet()), depth), record.span)
 }
 
 fn play(depth: usize) -> (PrefetchStats, u64) {
@@ -35,7 +35,7 @@ fn play(depth: usize) -> (PrefetchStats, u64) {
     for (i, need) in plan.iter().enumerate() {
         pipe.step(need, &plan[i + 1..], DWELL).unwrap();
     }
-    (pipe.stats(), pipe.workstation().round_trips())
+    (pipe.stats(), pipe.client().round_trips())
 }
 
 fn print_series() {

@@ -11,7 +11,7 @@ use minos_bench::{fast_criterion, row, server_with};
 use minos_image::{Bitmap, Image};
 use minos_net::Link;
 use minos_object::{DrivingMode, MultimediaObject};
-use minos_presentation::Workstation;
+use minos_presentation::Client;
 use minos_types::{ObjectId, Rect};
 
 fn image_object(id: u64, side: u32) -> MultimediaObject {
@@ -30,7 +30,7 @@ fn print_series() {
     row("E5", "image_side  view_bytes  view_latency  full_bytes  full_latency  ratio");
     for side in [400u32, 800, 1_600] {
         let (server, _) = server_with(vec![image_object(1, side)]);
-        let mut ws = Workstation::new(server, Link::ethernet());
+        let mut ws = Client::new(server, Link::ethernet());
         ws.fetch_view(ObjectId::new(1), 0, Rect::new(50, 50, 200, 150)).unwrap();
         let (vb, vt) = (ws.bytes_transferred(), ws.elapsed());
         ws.fetch_view(ObjectId::new(1), 0, Rect::new(0, 0, side, side)).unwrap();
@@ -50,12 +50,12 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e5_view_retrieval");
     for side in [800u32, 1_600] {
         let (server, _) = server_with(vec![image_object(1, side)]);
-        let mut ws = Workstation::new(server, Link::ethernet());
+        let mut ws = Client::new(server, Link::ethernet());
         group.bench_with_input(BenchmarkId::new("window_200x150", side), &side, |b, _| {
             b.iter(|| ws.fetch_view(ObjectId::new(1), 0, Rect::new(50, 50, 200, 150)).unwrap())
         });
         let (server, _) = server_with(vec![image_object(1, side)]);
-        let mut ws_full = Workstation::new(server, Link::ethernet());
+        let mut ws_full = Client::new(server, Link::ethernet());
         group.bench_with_input(BenchmarkId::new("whole_image", side), &side, |b, &s| {
             b.iter(|| ws_full.fetch_view(ObjectId::new(1), 0, Rect::new(0, 0, s, s)).unwrap())
         });

@@ -94,25 +94,6 @@ impl AudioEngine {
         self.playback.pages().page_count()
     }
 
-    /// The transfer plan for continuous playback from the current position:
-    /// one archiver span per remaining audio page, dividing `record` (the
-    /// object's archived region) evenly across the pages. This is the §5
-    /// anticipation input — feed it to a
-    /// [`PrefetchBuffer`](crate::prefetch::PrefetchBuffer) so upcoming
-    /// pages transfer while the current one plays and playback never
-    /// pauses for the network. Empty once playback has finished.
-    pub fn transfer_plan(&self, record: minos_types::ByteSpan) -> Vec<minos_types::ByteSpan> {
-        let pages = self.page_count();
-        if pages == 0 || self.state() == PlaybackState::Finished {
-            return Vec::new();
-        }
-        let current = match self.current_page() {
-            Some(p) => p,
-            None => return Vec::new(),
-        };
-        crate::prefetch::page_spans(record, pages).split_off(current)
-    }
-
     /// The visual message currently on display, if any.
     pub fn active_visual_message(&self) -> Option<usize> {
         self.active_visual
@@ -305,25 +286,6 @@ mod tests {
         assert!(events.iter().any(|ev| matches!(ev, BrowseEvent::CrossedIntoPage(1))));
         let events = e.tick(SimDuration::from_secs(500));
         assert!(events.contains(&BrowseEvent::PlaybackFinished));
-    }
-
-    #[test]
-    fn transfer_plan_covers_remaining_pages() {
-        let (_, mut e) = engine();
-        e.open();
-        let record = minos_types::ByteSpan::at(5_000, 100_000);
-        let plan = e.transfer_plan(record);
-        assert_eq!(plan.len(), e.page_count());
-        assert_eq!(plan[0].start, record.start);
-        assert_eq!(plan.last().unwrap().end, record.end);
-        // Mid-playback the plan shrinks to the pages still ahead.
-        e.tick(SimDuration::from_secs(6));
-        let plan = e.transfer_plan(record);
-        assert_eq!(plan.len(), e.page_count() - e.current_page().unwrap());
-        assert_eq!(plan.last().unwrap().end, record.end);
-        // Finished playback needs nothing more.
-        e.tick(SimDuration::from_secs(500));
-        assert!(e.transfer_plan(record).is_empty());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! voice sessions against shared devices. Polling every session per tick
 //! makes simulated wall-time grow with N even when almost all sessions
 //! are idle; the kernel inverts that: consumers *arm* deadlines
-//! (retransmit timers, audio buffer deadlines, prefetch windows) and the
+//! (retransmit timers, audio buffer deadlines, page dwells) and the
 //! simulation advances directly from one armed instant to the next, so an
 //! idle session costs zero work and per-event cost is independent of N.
 //!
@@ -56,11 +56,6 @@ pub enum KernelEvent {
     /// An audio session's next buffer deadline: the device must be fed.
     AudioDeadline {
         /// Scheduler slot index of the session.
-        session: u64,
-    },
-    /// A prefetch anticipation window opened for a session.
-    PrefetchWindowOpen {
-        /// Consumer-chosen session tag.
         session: u64,
     },
     /// A paced session's dwell elapsed — a text reader's reading time or
@@ -181,9 +176,6 @@ fn event_json(event: &KernelEvent, out: &mut String) {
         }
         KernelEvent::AudioDeadline { session } => {
             write!(out, "\"event\":\"AudioDeadline\",\"session\":{session}")
-        }
-        KernelEvent::PrefetchWindowOpen { session } => {
-            write!(out, "\"event\":\"PrefetchWindowOpen\",\"session\":{session}")
         }
         KernelEvent::PageDue { session } => {
             write!(out, "\"event\":\"PageDue\",\"session\":{session}")
@@ -567,7 +559,7 @@ mod tests {
         k.post(at, KernelEvent::ResponseLanded { conn: 3, request_id: 8 });
         k.post(at, KernelEvent::DeadlineFired { key: 11 });
         k.post(at, KernelEvent::AudioDeadline { session: 2 });
-        k.post(at, KernelEvent::PrefetchWindowOpen { session: 6 });
+        k.post(at, KernelEvent::RetryDue { request_id: 6, attempt: 2 });
         k.post(at, KernelEvent::PageDue { session: 5 });
         k.post(at, KernelEvent::ServerWake { member: 4 });
         k.post(at, KernelEvent::HealthTick { member: 1 });
@@ -578,7 +570,7 @@ mod tests {
             "\"event\":\"ResponseLanded\",\"conn\":3,\"request_id\":8",
             "\"event\":\"DeadlineFired\",\"key\":11",
             "\"event\":\"AudioDeadline\",\"session\":2",
-            "\"event\":\"PrefetchWindowOpen\",\"session\":6",
+            "\"event\":\"RetryDue\",\"request_id\":6,\"attempt\":2",
             "\"event\":\"PageDue\",\"session\":5",
             "\"event\":\"ServerWake\",\"member\":4",
             "\"event\":\"HealthTick\",\"member\":1",

@@ -21,10 +21,11 @@
 //!   (window, deadlines, backoff, duplicate suppression, `Busy` deferral,
 //!   epoch handshake and replay) over a fleet, a single server being a
 //!   fleet of one;
-//! * [`remote`] — the workstation side of the server protocol: remote
-//!   views, miniature browsing, transfer accounting;
-//! * [`prefetch`] — anticipatory prefetching: prediction policies, the
-//!   pipelined prefetch buffer, and stall-time accounting (§5);
+//! * [`remote`] — the workstation side of the server protocol: the
+//!   client's blocking requests and typed fetches, remote views,
+//!   miniature browsing;
+//! * [`prefetch`] — anticipatory prefetching: page plans, the pipelined
+//!   prefetch buffer, and stall-time accounting (§5);
 //! * [`kernel`] — the discrete-event simulation kernel: timer heap,
 //!   typed wake events, ready queue, and trace ring;
 //! * [`sched`] — the multi-session scheduler: N concurrent sessions over
@@ -71,9 +72,9 @@ pub use fleet::{
     Replica, ScrubReport,
 };
 pub use kernel::{Kernel, KernelEvent, KernelStats, TimerId};
-pub use prefetch::{page_spans, PrefetchBuffer, PrefetchStats, Prefetcher};
+pub use prefetch::{page_spans, PrefetchBuffer, PrefetchStats};
 pub use process::{ProcessRunner, ProcessState};
-pub use remote::{Connection, MiniatureBrowser, Workstation};
+pub use remote::MiniatureBrowser;
 pub use sched::{HubStore, SessionKey, SessionScheduler};
 pub use session::{BrowsingSession, ObjectStore, SessionCheckpoint};
 pub use tour::{TourEvent, TourRunner};

@@ -3,33 +3,27 @@
 //! "The multimedia object presentation manager tries to anticipate the
 //! user's requests and prefetch the appropriate pieces of information."
 //! Presentation positions are strong predictors: a reader's next text page,
-//! a playback's next audio pages, a tour's next stop, a roaming view's next
-//! window, the relevant objects whose indicators are on screen. This module
-//! turns those predictions into *one* pipelined round trip per lookahead
-//! window and overlaps the transfer with the user's dwell on the current
-//! material, so the continuity metric — stall time — shrinks as the
-//! prefetch depth grows.
-//!
-//! Two pieces cooperate:
-//!
-//! * [`Prefetcher`] maps a presentation position to the next `depth`
-//!   requests (the prediction policies).
-//! * [`PrefetchBuffer`] is the client-side pipeline: it primes the buffer
-//!   at open, issues prediction batches whenever the link is free, hides
-//!   their cost behind presentation dwell via
-//!   [`SimClock::advance_overlapped`], and accounts hits, misses, wasted
-//!   prefetches, opening latency, and stall.
+//! a playback's next audio pages, the relevant objects whose indicators are
+//! on screen. The caller turns its position into a plan of upcoming
+//! requests ([`page_spans`] for page-sequential presentation), and
+//! [`PrefetchBuffer`] turns that plan into *one* pipelined round trip per
+//! lookahead window over a [`Client`]. It primes the buffer at open,
+//! issues a batch whenever the link is free, hides its cost behind the
+//! user's dwell on the current material via
+//! [`SimClock::advance_overlapped`], and accounts hits, misses, wasted
+//! prefetches, opening latency, and stall. The continuity metric — stall
+//! time — shrinks as the prefetch depth grows. (A browsing session hints
+//! its on-screen relevant objects through
+//! [`ObjectStore::note_upcoming`](crate::session::ObjectStore::note_upcoming)
+//! instead, which the scheduler's store turns into prefetch requests.)
 //!
 //! A wrong prediction is only ever wasted transfer: presented content is
 //! read through the same request/response types, so the bytes a step
 //! returns are identical to an unpredicted demand fetch.
 
-use crate::kernel::{Kernel, KernelEvent, KernelStats};
-use crate::remote::Workstation;
-use minos_image::view::MoveDirection;
-use minos_image::View;
+use crate::transport::{Client, Ticket};
 use minos_net::{ServerRequest, ServerResponse};
-use minos_types::{ByteSpan, Encoder, ObjectId, Result, SimClock, SimDuration, SimInstant};
+use minos_types::{ByteSpan, Encoder, Result, SimClock, SimDuration, SimInstant};
 use std::collections::HashMap;
 
 /// Divides an archived record into `pages` contiguous spans — the transfer
@@ -51,84 +45,6 @@ pub fn page_spans(record: ByteSpan, pages: usize) -> Vec<ByteSpan> {
             span
         })
         .collect()
-}
-
-/// The prediction policies: given where the presentation is, what will the
-/// user need next?
-#[derive(Clone, Copy, Debug)]
-pub struct Prefetcher {
-    depth: usize,
-}
-
-impl Prefetcher {
-    /// A prefetcher looking `depth` resources ahead. Depth 0 disables
-    /// anticipation (every fetch is a demand fetch).
-    pub fn new(depth: usize) -> Self {
-        Prefetcher { depth }
-    }
-
-    /// The lookahead depth.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Sequential reading/playback: the next `depth` page spans after
-    /// `current`.
-    pub fn predict_pages(&self, pages: &[ByteSpan], current: usize) -> Vec<ServerRequest> {
-        pages
-            .iter()
-            .skip(current + 1)
-            .take(self.depth)
-            .map(|&span| ServerRequest::FetchSpan { span })
-            .collect()
-    }
-
-    /// Tour playing: the windows of the next `depth` stops.
-    pub fn predict_tour(
-        &self,
-        object: ObjectId,
-        image: usize,
-        stop_views: &[minos_types::Rect],
-        current: usize,
-    ) -> Vec<ServerRequest> {
-        stop_views
-            .iter()
-            .skip(current + 1)
-            .take(self.depth)
-            .map(|&rect| ServerRequest::FetchView { id: object, tag: image.to_string(), rect })
-            .collect()
-    }
-
-    /// Roaming view: assume the user keeps moving in `direction` and
-    /// predict the next `depth` windows, stopping early once the view pins
-    /// at the image edge.
-    pub fn predict_view(
-        &self,
-        object: ObjectId,
-        image: usize,
-        view: &View,
-        direction: MoveDirection,
-    ) -> Vec<ServerRequest> {
-        let mut probe = *view;
-        let mut out = Vec::new();
-        for _ in 0..self.depth {
-            if !probe.step(direction) {
-                break;
-            }
-            out.push(ServerRequest::FetchView {
-                id: object,
-                tag: image.to_string(),
-                rect: probe.rect(),
-            });
-        }
-        out
-    }
-
-    /// Relevant-object anticipation: the visible indicator targets, in
-    /// menu order.
-    pub fn predict_relevant(&self, targets: &[ObjectId]) -> Vec<ServerRequest> {
-        targets.iter().take(self.depth).map(|&id| ServerRequest::FetchObject { id }).collect()
-    }
 }
 
 /// Accounting for one prefetch pipeline.
@@ -158,78 +74,57 @@ impl PrefetchStats {
     }
 }
 
-/// The client-side prefetch pipeline over a workstation.
+/// The client-side prefetch pipeline over a workstation's [`Client`].
 ///
 /// The simulation computes a batch's response synchronously, but its
 /// *time* is charged like an asynchronous transfer: an issued batch is
 /// "in flight" and each presentation dwell hides part of its cost; only
 /// the unhidden remainder stalls the user when the batch's contents are
 /// needed early. The pipeline's own clock is therefore the presentation
-/// timeline (dwell + stall + opening), while the wrapped workstation's
-/// clock keeps counting serial link and device busy time.
+/// timeline (dwell + stall + opening), while the client's clock keeps
+/// counting serial link and device busy time.
 pub struct PrefetchBuffer {
-    ws: Workstation,
-    prefetcher: Prefetcher,
+    client: Client,
+    /// Lookahead depth: resources fetched ahead of need. Depth 0 disables
+    /// anticipation (every fetch after priming is a demand fetch).
+    depth: usize,
     /// Landed responses awaiting their step, keyed by encoded request.
     buffer: HashMap<Vec<u8>, ServerResponse>,
     /// The issued-but-not-landed batch (single request channel).
     inflight: HashMap<Vec<u8>, ServerResponse>,
     /// Fetch time of the in-flight batch not yet hidden behind dwell.
     inflight_remaining: SimDuration,
-    /// The event kernel anticipation rides on: every refill opportunity
-    /// fires as a [`KernelEvent::PrefetchWindowOpen`] timer, so window
-    /// openings (and the ones that found nothing to issue) are traced
-    /// and counted like every other deadline in the system.
-    kernel: Kernel,
     clock: SimClock,
-    hits: u64,
-    misses: u64,
-    prefetched: u64,
-    opening: SimDuration,
-    stall: SimDuration,
-    overlap: SimDuration,
+    stats: PrefetchStats,
 }
 
 impl PrefetchBuffer {
-    /// Wraps `ws` with a pipeline of the given lookahead depth.
-    pub fn new(ws: Workstation, depth: usize) -> Self {
+    /// Wraps `client` with a pipeline of the given lookahead depth.
+    pub fn new(client: Client, depth: usize) -> Self {
         PrefetchBuffer {
-            ws,
-            prefetcher: Prefetcher::new(depth),
+            client,
+            depth,
             buffer: HashMap::new(),
             inflight: HashMap::new(),
             inflight_remaining: SimDuration::ZERO,
-            kernel: Kernel::new(),
             clock: SimClock::new(),
-            hits: 0,
-            misses: 0,
-            prefetched: 0,
-            opening: SimDuration::ZERO,
-            stall: SimDuration::ZERO,
-            overlap: SimDuration::ZERO,
+            stats: PrefetchStats::default(),
         }
     }
 
-    /// The wrapped workstation (round trips, bytes).
-    pub fn workstation(&self) -> &Workstation {
-        &self.ws
+    /// The wrapped client (round trips, bytes).
+    pub fn client(&self) -> &Client {
+        &self.client
     }
 
-    /// Mutable workstation access (endpoint setup).
-    pub fn workstation_mut(&mut self) -> &mut Workstation {
-        &mut self.ws
+    /// Mutable client access (endpoint setup, blocking requests).
+    pub fn client_mut(&mut self) -> &mut Client {
+        &mut self.client
     }
 
     /// Accounting so far.
     pub fn stats(&self) -> PrefetchStats {
-        PrefetchStats {
-            hits: self.hits,
-            misses: self.misses,
-            prefetched: self.prefetched,
-            opening: self.opening,
-            stall: self.stall,
-            overlap: self.overlap,
-        }
+        self.stats
     }
 
     /// Presentation time elapsed: opening + dwells + stalls.
@@ -244,13 +139,13 @@ impl PrefetchBuffer {
     /// [`PrefetchStats::stall`], which measures interruptions of an
     /// *ongoing* presentation.
     pub fn prime(&mut self, plan: &[ServerRequest]) -> Result<SimDuration> {
-        let window = self.uncovered(plan, self.prefetcher.depth() + 1, None);
+        let window = self.uncovered(plan, self.depth + 1, None);
         if window.is_empty() {
             return Ok(SimDuration::ZERO);
         }
         let took = self.issue(window)?;
         self.land();
-        self.opening += took;
+        self.stats.opening += took;
         self.clock.advance(took);
         Ok(took)
     }
@@ -275,7 +170,7 @@ impl PrefetchBuffer {
         }
         let response = match self.buffer.remove(&key) {
             Some(response) => {
-                self.hits += 1;
+                self.stats.hits += 1;
                 response
             }
             None => {
@@ -285,65 +180,28 @@ impl PrefetchBuffer {
                 if !self.inflight.is_empty() {
                     stall += self.wait_for_link();
                 }
-                self.misses += 1;
-                let before = self.ws.elapsed();
-                let response = self.ws.request(need)?;
-                stall +=
-                    self.clock.advance_overlapped(self.ws.elapsed() - before, SimDuration::ZERO);
+                self.stats.misses += 1;
+                let before = self.client.elapsed();
+                let response = self.client.request(need)?;
+                stall += self
+                    .clock
+                    .advance_overlapped(self.client.elapsed() - before, SimDuration::ZERO);
                 response
             }
         };
-        self.arm_window(plan, Some(&key))?;
+        self.refill(plan, Some(&key))?;
         self.hide(dwell);
-        self.stall += stall;
+        self.stats.stall += stall;
         Ok((response, stall))
-    }
-
-    /// Routes one refill opportunity through the event kernel: the
-    /// anticipation window's opening is armed as a
-    /// [`KernelEvent::PrefetchWindowOpen`] deadline at the presentation
-    /// clock's current instant and the refill runs as that event's
-    /// handler. A window that opens with the link busy, the buffer full,
-    /// or nothing left to predict issues no batch and is counted a
-    /// spurious wake.
-    fn arm_window(&mut self, plan: &[ServerRequest], exclude: Option<&[u8]>) -> Result<()> {
-        let now = self.clock.now();
-        self.kernel.post(now, KernelEvent::PrefetchWindowOpen { session: 0 });
-        self.kernel.advance_to(now);
-        while let Some(event) = self.kernel.take_ready() {
-            if !matches!(event, KernelEvent::PrefetchWindowOpen { .. }) {
-                self.kernel.note_spurious();
-                continue;
-            }
-            let quiet = self.inflight.is_empty();
-            self.refill(plan, exclude)?;
-            if quiet && self.inflight.is_empty() {
-                self.kernel.note_spurious();
-            }
-        }
-        Ok(())
-    }
-
-    /// The kernel counters behind anticipation: windows fired,
-    /// armed, and the ones that found nothing to issue.
-    pub fn kernel_stats(&self) -> KernelStats {
-        self.kernel.stats()
-    }
-
-    /// Drains the pipeline kernel's trace ring as a JSON array (see
-    /// [`Kernel::drain_trace_json`]).
-    pub fn drain_kernel_trace(&mut self) -> String {
-        self.kernel.drain_trace_json()
     }
 
     /// Issues the next prediction batch when the link is free, the buffer
     /// is below the lookahead cap, and the plan has unfetched entries.
     fn refill(&mut self, plan: &[ServerRequest], exclude: Option<&[u8]>) -> Result<()> {
-        let depth = self.prefetcher.depth();
-        if depth == 0 || !self.inflight.is_empty() || self.buffer.len() > depth {
+        if self.depth == 0 || !self.inflight.is_empty() || self.buffer.len() > self.depth {
             return Ok(());
         }
-        let window = self.uncovered(plan, depth, exclude);
+        let window = self.uncovered(plan, self.depth, exclude);
         if window.is_empty() {
             return Ok(());
         }
@@ -394,18 +252,19 @@ impl PrefetchBuffer {
     /// it stays a counted waste and the real need falls back to a demand
     /// fetch.
     fn issue(&mut self, window: Vec<(Vec<u8>, &ServerRequest)>) -> Result<SimDuration> {
-        self.prefetched += window.len() as u64;
-        let before = self.ws.elapsed();
-        let conn = self.ws.connection_mut();
-        let tickets: Vec<(Vec<u8>, crate::transport::Ticket)> =
-            window.into_iter().map(|(key, request)| (key, conn.submit_ref(request))).collect();
+        self.stats.prefetched += window.len() as u64;
+        let before = self.client.elapsed();
+        let tickets: Vec<(Vec<u8>, Ticket)> = window
+            .into_iter()
+            .map(|(key, request)| (key, self.client.submit_ref(request)))
+            .collect();
         for (key, ticket) in tickets {
-            let (response, _) = conn.wait(ticket)?;
+            let (response, _) = self.client.wait(ticket)?;
             if !matches!(response, ServerResponse::Error(_)) {
                 self.inflight.insert(key, response);
             }
         }
-        Ok(self.ws.elapsed() - before)
+        Ok(self.client.elapsed() - before)
     }
 
     /// Waits out the in-flight batch (charged entirely as stall) and lands
@@ -431,7 +290,7 @@ impl PrefetchBuffer {
             | ServerResponse::Object(bytes)
             | ServerResponse::View(bytes)
             | ServerResponse::Miniature(bytes) => {
-                self.ws.connection_mut().recycle_payload(bytes);
+                self.client.recycle_payload(bytes);
             }
             _ => {}
         }
@@ -451,7 +310,7 @@ impl PrefetchBuffer {
     fn hide(&mut self, dwell: SimDuration) {
         let hidden = self.inflight_remaining.min(dwell);
         self.inflight_remaining = self.inflight_remaining - hidden;
-        self.overlap += hidden;
+        self.stats.overlap += hidden;
         // Never stalls: hidden ≤ dwell, so the clock moves by the dwell.
         self.clock.advance_overlapped(hidden, dwell);
         if self.inflight_remaining == SimDuration::ZERO {
@@ -463,9 +322,10 @@ impl PrefetchBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::DEFAULT_WINDOW;
     use minos_net::Link;
     use minos_server::ObjectServer;
-    use minos_types::{Rect, Size};
+    use minos_types::ObjectId;
 
     /// A server whose archive holds one raw record of `len` patterned
     /// bytes, plus the record's span.
@@ -478,7 +338,7 @@ mod tests {
 
     fn pipeline(depth: usize, record_len: usize) -> (PrefetchBuffer, ByteSpan) {
         let (server, span) = blob_server(record_len);
-        (PrefetchBuffer::new(Workstation::new(server, Link::ethernet()), depth), span)
+        (PrefetchBuffer::new(Client::new(server, Link::ethernet()), depth), span)
     }
 
     /// Runs a whole page-sequential presentation and returns its stats.
@@ -504,7 +364,7 @@ mod tests {
                 (span.start..span.end).map(|b| (b as usize % 251) as u8).collect();
             assert_eq!(bytes, expect, "page {i} content");
         }
-        let trips = pipe.workstation().round_trips();
+        let trips = pipe.client().round_trips();
         (pipe.stats(), trips)
     }
 
@@ -520,51 +380,6 @@ mod tests {
         }
         let total: u64 = pages.iter().map(|p| p.len()).sum();
         assert_eq!(total, record.len());
-    }
-
-    #[test]
-    fn predictors_look_ahead_by_depth() {
-        let record = ByteSpan::at(0, 8_000);
-        let pages = page_spans(record, 8);
-        let p = Prefetcher::new(3);
-        let predicted = p.predict_pages(&pages, 2);
-        assert_eq!(
-            predicted,
-            vec![
-                ServerRequest::FetchSpan { span: pages[3] },
-                ServerRequest::FetchSpan { span: pages[4] },
-                ServerRequest::FetchSpan { span: pages[5] },
-            ]
-        );
-        // Near the end the prediction shrinks instead of inventing pages.
-        assert_eq!(p.predict_pages(&pages, 6).len(), 1);
-        assert!(p.predict_pages(&pages, 7).is_empty());
-
-        let stops = [Rect::new(0, 0, 10, 10), Rect::new(5, 5, 10, 10), Rect::new(9, 9, 10, 10)];
-        let toured = p.predict_tour(ObjectId::new(1), 0, &stops, 0);
-        assert_eq!(toured.len(), 2);
-        assert!(matches!(
-            &toured[0],
-            ServerRequest::FetchView { rect, .. } if *rect == stops[1]
-        ));
-
-        assert_eq!(p.predict_relevant(&[ObjectId::new(4), ObjectId::new(5)]).len(), 2);
-    }
-
-    #[test]
-    fn view_prediction_stops_at_the_image_edge() {
-        let view = View::new(Size::new(100, 300), Size::new(100, 100), 90).unwrap();
-        let p = Prefetcher::new(5);
-        // Steps down land at y = 90, 180, then clamp to 200; after that the
-        // view is pinned and prediction stops.
-        let predicted = p.predict_view(ObjectId::new(1), 0, &view, MoveDirection::Down);
-        assert_eq!(predicted.len(), 3);
-        assert!(matches!(
-            &predicted[2],
-            ServerRequest::FetchView { rect, .. } if rect.origin.y == 200
-        ));
-        // Already pinned left: nothing to predict.
-        assert!(p.predict_view(ObjectId::new(1), 0, &view, MoveDirection::Left).is_empty());
     }
 
     #[test]
@@ -649,12 +464,13 @@ mod tests {
         // waste and demand-fetched), and every page the user sees is still
         // byte-identical — degradation costs time, never content.
         let (server, span) = blob_server(65_536);
-        let ws = Workstation::with_faults(
+        let client = Client::with_faults(
             server,
             Link::ethernet(),
+            DEFAULT_WINDOW,
             minos_net::FaultPlan::corrupting(77, 0.2),
         );
-        let mut pipe = PrefetchBuffer::new(ws, 2);
+        let mut pipe = PrefetchBuffer::new(client, 2);
         let plan: Vec<ServerRequest> =
             page_spans(span, 8).into_iter().map(|span| ServerRequest::FetchSpan { span }).collect();
         pipe.prime(&plan).unwrap();
@@ -671,7 +487,7 @@ mod tests {
         }
         let stats = pipe.stats();
         assert_eq!(stats.hits + stats.misses, 8, "no page was skipped or aborted");
-        let transport = pipe.workstation().transport_stats();
+        let transport = pipe.client().transport_stats();
         assert!(
             transport.corrupt_frames > 0 && transport.retries > 0,
             "the faults were really exercised: {transport:?}"
@@ -701,26 +517,24 @@ mod tests {
             pipe.evict_buffered();
             // The server leases span payloads from the pool it shares with
             // the connection; both sides' leases count.
-            let ws = pipe.workstation();
-            let mut leases = ws.connection().endpoint().service_stats().clone();
-            let transport = ws.transport_stats();
+            let client = pipe.client();
+            let mut leases = client.endpoint().service_stats().clone();
+            let transport = client.transport_stats();
             leases.pool_hits += transport.pool_hits;
-            leases.pool_misses += transport.pool_misses;
             leases.payload_allocs += transport.payload_allocs;
             leases
         };
         let dropped = run(false);
         let recycled = run(true);
-        assert!(dropped.pool_misses > 0, "the pipeline leases from the pool: {dropped:?}");
+        assert!(dropped.payload_allocs > 0, "the pipeline leases from the pool: {dropped:?}");
         assert!(
-            recycled.pool_misses < dropped.pool_misses,
+            recycled.payload_allocs < dropped.payload_allocs,
             "recycling must cut fresh allocations: {recycled:?} vs {dropped:?}"
         );
         assert!(
             recycled.pool_hits > dropped.pool_hits,
             "recycling must raise pool hits: {recycled:?} vs {dropped:?}"
         );
-        assert_eq!(recycled.payload_allocs, recycled.pool_misses);
     }
 
     #[test]

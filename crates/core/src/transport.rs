@@ -53,9 +53,9 @@
 //! one (`Fleet::from(server)`). A fleet page fetch names its object, so it
 //! can fail over to a sibling replica and ride its page's publish-time
 //! CRC; a raw request to one server has nowhere else to go.
-//! [`Connection`](crate::remote::Connection) and
-//! [`FleetConnection`](crate::fleet::FleetConnection) are two names for the
-//! one [`Client`], and the [`SessionScheduler`](crate::sched::SessionScheduler)
+//! The workstation of [`crate::remote`] is a client of one server, and
+//! [`FleetConnection`](crate::fleet::FleetConnection) is another name for
+//! [`Client`]; the [`SessionScheduler`](crate::sched::SessionScheduler)
 //! runs each of its sessions as one connection of a client.
 
 use crate::fleet::{Fleet, HealthMonitor};
@@ -68,13 +68,12 @@ use minos_server::{ObjectServer, ServiceConfig};
 use minos_types::{ByteSpan, MinosError, ObjectId, Result, SimClock, SimDuration, SimInstant};
 use std::collections::VecDeque;
 
-/// Leases a buffer from `pool`, counting a hit or a miss (a fresh
-/// allocation) in `stats`.
+/// Leases a buffer from `pool`, counting a hit or a fresh allocation in
+/// `stats`.
 fn lease_counted(pool: &BufferPool, stats: &mut TransportStats) -> Vec<u8> {
     if pool.free_buffers() > 0 {
         stats.pool_hits += 1;
     } else {
-        stats.pool_misses += 1;
         stats.payload_allocs += 1;
     }
     pool.lease_vec()
@@ -224,11 +223,8 @@ pub struct TransportStats {
     /// counted once, by whoever took it.
     pub pool_hits: u64,
     /// The client's own pool leases that had to allocate a fresh buffer (a
-    /// cold pool or a burst deeper than the retained free list).
-    pub pool_misses: u64,
-    /// Fresh payload-buffer allocations on the frame hot path: the pool
-    /// misses. Once the pool is warm a steady-state window transmits with
-    /// zero of these.
+    /// cold pool or a burst deeper than the retained free list). Once the
+    /// pool is warm a steady-state window transmits with zero of these.
     pub payload_allocs: u64,
 }
 

@@ -67,7 +67,7 @@
 //! remaining rotten page — the [`RunReport`] pins all of it.
 //!
 //! [`simulate_faulty_page_workload`] (E13) is one reader through the one
-//! client [`Connection`] over a link that drops, corrupts and duplicates
+//! [`Client`] over a link that drops, corrupts and duplicates
 //! frames, measuring the goodput its recovery preserves. It stays off
 //! the driver: folding it would add loss recovery to the driver.
 
@@ -77,8 +77,7 @@ use crate::fleet::{
 };
 use crate::kernel::{Kernel, KernelEvent, KernelStats};
 use crate::prefetch::page_spans;
-use crate::remote::Connection;
-use crate::transport::{Ticket, TransportStats};
+use crate::transport::{Client, Ticket, TransportStats};
 use minos_net::{
     crc32, BufferPool, FaultPlan, FaultStats, Frame, FramePayload, Link, Priority, ServerRequest,
     ServerResponse,
@@ -1219,7 +1218,7 @@ impl FaultyWorkloadReport {
 }
 
 /// Runs the E13 workload: one page reader fetching `pages` pages of
-/// `page_len` bytes through a [`Connection`] whose link misbehaves
+/// `page_len` bytes through a [`Client`] whose link misbehaves
 /// according to `plan`, with `window` requests in flight (window 1 is the
 /// old blocking discipline). Every delivered page is verified
 /// byte-for-byte against the stored pattern — a page is either perfect or
@@ -1245,7 +1244,7 @@ pub fn simulate_faulty_page_workload(
     let base = record.span.start;
     let spans = page_spans(record.span, pages);
     let order: Vec<usize> = (0..pages).step_by(2).chain((1..pages).step_by(2)).collect();
-    let mut conn = Connection::with_faults(server, Link::ethernet(), window.max(1), plan);
+    let mut conn = Client::with_faults(server, Link::ethernet(), window.max(1), plan);
     let mut tickets: Vec<(Ticket, usize)> = Vec::with_capacity(pages);
     for &page in &order {
         tickets.push((conn.submit(ServerRequest::FetchSpan { span: spans[page] }), page));

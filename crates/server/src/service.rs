@@ -89,11 +89,8 @@ pub struct ServiceStats {
     pub queue_high_water: u64,
     /// Payload-buffer pool leases served from a recycled buffer.
     pub pool_hits: u64,
-    /// Payload-buffer pool leases that had to allocate fresh.
-    pub pool_misses: u64,
-    /// Fresh payload-buffer allocations on the serving hot path (equals
-    /// `pool_misses`; kept as its own counter so reports can aggregate the
-    /// transport and service sides uniformly).
+    /// Payload-buffer pool leases that had to allocate fresh: the
+    /// allocations on the serving hot path.
     pub payload_allocs: u64,
 }
 
@@ -112,7 +109,6 @@ impl ServiceStats {
         self.busy_rejections += other.busy_rejections;
         self.queue_high_water = self.queue_high_water.max(other.queue_high_water);
         self.pool_hits += other.pool_hits;
-        self.pool_misses += other.pool_misses;
         self.payload_allocs += other.payload_allocs;
     }
 }
@@ -348,7 +344,6 @@ impl ServiceQueue {
         if hit {
             self.stats.pool_hits += 1;
         } else {
-            self.stats.pool_misses += 1;
             self.stats.payload_allocs += 1;
         }
     }

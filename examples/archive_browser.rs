@@ -9,7 +9,7 @@
 use minos::corpus;
 use minos::corpus::objects::archived_form;
 use minos::net::Link;
-use minos::presentation::{BrowseCommand, BrowsingSession, MiniatureBrowser, Workstation};
+use minos::presentation::{BrowseCommand, BrowsingSession, Client, MiniatureBrowser};
 use minos::server::ObjectServer;
 use minos::text::PaginateConfig;
 use minos::types::{ObjectId, SimDuration};
@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Query by content from the workstation.
-    let mut ws = Workstation::new(server, Link::ethernet());
+    let mut ws = Client::new(server, Link::ethernet());
     let mut browser = MiniatureBrowser::query(&mut ws, &["shadow"])?;
     println!(
         "\nquery ['shadow'] -> {} qualifying objects ({} bytes over the link so far)",

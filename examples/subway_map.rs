@@ -11,7 +11,7 @@ use minos::image::view::MoveDirection;
 use minos::image::{BlitMode, LabelIndex};
 use minos::net::Link;
 use minos::presentation::remote::RemoteView;
-use minos::presentation::{BrowseCommand, BrowsingSession, Workstation};
+use minos::presentation::{BrowseCommand, BrowsingSession, Client};
 use minos::server::ObjectServer;
 use minos::text::PaginateConfig;
 use minos::types::{ObjectId, Point, SimDuration, Size};
@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // -- Remote views (§2: only the view's data is retrieved) ------------
     let mut server = ObjectServer::new();
     server.publish(parent.clone(), &archived_form(&parent))?;
-    let mut ws = Workstation::new(server, Link::ethernet());
+    let mut ws = Client::new(server, Link::ethernet());
     let mut rv =
         RemoteView::open(ObjectId::new(1), 0, parent.images[0].size(), Size::new(220, 160), 48)?;
     rv.fetch(&mut ws)?;

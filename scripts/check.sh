@@ -94,7 +94,7 @@ trace_gate churn kernel.spurious_share 0.25
 trace_gate lossy_scan pool.allocs_per_page 0.01
 
 # Every example runs to completion, not only compiles: they drive the
-# Workstation, Fleet and scheduler paths end to end from the facade.
+# workstation client, fleet and scheduler paths end to end from the facade.
 for example in quickstart medical_xray voice_dictation subway_map city_tour office_document \
     archive_browser; do
     echo "==> example $example"

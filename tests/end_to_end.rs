@@ -9,7 +9,7 @@
 use minos::corpus::objects::archived_form;
 use minos::net::Link;
 use minos::object::{ArchivedObject, DataKind, DrivingMode, FormatterSession, MultimediaObject};
-use minos::presentation::{BrowseCommand, BrowsingSession, Workstation};
+use minos::presentation::{BrowseCommand, BrowsingSession, Client};
 use minos::server::ObjectServer;
 use minos::text::PaginateConfig;
 use minos::types::{ByteSpan, ObjectId, SimDuration};
@@ -53,7 +53,7 @@ fn formatter_to_browser_pipeline() {
     assert_eq!(server.object_count(), 1);
 
     // 4. Query by content over the link.
-    let mut ws = Workstation::new(server, Link::ethernet());
+    let mut ws = Client::new(server, Link::ethernet());
     let hits = ws.query(&["quetzal"]).unwrap();
     assert_eq!(hits, vec![ObjectId::new(1)]);
     assert!(ws.query(&["nonexistentword"]).unwrap().is_empty());

@@ -10,8 +10,7 @@ use minos::corpus;
 use minos::corpus::objects::archived_form;
 use minos::net::{FaultPlan, Link, LinkStats, ServerRequest, ServerResponse};
 use minos::presentation::{
-    simulate_faulty_page_workload, Client, Connection, Fleet, FleetConnection, Ticket,
-    TransportStats,
+    simulate_faulty_page_workload, Client, Fleet, FleetConnection, Ticket, TransportStats,
 };
 use minos::server::ObjectServer;
 use minos::types::{ByteSpan, ObjectId, SimDuration, SimInstant};
@@ -67,7 +66,7 @@ fn blocking_transport_pays_the_timeouts_the_pipeline_hides() {
     );
 }
 
-/// A server with one queryable object, for driving a raw [`Connection`].
+/// A server with one queryable object, for driving a raw [`Client`].
 fn query_server() -> ObjectServer {
     let mut server = ObjectServer::new();
     let report = corpus::medical_report(ObjectId::new(1), 42);
@@ -86,8 +85,8 @@ fn idle_connection_retransmits_at_its_deadline() {
     // one-member, unreplicated fleet must expire identically.
     let timeout = SimDuration::from_millis(500);
     let plan = FaultPlan::dropping(7, 1.0);
-    let mut conn = Connection::with_faults(query_server(), Link::ethernet(), 4, plan)
-        .with_recovery(timeout, 2);
+    let mut conn =
+        Client::with_faults(query_server(), Link::ethernet(), 4, plan).with_recovery(timeout, 2);
     let ticket = conn.submit(ServerRequest::Query { keywords: vec!["shadow".into()] });
     expires_at_its_deadlines(conn, ticket, timeout);
 
@@ -132,12 +131,8 @@ fn expires_at_its_deadlines(mut conn: Client, ticket: Ticket, timeout: SimDurati
 
 #[test]
 fn queries_retry_through_a_corrupting_link() {
-    let mut conn = Connection::with_faults(
-        query_server(),
-        Link::ethernet(),
-        4,
-        FaultPlan::corrupting(9, 0.15),
-    );
+    let mut conn =
+        Client::with_faults(query_server(), Link::ethernet(), 4, FaultPlan::corrupting(9, 0.15));
     for _ in 0..12 {
         let ticket = conn.submit(ServerRequest::Query { keywords: vec!["shadow".into()] });
         let (response, _) = conn.wait(ticket).unwrap();
@@ -266,7 +261,6 @@ fn tied_deadlines_retransmit_at_pinned_instants_under_advance_to() {
             failovers: 12,
             busy_deferred: 2,
             pool_hits: 18,
-            pool_misses: 8,
             payload_allocs: 8,
             ..TransportStats::default()
         }

@@ -17,9 +17,7 @@ use minos::corpus::{audio_xray_report, medical_report, subway_map_object};
 use minos::net::{Link, ServerRequest, ServerResponse};
 use minos::object::MultimediaObject;
 use minos::presentation::workload::{self, RunReport, WorkloadConfig};
-use minos::presentation::{
-    BrowseCommand, BrowsingSession, Connection, ObjectStore, SessionCheckpoint,
-};
+use minos::presentation::{BrowseCommand, BrowsingSession, Client, ObjectStore, SessionCheckpoint};
 use minos::server::{ObjectServer, ServiceConfig};
 use minos::text::PaginateConfig;
 use minos::types::{ByteSpan, MinosError, ObjectId, Result, SimDuration};
@@ -88,7 +86,7 @@ fn in_flight_window_replays_byte_identically_across_a_restart() {
     };
 
     let (server, base) = build();
-    let mut baseline = Connection::new(server, Link::ethernet());
+    let mut baseline = Client::new(server, Link::ethernet());
     let expect: Vec<ServerResponse> = spans(base)
         .into_iter()
         .map(|span| {
@@ -98,7 +96,7 @@ fn in_flight_window_replays_byte_identically_across_a_restart() {
         .collect();
 
     let (server, base) = build();
-    let mut conn = Connection::new(server, Link::ethernet());
+    let mut conn = Client::new(server, Link::ethernet());
     let tickets: Vec<_> = spans(base)
         .into_iter()
         .map(|span| conn.submit(ServerRequest::FetchSpan { span }))

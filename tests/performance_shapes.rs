@@ -7,7 +7,7 @@
 use minos::corpus::objects::archived_form;
 use minos::corpus::{self, speech};
 use minos::net::Link;
-use minos::presentation::Workstation;
+use minos::presentation::Client;
 use minos::server::ObjectServer;
 use minos::storage::{
     sched::mean_response, simulate_schedule, BlockCache, BlockDevice, OpticalDisk, Request,
@@ -41,7 +41,7 @@ fn e5_views_beat_whole_image_transfer() {
         let archived = archived_form(&object);
         let mut server = ObjectServer::new();
         server.publish(object, &archived).unwrap();
-        let mut ws = Workstation::new(server, Link::ethernet());
+        let mut ws = Client::new(server, Link::ethernet());
 
         ws.fetch_view(id, 0, Rect::new(0, 0, 200, 150)).unwrap();
         let (window_bytes, window_time) = (ws.bytes_transferred(), ws.elapsed());
@@ -71,7 +71,7 @@ fn e6_miniatures_beat_full_objects() {
         let receipt = server.publish(obj.clone(), &archived_form(&obj)).unwrap();
         bases.push((obj.id, receipt.span.start));
     }
-    let mut ws = Workstation::new(server, Link::ethernet());
+    let mut ws = Client::new(server, Link::ethernet());
     let ids: Vec<ObjectId> = bases.iter().map(|(id, _)| *id).collect();
     ws.miniature_stream(&ids).unwrap();
     let miniature_bytes = ws.bytes_transferred();
