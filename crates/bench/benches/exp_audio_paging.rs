@@ -4,31 +4,44 @@
 //! advance several voice pages at a time." (§2) The series verifies the
 //! constant-length property on real dictation and shows page jumps cost
 //! the same regardless of distance (they are coordinate arithmetic, not
-//! playback).
+//! playback). The timings drive an audio-mode engine through the page
+//! arithmetic browsing shares with text.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use minos_bench::{fast_criterion, row};
 use minos_corpus::speech::dictation;
-use minos_types::SimDuration;
-use minos_voice::pause::PauseDetector;
-use minos_voice::synth::{synthesize, SpeakerProfile};
-use minos_voice::{AudioPages, PlaybackEngine};
+use minos_object::{DrivingMode, MultimediaObject, VoiceSegment};
+use minos_presentation::command::Browse;
+use minos_presentation::AudioEngine;
+use minos_types::{ObjectId, PageNumber, SimDuration};
+use minos_voice::synth::SpeakerProfile;
+use minos_voice::{AudioPages, PlaybackState};
 
-fn engine() -> PlaybackEngine {
-    let text = dictation(8, 10, 5);
-    let (audio, _) = synthesize(&text, &SpeakerProfile::CLEAR, 2);
-    let pauses = PauseDetector::new().detect(&audio);
-    PlaybackEngine::new(AudioPages::new(audio.duration(), SimDuration::from_secs(20)), pauses)
+const PAGE_LEN: SimDuration = SimDuration::from_secs(20);
+
+fn dictation_object() -> MultimediaObject {
+    let mut object = MultimediaObject::new(ObjectId::new(1), "dictation", DrivingMode::Audio);
+    object.voice_segments.push(VoiceSegment::dictate(
+        &dictation(8, 10, 5),
+        &SpeakerProfile::CLEAR,
+        2,
+    ));
+    object
+}
+
+fn engine() -> AudioEngine {
+    let mut engine = AudioEngine::new(&dictation_object(), 0, PAGE_LEN).expect("segment 0");
+    engine.open();
+    engine
 }
 
 fn print_series() {
-    let e = engine();
-    let pages = e.pages();
+    let pages = AudioPages::new(dictation_object().voice_segments[0].duration(), PAGE_LEN);
     row("E3", "dictation paged at 20s; page spans:");
     let mut all_but_last_constant = true;
     for i in 0..pages.page_count() {
         let span = pages.span_of(i).unwrap();
-        if i + 1 < pages.page_count() && span.duration() != SimDuration::from_secs(20) {
+        if i + 1 < pages.page_count() && span.duration() != PAGE_LEN {
             all_but_last_constant = false;
         }
         row(
@@ -54,19 +67,18 @@ fn bench(c: &mut Criterion) {
             let mut e = engine();
             b.iter(|| {
                 e.advance_pages(d);
-                e.advance_pages(-d);
+                e.advance_pages(-d)
             })
         });
     }
     group.bench_function("tick_one_second", |b| {
         let mut e = engine();
-        e.play();
         b.iter(|| {
-            let crossings = e.tick(SimDuration::from_secs(1));
-            if e.state() == minos_voice::PlaybackState::Finished {
-                e.goto_page(0);
+            let events = e.tick(SimDuration::from_secs(1));
+            if e.state() == PlaybackState::Finished {
+                e.goto_page(PageNumber::FIRST);
             }
-            crossings
+            events
         })
     });
     group.finish();

@@ -2,9 +2,12 @@
 //!
 //! The symmetric counterpart of [`crate::visual`]: canonical state is a
 //! time position in the object's voice segment, driven by the simulated
-//! clock. Page commands act on audio pages; logical commands on the manual
-//! voice marks; pattern commands on the recognized utterances ("the same
-//! access methods as in text", §2); and the voice-specific commands —
+//! clock. The engine implements the same [`Browse`] trait at the instant
+//! coordinate, so the shared page arithmetic, unit steps and pattern search
+//! run unchanged: pages are audio pages, units the manual voice marks
+//! (the text tree's unit index over instants), patterns the recognized
+//! utterances ("the same access methods as in text", §2). The
+//! voice-specific commands —
 //! interrupt, resume, resume-from-page-start, pause rewind — realize the
 //! browsing-near-the-context the paper designs for unedited dictation.
 //!
@@ -14,10 +17,9 @@
 //! is attached", §2); voice messages anchored to voice positions fire on
 //! entry.
 
-use crate::command::BrowseEvent;
+use crate::command::{Browse, BrowseEvent};
 use minos_object::{Anchor, MessageBody, MultimediaObject};
-use minos_text::LogicalLevel;
-use minos_types::{MinosError, PageNumber, Result, SimDuration, SimInstant, TimeSpan};
+use minos_types::{MinosError, Result, SimDuration, SimInstant, TimeSpan};
 use minos_voice::recognize::UtteranceIndex;
 use minos_voice::{AudioPages, PauseKind, PlaybackEngine, PlaybackState, VoiceMarks};
 use std::collections::HashSet;
@@ -84,24 +86,9 @@ impl AudioEngine {
         self.playback.state()
     }
 
-    /// Current audio page (0-based).
-    pub fn current_page(&self) -> Option<usize> {
-        self.playback.current_page()
-    }
-
-    /// Number of audio pages.
-    pub fn page_count(&self) -> usize {
-        self.playback.pages().page_count()
-    }
-
     /// The visual message currently on display, if any.
     pub fn active_visual_message(&self) -> Option<usize> {
         self.active_visual
-    }
-
-    /// Logical levels available (identified marks only).
-    pub fn available_levels(&self) -> Vec<LogicalLevel> {
-        self.marks.available_levels()
     }
 
     /// Recomputes message activations after a position change, emitting
@@ -136,7 +123,7 @@ impl AudioEngine {
         let mut events = Vec::new();
         self.refresh_messages(&mut events);
         events.push(BrowseEvent::VoicePosition(self.playback.position()));
-        if let Some(p) = self.current_page() {
+        if let Some(p) = self.playback.current_page() {
             events.push(BrowseEvent::PageShown(p));
         }
         events
@@ -186,70 +173,6 @@ impl AudioEngine {
         self.report_position()
     }
 
-    /// Next audio page.
-    pub fn next_page(&mut self) -> Vec<BrowseEvent> {
-        self.playback.next_page();
-        self.report_position()
-    }
-
-    /// Previous audio page.
-    pub fn previous_page(&mut self) -> Vec<BrowseEvent> {
-        self.playback.previous_page();
-        self.report_position()
-    }
-
-    /// Advance several audio pages forth or back.
-    pub fn advance_pages(&mut self, delta: i64) -> Vec<BrowseEvent> {
-        self.playback.advance_pages(delta);
-        self.report_position()
-    }
-
-    /// Jump to an audio page by number.
-    pub fn goto_page(&mut self, page: PageNumber) -> Vec<BrowseEvent> {
-        self.playback.goto_page_number(page);
-        self.report_position()
-    }
-
-    /// Hear the page with the next start of a logical unit.
-    pub fn next_unit(&mut self, level: LogicalLevel) -> Vec<BrowseEvent> {
-        match self.marks.next_start_after(level, self.playback.position()) {
-            Some(start) => {
-                self.playback.seek(start);
-                self.playback.play();
-                self.report_position()
-            }
-            None => vec![BrowseEvent::VoicePosition(self.playback.position())],
-        }
-    }
-
-    /// Hear the page with the previous start of a logical unit.
-    pub fn previous_unit(&mut self, level: LogicalLevel) -> Vec<BrowseEvent> {
-        match self.marks.prev_start_before(level, self.playback.position()) {
-            Some(start) => {
-                self.playback.seek(start);
-                self.playback.play();
-                self.report_position()
-            }
-            None => vec![BrowseEvent::VoicePosition(self.playback.position())],
-        }
-    }
-
-    /// Pattern-match browsing over recognized utterances: seeks to the
-    /// next occurrence of the (spoken or typed) pattern word.
-    pub fn find_pattern(&mut self, pattern: &str) -> Vec<BrowseEvent> {
-        match self.utterances.next_occurrence(pattern, self.playback.position()) {
-            Some(at) => {
-                self.playback.seek(at);
-                self.playback.play();
-                let mut events = self.report_position();
-                let page = self.current_page().unwrap_or(0);
-                events.push(BrowseEvent::PatternFound { page });
-                events
-            }
-            None => vec![BrowseEvent::PatternNotFound],
-        }
-    }
-
     /// Seeks to an absolute position (relevance targets).
     pub fn seek(&mut self, to: SimInstant) -> Vec<BrowseEvent> {
         self.playback.seek(to);
@@ -257,11 +180,56 @@ impl AudioEngine {
     }
 }
 
+/// A jump plays from its target, as the voice page commands always have;
+/// a command that finds nowhere to go reports the unchanged position.
+impl Browse for AudioEngine {
+    type Coord = SimInstant;
+
+    fn position(&self) -> SimInstant {
+        self.playback.position()
+    }
+
+    fn jump(&mut self, to: SimInstant) -> Vec<BrowseEvent> {
+        self.playback.seek(to);
+        self.playback.play();
+        self.report_position()
+    }
+
+    fn stay(&self) -> Vec<BrowseEvent> {
+        vec![BrowseEvent::VoicePosition(self.playback.position())]
+    }
+
+    fn units(&self) -> &VoiceMarks {
+        &self.marks
+    }
+
+    fn find(&self, pattern: &str) -> Option<SimInstant> {
+        self.utterances.next_occurrence(pattern, self.playback.position())
+    }
+
+    fn page_count(&self) -> usize {
+        self.playback.pages().page_count()
+    }
+
+    fn page(&self) -> usize {
+        self.playback.current_page().unwrap_or(0)
+    }
+
+    fn page_start(&self, index: usize) -> Option<SimInstant> {
+        self.playback.pages().span_of(index).map(|span| span.start)
+    }
+
+    fn unpaged(&self) -> Vec<BrowseEvent> {
+        self.stay()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use minos_corpus::audio_xray_report;
-    use minos_types::ObjectId;
+    use minos_text::LogicalLevel;
+    use minos_types::{ObjectId, PageNumber};
 
     fn engine() -> (minos_object::MultimediaObject, AudioEngine) {
         let obj = audio_xray_report(ObjectId::new(1), 7);
@@ -356,7 +324,10 @@ mod tests {
         assert!(events.iter().any(|ev| matches!(ev, BrowseEvent::VoicePosition(_))));
         e.previous_unit(LogicalLevel::Paragraph);
         assert_eq!(e.position(), obj.voice_segments[0].transcript.paragraph_starts[0]);
-        assert!(e.available_levels().contains(&LogicalLevel::Sentence));
+        // No chapter was marked: the step stays and reports the position.
+        let events = e.next_unit(LogicalLevel::Chapter);
+        assert_eq!(events, vec![BrowseEvent::VoicePosition(e.position())]);
+        assert!(e.units().available_levels().contains(&LogicalLevel::Sentence));
     }
 
     #[test]
@@ -381,13 +352,34 @@ mod tests {
         let (_, mut e) = engine();
         e.open();
         e.next_page();
-        assert_eq!(e.current_page(), Some(1));
+        assert_eq!(e.page(), 1);
         e.advance_pages(2);
-        assert_eq!(e.current_page(), Some(3));
+        assert_eq!(e.page(), 3);
         e.previous_page();
-        assert_eq!(e.current_page(), Some(2));
+        assert_eq!(e.page(), 2);
         e.goto_page(PageNumber::FIRST);
-        assert_eq!(e.current_page(), Some(0));
+        assert_eq!(e.page(), 0);
+    }
+
+    #[test]
+    fn page_commands_clamp_and_restart_finished_playback() {
+        let (_, mut e) = engine();
+        e.open();
+        let last = e.page_count() - 1;
+        e.previous_page();
+        assert_eq!(e.page(), 0);
+        e.advance_pages(100);
+        assert_eq!(e.page(), last);
+        e.next_page();
+        assert_eq!(e.page(), last);
+        e.goto_page(PageNumber::new(3).unwrap());
+        assert_eq!(e.page(), 2);
+        assert_eq!(e.position(), SimInstant::EPOCH + SimDuration::from_secs(10));
+        e.tick(SimDuration::from_secs(500));
+        assert_eq!(e.state(), PlaybackState::Finished);
+        e.goto_page(PageNumber::FIRST);
+        assert_eq!(e.state(), PlaybackState::Playing);
+        assert_eq!(e.position(), SimInstant::EPOCH);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! the reserved top strip, and the derived menu in the right-hand column.
 //! Examples and golden tests use this instead of hand-assembling regions.
 
+use crate::command::Browse;
 use crate::session::{BrowsingSession, ObjectStore};
 use minos_image::{Bitmap, BlitMode};
 use minos_object::{MessageBody, MultimediaObject, VisualMessageContent};
@@ -99,7 +100,7 @@ pub fn compose_screen<S: ObjectStore>(
         }
         let display = screen.display_region();
         let pages = audio.page_count().max(1);
-        let current = audio.current_page().unwrap_or(0);
+        let current = audio.page();
         let slot_w = (display.size.width / pages as u32).max(1);
         let y = display.bottom() - 12;
         for p in 0..pages {

@@ -9,7 +9,7 @@
 //! of browsing of the parent object is reestablished." (§2)
 
 use crate::audio::AudioEngine;
-use crate::command::{BrowseCommand, BrowseEvent};
+use crate::command::{browse, Browse, BrowseCommand, BrowseEvent};
 use crate::visual::{VisualEngine, VisualView};
 use minos_object::{relevant, DrivingMode, MultimediaObject, RelevantLink};
 use minos_screen::{Menu, MenuItem};
@@ -372,8 +372,8 @@ impl<S: ObjectStore> BrowsingSession<S> {
             MenuItem::new("find pattern"),
         ];
         let levels = match &frame.engine {
-            ModeEngine::Visual(_) => frame.object.available_logical_levels(),
-            ModeEngine::Audio(e) => e.available_levels(),
+            ModeEngine::Visual(e) => e.units().available_levels(),
+            ModeEngine::Audio(e) => e.units().available_levels(),
         };
         for level in levels {
             items.push(MenuItem::new(format!("next {level}")));
@@ -410,39 +410,24 @@ impl<S: ObjectStore> BrowsingSession<S> {
             BrowseCommand::ReturnFromRelevant => return self.return_from_relevant(),
             _ => {}
         }
-        let frame = self.top_mut();
-        let events = match (&mut frame.engine, command) {
-            (ModeEngine::Visual(e), BrowseCommand::NextPage) => e.next_page(),
-            (ModeEngine::Visual(e), BrowseCommand::PreviousPage) => e.previous_page(),
-            (ModeEngine::Visual(e), BrowseCommand::AdvancePages(d)) => e.advance_pages(d),
-            (ModeEngine::Visual(e), BrowseCommand::GotoPage(p)) => e.goto_page(p),
-            (ModeEngine::Visual(e), BrowseCommand::NextUnit(l)) => e.next_unit(l),
-            (ModeEngine::Visual(e), BrowseCommand::PreviousUnit(l)) => e.previous_unit(l),
-            (ModeEngine::Visual(e), BrowseCommand::FindPattern(p)) => e.find_pattern(&p),
-            (ModeEngine::Visual(_), cmd) => {
-                return Err(MinosError::OperationUnavailable(format!(
+        // The shared commands run the one generic path; only the voice
+        // operations keep a per-mode one.
+        match &mut self.top_mut().engine {
+            ModeEngine::Visual(e) => browse(e.as_mut(), command).map_err(|cmd| {
+                MinosError::OperationUnavailable(format!(
                     "{cmd:?} is a voice operation; this object drives visually"
-                )))
-            }
-            (ModeEngine::Audio(e), BrowseCommand::NextPage) => e.next_page(),
-            (ModeEngine::Audio(e), BrowseCommand::PreviousPage) => e.previous_page(),
-            (ModeEngine::Audio(e), BrowseCommand::AdvancePages(d)) => e.advance_pages(d),
-            (ModeEngine::Audio(e), BrowseCommand::GotoPage(p)) => e.goto_page(p),
-            (ModeEngine::Audio(e), BrowseCommand::NextUnit(l)) => e.next_unit(l),
-            (ModeEngine::Audio(e), BrowseCommand::PreviousUnit(l)) => e.previous_unit(l),
-            (ModeEngine::Audio(e), BrowseCommand::FindPattern(p)) => e.find_pattern(&p),
-            (ModeEngine::Audio(e), BrowseCommand::Interrupt) => e.interrupt(),
-            (ModeEngine::Audio(e), BrowseCommand::Resume) => e.resume(),
-            (ModeEngine::Audio(e), BrowseCommand::ResumePageStart) => e.resume_page_start(),
-            (ModeEngine::Audio(e), BrowseCommand::RewindPauses(kind, n)) => {
-                e.rewind_pauses(kind, n)
-            }
-            // Relevant navigation was dispatched above.
-            (_, BrowseCommand::SelectRelevant(_)) | (_, BrowseCommand::ReturnFromRelevant) => {
-                unreachable!("handled before engine dispatch")
-            }
-        };
-        Ok(events)
+                ))
+            }),
+            ModeEngine::Audio(e) => Ok(match browse(e.as_mut(), command) {
+                Ok(events) => events,
+                Err(BrowseCommand::Interrupt) => e.interrupt(),
+                Err(BrowseCommand::Resume) => e.resume(),
+                Err(BrowseCommand::ResumePageStart) => e.resume_page_start(),
+                Err(BrowseCommand::RewindPauses(kind, n)) => e.rewind_pauses(kind, n),
+                // Relevant navigation was dispatched above.
+                Err(_) => unreachable!("handled before engine dispatch"),
+            }),
+        }
     }
 
     /// Advances simulated time (audio playback, message durations).
@@ -477,12 +462,10 @@ impl<S: ObjectStore> BrowsingSession<S> {
         let parent = self.top().object.id;
         let mut events = vec![BrowseEvent::ReturnedToParent(parent)];
         // Re-announce the restored page so UIs repaint.
-        match &self.top().engine {
-            ModeEngine::Visual(e) => events.push(BrowseEvent::PageShown(e.page_index())),
-            ModeEngine::Audio(e) => {
-                events.push(BrowseEvent::PageShown(e.current_page().unwrap_or(0)))
-            }
-        }
+        events.push(BrowseEvent::PageShown(match &self.top().engine {
+            ModeEngine::Visual(e) => e.shown_page(),
+            ModeEngine::Audio(e) => e.shown_page(),
+        }));
         Ok(events)
     }
 }
@@ -621,21 +604,97 @@ mod tests {
         assert_eq!(session.object().id, ObjectId::new(3));
     }
 
+    /// A parent of driving mode `mode` — the report's text, or the
+    /// dictation's voice — whose one relevant link, to `target`, is
+    /// anchored over the second half of the part, past its first page.
+    fn parent_with_late_link(mode: DrivingMode, target: ObjectId) -> MultimediaObject {
+        let mut parent = MultimediaObject::new(ObjectId::new(20), "late link", mode);
+        let anchor = match mode {
+            DrivingMode::Visual => {
+                parent.text_segments = medical_report(ObjectId::new(1), 42).text_segments;
+                let len = parent.text_segments[0].len();
+                minos_object::Anchor::TextSegment {
+                    segment: 0,
+                    span: minos_types::CharSpan::new(len / 2, len),
+                }
+            }
+            DrivingMode::Audio => {
+                parent.voice_segments = audio_xray_report(ObjectId::new(2), 7).voice_segments;
+                let end = SimInstant::EPOCH + parent.voice_segments[0].duration();
+                let half = SimInstant::EPOCH + parent.voice_segments[0].duration() / 2;
+                minos_object::Anchor::VoiceSegment {
+                    segment: 0,
+                    span: minos_types::TimeSpan::new(half, end),
+                }
+            }
+        };
+        parent.relevant.push(minos_object::RelevantLink {
+            label: "related".into(),
+            target,
+            anchor,
+            relevances: vec![],
+        });
+        parent.archive().unwrap();
+        parent
+    }
+
     #[test]
     fn parent_browsing_state_is_reestablished() {
-        let (mut session, _) = open(1);
+        // A visual parent: page forward until the link's indicator shows,
+        // browse the (audio) relevant object, and return.
+        let mut map = store();
+        let parent = parent_with_late_link(DrivingMode::Visual, ObjectId::new(2));
+        map.insert(parent.id, parent);
+        // Small pages, so the report spans several.
+        let config = PaginateConfig {
+            page_size: minos_types::Size::new(420, 260),
+            margin: 10,
+            block_gap: 6,
+        };
+        let (mut session, _) =
+            BrowsingSession::open(map, ObjectId::new(20), config, SimDuration::from_secs(5))
+                .unwrap();
+        for _ in 0..100 {
+            if !session.visible_relevant().is_empty() {
+                break;
+            }
+            session.apply(BrowseCommand::NextPage).unwrap();
+        }
+        let position = session.visual_position();
+        let page = session.visual_view().unwrap().page_index;
+        assert!(page > 0, "the link sits past page 1");
+        session.apply(BrowseCommand::SelectRelevant(0)).unwrap();
+        session.tick(SimDuration::from_secs(3));
         session.apply(BrowseCommand::NextPage).unwrap();
+        session.apply(BrowseCommand::ReturnFromRelevant).unwrap();
+        assert_eq!(session.object().id, ObjectId::new(20));
+        assert_eq!(session.visual_position(), position);
+        assert_eq!(session.visual_view().unwrap().page_index, page);
+
+        // An audio parent: play into the link's anchor, interrupt, browse
+        // the (visual) relevant object, and return.
+        let mut map = store();
+        let parent = parent_with_late_link(DrivingMode::Audio, ObjectId::new(1));
+        map.insert(parent.id, parent);
+        let (mut session, _) =
+            BrowsingSession::open(map, ObjectId::new(20), config, SimDuration::from_secs(5))
+                .unwrap();
+        for _ in 0..100 {
+            if !session.visible_relevant().is_empty() {
+                break;
+            }
+            session.tick(SimDuration::from_secs(1));
+        }
+        session.apply(BrowseCommand::Interrupt).unwrap();
+        let position = session.audio().unwrap().position();
+        let state = session.audio().unwrap().state();
+        assert!(position > SimInstant::EPOCH + SimDuration::from_secs(5), "past page 1");
+        session.apply(BrowseCommand::SelectRelevant(0)).unwrap();
         session.apply(BrowseCommand::NextPage).unwrap();
-        let page_before = session.visual_view().unwrap().page_index;
-        // The report has no relevant links, so fake a round trip through
-        // the map: open it as a second session instead.
-        // (State restoration proper is covered via the subway object.)
-        let (mut map_session, _) = open(3);
-        map_session.apply(BrowseCommand::SelectRelevant(1)).unwrap();
-        map_session.apply(BrowseCommand::NextPage).unwrap();
-        map_session.apply(BrowseCommand::ReturnFromRelevant).unwrap();
-        assert_eq!(map_session.object().id, ObjectId::new(3));
-        let _ = page_before;
+        session.apply(BrowseCommand::ReturnFromRelevant).unwrap();
+        assert_eq!(session.object().id, ObjectId::new(20));
+        assert_eq!(session.audio().unwrap().position(), position);
+        assert_eq!(session.audio().unwrap().state(), state);
     }
 
     #[test]

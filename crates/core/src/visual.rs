@@ -1,8 +1,9 @@
 //! The visual-mode browsing engine.
 //!
 //! Canonical state is a character position in the object's text segment.
-//! Page, logical and pattern commands move that position; the engine then
-//! decides what the screen shows:
+//! The engine implements [`Browse`] over that position: the shared page,
+//! logical and pattern commands move it through [`Browse::jump`], and the
+//! engine then decides what the screen shows:
 //!
 //! * normally, the base presentation form's page containing the position;
 //! * inside the anchor of a *visual logical message*, the related text is
@@ -16,12 +17,12 @@
 //!   logical message will be played when the user first branches into the
 //!   corresponding segments during browsing", §2).
 
-use crate::command::BrowseEvent;
+use crate::command::{Browse, BrowseEvent};
 use minos_object::{Anchor, MessageBody, MultimediaObject};
 use minos_text::{
-    Document, LogicalLevel, PaginateConfig, PatternSearcher, PresentationForm, VisualPage,
+    Document, PaginateConfig, PatternSearcher, PresentationForm, UnitIndex, VisualPage,
 };
-use minos_types::{CharSpan, MinosError, PageNumber, Result};
+use minos_types::{CharSpan, MinosError, Result};
 use std::collections::HashSet;
 
 /// A pinned-message region: the message, its anchor span, and the related
@@ -140,16 +141,6 @@ impl VisualEngine {
         &self.doc
     }
 
-    /// Current canonical position (character offset).
-    pub fn position(&self) -> u32 {
-        self.pos
-    }
-
-    /// The base form's page count (user-facing page numbering).
-    pub fn base_page_count(&self) -> usize {
-        self.base_form.page_count()
-    }
-
     /// The index of the active pinned region, honouring show-once
     /// suppression.
     fn active_region_index(&self) -> Option<usize> {
@@ -168,13 +159,6 @@ impl VisualEngine {
         }
     }
 
-    /// 0-based index of the shown page within the active form: the
-    /// [`VisualView::page_index`] of [`VisualEngine::view`], without
-    /// cloning the page.
-    pub fn page_index(&self) -> usize {
-        self.active_form().1.page_containing(self.pos).unwrap_or(0)
-    }
-
     /// What the screen shows now.
     pub fn view(&self) -> VisualView {
         let (region, form) = self.active_form();
@@ -188,9 +172,49 @@ impl VisualEngine {
         }
     }
 
+    /// Reports the initial presentation (messages anchored at the start
+    /// fire here).
+    pub fn open(&mut self) -> Vec<BrowseEvent> {
+        self.pinned_now = None;
+        self.jump(0)
+    }
+
+    /// Seeks directly to a character position (relevance targets).
+    pub fn seek(&mut self, pos: u32) -> Vec<BrowseEvent> {
+        self.jump(pos)
+    }
+
+    /// The show-once messages already displayed, in ascending order —
+    /// checkpoint state: a resumed engine that forgot these would re-pin
+    /// a "show once" message the user has already seen.
+    pub fn shown_once(&self) -> Vec<usize> {
+        let mut shown: Vec<usize> = self.shown_once.iter().copied().collect();
+        shown.sort_unstable();
+        shown
+    }
+
+    /// Marks `messages` as already shown (checkpoint restore). Call
+    /// before [`VisualEngine::seek`]: the seek recomputes the active
+    /// region honouring the restored suppression.
+    pub fn restore_shown_once(&mut self, messages: &[usize]) {
+        self.shown_once.extend(messages.iter().copied());
+        self.pinned_now = self.active_region_index().map(|r| self.regions[r].message);
+    }
+}
+
+/// Page commands address the base form (user-facing page numbering), but
+/// the shown page is the active form's, and next/previous page walk the
+/// active form so that paging runs through a pinned region.
+impl Browse for VisualEngine {
+    type Coord = u32;
+
+    fn position(&self) -> u32 {
+        self.pos
+    }
+
     /// Moves the canonical position, emitting entry/exit events for
     /// logical messages and the page-shown event.
-    fn goto_pos(&mut self, pos: u32) -> Vec<BrowseEvent> {
+    fn jump(&mut self, pos: u32) -> Vec<BrowseEvent> {
         let mut events = Vec::new();
         self.pos = pos.min(self.doc.len());
         // Voice messages: fire on entry.
@@ -214,123 +238,60 @@ impl VisualEngine {
             }
             self.pinned_now = now;
         }
-        events.push(BrowseEvent::PageShown(self.page_index()));
+        events.push(BrowseEvent::PageShown(self.shown_page()));
         events
     }
 
-    /// Reports the initial presentation (messages anchored at the start
-    /// fire here).
-    pub fn open(&mut self) -> Vec<BrowseEvent> {
-        self.pinned_now = None;
-        self.goto_pos(0)
+    fn stay(&self) -> Vec<BrowseEvent> {
+        vec![BrowseEvent::PageShown(self.shown_page())]
     }
 
-    /// Turn to the next page of the active form; past the end of a pinned
+    fn units(&self) -> &UnitIndex<u32> {
+        self.doc.tree().units()
+    }
+
+    fn find(&self, pattern: &str) -> Option<u32> {
+        PatternSearcher::new(pattern).find_next(self.doc.chars(), self.pos + 1)
+    }
+
+    fn page_count(&self) -> usize {
+        self.base_form.page_count()
+    }
+
+    fn page(&self) -> usize {
+        self.base_form.page_containing(self.pos).unwrap_or(0)
+    }
+
+    fn page_start(&self, index: usize) -> Option<u32> {
+        self.base_form.page(index).and_then(|p| p.span).map(|s| s.start)
+    }
+
+    /// The shown page's index within the active form: the
+    /// [`VisualView::page_index`] of [`VisualEngine::view`], without
+    /// cloning the page.
+    fn shown_page(&self) -> usize {
+        self.active_form().1.page_containing(self.pos).unwrap_or(0)
+    }
+
+    /// Turns to the next page of the active form; past the end of a pinned
     /// region this exits the region (Figure 4's final page turn).
-    pub fn next_page(&mut self) -> Vec<BrowseEvent> {
+    fn next_page(&mut self) -> Vec<BrowseEvent> {
         let (region, form) = self.active_form();
         let idx = form.page_containing(self.pos).unwrap_or(0);
         let next = form.page(idx + 1).and_then(|p| p.span).map(|s| s.start);
         let exit = region.map(|r| r.span.end.min(self.doc.len()));
-        match next.or(exit) {
-            Some(pos) => self.goto_pos(pos),
-            None => vec![BrowseEvent::PageShown(self.page_index())],
-        }
+        self.jump_or_stay(next.or(exit))
     }
 
-    /// Turn to the previous page of the active form; before a pinned
+    /// Turns to the previous page of the active form; before a pinned
     /// region's first page this exits backwards.
-    pub fn previous_page(&mut self) -> Vec<BrowseEvent> {
+    fn previous_page(&mut self) -> Vec<BrowseEvent> {
         let (region, form) = self.active_form();
         let idx = form.page_containing(self.pos).unwrap_or(0);
         let prev =
             idx.checked_sub(1).and_then(|i| form.page(i)).and_then(|p| p.span).map(|s| s.start);
         let exit = region.map(|r| r.span.start.saturating_sub(1));
-        match prev.or(exit) {
-            Some(pos) => self.goto_pos(pos),
-            None => vec![BrowseEvent::PageShown(self.page_index())],
-        }
-    }
-
-    /// Advance `delta` pages of the *base* form (absolute page
-    /// arithmetic, clamped).
-    pub fn advance_pages(&mut self, delta: i64) -> Vec<BrowseEvent> {
-        let count = self.base_form.page_count();
-        if count == 0 {
-            return Vec::new();
-        }
-        let cur = self.base_form.page_containing(self.pos).unwrap_or(0) as i64;
-        let target = (cur + delta).clamp(0, count as i64 - 1) as usize;
-        self.goto_base_page(target)
-    }
-
-    /// Jump to an absolute base-form page number.
-    pub fn goto_page(&mut self, page: PageNumber) -> Vec<BrowseEvent> {
-        let count = self.base_form.page_count();
-        if count == 0 {
-            return Vec::new();
-        }
-        self.goto_base_page(page.index().min(count - 1))
-    }
-
-    fn goto_base_page(&mut self, index: usize) -> Vec<BrowseEvent> {
-        match self.base_form.page(index).and_then(|p| p.span) {
-            Some(span) => self.goto_pos(span.start),
-            None => vec![BrowseEvent::PageShown(self.page_index())],
-        }
-    }
-
-    /// "See the page with the next start of a logical unit" (§2).
-    pub fn next_unit(&mut self, level: LogicalLevel) -> Vec<BrowseEvent> {
-        match self.doc.tree().next_start_after(level, self.pos) {
-            Some(unit) => self.goto_pos(unit.span.start),
-            None => vec![BrowseEvent::PageShown(self.page_index())],
-        }
-    }
-
-    /// The previous start of a logical unit.
-    pub fn previous_unit(&mut self, level: LogicalLevel) -> Vec<BrowseEvent> {
-        match self.doc.tree().prev_start_before(level, self.pos) {
-            Some(unit) => self.goto_pos(unit.span.start),
-            None => vec![BrowseEvent::PageShown(self.page_index())],
-        }
-    }
-
-    /// "The system returns the next page with the occurrence of this
-    /// pattern" (§2).
-    pub fn find_pattern(&mut self, pattern: &str) -> Vec<BrowseEvent> {
-        let searcher = PatternSearcher::new(pattern);
-        match searcher.find_next(self.doc.chars(), self.pos + 1) {
-            Some(hit) => {
-                let mut events = self.goto_pos(hit);
-                let page = self.page_index();
-                events.push(BrowseEvent::PatternFound { page });
-                events
-            }
-            None => vec![BrowseEvent::PatternNotFound],
-        }
-    }
-
-    /// Seeks directly to a character position (relevance targets).
-    pub fn seek(&mut self, pos: u32) -> Vec<BrowseEvent> {
-        self.goto_pos(pos)
-    }
-
-    /// The show-once messages already displayed, in ascending order —
-    /// checkpoint state: a resumed engine that forgot these would re-pin
-    /// a "show once" message the user has already seen.
-    pub fn shown_once(&self) -> Vec<usize> {
-        let mut shown: Vec<usize> = self.shown_once.iter().copied().collect();
-        shown.sort_unstable();
-        shown
-    }
-
-    /// Marks `messages` as already shown (checkpoint restore). Call
-    /// before [`VisualEngine::seek`]: the seek recomputes the active
-    /// region honouring the restored suppression.
-    pub fn restore_shown_once(&mut self, messages: &[usize]) {
-        self.shown_once.extend(messages.iter().copied());
-        self.pinned_now = self.active_region_index().map(|r| self.regions[r].message);
+        self.jump_or_stay(prev.or(exit))
     }
 }
 
@@ -338,7 +299,8 @@ impl VisualEngine {
 mod tests {
     use super::*;
     use minos_corpus::medical_report;
-    use minos_types::ObjectId;
+    use minos_text::LogicalLevel;
+    use minos_types::{ObjectId, PageNumber};
 
     /// Small pages, so the report and its pinned region span several.
     fn small_pages() -> PaginateConfig {
@@ -359,7 +321,7 @@ mod tests {
         let events = e.open();
         assert!(events.contains(&BrowseEvent::PageShown(0)));
         assert_eq!(e.view().page_index, 0);
-        assert!(e.base_page_count() > 1);
+        assert!(e.page_count() > 1);
     }
 
     #[test]
@@ -468,15 +430,9 @@ mod tests {
         let (_, mut e) = engine();
         e.open();
         e.goto_page(PageNumber::new(2).unwrap());
-        assert_eq!(e.base_form_page(), 1);
+        assert_eq!(e.page(), 1);
         e.goto_page(PageNumber::new(999).unwrap());
-        assert_eq!(e.base_form_page(), e.base_page_count() - 1);
-    }
-
-    impl VisualEngine {
-        fn base_form_page(&self) -> usize {
-            self.base_form.page_containing(self.pos).unwrap_or(0)
-        }
+        assert_eq!(e.page(), e.page_count() - 1);
     }
 
     #[test]
@@ -538,7 +494,7 @@ mod tests {
             ($call:expr) => {{
                 let events = $call;
                 assert_eq!(
-                    e.page_index(),
+                    e.shown_page(),
                     e.view().page_index,
                     "after {} at {}",
                     stringify!($call),
@@ -554,7 +510,7 @@ mod tests {
         for _ in 0..60 {
             step!(e.previous_page());
         }
-        assert_eq!(e.page_index(), 0);
+        assert_eq!(e.shown_page(), 0);
         // Forwards: into and out of the x-ray; the note stays suppressed.
         for _ in 0..60 {
             step!(e.next_page());
@@ -583,6 +539,22 @@ mod tests {
         assert!(count(BrowseEvent::VisualMessagePinned(0)) >= 2, "x-ray pinned both ways");
         assert!(count(BrowseEvent::VisualMessageUnpinned) >= 3, "regions left both ways");
         assert!(seen.iter().any(|ev| matches!(ev, BrowseEvent::PatternFound { .. })));
+    }
+
+    #[test]
+    fn a_text_less_object_has_no_pages_to_turn() {
+        let (map, _) = minos_corpus::subway_map_object(
+            ObjectId::new(3),
+            ObjectId::new(4),
+            ObjectId::new(5),
+            11,
+        );
+        let mut e = VisualEngine::new(&map, 0, PaginateConfig::default()).unwrap();
+        e.open();
+        assert_eq!(e.page_count(), 0);
+        assert!(e.advance_pages(2).is_empty());
+        assert!(e.goto_page(PageNumber::FIRST).is_empty());
+        assert_eq!(e.next_unit(LogicalLevel::Word), vec![BrowseEvent::PageShown(0)]);
     }
 
     #[test]

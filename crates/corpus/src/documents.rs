@@ -153,7 +153,7 @@ mod tests {
         assert!(tree.abstract_span.is_some());
         assert!(tree.references.is_some());
         assert_eq!(tree.chapters[0].sections.len(), 2);
-        assert!(tree.count(LogicalLevel::Paragraph) >= 4 * 2 * 3);
+        assert!(tree.units().count(LogicalLevel::Paragraph) >= 4 * 2 * 3);
     }
 
     #[test]

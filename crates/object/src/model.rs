@@ -78,7 +78,7 @@ impl VoiceSegment {
             audio,
             transcript,
             pauses,
-            marks: VoiceMarks::none(),
+            marks: VoiceMarks::default(),
             utterances: Vec::new(),
         }
     }
@@ -86,7 +86,7 @@ impl VoiceSegment {
     /// Adds manual logical marks for the given levels (the speaker pressed
     /// the buttons while dictating).
     pub fn with_marks(mut self, levels: &[LogicalLevel]) -> Self {
-        self.marks = VoiceMarks::from_transcript(&self.transcript, levels);
+        self.marks = minos_voice::marks::from_transcript(&self.transcript, levels);
         self
     }
 
@@ -295,20 +295,6 @@ impl MultimediaObject {
         self.state = ObjectState::Archived;
         Ok(())
     }
-
-    /// Logical levels available for logical browsing under the driving
-    /// mode: the text tree's levels for visual objects, the voice marks'
-    /// levels for audio objects. Menu options derive from this.
-    pub fn available_logical_levels(&self) -> Vec<LogicalLevel> {
-        match self.driving_mode {
-            DrivingMode::Visual => {
-                self.text_segments.first().map(|d| d.tree().available_levels()).unwrap_or_default()
-            }
-            DrivingMode::Audio => {
-                self.voice_segments.first().map(|v| v.marks.available_levels()).unwrap_or_default()
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -410,21 +396,6 @@ mod tests {
         assert!(seg.marks.available_levels().is_empty());
         let marked = seg.with_marks(&[LogicalLevel::Paragraph]);
         assert_eq!(marked.marks.available_levels(), vec![LogicalLevel::Paragraph]);
-    }
-
-    #[test]
-    fn available_levels_follow_driving_mode() {
-        let obj = base_object();
-        assert!(!obj.available_logical_levels().is_empty());
-        let mut audio_obj = MultimediaObject::new(ObjectId::new(2), "memo", DrivingMode::Audio);
-        audio_obj.voice_segments.push(
-            VoiceSegment::dictate("alpha beta.\ngamma delta.", &SpeakerProfile::CLEAR, 1)
-                .with_marks(&[LogicalLevel::Paragraph]),
-        );
-        assert_eq!(audio_obj.available_logical_levels(), vec![LogicalLevel::Paragraph]);
-        // An audio object without marks offers no logical browsing.
-        let bare = MultimediaObject::new(ObjectId::new(3), "raw", DrivingMode::Audio);
-        assert!(bare.available_logical_levels().is_empty());
     }
 
     #[test]

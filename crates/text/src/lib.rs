@@ -11,7 +11,8 @@
 //!   user inserts in order to format the text";
 //! * [`document`] — the parsed document: a canonical character stream,
 //!   style runs, layout blocks, and figure anchors;
-//! * [`logical`] — the logical structure tree and navigation over it
+//! * [`logical`] — the logical structure tree, and the unit index over any
+//!   ordered coordinate that text and voice both navigate by
 //!   (next/previous chapter, section, paragraph, sentence, word);
 //! * [`font`] — deterministic font metrics for the simulated workstation
 //!   display;
@@ -35,7 +36,7 @@ pub mod search;
 pub use document::{Block, Document, DocumentBuilder, FigureRef, Style, StyleRun};
 pub use font::{Emphasis, FontFamily, FontMetrics, FontSpec};
 pub use layout::{LaidBlock, Line, PlacedRun};
-pub use logical::{LogicalLevel, LogicalTree, UnitRef};
+pub use logical::{LogicalLevel, LogicalTree, UnitIndex};
 pub use markup::parse_markup;
 pub use paginate::{PageElement, PaginateConfig, PresentationForm, VisualPage};
 pub use search::{PatternSearcher, WordIndex};

@@ -1,4 +1,4 @@
-//! The logical structure tree and navigation over it.
+//! The logical structure tree and the unit index both media browse by.
 //!
 //! "A text segment of a multimedia object in MINOS may be logically
 //! subdivided into title, abstract, chapters, and references. Each chapter
@@ -7,12 +7,13 @@
 //!
 //! "Browsing capabilities in text or in voice allow the user to see or hear
 //! the page with the next or previous start of a logical unit (such as
-//! chapter, section, etc.)." — that navigation is implemented here as binary
-//! searches over the per-level span lists.
-//!
-//! Crucially, the *same* [`LogicalLevel`] enum and navigation API are reused
-//! by the voice substrate: this shared vocabulary is half of the paper's
-//! symmetry argument.
+//! chapter, section, etc.)." That navigation is written once, in
+//! [`UnitIndex`]: the sorted unit starts of each [`LogicalLevel`] over any
+//! ordered coordinate, searched by binary search. The text tree indexes
+//! character offsets ([`LogicalTree::units`], a `UnitIndex<u32>`); the
+//! voice substrate's manual marks index instants (`minos_voice::VoiceMarks`,
+//! a `UnitIndex<SimInstant>`). One type for both carriers is the paper's
+//! symmetry argument made literal.
 
 use minos_types::CharSpan;
 use std::fmt;
@@ -80,15 +81,58 @@ impl fmt::Display for LogicalLevel {
     }
 }
 
-/// A resolved reference to one logical unit.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct UnitRef {
-    /// The unit's level.
-    pub level: LogicalLevel,
-    /// Index of the unit within its level (0-based, document order).
-    pub index: usize,
-    /// Characters covered by the unit.
-    pub span: CharSpan,
+/// The identified logical units of one carrier: per level, the sorted
+/// distinct starts of its units in the carrier's coordinate `C`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct UnitIndex<C> {
+    starts: [Vec<C>; 5],
+}
+
+impl<C> Default for UnitIndex<C> {
+    fn default() -> Self {
+        UnitIndex { starts: Default::default() }
+    }
+}
+
+impl<C: Copy + Ord> UnitIndex<C> {
+    /// Records the unit starts of `level`, sorted and deduplicated. An
+    /// empty list leaves the level unidentified.
+    pub fn with_level(mut self, level: LogicalLevel, mut starts: Vec<C>) -> Self {
+        starts.sort_unstable();
+        starts.dedup();
+        self.starts[level as usize] = starts;
+        self
+    }
+
+    /// The unit starts at `level`, sorted.
+    pub fn starts(&self, level: LogicalLevel) -> &[C] {
+        &self.starts[level as usize]
+    }
+
+    /// Levels with at least one unit, coarsest first. Drives the menu:
+    /// only identified levels yield browsing options.
+    pub fn available_levels(&self) -> Vec<LogicalLevel> {
+        LogicalLevel::ALL.into_iter().filter(|l| !self.starts(*l).is_empty()).collect()
+    }
+
+    /// The first unit start at `level` strictly after `at` ("next
+    /// chapter").
+    pub fn next_start_after(&self, level: LogicalLevel, at: C) -> Option<C> {
+        let starts = self.starts(level);
+        starts.get(starts.partition_point(|&s| s <= at)).copied()
+    }
+
+    /// The last unit start at `level` strictly before `at` ("previous
+    /// section").
+    pub fn prev_start_before(&self, level: LogicalLevel, at: C) -> Option<C> {
+        let starts = self.starts(level);
+        starts.partition_point(|&s| s < at).checked_sub(1).map(|i| starts[i])
+    }
+
+    /// Number of distinct unit starts at `level`.
+    pub fn count(&self, level: LogicalLevel) -> usize {
+        self.starts(level).len()
+    }
 }
 
 /// The logical structure of a text segment.
@@ -108,14 +152,11 @@ pub struct LogicalTree {
     pub sentences: Vec<CharSpan>,
     /// All word spans, document order.
     pub words: Vec<CharSpan>,
-
-    // Flattened caches for navigation.
-    chapter_spans: Vec<CharSpan>,
-    section_spans: Vec<CharSpan>,
+    units: UnitIndex<u32>,
 }
 
 impl LogicalTree {
-    /// Assembles a tree, computing the flattened navigation caches.
+    /// Assembles a tree, indexing every unit's start for navigation.
     pub fn new(
         title: Option<CharSpan>,
         abstract_span: Option<CharSpan>,
@@ -125,9 +166,16 @@ impl LogicalTree {
         sentences: Vec<CharSpan>,
         words: Vec<CharSpan>,
     ) -> Self {
-        let chapter_spans = chapters.iter().map(|c| c.span).collect();
-        let section_spans =
-            chapters.iter().flat_map(|c| c.sections.iter().map(|s| s.span)).collect();
+        let starts = |spans: &[CharSpan]| spans.iter().map(|s| s.start).collect();
+        let units = UnitIndex::default()
+            .with_level(LogicalLevel::Chapter, chapters.iter().map(|c| c.span.start).collect())
+            .with_level(
+                LogicalLevel::Section,
+                chapters.iter().flat_map(|c| &c.sections).map(|s| s.span.start).collect(),
+            )
+            .with_level(LogicalLevel::Paragraph, starts(&paragraphs))
+            .with_level(LogicalLevel::Sentence, starts(&sentences))
+            .with_level(LogicalLevel::Word, starts(&words));
         LogicalTree {
             title,
             abstract_span,
@@ -136,56 +184,14 @@ impl LogicalTree {
             paragraphs,
             sentences,
             words,
-            chapter_spans,
-            section_spans,
+            units,
         }
     }
 
-    /// Spans of all units at `level`, in document order.
-    pub fn spans(&self, level: LogicalLevel) -> &[CharSpan] {
-        match level {
-            LogicalLevel::Chapter => &self.chapter_spans,
-            LogicalLevel::Section => &self.section_spans,
-            LogicalLevel::Paragraph => &self.paragraphs,
-            LogicalLevel::Sentence => &self.sentences,
-            LogicalLevel::Word => &self.words,
-        }
-    }
-
-    /// Levels for which at least one unit was identified. Drives the menu:
-    /// only identified levels yield browsing options.
-    pub fn available_levels(&self) -> Vec<LogicalLevel> {
-        LogicalLevel::ALL.into_iter().filter(|l| !self.spans(*l).is_empty()).collect()
-    }
-
-    /// The first unit at `level` starting strictly after `pos`
-    /// ("next chapter" from the current position).
-    pub fn next_start_after(&self, level: LogicalLevel, pos: u32) -> Option<UnitRef> {
-        let spans = self.spans(level);
-        let idx = spans.partition_point(|s| s.start <= pos);
-        spans.get(idx).map(|s| UnitRef { level, index: idx, span: *s })
-    }
-
-    /// The last unit at `level` starting strictly before `pos`
-    /// ("previous section").
-    pub fn prev_start_before(&self, level: LogicalLevel, pos: u32) -> Option<UnitRef> {
-        let spans = self.spans(level);
-        let idx = spans.partition_point(|s| s.start < pos);
-        idx.checked_sub(1).map(|i| UnitRef { level, index: i, span: spans[i] })
-    }
-
-    /// The unit at `level` whose span contains `pos`, if any.
-    pub fn unit_containing(&self, level: LogicalLevel, pos: u32) -> Option<UnitRef> {
-        let spans = self.spans(level);
-        let idx = spans.partition_point(|s| s.start <= pos);
-        idx.checked_sub(1).and_then(|i| {
-            spans[i].contains(pos).then_some(UnitRef { level, index: i, span: spans[i] })
-        })
-    }
-
-    /// Number of units at `level`.
-    pub fn count(&self, level: LogicalLevel) -> usize {
-        self.spans(level).len()
+    /// The unit starts, in character offsets, that logical browsing steps
+    /// between.
+    pub fn units(&self) -> &UnitIndex<u32> {
+        &self.units
     }
 }
 
@@ -213,7 +219,7 @@ mod tests {
     #[test]
     fn available_levels_reflect_content() {
         let (t, _) = tree();
-        let levels = t.available_levels();
+        let levels = t.units().available_levels();
         assert_eq!(
             levels,
             vec![
@@ -225,51 +231,19 @@ mod tests {
             ]
         );
         let empty = LogicalTree::default();
-        assert!(empty.available_levels().is_empty());
-    }
-
-    #[test]
-    fn next_start_after_moves_forward() {
-        let (t, _) = tree();
-        // From the very beginning, next chapter is chapter Two (chapter One
-        // starts at 0 which is not strictly after 0).
-        let next = t.next_start_after(LogicalLevel::Chapter, 0).unwrap();
-        assert_eq!(next.index, 1);
-        // From inside chapter Two there is no next chapter.
-        assert!(t.next_start_after(LogicalLevel::Chapter, next.span.start).is_none());
-    }
-
-    #[test]
-    fn prev_start_before_moves_backward() {
-        let (t, _) = tree();
-        let ch2 = t.spans(LogicalLevel::Chapter)[1];
-        let prev = t.prev_start_before(LogicalLevel::Chapter, ch2.start).unwrap();
-        assert_eq!(prev.index, 0);
-        assert!(t.prev_start_before(LogicalLevel::Chapter, 0).is_none());
-    }
-
-    #[test]
-    fn unit_containing_finds_enclosing_unit() {
-        let (t, text) = tree();
-        let pos = text.find("Section content").unwrap() as u32;
-        let section = t.unit_containing(LogicalLevel::Section, pos).unwrap();
-        assert_eq!(section.index, 0);
-        let chapter = t.unit_containing(LogicalLevel::Chapter, pos).unwrap();
-        assert_eq!(chapter.index, 0);
-        // A position in chapter Two is in no section.
-        let pos2 = text.find("Para of two").unwrap() as u32;
-        assert!(t.unit_containing(LogicalLevel::Section, pos2).is_none());
+        assert!(empty.units().available_levels().is_empty());
     }
 
     #[test]
     fn sentence_navigation_is_fine_grained() {
         let (t, text) = tree();
         let pos = text.find("First para").unwrap() as u32;
-        let next_sentence = t.next_start_after(LogicalLevel::Sentence, pos).unwrap();
+        let next = t.units().next_start_after(LogicalLevel::Sentence, pos).unwrap();
+        let sentence = t.sentences.iter().find(|s| s.start == next).unwrap();
         let got: String = text
             .chars()
-            .skip(next_sentence.span.start as usize)
-            .take((next_sentence.span.end - next_sentence.span.start) as usize)
+            .skip(sentence.start as usize)
+            .take((sentence.end - sentence.start) as usize)
             .collect();
         assert_eq!(got, "Second sentence.");
     }
@@ -277,32 +251,132 @@ mod tests {
     #[test]
     fn word_navigation_steps_by_one_word() {
         let (t, _) = tree();
-        let w0 = t.spans(LogicalLevel::Word)[0];
-        let next = t.next_start_after(LogicalLevel::Word, w0.start).unwrap();
-        assert_eq!(next.index, 1);
-        let back = t.prev_start_before(LogicalLevel::Word, next.span.start).unwrap();
-        assert_eq!(back.index, 0);
+        let units = t.units();
+        let next = units.next_start_after(LogicalLevel::Word, t.words[0].start).unwrap();
+        assert_eq!(next, t.words[1].start);
+        assert_eq!(units.prev_start_before(LogicalLevel::Word, next), Some(t.words[0].start));
     }
 
     #[test]
     fn counts() {
         let (t, _) = tree();
-        assert_eq!(t.count(LogicalLevel::Chapter), 2);
-        assert_eq!(t.count(LogicalLevel::Section), 1);
-        assert_eq!(t.count(LogicalLevel::Paragraph), 3);
+        assert_eq!(t.units().count(LogicalLevel::Chapter), 2);
+        assert_eq!(t.units().count(LogicalLevel::Section), 1);
+        assert_eq!(t.units().count(LogicalLevel::Paragraph), 3);
+    }
+}
+
+/// The unit index's navigation, run once at each coordinate the two
+/// carriers use: character offsets and instants.
+#[cfg(test)]
+mod index_tests {
+    use super::*;
+    use minos_types::SimInstant;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use std::fmt::Debug;
+
+    fn chars(v: u64) -> u32 {
+        v as u32
+    }
+
+    fn instants(v: u64) -> SimInstant {
+        SimInstant::from_micros(v * 1_000)
+    }
+
+    fn index<C: Copy + Ord>(c: fn(u64) -> C, starts: &[u64]) -> UnitIndex<C> {
+        UnitIndex::default()
+            .with_level(LogicalLevel::Paragraph, starts.iter().map(|&v| c(v)).collect())
+    }
+
+    fn steps_strictly<C: Copy + Ord + Debug>(c: fn(u64) -> C) {
+        let m = index(c, &[0, 1_000, 2_000]);
+        let level = LogicalLevel::Paragraph;
+        assert_eq!(m.next_start_after(level, c(0)), Some(c(1_000)));
+        assert_eq!(m.next_start_after(level, c(1_500)), Some(c(2_000)));
+        assert_eq!(m.next_start_after(level, c(2_000)), None);
+        assert_eq!(m.prev_start_before(level, c(1_500)), Some(c(1_000)));
+        assert_eq!(m.prev_start_before(level, c(1_000)), Some(c(0)));
+        assert_eq!(m.prev_start_before(level, c(0)), None);
+        assert_eq!(m.next_start_after(LogicalLevel::Chapter, c(0)), None);
+    }
+
+    fn inverse_on_starts<C: Copy + Ord + Debug>(c: fn(u64) -> C) {
+        let m = index(c, &[3, 8, 20, 21, 40]);
+        let starts = m.starts(LogicalLevel::Paragraph);
+        for pair in starts.windows(2) {
+            assert_eq!(m.prev_start_before(LogicalLevel::Paragraph, pair[1]), Some(pair[0]));
+            assert_eq!(m.next_start_after(LogicalLevel::Paragraph, pair[0]), Some(pair[1]));
+        }
+    }
+
+    fn sorts_and_dedups<C: Copy + Ord + Debug>(c: fn(u64) -> C) {
+        let m = index(c, &[500, 100, 500, 300]);
+        assert_eq!(m.starts(LogicalLevel::Paragraph), &[c(100), c(300), c(500)]);
+        assert_eq!(m.count(LogicalLevel::Paragraph), 3);
+    }
+
+    fn empty_level_is_absent<C: Copy + Ord + Debug>(c: fn(u64) -> C) {
+        let m = index(c, &[]).with_level(LogicalLevel::Word, vec![c(4)]);
+        assert_eq!(m.available_levels(), vec![LogicalLevel::Word]);
+        assert!(UnitIndex::<C>::default().available_levels().is_empty());
+    }
+
+    #[test]
+    fn navigation_steps_strictly_past_the_position() {
+        steps_strictly(chars);
+        steps_strictly(instants);
     }
 
     #[test]
     fn next_prev_are_inverse_on_starts() {
-        let (t, _) = tree();
-        for level in LogicalLevel::ALL {
-            let spans = t.spans(level).to_vec();
-            for (i, s) in spans.iter().enumerate().skip(1) {
-                let prev = t.prev_start_before(level, s.start).unwrap();
-                assert_eq!(prev.index, i - 1, "level {level} unit {i}");
-                let next = t.next_start_after(level, prev.span.start).unwrap();
-                assert_eq!(next.index, i, "level {level} unit {i}");
-            }
+        inverse_on_starts(chars);
+        inverse_on_starts(instants);
+    }
+
+    #[test]
+    fn with_level_sorts_and_dedups() {
+        sorts_and_dedups(chars);
+        sorts_and_dedups(instants);
+    }
+
+    #[test]
+    fn empty_levels_are_not_available() {
+        empty_level_is_absent(chars);
+        empty_level_is_absent(instants);
+    }
+
+    /// Checks the index against a linear scan over the same starts.
+    fn agrees_with_a_scan<C: Copy + Ord + Debug>(c: fn(u64) -> C, levels: &[Vec<u64>], at: u64) {
+        let mut m = UnitIndex::default();
+        for (level, starts) in LogicalLevel::ALL.into_iter().zip(levels) {
+            m = m.with_level(level, starts.iter().map(|&v| c(v)).collect());
+        }
+        let at = c(at);
+        for (level, starts) in LogicalLevel::ALL.into_iter().zip(levels) {
+            let starts: Vec<C> = starts.iter().map(|&v| c(v)).collect();
+            let next = starts.iter().copied().filter(|&s| s > at).min();
+            let prev = starts.iter().copied().filter(|&s| s < at).max();
+            assert_eq!(m.next_start_after(level, at), next, "next {level}");
+            assert_eq!(m.prev_start_before(level, at), prev, "prev {level}");
+        }
+        let identified: Vec<LogicalLevel> = LogicalLevel::ALL
+            .into_iter()
+            .zip(levels)
+            .filter(|(_, starts)| !starts.is_empty())
+            .map(|(level, _)| level)
+            .collect();
+        assert_eq!(m.available_levels(), identified);
+    }
+
+    proptest! {
+        #[test]
+        fn navigation_matches_a_linear_scan(
+            levels in vec(vec(0u64..64, 0..12), 5..6),
+            at in 0u64..70,
+        ) {
+            agrees_with_a_scan(chars, &levels, at);
+            agrees_with_a_scan(instants, &levels, at);
         }
     }
 }

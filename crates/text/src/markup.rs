@@ -223,13 +223,13 @@ The manager treats media symmetrically.
     #[test]
     fn blank_line_splits_paragraphs() {
         let doc = parse_markup("one one\n\ntwo two\n").unwrap();
-        assert_eq!(doc.tree().count(LogicalLevel::Paragraph), 2);
+        assert_eq!(doc.tree().units().count(LogicalLevel::Paragraph), 2);
     }
 
     #[test]
     fn pp_splits_paragraphs() {
         let doc = parse_markup("one one\n.pp\ntwo two\n").unwrap();
-        assert_eq!(doc.tree().count(LogicalLevel::Paragraph), 2);
+        assert_eq!(doc.tree().units().count(LogicalLevel::Paragraph), 2);
     }
 
     #[test]
@@ -254,7 +254,7 @@ The manager treats media symmetrically.
     fn escaped_leading_dot_is_text() {
         let doc = parse_markup("\\.pp is a directive name\n").unwrap();
         assert!(doc.text().starts_with(".pp is"));
-        assert_eq!(doc.tree().count(LogicalLevel::Paragraph), 1);
+        assert_eq!(doc.tree().units().count(LogicalLevel::Paragraph), 1);
     }
 
     #[test]
@@ -317,7 +317,7 @@ The manager treats media symmetrically.
     fn empty_input_is_an_empty_document() {
         let doc = parse_markup("").unwrap();
         assert!(doc.is_empty());
-        assert!(doc.tree().available_levels().is_empty());
+        assert!(doc.tree().units().available_levels().is_empty());
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //! * [`pages`] — audio pages: "consecutive partitions of the audio object
 //!   part which are of approximately constant time length" (§2);
 //! * [`playback`] — the playback state machine (interrupt, resume, resume
-//!   from page start, rewind by short/long pauses, page browsing);
-//! * [`marks`] — manually identified logical units over voice, sharing
-//!   [`minos_text::LogicalLevel`] with the text substrate;
+//!   from page start, rewind by short/long pauses, seek);
+//! * [`marks`] — manually identified logical units over voice: the text
+//!   substrate's [`minos_text::UnitIndex`] at the voice coordinate;
 //! * [`recognize`] — the limited-vocabulary recognizer simulation used for
 //!   content addressability;
 //! * [`eval`] — ground-truth evaluation of pause detection and rewinds

@@ -6,91 +6,41 @@
 //! importance of information. For example, in a certain object, only
 //! identification of chapters may be desirable." (§2)
 //!
-//! [`VoiceMarks`] records which levels were identified and the start
-//! instants of each unit, and exposes the *same* navigation API as the text
-//! tree ([`minos_text::LogicalTree`]) — shared [`LogicalLevel`], next/prev
-//! start — which is the voice half of the paper's symmetric design.
+//! [`VoiceMarks`] is the text tree's own [`UnitIndex`] at the voice
+//! coordinate: which levels were identified and the start instants of each
+//! unit. Levels, next/previous start and counts are therefore one
+//! implementation shared with text, which is the voice half of the paper's
+//! symmetric design; this module only adds how marks arise from dictation.
 
 use crate::transcript::Transcript;
-use minos_text::LogicalLevel;
+use minos_text::{LogicalLevel, UnitIndex};
 use minos_types::SimInstant;
-use std::collections::BTreeMap;
 
-/// Logical unit start marks for one voice part.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct VoiceMarks {
-    starts: BTreeMap<LogicalLevel, Vec<SimInstant>>,
-}
+/// Logical unit start marks for one voice part. The default (no marks) is
+/// the unedited-dictation case: logical browsing is then unavailable and
+/// only pause-based browsing works.
+pub type VoiceMarks = UnitIndex<SimInstant>;
 
-impl VoiceMarks {
-    /// No marks: the unedited-dictation case. Logical browsing is then
-    /// unavailable and only pause-based browsing works.
-    pub fn none() -> Self {
-        Self::default()
+/// Derives marks from a ground-truth transcript for the given levels —
+/// the "edited at insertion time" case where the speaker marked units
+/// accurately. Which `levels` are passed models the paper's varying degree
+/// of editing.
+pub fn from_transcript(transcript: &Transcript, levels: &[LogicalLevel]) -> VoiceMarks {
+    let mut marks = VoiceMarks::default();
+    for &level in levels {
+        let starts: Vec<SimInstant> = match level {
+            LogicalLevel::Paragraph | LogicalLevel::Chapter | LogicalLevel::Section => {
+                // Voice dictation has no explicit chapter/section
+                // structure; the speaker's coarse marks are paragraph
+                // starts promoted to the requested level.
+                transcript.paragraph_starts.clone()
+            }
+            LogicalLevel::Sentence => transcript.sentence_starts.clone(),
+            LogicalLevel::Word => transcript.words.iter().map(|w| w.span.start).collect(),
+        };
+        marks = marks.with_level(level, starts);
     }
-
-    /// Records the start marks for one level (sorted automatically).
-    /// Simulates the speaker pressing the level's button at those moments.
-    pub fn with_level(mut self, level: LogicalLevel, mut starts: Vec<SimInstant>) -> Self {
-        starts.sort_unstable();
-        starts.dedup();
-        if !starts.is_empty() {
-            self.starts.insert(level, starts);
-        }
-        self
-    }
-
-    /// Derives marks from a ground-truth transcript for the given levels —
-    /// the "edited at insertion time" case where the speaker marked units
-    /// accurately. Which `levels` are passed models the paper's varying
-    /// degree of editing.
-    pub fn from_transcript(transcript: &Transcript, levels: &[LogicalLevel]) -> Self {
-        let mut marks = VoiceMarks::default();
-        for &level in levels {
-            let starts: Vec<SimInstant> = match level {
-                LogicalLevel::Paragraph | LogicalLevel::Chapter | LogicalLevel::Section => {
-                    // Voice dictation has no explicit chapter/section
-                    // structure; the speaker's coarse marks are paragraph
-                    // starts promoted to the requested level.
-                    transcript.paragraph_starts.clone()
-                }
-                LogicalLevel::Sentence => transcript.sentence_starts.clone(),
-                LogicalLevel::Word => transcript.words.iter().map(|w| w.span.start).collect(),
-            };
-            marks = marks.with_level(level, starts);
-        }
-        marks
-    }
-
-    /// Levels with at least one mark, coarsest first. Drives which logical
-    /// browsing menu options appear for the object.
-    pub fn available_levels(&self) -> Vec<LogicalLevel> {
-        LogicalLevel::ALL.into_iter().filter(|l| self.starts.contains_key(l)).collect()
-    }
-
-    /// The marks at `level`, sorted.
-    pub fn starts(&self, level: LogicalLevel) -> &[SimInstant] {
-        self.starts.get(&level).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// The first unit start strictly after `t` ("next chapter").
-    pub fn next_start_after(&self, level: LogicalLevel, t: SimInstant) -> Option<SimInstant> {
-        let starts = self.starts(level);
-        let idx = starts.partition_point(|&s| s <= t);
-        starts.get(idx).copied()
-    }
-
-    /// The last unit start strictly before `t` ("previous chapter").
-    pub fn prev_start_before(&self, level: LogicalLevel, t: SimInstant) -> Option<SimInstant> {
-        let starts = self.starts(level);
-        let idx = starts.partition_point(|&s| s < t);
-        idx.checked_sub(1).map(|i| starts[i])
-    }
-
-    /// Number of marks at `level`.
-    pub fn count(&self, level: LogicalLevel) -> usize {
-        self.starts(level).len()
-    }
+    marks
 }
 
 #[cfg(test)]
@@ -98,33 +48,11 @@ mod tests {
     use super::*;
     use crate::synth::{synthesize, SpeakerProfile};
 
-    fn t(ms: u64) -> SimInstant {
-        SimInstant::from_micros(ms * 1_000)
-    }
-
     #[test]
     fn no_marks_means_no_logical_browsing() {
-        let m = VoiceMarks::none();
+        let m = VoiceMarks::default();
         assert!(m.available_levels().is_empty());
-        assert_eq!(m.next_start_after(LogicalLevel::Chapter, t(0)), None);
-    }
-
-    #[test]
-    fn with_level_sorts_and_dedups() {
-        let m = VoiceMarks::none()
-            .with_level(LogicalLevel::Paragraph, vec![t(500), t(100), t(500), t(300)]);
-        assert_eq!(m.starts(LogicalLevel::Paragraph), &[t(100), t(300), t(500)]);
-    }
-
-    #[test]
-    fn navigation_next_and_prev() {
-        let m =
-            VoiceMarks::none().with_level(LogicalLevel::Paragraph, vec![t(0), t(1_000), t(2_000)]);
-        assert_eq!(m.next_start_after(LogicalLevel::Paragraph, t(0)), Some(t(1_000)));
-        assert_eq!(m.next_start_after(LogicalLevel::Paragraph, t(1_500)), Some(t(2_000)));
-        assert_eq!(m.next_start_after(LogicalLevel::Paragraph, t(2_000)), None);
-        assert_eq!(m.prev_start_before(LogicalLevel::Paragraph, t(1_500)), Some(t(1_000)));
-        assert_eq!(m.prev_start_before(LogicalLevel::Paragraph, t(0)), None);
+        assert_eq!(m.next_start_after(LogicalLevel::Chapter, SimInstant::EPOCH), None);
     }
 
     #[test]
@@ -134,11 +62,11 @@ mod tests {
             &SpeakerProfile::CLEAR,
             9,
         );
-        let m = VoiceMarks::from_transcript(&tr, &[LogicalLevel::Paragraph]);
+        let m = from_transcript(&tr, &[LogicalLevel::Paragraph]);
         assert_eq!(m.available_levels(), vec![LogicalLevel::Paragraph]);
         assert_eq!(m.count(LogicalLevel::Paragraph), 2);
 
-        let m2 = VoiceMarks::from_transcript(
+        let m2 = from_transcript(
             &tr,
             &[LogicalLevel::Paragraph, LogicalLevel::Sentence, LogicalLevel::Word],
         );
@@ -153,15 +81,9 @@ mod tests {
     #[test]
     fn marks_align_with_transcript_word_starts() {
         let (_, tr) = synthesize("alpha beta. gamma delta.", &SpeakerProfile::CLEAR, 2);
-        let m = VoiceMarks::from_transcript(&tr, &[LogicalLevel::Sentence]);
+        let m = from_transcript(&tr, &[LogicalLevel::Sentence]);
         for &s in m.starts(LogicalLevel::Sentence) {
             assert!(tr.words.iter().any(|w| w.span.start == s));
         }
-    }
-
-    #[test]
-    fn empty_level_vector_is_ignored() {
-        let m = VoiceMarks::none().with_level(LogicalLevel::Chapter, vec![]);
-        assert!(m.available_levels().is_empty());
     }
 }

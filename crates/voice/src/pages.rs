@@ -12,9 +12,6 @@
 
 use minos_types::{PageNumber, SimDuration, SimInstant, TimeSpan};
 
-/// Default audio page length.
-pub const DEFAULT_PAGE_LEN: SimDuration = SimDuration::from_secs(20);
-
 /// Constant-length pagination of a voice part.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AudioPages {
@@ -27,11 +24,6 @@ impl AudioPages {
     pub fn new(total: SimDuration, page_len: SimDuration) -> Self {
         assert!(page_len > SimDuration::ZERO, "page length must be positive");
         AudioPages { total, page_len }
-    }
-
-    /// Pagination with the default page length.
-    pub fn with_default_len(total: SimDuration) -> Self {
-        Self::new(total, DEFAULT_PAGE_LEN)
     }
 
     /// Total duration paginated.

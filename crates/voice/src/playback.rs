@@ -4,7 +4,10 @@
 //! output, resume the voice output from the current position, resume the
 //! voice output from the beginning of the current voice page, as well as to
 //! browse between pages in a similar fashion with text browsing (e.g. next
-//! page, previous page, etc.)" — plus the short/long pause rewind.
+//! page, previous page, etc.)" — plus the short/long pause rewind. Page
+//! browsing itself is not written here: the presentation manager's one
+//! page arithmetic, shared with text, moves the position with
+//! [`PlaybackEngine::seek`] and [`PlaybackEngine::play`].
 //!
 //! Playback is driven by the simulated clock: callers `tick` the engine
 //! with elapsed simulated time and it advances through the voice part,
@@ -13,7 +16,7 @@
 
 use crate::pages::AudioPages;
 use crate::pause::{rewind_position, DetectedPause, PauseKind};
-use minos_types::{PageNumber, SimDuration, SimInstant};
+use minos_types::{SimDuration, SimInstant};
 
 /// Playback state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -83,11 +86,6 @@ impl PlaybackEngine {
         self.pages.page_containing(self.position)
     }
 
-    /// User-facing current page number.
-    pub fn current_page_number(&self) -> Option<PageNumber> {
-        self.current_page().map(PageNumber::from_index)
-    }
-
     fn end(&self) -> SimInstant {
         SimInstant::EPOCH + self.pages.total()
     }
@@ -123,44 +121,6 @@ impl PlaybackEngine {
     pub fn rewind_pauses(&mut self, kind: PauseKind, n: usize) {
         self.position = rewind_position(&self.pauses, kind, n, self.position);
         self.play();
-    }
-
-    /// Moves to the start of the next page. Clamps at the last page.
-    pub fn next_page(&mut self) {
-        self.advance_pages(1);
-    }
-
-    /// Moves to the start of the previous page. Clamps at the first page.
-    pub fn previous_page(&mut self) {
-        self.advance_pages(-1);
-    }
-
-    /// Advances `delta` pages forward (positive) or back (negative),
-    /// landing on the page start, clamped to the part.
-    pub fn advance_pages(&mut self, delta: i64) {
-        let count = self.pages.page_count();
-        if count == 0 {
-            return;
-        }
-        let cur = self.current_page().unwrap_or(0) as i64;
-        let target = (cur + delta).clamp(0, count as i64 - 1) as usize;
-        self.goto_page(target);
-    }
-
-    /// Jumps to the start of 0-based page `index` (clamped).
-    pub fn goto_page(&mut self, index: usize) {
-        let count = self.pages.page_count();
-        if count == 0 {
-            return;
-        }
-        let idx = index.min(count - 1);
-        self.position = self.pages.span_of(idx).expect("clamped index").start;
-        self.state = PlaybackState::Playing;
-    }
-
-    /// Jumps to a user-facing page number.
-    pub fn goto_page_number(&mut self, page: PageNumber) {
-        self.goto_page(page.index());
     }
 
     /// Seeks to an absolute position (used when branching into a voice
@@ -296,30 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn page_navigation_clamps() {
-        let mut e = engine();
-        e.previous_page();
-        assert_eq!(e.current_page(), Some(0));
-        e.advance_pages(3);
-        assert_eq!(e.current_page(), Some(3));
-        assert_eq!(e.position(), t(60));
-        e.advance_pages(100);
-        assert_eq!(e.current_page(), Some(4));
-        e.next_page();
-        assert_eq!(e.current_page(), Some(4));
-        e.advance_pages(-2);
-        assert_eq!(e.current_page(), Some(2));
-    }
-
-    #[test]
-    fn goto_page_number_is_one_based() {
-        let mut e = engine();
-        e.goto_page_number(PageNumber::new(3).unwrap());
-        assert_eq!(e.current_page(), Some(2));
-        assert_eq!(e.current_page_number(), PageNumber::new(3));
-    }
-
-    #[test]
     fn seek_past_end_finishes() {
         let mut e = engine();
         e.seek(t(500));
@@ -328,22 +264,9 @@ mod tests {
     }
 
     #[test]
-    fn goto_page_restarts_finished_playback() {
-        let mut e = engine();
-        e.play();
-        e.tick(secs(200));
-        assert_eq!(e.state(), PlaybackState::Finished);
-        e.goto_page(0);
-        assert_eq!(e.state(), PlaybackState::Playing);
-        assert_eq!(e.position(), SimInstant::EPOCH);
-    }
-
-    #[test]
     fn empty_part_is_inert() {
         let mut e = PlaybackEngine::new(AudioPages::new(SimDuration::ZERO, secs(20)), vec![]);
         assert_eq!(e.current_page(), None);
-        e.next_page();
-        e.goto_page(5);
         e.play();
         assert!(e.tick(secs(1)).is_empty());
     }

@@ -5,12 +5,17 @@
 //! paper's Section 2 browsing vocabulary — pages, logical-unit steps,
 //! pattern/utterance search — must exist on both substrates. This pass
 //! extracts the fully-public `pub fn` surface of `crates/text` and
-//! `crates/voice` with the signature parser and checks every primitive
-//! category below against both sides:
+//! `crates/voice` with the signature parser, plus the *shared* surface —
+//! the `pub fn`s of the generic [`SHARED_TYPE`] in [`SHARED_FILE`], which
+//! the text tree and the voice marks both instantiate — and checks every
+//! primitive category below against both sides. A shared function serves
+//! text and voice alike, so it satisfies its category on both sides at
+//! once:
 //!
 //! * `S001` — the text side has the primitive, the voice side does not;
 //! * `S002` — the voice side has it, the text side does not;
-//! * `S003` — the primitive has vanished from both substrates.
+//! * `S003` — the primitive has vanished from both substrates (and from
+//!   the shared surface).
 //!
 //! The category table names the accepted function spellings per side
 //! (text addresses characters, voice addresses instants, so the names
@@ -20,6 +25,12 @@
 
 use crate::diag::Diagnostic;
 use crate::sig::PubFn;
+
+/// The file holding the unit index both substrates share.
+pub const SHARED_FILE: &str = "crates/text/src/logical.rs";
+
+/// The generic type whose inherent `pub fn`s serve text and voice alike.
+pub const SHARED_TYPE: &str = "UnitIndex";
 
 /// One browsing-primitive category of the paper's Section 2 vocabulary.
 #[derive(Debug, Clone, Copy)]
@@ -78,12 +89,13 @@ pub const CATEGORIES: &[PrimitiveCategory] = &[
     },
 ];
 
-/// Runs the audit over the two extracted surfaces.
-pub fn run(text_fns: &[PubFn], voice_fns: &[PubFn]) -> Vec<Diagnostic> {
+/// Runs the audit over the two extracted surfaces and the surface both
+/// share.
+pub fn run(text_fns: &[PubFn], voice_fns: &[PubFn], shared_fns: &[PubFn]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for cat in CATEGORIES {
-        let text_hit = first_match(text_fns, cat.text);
-        let voice_hit = first_match(voice_fns, cat.voice);
+        let text_hit = first_match(text_fns, cat.text).or(first_match(shared_fns, cat.text));
+        let voice_hit = first_match(voice_fns, cat.voice).or(first_match(shared_fns, cat.voice));
         match (text_hit, voice_hit) {
             (Some(_), Some(_)) => {}
             (Some(t), None) => out.push(Diagnostic::new(
@@ -172,7 +184,7 @@ mod tests {
 
     #[test]
     fn symmetric_surfaces_pass() {
-        let diags = run(&full_surface(TEXT_OK, "t.rs"), &full_surface(VOICE_OK, "v.rs"));
+        let diags = run(&full_surface(TEXT_OK, "t.rs"), &full_surface(VOICE_OK, "v.rs"), &[]);
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -180,7 +192,7 @@ mod tests {
     fn missing_voice_counterpart_is_s001() {
         let voice: Vec<&str> =
             VOICE_OK.iter().copied().filter(|n| *n != "prev_occurrence").collect();
-        let diags = run(&full_surface(TEXT_OK, "t.rs"), &full_surface(&voice, "v.rs"));
+        let diags = run(&full_surface(TEXT_OK, "t.rs"), &full_surface(&voice, "v.rs"), &[]);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule, "S001");
         assert!(diags[0].message.contains("search backward"));
@@ -190,7 +202,7 @@ mod tests {
     #[test]
     fn missing_text_counterpart_is_s002() {
         let text: Vec<&str> = TEXT_OK.iter().copied().filter(|n| *n != "page_count").collect();
-        let diags = run(&full_surface(&text, "t.rs"), &full_surface(VOICE_OK, "v.rs"));
+        let diags = run(&full_surface(&text, "t.rs"), &full_surface(VOICE_OK, "v.rs"), &[]);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule, "S002");
         assert_eq!(diags[0].file, "v.rs");
@@ -200,7 +212,7 @@ mod tests {
     fn primitive_gone_from_both_is_s003() {
         let text: Vec<&str> = TEXT_OK.iter().copied().filter(|n| *n != "count").collect();
         let voice: Vec<&str> = VOICE_OK.iter().copied().filter(|n| *n != "count").collect();
-        let diags = run(&full_surface(&text, "t.rs"), &full_surface(&voice, "v.rs"));
+        let diags = run(&full_surface(&text, "t.rs"), &full_surface(&voice, "v.rs"), &[]);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule, "S003");
     }

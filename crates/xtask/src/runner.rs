@@ -143,7 +143,10 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintOutcome> {
         files.iter().filter(|f| f.rel.starts_with("crates/text/src/")).cloned().collect();
     let voice: Vec<SourceFile> =
         files.iter().filter(|f| f.rel.starts_with("crates/voice/src/")).cloned().collect();
-    findings.extend(symmetry::run(&sig::public_surface(&text), &sig::public_surface(&voice)));
+    let shared = files.iter().filter(|f| f.rel == symmetry::SHARED_FILE);
+    let shared: Vec<_> = shared.flat_map(|f| sig::impl_surface(f, symmetry::SHARED_TYPE)).collect();
+    let (text, voice) = (sig::public_surface(&text), sig::public_surface(&voice));
+    findings.extend(symmetry::run(&text, &voice, &shared));
 
     // Ratchet.
     let allow_path = root.join(ALLOW_FILE);

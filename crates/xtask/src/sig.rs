@@ -121,6 +121,36 @@ pub fn public_surface(files: &[SourceFile]) -> Vec<PubFn> {
     files.iter().flat_map(pub_fns).filter(|f| f.vis == Visibility::Public).collect()
 }
 
+/// Parses the fully-public fns of `file` declared in inherent `impl`
+/// blocks of the type `ty` (generic or not): `impl<C: Ord> Ty<C> { .. }`.
+pub fn impl_surface(file: &SourceFile, ty: &str) -> Vec<PubFn> {
+    let code = file.code.as_bytes();
+    let mut bodies = Vec::new();
+    let mut i = 0;
+    while let Some(at) = find_word(&file.code, "impl", i) {
+        i = at + 4;
+        let mut j = skip_ws(code, i);
+        if code.get(j) == Some(&b'<') {
+            j = match skip_balanced(code, j, b'<', b'>') {
+                Some(end) => skip_ws(code, end),
+                None => continue,
+            };
+        }
+        let (name, after) = next_word(code, j);
+        if name != ty {
+            continue;
+        }
+        let Some(open) = file.code[after..].find('{').map(|k| after + k) else { continue };
+        if let Some(end) = skip_balanced(code, open, b'{', b'}') {
+            bodies.push(file.line_of(open)..=file.line_of(end - 1));
+        }
+    }
+    public_surface(std::slice::from_ref(file))
+        .into_iter()
+        .filter(|f| bodies.iter().any(|lines| lines.contains(&f.line)))
+        .collect()
+}
+
 fn find_word(code: &str, word: &str, from: usize) -> Option<usize> {
     let bytes = code.as_bytes();
     let mut at = from;

@@ -114,7 +114,7 @@ fn units_good_fixture_is_clean() {
 fn asymmetric_voice_fixture_is_s001() {
     let text = sig::pub_fns(&fixture("symmetry_text.rs"));
     let voice = sig::pub_fns(&fixture("symmetry_voice_bad.rs"));
-    let diags = symmetry::run(&text, &voice);
+    let diags = symmetry::run(&text, &voice, &[]);
     assert_eq!(rules(&diags), vec!["S001"], "got {diags:?}");
     assert!(diags[0].message.contains("search all"), "{diags:?}");
     // S001 anchors at the text primitive that lost its counterpart.
@@ -125,8 +125,45 @@ fn asymmetric_voice_fixture_is_s001() {
 fn symmetric_fixtures_are_clean() {
     let text = sig::pub_fns(&fixture("symmetry_text.rs"));
     let voice = sig::pub_fns(&fixture("symmetry_voice_good.rs"));
-    let diags = symmetry::run(&text, &voice);
+    let diags = symmetry::run(&text, &voice, &[]);
     assert!(diags.is_empty(), "{diags:?}");
+}
+
+/// The logical-unit primitives the shared fixture carries once.
+const SHARED_PRIMITIVES: &[&str] =
+    &["available_levels", "next_start_after", "prev_start_before", "count"];
+
+/// A side's fixture surface with the shared primitives taken out of it.
+fn without_shared(name: &str) -> Vec<sig::PubFn> {
+    let fns = sig::pub_fns(&fixture(name));
+    fns.into_iter().filter(|f| !SHARED_PRIMITIVES.contains(&f.name.as_str())).collect()
+}
+
+#[test]
+fn shared_generic_fn_serves_both_sides() {
+    let shared = sig::impl_surface(&fixture("symmetry_shared.rs"), symmetry::SHARED_TYPE);
+    let names: Vec<&str> = shared.iter().map(|f| f.name.as_str()).collect();
+    assert_eq!(
+        names,
+        ["with_level", "available_levels", "next_start_after", "prev_start_before", "count"]
+    );
+    let text = without_shared("symmetry_text.rs");
+    let voice = without_shared("symmetry_voice_good.rs");
+    let diags = symmetry::run(&text, &voice, &shared);
+    assert!(diags.is_empty(), "{diags:?}");
+
+    // Neither side defines the primitives itself, so without the shared
+    // surface each is missing from both.
+    let diags = symmetry::run(&text, &voice, &[]);
+    assert_eq!(rules(&diags), vec!["S003"], "got {diags:?}");
+    assert_eq!(diags.len(), SHARED_PRIMITIVES.len());
+
+    // Deleting one shared fn raises S003 for its category alone.
+    let fewer: Vec<sig::PubFn> = shared.into_iter().filter(|f| f.name != "count").collect();
+    let diags = symmetry::run(&text, &voice, &fewer);
+    assert_eq!(rules(&diags), vec!["S003"], "got {diags:?}");
+    assert_eq!(diags.len(), 1);
+    assert!(diags[0].message.contains("logical-unit count"), "{diags:?}");
 }
 
 #[test]
