@@ -18,16 +18,23 @@
 //! byte-identical, the work the old incarnation lost replayed onto
 //! sibling replicas, and no `Busy` resubmission leaving before its hint.
 //!
+//! Both clocks are recorded: each row carries the wall-clock time its
+//! `workload::run` took (`wall_us`), which includes building the fleet
+//! and publishing every object onto the members' optical archives.
+//!
 //! The series is emitted machine-readable as `BENCH_fleet.json` at the
-//! repository root. `--smoke` runs the acceptance pins and is hooked into
-//! `scripts/check.sh`.
+//! repository root by the full bench run and by `--series`. `--smoke`
+//! runs the acceptance pins and checks a fresh series against the
+//! committed file, every line but the host-dependent `wall_us`; it is
+//! hooked into `scripts/check.sh`.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use minos_bench::{fast_criterion, row};
+use minos_bench::{assert_matches_committed, fast_criterion, row};
 use minos_net::{Frame, Link, ServerResponse};
 use minos_presentation::chaos::ChaosSchedule;
 use minos_presentation::workload::{self, RunReport, WorkloadConfig};
 use minos_types::{SimDuration, SimInstant};
+use std::time::{Duration, Instant};
 
 const PAGES: usize = 8;
 const PAGE_LEN: u64 = 32768;
@@ -76,12 +83,21 @@ fn page_wire_time() -> SimDuration {
     Link::ethernet().transfer_cost(page.wire_size())
 }
 
-/// One measured point of the series.
+/// One measured point of the series: the report plus the wall-clock cost
+/// of producing it.
 struct Point {
     members: usize,
     replication: usize,
     sessions: usize,
     report: RunReport,
+    wall: Duration,
+}
+
+/// Runs one row and times it on the wall clock.
+fn measure(members: usize, replication: usize, sessions: usize, schedule: ChaosSchedule) -> Point {
+    let start = Instant::now();
+    let report = run(members, replication, sessions, schedule);
+    Point { members, replication, sessions, report, wall: start.elapsed() }
 }
 
 /// The scaling sweep runs unreplicated (each member holds only its
@@ -97,12 +113,7 @@ fn measure_series() -> Vec<Point> {
                 continue;
             }
             for &sessions in &SESSIONS {
-                points.push(Point {
-                    members,
-                    replication,
-                    sessions,
-                    report: healthy(members, replication, sessions),
-                });
+                points.push(measure(members, replication, sessions, ChaosSchedule::new(0)));
             }
         }
     }
@@ -112,14 +123,17 @@ fn measure_series() -> Vec<Point> {
 /// The mid-run restart row: one member of a 4-member, 2-way-replicated
 /// fleet restarts bare (no crash first) at [`RESTART_AT`], losing its
 /// queues and every response its device had not finished.
-fn measure_restart() -> RunReport {
+fn measure_restart() -> Point {
     let schedule = ChaosSchedule::new(0).restart_at(RESTARTED, SimInstant::EPOCH + RESTART_AT);
-    run(4, 2, SMOKE_SESSIONS, schedule)
+    measure(4, 2, SMOKE_SESSIONS, schedule)
 }
 
-/// Writes the series as `BENCH_fleet.json` at the repository root — the
+/// The committed series, at the repository root.
+const BENCH_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json");
+
+/// Renders the series as the `BENCH_fleet.json` document — the
 /// machine-readable perf-trajectory record for this experiment.
-fn emit_json(points: &[Point], restart: &RunReport) {
+fn series_json(points: &[Point], restart: &Point) -> String {
     let mut series = Vec::new();
     for p in points {
         series.push(format!(
@@ -127,7 +141,7 @@ fn emit_json(points: &[Point], restart: &RunReport) {
              \"sessions\": {},\n      \"goodput_pages_per_sec\": {:.4},\n      \
              \"elapsed_us\": {},\n      \"audio_p99_us\": {},\n      \
              \"busy_deferred\": {},\n      \
-             \"served_per_member\": [{}]\n    }}",
+             \"served_per_member\": [{}],\n      \"wall_us\": {}\n    }}",
             p.members,
             p.replication,
             p.sessions,
@@ -136,26 +150,33 @@ fn emit_json(points: &[Point], restart: &RunReport) {
             p.report.audio_p99.as_micros(),
             p.report.busy_deferred,
             p.report.served_per_member.iter().map(|s| s.to_string()).collect::<Vec<_>>().join(", "),
+            p.wall.as_micros(),
         ));
     }
-    let json = format!(
+    let r = &restart.report;
+    format!(
         "{{\n  \"experiment\": \"E16\",\n  \"workload\": \"M sessions x {PAGES} x {PAGE_LEN} B \
          demand pages, rendezvous placement, k in (1, 2) copies per object, one shared \
          10 Mbit/s Ethernet, optical devices\",\n  \"series\": [\n{}\n  ],\n  \
          \"restart\": {{\n    \"members\": 4,\n    \"replication\": 2,\n    \"sessions\": \
          {SMOKE_SESSIONS},\n    \"restarted_member\": {RESTARTED},\n    \"pages\": {},\n    \
          \"failovers\": {},\n    \"epoch_resyncs\": {},\n    \"replays\": {},\n    \
-         \"busy_deferred\": {},\n    \"premature_busy_retries\": {}\n  }}\n}}\n",
+         \"busy_deferred\": {},\n    \"premature_busy_retries\": {},\n    \
+         \"wall_us\": {}\n  }}\n}}\n",
         series.join(",\n"),
-        restart.pages,
-        restart.failovers,
-        restart.epoch_resyncs,
-        restart.replays,
-        restart.busy_deferred,
-        restart.premature_busy_retries,
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json");
-    if let Err(e) = std::fs::write(path, json) {
+        r.pages,
+        r.failovers,
+        r.epoch_resyncs,
+        r.replays,
+        r.busy_deferred,
+        r.premature_busy_retries,
+        restart.wall.as_micros(),
+    )
+}
+
+/// Writes the series to `BENCH_fleet.json`.
+fn emit_json(points: &[Point], restart: &Point) {
+    if let Err(e) = std::fs::write(BENCH_PATH, series_json(points, restart)) {
         row("E16", &format!("could not write BENCH_fleet.json: {e}"));
     } else {
         row("E16", "series written to BENCH_fleet.json");
@@ -174,14 +195,14 @@ fn print_series() {
     row(
         "E16",
         "members  k  sessions  pages/s  elapsed_ms  audio_p99_ms  busy_deferred  \
-         served_per_member",
+         served_per_member  wall_ms",
     );
     let points = measure_series();
     for p in &points {
         row(
             "E16",
             &format!(
-                "{:>7}  {}  {:>8}  {:>7.1}  {:>10.1}  {:>12.1}  {:>13}  {:?}",
+                "{:>7}  {}  {:>8}  {:>7.1}  {:>10.1}  {:>12.1}  {:>13}  {:?}  {:.1}",
                 p.members,
                 p.replication,
                 p.sessions,
@@ -190,20 +211,22 @@ fn print_series() {
                 p.report.audio_p99.as_micros() as f64 / 1_000.0,
                 p.report.busy_deferred,
                 p.report.served_per_member,
+                p.wall.as_micros() as f64 / 1_000.0,
             ),
         );
     }
     let restart = measure_restart();
+    let r = &restart.report;
     row(
         "E16",
         &format!(
             "restart row: 4 members k=2, member {RESTARTED} restarts at {} ms -> pages {} \
              failovers {} resyncs {} replays {}",
             RESTART_AT.as_millis(),
-            restart.pages,
-            restart.failovers,
-            restart.epoch_resyncs,
-            restart.replays
+            r.pages,
+            r.failovers,
+            r.epoch_resyncs,
+            r.replays
         ),
     );
     emit_json(&points, &restart);
@@ -253,26 +276,25 @@ fn smoke() {
     // lost replayed onto sibling replicas and no hint-violating
     // resubmission.
     let restart = measure_restart();
+    let r = &restart.report;
     row(
         "E16",
         &format!(
             "smoke: restart row pages {} failovers {} resyncs {} replays {} premature {}",
-            restart.pages,
-            restart.failovers,
-            restart.epoch_resyncs,
-            restart.replays,
-            restart.premature_busy_retries
+            r.pages, r.failovers, r.epoch_resyncs, r.replays, r.premature_busy_retries
         ),
     );
-    assert_eq!(restart.pages, want, "no page lost to the restart: {restart:?}");
-    assert!(restart.epoch_resyncs >= 1, "the restart was noticed: {restart:?}");
-    assert!(restart.failovers > 0, "orphans re-aimed at siblings: {restart:?}");
-    assert!(restart.replays > 0, "the lost work was replayed: {restart:?}");
-    assert_eq!(
-        restart.premature_busy_retries, 0,
-        "no resubmission beat its retry hint: {restart:?}"
-    );
-    emit_json(&series, &restart);
+    assert_eq!(r.pages, want, "no page lost to the restart: {r:?}");
+    assert!(r.epoch_resyncs >= 1, "the restart was noticed: {r:?}");
+    assert!(r.failovers > 0, "orphans re-aimed at siblings: {r:?}");
+    assert!(r.replays > 0, "the lost work was replayed: {r:?}");
+    assert_eq!(r.premature_busy_retries, 0, "no resubmission beat its retry hint: {r:?}");
+    // The series is cheap to simulate, so the smoke holds it to the
+    // committed file, line for line except the host-dependent `wall_us`.
+    // It never rewrites the file: only the full bench run and `--series`
+    // do.
+    assert_matches_committed(BENCH_PATH, &series_json(&series, &restart), &["wall_us"]);
+    row("E16", "series matches BENCH_fleet.json (wall_us aside)");
 }
 
 fn bench(c: &mut Criterion) {
