@@ -5,7 +5,7 @@
 //! faster to access, which is what makes it worth staging hot blocks on
 //! (experiment E7's cache configuration).
 
-use crate::device::{BlockDevice, DeviceStats, TimingModel};
+use crate::device::{BlockDevice, DeviceStats, Extents, TimingModel};
 use minos_types::{ByteSpan, MinosError, Result, SimDuration};
 
 /// Default capacity: 100 MB.
@@ -22,7 +22,7 @@ pub const MAGNETIC_TIMING: TimingModel = TimingModel {
 /// A rewritable magnetic disk.
 #[derive(Clone, Debug)]
 pub struct MagneticDisk {
-    data: Vec<u8>,
+    media: Extents,
     capacity: u64,
     head: u64,
     timing: TimingModel,
@@ -38,7 +38,7 @@ impl MagneticDisk {
     /// A disk with explicit capacity.
     pub fn with_capacity(capacity: u64) -> Self {
         MagneticDisk {
-            data: Vec::new(),
+            media: Extents::default(),
             capacity,
             head: 0,
             timing: MAGNETIC_TIMING,
@@ -61,7 +61,7 @@ impl Default for MagneticDisk {
 
 impl BlockDevice for MagneticDisk {
     fn len(&self) -> u64 {
-        self.data.len() as u64
+        self.media.len()
     }
 
     fn capacity(&self) -> u64 {
@@ -76,7 +76,7 @@ impl BlockDevice for MagneticDisk {
         self.timing.access(self.head, offset, len, self.capacity)
     }
 
-    fn read_at(&mut self, span: ByteSpan) -> Result<(Vec<u8>, SimDuration)> {
+    fn read_at_into(&mut self, span: ByteSpan, out: &mut Vec<u8>) -> Result<SimDuration> {
         if span.end > self.len() {
             return Err(MinosError::Storage(format!(
                 "read {span} past magnetic frontier {}",
@@ -84,14 +84,10 @@ impl BlockDevice for MagneticDisk {
             )));
         }
         let took = self.access_cost(span.start, span.len());
-        let data = self
-            .data
-            .get(span.start as usize..span.end as usize)
-            .ok_or_else(|| MinosError::Storage(format!("read {span} outside magnetic media")))?
-            .to_vec();
+        self.media.read_into(span, out)?;
         self.head = span.end;
         self.stats.record_read(span.len(), took);
-        Ok((data, took))
+        Ok(took)
     }
 
     fn append(&mut self, data: &[u8]) -> Result<(u64, SimDuration)> {
@@ -105,7 +101,7 @@ impl BlockDevice for MagneticDisk {
             )));
         }
         let took = self.access_cost(offset, data.len() as u64);
-        self.data.extend_from_slice(data);
+        self.media.append(data);
         self.head = self.len();
         self.stats.record_write(data.len() as u64, took);
         Ok((offset, took))
@@ -120,12 +116,7 @@ impl BlockDevice for MagneticDisk {
             )));
         }
         let took = self.access_cost(offset, data.len() as u64);
-        self.data
-            .get_mut(offset as usize..end as usize)
-            .ok_or_else(|| {
-                MinosError::Storage(format!("write [{offset}, {end}) outside magnetic media"))
-            })?
-            .copy_from_slice(data);
+        self.media.write(offset, data)?;
         self.head = end;
         self.stats.record_write(data.len() as u64, took);
         Ok(took)

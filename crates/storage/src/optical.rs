@@ -5,8 +5,17 @@
 //! (§1) The mid-80s optical disk is WORM: huge, slow to seek, modest
 //! transfer rate, and sectors can never be rewritten — which is why
 //! archived objects are immutable and version control appends.
+//!
+//! The medium is held as fixed 1 MiB extents (32 of the archive's 32 KiB
+//! transfer units), each reserved once at full size and never grown.
+//! Publishing therefore fills the tail extent and opens new ones: a
+//! stored byte is written once and faulted in once, and a growing archive
+//! never copies what it already holds into fresh memory, as one doubling
+//! buffer would each time the store crossed a power of two. A read
+//! gathers its span from the extents that hold it (one or two for a page)
+//! into the caller's pooled buffer.
 
-use crate::device::{BlockDevice, DeviceStats, TimingModel};
+use crate::device::{BlockDevice, DeviceStats, Extents, TimingModel};
 use minos_types::{ByteSpan, MinosError, Result, SimDuration};
 
 /// Default capacity: 1 GB — "huge" for 1986.
@@ -23,7 +32,7 @@ pub const OPTICAL_TIMING: TimingModel = TimingModel {
 /// A write-once optical disk.
 #[derive(Clone, Debug)]
 pub struct OpticalDisk {
-    data: Vec<u8>,
+    media: Extents,
     capacity: u64,
     head: u64,
     timing: TimingModel,
@@ -49,7 +58,7 @@ impl OpticalDisk {
     /// A disk with explicit capacity.
     pub fn with_capacity(capacity: u64) -> Self {
         OpticalDisk {
-            data: Vec::new(),
+            media: Extents::default(),
             capacity,
             head: 0,
             timing: OPTICAL_TIMING,
@@ -126,7 +135,7 @@ impl OpticalDisk {
         let within = self.rot_draw();
         let offset = span.start + within % span.len();
         let bit = (within >> 32) % 8;
-        if let Some(byte) = self.data.get_mut(offset as usize) {
+        if let Some(byte) = self.media.byte_mut(offset) {
             *byte ^= 1 << bit;
             self.rot_flips += 1;
         }
@@ -158,7 +167,7 @@ impl Default for OpticalDisk {
 
 impl BlockDevice for OpticalDisk {
     fn len(&self) -> u64 {
-        self.data.len() as u64
+        self.media.len()
     }
 
     fn capacity(&self) -> u64 {
@@ -173,30 +182,6 @@ impl BlockDevice for OpticalDisk {
         self.timing.access(self.head, offset, len, self.capacity)
     }
 
-    fn read_at(&mut self, span: ByteSpan) -> Result<(Vec<u8>, SimDuration)> {
-        if span.end > self.len() {
-            return Err(MinosError::Storage(format!(
-                "read {span} past optical frontier {}",
-                self.len()
-            )));
-        }
-        if self.read_fault_fires() {
-            return Err(MinosError::Storage(format!("transient read fault at {span}")));
-        }
-        self.apply_bit_rot(span);
-        let took = self.access_cost(span.start, span.len());
-        let data = self
-            .data
-            .get(span.start as usize..span.end as usize)
-            .ok_or_else(|| {
-                MinosError::Storage(format!("read {span} outside optical media bounds"))
-            })?
-            .to_vec();
-        self.head = span.end;
-        self.stats.record_read(span.len(), took);
-        Ok((data, took))
-    }
-
     fn read_at_into(&mut self, span: ByteSpan, out: &mut Vec<u8>) -> Result<SimDuration> {
         if span.end > self.len() {
             return Err(MinosError::Storage(format!(
@@ -209,11 +194,7 @@ impl BlockDevice for OpticalDisk {
         }
         self.apply_bit_rot(span);
         let took = self.access_cost(span.start, span.len());
-        let data = self.data.get(span.start as usize..span.end as usize).ok_or_else(|| {
-            MinosError::Storage(format!("read {span} outside optical media bounds"))
-        })?;
-        out.clear();
-        out.extend_from_slice(data);
+        self.media.read_into(span, out)?;
         self.head = span.end;
         self.stats.record_read(span.len(), took);
         Ok(took)
@@ -230,7 +211,7 @@ impl BlockDevice for OpticalDisk {
             )));
         }
         let took = self.access_cost(offset, data.len() as u64);
-        self.data.extend_from_slice(data);
+        self.media.append(data);
         self.head = self.len();
         self.stats.record_write(data.len() as u64, took);
         Ok((offset, took))
