@@ -241,11 +241,6 @@ impl Fleet {
         })
     }
 
-    /// Copies stored per object.
-    pub fn replication(&self) -> usize {
-        self.replication
-    }
-
     /// Stores `bytes` as `object` on its `k` rendezvous members and
     /// records the placement. Publishing the same id again overwrites the
     /// placement (each member's archiver appends a fresh record). The
@@ -914,16 +909,14 @@ impl FleetConnection {
         let ping = ServerRequest::Ping { nonce };
         let sent = self.clock.now();
         let up = self.link.transfer(Frame::request(CONN_ID, 0, ping).wire_size());
-        let arrival = sent.max(self.up_free) + up;
-        self.up_free = arrival;
+        let (_, arrival) = self.up.book(sent, up);
         let (answer, _) = self.fleet.members[m].handle(&ServerRequest::Ping { nonce });
         let echo_epoch = match &answer {
             ServerResponse::Pong { epoch, .. } => Some(*epoch),
             _ => None,
         };
         let down = self.link.transfer(Frame::response(CONN_ID, 0, answer).wire_size());
-        let delivered = arrival.max(self.down_free) + down;
-        self.down_free = delivered;
+        let (_, delivered) = self.down.book(arrival, down);
         self.health.note_pong(m, delivered.saturating_since(sent));
         if echo_epoch.is_some_and(|epoch| epoch != self.epochs[m]) {
             // The restart is noticed by the heartbeat, not by the next

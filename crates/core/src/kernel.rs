@@ -17,9 +17,14 @@
 //! future timer costs O(log n) in the timers pending, which stay few: a
 //! client keeps one retransmit timer per connection and one heartbeat per
 //! member. The heap's top is always the exact next deadline.
+//!
+//! Beside the kernel's clock sits the `Timeline`, the one rule for a
+//! serially-reusable resource (a wire direction, a device): a booking
+//! starts at the later of its ready instant and the instant the resource
+//! frees.
 
 use crate::idhash::IdSet;
-use minos_types::SimInstant;
+use minos_types::{SimDuration, SimInstant};
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
@@ -335,6 +340,40 @@ impl Kernel {
     }
 }
 
+/// A serially-reusable resource — one direction of the wire, one device —
+/// kept as the instant it next frees. A booking starts once it is ready
+/// and the resource is free, and holds the resource until it ends, so
+/// bookings queue behind each other in the order they are made.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Timeline {
+    free: SimInstant,
+}
+
+impl Timeline {
+    /// Books the resource for `took`, starting at the later of `ready` and
+    /// the instant it frees. Returns the booking's start and end.
+    pub(crate) fn book(
+        &mut self,
+        ready: SimInstant,
+        took: SimDuration,
+    ) -> (SimInstant, SimInstant) {
+        let start = ready.max(self.free);
+        self.free = start + took;
+        (start, self.free)
+    }
+
+    /// The instant the last booking ends.
+    pub(crate) fn free_at(&self) -> SimInstant {
+        self.free
+    }
+
+    /// Frees the resource at `at`, whatever it was booked for: a restarted
+    /// member's device drops the work its old incarnation had queued.
+    pub(crate) fn release(&mut self, at: SimInstant) {
+        self.free = at;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -579,5 +618,24 @@ mod tests {
         ] {
             assert!(json.contains(needle), "{json}");
         }
+    }
+
+    #[test]
+    fn timeline_books_queue_and_release() {
+        let at = |us| SimInstant::EPOCH + SimDuration::from_micros(us);
+        let took = SimDuration::from_micros(10);
+        let mut line = Timeline::default();
+        // A free resource starts a booking when it is ready.
+        assert_eq!(line.book(at(5), took), (at(5), at(15)));
+        // Back-to-back bookings queue: the next starts when the last ends.
+        assert_eq!(line.book(at(7), took), (at(15), at(25)));
+        assert_eq!(line.book(at(8), took), (at(25), at(35)));
+        assert_eq!(line.free_at(), at(35));
+        // A booking ready after the resource frees starts when ready.
+        assert_eq!(line.book(at(50), took), (at(50), at(60)));
+        // Release frees the resource early: the queued work is dropped.
+        line.release(at(52));
+        assert_eq!(line.free_at(), at(52));
+        assert_eq!(line.book(at(51), took), (at(52), at(62)));
     }
 }

@@ -41,7 +41,7 @@ use minos_server::{ObjectServer, ServiceConfig, ServiceStats};
 use minos_text::PaginateConfig;
 use minos_types::{MinosError, ObjectId, Result, SimDuration, SimInstant};
 use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::rc::Rc;
 
 /// The server's final word on one object.
@@ -220,6 +220,16 @@ struct Slot {
     events: Vec<BrowseEvent>,
 }
 
+impl Slot {
+    /// Whether the session is audio-driven: the kernel arms its playback
+    /// deadlines, and it is served first. Only
+    /// [`SessionScheduler::apply`] can switch a session's driving mode; a
+    /// tick only advances its playback.
+    fn is_audio(&self) -> bool {
+        self.session.audio().is_some()
+    }
+}
+
 /// N concurrent browsing sessions multiplexed over one simulated link and
 /// one object server.
 ///
@@ -243,9 +253,6 @@ pub struct SessionScheduler {
     kernel: Kernel,
     slots: Vec<Slot>,
     cursor: usize,
-    /// Slot indices of audio-driven sessions — the kernel arms their
-    /// playback deadlines; everyone else sleeps until a response lands.
-    audio_set: BTreeSet<usize>,
 }
 
 impl SessionScheduler {
@@ -256,7 +263,6 @@ impl SessionScheduler {
             kernel: Kernel::new(),
             slots: Vec::new(),
             cursor: 0,
-            audio_set: BTreeSet::new(),
         }
     }
 
@@ -276,7 +282,6 @@ impl SessionScheduler {
             // tag its demand fetches audio-class so the server's shed
             // policy can never reject them.
             session.store_mut().set_demand_class(Priority::Audio);
-            self.audio_set.insert(index);
         }
         self.slots.push(Slot { session, events: Vec::new() });
         Ok((SessionKey(index), events))
@@ -301,21 +306,7 @@ impl SessionScheduler {
     /// Applies one browsing command to the session behind `key`, returning
     /// the events it produced (exactly what a standalone session would).
     pub fn apply(&mut self, key: SessionKey, command: BrowseCommand) -> Result<Vec<BrowseEvent>> {
-        let slot = self.slot_mut(key)?;
-        let events = slot.session.apply(command);
-        // Commands can switch the driving mode; keep the kernel's audio
-        // wake membership current.
-        let is_audio = slot.session.audio().is_some();
-        self.set_audio_membership(key.0, is_audio);
-        events
-    }
-
-    fn set_audio_membership(&mut self, index: usize, is_audio: bool) {
-        if is_audio {
-            self.audio_set.insert(index);
-        } else {
-            self.audio_set.remove(&index);
-        }
+        self.slot_mut(key)?.session.apply(command)
     }
 
     /// The session behind `key` (menus, positions, objects).
@@ -335,7 +326,7 @@ impl SessionScheduler {
             return Vec::new();
         }
         let mut order: Vec<usize> = (0..n).map(|i| (self.cursor + i) % n).collect();
-        order.sort_by_key(|&i| self.slots[i].session.audio().is_none());
+        order.sort_by_key(|&i| !self.slots[i].is_audio());
         order.into_iter().map(SessionKey).collect()
     }
 
@@ -360,18 +351,17 @@ impl SessionScheduler {
             return;
         }
         let cursor = self.cursor;
-        // Audio-first ordering sees the driving modes as they stood before
-        // this tick, as a full scan's single pre-tick service_order() did.
-        let audio_before = self.audio_set.clone();
-        // Fire this tick's audio playback deadlines through the kernel.
-        // The kernel first catches up with the tick instant, so the
-        // deadlines, due now, go onto its due FIFO instead of through its
-        // timer heap.
+        // Fire this tick's audio playback deadlines through the kernel, in
+        // slot order. The kernel first catches up with the tick instant,
+        // so the deadlines, due now, go onto its due FIFO instead of
+        // through its timer heap.
         let mut audio_wake: Vec<usize> = Vec::new();
         let now = self.client.borrow().clock.now();
         self.kernel.advance_to(now);
-        for &i in &self.audio_set {
-            self.kernel.post(now, KernelEvent::AudioDeadline { session: i as u64 });
+        for (i, slot) in self.slots.iter().enumerate() {
+            if slot.is_audio() {
+                self.kernel.post(now, KernelEvent::AudioDeadline { session: i as u64 });
+            }
         }
         self.kernel.advance_to(now);
         while let Some(event) = self.kernel.take_ready() {
@@ -387,8 +377,6 @@ impl SessionScheduler {
             if let Some(slot) = self.slots.get_mut(i) {
                 let events = slot.session.tick(dt);
                 slot.events.extend(events);
-                let is_audio = slot.session.audio().is_some();
-                self.set_audio_membership(i, is_audio);
             }
         }
         // Completion wakes: every connection the server enqueued or
@@ -416,7 +404,7 @@ impl SessionScheduler {
         // total order the full scan serves. A wake whose connection has
         // nothing left to serve (an earlier fetch served it) is spurious.
         conn_wake.sort_by_key(|&conn| match slot_of(conn).filter(|&i| i < n) {
-            Some(i) => (!audio_before.contains(&i), (n + i - cursor) % n),
+            Some(i) => (!self.slots[i].is_audio(), (n + i - cursor) % n),
             None => (true, usize::MAX),
         });
         for _ in 0..client.dispatch(&conn_wake) {

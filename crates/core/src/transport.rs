@@ -24,9 +24,10 @@
 //!   bounded window of open slots; a full window is waited out, or its
 //!   oldest slot is forced through the deadline machinery, never overrun.
 //! * **Three timelines.** The uplink, one device per server member and
-//!   the downlink are serially-reusable resources, each a "free at"
-//!   instant, so pipelined requests overlap link transfer with device
-//!   time and waiting charges only what overlap did not hide.
+//!   the downlink are serially-reusable resources, each a kernel
+//!   `Timeline` whose bookings start once both the work is ready and the
+//!   resource is free, so pipelined requests overlap link transfer with
+//!   device time and waiting charges only what overlap did not hide.
 //! * **Recovery.** Every request keeps retransmission state and its own
 //!   deadline: a loss retransmits it with capped exponential backoff until
 //!   the retry budget expires it into an inline [`ServerResponse::Error`].
@@ -59,7 +60,7 @@
 //! runs each of its sessions as one connection of a client.
 
 use crate::fleet::{Fleet, HealthMonitor};
-use crate::kernel::{Kernel, KernelEvent, KernelStats, TimerId};
+use crate::kernel::{Kernel, KernelEvent, KernelStats, Timeline, TimerId};
 use minos_net::{
     BufferPool, FaultLayer, FaultPlan, FaultStats, Frame, FramePayload, Link, LinkStats, Priority,
     ServerRequest, ServerResponse,
@@ -285,10 +286,10 @@ pub struct Client {
     transport: TransportStats,
     timeout: SimDuration,
     max_retries: u32,
-    pub(crate) up_free: SimInstant,
+    pub(crate) up: Timeline,
     /// One device timeline per member: the shared wire feeds N devices.
-    pub(crate) dev_free: Vec<SimInstant>,
-    pub(crate) down_free: SimInstant,
+    dev: Vec<Timeline>,
+    pub(crate) down: Timeline,
     round_trips: u64,
     /// Heartbeat interval once armed; `None` keeps heartbeats off.
     pub(crate) heartbeat: Option<SimDuration>,
@@ -348,9 +349,9 @@ impl Client {
             transport: TransportStats::default(),
             timeout: DEFAULT_TIMEOUT,
             max_retries: DEFAULT_MAX_RETRIES,
-            up_free: SimInstant::EPOCH,
-            dev_free: vec![SimInstant::EPOCH; members],
-            down_free: SimInstant::EPOCH,
+            up: Timeline::default(),
+            dev: vec![Timeline::default(); members],
+            down: Timeline::default(),
             round_trips: 0,
             heartbeat: None,
             health: HealthMonitor::new(members),
@@ -427,12 +428,6 @@ impl Client {
     /// The kernel counters of the recovery machinery.
     pub fn kernel_stats(&self) -> KernelStats {
         self.kernel.stats()
-    }
-
-    /// Drains the client kernel's trace ring as a JSON array (see
-    /// [`Kernel::drain_trace_json`]).
-    pub fn drain_kernel_trace(&mut self) -> String {
-        self.kernel.drain_trace_json()
     }
 
     /// Round trips so far: times the client went from idle (nothing in
@@ -573,9 +568,7 @@ impl Client {
                 < self.window_cap * self.conns.len(),
             "frames in transit exceed the admitted windows"
         );
-        let up = self.link.transfer(frame.wire_size());
-        let arrival = self.clock.now().max(self.up_free) + up;
-        self.up_free = arrival;
+        let (_, arrival) = self.up.book(self.clock.now(), self.link.transfer(frame.wire_size()));
         if let Some(queue) = self.pending.get_mut(member) {
             queue.push_back(PendingFrame { frame, arrival });
         }
@@ -690,8 +683,7 @@ impl Client {
         };
         let up = self.link.transfer(bytes.len() as u64);
         let deliveries = self.conns[conn_index(conn)].faults.apply(bytes);
-        let arrival = self.clock.now().max(self.up_free) + up;
-        self.up_free = arrival;
+        let (_, arrival) = self.up.book(self.clock.now(), up);
         for delivery in deliveries {
             match Frame::decode(&delivery.bytes) {
                 Ok(delivered) if delivered.as_request().is_some() => {
@@ -753,19 +745,15 @@ impl Client {
             }
             self.transport.epoch_resyncs += 1;
             let hello = Frame::request(CONN_ID, 0, ServerRequest::Hello { epoch: last });
-            let up = self.link.transfer(hello.wire_size());
-            let hello_arrival = self.clock.now().max(self.up_free) + up;
-            self.up_free = hello_arrival;
+            let (_, hello_arrival) =
+                self.up.book(self.clock.now(), self.link.transfer(hello.wire_size()));
             let (answer, took) =
                 self.fleet.servers_mut()[m].handle(&ServerRequest::Hello { epoch: last });
-            let done = hello_arrival.max(self.dev_free[m]) + took;
-            self.dev_free[m] = done;
+            let (_, done) = self.dev[m].book(hello_arrival, took);
             // The answer moves into the frame for an arithmetic wire-size
             // measurement and is read back out of it — never cloned.
             let welcome = Frame::response(CONN_ID, 0, answer);
-            let down = self.link.transfer(welcome.wire_size());
-            let delivered = done.max(self.down_free) + down;
-            self.down_free = delivered;
+            let (_, delivered) = self.down.book(done, self.link.transfer(welcome.wire_size()));
             self.clock.advance_to_at_least(delivered);
             self.epochs[m] = match welcome.payload {
                 FramePayload::Response(ServerResponse::Welcome { epoch }) => epoch,
@@ -928,9 +916,7 @@ impl Client {
     fn serve(&mut self, m: usize, frame: Frame, charge: SimDuration) {
         let rid = frame.request_id;
         let arrival = self.slot_mut(rid).and_then(|slot| slot.arrival.take());
-        let arrival = arrival.unwrap_or(self.up_free);
-        let done = arrival.max(self.dev_free[m]) + charge;
-        self.dev_free[m] = done;
+        let (_, done) = self.dev[m].book(arrival.unwrap_or(self.up.free_at()), charge);
         if let FramePayload::Response(response) = frame.payload {
             self.land(frame.conn_id, rid, response, done);
         }
@@ -955,9 +941,7 @@ impl Client {
             // The response moved into a typed frame to measure its wire
             // size arithmetically and is taken back out — no copy, no
             // encoding on the clean path.
-            let down = self.link.transfer(frame.wire_size());
-            let delivered = done.max(self.down_free) + down;
-            self.down_free = delivered;
+            let (_, delivered) = self.down.book(done, self.link.transfer(frame.wire_size()));
             if let FramePayload::Response(response) = frame.payload {
                 self.receive(request_id, response, delivered);
             }
@@ -976,10 +960,8 @@ impl Client {
         if let FramePayload::Response(ServerResponse::Span(page)) = frame.payload {
             self.pool.recycle(page);
         }
-        let down = self.link.transfer(bytes.len() as u64);
+        let (_, delivered) = self.down.book(done, self.link.transfer(bytes.len() as u64));
         let deliveries = self.conn_mut(conn).faults.apply(&bytes);
-        let delivered = done.max(self.down_free) + down;
-        self.down_free = delivered;
         for delivery in deliveries {
             let decoded = Frame::decode_with(&delivery.bytes, &mut || {
                 lease_counted(&self.pool, &mut self.transport)

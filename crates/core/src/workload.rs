@@ -75,7 +75,7 @@ use crate::chaos::{ChaosEvent, ChaosSchedule};
 use crate::fleet::{
     Fleet, HealthMonitor, MemberHealth, RepairQueue, RepairReceipt, RepairTask, Replica,
 };
-use crate::kernel::{Kernel, KernelEvent, KernelStats};
+use crate::kernel::{Kernel, KernelEvent, KernelStats, Timeline};
 use crate::prefetch::page_spans;
 use crate::transport::{Client, Ticket, TransportStats};
 use minos_net::{
@@ -353,9 +353,9 @@ struct Run {
     /// Heartbeat round trip on an idle wire — the baseline a gray
     /// member's multiplied echo is compared against.
     base_rtt_us: u64,
-    up_free: SimInstant,
-    down_free: SimInstant,
-    dev_free: Vec<SimInstant>,
+    up: Timeline,
+    down: Timeline,
+    dev: Vec<Timeline>,
     /// Per member, whether its device is serving a request.
     serving: Vec<bool>,
     /// Per member, the request frames on the uplink, in arrival order.
@@ -494,9 +494,9 @@ impl Run {
             repairs: RepairQueue::new(),
             repair_idle: true,
             base_rtt_us,
-            up_free: SimInstant::EPOCH,
-            down_free: SimInstant::EPOCH,
-            dev_free: vec![SimInstant::EPOCH; members],
+            up: Timeline::default(),
+            down: Timeline::default(),
+            dev: vec![Timeline::default(); members],
             serving: vec![false; members],
             transit: (0..members).map(|_| VecDeque::new()).collect(),
             last_arrival: vec![SimInstant::EPOCH; members],
@@ -557,7 +557,7 @@ impl Run {
                             // request sent to it. The epoch resync, and
                             // the replay of what it stranded, happen at the
                             // next heartbeat echo.
-                            self.dev_free[member] = self.kernel.now();
+                            self.dev[member].release(self.kernel.now());
                             self.serving[member] = false;
                             self.transit[member].clear();
                         }
@@ -676,10 +676,9 @@ impl Run {
     /// `ready`, into the member's in-transit queue, and arms the member's
     /// `ServerWake` at its arrival. Returns the departure instant.
     fn uplink(&mut self, member: usize, frame: Frame, ready: SimInstant) -> SimInstant {
-        let leave = self.up_free.max(ready);
-        self.up_free = leave + self.link.transfer(frame.wire_size());
-        self.transit[member].push_back((self.up_free, frame));
-        self.kernel.arm(self.up_free, KernelEvent::ServerWake { member: member as u64 });
+        let (leave, arrival) = self.up.book(ready, self.link.transfer(frame.wire_size()));
+        self.transit[member].push_back((arrival, frame));
+        self.kernel.arm(arrival, KernelEvent::ServerWake { member: member as u64 });
         leave
     }
 
@@ -726,8 +725,9 @@ impl Run {
         if self.serving[m] || !reachable(&self.config.schedule, m, now) {
             return;
         }
-        if self.dev_free[m] > now {
-            self.kernel.arm(self.dev_free[m], KernelEvent::ServerWake { member: m as u64 });
+        let free = self.dev[m].free_at();
+        if free > now {
+            self.kernel.arm(free, KernelEvent::ServerWake { member: m as u64 });
             return;
         }
         let member = self.fleet.member_mut(m).expect("polled members are in range");
@@ -741,8 +741,8 @@ impl Run {
             "one device: member {m} polled a request in transit or while serving"
         );
         let factor = self.config.schedule.slow_factor(m, now);
-        let done = now + SimDuration::from_micros(charge.as_micros().saturating_mul(factor));
-        self.dev_free[m] = done;
+        let took = SimDuration::from_micros(charge.as_micros().saturating_mul(factor));
+        let (_, done) = self.dev[m].book(now, took);
         self.serving[m] = true;
         let seq = self.next_landing;
         self.next_landing += 1;
@@ -780,12 +780,9 @@ impl Run {
             let l = self.landing.remove(&seq).expect("checked above");
             self.recycle(m, l.frame);
         } else {
-            let start = self.down_free.max(l.done);
-            debug_assert!(start >= self.down_free, "two responses overlap on the downlink");
-            self.down_free = start + self.link.transfer(l.frame.wire_size());
+            let (_, at) = self.down.book(l.done, self.link.transfer(l.frame.wire_size()));
             l.on_wire = true;
-            let landed = KernelEvent::ResponseLanded { conn: m as u64, request_id: seq };
-            self.kernel.arm(self.down_free, landed);
+            self.kernel.arm(at, KernelEvent::ResponseLanded { conn: m as u64, request_id: seq });
         }
         if epoch == self.fleet.epoch(m) {
             self.serving[m] = false;
@@ -1042,12 +1039,9 @@ impl Run {
     /// member-to-member transfer, the target append — starting no earlier
     /// than `from`. Returns when the copy is durable.
     fn charge_copy(&mut self, receipt: &RepairReceipt, from: SimInstant) -> SimInstant {
-        let read = from.max(self.dev_free[receipt.source]) + receipt.read_time;
-        self.dev_free[receipt.source] = read;
+        let (_, read) = self.dev[receipt.source].book(from, receipt.read_time);
         let moved = read + self.link.transfer(receipt.bytes);
-        let durable = moved.max(self.dev_free[receipt.target]) + receipt.write_time;
-        self.dev_free[receipt.target] = durable;
-        durable
+        self.dev[receipt.target].book(moved, receipt.write_time).1
     }
 
     /// Drains one re-replication task: rebuild the lost copy from a live,
@@ -1106,7 +1100,7 @@ impl Run {
         for object in objects {
             let receipt = self.fleet.heal_copy(object, m)?;
             self.report.scrub_heals += 1;
-            self.charge_copy(&receipt, self.dev_free[m]);
+            self.charge_copy(&receipt, self.dev[m].free_at());
         }
         Ok(())
     }
@@ -1124,9 +1118,9 @@ impl Run {
             let pass = self.fleet.scrub_member(m)?;
             self.report.scrub_pages += pass.pages;
             self.report.scrub_detected += pass.corrupt.len() as u64;
-            self.dev_free[m] = now.max(self.dev_free[m]) + pass.device_time;
+            self.dev[m].book(now, pass.device_time);
             self.heal(m, &pass.corrupt)?;
-            finished = self.dev_free[m];
+            finished = self.dev[m].free_at();
         }
         if let Some(interval) = self.config.scrub_interval {
             let due = finished.max(now) + interval;
