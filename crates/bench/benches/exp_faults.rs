@@ -22,14 +22,14 @@
 //! the check every delivered frame pays at the receiver.
 //!
 //! The series is emitted machine-readable as `BENCH_transport.json` at the
-//! repository root by the full bench run. `--smoke` runs the acceptance
-//! pin — at 1 % frame corruption the pipelined transport retries to
-//! completion with ≥ 80 % of its fault-free throughput — and checks a
-//! fresh series against the committed file, every line but the
+//! repository root by the full bench run and by `--series`. `--smoke` runs
+//! the acceptance pin — at 1 % frame corruption the pipelined transport
+//! retries to completion with ≥ 80 % of its fault-free throughput — and
+//! checks a fresh series against the committed file, every line but the
 //! host-dependent timings; it is hooked into `scripts/check.sh`.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use minos_bench::{assert_matches_committed, fast_criterion, row};
+use minos_bench::{fast_criterion, record, row, timed};
 use minos_net::{crc32, FaultPlan, Frame, ServerResponse};
 use minos_presentation::workload::{simulate_faulty_page_workload, FaultyWorkloadReport};
 use std::hint::black_box;
@@ -68,9 +68,9 @@ fn measure_series() -> Vec<Point> {
     RATES
         .iter()
         .map(|&rate| {
-            let start = Instant::now();
-            let (blocking, pipelined) = (run(1, rate), run(PIPELINED_WINDOW, rate));
-            Point { rate, blocking, pipelined, wall: start.elapsed() }
+            let ((blocking, pipelined), wall) =
+                timed(|| (run(1, rate), run(PIPELINED_WINDOW, rate)));
+            Point { rate, blocking, pipelined, wall }
         })
         .collect()
 }
@@ -101,15 +101,11 @@ fn crc32_ns_per_kib() -> f64 {
     per_kib[CRC_BATCHES / 2]
 }
 
-/// The committed series, at the repository root.
-const BENCH_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_transport.json");
-
-/// The keys whose values depend on the host, not on the simulation.
-const HOST_KEYS: [&str; 2] = ["wall_us", "crc32_ns_per_kib"];
-
-/// Renders the series as the `BENCH_transport.json` document — the
-/// machine-readable perf-trajectory record for this experiment.
-fn series_json(points: &[Point], crc_ns_per_kib: f64) -> String {
+/// Records the series as `BENCH_transport.json` at the repository root —
+/// the machine-readable perf-trajectory record for this experiment. The
+/// wall-clock keys depend on the host, not on the simulation.
+fn record_series(points: &[Point]) {
+    let crc_ns_per_kib = crc32_ns_per_kib();
     let clean_pipelined = points.first().map(|p| p.pipelined.pages_per_sec()).unwrap_or(0.0);
     let mut series = Vec::new();
     for p in points {
@@ -129,22 +125,14 @@ fn series_json(points: &[Point], crc_ns_per_kib: f64) -> String {
             p.wall.as_micros(),
         ));
     }
-    format!(
+    let json = format!(
         "{{\n  \"experiment\": \"E13\",\n  \"workload\": \"{PAGES} x {PAGE_LEN} B pages, strided, \
          10 Mbit/s Ethernet, optical server\",\n  \"pipelined_window\": {PIPELINED_WINDOW},\n  \
          \"seed\": {SEED},\n  \"crc32_ns_per_kib\": {crc_ns_per_kib:.1},\n  \
          \"series\": [\n{}\n  ]\n}}\n",
         series.join(",\n")
-    )
-}
-
-/// Writes the series to `BENCH_transport.json`.
-fn emit_json(points: &[Point]) {
-    if let Err(e) = std::fs::write(BENCH_PATH, series_json(points, crc32_ns_per_kib())) {
-        row("E13", &format!("could not write BENCH_transport.json: {e}"));
-    } else {
-        row("E13", "series written to BENCH_transport.json");
-    }
+    );
+    record("E13", "BENCH_transport.json", &json, &["wall_us", "crc32_ns_per_kib"]);
 }
 
 fn print_series() {
@@ -178,7 +166,7 @@ fn print_series() {
             ),
         );
     }
-    emit_json(&points);
+    record_series(&points);
 }
 
 fn smoke() {
@@ -203,15 +191,11 @@ fn smoke() {
     assert_eq!(faulty.failed, 0, "no request exhausted its retries");
     assert!(ratio >= 0.8, "goodput ratio {ratio:.3} under 1% corruption fell below 0.8");
     // The full series is cheap (simulated time), so the smoke holds it to
-    // the committed file, line for line except the host-dependent timings.
-    // It never rewrites the file: only the full bench run does.
-    let fresh = series_json(&measure_series(), crc32_ns_per_kib());
-    assert_matches_committed(BENCH_PATH, &fresh, &HOST_KEYS);
-    row("E13", "series matches BENCH_transport.json (wall_us and crc32_ns_per_kib aside)");
+    // the committed file.
+    record_series(&measure_series());
 }
 
 fn bench(c: &mut Criterion) {
-    print_series();
     let mut group = c.benchmark_group("e13_faults");
     for &(label, window) in &[("blocking", 1usize), ("pipelined", PIPELINED_WINDOW)] {
         group.bench_with_input(BenchmarkId::new(label, "1pct"), &window, |b, &w| {
@@ -228,9 +212,5 @@ criterion_group! {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--smoke") {
-        smoke();
-        return;
-    }
-    benches();
+    minos_bench::main(smoke, print_series, benches);
 }

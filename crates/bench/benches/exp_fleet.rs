@@ -29,12 +29,12 @@
 //! hooked into `scripts/check.sh`.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use minos_bench::{assert_matches_committed, fast_criterion, row};
+use minos_bench::{fast_criterion, record, row, timed};
 use minos_net::{Frame, Link, ServerResponse};
 use minos_presentation::chaos::ChaosSchedule;
 use minos_presentation::workload::{self, RunReport, WorkloadConfig};
 use minos_types::{SimDuration, SimInstant};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const PAGES: usize = 8;
 const PAGE_LEN: u64 = 32768;
@@ -95,9 +95,8 @@ struct Point {
 
 /// Runs one row and times it on the wall clock.
 fn measure(members: usize, replication: usize, sessions: usize, schedule: ChaosSchedule) -> Point {
-    let start = Instant::now();
-    let report = run(members, replication, sessions, schedule);
-    Point { members, replication, sessions, report, wall: start.elapsed() }
+    let (report, wall) = timed(|| run(members, replication, sessions, schedule));
+    Point { members, replication, sessions, report, wall }
 }
 
 /// The scaling sweep runs unreplicated (each member holds only its
@@ -128,12 +127,9 @@ fn measure_restart() -> Point {
     measure(4, 2, SMOKE_SESSIONS, schedule)
 }
 
-/// The committed series, at the repository root.
-const BENCH_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json");
-
-/// Renders the series as the `BENCH_fleet.json` document — the
+/// Records the series as `BENCH_fleet.json` at the repository root — the
 /// machine-readable perf-trajectory record for this experiment.
-fn series_json(points: &[Point], restart: &Point) -> String {
+fn record_series(points: &[Point], restart: &Point) {
     let mut series = Vec::new();
     for p in points {
         series.push(format!(
@@ -154,7 +150,7 @@ fn series_json(points: &[Point], restart: &Point) -> String {
         ));
     }
     let r = &restart.report;
-    format!(
+    let json = format!(
         "{{\n  \"experiment\": \"E16\",\n  \"workload\": \"M sessions x {PAGES} x {PAGE_LEN} B \
          demand pages, rendezvous placement, k in (1, 2) copies per object, one shared \
          10 Mbit/s Ethernet, optical devices\",\n  \"series\": [\n{}\n  ],\n  \
@@ -171,16 +167,8 @@ fn series_json(points: &[Point], restart: &Point) -> String {
         r.busy_deferred,
         r.premature_busy_retries,
         restart.wall.as_micros(),
-    )
-}
-
-/// Writes the series to `BENCH_fleet.json`.
-fn emit_json(points: &[Point], restart: &Point) {
-    if let Err(e) = std::fs::write(BENCH_PATH, series_json(points, restart)) {
-        row("E16", &format!("could not write BENCH_fleet.json: {e}"));
-    } else {
-        row("E16", "series written to BENCH_fleet.json");
-    }
+    );
+    record("E16", "BENCH_fleet.json", &json, &["wall_us"]);
 }
 
 fn print_series() {
@@ -229,7 +217,7 @@ fn print_series() {
             r.replays
         ),
     );
-    emit_json(&points, &restart);
+    record_series(&points, &restart);
 }
 
 fn smoke() {
@@ -290,15 +278,11 @@ fn smoke() {
     assert!(r.replays > 0, "the lost work was replayed: {r:?}");
     assert_eq!(r.premature_busy_retries, 0, "no resubmission beat its retry hint: {r:?}");
     // The series is cheap to simulate, so the smoke holds it to the
-    // committed file, line for line except the host-dependent `wall_us`.
-    // It never rewrites the file: only the full bench run and `--series`
-    // do.
-    assert_matches_committed(BENCH_PATH, &series_json(&series, &restart), &["wall_us"]);
-    row("E16", "series matches BENCH_fleet.json (wall_us aside)");
+    // committed file.
+    record_series(&series, &restart);
 }
 
 fn bench(c: &mut Criterion) {
-    print_series();
     let mut group = c.benchmark_group("e16_fleet");
     for members in [1usize, 4] {
         group.bench_with_input(BenchmarkId::new("members", members), &members, |b, &members| {
@@ -315,13 +299,5 @@ criterion_group! {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--smoke") {
-        smoke();
-        return;
-    }
-    if std::env::args().any(|a| a == "--series") {
-        print_series();
-        return;
-    }
-    benches();
+    minos_bench::main(smoke, print_series, benches);
 }

@@ -18,14 +18,14 @@
 //! `idle_sessions_cost_the_kernel_nothing`.)
 //!
 //! The series is emitted machine-readable as `BENCH_sched.json` at the
-//! repository root by the full bench run. `--smoke` runs the acceptance
-//! pin — four events and four timers per page, zero spurious wakes, at
-//! every population — and checks a fresh series against the committed
-//! file, every line but the host-dependent `wall_us`; it is hooked into
-//! `scripts/check.sh`.
+//! repository root by the full bench run and by `--series`. `--smoke` runs
+//! the acceptance pin — four events and four timers per page, zero
+//! spurious wakes, at every population — and checks a fresh series
+//! against the committed file, every line but the host-dependent
+//! `wall_us`; it is hooked into `scripts/check.sh`.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use minos_bench::{assert_matches_committed, fast_criterion, row};
+use minos_bench::{fast_criterion, record, row, timed};
 use minos_presentation::workload::{self, Dwell, RunReport, WorkloadConfig};
 use minos_types::SimDuration;
 
@@ -69,19 +69,15 @@ fn measure_series() -> Vec<Point> {
     SESSIONS
         .iter()
         .map(|&sessions| {
-            let start = std::time::Instant::now();
-            let report = run(sessions);
-            Point { sessions, report, wall: start.elapsed() }
+            let (report, wall) = timed(|| run(sessions));
+            Point { sessions, report, wall }
         })
         .collect()
 }
 
-/// The committed series, at the repository root.
-const BENCH_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sched.json");
-
-/// Renders the series as the `BENCH_sched.json` document — the
+/// Records the series as `BENCH_sched.json` at the repository root — the
 /// machine-readable perf-trajectory record for this experiment.
-fn series_json(points: &[Point]) -> String {
+fn record_series(points: &[Point]) {
     let mut series = Vec::new();
     for p in points {
         series.push(format!(
@@ -101,21 +97,13 @@ fn series_json(points: &[Point]) -> String {
             p.wall.as_micros(),
         ));
     }
-    format!(
+    let json = format!(
         "{{\n  \"experiment\": \"E15\",\n  \"workload\": \"N dwell-paced sessions x {PAGES} x \
          {PAGE_LEN} B pages, window 1, audio stride {AUDIO_STRIDE} @ 250ms, text dwell 1s, \
          one optical server, 10 Mbit/s Ethernet, workload driver\",\n  \"series\": [\n{}\n  ]\n}}\n",
         series.join(",\n")
-    )
-}
-
-/// Writes the series to `BENCH_sched.json`.
-fn emit_json(points: &[Point]) {
-    if let Err(e) = std::fs::write(BENCH_PATH, series_json(points)) {
-        row("E15", &format!("could not write BENCH_sched.json: {e}"));
-    } else {
-        row("E15", "series written to BENCH_sched.json");
-    }
+    );
+    record("E15", "BENCH_sched.json", &json, &["wall_us"]);
 }
 
 fn print_series() {
@@ -141,7 +129,7 @@ fn print_series() {
             ),
         );
     }
-    emit_json(&points);
+    record_series(&points);
 }
 
 fn smoke() {
@@ -168,14 +156,11 @@ fn smoke() {
         assert_eq!(r.kernel.spurious_wakes, 0, "no wake found nothing to do: {r:?}");
     }
     // The full series is cheap (simulated time), so the smoke holds it to
-    // the committed file, line for line except the host-dependent
-    // `wall_us`. It never rewrites the file: only the full bench run does.
-    assert_matches_committed(BENCH_PATH, &series_json(&points), &["wall_us"]);
-    row("E15", "series matches BENCH_sched.json (wall_us aside)");
+    // the committed file.
+    record_series(&points);
 }
 
 fn bench(c: &mut Criterion) {
-    print_series();
     let mut group = c.benchmark_group("e15_sched");
     for sessions in [SESSIONS[0], SESSIONS[SESSIONS.len() - 1]] {
         group.bench_with_input(BenchmarkId::new("paced", sessions), &sessions, |b, &n| {
@@ -192,9 +177,5 @@ criterion_group! {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--smoke") {
-        smoke();
-        return;
-    }
-    benches();
+    minos_bench::main(smoke, print_series, benches);
 }
