@@ -23,13 +23,14 @@
 //! Both clocks are recorded: each row carries the wall-clock time its run
 //! took (`wall_us`).
 //!
-//! The three measured rows (healthy, chaos hedged, chaos unhedged) are
-//! emitted machine-readable as `BENCH_chaos.json` at the repository root
-//! by the full bench run and by `--series`; `--smoke` checks fresh rows
-//! against the committed file, every line but `wall_us`.
+//! The bench prints the three measured rows (healthy, chaos hedged, chaos
+//! unhedged) as one document and writes it as `BENCH_chaos.json` at the
+//! repository root, in the full run and under `--series`; `--smoke` runs
+//! the pins on those rows and checks them against the committed file,
+//! every line but `wall_us`.
 
 use criterion::{criterion_group, Criterion};
-use minos_bench::{fast_criterion, record, row, timed};
+use minos_bench::{fast_criterion, row, timed, Json};
 use minos_presentation::chaos::ChaosSchedule;
 use minos_presentation::fleet::rendezvous_order;
 use minos_presentation::workload::{self, RunReport, WorkloadConfig};
@@ -115,106 +116,54 @@ fn chaos_unhedged() -> RunReport {
     run(chaos_schedule(), None)
 }
 
-/// The names of the three measured rows, in [`measure_rows`] order.
+/// The names of the three measured rows, in [`measure`] order.
 const ROWS: [&str; 3] = ["healthy", "chaos_hedged", "chaos_unhedged"];
 
 /// The three measured rows, each with the wall-clock cost of producing it.
-fn measure_rows() -> [(RunReport, Duration); 3] {
+fn measure() -> [(RunReport, Duration); 3] {
     [timed(healthy), timed(chaos_hedged), timed(chaos_unhedged)]
 }
 
-fn json_row(name: &str, (r, wall): &(RunReport, Duration)) -> String {
-    format!(
-        "    \"{name}\": {{\n      \"pages\": {},\n      \"lost_pages\": {},\n      \
-         \"elapsed_us\": {},\n      \"wall_us\": {},\n      \"audio_p99_us\": {},\n      \
-         \"hedges_fired\": {},\n      \
-         \"hedge_wins\": {},\n      \"duplicates_suppressed\": {},\n      \
-         \"down_transitions\": {},\n      \"slow_transitions\": {},\n      \
-         \"replays\": {},\n      \"repairs_completed\": {},\n      \
-         \"repair_bytes\": {},\n      \"scrub_pages\": {},\n      \"scrub_detected\": {},\n      \
-         \"scrub_heals\": {},\n      \"read_repairs\": {},\n      \"bit_rot_flips\": {},\n      \
-         \"final_corrupt_pages\": {},\n      \"premature_busy_retries\": {},\n      \
-         \"replication_ok\": {}\n    }}",
-        r.pages,
-        r.lost_pages,
-        r.elapsed.as_micros(),
-        wall.as_micros(),
-        r.audio_p99.as_micros(),
-        r.hedges_fired,
-        r.hedge_wins,
-        r.duplicates_suppressed,
-        r.down_transitions,
-        r.slow_transitions,
-        r.replays,
-        r.repairs_completed,
-        r.repair_bytes,
-        r.scrub_pages,
-        r.scrub_detected,
-        r.scrub_heals,
-        r.read_repairs,
-        r.bit_rot_flips,
-        r.final_corrupt_pages,
-        r.premature_busy_retries,
-        r.replication_ok,
-    )
-}
-
-/// Records the three rows as `BENCH_chaos.json` at the repository root.
-fn record_rows(rows: &[(RunReport, Duration); 3]) {
-    let rows: Vec<String> = ROWS.iter().zip(rows).map(|(name, r)| json_row(name, r)).collect();
-    let json = format!(
-        "{{\n  \"experiment\": \"E17\",\n  \"workload\": \"{SESSIONS} sessions x {PAGES} x \
-         {PAGE_LEN} B demand pages, {MEMBERS} members k={REPLICATION}, one mid-run crash, one \
-         8x gray member, {ROT_PPM} ppm latent bit rot, heartbeat health monitor, proactive \
-         re-replication, scrub + read-repair, hedged audio reads\",\n  \"rows\": {{\n{}\n  \
-         }}\n}}\n",
-        rows.join(",\n"),
+fn doc(rows: &[(RunReport, Duration); 3]) -> Json {
+    let entry = |(r, wall): &(RunReport, Duration)| {
+        Json::Obj(vec![
+            ("pages", r.pages.into()),
+            ("lost_pages", r.lost_pages.into()),
+            ("elapsed_us", r.elapsed.as_micros().into()),
+            ("wall_us", wall.as_micros().into()),
+            ("audio_p99_us", r.audio_p99.as_micros().into()),
+            ("hedges_fired", r.hedges_fired.into()),
+            ("hedge_wins", r.hedge_wins.into()),
+            ("duplicates_suppressed", r.duplicates_suppressed.into()),
+            ("down_transitions", r.down_transitions.into()),
+            ("slow_transitions", r.slow_transitions.into()),
+            ("replays", r.replays.into()),
+            ("repairs_completed", r.repairs_completed.into()),
+            ("repair_bytes", r.repair_bytes.into()),
+            ("scrub_pages", r.scrub_pages.into()),
+            ("scrub_detected", r.scrub_detected.into()),
+            ("scrub_heals", r.scrub_heals.into()),
+            ("read_repairs", r.read_repairs.into()),
+            ("bit_rot_flips", r.bit_rot_flips.into()),
+            ("final_corrupt_pages", r.final_corrupt_pages.into()),
+            ("premature_busy_retries", r.premature_busy_retries.into()),
+            ("replication_ok", r.replication_ok.into()),
+        ])
+    };
+    let workload = format!(
+        "{SESSIONS} sessions x {PAGES} x {PAGE_LEN} B demand pages, {MEMBERS} members \
+         k={REPLICATION}, one mid-run crash, one 8x gray member, {ROT_PPM} ppm latent bit rot, \
+         heartbeat health monitor, proactive re-replication, scrub + read-repair, hedged audio reads"
     );
-    record("E17", "BENCH_chaos.json", &json, &["wall_us"]);
+    Json::Obj(vec![
+        ("experiment", "E17".into()),
+        ("workload", workload.into()),
+        ("rows", Json::Obj(ROWS.into_iter().zip(rows.iter().map(entry)).collect())),
+    ])
 }
 
-fn print_rows(rows: &[(RunReport, Duration); 3]) {
-    for (name, (r, _)) in ROWS.iter().zip(rows) {
-        row(
-            "E17",
-            &format!(
-                "{:>14}: pages {}  audio_p99 {:.1} ms  slow {}  hedges {}/{}  repairs {}  \
-                 scrub det/heal {}/{}  read_repairs {}  flips {}  residual_corrupt {}",
-                name.replace('_', " "),
-                r.pages,
-                r.audio_p99.as_micros() as f64 / 1_000.0,
-                r.slow_transitions,
-                r.hedge_wins,
-                r.hedges_fired,
-                r.repairs_completed,
-                r.scrub_detected,
-                r.scrub_heals,
-                r.read_repairs,
-                r.bit_rot_flips,
-                r.final_corrupt_pages,
-            ),
-        );
-    }
-}
-
-fn print_series() {
-    row(
-        "E17",
-        &format!(
-            "workload = {SESSIONS} sessions x {PAGES} x {} KB pages; {MEMBERS} members \
-             k={REPLICATION}; crash @40ms, 8x gray @25ms.., {ROT_PPM} ppm rot",
-            PAGE_LEN / 1024
-        ),
-    );
-    let rows = measure_rows();
-    print_rows(&rows);
-    record_rows(&rows);
-}
-
-fn smoke() {
-    let rows = measure_rows();
-    print_rows(&rows);
-    let [(base, _), (hedged, _), (unhedged, _)] = &rows;
+fn pins(rows: &[(RunReport, Duration); 3]) {
+    let [(base, _), (hedged, _), (unhedged, _)] = rows;
     let want = (SESSIONS * PAGES) as u64;
     for (name, r) in [("healthy", base), ("hedged", hedged), ("unhedged", unhedged)] {
         // The byte-identity pin: the harness verifies every delivered page
@@ -263,7 +212,6 @@ fn smoke() {
         ratio <= 2.0,
         "hedged audio p99 {ratio:.2}x exceeded the 2x-of-healthy pin: {hedged:?} vs {base:?}"
     );
-    record_rows(&rows);
 }
 
 fn bench(c: &mut Criterion) {
@@ -279,5 +227,5 @@ criterion_group! {
 }
 
 fn main() {
-    minos_bench::main(smoke, print_series, benches);
+    minos_bench::main("E17", "BENCH_chaos.json", &["wall_us"], measure, doc, pins, benches);
 }

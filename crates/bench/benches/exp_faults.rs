@@ -21,15 +21,16 @@
 //! `crc32` costs per KiB of one 8 KiB page frame (`crc32_ns_per_kib`),
 //! the check every delivered frame pays at the receiver.
 //!
-//! The series is emitted machine-readable as `BENCH_transport.json` at the
-//! repository root by the full bench run and by `--series`. `--smoke` runs
-//! the acceptance pin — at 1 % frame corruption the pipelined transport
+//! The bench prints the series document and writes it as
+//! `BENCH_transport.json` at the repository root, in the full run and
+//! under `--series`. `--smoke` runs the acceptance pin on the measured
+//! window-8 points — at 1 % frame corruption the pipelined transport
 //! retries to completion with ≥ 80 % of its fault-free throughput — and
-//! checks a fresh series against the committed file, every line but the
+//! checks the fresh series against the committed file, every line but the
 //! host-dependent timings; it is hooked into `scripts/check.sh`.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use minos_bench::{fast_criterion, record, row, timed};
+use minos_bench::{fast_criterion, point, row, timed, Json};
 use minos_net::{crc32, FaultPlan, Frame, ServerResponse};
 use minos_presentation::workload::{simulate_faulty_page_workload, FaultyWorkloadReport};
 use std::hint::black_box;
@@ -64,17 +65,6 @@ struct Point {
     wall: Duration,
 }
 
-fn measure_series() -> Vec<Point> {
-    RATES
-        .iter()
-        .map(|&rate| {
-            let ((blocking, pipelined), wall) =
-                timed(|| (run(1, rate), run(PIPELINED_WINDOW, rate)));
-            Point { rate, blocking, pipelined, wall }
-        })
-        .collect()
-}
-
 /// Batches the CRC probe times; the reported figure is their median.
 const CRC_BATCHES: usize = 15;
 /// `crc32` calls per batch.
@@ -101,77 +91,49 @@ fn crc32_ns_per_kib() -> f64 {
     per_kib[CRC_BATCHES / 2]
 }
 
-/// Records the series as `BENCH_transport.json` at the repository root —
-/// the machine-readable perf-trajectory record for this experiment. The
-/// wall-clock keys depend on the host, not on the simulation.
-fn record_series(points: &[Point]) {
-    let crc_ns_per_kib = crc32_ns_per_kib();
-    let clean_pipelined = points.first().map(|p| p.pipelined.pages_per_sec()).unwrap_or(0.0);
-    let mut series = Vec::new();
-    for p in points {
-        let ratio =
-            if clean_pipelined > 0.0 { p.pipelined.pages_per_sec() / clean_pipelined } else { 0.0 };
-        series.push(format!(
-            "    {{\n      \"fault_rate\": {},\n      \"blocking_pages_per_sec\": {:.4},\n      \
-             \"pipelined_pages_per_sec\": {:.4},\n      \"pipelined_goodput_ratio\": {ratio:.4},\n      \
-             \"pipelined_retries\": {},\n      \"pipelined_corrupt_frames\": {},\n      \
-             \"pages_failed\": {},\n      \"wall_us\": {}\n    }}",
-            p.rate,
-            p.blocking.pages_per_sec(),
-            p.pipelined.pages_per_sec(),
-            p.pipelined.transport.retries,
-            p.pipelined.transport.corrupt_frames,
-            p.blocking.failed + p.pipelined.failed,
-            p.wall.as_micros(),
-        ));
-    }
-    let json = format!(
-        "{{\n  \"experiment\": \"E13\",\n  \"workload\": \"{PAGES} x {PAGE_LEN} B pages, strided, \
-         10 Mbit/s Ethernet, optical server\",\n  \"pipelined_window\": {PIPELINED_WINDOW},\n  \
-         \"seed\": {SEED},\n  \"crc32_ns_per_kib\": {crc_ns_per_kib:.1},\n  \
-         \"series\": [\n{}\n  ]\n}}\n",
-        series.join(",\n")
-    );
-    record("E13", "BENCH_transport.json", &json, &["wall_us", "crc32_ns_per_kib"]);
+/// The series and what `crc32` costs per KiB of a page frame.
+fn measure() -> (Vec<Point>, f64) {
+    let points = RATES
+        .iter()
+        .map(|&rate| {
+            let ((blocking, pipelined), wall) =
+                timed(|| (run(1, rate), run(PIPELINED_WINDOW, rate)));
+            Point { rate, blocking, pipelined, wall }
+        })
+        .collect();
+    (points, crc32_ns_per_kib())
 }
 
-fn print_series() {
-    row("E13", &format!("workload = {PAGES} x 8 KB pages, strided; link = 10 Mbit/s Ethernet;"));
-    row(
-        "E13",
-        &format!(
-            "per-frame corruption, CRC32-detected; blocking window 1 vs pipelined window \
-             {PIPELINED_WINDOW}"
-        ),
-    );
-    row(
-        "E13",
-        "fault_rate  blocking_pg/s  pipelined_pg/s  goodput_ratio  retries  failed  wall_ms",
-    );
-    let points = measure_series();
+fn doc((points, crc_ns_per_kib): &(Vec<Point>, f64)) -> Json {
     let clean = points.first().map(|p| p.pipelined.pages_per_sec()).unwrap_or(0.0);
-    for p in &points {
+    let entry = |p: &Point| {
         let ratio = if clean > 0.0 { p.pipelined.pages_per_sec() / clean } else { 0.0 };
-        row(
-            "E13",
-            &format!(
-                "{:>10}  {:>13.2}  {:>14.2}  {:>13.2}  {:>7}  {:>6}  {:>7.2}",
-                format!("{:.3}%", p.rate * 100.0),
-                p.blocking.pages_per_sec(),
-                p.pipelined.pages_per_sec(),
-                ratio,
-                p.pipelined.transport.retries,
-                p.blocking.failed + p.pipelined.failed,
-                p.wall.as_micros() as f64 / 1_000.0,
-            ),
-        );
-    }
-    record_series(&points);
+        Json::Obj(vec![
+            ("fault_rate", Json::Raw(p.rate.to_string())),
+            ("blocking_pages_per_sec", Json::fixed(p.blocking.pages_per_sec(), 4)),
+            ("pipelined_pages_per_sec", Json::fixed(p.pipelined.pages_per_sec(), 4)),
+            ("pipelined_goodput_ratio", Json::fixed(ratio, 4)),
+            ("pipelined_retries", p.pipelined.transport.retries.into()),
+            ("pipelined_corrupt_frames", p.pipelined.transport.corrupt_frames.into()),
+            ("pages_failed", (p.blocking.failed + p.pipelined.failed).into()),
+            ("wall_us", p.wall.as_micros().into()),
+        ])
+    };
+    let workload =
+        format!("{PAGES} x {PAGE_LEN} B pages, strided, 10 Mbit/s Ethernet, optical server");
+    Json::Obj(vec![
+        ("experiment", "E13".into()),
+        ("workload", workload.into()),
+        ("pipelined_window", PIPELINED_WINDOW.into()),
+        ("seed", SEED.into()),
+        ("crc32_ns_per_kib", Json::fixed(*crc_ns_per_kib, 1)),
+        ("series", Json::Arr(points.iter().map(entry).collect())),
+    ])
 }
 
-fn smoke() {
-    let clean = run(PIPELINED_WINDOW, 0.0);
-    let faulty = run(PIPELINED_WINDOW, 0.01);
+fn pins((points, _): &(Vec<Point>, f64)) {
+    let clean = &point(points, "fault-free", |p| p.rate == 0.0).pipelined;
+    let faulty = &point(points, "1 % corruption", |p| p.rate == 0.01).pipelined;
     let ratio = faulty.pages_per_sec() / clean.pages_per_sec();
     row(
         "E13",
@@ -190,9 +152,6 @@ fn smoke() {
     assert_eq!(faulty.pages, PAGES as u64, "every page recovered: {:?}", faulty.transport);
     assert_eq!(faulty.failed, 0, "no request exhausted its retries");
     assert!(ratio >= 0.8, "goodput ratio {ratio:.3} under 1% corruption fell below 0.8");
-    // The full series is cheap (simulated time), so the smoke holds it to
-    // the committed file.
-    record_series(&measure_series());
 }
 
 fn bench(c: &mut Criterion) {
@@ -212,5 +171,6 @@ criterion_group! {
 }
 
 fn main() {
-    minos_bench::main(smoke, print_series, benches);
+    let host_keys = ["wall_us", "crc32_ns_per_kib"];
+    minos_bench::main("E13", "BENCH_transport.json", &host_keys, measure, doc, pins, benches);
 }

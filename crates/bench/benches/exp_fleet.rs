@@ -22,14 +22,14 @@
 //! `workload::run` took (`wall_us`), which includes building the fleet
 //! and publishing every object onto the members' optical archives.
 //!
-//! The series is emitted machine-readable as `BENCH_fleet.json` at the
-//! repository root by the full bench run and by `--series`. `--smoke`
-//! runs the acceptance pins and checks a fresh series against the
-//! committed file, every line but the host-dependent `wall_us`; it is
-//! hooked into `scripts/check.sh`.
+//! The bench prints the series document and writes it as
+//! `BENCH_fleet.json` at the repository root, in the full run and under
+//! `--series`. `--smoke` runs the acceptance pins on the measured rows and
+//! checks the fresh series against the committed file, every line but the
+//! host-dependent `wall_us`; it is hooked into `scripts/check.sh`.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use minos_bench::{fast_criterion, record, row, timed};
+use minos_bench::{fast_criterion, point, row, timed, Json};
 use minos_net::{Frame, Link, ServerResponse};
 use minos_presentation::chaos::ChaosSchedule;
 use minos_presentation::workload::{self, RunReport, WorkloadConfig};
@@ -45,7 +45,7 @@ const MEMBERS: [usize; 4] = [1, 2, 4, 8];
 /// The E16 concurrency axis.
 const SESSIONS: [usize; 3] = [16, 64, 256];
 
-/// The pinned operating point for the smoke acceptance run.
+/// The concurrency of the pinned scaling ratio and of the restart row.
 const SMOKE_SESSIONS: usize = 64;
 
 /// Leading sessions per run that page at audio priority and are
@@ -94,7 +94,7 @@ struct Point {
 }
 
 /// Runs one row and times it on the wall clock.
-fn measure(members: usize, replication: usize, sessions: usize, schedule: ChaosSchedule) -> Point {
+fn sample(members: usize, replication: usize, sessions: usize, schedule: ChaosSchedule) -> Point {
     let (report, wall) = timed(|| run(members, replication, sessions, schedule));
     Point { members, replication, sessions, report, wall }
 }
@@ -103,8 +103,11 @@ fn measure(members: usize, replication: usize, sessions: usize, schedule: ChaosS
 /// rendezvous share, so its optical head stays in a compact span); the
 /// multi-member fleets are then re-measured 2-way replicated at each
 /// concurrency to price the redundancy — every member holds more objects,
-/// so every access seeks farther.
-fn measure_series() -> Vec<Point> {
+/// so every access seeks farther. Then the restart row: one member of a
+/// 4-member, 2-way-replicated fleet restarts bare (no crash first) at
+/// [`RESTART_AT`], losing its queues and every response its device had
+/// not finished.
+fn measure() -> (Vec<Point>, Point) {
     let mut points = Vec::with_capacity(2 * MEMBERS.len() * SESSIONS.len());
     for &members in &MEMBERS {
         for replication in [1, 2] {
@@ -112,117 +115,66 @@ fn measure_series() -> Vec<Point> {
                 continue;
             }
             for &sessions in &SESSIONS {
-                points.push(measure(members, replication, sessions, ChaosSchedule::new(0)));
+                points.push(sample(members, replication, sessions, ChaosSchedule::new(0)));
             }
         }
     }
-    points
-}
-
-/// The mid-run restart row: one member of a 4-member, 2-way-replicated
-/// fleet restarts bare (no crash first) at [`RESTART_AT`], losing its
-/// queues and every response its device had not finished.
-fn measure_restart() -> Point {
     let schedule = ChaosSchedule::new(0).restart_at(RESTARTED, SimInstant::EPOCH + RESTART_AT);
-    measure(4, 2, SMOKE_SESSIONS, schedule)
+    (points, sample(4, 2, SMOKE_SESSIONS, schedule))
 }
 
-/// Records the series as `BENCH_fleet.json` at the repository root — the
-/// machine-readable perf-trajectory record for this experiment.
-fn record_series(points: &[Point], restart: &Point) {
-    let mut series = Vec::new();
-    for p in points {
-        series.push(format!(
-            "    {{\n      \"members\": {},\n      \"replication\": {},\n      \
-             \"sessions\": {},\n      \"goodput_pages_per_sec\": {:.4},\n      \
-             \"elapsed_us\": {},\n      \"audio_p99_us\": {},\n      \
-             \"busy_deferred\": {},\n      \
-             \"served_per_member\": [{}],\n      \"wall_us\": {}\n    }}",
-            p.members,
-            p.replication,
-            p.sessions,
-            p.report.goodput_pages_per_sec(),
-            p.report.elapsed.as_micros(),
-            p.report.audio_p99.as_micros(),
-            p.report.busy_deferred,
-            p.report.served_per_member.iter().map(|s| s.to_string()).collect::<Vec<_>>().join(", "),
-            p.wall.as_micros(),
-        ));
-    }
-    let r = &restart.report;
-    let json = format!(
-        "{{\n  \"experiment\": \"E16\",\n  \"workload\": \"M sessions x {PAGES} x {PAGE_LEN} B \
-         demand pages, rendezvous placement, k in (1, 2) copies per object, one shared \
-         10 Mbit/s Ethernet, optical devices\",\n  \"series\": [\n{}\n  ],\n  \
-         \"restart\": {{\n    \"members\": 4,\n    \"replication\": 2,\n    \"sessions\": \
-         {SMOKE_SESSIONS},\n    \"restarted_member\": {RESTARTED},\n    \"pages\": {},\n    \
-         \"failovers\": {},\n    \"epoch_resyncs\": {},\n    \"replays\": {},\n    \
-         \"busy_deferred\": {},\n    \"premature_busy_retries\": {},\n    \
-         \"wall_us\": {}\n  }}\n}}\n",
-        series.join(",\n"),
-        r.pages,
-        r.failovers,
-        r.epoch_resyncs,
-        r.replays,
-        r.busy_deferred,
-        r.premature_busy_retries,
-        restart.wall.as_micros(),
-    );
-    record("E16", "BENCH_fleet.json", &json, &["wall_us"]);
-}
-
-fn print_series() {
-    row(
-        "E16",
-        &format!(
-            "workload = M sessions x {PAGES} x {} KB demand pages; rendezvous placement; \
-             shared Ethernet; k copies per object",
-            PAGE_LEN / 1024
-        ),
-    );
-    row(
-        "E16",
-        "members  k  sessions  pages/s  elapsed_ms  audio_p99_ms  busy_deferred  \
-         served_per_member  wall_ms",
-    );
-    let points = measure_series();
-    for p in &points {
-        row(
-            "E16",
-            &format!(
-                "{:>7}  {}  {:>8}  {:>7.1}  {:>10.1}  {:>12.1}  {:>13}  {:?}  {:.1}",
-                p.members,
-                p.replication,
-                p.sessions,
-                p.report.goodput_pages_per_sec(),
-                p.report.elapsed.as_micros() as f64 / 1_000.0,
-                p.report.audio_p99.as_micros() as f64 / 1_000.0,
-                p.report.busy_deferred,
-                p.report.served_per_member,
-                p.wall.as_micros() as f64 / 1_000.0,
+fn doc((points, restart): &(Vec<Point>, Point)) -> Json {
+    let entry = |p: &Point| {
+        let r = &p.report;
+        Json::Obj(vec![
+            ("members", p.members.into()),
+            ("replication", p.replication.into()),
+            ("sessions", p.sessions.into()),
+            ("goodput_pages_per_sec", Json::fixed(r.goodput_pages_per_sec(), 4)),
+            ("elapsed_us", r.elapsed.as_micros().into()),
+            ("audio_p99_us", r.audio_p99.as_micros().into()),
+            ("busy_deferred", r.busy_deferred.into()),
+            (
+                "served_per_member",
+                Json::Arr(r.served_per_member.iter().map(|&s| s.into()).collect()),
             ),
-        );
-    }
-    let restart = measure_restart();
+            ("wall_us", p.wall.as_micros().into()),
+        ])
+    };
     let r = &restart.report;
-    row(
-        "E16",
-        &format!(
-            "restart row: 4 members k=2, member {RESTARTED} restarts at {} ms -> pages {} \
-             failovers {} resyncs {} replays {}",
-            RESTART_AT.as_millis(),
-            r.pages,
-            r.failovers,
-            r.epoch_resyncs,
-            r.replays
-        ),
+    let workload = format!(
+        "M sessions x {PAGES} x {PAGE_LEN} B demand pages, rendezvous placement, k in (1, 2) \
+         copies per object, one shared 10 Mbit/s Ethernet, optical devices"
     );
-    record_series(&points, &restart);
+    Json::Obj(vec![
+        ("experiment", "E16".into()),
+        ("workload", workload.into()),
+        ("series", Json::Arr(points.iter().map(entry).collect())),
+        (
+            "restart",
+            Json::Obj(vec![
+                ("members", restart.members.into()),
+                ("replication", restart.replication.into()),
+                ("sessions", restart.sessions.into()),
+                ("restarted_member", RESTARTED.into()),
+                ("pages", r.pages.into()),
+                ("failovers", r.failovers.into()),
+                ("epoch_resyncs", r.epoch_resyncs.into()),
+                ("replays", r.replays.into()),
+                ("busy_deferred", r.busy_deferred.into()),
+                ("premature_busy_retries", r.premature_busy_retries.into()),
+                ("wall_us", restart.wall.as_micros().into()),
+            ]),
+        ),
+    ])
 }
 
-fn smoke() {
-    let solo = healthy(1, 1, SMOKE_SESSIONS);
-    let quad = healthy(4, 2, SMOKE_SESSIONS);
+fn pins((points, restart): &(Vec<Point>, Point)) {
+    let at_m = |shape: (usize, usize, usize)| {
+        let what = format!("N={} k={} M={}", shape.0, shape.1, shape.2);
+        &point(points, &what, |p| (p.members, p.replication, p.sessions) == shape).report
+    };
+    let (solo, quad) = (at_m((1, 1, SMOKE_SESSIONS)), at_m((4, 2, SMOKE_SESSIONS)));
     let ratio = quad.goodput_pages_per_sec() / solo.goodput_pages_per_sec();
     row(
         "E16",
@@ -233,9 +185,6 @@ fn smoke() {
             ratio
         ),
     );
-    let want = (SMOKE_SESSIONS * PAGES) as u64;
-    assert_eq!(solo.pages, want, "solo run completes: {solo:?}");
-    assert_eq!(quad.pages, want, "quad run completes: {quad:?}");
     // The scaling pin: four members' devices behind one wire — objects
     // 2-way replicated, pages block-spread across each replica set —
     // deliver at least 3x the aggregate goodput of one member, at the
@@ -243,9 +192,8 @@ fn smoke() {
     assert!(ratio >= 3.0, "N=1 -> N=4 goodput ratio {ratio:.2} fell below the 3x pin");
     // The wire pin: every page crossed the one shared downlink, so no
     // run can finish sooner than its pages' back-to-back transfer time.
-    let series = measure_series();
     let wire = page_wire_time();
-    for p in &series {
+    for p in points {
         let floor = wire.as_micros() * p.report.pages;
         assert!(
             floor <= p.report.elapsed.as_micros(),
@@ -263,7 +211,6 @@ fn smoke() {
     // driver verifies bytes inline), with the work its old incarnation
     // lost replayed onto sibling replicas and no hint-violating
     // resubmission.
-    let restart = measure_restart();
     let r = &restart.report;
     row(
         "E16",
@@ -272,14 +219,11 @@ fn smoke() {
             r.pages, r.failovers, r.epoch_resyncs, r.replays, r.premature_busy_retries
         ),
     );
-    assert_eq!(r.pages, want, "no page lost to the restart: {r:?}");
+    assert_eq!(r.pages, (SMOKE_SESSIONS * PAGES) as u64, "no page lost to the restart: {r:?}");
     assert!(r.epoch_resyncs >= 1, "the restart was noticed: {r:?}");
     assert!(r.failovers > 0, "orphans re-aimed at siblings: {r:?}");
     assert!(r.replays > 0, "the lost work was replayed: {r:?}");
     assert_eq!(r.premature_busy_retries, 0, "no resubmission beat its retry hint: {r:?}");
-    // The series is cheap to simulate, so the smoke holds it to the
-    // committed file.
-    record_series(&series, &restart);
 }
 
 fn bench(c: &mut Criterion) {
@@ -299,5 +243,5 @@ criterion_group! {
 }
 
 fn main() {
-    minos_bench::main(smoke, print_series, benches);
+    minos_bench::main("E16", "BENCH_fleet.json", &["wall_us"], measure, doc, pins, benches);
 }

@@ -18,17 +18,17 @@
 //! clocks are recorded: each point carries the wall-clock time its two
 //! runs took (`wall_us`).
 //!
-//! The series is emitted machine-readable as `BENCH_overload.json` at the
-//! repository root by the full bench run and by `--series`. `--smoke` runs
-//! the acceptance pin — at 48 sessions the admitted run sheds prefetch
-//! without a single demand rejection and beats the unbounded audio p99,
-//! the unbounded backlog outgrows the global cap, and no `Busy` retry
-//! fires before its hint — and checks a fresh series against the
-//! committed file, every line but `wall_us`; it is hooked into
-//! `scripts/check.sh`.
+//! The bench prints the series document and writes it as
+//! `BENCH_overload.json` at the repository root, in the full run and
+//! under `--series`. `--smoke` runs the acceptance pin on the measured
+//! 48-session point — the admitted run sheds prefetch without a single
+//! demand rejection and beats the unbounded audio p99, the unbounded
+//! backlog outgrows the global cap, and no `Busy` retry fires before its
+//! hint — and checks the fresh series against the committed file, every
+//! line but `wall_us`; it is hooked into `scripts/check.sh`.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use minos_bench::{fast_criterion, record, row, timed};
+use minos_bench::{fast_criterion, point, row, timed, Json};
 use minos_presentation::workload::{self, RunReport, WorkloadConfig};
 use minos_server::ServiceConfig;
 use std::time::Duration;
@@ -39,7 +39,7 @@ const PAGE_LEN: u64 = 8192;
 /// The E14 load axis: concurrent session counts.
 const SESSIONS: [usize; 5] = [1, 4, 16, 48, 64];
 
-/// The pinned operating point for the smoke acceptance run.
+/// The pinned operating point of the smoke's acceptance asserts.
 const SMOKE_SESSIONS: usize = 48;
 
 /// The E14 config of the one workload driver: one member, session 0
@@ -64,7 +64,7 @@ struct Point {
     wall: Duration,
 }
 
-fn measure_series() -> Vec<Point> {
+fn measure() -> Vec<Point> {
     SESSIONS
         .iter()
         .map(|&sessions| {
@@ -76,86 +76,40 @@ fn measure_series() -> Vec<Point> {
         .collect()
 }
 
-/// Records the series as `BENCH_overload.json` at the repository root —
-/// the machine-readable perf-trajectory record for this experiment.
-fn record_series(points: &[Point]) {
-    let mut series = Vec::new();
-    for p in points {
-        series.push(format!(
-            "    {{\n      \"sessions\": {},\n      \"wall_us\": {},\n      \
-             \"admitted_goodput_pages_per_sec\": {:.4},\n      \
-             \"unbounded_goodput_pages_per_sec\": {:.4},\n      \
-             \"admitted_audio_p99_us\": {},\n      \"unbounded_audio_p99_us\": {},\n      \
-             \"admitted_shed\": {},\n      \"admitted_busy_rejections\": {},\n      \
-             \"admitted_queue_high_water\": {},\n      \"unbounded_queue_high_water\": {},\n      \
-             \"admitted_allocs_per_page\": {:.4},\n      \"unbounded_allocs_per_page\": {:.4}\n    }}",
-            p.sessions,
-            p.wall.as_micros(),
-            p.admitted.goodput_pages_per_sec(),
-            p.unbounded.goodput_pages_per_sec(),
-            p.admitted.audio_p99.as_micros(),
-            p.unbounded.audio_p99.as_micros(),
-            p.admitted.shed,
-            p.admitted.busy_rejections,
-            p.admitted.queue_high_water,
-            p.unbounded.queue_high_water,
-            p.admitted.allocations_per_page(),
-            p.unbounded.allocations_per_page(),
-        ));
-    }
-    let json = format!(
-        "{{\n  \"experiment\": \"E14\",\n  \"workload\": \"N sessions x {PAGES} x {PAGE_LEN} B pages, \
-         3 prefetches per demand page, session 0 audio-class, 10 Mbit/s Ethernet, optical server\",\n  \
-         \"per_conn_cap\": {},\n  \"global_cap\": {},\n  \"series\": [\n{}\n  ]\n}}\n",
-        ServiceConfig::DEFAULT_PER_CONN_CAP,
-        ServiceConfig::DEFAULT_GLOBAL_CAP,
-        series.join(",\n")
+fn doc(points: &[Point]) -> Json {
+    let entry = |p: &Point| {
+        let (adm, unb) = (&p.admitted, &p.unbounded);
+        Json::Obj(vec![
+            ("sessions", p.sessions.into()),
+            ("wall_us", p.wall.as_micros().into()),
+            ("admitted_goodput_pages_per_sec", Json::fixed(adm.goodput_pages_per_sec(), 4)),
+            ("unbounded_goodput_pages_per_sec", Json::fixed(unb.goodput_pages_per_sec(), 4)),
+            ("admitted_audio_p99_us", adm.audio_p99.as_micros().into()),
+            ("unbounded_audio_p99_us", unb.audio_p99.as_micros().into()),
+            ("admitted_shed", adm.shed.into()),
+            ("admitted_busy_rejections", adm.busy_rejections.into()),
+            ("admitted_queue_high_water", adm.queue_high_water.into()),
+            ("unbounded_queue_high_water", unb.queue_high_water.into()),
+            ("admitted_allocs_per_page", Json::fixed(adm.allocations_per_page(), 4)),
+            ("unbounded_allocs_per_page", Json::fixed(unb.allocations_per_page(), 4)),
+        ])
+    };
+    let workload = format!(
+        "N sessions x {PAGES} x {PAGE_LEN} B pages, 3 prefetches per demand page, session 0 \
+         audio-class, 10 Mbit/s Ethernet, optical server"
     );
-    record("E14", "BENCH_overload.json", &json, &["wall_us"]);
+    Json::Obj(vec![
+        ("experiment", "E14".into()),
+        ("workload", workload.into()),
+        ("per_conn_cap", ServiceConfig::DEFAULT_PER_CONN_CAP.into()),
+        ("global_cap", ServiceConfig::DEFAULT_GLOBAL_CAP.into()),
+        ("series", Json::Arr(points.iter().map(entry).collect())),
+    ])
 }
 
-fn print_series() {
-    row(
-        "E14",
-        &format!("workload = N sessions x {PAGES} x 8 KB pages + 3x prefetch; shared Ethernet;"),
-    );
-    row(
-        "E14",
-        &format!(
-            "admitted caps = {}/conn, {} global, prefetch-first shedding; vs unbounded queues",
-            ServiceConfig::DEFAULT_PER_CONN_CAP,
-            ServiceConfig::DEFAULT_GLOBAL_CAP
-        ),
-    );
-    row(
-        "E14",
-        "sessions  adm_pg/s  unb_pg/s  adm_p99_ms  unb_p99_ms  shed  busy  adm_hw  unb_hw  alloc/pg",
-    );
-    let points = measure_series();
-    for p in &points {
-        row(
-            "E14",
-            &format!(
-                "{:>8}  {:>8.1}  {:>8.1}  {:>10.2}  {:>10.2}  {:>4}  {:>4}  {:>6}  {:>6}  {:>8.3}",
-                p.sessions,
-                p.admitted.goodput_pages_per_sec(),
-                p.unbounded.goodput_pages_per_sec(),
-                p.admitted.audio_p99.as_micros() as f64 / 1_000.0,
-                p.unbounded.audio_p99.as_micros() as f64 / 1_000.0,
-                p.admitted.shed,
-                p.admitted.busy_rejections,
-                p.admitted.queue_high_water,
-                p.unbounded.queue_high_water,
-                p.admitted.allocations_per_page(),
-            ),
-        );
-    }
-    record_series(&points);
-}
-
-fn smoke() {
-    let admitted = run(SMOKE_SESSIONS, ServiceConfig::default());
-    let unbounded = run(SMOKE_SESSIONS, ServiceConfig::unbounded());
+fn pins(points: &[Point]) {
+    let p = point(points, "48-session", |p| p.sessions == SMOKE_SESSIONS);
+    let (admitted, unbounded) = (&p.admitted, &p.unbounded);
     row(
         "E14",
         &format!(
@@ -212,9 +166,6 @@ fn smoke() {
         "pooled buffers hold allocations at or under one per demand page: {:.3}",
         admitted.allocations_per_page()
     );
-    // The full five-point sweep is cheap (simulated time), so the smoke
-    // holds it to the committed file.
-    record_series(&measure_series());
 }
 
 fn bench(c: &mut Criterion) {
@@ -236,5 +187,5 @@ criterion_group! {
 }
 
 fn main() {
-    minos_bench::main(smoke, print_series, benches);
+    minos_bench::main("E14", "BENCH_overload.json", &["wall_us"], measure, doc, pins, benches);
 }

@@ -14,15 +14,16 @@
 //! Both clocks are recorded: each point carries the wall-clock time its
 //! two runs took (`wall_us`).
 //!
-//! The series is emitted machine-readable as `BENCH_pipeline.json` at the
-//! repository root by the full bench run and by `--series`. `--smoke` runs
-//! a small bounded workload, asserts the pipelined transport is no slower
-//! and that the steady state allocates no payload buffer, and checks a
-//! fresh series against the committed file, every line but `wall_us`; it
-//! is hooked into `scripts/check.sh`.
+//! The bench prints the series document and writes it as
+//! `BENCH_pipeline.json` at the repository root, in the full run and
+//! under `--series`. `--smoke` asserts on a small 2-session run that the
+//! pipelined transport is no slower, and on the measured steady state
+//! that it allocates no payload buffer, then checks the fresh series
+//! against the committed file, every line but `wall_us`; it is hooked
+//! into `scripts/check.sh`.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use minos_bench::{fast_criterion, record, row, timed};
+use minos_bench::{fast_criterion, row, timed, Json};
 use minos_presentation::workload::{self, RunReport, WorkloadConfig};
 use std::time::Duration;
 
@@ -47,8 +48,10 @@ struct Point {
     wall: Duration,
 }
 
-fn measure_series() -> Vec<Point> {
-    SESSIONS
+/// The series and the zero-copy steady-state point: 8 sessions streaming
+/// 64 pages each.
+fn measure() -> (Vec<Point>, RunReport) {
+    let points = SESSIONS
         .iter()
         .map(|&sessions| {
             let ((blocking, pipelined), wall) = timed(|| {
@@ -56,78 +59,43 @@ fn measure_series() -> Vec<Point> {
             });
             Point { sessions, blocking, pipelined, wall }
         })
-        .collect()
-}
-
-/// The zero-copy steady-state point: 8 sessions streaming 64 pages each.
-fn steady() -> RunReport {
-    run(8, 64, WINDOW)
-}
-
-/// Records the series as `BENCH_pipeline.json` at the repository root —
-/// the machine-readable perf-trajectory record for this experiment.
-fn record_series(points: &[Point], steady: &RunReport) {
-    let series: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\n      \"sessions\": {},\n      \"wall_us\": {},\n      \
-                 \"blocking_pages_per_sec\": {:.4},\n      \
-                 \"pipelined_pages_per_sec\": {:.4},\n      \"speedup\": {:.4},\n      \
-                 \"pipelined_allocs_per_page\": {:.4}\n    }}",
-                p.sessions,
-                p.wall.as_micros(),
-                p.blocking.goodput_pages_per_sec(),
-                p.pipelined.goodput_pages_per_sec(),
-                p.pipelined.goodput_pages_per_sec() / p.blocking.goodput_pages_per_sec(),
-                p.pipelined.allocations_per_page(),
-            )
-        })
         .collect();
-    let json = format!(
-        "{{\n  \"experiment\": \"E12\",\n  \"workload\": \"N sessions x {PAGES_PER_SESSION} x \
-         {PAGE_LEN} B pages, one optical server, 10 Mbit/s Ethernet, blocking = window 1, \
-         pipelined = window {WINDOW}\",\n  \"series\": [\n{}\n  ],\n  \"steady_state\": {{\n    \
-         \"sessions\": 8,\n    \"pages\": {},\n    \"payload_allocs\": {}\n  }}\n}}\n",
-        series.join(",\n"),
-        steady.pages,
-        steady.payload_allocs,
-    );
-    record("E12", "BENCH_pipeline.json", &json, &["wall_us"]);
+    (points, run(8, 64, WINDOW))
 }
 
-fn print_series() {
-    row("E12", "workload = 8 x 8 KB pages/session; link = 10 Mbit/s Ethernet;");
-    row("E12", &format!("optical server; blocking window = 1, pipelined window = {WINDOW}"));
-    row("E12", "sessions  blocking_pg/s  pipelined_pg/s  speedup  alloc/pg");
-    let points = measure_series();
-    for p in &points {
-        row(
-            "E12",
-            &format!(
-                "{:>8}  {:>13.2}  {:>14.2}  {:>6.2}x  {:>8.3}",
-                p.sessions,
-                p.blocking.goodput_pages_per_sec(),
-                p.pipelined.goodput_pages_per_sec(),
-                p.pipelined.goodput_pages_per_sec() / p.blocking.goodput_pages_per_sec(),
-                p.pipelined.allocations_per_page(),
-            ),
-        );
-    }
-    let steady = steady();
-    row(
-        "E12",
-        &format!(
-            "steady state: 8 sessions x 64 pages  {:.3} allocs/page ({} allocs / {} pages)",
-            steady.allocations_per_page(),
-            steady.payload_allocs,
-            steady.pages
+fn doc((points, steady): &(Vec<Point>, RunReport)) -> Json {
+    let entry = |p: &Point| {
+        let (blocking, pipelined) =
+            (p.blocking.goodput_pages_per_sec(), p.pipelined.goodput_pages_per_sec());
+        Json::Obj(vec![
+            ("sessions", p.sessions.into()),
+            ("wall_us", p.wall.as_micros().into()),
+            ("blocking_pages_per_sec", Json::fixed(blocking, 4)),
+            ("pipelined_pages_per_sec", Json::fixed(pipelined, 4)),
+            ("speedup", Json::fixed(pipelined / blocking, 4)),
+            ("pipelined_allocs_per_page", Json::fixed(p.pipelined.allocations_per_page(), 4)),
+        ])
+    };
+    let workload = format!(
+        "N sessions x {PAGES_PER_SESSION} x {PAGE_LEN} B pages, one optical server, 10 Mbit/s \
+         Ethernet, blocking = window 1, pipelined = window {WINDOW}"
+    );
+    Json::Obj(vec![
+        ("experiment", "E12".into()),
+        ("workload", workload.into()),
+        ("series", Json::Arr(points.iter().map(entry).collect())),
+        (
+            "steady_state",
+            Json::Obj(vec![
+                ("sessions", 8u64.into()),
+                ("pages", steady.pages.into()),
+                ("payload_allocs", steady.payload_allocs.into()),
+            ]),
         ),
-    );
-    record_series(&points, &steady);
+    ])
 }
 
-fn smoke() {
+fn pins((_, steady): &(Vec<Point>, RunReport)) {
     let blocking = run(2, PAGES_PER_SESSION, 1);
     let pipelined = run(2, PAGES_PER_SESSION, 4);
     row(
@@ -149,7 +117,6 @@ fn smoke() {
     // point (window 8, 64 pages/session) every consumed page is recycled
     // into a pool stocked with the in-flight working set, so no page
     // needs a fresh payload allocation.
-    let steady = steady();
     row(
         "E12",
         &format!(
@@ -160,9 +127,6 @@ fn smoke() {
         ),
     );
     assert_eq!(steady.payload_allocs, 0, "pooled buffers serve every page: {steady:?}");
-    // The full series is cheap (simulated time), so the smoke holds it to
-    // the committed file.
-    record_series(&measure_series(), &steady);
 }
 
 fn bench(c: &mut Criterion) {
@@ -185,5 +149,5 @@ criterion_group! {
 }
 
 fn main() {
-    minos_bench::main(smoke, print_series, benches);
+    minos_bench::main("E12", "BENCH_pipeline.json", &["wall_us"], measure, doc, pins, benches);
 }

@@ -17,15 +17,15 @@
 //! idle sessions cost nothing at all is pinned on the session scheduler,
 //! `idle_sessions_cost_the_kernel_nothing`.)
 //!
-//! The series is emitted machine-readable as `BENCH_sched.json` at the
-//! repository root by the full bench run and by `--series`. `--smoke` runs
-//! the acceptance pin — four events and four timers per page, zero
-//! spurious wakes, at every population — and checks a fresh series
-//! against the committed file, every line but the host-dependent
-//! `wall_us`; it is hooked into `scripts/check.sh`.
+//! The bench prints the series document and writes it as
+//! `BENCH_sched.json` at the repository root, in the full run and under
+//! `--series`. `--smoke` runs the acceptance pin on every measured row —
+//! four events and four timers per page, zero spurious wakes — and checks
+//! the fresh series against the committed file, every line but the
+//! host-dependent `wall_us`; it is hooked into `scripts/check.sh`.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use minos_bench::{fast_criterion, record, row, timed};
+use minos_bench::{fast_criterion, row, timed, Json};
 use minos_presentation::workload::{self, Dwell, RunReport, WorkloadConfig};
 use minos_types::SimDuration;
 
@@ -65,7 +65,7 @@ struct Point {
     wall: std::time::Duration,
 }
 
-fn measure_series() -> Vec<Point> {
+fn measure() -> Vec<Point> {
     SESSIONS
         .iter()
         .map(|&sessions| {
@@ -75,69 +75,39 @@ fn measure_series() -> Vec<Point> {
         .collect()
 }
 
-/// Records the series as `BENCH_sched.json` at the repository root — the
-/// machine-readable perf-trajectory record for this experiment.
-fn record_series(points: &[Point]) {
-    let mut series = Vec::new();
-    for p in points {
-        series.push(format!(
-            "    {{\n      \"sessions\": {},\n      \"audio_sessions\": {},\n      \"pages\": {},\n      \
-             \"events\": {},\n      \"timers_armed\": {},\n      \"spurious_wakes\": {},\n      \
-             \"ready_high_water\": {},\n      \"audio_p99_us\": {},\n      \
-             \"sim_elapsed_us\": {},\n      \"wall_us\": {}\n    }}",
-            p.sessions,
-            p.sessions / AUDIO_STRIDE,
-            p.report.pages,
-            p.report.kernel.events_fired,
-            p.report.kernel.timers_armed,
-            p.report.kernel.spurious_wakes,
-            p.report.kernel.ready_high_water,
-            p.report.audio_p99.as_micros(),
-            p.report.elapsed.as_micros(),
-            p.wall.as_micros(),
-        ));
-    }
-    let json = format!(
-        "{{\n  \"experiment\": \"E15\",\n  \"workload\": \"N dwell-paced sessions x {PAGES} x \
-         {PAGE_LEN} B pages, window 1, audio stride {AUDIO_STRIDE} @ 250ms, text dwell 1s, \
-         one optical server, 10 Mbit/s Ethernet, workload driver\",\n  \"series\": [\n{}\n  ]\n}}\n",
-        series.join(",\n")
+fn doc(points: &[Point]) -> Json {
+    let entry = |p: &Point| {
+        let r = &p.report;
+        Json::Obj(vec![
+            ("sessions", p.sessions.into()),
+            ("audio_sessions", (p.sessions / AUDIO_STRIDE).into()),
+            ("pages", r.pages.into()),
+            ("events", r.kernel.events_fired.into()),
+            ("timers_armed", r.kernel.timers_armed.into()),
+            ("spurious_wakes", r.kernel.spurious_wakes.into()),
+            ("ready_high_water", r.kernel.ready_high_water.into()),
+            ("audio_p99_us", r.audio_p99.as_micros().into()),
+            ("sim_elapsed_us", r.elapsed.as_micros().into()),
+            ("wall_us", p.wall.as_micros().into()),
+        ])
+    };
+    let workload = format!(
+        "N dwell-paced sessions x {PAGES} x {PAGE_LEN} B pages, window 1, audio stride \
+         {AUDIO_STRIDE} @ 250ms, text dwell 1s, one optical server, 10 Mbit/s Ethernet, workload \
+         driver"
     );
-    record("E15", "BENCH_sched.json", &json, &["wall_us"]);
+    Json::Obj(vec![
+        ("experiment", "E15".into()),
+        ("workload", workload.into()),
+        ("series", Json::Arr(points.iter().map(entry).collect())),
+    ])
 }
 
-fn print_series() {
-    row(
-        "E15",
-        &format!("workload = N dwell-paced sessions x {PAGES} x 8 KB pages; window 1; optical;"),
-    );
-    row("E15", "sessions    events  timers  spurious  ready_hw  p99_ms   sim_s    wall_ms");
-    let points = measure_series();
-    for p in &points {
-        row(
-            "E15",
-            &format!(
-                "{:>8}  {:>8}  {:>6}  {:>8}  {:>8}  {:>6.1}  {:>6.1}  {:>8.2}",
-                p.sessions,
-                p.report.kernel.events_fired,
-                p.report.kernel.timers_armed,
-                p.report.kernel.spurious_wakes,
-                p.report.kernel.ready_high_water,
-                p.report.audio_p99.as_micros() as f64 / 1_000.0,
-                p.report.elapsed.as_micros() as f64 / 1_000_000.0,
-                p.wall.as_micros() as f64 / 1_000.0,
-            ),
-        );
-    }
-    record_series(&points);
-}
-
-fn smoke() {
-    let points = measure_series();
+fn pins(points: &[Point]) {
     // The acceptance pin: kernel work is a function of the pages the
     // paced sessions turn — four events per page at every population,
     // every armed timer fired, and no wake ever finds nothing to do.
-    for p in &points {
+    for p in points {
         let r = &p.report;
         row(
             "E15",
@@ -155,9 +125,6 @@ fn smoke() {
         assert_eq!(r.kernel.timers_armed, r.kernel.events_fired, "no timer wasted: {r:?}");
         assert_eq!(r.kernel.spurious_wakes, 0, "no wake found nothing to do: {r:?}");
     }
-    // The full series is cheap (simulated time), so the smoke holds it to
-    // the committed file.
-    record_series(&points);
 }
 
 fn bench(c: &mut Criterion) {
@@ -177,5 +144,5 @@ criterion_group! {
 }
 
 fn main() {
-    minos_bench::main(smoke, print_series, benches);
+    minos_bench::main("E15", "BENCH_sched.json", &["wall_us"], measure, doc, pins, benches);
 }

@@ -1,10 +1,13 @@
-//! Shared workload builders and Criterion configuration for the MINOS
-//! benchmark harness.
+//! Shared workload builders, Criterion configuration and the experiment
+//! runner for the MINOS benchmark harness.
 //!
-//! Every bench target regenerates one experiment from DESIGN.md's index:
-//! it first *prints the series* the experiment reports (the numbers
-//! EXPERIMENTS.md records) and then registers Criterion timing groups for
-//! the code paths involved. Timing settings are kept small so the full
+//! Every bench target regenerates one experiment from DESIGN.md's index
+//! and then registers Criterion timing groups for the code paths
+//! involved. The E1–E11 benches and the ablations print their series as
+//! `[E<n>]` rows. The E12–E17 benches run through [`main`]: it measures
+//! the series, builds it as one [`Json`] document, and prints and writes
+//! it as the experiment's `BENCH_*.json` (or, under `--smoke`, holds it
+//! to the committed file). Timing settings are kept small so the full
 //! `cargo bench` run finishes in minutes.
 
 use criterion::Criterion;
@@ -12,6 +15,7 @@ use minos_corpus::objects::archived_form;
 use minos_object::MultimediaObject;
 use minos_server::ObjectServer;
 use minos_types::ObjectId;
+use std::borrow::Borrow;
 use std::time::{Duration, Instant};
 
 /// Criterion tuned for a quick full-suite run.
@@ -72,24 +76,126 @@ pub fn row(experiment: &str, series: &str) {
     println!("[{experiment}] {series}");
 }
 
+/// One value of an experiment's series document, written in the order it
+/// was built.
+pub enum Json {
+    /// A scalar already written as JSON: a number, `true`, or a quoted
+    /// string.
+    Raw(String),
+    /// An object whose fields keep their order.
+    Obj(Vec<(&'static str, Json)>),
+    /// An array: inline when it holds only scalars, else one item a line.
+    Arr(Vec<Json>),
+}
+
+impl Json {
+    /// A number written with `places` decimals.
+    pub fn fixed(x: f64, places: usize) -> Json {
+        Json::Raw(format!("{x:.places$}"))
+    }
+
+    /// The document in the committed `BENCH_*.json` layout: two spaces
+    /// of indent a level, one field or array item a line, and a final
+    /// newline.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn write(&self, out: &mut String, depth: usize) {
+        let (open, close, items): (_, _, Vec<_>) = match self {
+            Json::Raw(text) => return out.push_str(text),
+            Json::Arr(items) if items.iter().all(|i| matches!(i, Json::Raw(_))) => {
+                out.push('[');
+                for (n, item) in items.iter().enumerate() {
+                    out.push_str(if n == 0 { "" } else { ", " });
+                    item.write(out, depth);
+                }
+                return out.push(']');
+            }
+            Json::Arr(items) => ('[', ']', items.iter().map(|i| (None, i)).collect()),
+            Json::Obj(fields) => ('{', '}', fields.iter().map(|(k, v)| (Some(k), v)).collect()),
+        };
+        let indent = "  ".repeat(depth + 1);
+        out.push(open);
+        for (n, (key, value)) in items.into_iter().enumerate() {
+            out.push_str(if n == 0 { "\n" } else { ",\n" });
+            out.push_str(&indent);
+            if let Some(key) = key {
+                out.push_str(&format!("\"{key}\": "));
+            }
+            value.write(out, depth + 1);
+        }
+        out.push('\n');
+        out.push_str(&indent[2..]);
+        out.push(close);
+    }
+}
+
+/// A string, quoted and escaped.
+impl From<&str> for Json {
+    fn from(text: &str) -> Json {
+        Json::Raw(format!("{text:?}"))
+    }
+}
+
+impl From<String> for Json {
+    fn from(text: String) -> Json {
+        Json::from(text.as_str())
+    }
+}
+
+/// Integers and `bool`s are written as Rust displays them.
+macro_rules! json_display {
+    ($($t:ty),*) => {
+        $(impl From<$t> for Json {
+            fn from(x: $t) -> Json {
+                Json::Raw(x.to_string())
+            }
+        })*
+    };
+}
+json_display!(bool, u64, u128, usize);
+
+/// The point of a measured series that `is` picks. Panics naming `what`
+/// when the series holds no such point.
+pub fn point<'a, P>(points: &'a [P], what: &str, is: impl Fn(&P) -> bool) -> &'a P {
+    points.iter().find(|p| is(p)).unwrap_or_else(|| panic!("the series holds no {what} point"))
+}
+
 /// Whether the bench was started with `--smoke`.
 fn smoke_run() -> bool {
     std::env::args().any(|a| a == "--smoke")
 }
 
-/// Runs an experiment bench the one way every E12–E17 bench runs:
-/// `--smoke` runs `smoke` (its acceptance pins, then [`record`], which
-/// checks the committed file), `--series` runs `series` (print the series
-/// and record it, which rewrites the file), and a bare run does `series`
-/// and then the Criterion timing groups in `benches`.
-pub fn main(smoke: fn(), series: fn(), benches: fn()) {
-    if smoke_run() {
-        smoke();
-    } else {
-        series();
-        if !std::env::args().any(|a| a == "--series") {
-            benches();
-        }
+/// Runs an E12–E17 experiment bench. Every mode first runs `measure`:
+/// the timed series plus any extra rows its document holds. `--smoke`
+/// then runs `pins`, the acceptance asserts, and holds `doc` of the
+/// points to the committed `file` at the repository root, every line but
+/// those whose key is one of `host_keys`; it never writes. `--series`
+/// prints the document and rewrites `file`; a bare run does the same and
+/// then runs the Criterion timing groups in `benches`. (`doc` and `pins`
+/// may take the points borrowed, a `Vec` as a slice.)
+pub fn main<P: Borrow<Q>, Q: ?Sized>(
+    tag: &str,
+    file: &str,
+    host_keys: &[&str],
+    measure: fn() -> P,
+    doc: fn(&Q) -> Json,
+    pins: fn(&Q),
+    benches: fn(),
+) {
+    let points = measure();
+    let points = points.borrow();
+    let smoke = smoke_run();
+    if smoke {
+        pins(points);
+    }
+    record(tag, file, &doc(points), host_keys);
+    if !smoke && !std::env::args().any(|a| a == "--series") {
+        benches();
     }
 }
 
@@ -104,15 +210,17 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 /// repository root. Under `--smoke` it never writes: it holds `doc` to
 /// the committed file, every line but those whose key is one of
 /// `host_keys` (the wall-clock timings), and panics on drift. Otherwise
-/// it rewrites the file.
-pub fn record(tag: &str, file: &str, doc: &str, host_keys: &[&str]) {
+/// it prints the document and rewrites the file.
+fn record(tag: &str, file: &str, doc: &Json, host_keys: &[&str]) {
     let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+    let doc = doc.render();
     if smoke_run() {
         let committed =
             std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{file} is committed: {e}"));
-        assert_matches_committed(file, &committed, doc, host_keys);
+        assert_matches_committed(file, &committed, &doc, host_keys);
         row(tag, &format!("series matches {file} ({} aside)", host_keys.join(" and ")));
     } else {
+        print!("{doc}");
         std::fs::write(&path, doc).unwrap_or_else(|e| panic!("could not write {file}: {e}"));
         row(tag, &format!("series written to {file}"));
     }
@@ -142,7 +250,7 @@ fn assert_matches_committed(file: &str, committed: &str, fresh: &str, host_keys:
 
 #[cfg(test)]
 mod tests {
-    use super::assert_matches_committed;
+    use super::{assert_matches_committed, Json};
 
     const DOC: &str = "{\n  \"experiment\": \"E0\",\n  \"series\": [\n    {\n      \
                        \"pages\": 8,\n      \"wall_us\": 120\n    }\n  ]\n}\n";
@@ -152,10 +260,67 @@ mod tests {
     }
 
     #[test]
+    fn render_reproduces_the_fixture_byte_for_byte() {
+        let row = Json::Obj(vec![("pages", 8u64.into()), ("wall_us", 120u128.into())]);
+        let doc = Json::Obj(vec![("experiment", "E0".into()), ("series", Json::Arr(vec![row]))]);
+        assert_eq!(doc.render(), DOC);
+    }
+
+    #[test]
+    fn render_inlines_scalar_lists_and_indents_nested_objects() {
+        let member = |served: Vec<u64>, wall: u128| {
+            Json::Obj(vec![
+                ("served_per_member", Json::Arr(served.into_iter().map(Json::from).collect())),
+                ("goodput", Json::fixed(6.27789, 4)),
+                ("wall_us", wall.into()),
+            ])
+        };
+        let doc = Json::Obj(vec![
+            ("workload", "4 x \"8 KB\"".into()),
+            ("series", Json::Arr(vec![member(vec![56, 72], 9), member(vec![], 10)])),
+            (
+                "rows",
+                Json::Obj(vec![
+                    (
+                        "healthy",
+                        Json::Obj(vec![("ok", true.into()), ("rate", Json::Raw("0.001".into()))]),
+                    ),
+                    ("restart", Json::Obj(vec![("pages", 512u64.into())])),
+                ]),
+            ),
+        ]);
+        let want = r#"{
+  "workload": "4 x \"8 KB\"",
+  "series": [
+    {
+      "served_per_member": [56, 72],
+      "goodput": 6.2779,
+      "wall_us": 9
+    },
+    {
+      "served_per_member": [],
+      "goodput": 6.2779,
+      "wall_us": 10
+    }
+  ],
+  "rows": {
+    "healthy": {
+      "ok": true,
+      "rate": 0.001
+    },
+    "restart": {
+      "pages": 512
+    }
+  }
+}
+"#;
+        assert_eq!(doc.render(), want);
+    }
+
+    #[test]
     fn an_identical_document_passes() {
         check(DOC);
     }
-
     #[test]
     #[should_panic(
         expected = "drifted at deterministic line 4: committed \"      \\\"pages\\\": 8,\""

@@ -15,8 +15,9 @@
 //! earlier joins a FIFO of due timers instead, so the wakes a consumer
 //! posts for the instant it is at cost one push and one pop. Arming a
 //! future timer costs O(log n) in the timers pending, which stay few: a
-//! client keeps one retransmit timer per connection and one heartbeat per
-//! member. The heap's top is always the exact next deadline.
+//! client keeps one retransmit timer for all of its connections, armed for
+//! the earliest deadline, and one heartbeat per member. The heap's top is
+//! always the exact next deadline.
 //!
 //! Beside the kernel's clock sits the `Timeline`, the one rule for a
 //! serially-reusable resource (a wire direction, a device): a booking

@@ -71,12 +71,12 @@ rm -f "$sim"
 
 # A traced seed-1 round reports per-layer counters that are deterministic
 # counts; each gate below bounds one of them. The client keeps one
-# retransmit timer per connection, armed for the earliest deadline,
-# instead of arming and cancelling one per request: page_scan may arm at
-# most one timer per window of 16 pages, and churn's kernel wakes may be
-# at most a quarter spurious. Every page buffer the client leases for a
-# lossy decode, duplicates included, goes back to the pool: lossy_scan
-# may allocate at most one buffer per hundred pages.
+# retransmit timer for all of its connections, armed for the earliest
+# deadline, instead of arming and cancelling one per request: page_scan
+# may arm at most one timer per window of 16 pages, and churn's kernel
+# wakes may be at most a quarter spurious. Every page buffer the client
+# leases for a lossy decode, duplicates included, goes back to the pool:
+# lossy_scan may allocate at most one buffer per hundred pages.
 trace_gate() {
     value=$(cargo run --release --offline --quiet \
         --manifest-path crates/bench/src/bin/minos-benchmark/Cargo.toml \
