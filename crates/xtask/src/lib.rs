@@ -51,12 +51,13 @@
 //! cap, the lint fails when a file exceeds its cap **and** when a cap is
 //! stale (fewer findings than allowed), so the debt can only shrink.
 //!
-//! The building blocks — [`source`] (comment/string stripping and
-//! `#[cfg(test)]` masking), [`sig`] (a small `pub fn` signature parser),
-//! [`parse`] (shared brace-level item parsing), [`diag`] (rule registry
-//! and diagnostics), [`allow`] (the ratchet file loader) — are public so
-//! the fixture-driven self-tests under `tests/` can drive each pass
-//! against known-bad and known-good snippets.
+//! The building blocks — [`source`] (comment/string stripping,
+//! `#[cfg(test)]` masking and the `code-lines` count), [`parse`] (the one
+//! item scanner: identifiers, balanced brackets, where an item ends, `impl`
+//! blocks and `fn` items), [`sig`] (the `pub fn` signature surface, built
+//! on [`parse`]), [`diag`] (rule registry and diagnostics), [`allow`] (the
+//! ratchet file loader) — are public so the fixture-driven self-tests under
+//! `tests/` can drive each pass against known-bad and known-good snippets.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -4,16 +4,18 @@
 //!   `cargo run -p minos-xtask -- lint [--json] [--root <path>]`
 //!   `cargo run -p minos-xtask -- spec [--check | --write] [--root <path>]`
 //!   `cargo run -p minos-xtask -- rules`
+//!   `cargo run -p minos-xtask -- code-lines <files…>`
 //!
 //! Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
 
-use minos_xtask::{lint_workspace, spec, spec_workspace, RULES};
+use minos_xtask::{lint_workspace, spec, spec_workspace, SourceFile, RULES};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: minos-xtask lint [--json] [--root <path>] \
                      | minos-xtask spec [--check | --write] [--root <path>] \
-                     | minos-xtask rules";
+                     | minos-xtask rules \
+                     | minos-xtask code-lines <file.rs>...";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -26,6 +28,7 @@ fn main() -> ExitCode {
             }
             return ExitCode::SUCCESS;
         }
+        Some("code-lines") => return run_code_lines(args.as_slice()),
         other => {
             eprintln!("{USAGE}");
             if let Some(o) = other {
@@ -156,5 +159,28 @@ fn run_spec(root: &Path, check: bool, write: bool) -> ExitCode {
         return ExitCode::SUCCESS;
     }
     print!("{rendered}");
+    ExitCode::SUCCESS
+}
+
+/// `code-lines`: the library code lines of each file (see
+/// [`SourceFile::code_line_count`]), then their total.
+fn run_code_lines(paths: &[String]) -> ExitCode {
+    if paths.is_empty() {
+        eprintln!("{USAGE}");
+        return ExitCode::from(2);
+    }
+    let mut total = 0;
+    for path in paths {
+        let count = match SourceFile::load(Path::new(path), path) {
+            Ok(file) => file.code_line_count(),
+            Err(e) => {
+                eprintln!("minos-xtask code-lines: cannot read {path}: {e}");
+                return ExitCode::from(2);
+            }
+        };
+        println!("{count:6} {path}");
+        total += count;
+    }
+    println!("{total:6} total");
     ExitCode::SUCCESS
 }

@@ -1,10 +1,12 @@
-//! Shared brace-level parsing helpers for the semantic passes.
+//! The one Rust item scanner of the xtask crate.
 //!
-//! The codec-coverage pass and the spec extractor need the same
-//! structural facts about a code view: where the `impl` blocks are and
-//! whom they belong to, and which `fn`s a block declares. Everything here works on the comment/string-stripped code view
-//! of a [`crate::source::SourceFile`], so string contents can never fake
-//! a keyword, and every offset maps back to a real line.
+//! The passes, the spec extractor, the `pub fn` surface parser
+//! ([`crate::sig`]), the `#[cfg(test)]` mask and the `code-lines` count all
+//! find items here: where the `impl` blocks are and whom they belong to,
+//! which `fn`s a range declares, and where an item ends. Everything here
+//! works on the comment/string-stripped code view of a
+//! [`crate::source::SourceFile`], so string contents can never fake a
+//! keyword or a bracket, and every offset maps back to a real line.
 
 /// One `impl` block: the type it belongs to (the `Y` of `impl Y` and of
 /// `impl X for Y`), the byte offset of the `impl` keyword, and the byte
@@ -13,6 +15,8 @@
 pub struct ImplBlock {
     /// The implemented type's name, generics stripped.
     pub owner: String,
+    /// Whether the block is inherent (`impl Y`), not a trait's (`impl X for Y`).
+    pub inherent: bool,
     /// Byte offset of the `impl` keyword in the code view.
     pub at: usize,
     /// Body range: from the opening `{` to just past its matching `}`.
@@ -31,50 +35,110 @@ pub struct FnItem {
     pub body: (usize, usize),
 }
 
-/// The brace-balanced body starting at the first `{` at or after `from`,
-/// unless a `;` ends the item first.
-pub fn body_after(code: &str, from: usize) -> Option<(usize, usize)> {
+/// Whether `b` can be part of an identifier.
+pub fn is_ident_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
+}
+
+/// The identifier starting at `at` (empty if none).
+pub fn ident_at(code: &str, at: usize) -> &str {
+    let rest = code.get(at..).unwrap_or("");
+    let len = rest.bytes().position(|b| !is_ident_byte(b)).unwrap_or(rest.len());
+    &rest[..len]
+}
+
+/// The identifier tokens of `text`, in order, duplicates kept.
+pub fn ident_tokens(text: &str) -> Vec<&str> {
+    text.split(|c: char| !u8::try_from(c).is_ok_and(is_ident_byte))
+        .filter(|t| !t.is_empty())
+        .collect()
+}
+
+/// The first offset at or after `at` that holds no ASCII whitespace.
+pub fn skip_ws(code: &str, at: usize) -> usize {
     let bytes = code.as_bytes();
-    let mut i = from;
-    while i < bytes.len() && bytes[i] != b'{' {
-        if bytes[i] == b';' {
-            return None;
-        }
+    let mut i = at;
+    while bytes.get(i).is_some_and(u8::is_ascii_whitespace) {
         i += 1;
     }
-    let start = i;
-    let mut depth = 0usize;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some((start, i + 1));
-                }
-            }
-            _ => {}
+    i
+}
+
+/// The first occurrence of `word` at or after `from` with identifier
+/// boundaries on both sides (so `stall` never matches `install`).
+pub fn find_word(code: &str, word: &str, from: usize) -> Option<usize> {
+    let bytes = code.as_bytes();
+    let mut at = from;
+    while let Some(found) = code.get(at..)?.find(word) {
+        let pos = at + found;
+        let before_ok = pos == 0 || !is_ident_byte(bytes[pos - 1]);
+        if before_ok && !bytes.get(pos + word.len()).copied().is_some_and(is_ident_byte) {
+            return Some(pos);
         }
-        i += 1;
+        at = pos + 1;
     }
     None
 }
 
-/// Whether the byte at `at` starts a keyword occurrence: preceded by a
-/// non-identifier byte (or the file start) and — because the keywords
-/// searched all end before whitespace — followed appropriately by the
-/// caller's needle match.
-fn keyword_at(code: &str, at: usize) -> bool {
-    at == 0 || !is_ident_byte(code.as_bytes()[at - 1])
+/// Whether `word` occurs in `text` with identifier boundaries on both
+/// sides.
+pub fn mentions_word(text: &str, word: &str) -> bool {
+    !word.is_empty() && find_word(text, word, 0).is_some()
 }
 
-fn is_ident_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
+/// The offset just past the bracket that closes the `(`, `[`, `{` or `<`
+/// at `at`, counting only brackets of that kind; `None` if `at` holds no
+/// opening bracket or it never closes.
+pub fn skip_balanced(code: &str, at: usize) -> Option<usize> {
+    let bytes = code.as_bytes();
+    let open = *bytes.get(at)?;
+    let close = match open {
+        b'(' => b')',
+        b'[' => b']',
+        b'{' => b'}',
+        b'<' => b'>',
+        _ => return None,
+    };
+    let mut depth = 0usize;
+    for (i, &b) in bytes.iter().enumerate().skip(at) {
+        if b == open {
+            depth += 1;
+        } else if b == close {
+            depth -= 1;
+            if depth == 0 {
+                return Some(i + 1);
+            }
+        }
+    }
+    None
 }
 
-/// Reads the identifier starting at `at` (empty if none).
-fn ident_at(code: &str, at: usize) -> String {
-    code[at..].chars().take_while(|c| c.is_ascii_alphanumeric() || *c == '_').collect()
+/// Where the item whose head starts at `from` ends, as `(stop, end)`:
+/// `stop` is the offset of the `{` that opens its body, or of the `;` that
+/// ends a bodiless item (`use`, `mod m;`, a trait method's signature), and
+/// `end` is just past the matching `}` or the `;`. The walk steps over
+/// `(..)` and `[..]` groups bracket by bracket, so the `;` of an `[u8; 4]`
+/// never ends a signature. Angle brackets are not tracked: `<` is also
+/// less-than and shift in an initializer, and no `;` sits directly inside
+/// one. `None` if the item never ends.
+pub fn item_end(code: &str, from: usize) -> Option<(usize, usize)> {
+    let bytes = code.as_bytes();
+    let mut i = from;
+    loop {
+        match *bytes.get(i)? {
+            b'(' | b'[' => i = skip_balanced(code, i)?,
+            b'{' => return Some((i, skip_balanced(code, i)?)),
+            b';' => return Some((i, i + 1)),
+            _ => i += 1,
+        }
+    }
+}
+
+/// The brace-balanced body of the item whose head starts at `from`: from
+/// its `{` to just past the matching `}`. `None` for a bodiless item.
+pub fn body_after(code: &str, from: usize) -> Option<(usize, usize)> {
+    let (stop, end) = item_end(code, from)?;
+    (code.as_bytes()[stop] == b'{').then_some((stop, end))
 }
 
 /// All `impl` blocks of a code view. Only `impl` keywords that open a
@@ -82,126 +146,71 @@ fn ident_at(code: &str, at: usize) -> String {
 /// `-> impl Iterator` return types never start a phantom block. The owner
 /// of `impl X for Y` is `Y`; generic parameter lists are skipped.
 pub fn impl_blocks(code: &str) -> Vec<ImplBlock> {
-    let bytes = code.as_bytes();
     let mut out = Vec::new();
     let mut from = 0;
-    while let Some(found) = code[from..].find("impl") {
-        let at = from + found;
+    while let Some(at) = find_word(code, "impl", from) {
         from = at + 4;
-        // Keyword boundary on both sides.
-        if !keyword_at(code, at) || bytes.get(at + 4).copied().is_some_and(is_ident_byte) {
-            continue;
-        }
-        // Must be the first token on its line.
         let line_start = code[..at].rfind('\n').map_or(0, |p| p + 1);
         if !code[line_start..at].chars().all(char::is_whitespace) {
             continue;
         }
-        // Skip a generic parameter list.
-        let mut i = at + 4;
-        while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        if bytes.get(i) == Some(&b'<') {
-            let mut depth = 0usize;
-            while i < bytes.len() {
-                match bytes[i] {
-                    b'<' => depth += 1,
-                    b'>' => {
-                        depth -= 1;
-                        if depth == 0 {
-                            i += 1;
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                i += 1;
-            }
+        let mut i = skip_ws(code, from);
+        if code[i..].starts_with('<') {
+            let Some(end) = skip_balanced(code, i) else { continue };
+            i = end;
         }
         let Some(brace) = code[i..].find('{').map(|p| i + p) else {
             continue;
         };
         let header = &code[i..brace];
-        let owner_text = match header.find(" for ") {
-            Some(f) => &header[f + 5..],
-            None => header,
+        let (owner_text, inherent) = match header.find(" for ") {
+            Some(f) => (&header[f + 5..], false),
+            None => (header, true),
         };
-        let owner_at =
-            i + (owner_text.as_ptr() as usize - header.as_ptr() as usize) + owner_text.len()
-                - owner_text.trim_start().len();
-        let owner = ident_at(code, owner_at);
+        let owner = ident_at(owner_text.trim_start(), 0);
         if owner.is_empty() {
             continue;
         }
         let Some(body) = body_after(code, brace) else {
             continue;
         };
-        out.push(ImplBlock { owner, at, body });
+        out.push(ImplBlock { owner: owner.to_string(), inherent, at, body });
         from = body.1;
     }
     out
 }
 
-/// All `fn` items declared inside `range` of the code view (any nesting
-/// depth; bodiless trait-method signatures are skipped).
-pub fn fns_in(code: &str, range: (usize, usize)) -> Vec<FnItem> {
-    let slice = &code[range.0..range.1];
+/// Every `fn` item with a body in `code`, at every depth (a fn nested in
+/// another's body too), in source order. Bodiless signatures
+/// (`fn f(&self);`) are skipped.
+pub fn fn_items(code: &str) -> Vec<FnItem> {
     let mut out = Vec::new();
     let mut from = 0;
-    while let Some(found) = slice[from..].find("fn ") {
-        let at = from + found;
-        from = at + 3;
-        if !keyword_at(slice, at) {
-            continue;
-        }
-        let name = ident_at(slice, at + 3);
+    while let Some(at) = find_word(code, "fn", from) {
+        from = at + 2;
+        let name_at = skip_ws(code, from);
+        let name = ident_at(code, name_at);
         if name.is_empty() {
             continue;
         }
-        let Some(body) = body_after(slice, at + 3 + name.len()) else {
-            continue;
-        };
-        out.push(FnItem { name, at: range.0 + at, body: (range.0 + body.0, range.0 + body.1) });
-        from = body.1;
+        if let Some(body) = body_after(code, name_at + name.len()) {
+            out.push(FnItem { name: name.to_string(), at, body });
+        }
     }
     out
 }
 
-/// Whether `word` occurs in `text` with identifier boundaries on both
-/// sides (so `stall` never matches `install`).
-pub fn mentions_word(text: &str, word: &str) -> bool {
-    if word.is_empty() {
-        return false;
-    }
-    let bytes = text.as_bytes();
-    let mut from = 0;
-    while let Some(found) = text[from..].find(word) {
-        let at = from + found;
-        let before_ok = at == 0 || !is_ident_byte(bytes[at - 1]);
-        let after = at + word.len();
-        let after_ok = after >= bytes.len() || !is_ident_byte(bytes[after]);
-        if before_ok && after_ok {
-            return true;
-        }
-        from = at + 1;
-    }
-    false
-}
-
-/// The identifier tokens of `text`, in order, duplicates kept.
-pub fn ident_tokens(text: &str) -> Vec<String> {
+/// The `fn` items declared inside `range` of the code view, leaving out
+/// those nested in another listed fn's body.
+pub fn fns_in(code: &str, range: (usize, usize)) -> Vec<FnItem> {
     let mut out = Vec::new();
-    let mut cur = String::new();
-    for c in text.chars() {
-        if c.is_ascii_alphanumeric() || c == '_' {
-            cur.push(c);
-        } else if !cur.is_empty() {
-            out.push(std::mem::take(&mut cur));
+    let mut end = 0;
+    for f in fn_items(&code[range.0..range.1]) {
+        if f.at < end {
+            continue;
         }
-    }
-    if !cur.is_empty() {
-        out.push(cur);
+        end = f.body.1;
+        out.push(FnItem { at: range.0 + f.at, body: (range.0 + f.body.0, range.0 + end), ..f });
     }
     out
 }
@@ -251,5 +260,13 @@ impl Endpoint for Holder {
         assert!(mentions_word("self.stall = 0;", "stall"));
         assert!(!mentions_word("installed = true;", "stall"));
         assert_eq!(ident_tokens("Rc<RefCell<PoolInner>>"), vec!["Rc", "RefCell", "PoolInner"]);
+    }
+
+    #[test]
+    fn fn_items_nest_and_fns_in_lists_only_the_outer() {
+        let src = "fn outer() -> [u8; 2] {\n    fn inner() {}\n    [0; 2]\n}\nfn decl(&self);\nfn last() {}\n";
+        let names = |fns: Vec<FnItem>| fns.into_iter().map(|f| f.name).collect::<Vec<_>>();
+        assert_eq!(names(fn_items(src)), ["outer", "inner", "last"]);
+        assert_eq!(names(fns_in(src, (0, src.len()))), ["outer", "last"]);
     }
 }

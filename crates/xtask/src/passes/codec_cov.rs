@@ -23,7 +23,7 @@
 //! ratchetable like its U003 ancestor.
 
 use crate::diag::Diagnostic;
-use crate::parse::{fns_in, impl_blocks, mentions_word};
+use crate::parse::{fns_in, ident_at, ident_tokens, impl_blocks, is_ident_byte, mentions_word};
 use crate::source::SourceFile;
 use std::collections::BTreeMap;
 
@@ -95,7 +95,7 @@ fn run_file(file: &SourceFile, out: &mut Vec<Diagnostic>) {
         }
         // C003: versioned encode, unversioned decode.
         for token in version_tokens(&codec.encode_bodies) {
-            if !mentions_word(&codec.decode_bodies, &token) {
+            if !mentions_word(&codec.decode_bodies, token) {
                 out.push(Diagnostic::new(
                     "C003",
                     &file.rel,
@@ -142,8 +142,8 @@ fn run_file(file: &SourceFile, out: &mut Vec<Diagnostic>) {
 
 /// Uppercase identifiers containing `VERSION` (const names like
 /// `CHECKPOINT_VERSION`) mentioned in `text`.
-fn version_tokens(text: &str) -> Vec<String> {
-    let mut out: Vec<String> = crate::parse::ident_tokens(text)
+fn version_tokens(text: &str) -> Vec<&str> {
+    let mut out: Vec<&str> = ident_tokens(text)
         .into_iter()
         .filter(|t| t.contains("VERSION") && t.chars().all(|c| c.is_ascii_uppercase() || c == '_'))
         .collect();
@@ -159,15 +159,11 @@ fn varint_binding(line: &str) -> Option<String> {
         return None;
     }
     let after_let = line.trim_start().strip_prefix("let ")?;
-    let name: String = after_let
-        .trim_start_matches("mut ")
-        .chars()
-        .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-        .collect();
+    let name = ident_at(after_let.trim_start_matches("mut "), 0);
     if name.is_empty() || name == "_" {
         return None;
     }
-    Some(name)
+    Some(name.to_string())
 }
 
 /// Whether `line` uses `ident` as a range bound: `..ident` (exclusive or
@@ -178,9 +174,7 @@ fn range_bound(line: &str, ident: &str) -> bool {
     while let Some(found) = line[from..].find(&needle) {
         let at = from + found;
         let end = at + needle.len();
-        let after_ok =
-            line.as_bytes().get(end).is_none_or(|b| !(b.is_ascii_alphanumeric() || *b == b'_'));
-        if after_ok {
+        if !line.as_bytes().get(end).copied().is_some_and(is_ident_byte) {
             return true;
         }
         from = at + 1;
@@ -323,5 +317,31 @@ impl Record {
 }
 ";
         assert!(run_on(src).is_empty());
+    }
+
+    #[test]
+    fn array_types_in_signatures_do_not_hide_fns() {
+        // The `;` of `[u8; 4]` must not end either signature: `Hdr` encodes
+        // with no decode (C001), and `Rec` round-trips through a decode
+        // that takes an array (clean).
+        let src = "\
+impl Hdr {
+    pub fn encode(&self) -> [u8; 4] {
+        [0; 4]
+    }
+}
+impl Rec {
+    pub fn encode(&self) -> Vec<u8> {
+        Vec::new()
+    }
+    pub fn decode(bytes: &[u8; 4]) -> Result<Rec> {
+        Ok(Rec)
+    }
+}
+";
+        let diags = run_on(src);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!((diags[0].rule, diags[0].line), ("C001", 2));
+        assert!(diags[0].message.contains("Hdr"));
     }
 }

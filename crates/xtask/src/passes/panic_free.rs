@@ -13,6 +13,7 @@
 //! Existing debt is enumerated in `lint-allow.toml` and can only shrink.
 
 use crate::diag::Diagnostic;
+use crate::parse::is_ident_byte;
 use crate::source::SourceFile;
 
 const PANIC_MACROS: &[&str] = &["panic!", "todo!", "unimplemented!", "unreachable!"];
@@ -132,9 +133,9 @@ fn receiver_is_value(before: &[u8]) -> bool {
     }
     match before[k - 1] {
         b')' | b']' => true,
-        b if b.is_ascii_alphanumeric() || b == b'_' => {
+        b if is_ident_byte(b) => {
             let mut s = k - 1;
-            while s > 0 && (before[s - 1].is_ascii_alphanumeric() || before[s - 1] == b'_') {
+            while s > 0 && is_ident_byte(before[s - 1]) {
                 s -= 1;
             }
             if s > 0 && before[s - 1] == b'\'' {
@@ -204,5 +205,13 @@ mod tests {
         let src = "pub fn decode(bytes: &[u8]) -> Result<T> { x }\n\
                    fn take<'a>(buf: &'a [u8], n: usize) -> Result<&'a [u8]> { y }\n";
         assert!(run_on(src).is_empty());
+    }
+
+    #[test]
+    fn test_item_with_an_array_signature_is_masked_whole() {
+        // The `;` of `[u8; 4]` does not end the `#[cfg(test)]` item.
+        let src = "#[cfg(test)]\nfn table() -> [u8; 4] {\n    Some([0; 4]).unwrap()\n}\n";
+        let diags = run_on(src);
+        assert!(diags.is_empty(), "{diags:?}");
     }
 }

@@ -16,6 +16,7 @@
 //! that debt shrink-only.
 
 use crate::diag::Diagnostic;
+use crate::parse::{fn_items, ident_tokens};
 use crate::source::SourceFile;
 
 /// Method calls that grow a queue or buffer.
@@ -32,7 +33,9 @@ const CAPACITY_TOKENS: &[&str] = &[
 pub fn run(files: &[SourceFile]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for file in files {
-        let extents = fn_extents(&file.code);
+        // Every fn at every depth: a nested fn yields its own extent, and
+        // the innermost enclosing one wins below.
+        let fns = fn_items(&file.code);
         for call in GROWTH_CALLS {
             for (pos, _) in file.code.match_indices(call) {
                 // `.push(` must not re-report a `.push_back(` site.
@@ -43,11 +46,9 @@ pub fn run(files: &[SourceFile]) -> Vec<Diagnostic> {
                 if file.is_test_line(line) {
                     continue;
                 }
-                let enclosing = extents
-                    .iter()
-                    .filter(|e| e.start <= pos && pos < e.end)
-                    .max_by_key(|e| e.start);
-                let guarded = enclosing.is_some_and(|e| capacity_aware(&file.code[e.start..e.end]));
+                let enclosing =
+                    fns.iter().filter(|f| f.at <= pos && pos < f.body.1).max_by_key(|f| f.at);
+                let guarded = enclosing.is_some_and(|f| capacity_aware(&file.code[f.at..f.body.1]));
                 if !guarded {
                     out.push(Diagnostic::new(
                         "Q001",
@@ -68,91 +69,15 @@ pub fn run(files: &[SourceFile]) -> Vec<Diagnostic> {
     out
 }
 
-/// One `fn` item's extent in the code view: from the `fn` keyword through
-/// the matching close brace of its body.
-struct FnExtent {
-    start: usize,
-    end: usize,
-}
-
-/// Finds every `fn` item (free, inherent, trait-default) and its body
-/// extent. Bodyless trait signatures (`fn f(...);`) are skipped. Nested
-/// functions and closures inside a body simply yield nested extents; the
-/// innermost enclosing one wins at lookup time.
-fn fn_extents(code: &str) -> Vec<FnExtent> {
-    let bytes = code.as_bytes();
-    let mut out = Vec::new();
-    for (pos, _) in code.match_indices("fn ") {
-        // Word boundary on the left: `fn` must not be the tail of an
-        // identifier like `gen_fn `.
-        if pos > 0 && (bytes[pos - 1].is_ascii_alphanumeric() || bytes[pos - 1] == b'_') {
-            continue;
-        }
-        // Walk the signature to the body's `{`, or bail on a bodyless
-        // `;`. Array types in the signature (`[u8; 4]`) carry their own
-        // semicolons, so only a `;` outside every bracket terminates.
-        let mut depth = 0usize;
-        let mut j = pos + 3;
-        let body_open = loop {
-            match bytes.get(j) {
-                Some(b'(' | b'[' | b'<') => depth += 1,
-                Some(b')' | b']') => depth = depth.saturating_sub(1),
-                // A `>` closes a generic bracket unless it is an arrow's.
-                Some(b'>') if j == 0 || bytes[j - 1] != b'-' => {
-                    depth = depth.saturating_sub(1);
-                }
-                Some(b'{') if depth == 0 => break Some(j),
-                Some(b';') if depth == 0 => break None,
-                None => break None,
-                _ => {}
-            }
-            j += 1;
-        };
-        let Some(open) = body_open else { continue };
-        let mut brace = 0usize;
-        let mut k = open;
-        let mut end = code.len();
-        while k < bytes.len() {
-            match bytes[k] {
-                b'{' => brace += 1,
-                b'}' => {
-                    brace -= 1;
-                    if brace == 0 {
-                        end = k + 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        out.push(FnExtent { start: pos, end });
-    }
-    out
-}
-
 /// Whether a function's text (signature + body) mentions a capacity-shaped
 /// identifier: any underscore-split fragment of any identifier equals one
 /// of [`CAPACITY_TOKENS`], case-folded. Fragment equality — not substring
 /// match — so `escape` never counts as `cap`.
 fn capacity_aware(text: &str) -> bool {
-    let mut word_start: Option<usize> = None;
-    let bytes = text.as_bytes();
-    let check = |from: usize, to: usize| -> bool {
-        text[from..to]
-            .split('_')
-            .any(|part| CAPACITY_TOKENS.iter().any(|t| part.eq_ignore_ascii_case(t)))
-    };
-    for (i, b) in bytes.iter().enumerate() {
-        if b.is_ascii_alphanumeric() || *b == b'_' {
-            word_start.get_or_insert(i);
-        } else if let Some(s) = word_start.take() {
-            if check(s, i) {
-                return true;
-            }
-        }
-    }
-    word_start.is_some_and(|s| check(s, text.len()))
+    ident_tokens(text)
+        .into_iter()
+        .flat_map(|ident| ident.split('_'))
+        .any(|part| CAPACITY_TOKENS.iter().any(|t| part.eq_ignore_ascii_case(t)))
 }
 
 #[cfg(test)]

@@ -20,6 +20,7 @@
 //! `crates/net/src/frame.rs` are audited this way.
 
 use crate::diag::Diagnostic;
+use crate::parse::{body_after, ident_at};
 use crate::source::SourceFile;
 use std::collections::BTreeMap;
 
@@ -130,7 +131,10 @@ fn check_enum(file: &SourceFile, name: &str, wire: &EnumWire, out: &mut Vec<Diag
 /// extractor, which serializes the same maps instead of checking them.
 pub(crate) fn extract(file: &SourceFile, enum_name: &str, out: &mut Vec<Diagnostic>) -> EnumWire {
     let mut wire = EnumWire::default();
-    let Some(body) = item_body(&file.code, &format!("enum {enum_name}")) else {
+    // Each item is the first one whose head starts with its needle.
+    let code = file.code.as_str();
+    let Some(body) = code.find(&format!("enum {enum_name}")).and_then(|at| body_after(code, at))
+    else {
         out.push(Diagnostic::new(
             "W002",
             &file.rel,
@@ -142,9 +146,11 @@ pub(crate) fn extract(file: &SourceFile, enum_name: &str, out: &mut Vec<Diagnost
     wire.variants = enum_variants(file, body);
     let variant_names: Vec<&str> = wire.variants.iter().map(|(v, _)| v.as_str()).collect();
 
-    if let Some(impl_body) = item_body(&file.code, &format!("impl {enum_name}")) {
-        let impl_code = &file.code[impl_body.0..impl_body.1];
-        if let Some(enc) = item_body(impl_code, "fn encode") {
+    if let Some(impl_body) =
+        code.find(&format!("impl {enum_name}")).and_then(|at| body_after(code, at))
+    {
+        let impl_code = &code[impl_body.0..impl_body.1];
+        if let Some(enc) = impl_code.find("fn encode").and_then(|at| body_after(impl_code, at)) {
             wire.encode = encode_map(
                 file,
                 impl_body.0 + enc.0,
@@ -153,7 +159,7 @@ pub(crate) fn extract(file: &SourceFile, enum_name: &str, out: &mut Vec<Diagnost
                 &variant_names,
             );
         }
-        if let Some(dec) = item_body(impl_code, "fn decode") {
+        if let Some(dec) = impl_code.find("fn decode").and_then(|at| body_after(impl_code, at)) {
             wire.decode = decode_map(
                 file,
                 impl_body.0 + dec.0,
@@ -164,38 +170,6 @@ pub(crate) fn extract(file: &SourceFile, enum_name: &str, out: &mut Vec<Diagnost
         }
     }
     wire
-}
-
-/// Finds `needle` and returns the byte range of the brace-balanced body
-/// that follows it (exclusive of the braces' surroundings: the range spans
-/// from the opening `{` to just past its matching `}`).
-fn item_body(code: &str, needle: &str) -> Option<(usize, usize)> {
-    let at = code.find(needle)?;
-    let bytes = code.as_bytes();
-    let mut i = at + needle.len();
-    while i < bytes.len() && bytes[i] != b'{' {
-        // Give up if another item starts first (e.g. `enum Foo;`).
-        if bytes[i] == b';' {
-            return None;
-        }
-        i += 1;
-    }
-    let mut depth = 0usize;
-    let start = i;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some((start, i + 1));
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    None
 }
 
 /// Collects variant names declared at depth 1 of an enum body.
@@ -219,10 +193,9 @@ fn enum_variants(file: &SourceFile, body: (usize, usize)) -> Vec<(String, usize)
             && !trimmed.starts_with('#')
             && trimmed.chars().next().is_some_and(|c| c.is_ascii_uppercase())
         {
-            let name: String =
-                trimmed.chars().take_while(|c| c.is_ascii_alphanumeric() || *c == '_').collect();
+            let name = ident_at(trimmed, 0);
             if !name.is_empty() {
-                variants.push((name, file.line_of(body.0 + offset)));
+                variants.push((name.to_string(), file.line_of(body.0 + offset)));
             }
         }
         offset += line.len();
@@ -298,10 +271,9 @@ fn variant_ref(line: &str, enum_name: &str, variants: &[&str]) -> Option<String>
     let mut at = 0;
     while let Some(found) = line[at..].find(&prefix) {
         let start = at + found + prefix.len();
-        let name: String =
-            line[start..].chars().take_while(|c| c.is_ascii_alphanumeric() || *c == '_').collect();
-        if variants.contains(&name.as_str()) {
-            return Some(name);
+        let name = ident_at(line, start);
+        if variants.contains(&name) {
+            return Some(name.to_string());
         }
         at = start;
     }

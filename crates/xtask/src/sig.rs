@@ -1,13 +1,13 @@
-//! A small `pub fn` signature parser.
+//! The `pub fn` signature surface the symmetry pass compares.
 //!
 //! The symmetry pass needs the *public browsing-primitive surface* of the
 //! text and voice crates: every `pub fn` name with its parameter list and
-//! return type. Full Rust parsing is out of reach without external crates,
-//! but signatures have a rigid shape — visibility, optional qualifiers,
-//! `fn`, name, optional generics, balanced parens, optional `-> type` up to
-//! `{`/`;`/`where` — which a token-level scan over the stripped code view
-//! parses reliably.
+//! return type. Signatures have a rigid shape — visibility, optional
+//! qualifiers, `fn`, name, optional generics, balanced parens, optional
+//! `-> type` up to `{`/`;`/`where` — which [`crate::parse`]'s scanner reads
+//! off the stripped code view.
 
+use crate::parse::{find_word, ident_at, impl_blocks, item_end, skip_balanced, skip_ws};
 use crate::source::SourceFile;
 
 /// Visibility of a parsed function.
@@ -38,82 +38,56 @@ pub struct PubFn {
 
 /// Parses every non-test `pub fn` signature in `file`.
 pub fn pub_fns(file: &SourceFile) -> Vec<PubFn> {
-    let code = file.code.as_bytes();
     let mut out = Vec::new();
-    let mut i = 0;
-    while let Some(found) = find_word(&file.code, "pub", i) {
-        let pub_at = found;
-        i = pub_at + 3;
+    let mut from = 0;
+    while let Some(pub_at) = find_word(&file.code, "pub", from) {
+        from = pub_at + 3;
         let line = file.line_of(pub_at);
-        if file.is_test_line(line) {
-            continue;
+        if !file.is_test_line(line) {
+            out.extend(signature(file, pub_at, line));
         }
-        let mut j = skip_ws(code, i);
-        let mut vis = Visibility::Public;
-        if code.get(j) == Some(&b'(') {
-            vis = Visibility::Restricted;
-            j = match skip_balanced(code, j, b'(', b')') {
-                Some(end) => skip_ws(code, end),
-                None => continue,
-            };
-        }
-        // Optional qualifiers before `fn`.
-        loop {
-            let (word, after) = next_word(code, j);
-            match word {
-                "const" | "async" | "unsafe" | "extern" => j = skip_ws(code, after),
-                _ => break,
-            }
-        }
-        let (kw, after_kw) = next_word(code, j);
-        if kw != "fn" {
-            continue;
-        }
-        j = skip_ws(code, after_kw);
-        let (name, after_name) = next_word(code, j);
-        if name.is_empty() {
-            continue;
-        }
-        j = skip_ws(code, after_name);
-        // Optional generics.
-        if code.get(j) == Some(&b'<') {
-            j = match skip_balanced(code, j, b'<', b'>') {
-                Some(end) => skip_ws(code, end),
-                None => continue,
-            };
-        }
-        if code.get(j) != Some(&b'(') {
-            continue;
-        }
-        let params_end = match skip_balanced(code, j, b'(', b')') {
-            Some(end) => end,
-            None => continue,
-        };
-        let params =
-            normalize_ws(&file.code[j + 1..params_end - 1]).trim_end_matches(',').to_string();
-        let mut k = skip_ws(code, params_end);
-        let mut ret = None;
-        if code.get(k) == Some(&b'-') && code.get(k + 1) == Some(&b'>') {
-            let ret_start = skip_ws(code, k + 2);
-            let mut end = ret_start;
-            let mut depth = 0i32;
-            while end < code.len() {
-                match code[end] {
-                    b'<' | b'(' | b'[' => depth += 1,
-                    b'>' | b')' | b']' => depth -= 1,
-                    b'{' | b';' if depth <= 0 => break,
-                    b'w' if depth <= 0 && word_at(code, end) == "where" => break,
-                    _ => {}
-                }
-                end += 1;
-            }
-            ret = Some(normalize_ws(&file.code[ret_start..end]));
-            k = end;
-        }
-        let _ = k;
-        out.push(PubFn { name: name.to_string(), params, ret, file: file.rel.clone(), line, vis });
     }
     out
+}
+
+/// The signature whose `pub` keyword sits at `pub_at`, if it is a fn's.
+fn signature(file: &SourceFile, pub_at: usize, line: usize) -> Option<PubFn> {
+    let code = file.code.as_str();
+    let mut j = skip_ws(code, pub_at + 3);
+    let mut vis = Visibility::Public;
+    if code[j..].starts_with('(') {
+        vis = Visibility::Restricted;
+        j = skip_ws(code, skip_balanced(code, j)?);
+    }
+    // Optional qualifiers before `fn`.
+    while let word @ ("const" | "async" | "unsafe" | "extern") = ident_at(code, j) {
+        j = skip_ws(code, j + word.len());
+    }
+    if ident_at(code, j) != "fn" {
+        return None;
+    }
+    j = skip_ws(code, j + 2);
+    let name = ident_at(code, j);
+    if name.is_empty() {
+        return None;
+    }
+    j = skip_ws(code, j + name.len());
+    // Optional generics.
+    if code[j..].starts_with('<') {
+        j = skip_ws(code, skip_balanced(code, j)?);
+    }
+    if !code[j..].starts_with('(') {
+        return None;
+    }
+    let params_end = skip_balanced(code, j)?;
+    let params = normalize_ws(&code[j + 1..params_end - 1]).trim_end_matches(',').to_string();
+    let after = skip_ws(code, params_end);
+    let ret = code[after..].starts_with("->").then(|| {
+        let start = skip_ws(code, after + 2);
+        let ret = &code[start..item_end(code, start).map_or(code.len(), |(stop, _)| stop)];
+        normalize_ws(&ret[..find_word(ret, "where", 0).unwrap_or(ret.len())])
+    });
+    Some(PubFn { name: name.to_string(), params, ret, file: file.rel.clone(), line, vis })
 }
 
 /// Parses the fully-public (`Visibility::Public`) fn names of several files.
@@ -124,92 +98,15 @@ pub fn public_surface(files: &[SourceFile]) -> Vec<PubFn> {
 /// Parses the fully-public fns of `file` declared in inherent `impl`
 /// blocks of the type `ty` (generic or not): `impl<C: Ord> Ty<C> { .. }`.
 pub fn impl_surface(file: &SourceFile, ty: &str) -> Vec<PubFn> {
-    let code = file.code.as_bytes();
-    let mut bodies = Vec::new();
-    let mut i = 0;
-    while let Some(at) = find_word(&file.code, "impl", i) {
-        i = at + 4;
-        let mut j = skip_ws(code, i);
-        if code.get(j) == Some(&b'<') {
-            j = match skip_balanced(code, j, b'<', b'>') {
-                Some(end) => skip_ws(code, end),
-                None => continue,
-            };
-        }
-        let (name, after) = next_word(code, j);
-        if name != ty {
-            continue;
-        }
-        let Some(open) = file.code[after..].find('{').map(|k| after + k) else { continue };
-        if let Some(end) = skip_balanced(code, open, b'{', b'}') {
-            bodies.push(file.line_of(open)..=file.line_of(end - 1));
-        }
-    }
+    let bodies: Vec<_> = impl_blocks(&file.code)
+        .into_iter()
+        .filter(|b| b.inherent && b.owner == ty)
+        .map(|b| file.line_of(b.body.0)..=file.line_of(b.body.1 - 1))
+        .collect();
     public_surface(std::slice::from_ref(file))
         .into_iter()
         .filter(|f| bodies.iter().any(|lines| lines.contains(&f.line)))
         .collect()
-}
-
-fn find_word(code: &str, word: &str, from: usize) -> Option<usize> {
-    let bytes = code.as_bytes();
-    let mut at = from;
-    while let Some(found) = code.get(at..).and_then(|s| s.find(word)) {
-        let pos = at + found;
-        let before_ok = pos == 0 || !is_ident(bytes[pos - 1]);
-        let after_ok = pos + word.len() >= bytes.len() || !is_ident(bytes[pos + word.len()]);
-        if before_ok && after_ok {
-            return Some(pos);
-        }
-        at = pos + 1;
-    }
-    None
-}
-
-fn word_at(code: &[u8], at: usize) -> &str {
-    let mut end = at;
-    while end < code.len() && is_ident(code[end]) {
-        end += 1;
-    }
-    std::str::from_utf8(&code[at..end]).unwrap_or("")
-}
-
-fn next_word(code: &[u8], at: usize) -> (&str, usize) {
-    let mut end = at;
-    while end < code.len() && is_ident(code[end]) {
-        end += 1;
-    }
-    (std::str::from_utf8(&code[at..end]).unwrap_or(""), end)
-}
-
-fn skip_ws(code: &[u8], mut at: usize) -> usize {
-    while at < code.len() && code[at].is_ascii_whitespace() {
-        at += 1;
-    }
-    at
-}
-
-/// Advances past a balanced `open`..`close` region starting at `at`
-/// (which must hold `open`); returns the index just past the close.
-fn skip_balanced(code: &[u8], at: usize, open: u8, close: u8) -> Option<usize> {
-    let mut depth = 0usize;
-    let mut i = at;
-    while i < code.len() {
-        if code[i] == open {
-            depth += 1;
-        } else if code[i] == close {
-            depth -= 1;
-            if depth == 0 {
-                return Some(i + 1);
-            }
-        }
-        i += 1;
-    }
-    None
-}
-
-fn is_ident(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
 }
 
 fn normalize_ws(s: &str) -> String {

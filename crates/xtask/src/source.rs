@@ -7,6 +7,7 @@
 //! can never trip a rule. A per-line test mask marks the extent of every
 //! `#[cfg(test)]` item so test-only code is exempt.
 
+use crate::parse::{is_ident_byte, item_end};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -50,6 +51,17 @@ impl SourceFile {
     /// Whether 1-based `line` is inside a `#[cfg(test)]` item.
     pub fn is_test_line(&self, line: usize) -> bool {
         self.test_mask.get(line.saturating_sub(1)).copied().unwrap_or(false)
+    }
+
+    /// The library code lines, as `minos-xtask code-lines` counts them:
+    /// lines of `raw` that are not blank, do not start with `//` (comments
+    /// and doc comments), and lie outside every `#[cfg(test)]` item.
+    pub fn code_line_count(&self) -> usize {
+        let counted = |(i, line): &(usize, &str)| {
+            let line = line.trim_start();
+            !line.is_empty() && !line.starts_with("//") && !self.is_test_line(i + 1)
+        };
+        self.raw.lines().enumerate().filter(counted).count()
     }
 
     /// 1-based line number of byte offset `pos` in the code view.
@@ -203,59 +215,25 @@ pub fn strip_code(raw: &str) -> String {
     String::from_utf8(out).unwrap_or_default()
 }
 
-fn is_ident_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
-}
-
 /// Computes the per-line `#[cfg(test)]` mask over a code view.
 ///
 /// For each `#[cfg(test)]` attribute the masked extent is the attributed
-/// item: everything through the matching close brace of the first `{`
-/// opened after the attribute (or through the first `;` if one appears
-/// before any brace, as for a `#[cfg(test)] use` line).
+/// item, as [`crate::parse::item_end`] ends it: through the close brace of
+/// its body, or through its `;` if it has none (a `#[cfg(test)] use` line).
 pub fn test_mask(code: &str) -> Vec<bool> {
+    const ATTR: &str = "#[cfg(test)]";
     let line_count = code.lines().count();
     let mut mask = vec![false; line_count];
-    let bytes = code.as_bytes();
+    let newlines_before = |at: usize| code.as_bytes()[..at].iter().filter(|&&b| b == b'\n').count();
     let mut search_from = 0;
-    while let Some(found) = code[search_from..].find("#[cfg(test)]") {
+    while let Some(found) = code[search_from..].find(ATTR) {
         let attr_at = search_from + found;
-        let mut j = attr_at + "#[cfg(test)]".len();
-        // Find the end of the attributed item.
-        let mut end = code.len();
-        while j < bytes.len() {
-            match bytes[j] {
-                b';' => {
-                    end = j + 1;
-                    break;
-                }
-                b'{' => {
-                    let mut depth = 0usize;
-                    while j < bytes.len() {
-                        match bytes[j] {
-                            b'{' => depth += 1,
-                            b'}' => {
-                                depth -= 1;
-                                if depth == 0 {
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                        j += 1;
-                    }
-                    end = (j + 1).min(code.len());
-                    break;
-                }
-                _ => j += 1,
-            }
-        }
-        let first_line = bytes[..attr_at].iter().filter(|&&b| b == b'\n').count();
-        let last_line = bytes[..end.min(bytes.len())].iter().filter(|&&b| b == b'\n').count();
+        let end = item_end(code, attr_at + ATTR.len()).map_or(code.len(), |(_, end)| end);
+        let (first_line, last_line) = (newlines_before(attr_at), newlines_before(end));
         for m in mask.iter_mut().take((last_line + 1).min(line_count)).skip(first_line) {
             *m = true;
         }
-        search_from = end.max(attr_at + 1);
+        search_from = end;
     }
     mask
 }
@@ -363,5 +341,56 @@ mod tests {
         assert_eq!(s.line_of(0), 1);
         assert_eq!(s.line_of(4), 2);
         assert_eq!(s.line_of(9), 3);
+    }
+
+    #[test]
+    fn code_lines_skip_blanks_comments_and_test_items() {
+        // Counted: `use std::fmt;`, the three lines of `S`, both lines of
+        // the block comment, `OPEN`, `BRACE`, the five live lines of
+        // `impl S` and `tail`. The brace in the raw string, the char and
+        // the byte char are no item boundaries. A scanner that ended
+        // `table` at the `;` of `[u8; 4]` would count its last two lines.
+        let s = sf(r##"//! Module doc.
+use std::fmt;
+
+/// A doc comment.
+pub struct S {
+    a: u8, /* trailing */
+}
+
+/* outer /* inner */ still
+   inside */
+const OPEN: &str = r#"{"#;
+const BRACE: char = '{';
+
+impl S {
+    pub fn f(&self) -> u8 {
+
+        self.a
+    }
+}
+
+#[cfg(test)]
+use std::collections::HashMap;
+
+#[cfg(test)]
+impl S {
+    fn probe(&self) -> u8 { b'}' }
+}
+
+#[cfg(test)]
+fn table() -> [u8; 4] {
+    Some([0; 4]).unwrap()
+}
+
+pub fn tail() {}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() { let _ = "}"; }
+}
+"##);
+        assert_eq!(s.code_line_count(), 14);
     }
 }

@@ -18,7 +18,7 @@
 //!   `minos-xtask -- spec --write` and commit the diff.
 
 use crate::diag::{json_string, Diagnostic};
-use crate::parse::{fns_in, impl_blocks};
+use crate::parse::{fns_in, ident_at, impl_blocks};
 use crate::passes::wire;
 use crate::source::SourceFile;
 use std::collections::BTreeMap;
@@ -237,10 +237,7 @@ fn priority_bytes(frame: &SourceFile) -> BTreeMap<String, u64> {
             for line in frame.code[f.body.0..f.body.1].lines() {
                 let Some(arrow) = line.find("=>") else { continue };
                 let Some(at) = line.find("Priority::") else { continue };
-                let class: String = line[at + "Priority::".len()..]
-                    .chars()
-                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                    .collect();
+                let class = ident_at(line, at + "Priority::".len());
                 let digits: String = line[arrow + 2..]
                     .trim_start()
                     .chars()
@@ -248,7 +245,7 @@ fn priority_bytes(frame: &SourceFile) -> BTreeMap<String, u64> {
                     .collect();
                 if let Ok(byte) = digits.replace('_', "").parse::<u64>() {
                     if !class.is_empty() {
-                        out.insert(class, byte);
+                        out.insert(class.to_string(), byte);
                     }
                 }
             }
