@@ -91,6 +91,24 @@ impl AudioEngine {
         self.active_visual
     }
 
+    /// The earliest position after the current one at which a tick ending
+    /// there would report something: the next page start, a voice or
+    /// visual anchor's entry or exit as the message refresh tests it (a
+    /// point anchor changes only at its start), or the end of the part.
+    /// Until then every tick end samples what the last one did. `None`
+    /// unless playing: an interrupted or finished engine stays put.
+    pub fn next_change(&self) -> Option<SimInstant> {
+        let t = self.playback.position();
+        let voice = self.voice_anchors.iter().map(|&(_, span)| (span, !is_point(span)));
+        let visual = self.visual_anchors.iter().map(|&(_, span)| (span, true));
+        let edges = voice
+            .chain(visual)
+            .flat_map(|(span, exits)| [Some(span.start), exits.then_some(span.end)])
+            .flatten();
+        let next = self.playback.next_boundary()?;
+        Some(edges.filter(|&edge| edge > t).fold(next, SimInstant::min))
+    }
+
     /// Recomputes message activations after a position change, emitting
     /// transition events.
     fn refresh_messages(&mut self, events: &mut Vec<BrowseEvent>) {
@@ -98,11 +116,10 @@ impl AudioEngine {
         // Voice messages fire when playback first enters their anchor
         // (point anchors: at or after the point, before re-arming on exit).
         for &(message, span) in &self.voice_anchors {
-            let inside = span.contains(t)
-                || (span.duration() <= SimDuration::from_millis(1) && t >= span.start);
+            let inside = span.contains(t) || (is_point(span) && t >= span.start);
             if inside && self.inside_voice.insert(message) {
                 events.push(BrowseEvent::VoiceMessagePlayed(message));
-            } else if !inside && span.duration() > SimDuration::from_millis(1) {
+            } else if !inside && !is_point(span) {
                 self.inside_voice.remove(&message);
             }
         }
@@ -180,6 +197,12 @@ impl AudioEngine {
     }
 }
 
+/// Whether a voice anchor is a point: it fires once playback reaches its
+/// start and never re-arms on exit.
+fn is_point(span: TimeSpan) -> bool {
+    span.duration() <= SimDuration::from_millis(1)
+}
+
 /// A jump plays from its target, as the voice page commands always have;
 /// a command that finds nowhere to go reports the unchanged position.
 impl Browse for AudioEngine {
@@ -228,6 +251,7 @@ impl Browse for AudioEngine {
 mod tests {
     use super::*;
     use minos_corpus::audio_xray_report;
+    use minos_object::LogicalMessage;
     use minos_text::LogicalLevel;
     use minos_types::{ObjectId, PageNumber};
 
@@ -380,6 +404,46 @@ mod tests {
         e.goto_page(PageNumber::FIRST);
         assert_eq!(e.state(), PlaybackState::Playing);
         assert_eq!(e.position(), SimInstant::EPOCH);
+    }
+
+    #[test]
+    fn next_change_is_the_first_position_a_tick_can_report() {
+        // A voice span and a voice point beside the x-ray's visual span:
+        // stepping from change to change, a tick stopping 1 µs short of
+        // the next change reports nothing, and the changes are the page
+        // starts, every anchor edge (a point's start only) and the end.
+        let (mut obj, _) = engine();
+        let at = |ms| SimInstant::EPOCH + SimDuration::from_millis(ms);
+        let body = MessageBody::Voice { segment: 0, duration: SimDuration::from_secs(1) };
+        for anchor in [
+            Anchor::VoiceSegment { segment: 0, span: TimeSpan::new(at(2_500), at(7_250)) },
+            Anchor::VoicePoint { segment: 0, at: at(16_000) },
+        ] {
+            obj.messages.push(LogicalMessage { anchor, body: body.clone() });
+        }
+        let mut e = AudioEngine::new(&obj, 0, SimDuration::from_secs(5)).unwrap();
+        assert_eq!(e.next_change(), None, "not playing yet");
+        e.open();
+        let mut changes = Vec::new();
+        while let Some(next) = e.next_change() {
+            let mut probe = e.clone();
+            let short = next.since(e.position()) - SimDuration::from_micros(1);
+            assert_eq!(probe.tick(short), Vec::new(), "a change before {next}");
+            let events = e.tick(next.since(e.position()));
+            // Leaving a voice span reports nothing: it only re-arms the
+            // message for the next entry.
+            assert!(!events.is_empty() || next == at(7_250), "nothing changed at {next}");
+            changes.push(next);
+        }
+        assert_eq!(e.state(), PlaybackState::Finished);
+        let voice = &obj.voice_segments[0];
+        let end = SimInstant::EPOCH + voice.duration();
+        let finding = &voice.transcript.paragraph_starts[1..3];
+        let mut expected: Vec<SimInstant> = (1..8).map(|p| at(5_000 * p)).collect();
+        expected.extend([at(2_500), at(7_250), at(16_000), end]);
+        expected.extend(finding);
+        expected.sort_unstable();
+        assert_eq!(changes, expected);
     }
 
     #[test]

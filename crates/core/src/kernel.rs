@@ -5,7 +5,7 @@
 //! voice sessions against shared devices. Polling every session per tick
 //! makes simulated wall-time grow with N even when almost all sessions
 //! are idle; the kernel inverts that: consumers *arm* deadlines
-//! (retransmit timers, audio buffer deadlines, page dwells) and the
+//! (retransmit timers, voice sessions' next changes, page dwells) and the
 //! simulation advances directly from one armed instant to the next, so an
 //! idle session costs zero work and per-event cost is independent of N.
 //!
@@ -59,7 +59,8 @@ pub enum KernelEvent {
         /// That request's attempt count when the timer was armed.
         attempt: u32,
     },
-    /// An audio session's next buffer deadline: the device must be fed.
+    /// An audio session's next observable change is due: a page crossing,
+    /// a message anchor's entry or exit, or the end of its part.
     AudioDeadline {
         /// Scheduler slot index of the session.
         session: u64,

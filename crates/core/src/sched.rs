@@ -26,13 +26,19 @@
 //! anticipation rather than submitting prefetches the server would shed —
 //! the hint degrades to a later demand miss, never to wire noise.
 //!
-//! Ticks are driven by the scheduler's own discrete-event [`Kernel`]: only
-//! sessions with an armed audio deadline and connections with a completion
-//! wake are visited, so an idle session costs nothing per tick. The
-//! experiments' page-reader workloads live in [`crate::workload`].
+//! Ticks are driven in event time by the scheduler's own discrete-event
+//! [`Kernel`], keyed by a presentation clock: the sum of the tick lengths.
+//! It is not the client's clock, because a fetch wait inside
+//! [`SessionScheduler::apply`] moves the client's clock but plays no audio.
+//! A connection is visited only when the server completed work for it. An
+//! audio session is visited only when its next observable change falls
+//! due, so a session costs nothing between its page crossings, anchor
+//! entries and exits and its end. The experiments' page-reader workloads
+//! live in [`crate::workload`].
 
+use crate::audio::AudioEngine;
 use crate::command::{BrowseCommand, BrowseEvent};
-use crate::kernel::{Kernel, KernelEvent, KernelStats};
+use crate::kernel::{Kernel, KernelEvent, KernelStats, TimerId};
 use crate::session::{BrowsingSession, ObjectStore};
 use crate::transport::{Client, Landed, Ticket};
 use minos_net::{FaultPlan, FaultStats, Link, LinkStats, Priority, ServerRequest, ServerResponse};
@@ -40,6 +46,7 @@ use minos_object::MultimediaObject;
 use minos_server::{ObjectServer, ServiceConfig, ServiceStats};
 use minos_text::PaginateConfig;
 use minos_types::{MinosError, ObjectId, Result, SimDuration, SimInstant};
+use minos_voice::PlaybackState;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -215,18 +222,70 @@ fn slot_of(conn: u64) -> Option<usize> {
     usize::try_from(conn).ok()?.checked_sub(1)
 }
 
+/// The presentation clock: the presentation time the scheduler's ticks
+/// have played, and how many ticks there were.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Presentation {
+    at: SimInstant,
+    ticks: u64,
+}
+
 struct Slot {
     session: BrowsingSession<HubStore>,
     events: Vec<BrowseEvent>,
+    /// The presentation instant and tick the session was last brought up
+    /// to: every tick since then is still owed to it.
+    synced: Presentation,
+    /// The armed wake for a playing session's next observable change, and
+    /// its instant in presentation time.
+    wake: Option<(SimInstant, TimerId)>,
 }
 
 impl Slot {
-    /// Whether the session is audio-driven: the kernel arms its playback
-    /// deadlines, and it is served first. Only
+    /// Whether the session is audio-driven: it is served first. Only
     /// [`SessionScheduler::apply`] can switch a session's driving mode; a
     /// tick only advances its playback.
     fn is_audio(&self) -> bool {
         self.session.audio().is_some()
+    }
+
+    /// Brings the session up to `now`, with exactly the events per-tick
+    /// stepping would have produced. A playing session plays the time owed
+    /// in one tick: no change fell due in it, or its wake would have
+    /// caught it up at the first tick end after. A finished session owes
+    /// one `PlaybackFinished` per tick; an interrupted one owes nothing,
+    /// and neither does a visual one.
+    fn catch_up(&mut self, now: Presentation) {
+        match self.session.audio().map(AudioEngine::state) {
+            Some(PlaybackState::Playing) if now.at > self.synced.at => {
+                let events = self.session.tick(now.at.since(self.synced.at));
+                self.events.extend(events);
+            }
+            Some(PlaybackState::Finished) => {
+                let owed = (now.ticks - self.synced.ticks) as usize;
+                self.events.extend(std::iter::repeat_n(BrowseEvent::PlaybackFinished, owed));
+            }
+            _ => {}
+        }
+        self.synced = now;
+    }
+
+    /// Arms slot `index`'s wake for its next observable change, if it
+    /// moved: the old wake is cancelled and a new one armed, in
+    /// presentation time. The session must be caught up.
+    fn rearm(&mut self, kernel: &mut Kernel, index: usize) {
+        let due = self.session.audio().and_then(|audio| {
+            let change = audio.next_change()?;
+            Some(self.synced.at + change.saturating_since(audio.position()))
+        });
+        if self.wake.map(|(at, _)| at) == due {
+            return;
+        }
+        if let Some((_, timer)) = self.wake.take() {
+            kernel.cancel(timer);
+        }
+        let event = KernelEvent::AudioDeadline { session: index as u64 };
+        self.wake = due.map(|at| (at, kernel.arm(at, event)));
     }
 }
 
@@ -234,25 +293,48 @@ impl Slot {
 /// one object server.
 ///
 /// Each [`SessionScheduler::tick`] advances session presentations by the
-/// same wall-clock slice and then serves the shared service loop.
-/// Service order is round-robin with a rotating head — no session can
-/// starve — except that audio-driven sessions always go first: their
+/// same slice of presentation time and then serves the shared service
+/// loop. Service order is round-robin with a rotating head — no session
+/// can starve — except that audio-driven sessions always go first: their
 /// transfers have real-time deadlines, a text reader's do not.
 ///
-/// The tick is event-driven: the [`Kernel`] wakes exactly the audio-paced
-/// sessions and the connections the server completed work for, in the
-/// same deadline-aware order a full rotation scan would produce, so an
-/// idle text session costs nothing per tick. Golden-stream fixtures
-/// recorded from that full scan pin the tick to the byte.
+/// The tick runs in event time. The scheduler keeps a presentation clock
+/// (the sum of the tick lengths, and the tick count), and each slot records
+/// the presentation instant and tick it was last brought up to. An audio
+/// session is in one of three states:
+/// - *playing*: one [`Kernel`] timer is armed at the presentation instant
+///   of its next observable change ([`AudioEngine::next_change`]). At the
+///   first tick end at or after it, one tick over the time owed catches
+///   the session up;
+/// - *interrupted*: nothing is armed and nothing is owed;
+/// - *finished*: the ticks are counted, and the `PlaybackFinished` each
+///   would have reported is written into the slot's events when the slot
+///   is next read.
+///
+/// [`SessionScheduler::apply`], [`SessionScheduler::session`] and
+/// [`SessionScheduler::drain_events`] catch a session up first, so every
+/// event and position is what per-tick stepping would show. The kernel
+/// also wakes exactly the connections the server completed work for, in
+/// the same deadline-aware order a full rotation scan would produce, so an
+/// idle session costs nothing per tick. Golden-stream fixtures recorded
+/// from that full scan pin the tick to the byte.
 pub struct SessionScheduler {
     client: Rc<RefCell<Client>>,
-    /// The tick's kernel: audio deadlines and completion wakes flow
-    /// through it, so only sessions with a fired deadline or a landed
-    /// response are ever visited. The client's retransmit timers run on
-    /// the client's own kernel.
+    /// The tick's kernel, keyed by presentation time: audio sessions' next
+    /// changes and connections' completion wakes flow through it, so only
+    /// sessions with a fired wake or a landed response are ever visited.
+    /// The client's retransmit timers run on the client's own kernel.
     kernel: Kernel,
+    now: Presentation,
     slots: Vec<Slot>,
+    /// Connection ids woken this tick, kept so a tick allocates nothing.
+    woken: Vec<u64>,
     cursor: usize,
+}
+
+/// The error for a key that names no slot.
+fn no_slot(key: SessionKey) -> MinosError {
+    MinosError::Internal(format!("no session slot {}", key.0))
 }
 
 impl SessionScheduler {
@@ -261,7 +343,9 @@ impl SessionScheduler {
         SessionScheduler {
             client: Rc::new(RefCell::new(Client::new(server, link))),
             kernel: Kernel::new(),
+            now: Presentation::default(),
             slots: Vec::new(),
+            woken: Vec::new(),
             cursor: 0,
         }
     }
@@ -283,7 +367,9 @@ impl SessionScheduler {
             // policy can never reject them.
             session.store_mut().set_demand_class(Priority::Audio);
         }
-        self.slots.push(Slot { session, events: Vec::new() });
+        let mut slot = Slot { session, events: Vec::new(), synced: self.now, wake: None };
+        slot.rearm(&mut self.kernel, index);
+        self.slots.push(slot);
         Ok((SessionKey(index), events))
     }
 
@@ -305,16 +391,21 @@ impl SessionScheduler {
 
     /// Applies one browsing command to the session behind `key`, returning
     /// the events it produced (exactly what a standalone session would).
+    /// The session is caught up first and its wake re-armed after.
     pub fn apply(&mut self, key: SessionKey, command: BrowseCommand) -> Result<Vec<BrowseEvent>> {
-        self.slot_mut(key)?.session.apply(command)
+        let slot = self.slots.get_mut(key.0).ok_or_else(|| no_slot(key))?;
+        slot.catch_up(self.now);
+        let events = slot.session.apply(command);
+        slot.rearm(&mut self.kernel, key.0);
+        events
     }
 
-    /// The session behind `key` (menus, positions, objects).
-    pub fn session(&self, key: SessionKey) -> Result<&BrowsingSession<HubStore>> {
-        self.slots
-            .get(key.0)
-            .map(|s| &s.session)
-            .ok_or_else(|| MinosError::Internal(format!("no session slot {}", key.0)))
+    /// The session behind `key` (menus, positions, objects), caught up
+    /// with the presentation clock.
+    pub fn session(&mut self, key: SessionKey) -> Result<&BrowsingSession<HubStore>> {
+        let slot = self.slots.get_mut(key.0).ok_or_else(|| no_slot(key))?;
+        slot.catch_up(self.now);
+        Ok(&slot.session)
     }
 
     /// The deadline-aware service order for the next tick: a rotating
@@ -335,14 +426,28 @@ impl SessionScheduler {
     /// accumulate per session; drain them with
     /// [`SessionScheduler::drain_events`].
     ///
-    /// A visual session's per-tick advance is a no-op and an idle
-    /// connection has nothing to serve, so the tick visits only sessions
-    /// with an armed audio deadline and connections with a completion
-    /// wake, in the deadline-aware relative order of a full scan. Then the
-    /// client's clock moves by `dt`, retransmitting whatever falls due on
-    /// the way, and every response that has landed goes into its
-    /// session's store.
+    /// The presentation clock moves by `dt`, and only the audio sessions
+    /// whose next change fell due are caught up and re-armed; every other
+    /// session is left owing the tick. Then the tick visits only the
+    /// connections with a completion wake, in the deadline-aware relative
+    /// order of a full scan. Last, the client's clock moves by `dt`,
+    /// retransmitting whatever falls due on the way, and every response
+    /// that has landed goes into its session's store.
     pub fn tick(&mut self, dt: SimDuration) {
+        self.now = Presentation { at: self.now.at + dt, ticks: self.now.ticks + 1 };
+        self.kernel.advance_to(self.now.at);
+        while let Some(event) = self.kernel.take_ready() {
+            let KernelEvent::AudioDeadline { session } = event else {
+                self.kernel.note_spurious();
+                continue;
+            };
+            let index = session as usize;
+            if let Some(slot) = self.slots.get_mut(index) {
+                slot.wake = None;
+                slot.catch_up(self.now);
+                slot.rearm(&mut self.kernel, index);
+            }
+        }
         let n = self.slots.len();
         if n == 0 {
             let mut client = self.client.borrow_mut();
@@ -351,51 +456,23 @@ impl SessionScheduler {
             return;
         }
         let cursor = self.cursor;
-        // Fire this tick's audio playback deadlines through the kernel, in
-        // slot order. The kernel first catches up with the tick instant,
-        // so the deadlines, due now, go onto its due FIFO instead of
-        // through its timer heap.
-        let mut audio_wake: Vec<usize> = Vec::new();
-        let now = self.client.borrow().clock.now();
-        self.kernel.advance_to(now);
-        for (i, slot) in self.slots.iter().enumerate() {
-            if slot.is_audio() {
-                self.kernel.post(now, KernelEvent::AudioDeadline { session: i as u64 });
-            }
-        }
-        self.kernel.advance_to(now);
-        while let Some(event) = self.kernel.take_ready() {
-            match event {
-                KernelEvent::AudioDeadline { session } => audio_wake.push(session as usize),
-                _ => self.kernel.note_spurious(),
-            }
-        }
-        // Advance woken audio sessions in the rotation order the full
-        // scan would have reached them in.
-        audio_wake.sort_by_key(|&i| (n + i - cursor) % n);
-        for &i in &audio_wake {
-            if let Some(slot) = self.slots.get_mut(i) {
-                let events = slot.session.tick(dt);
-                slot.events.extend(events);
-            }
-        }
         // Completion wakes: every connection the server enqueued or
         // finished work for since the last drain, routed through the
         // kernel so the trace and counters see them. Frames still on the
         // wire enter the queue first: their arrival is a wake.
         let mut client = self.client.borrow_mut();
-        let now = client.clock.now();
         client.enqueue_pending(0);
         // request_id 0 marks a connection-level wake: it covers every
         // response in the connection's ready batch.
         for conn in client.fleet.servers_mut()[0].take_woken() {
-            self.kernel.post(now, KernelEvent::ResponseLanded { conn, request_id: 0 });
+            self.kernel.post(self.now.at, KernelEvent::ResponseLanded { conn, request_id: 0 });
         }
-        self.kernel.advance_to(now);
-        let mut conn_wake: Vec<u64> = Vec::new();
+        self.kernel.advance_to(self.now.at);
+        let woken = &mut self.woken;
+        woken.clear();
         while let Some(event) = self.kernel.take_ready() {
             match event {
-                KernelEvent::ResponseLanded { conn, .. } => conn_wake.push(conn),
+                KernelEvent::ResponseLanded { conn, .. } => woken.push(conn),
                 _ => self.kernel.note_spurious(),
             }
         }
@@ -403,11 +480,11 @@ impl SessionScheduler {
         // connections first, rotation position breaking ties — the same
         // total order the full scan serves. A wake whose connection has
         // nothing left to serve (an earlier fetch served it) is spurious.
-        conn_wake.sort_by_key(|&conn| match slot_of(conn).filter(|&i| i < n) {
+        woken.sort_by_key(|&conn| match slot_of(conn).filter(|&i| i < n) {
             Some(i) => (!self.slots[i].is_audio(), (n + i - cursor) % n),
             None => (true, usize::MAX),
         });
-        for _ in 0..client.dispatch(&conn_wake) {
+        for _ in 0..client.dispatch(woken) {
             self.kernel.note_spurious();
         }
         // Marks recorded during the pump refer to responses the pump
@@ -417,10 +494,10 @@ impl SessionScheduler {
         client.advance_to(at);
         // Every landed response goes into its session's store now, so the
         // client's request table keeps only requests still on their way.
-        conn_wake.clear();
-        conn_wake.extend(client.landed_conns());
+        woken.clear();
+        woken.extend(client.landed_conns());
         drop(client);
-        for conn in conn_wake {
+        for &conn in woken.iter() {
             if let Some(slot) = slot_of(conn).and_then(|i| self.slots.get_mut(i)) {
                 slot.session.store_mut().collect();
             }
@@ -443,7 +520,9 @@ impl SessionScheduler {
     /// Takes the events `key`'s session produced during ticks since the
     /// last drain.
     pub fn drain_events(&mut self, key: SessionKey) -> Result<Vec<BrowseEvent>> {
-        Ok(std::mem::take(&mut self.slot_mut(key)?.events))
+        let slot = self.slots.get_mut(key.0).ok_or_else(|| no_slot(key))?;
+        slot.catch_up(self.now);
+        Ok(std::mem::take(&mut slot.events))
     }
 
     /// Total simulated time across the whole scheduled group.
@@ -461,7 +540,7 @@ impl SessionScheduler {
     /// stay untouched: faults are scoped to one connection's traffic, never
     /// to the shared link itself.
     pub fn inject_faults(&mut self, key: SessionKey, plan: FaultPlan) -> Result<()> {
-        self.slot_mut(key)?;
+        self.slots.get(key.0).ok_or_else(|| no_slot(key))?;
         self.client.borrow_mut().set_faults(conn_of(key.0), plan);
         Ok(())
     }
@@ -469,19 +548,13 @@ impl SessionScheduler {
     /// What the fault layer did to `key`'s connection so far (zeros for a
     /// connection that was never injected).
     pub fn fault_stats(&self, key: SessionKey) -> Result<FaultStats> {
-        self.session(key)?;
+        self.slots.get(key.0).ok_or_else(|| no_slot(key))?;
         Ok(self.client.borrow().conn_faults(conn_of(key.0)))
     }
 
     /// The shared server's service-loop accounting.
     pub fn service_stats(&self) -> ServiceStats {
         self.client.borrow().fleet.servers()[0].service_stats().clone()
-    }
-
-    fn slot_mut(&mut self, key: SessionKey) -> Result<&mut Slot> {
-        self.slots
-            .get_mut(key.0)
-            .ok_or_else(|| MinosError::Internal(format!("no session slot {}", key.0)))
     }
 }
 
@@ -490,6 +563,7 @@ mod tests {
     use super::*;
     use minos_corpus::objects::archived_form;
     use minos_corpus::{audio_xray_report, medical_report, subway_map_object};
+    use minos_object::Anchor;
 
     fn corpus_server() -> ObjectServer {
         let mut server = ObjectServer::new();
@@ -809,9 +883,10 @@ mod tests {
     #[test]
     fn idle_sessions_cost_the_kernel_nothing() {
         // The E15 claim, pinned where it lives: once a few hundred idle
-        // text sessions have settled, the same ticks and commands fire
-        // exactly the kernel work they fire without them — an idle
-        // session arms no deadline and is never woken.
+        // sessions have settled, the same ticks and commands fire exactly
+        // the kernel work they fire without them — an idle session arms no
+        // deadline and is never woken. Idle means a text reader, an
+        // interrupted voice session or a finished one alike.
         let config = PaginateConfig::default();
         let page = SimDuration::from_secs(5);
         let run = |idle: usize| {
@@ -819,18 +894,35 @@ mod tests {
             let (map, _) = sched.open(ObjectId::new(3), config, page).unwrap();
             let (audio, _) = sched.open(ObjectId::new(2), config, page).unwrap();
             let (report, _) = sched.open(ObjectId::new(1), config, page).unwrap();
-            for _ in 0..idle {
-                sched.open(ObjectId::new(1), config, page).unwrap();
+            let mut voices = Vec::new();
+            for i in 0..idle {
+                let object = if i % 3 == 0 { 1 } else { 2 };
+                let (key, _) = sched.open(ObjectId::new(object), config, page).unwrap();
+                // One voice session in two is interrupted at once; the other
+                // plays its last page and finishes while the opens settle.
+                let command = match i % 3 {
+                    0 => continue,
+                    1 => BrowseCommand::Interrupt,
+                    _ => BrowseCommand::AdvancePages(100),
+                };
+                sched.apply(key, command).unwrap();
+                voices.push(key);
             }
-            // Let every open's fetches and anticipations land.
-            for _ in 0..3 {
+            // Let every open's fetches and anticipations land, every idle
+            // voice session finish, and every cancelled wake pass.
+            for _ in 0..6 {
                 sched.tick(SimDuration::from_secs(1));
+            }
+            for &key in &voices {
+                let state = sched.session(key).unwrap().audio().unwrap().state();
+                assert_ne!(state, PlaybackState::Playing, "an idle voice session still plays");
             }
             let before = sched.kernel_stats();
             sched.apply(map, BrowseCommand::SelectRelevant(0)).unwrap();
             sched.tick(SimDuration::from_secs(1));
             sched.apply(report, BrowseCommand::NextPage).unwrap();
-            for _ in 0..4 {
+            // The active voice session crosses into its third page here.
+            for _ in 0..6 {
                 sched.tick(SimDuration::from_millis(500));
             }
             sched.apply(audio, BrowseCommand::Interrupt).unwrap();
@@ -903,17 +995,35 @@ mod tests {
     }
 
     #[test]
-    fn each_tick_posts_and_fires_its_wakes_at_the_tick_instant() {
-        // The scheduler kernel's observability for a fixed script: every
-        // wake a tick posts fires at that tick's instant, audio deadlines
-        // first, then connection wakes, each group's arms before its fires.
+    fn audio_wakes_fire_only_at_observable_changes() {
+        // The scheduler kernel's observability for a fixed script. The
+        // voice session's wakes fire only where a tick end would sample
+        // something new: its page crossings, the x-ray anchor's entry and
+        // exit, and its end. Each fires at the first tick end at or after
+        // it and re-arms the next. Connection wakes arm and fire at the
+        // tick instant, after the audio.
         let config = PaginateConfig::default();
         let page = SimDuration::from_secs(5);
         let mut sched = SessionScheduler::new(corpus_server(), Link::ethernet());
         let (map, _) = sched.open(ObjectId::new(3), config, page).unwrap();
         let (audio, _) = sched.open(ObjectId::new(2), config, page).unwrap();
         let (report, _) = sched.open(ObjectId::new(1), config, page).unwrap();
-        assert_eq!(sched.drain_kernel_trace(), "[]", "opening posts nothing");
+        let dictation = audio_xray_report(ObjectId::new(2), 7);
+        let end = dictation.voice_segments[0].duration().as_micros();
+        let Anchor::VoiceSegment { span, .. } = dictation.messages[0].anchor else {
+            panic!("the x-ray is anchored to a voice span");
+        };
+        let page_us = page.as_micros();
+        let mut changes: Vec<u64> = (1..).map(|p| p * page_us).take_while(|&t| t < end).collect();
+        changes.extend([span.start.as_micros(), span.end.as_micros(), end]);
+        changes.sort_unstable();
+        let next_change = |after: u64| changes.iter().copied().find(|&t| t > after);
+        let first = next_change(0).unwrap();
+        assert_eq!(
+            trace_records(&sched.drain_kernel_trace()),
+            [(first, "arm".to_string(), "AudioDeadline".to_string())],
+            "opening arms only the voice session's first change"
+        );
         let script = [
             (report, BrowseCommand::NextPage),
             (map, BrowseCommand::SelectRelevant(0)),
@@ -922,48 +1032,46 @@ mod tests {
             (report, BrowseCommand::PreviousPage),
             (map, BrowseCommand::SelectRelevant(1)),
         ];
-        let ticks = 12;
-        let (mut audio_posts, mut conn_posts) = (0u64, 0u64);
+        let tick = SimDuration::from_millis(500);
+        let ticks = end.div_ceil(tick.as_micros()) + 4;
+        let (mut at, mut synced) = (0u64, 0u64);
+        let (mut audio_fires, mut conn_posts) = (Vec::new(), 0);
         for step in 0..ticks {
-            if let Some((key, command)) = script.get(step) {
+            if let Some((key, command)) = script.get(step as usize) {
                 sched.apply(*key, command.clone()).unwrap();
             }
             assert!(sched.session(audio).unwrap().audio().is_some(), "audio stays audio");
-            let at = sched.elapsed().as_micros();
-            sched.tick(SimDuration::from_millis(500));
+            sched.tick(tick);
+            at += tick.as_micros();
             let records = trace_records(&sched.drain_kernel_trace());
-            assert!(records.iter().all(|r| r.0 == at), "tick {step} off its instant: {records:?}");
-            let count =
-                |event: &str| records.iter().filter(|r| r.1 == "arm" && r.2 == event).count();
-            let (a, c) = (count("AudioDeadline"), count("ResponseLanded"));
-            assert_eq!(a, 1, "one audio session, one deadline per tick");
-            let expected: Vec<(&str, &str)> = [
-                ("arm", "AudioDeadline", a),
-                ("fire", "AudioDeadline", a),
-                ("arm", "ResponseLanded", c),
-                ("fire", "ResponseLanded", c),
-            ]
-            .iter()
-            .flat_map(|&(verb, event, n)| std::iter::repeat_n((verb, event), n))
-            .collect();
-            let got: Vec<(&str, &str)> =
-                records.iter().map(|r| (r.1.as_str(), r.2.as_str())).collect();
+            // The voice session is due when a change lies in the time it
+            // played since its last wake; the wake re-arms the next one.
+            let mut expected = Vec::new();
+            if let Some(due) = next_change(synced).filter(|&t| t <= at) {
+                expected.push((due, "fire", "AudioDeadline"));
+                expected.extend(next_change(at).map(|next| (next, "arm", "AudioDeadline")));
+                audio_fires.push(due);
+                synced = at;
+            }
+            let c = records.iter().filter(|r| r.1 == "arm" && r.2 == "ResponseLanded").count();
+            expected.extend(std::iter::repeat_n((at, "arm", "ResponseLanded"), c));
+            expected.extend(std::iter::repeat_n((at, "fire", "ResponseLanded"), c));
+            let got: Vec<(u64, &str, &str)> =
+                records.iter().map(|r| (r.0, r.1.as_str(), r.2.as_str())).collect();
             assert_eq!(got, expected, "tick {step}");
-            audio_posts += a as u64;
             conn_posts += c as u64;
         }
-        assert_eq!(audio_posts, ticks as u64);
+        assert_eq!(audio_fires.len(), 10, "7 page crossings, the anchor's entry and exit, the end");
+        assert_eq!(audio_fires.last(), Some(&end));
         assert!(conn_posts > 0, "the script's fetches woke their connections");
-        let stats = sched.kernel_stats();
-        assert_eq!(stats.timers_armed, audio_posts + conn_posts);
-        assert_eq!(stats.events_fired, stats.timers_armed, "every post fires, none is cancelled");
+        // Per-tick polling posted 77 audio deadlines here, one per tick.
         // The spurious wakes are connection wakes whose responses an
-        // earlier pump had already served, never an audio deadline.
+        // earlier pump had already served.
         assert_eq!(
-            stats,
+            sched.kernel_stats(),
             KernelStats {
-                events_fired: 16,
-                timers_armed: 16,
+                events_fired: 14,
+                timers_armed: 14,
                 spurious_wakes: 3,
                 ready_high_water: 3
             }

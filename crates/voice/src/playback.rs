@@ -90,6 +90,17 @@ impl PlaybackEngine {
         SimInstant::EPOCH + self.pages.total()
     }
 
+    /// While playing, the next position at which a tick would report
+    /// something of the playback itself: the next page start, or the end
+    /// of the part. `None` unless playing, since nothing else moves.
+    pub fn next_boundary(&self) -> Option<SimInstant> {
+        if self.state != PlaybackState::Playing {
+            return None;
+        }
+        let next_page = self.current_page().and_then(|p| self.pages.span_of(p + 1));
+        Some(next_page.map_or(self.end(), |span| span.start))
+    }
+
     /// Starts or resumes playback from the current position.
     pub fn play(&mut self) {
         if self.position >= self.end() {
@@ -253,6 +264,20 @@ mod tests {
         // More short pauses back than exist: beginning.
         e.rewind_pauses(PauseKind::Short, 3);
         assert_eq!(e.position(), SimInstant::EPOCH);
+    }
+
+    #[test]
+    fn next_boundary_is_the_next_page_start_then_the_end() {
+        let mut e = engine();
+        assert_eq!(e.next_boundary(), None, "an interrupted part does not move");
+        e.play();
+        assert_eq!(e.next_boundary(), Some(t(20)));
+        e.tick(secs(20));
+        assert_eq!(e.next_boundary(), Some(t(40)), "a page start is already reached");
+        e.seek(t(95));
+        assert_eq!(e.next_boundary(), Some(t(100)), "the last page ends at the end");
+        e.tick(secs(5));
+        assert_eq!(e.next_boundary(), None, "a finished part does not move");
     }
 
     #[test]

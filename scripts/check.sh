@@ -42,8 +42,9 @@ cargo test --offline --quiet --manifest-path crates/bench/src/bin/minos-benchmar
 # Its unit tests use 1 KiB pages; one real round per workload runs 32 KiB
 # pages: lossy_scan through encode, CRC and decode, page_scan and churn
 # through the pool their members share with the connection, and browse
-# through the session scheduler, whose every tick posts its audio and
-# connection wakes at the tick instant and fires them, cancelling none.
+# through the session scheduler, whose tick wakes only the connections
+# the server completed work for and the voice sessions whose next page
+# crossing, anchor entry or exit, or end has fallen due.
 # Each exit code gates the round's byte checks, counter reconciliation
 # and premises. Their simulated metrics are deterministic, so each
 # round's sim_* and verified_ratio lines must also equal, byte for byte,
@@ -76,7 +77,10 @@ rm -f "$sim"
 # may arm at most one timer per window of 16 pages, and churn's kernel
 # wakes may be at most a quarter spurious. Every page buffer the client
 # leases for a lossy decode, duplicates included, goes back to the pool:
-# lossy_scan may allocate at most one buffer per hundred pages.
+# lossy_scan may allocate at most one buffer per hundred pages. The
+# scheduler plays voice sessions in event time, waking one only when its
+# next observable change falls due instead of polling it every tick:
+# browse may fire at most one kernel event per op.
 trace_gate() {
     value=$(cargo run --release --offline --quiet \
         --manifest-path crates/bench/src/bin/minos-benchmark/Cargo.toml \
@@ -92,6 +96,7 @@ echo "==> minos-benchmark traced counter gates"
 trace_gate page_scan kernel.timers_per_op 0.0625
 trace_gate churn kernel.spurious_share 0.25
 trace_gate lossy_scan pool.allocs_per_page 0.01
+trace_gate browse kernel.events_per_op 1
 
 # Every example runs to completion, not only compiles: they drive the
 # workstation client, fleet and scheduler paths end to end from the facade.

@@ -10,25 +10,33 @@
 use minos::corpus;
 use minos::corpus::objects::archived_form;
 use minos::net::{Link, LinkStats};
-use minos::presentation::{BrowseCommand, BrowseEvent, BrowsingSession, SessionScheduler};
+use minos::object::{Anchor, DrivingMode, MultimediaObject, RelevantLink};
+use minos::presentation::{
+    BrowseCommand, BrowseEvent, BrowsingSession, ObjectStore, SessionScheduler,
+};
 use minos::server::ObjectServer;
 use minos::text::{LogicalLevel, PaginateConfig};
-use minos::types::{ObjectId, PageNumber, SimDuration, SimInstant};
-use minos::voice::PauseKind;
+use minos::types::{ObjectId, PageNumber, SimDuration, SimInstant, TimeSpan};
+use minos::voice::{PauseKind, PlaybackState};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-type Store = HashMap<ObjectId, minos::object::MultimediaObject>;
+type Store = HashMap<ObjectId, MultimediaObject>;
 
 /// The fuzz corpus published to an object server, for scheduler-backed
 /// sessions over the same objects as [`store`].
 fn corpus_server() -> ObjectServer {
+    server_of(store())
+}
+
+/// `store`'s objects published to an object server.
+fn server_of(store: Store) -> ObjectServer {
     let mut server = ObjectServer::new();
     // Publish in id order: the map iterates in hash order, which varies
     // per run, and publication order shapes the archive layout (and so
     // device timings). The golden streams compare two separately built
     // servers, so the layout must be deterministic.
-    let mut objects: Vec<_> = store().into_values().collect();
+    let mut objects: Vec<_> = store.into_values().collect();
     objects.sort_by_key(|o| o.id);
     for obj in objects {
         let archived = archived_form(&obj);
@@ -50,6 +58,69 @@ fn store() -> Store {
         map.insert(o.id, o);
     }
     map
+}
+
+/// [`store`] plus a second dictation (id 6) that carries two relevant
+/// objects, so relevant navigation starts from an audio parent: the plain
+/// dictation over the whole voice part, and the report from 10 s on only,
+/// so whether that indicator is visible depends on the playback position.
+fn voice_store() -> Store {
+    let mut map = store();
+    let source = corpus::audio_xray_report(ObjectId::new(6), 9);
+    let mut linked = MultimediaObject::new(source.id, source.name.clone(), DrivingMode::Audio);
+    linked.voice_segments = source.voice_segments.clone();
+    linked.images = source.images.clone();
+    linked.messages = source.messages.clone();
+    let end = SimInstant::EPOCH + linked.voice_segments[0].duration();
+    let later = SimInstant::EPOCH + SimDuration::from_secs(10);
+    for (label, target, from) in [("dictation", 2, SimInstant::EPOCH), ("report", 1, later)] {
+        linked.relevant.push(RelevantLink {
+            label: label.into(),
+            target: ObjectId::new(target),
+            anchor: Anchor::VoiceSegment { segment: 0, span: TimeSpan::new(from, end) },
+            relevances: Vec::new(),
+        });
+    }
+    linked.archive().unwrap();
+    map.insert(linked.id, linked);
+    map
+}
+
+/// Mostly the voice commands, on whatever state the playback is in, plus
+/// relevant navigation; one choice in ten is any command at all.
+fn voice_command(choice: u8, n: u8) -> BrowseCommand {
+    match choice % 10 {
+        0 => BrowseCommand::Interrupt,
+        1 => BrowseCommand::Resume,
+        2 => BrowseCommand::ResumePageStart,
+        3 => BrowseCommand::RewindPauses(
+            if n.is_multiple_of(2) { PauseKind::Short } else { PauseKind::Long },
+            (n % 4) as usize,
+        ),
+        4 => BrowseCommand::GotoPage(PageNumber::new(n as u32 % 9 + 1).unwrap()),
+        5 => BrowseCommand::AdvancePages(n as i64 % 5 - 2),
+        6 => BrowseCommand::SelectRelevant((n % 2) as usize),
+        7 => BrowseCommand::ReturnFromRelevant,
+        8 => BrowseCommand::NextPage,
+        _ => command(n, choice),
+    }
+}
+
+/// A tick length: none at all, under a millisecond, one 50 ms browsing
+/// tick, a fraction of a 5 s audio page, or one to three whole pages.
+fn tick_len(choice: u8) -> SimDuration {
+    match choice % 5 {
+        0 => SimDuration::ZERO,
+        1 => SimDuration::from_micros(1 + u64::from(choice) * 7 % 999),
+        2 => SimDuration::from_millis(50),
+        3 => SimDuration::from_millis(700 + u64::from(choice) * 37 % 3_000),
+        _ => SimDuration::from_secs(5 * (1 + u64::from(choice % 3))),
+    }
+}
+
+/// Where a session's voice part stands, if it drives by voice.
+fn playhead<S: ObjectStore>(session: &BrowsingSession<S>) -> Option<(SimInstant, PlaybackState)> {
+    session.audio().map(|audio| (audio.position(), audio.state()))
 }
 
 /// One of every command, parameterized by small fuzzed values.
@@ -229,6 +300,63 @@ proptest! {
                 let got = sched.drain_events(key).unwrap();
                 prop_assert_eq!(&got, &expected_ticks[i], "session {i}: tick events diverged");
             }
+        }
+    }
+
+    #[test]
+    fn voice_sessions_match_their_per_tick_baselines(
+        starts in proptest::collection::vec(proptest::sample::select(vec![2u64, 6, 6, 2, 1, 3]), 2..7),
+        script in proptest::collection::vec(
+            (any::<u8>(), any::<u8>(), any::<u8>(), proptest::collection::vec(any::<u8>(), 1..5)),
+            0..32,
+        ),
+    ) {
+        // The scheduler plays voice sessions in event time; standalone
+        // sessions stepped tick by tick are the reference. Commands land
+        // on playing, interrupted and finished sessions and on relevant
+        // objects entered from a voice parent; ticks range from nothing to
+        // several audio pages. Reading a session catches it up, so the
+        // even sessions are read after every tick and the odd ones only
+        // at the end: between commands, their wakes alone decide at which
+        // tick end each change is sampled.
+        let config = PaginateConfig::default();
+        let page = SimDuration::from_secs(5);
+        let mut baselines = Vec::new();
+        let mut sched = SessionScheduler::new(server_of(voice_store()), Link::ethernet());
+        let mut keys = Vec::new();
+        for &start in &starts {
+            let (session, base_open) =
+                BrowsingSession::open(voice_store(), ObjectId::new(start), config, page).unwrap();
+            let (key, open) = sched.open(ObjectId::new(start), config, page).unwrap();
+            prop_assert_eq!(&open, &base_open, "open events diverge for object {}", start);
+            baselines.push(session);
+            keys.push(key);
+        }
+        let mut owed: Vec<Vec<BrowseEvent>> = vec![Vec::new(); keys.len()];
+        for (choice, n, target, ticks) in script {
+            let i = target as usize % keys.len();
+            let cmd = voice_command(choice, n);
+            let expect = baselines[i].apply(cmd.clone()).ok();
+            let got = sched.apply(keys[i], cmd.clone()).ok();
+            prop_assert_eq!(got, expect, "session {i}: {cmd:?} diverged");
+            for tick in ticks {
+                let dt = tick_len(tick);
+                sched.tick(dt);
+                for (j, &key) in keys.iter().enumerate() {
+                    owed[j].extend(baselines[j].tick(dt));
+                    if j % 2 == 1 {
+                        continue;
+                    }
+                    let got = sched.drain_events(key).unwrap();
+                    prop_assert_eq!(got, std::mem::take(&mut owed[j]), "session {j}");
+                    let got = playhead(sched.session(key).unwrap());
+                    prop_assert_eq!(got, playhead(&baselines[j]), "session {j} after {dt:?}");
+                }
+            }
+        }
+        for (j, &key) in keys.iter().enumerate() {
+            prop_assert_eq!(sched.drain_events(key).unwrap(), std::mem::take(&mut owed[j]));
+            prop_assert_eq!(playhead(sched.session(key).unwrap()), playhead(&baselines[j]));
         }
     }
 }
