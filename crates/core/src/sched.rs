@@ -87,6 +87,11 @@ fn under_pressure(client: &mut Client) -> bool {
 /// a demand fetch serves its own connection first, then everyone else's;
 /// `note_upcoming` hints become prefetch requests whose responses land
 /// during subsequent scheduler ticks, hidden behind every session's dwell.
+///
+/// The server's resident object stands in for the workstation-side decode
+/// of the fetched bytes, and it is shared, not copied:
+/// [`ObjectStore::fetch_shared`] hands out the server's own `Rc`, so a
+/// session entering an object holds no second copy of its text and images.
 pub struct HubStore {
     client: Rc<RefCell<Client>>,
     conn_id: u64,
@@ -153,6 +158,12 @@ impl HubStore {
 
 impl ObjectStore for HubStore {
     fn fetch(&mut self, id: ObjectId) -> Result<MultimediaObject> {
+        self.fetch_shared(id).map(|object| MultimediaObject::clone(&object))
+    }
+
+    /// Waits for the object's bytes to arrive, then hands out the server's
+    /// resident object.
+    fn fetch_shared(&mut self, id: ObjectId) -> Result<Rc<MultimediaObject>> {
         self.collect();
         let mut client = self.client.borrow_mut();
         let started = client.clock.now();
@@ -176,9 +187,7 @@ impl ObjectStore for HubStore {
             Some(Answer::Refused) => return Err(MinosError::UnknownObject(id.to_string())),
             None => return Err(MinosError::Protocol(format!("fetch of {id} went unanswered"))),
         };
-        // The server's resident copy stands in for the workstation-side
-        // decode of the fetched bytes.
-        let object = client.fleet.servers()[0].resident_object(id).cloned();
+        let object = client.fleet.servers()[0].resident_shared(id);
         let object = object.ok_or_else(|| MinosError::UnknownObject(id.to_string()))?;
         client.clock.advance_to_at_least(arrived);
         self.waited += client.clock.now().saturating_since(started);

@@ -17,11 +17,21 @@ use minos_text::PaginateConfig;
 use minos_types::{Decoder, Encoder, MinosError, ObjectId, Result, SimDuration, SimInstant};
 use minos_voice::PlaybackState;
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// Source of multimedia objects for relevant-object navigation.
 pub trait ObjectStore {
     /// Fetches an archived object by id.
     fn fetch(&mut self, id: ObjectId) -> Result<MultimediaObject>;
+
+    /// Fetches an archived object by id as a shared handle, the form a
+    /// [`BrowsingSession`] holds it in. The default wraps
+    /// [`ObjectStore::fetch`]'s copy; a store that already holds the
+    /// object behind an `Rc` hands out that `Rc`, so browsing the object
+    /// costs no copy of it.
+    fn fetch_shared(&mut self, id: ObjectId) -> Result<Rc<MultimediaObject>> {
+        self.fetch(id).map(Rc::new)
+    }
 
     /// Observes the objects the user is likely to request next — the
     /// targets of the relevant-object indicators currently on screen.
@@ -147,7 +157,7 @@ impl SessionCheckpoint {
 
 #[derive(Clone, Debug)]
 struct Frame {
-    object: MultimediaObject,
+    object: Rc<MultimediaObject>,
     engine: ModeEngine,
 }
 
@@ -168,7 +178,7 @@ impl<S: ObjectStore> BrowsingSession<S> {
         config: PaginateConfig,
         audio_page_len: SimDuration,
     ) -> Result<(Self, Vec<BrowseEvent>)> {
-        let object = store.fetch(id)?;
+        let object = store.fetch_shared(id)?;
         let mut session = BrowsingSession { store, stack: Vec::new(), config, audio_page_len };
         let events = session.push_object(object)?;
         session.announce_upcoming();
@@ -218,7 +228,7 @@ impl<S: ObjectStore> BrowsingSession<S> {
         }
         let mut session = BrowsingSession { store, stack: Vec::new(), config, audio_page_len };
         for frame in &checkpoint.frames {
-            let object = session.store.fetch(frame.object)?;
+            let object = session.store.fetch_shared(frame.object)?;
             if !object.is_archived() {
                 return Err(MinosError::WrongState(format!(
                     "{} is not archived; browsing applies to archived objects",
@@ -258,10 +268,10 @@ impl<S: ObjectStore> BrowsingSession<S> {
         self.store.note_upcoming(&targets);
     }
 
-    fn build_engine(&self, object: &MultimediaObject) -> Result<ModeEngine> {
+    fn build_engine(&self, object: &Rc<MultimediaObject>) -> Result<ModeEngine> {
         Ok(match object.driving_mode {
             DrivingMode::Visual => {
-                ModeEngine::Visual(Box::new(VisualEngine::new(object, 0, self.config)?))
+                ModeEngine::Visual(Box::new(VisualEngine::new(Rc::clone(object), 0, self.config)?))
             }
             DrivingMode::Audio => {
                 ModeEngine::Audio(Box::new(AudioEngine::new(object, 0, self.audio_page_len)?))
@@ -269,7 +279,7 @@ impl<S: ObjectStore> BrowsingSession<S> {
         })
     }
 
-    fn push_object(&mut self, object: MultimediaObject) -> Result<Vec<BrowseEvent>> {
+    fn push_object(&mut self, object: Rc<MultimediaObject>) -> Result<Vec<BrowseEvent>> {
         if !object.is_archived() {
             return Err(MinosError::WrongState(format!(
                 "{} is not archived; browsing applies to archived objects",
@@ -447,7 +457,7 @@ impl<S: ObjectStore> BrowsingSession<S> {
             })?;
             link.target
         };
-        let object = self.store.fetch(target)?;
+        let object = self.store.fetch_shared(target)?;
         let mut events = vec![BrowseEvent::EnteredRelevant(target)];
         events.extend(self.push_object(object)?);
         Ok(events)

@@ -24,6 +24,8 @@ use minos_text::{
 };
 use minos_types::{CharSpan, MinosError, Result};
 use std::collections::HashSet;
+use std::rc::Rc;
+use std::sync::OnceLock;
 
 /// A pinned-message region: the message, its anchor span, and the related
 /// text's own pagination under the reserved top area.
@@ -55,7 +57,10 @@ pub struct VisualView {
 /// The visual-mode engine for one text segment of an object.
 #[derive(Clone, Debug)]
 pub struct VisualEngine {
-    doc: Document,
+    /// The browsed object, shared with the session that holds it: the
+    /// engine reads its text segment in place.
+    object: Rc<MultimediaObject>,
+    segment: usize,
     base_form: PresentationForm,
     regions: Vec<PinnedRegion>,
     voice_anchors: Vec<(usize, CharSpan)>,
@@ -67,17 +72,20 @@ pub struct VisualEngine {
 
 impl VisualEngine {
     /// Builds the engine for `object`'s text segment `segment`.
-    pub fn new(object: &MultimediaObject, segment: usize, config: PaginateConfig) -> Result<Self> {
+    pub fn new(
+        object: Rc<MultimediaObject>,
+        segment: usize,
+        config: PaginateConfig,
+    ) -> Result<Self> {
         // Segment 0 of a text-less object (a pure image object like the
         // subway map) browses as an empty document: page commands are
         // no-ops and only image facilities apply. Higher segment indices
         // must exist.
-        let doc = match object.text_segments.get(segment) {
-            Some(d) => d.clone(),
-            None if segment == 0 => Document::default(),
-            None => return Err(MinosError::UnknownComponent(format!("text segment {segment}"))),
-        };
-        let base_form = PresentationForm::paginate(&doc, config);
+        if segment >= object.text_segments.len() && segment != 0 {
+            return Err(MinosError::UnknownComponent(format!("text segment {segment}")));
+        }
+        let doc = segment_of(&object, segment);
+        let base_form = PresentationForm::paginate(doc, config);
 
         let mut regions = Vec::new();
         let mut voice_anchors = Vec::new();
@@ -97,7 +105,7 @@ impl VisualEngine {
                         .map(|img| img.size().height)
                         .unwrap_or(0);
                     let reserved = (image_height + 24).min(config.page_size.height / 2).max(40);
-                    let sub = Self::paginate_span(&doc, span, config.with_reserved_top(reserved));
+                    let sub = Self::paginate_span(doc, span, config.with_reserved_top(reserved));
                     regions.push(PinnedRegion {
                         message: i,
                         span,
@@ -109,7 +117,8 @@ impl VisualEngine {
             }
         }
         let mut engine = VisualEngine {
-            doc,
+            object,
+            segment,
             base_form,
             regions,
             voice_anchors,
@@ -138,7 +147,7 @@ impl VisualEngine {
 
     /// The document being browsed.
     pub fn document(&self) -> &Document {
-        &self.doc
+        segment_of(&self.object, self.segment)
     }
 
     /// The index of the active pinned region, honouring show-once
@@ -202,6 +211,13 @@ impl VisualEngine {
     }
 }
 
+/// Text segment `segment` of `object`; segment 0 of a text-less object is
+/// the empty document.
+fn segment_of(object: &MultimediaObject, segment: usize) -> &Document {
+    static EMPTY: OnceLock<Document> = OnceLock::new();
+    object.text_segments.get(segment).unwrap_or_else(|| EMPTY.get_or_init(Document::default))
+}
+
 /// Page commands address the base form (user-facing page numbering), but
 /// the shown page is the active form's, and next/previous page walk the
 /// active form so that paging runs through a pinned region.
@@ -216,7 +232,7 @@ impl Browse for VisualEngine {
     /// logical messages and the page-shown event.
     fn jump(&mut self, pos: u32) -> Vec<BrowseEvent> {
         let mut events = Vec::new();
-        self.pos = pos.min(self.doc.len());
+        self.pos = pos.min(self.document().len());
         // Voice messages: fire on entry.
         for &(message, span) in &self.voice_anchors {
             let inside = span.contains(self.pos) || (span.is_empty() && span.start == self.pos);
@@ -247,11 +263,11 @@ impl Browse for VisualEngine {
     }
 
     fn units(&self) -> &UnitIndex<u32> {
-        self.doc.tree().units()
+        self.document().tree().units()
     }
 
     fn find(&self, pattern: &str) -> Option<u32> {
-        PatternSearcher::new(pattern).find_next(self.doc.chars(), self.pos + 1)
+        PatternSearcher::new(pattern).find_next(self.document().chars(), self.pos + 1)
     }
 
     fn page_count(&self) -> usize {
@@ -279,7 +295,7 @@ impl Browse for VisualEngine {
         let (region, form) = self.active_form();
         let idx = form.page_containing(self.pos).unwrap_or(0);
         let next = form.page(idx + 1).and_then(|p| p.span).map(|s| s.start);
-        let exit = region.map(|r| r.span.end.min(self.doc.len()));
+        let exit = region.map(|r| r.span.end.min(self.document().len()));
         self.jump_or_stay(next.or(exit))
     }
 
@@ -309,7 +325,7 @@ mod tests {
 
     fn engine() -> (MultimediaObject, VisualEngine) {
         let obj = medical_report(ObjectId::new(1), 42);
-        let engine = VisualEngine::new(&obj, 0, small_pages()).unwrap();
+        let engine = VisualEngine::new(Rc::new(obj.clone()), 0, small_pages()).unwrap();
         (obj, engine)
     }
 
@@ -450,7 +466,7 @@ mod tests {
         fresh.archive().unwrap();
         obj = fresh;
 
-        let mut e = VisualEngine::new(&obj, 0, PaginateConfig::default()).unwrap();
+        let mut e = VisualEngine::new(Rc::new(obj), 0, PaginateConfig::default()).unwrap();
         e.open();
         let events = e.seek(span.start);
         assert!(events.contains(&BrowseEvent::VoiceMessagePlayed(0)));
@@ -487,7 +503,7 @@ mod tests {
             });
         }
         obj.archive().unwrap();
-        let mut e = VisualEngine::new(&obj, 0, small_pages()).unwrap();
+        let mut e = VisualEngine::new(Rc::new(obj), 0, small_pages()).unwrap();
         let end = e.document().len();
         let mut seen = Vec::new();
         macro_rules! step {
@@ -549,7 +565,7 @@ mod tests {
             ObjectId::new(5),
             11,
         );
-        let mut e = VisualEngine::new(&map, 0, PaginateConfig::default()).unwrap();
+        let mut e = VisualEngine::new(Rc::new(map), 0, PaginateConfig::default()).unwrap();
         e.open();
         assert_eq!(e.page_count(), 0);
         assert!(e.advance_pages(2).is_empty());
@@ -560,6 +576,6 @@ mod tests {
     #[test]
     fn missing_segment_is_an_error() {
         let obj = medical_report(ObjectId::new(3), 1);
-        assert!(VisualEngine::new(&obj, 5, PaginateConfig::default()).is_err());
+        assert!(VisualEngine::new(Rc::new(obj), 5, PaginateConfig::default()).is_err());
     }
 }

@@ -15,6 +15,7 @@ use minos_object::{ArchivedObject, DataPayload, MultimediaObject};
 use minos_storage::{Archiver, OpticalDisk};
 use minos_types::{ByteSpan, MinosError, ObjectId, Result, SimDuration};
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// What `publish` returns: where the archived bytes went and what storing
 /// them cost.
@@ -27,9 +28,10 @@ pub struct PublishReceipt {
 }
 
 /// Rendered rasters of an object's images, cached server-side so repeated
-/// view requests do not re-rasterize graphics.
+/// view requests do not re-rasterize graphics. The typed object is shared:
+/// a presentation manager in the same process browses it without a copy.
 struct RenderedObject {
-    object: MultimediaObject,
+    object: Rc<MultimediaObject>,
     rasters: Vec<Bitmap>,
     miniature: Miniature,
 }
@@ -186,6 +188,7 @@ impl ObjectServer {
             bm
         });
         let miniature = Miniature::build(&miniature_source, self.miniature_factor);
+        let object = Rc::new(object);
         self.resident.insert(object.id, RenderedObject { object, rasters, miniature });
         Ok(PublishReceipt { span: record.span, store_time })
     }
@@ -426,7 +429,13 @@ impl ObjectServer {
     /// The typed object, if resident (used by the presentation manager
     /// after it has fetched the object).
     pub fn resident_object(&self, id: ObjectId) -> Option<&MultimediaObject> {
-        self.resident.get(&id).map(|r| &r.object)
+        self.resident.get(&id).map(|r| &*r.object)
+    }
+
+    /// The typed object, if resident, as a shared handle: holding it costs
+    /// no copy of the object.
+    pub fn resident_shared(&self, id: ObjectId) -> Option<Rc<MultimediaObject>> {
+        self.resident.get(&id).map(|r| Rc::clone(&r.object))
     }
 
     /// Number of published objects.

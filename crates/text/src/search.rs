@@ -15,14 +15,32 @@
 use crate::document::Document;
 use std::collections::HashMap;
 
+/// Characters the shift table indexes directly: ASCII, which is every
+/// character of the reproduction's corpora.
+const TABLE: usize = 128;
+
+/// Folds one character for case-insensitive matching: ASCII by
+/// `to_ascii_lowercase`, anything else by the first character of its
+/// lowercase form. Pattern and haystack fold by this one rule, so a
+/// pattern always finds its own text, even one whose lowercase form
+/// expands (`İ` lowercases to `i` plus a combining dot).
+fn fold(c: char) -> char {
+    if c.is_ascii() {
+        c.to_ascii_lowercase()
+    } else {
+        c.to_lowercase().next().unwrap_or(c)
+    }
+}
+
 /// A compiled pattern for repeated searches over character streams.
 #[derive(Clone, Debug)]
 pub struct PatternSearcher {
     pattern: Vec<char>,
-    /// Horspool shift table: distance to shift when the window's last
-    /// character is `c`. Characters absent from the table shift by the full
-    /// pattern length.
-    skip: HashMap<char, usize>,
+    /// Horspool shift table for an ASCII window-last character `c`: the
+    /// distance to shift when the window ends in `c`. A character absent
+    /// from the pattern shifts by the full pattern length; a non-ASCII one
+    /// takes its shift from a scan of the pattern ([`Self::shift`]).
+    skip: [usize; TABLE],
     case_insensitive: bool,
 }
 
@@ -38,13 +56,15 @@ impl PatternSearcher {
         let pattern: Vec<char> = if case_sensitive {
             pattern.chars().collect()
         } else {
-            pattern.chars().flat_map(|c| c.to_lowercase()).collect()
+            pattern.chars().map(fold).collect()
         };
         let m = pattern.len();
-        let mut skip = HashMap::with_capacity(m);
+        let mut skip = [m; TABLE];
         if m > 0 {
             for (i, &c) in pattern[..m - 1].iter().enumerate() {
-                skip.insert(c, m - 1 - i);
+                if c.is_ascii() {
+                    skip[c as usize] = m - 1 - i;
+                }
             }
         }
         PatternSearcher { pattern, skip, case_insensitive: !case_sensitive }
@@ -62,13 +82,21 @@ impl PatternSearcher {
 
     fn normalize(&self, c: char) -> char {
         if self.case_insensitive {
-            // to_lowercase may expand to several chars for exotic code
-            // points; take the first, which is exact for the ASCII corpora
-            // the reproduction uses and conservative otherwise.
-            c.to_lowercase().next().unwrap_or(c)
+            fold(c)
         } else {
             c
         }
+    }
+
+    /// The Horspool shift for a window ending in `last`: from the table
+    /// for ASCII, else from the last occurrence of `last` in the pattern
+    /// before its final character (patterns are a few characters long).
+    fn shift(&self, last: char) -> usize {
+        if last.is_ascii() {
+            return self.skip[last as usize];
+        }
+        let m = self.pattern.len();
+        self.pattern[..m - 1].iter().rposition(|&c| c == last).map_or(m, |i| m - 1 - i)
     }
 
     /// Finds the first occurrence at or after `from` (character offset).
@@ -90,7 +118,7 @@ impl PatternSearcher {
                     return Some(i as u32);
                 }
             }
-            i += self.skip.get(&last).copied().unwrap_or(m);
+            i += self.shift(last);
         }
         None
     }
@@ -124,8 +152,9 @@ impl PatternSearcher {
 }
 
 /// Naive character-by-character search, the baseline for experiment E10.
+/// It folds case by the same rule as [`PatternSearcher::new`].
 pub fn naive_find_next(haystack: &[char], pattern: &str, from: u32) -> Option<u32> {
-    let pat: Vec<char> = pattern.chars().flat_map(|c| c.to_lowercase()).collect();
+    let pat: Vec<char> = pattern.chars().map(fold).collect();
     let m = pat.len();
     let n = haystack.len();
     if m == 0 || n < m {
@@ -133,7 +162,7 @@ pub fn naive_find_next(haystack: &[char], pattern: &str, from: u32) -> Option<u3
     }
     'outer: for i in from as usize..=(n - m) {
         for j in 0..m {
-            if haystack[i + j].to_lowercase().next().unwrap_or(haystack[i + j]) != pat[j] {
+            if fold(haystack[i + j]) != pat[j] {
                 continue 'outer;
             }
         }
@@ -280,12 +309,47 @@ mod tests {
         assert_eq!(s.find_all(&hay), vec![0, 12]);
     }
 
+    #[test]
+    fn pattern_whose_lowercase_expands_finds_its_text() {
+        // `İ` lowercases to two characters; the haystack folds it to one.
+        let hay = chars("Welcome to İstanbul");
+        assert_eq!(PatternSearcher::with_case("İstanbul", true).find_next(&hay, 0), Some(11));
+        assert_eq!(PatternSearcher::new("İstanbul").find_next(&hay, 0), Some(11));
+        assert_eq!(naive_find_next(&hay, "İstanbul", 0), Some(11));
+    }
+
+    #[test]
+    fn non_ascii_window_ends_shift_by_their_last_occurrence() {
+        // The window ending in `é` shifts by 2 to align the pattern's `é`.
+        let hay = chars("xxéyz éyzé");
+        let s = PatternSearcher::with_case("éyz", true);
+        assert_eq!(s.find_all(&hay), vec![2, 6]);
+        assert_eq!(s.shift('é'), 2);
+        assert_eq!(s.shift('ß'), 3);
+        assert_eq!(s.shift('y'), 1);
+    }
+
+    /// The last hit strictly before `before`, by comparing the folded
+    /// pattern at every offset (the haystack's folding rule: the first
+    /// character of each lowercase form).
+    fn last_hit_before(hay: &[char], pattern: &str, before: u32) -> Option<u32> {
+        let lower = |c: char| c.to_lowercase().next().unwrap_or(c);
+        let pat: Vec<char> = pattern.chars().map(lower).collect();
+        let offsets = 0..(hay.len() + 1).saturating_sub(pat.len()).min(before as usize);
+        offsets
+            .rev()
+            .find(|&i| hay[i..i + pat.len()].iter().copied().map(lower).eq(pat.iter().copied()))
+            .map(|i| i as u32)
+    }
+
     proptest! {
-        /// BMH agrees with the naive scanner on random inputs.
+        /// BMH agrees with the naive scanner on random inputs. The alphabet
+        /// mixes cased ASCII and non-ASCII letters, so the searches take
+        /// both the ASCII table's shifts and the pattern scan's.
         #[test]
         fn bmh_agrees_with_naive(
-            hay in "[ab ]{0,64}",
-            pat in "[ab ]{1,6}",
+            hay in "[aAbBéÉİıßσΣ ]{0,64}",
+            pat in "[aAbBéÉİıßσΣ ]{1,6}",
             from in 0u32..64,
         ) {
             let hay_chars = chars(&hay);
@@ -294,6 +358,38 @@ mod tests {
                 s.find_next(&hay_chars, from),
                 naive_find_next(&hay_chars, &pat, from)
             );
+        }
+
+        /// `find_prev` is the last hit before the bound, in a haystack
+        /// that holds the pattern at least once.
+        #[test]
+        fn find_prev_agrees_with_a_naive_scan(
+            head in "[aAbBéÉİıßσΣ ]{0,32}",
+            pat in "[aAbBéÉİıßσΣ ]{1,4}",
+            tail in "[aAbBéÉİıßσΣ ]{0,32}",
+            before in 0u32..72,
+        ) {
+            let hay_chars = chars(&format!("{head}{pat}{tail}"));
+            let s = PatternSearcher::new(&pat);
+            prop_assert_eq!(
+                s.find_prev(&hay_chars, before),
+                last_hit_before(&hay_chars, &pat, before)
+            );
+        }
+
+        /// A case-insensitive pattern always finds its own text, wherever
+        /// it sits in the haystack.
+        #[test]
+        fn case_insensitive_pattern_finds_its_own_text(
+            before in "[aAbBéÉİıßσΣ ]{0,16}",
+            pat in "[aAbBéÉİıßσΣ ]{1,8}",
+        ) {
+            let hay = chars(&format!("{before}{pat}"));
+            let at = before.chars().count() as u32;
+            let s = PatternSearcher::new(&pat);
+            prop_assert!(s.find_next(&hay, 0).is_some_and(|hit| hit <= at));
+            prop_assert_eq!(s.find_prev(&hay, at + 1).map(|hit| hit <= at), Some(true));
+            prop_assert!(naive_find_next(&hay, &pat, 0).is_some_and(|hit| hit <= at));
         }
 
         /// find_all returns strictly increasing offsets and every offset is
