@@ -27,9 +27,10 @@
 use crate::transport::{Client, Ticket, CONN_ID};
 use minos_image::{Bitmap, View};
 use minos_net::{Priority, ServerRequest, ServerResponse};
-use minos_object::{ArchivedObject, DataKind, DataPayload};
+use minos_object::{ArchivedObject, DataKind, DataPayload, MultimediaObject};
 use minos_server::ObjectServer;
 use minos_types::{MinosError, ObjectId, Rect, Result, Size};
+use std::rc::Rc;
 
 impl Client {
     /// The wrapped server: member 0, the only one of a single-server
@@ -764,18 +765,22 @@ impl MiniatureBrowser {
 /// targets through the workstation's client, charging the link for each
 /// object's archived size — the architecture of §5 end to end.
 impl crate::session::ObjectStore for Client {
-    fn fetch(&mut self, id: ObjectId) -> Result<minos_object::MultimediaObject> {
-        // Charge the transfer of the archived form over the link.
+    fn fetch(&mut self, id: ObjectId) -> Result<MultimediaObject> {
+        self.fetch_shared(id).map(|object| MultimediaObject::clone(&object))
+    }
+
+    /// Charges the transfer of the object's archived form over the link,
+    /// then hands out the server's resident object, shared, not copied.
+    fn fetch_shared(&mut self, id: ObjectId) -> Result<Rc<MultimediaObject>> {
         let request = ServerRequest::FetchObject { id };
         let response = self.request(&request)?;
         let ServerResponse::Object(_) = response else {
             return Err(MinosError::Protocol(format!("unexpected response to {request:?}")));
         };
         // The typed form is reconstructed workstation-side; the server's
-        // resident copy stands in for that decode step.
+        // resident object stands in for that decode step.
         self.endpoint_mut()
-            .resident_object(id)
-            .cloned()
+            .resident_shared(id)
             .ok_or_else(|| MinosError::UnknownObject(id.to_string()))
     }
 }
@@ -853,5 +858,29 @@ mod store_tests {
         assert_eq!(session.object().id, ObjectId::new(2));
         session.apply(crate::command::BrowseCommand::ReturnFromRelevant).unwrap();
         assert_eq!(session.object().id, ObjectId::new(1));
+    }
+
+    #[test]
+    fn a_session_over_the_server_store_holds_the_resident_object() {
+        let (parent, overlays) = minos_corpus::subway_map_object(
+            ObjectId::new(1),
+            ObjectId::new(2),
+            ObjectId::new(3),
+            7,
+        );
+        let mut server = ObjectServer::new();
+        for object in [parent].into_iter().chain(overlays) {
+            let archived = archived_form(&object);
+            server.publish(object, &archived).unwrap();
+        }
+        let ws = Client::new(server, Link::ethernet());
+        let config = PaginateConfig::default();
+        let (mut session, _) =
+            BrowsingSession::open(ws, ObjectId::new(1), config, SimDuration::from_secs(5)).unwrap();
+        session.apply(crate::command::BrowseCommand::SelectRelevant(0)).unwrap();
+        let resident = session.store().endpoint().resident_shared(ObjectId::new(2));
+        let resident = resident.expect("the overlay is resident");
+        // The entered object is the server's own `Rc`, not a copy of it.
+        assert!(std::ptr::eq(session.object(), Rc::as_ptr(&resident)));
     }
 }

@@ -327,6 +327,15 @@ impl Slot {
 /// the same deadline-aware order a full rotation scan would produce, so an
 /// idle session costs nothing per tick. Golden-stream fixtures recorded
 /// from that full scan pin the tick to the byte.
+///
+/// The transport costs nothing on a quiet tick either. When the shared
+/// [`Client`] is quiet through the tick's end (no request in its table,
+/// no frame in transit, no work queued, served or woken at the server, no
+/// retransmit or `Busy` deadline due, no restart unnoticed), the tick
+/// moves only the client's clock and kernel and the rotation cursor: the
+/// service pump would find nothing to do. Most ticks of a browsing group
+/// are quiet, because a session fetches only when its user enters an
+/// object or its indicators change.
 pub struct SessionScheduler {
     client: Rc<RefCell<Client>>,
     /// The tick's kernel, keyed by presentation time: audio sessions' next
@@ -437,7 +446,8 @@ impl SessionScheduler {
     ///
     /// The presentation clock moves by `dt`, and only the audio sessions
     /// whose next change fell due are caught up and re-armed; every other
-    /// session is left owing the tick. Then the tick visits only the
+    /// session is left owing the tick. A client quiet through `dt` from
+    /// now only has its clock moved. Otherwise the tick visits only the
     /// connections with a completion wake, in the deadline-aware relative
     /// order of a full scan. Last, the client's clock moves by `dt`,
     /// retransmitting whatever falls due on the way, and every response
@@ -458,12 +468,27 @@ impl SessionScheduler {
             }
         }
         let n = self.slots.len();
-        if n == 0 {
-            let mut client = self.client.borrow_mut();
-            let at = client.clock.now() + dt;
+        let mut client = self.client.borrow_mut();
+        let at = client.clock.now() + dt;
+        if client.is_quiet_through(at) {
+            client.idle_to(at);
+        } else if n == 0 {
             client.advance_to(at);
-            return;
+        } else {
+            drop(client);
+            self.pump(at);
         }
+        if n > 0 {
+            self.cursor = (self.cursor + 1) % n;
+        }
+    }
+
+    /// The tick's transport half, for a client with work due by `at`:
+    /// serves the connections with a completion wake, in the deadline-aware
+    /// relative order of a full scan, moves the client to `at`, and takes
+    /// every landed response into its session's store.
+    fn pump(&mut self, at: SimInstant) {
+        let n = self.slots.len();
         let cursor = self.cursor;
         // Completion wakes: every connection the server enqueued or
         // finished work for since the last drain, routed through the
@@ -499,7 +524,6 @@ impl SessionScheduler {
         // Marks recorded during the pump refer to responses the pump
         // itself delivered; drop them so they don't wake next tick.
         let _ = client.fleet.servers_mut()[0].take_woken();
-        let at = client.clock.now() + dt;
         client.advance_to(at);
         // Every landed response goes into its session's store now, so the
         // client's request table keeps only requests still on their way.
@@ -511,7 +535,6 @@ impl SessionScheduler {
                 slot.session.store_mut().collect();
             }
         }
-        self.cursor = (self.cursor + 1) % n;
     }
 
     /// The event kernel's counters: events fired, timers armed, spurious
@@ -982,6 +1005,104 @@ mod tests {
         assert_eq!(record, include_str!("../../../tests/fixtures/sched_tick_stream.txt"));
         // The tick goes through the event kernel.
         assert!(sched.kernel_stats().events_fired > 0);
+    }
+
+    #[test]
+    fn ticks_around_transport_work_produce_the_recorded_stream() {
+        // Short ticks around every kind of transport work a tick can find
+        // on the client, pinned to a fixture recorded from the tick that
+        // ran the whole transport pump every time: prefetches still on the
+        // wire across several ticks, the University overlay unknown to the
+        // server (its prefetch lands an error), frames lost on a dropping
+        // connection and retransmitted at deadlines inside idle ticks,
+        // server restarts, and a full queue under caps of one, where a
+        // demand fetch sheds a queued prefetch that comes back `Busy` and
+        // is resubmitted later.
+        let mut server = ObjectServer::new();
+        let report = medical_report(ObjectId::new(1), 42);
+        let dictation = audio_xray_report(ObjectId::new(2), 7);
+        let (map, overlays) =
+            subway_map_object(ObjectId::new(3), ObjectId::new(4), ObjectId::new(5), 11);
+        for object in [report, dictation, map].into_iter().chain(overlays.into_iter().take(1)) {
+            let archived = archived_form(&object);
+            server.publish(object, &archived).unwrap();
+        }
+        let config = PaginateConfig::default();
+        let page = SimDuration::from_secs(5);
+        let tick = SimDuration::from_millis(20);
+        let mut sched = SessionScheduler::new(server, Link::ethernet());
+        let mut record = String::new();
+        let mut note = |what: &str, events: &dyn std::fmt::Debug| {
+            record.push_str(&format!("{what} {events:?}\n"));
+        };
+        let (map, events) = sched.open(ObjectId::new(3), config, page).unwrap();
+        note("open map", &events);
+        let (audio, events) = sched.open(ObjectId::new(2), config, page).unwrap();
+        note("open audio", &events);
+        let (report, events) = sched.open(ObjectId::new(1), config, page).unwrap();
+        note("open report", &events);
+        let ticks = |sched: &mut SessionScheduler, n: usize| {
+            for _ in 0..n {
+                sched.tick(tick);
+            }
+        };
+        ticks(&mut sched, 40);
+        note("select hospitals", &sched.apply(map, BrowseCommand::SelectRelevant(0)));
+        note("return", &sched.apply(map, BrowseCommand::ReturnFromRelevant));
+        note("select university", &sched.apply(map, BrowseCommand::SelectRelevant(1)));
+        ticks(&mut sched, 10);
+        // Every frame of the map's connection is lost: the prefetch its
+        // return announces retransmits at each deadline, inside ticks
+        // where nothing else happens, until the client gives it up.
+        sched.inject_faults(map, FaultPlan::dropping(9, 1.0)).unwrap();
+        note("select hospitals", &sched.apply(map, BrowseCommand::SelectRelevant(0)));
+        note("return", &sched.apply(map, BrowseCommand::ReturnFromRelevant));
+        ticks(&mut sched, 300);
+        note("map faults", &sched.fault_stats(map).unwrap());
+        // Half the frames are lost: some prefetches land, some retry.
+        sched.inject_faults(map, FaultPlan::dropping(9, 0.5)).unwrap();
+        note("select hospitals", &sched.apply(map, BrowseCommand::SelectRelevant(0)));
+        note("return", &sched.apply(map, BrowseCommand::ReturnFromRelevant));
+        ticks(&mut sched, 120);
+        note("map faults", &sched.fault_stats(map).unwrap());
+        sched.inject_faults(map, FaultPlan::none()).unwrap();
+        note("next page", &sched.apply(report, BrowseCommand::NextPage));
+        ticks(&mut sched, 40);
+        // The server restarts while nothing is in flight, and again while
+        // the map's prefetch is on the wire: the next tick re-handshakes,
+        // and replays what the restart lost.
+        sched.client.borrow_mut().fleet.servers_mut()[0].restart();
+        ticks(&mut sched, 5);
+        note("select hospitals", &sched.apply(map, BrowseCommand::SelectRelevant(0)));
+        note("return", &sched.apply(map, BrowseCommand::ReturnFromRelevant));
+        sched.client.borrow_mut().fleet.servers_mut()[0].restart();
+        ticks(&mut sched, 20);
+        note("transport", &sched.client.borrow().transport_stats());
+        // Caps of one: the return's prefetch is queued when a new
+        // session's demand fetch arrives, and is shed for it.
+        sched.set_service_config(ServiceConfig {
+            per_conn_cap: 1,
+            global_cap: 1,
+            ..ServiceConfig::default()
+        });
+        note("select hospitals", &sched.apply(map, BrowseCommand::SelectRelevant(0)));
+        note("return", &sched.apply(map, BrowseCommand::ReturnFromRelevant));
+        let (second_map, events) = sched.open(ObjectId::new(3), config, page).unwrap();
+        note("open second map", &events);
+        ticks(&mut sched, 40);
+        note("select hospitals", &sched.apply(second_map, BrowseCommand::SelectRelevant(0)));
+        note("interrupt", &sched.apply(audio, BrowseCommand::Interrupt));
+        ticks(&mut sched, 40);
+        for key in [map, audio, report, second_map] {
+            note("drained", &sched.drain_events(key).unwrap());
+        }
+        note("service", &sched.service_stats());
+        record.push_str(&format!(
+            "link {:?}\nelapsed_us {}\n",
+            sched.link_stats(),
+            sched.elapsed().as_micros()
+        ));
+        assert_eq!(record, include_str!("../../../tests/fixtures/sched_transport_stream.txt"));
     }
 
     /// `(at_us, verb, event)` of every record in a drained kernel trace.

@@ -10,14 +10,14 @@
 
 use crate::audio::AudioEngine;
 use crate::command::{browse, Browse, BrowseCommand, BrowseEvent};
-use crate::visual::{VisualEngine, VisualView};
+use crate::visual::{VisualEngine, VisualLayout, VisualView};
 use minos_object::{relevant, DrivingMode, MultimediaObject, RelevantLink};
 use minos_screen::{Menu, MenuItem};
 use minos_text::PaginateConfig;
 use minos_types::{Decoder, Encoder, MinosError, ObjectId, Result, SimDuration, SimInstant};
 use minos_voice::PlaybackState;
 use std::collections::HashMap;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 /// Source of multimedia objects for relevant-object navigation.
 pub trait ObjectStore {
@@ -167,6 +167,14 @@ pub struct BrowsingSession<S: ObjectStore> {
     stack: Vec<Frame>,
     config: PaginateConfig,
     audio_page_len: SimDuration,
+    /// Each visual layout this session has built, by the id of the object
+    /// it paginated and that object's allocation. Entering the same `Rc`
+    /// again reuses the layout; an object republished under the id is
+    /// another allocation and is paginated afresh. The key is weak, so
+    /// the session keeps no object alive that it no longer browses, and a
+    /// layout is dropped with the last handle on its object when the
+    /// session returns from it.
+    layouts: HashMap<ObjectId, (Weak<MultimediaObject>, Rc<VisualLayout>)>,
 }
 
 impl<S: ObjectStore> BrowsingSession<S> {
@@ -179,7 +187,13 @@ impl<S: ObjectStore> BrowsingSession<S> {
         audio_page_len: SimDuration,
     ) -> Result<(Self, Vec<BrowseEvent>)> {
         let object = store.fetch_shared(id)?;
-        let mut session = BrowsingSession { store, stack: Vec::new(), config, audio_page_len };
+        let mut session = BrowsingSession {
+            store,
+            stack: Vec::new(),
+            config,
+            audio_page_len,
+            layouts: HashMap::new(),
+        };
         let events = session.push_object(object)?;
         session.announce_upcoming();
         Ok((session, events))
@@ -226,7 +240,13 @@ impl<S: ObjectStore> BrowsingSession<S> {
         if checkpoint.frames.is_empty() {
             return Err(MinosError::WrongState("checkpoint records an empty stack".into()));
         }
-        let mut session = BrowsingSession { store, stack: Vec::new(), config, audio_page_len };
+        let mut session = BrowsingSession {
+            store,
+            stack: Vec::new(),
+            config,
+            audio_page_len,
+            layouts: HashMap::new(),
+        };
         for frame in &checkpoint.frames {
             let object = session.store.fetch_shared(frame.object)?;
             if !object.is_archived() {
@@ -268,15 +288,29 @@ impl<S: ObjectStore> BrowsingSession<S> {
         self.store.note_upcoming(&targets);
     }
 
-    fn build_engine(&self, object: &Rc<MultimediaObject>) -> Result<ModeEngine> {
+    fn build_engine(&mut self, object: &Rc<MultimediaObject>) -> Result<ModeEngine> {
         Ok(match object.driving_mode {
             DrivingMode::Visual => {
-                ModeEngine::Visual(Box::new(VisualEngine::new(Rc::clone(object), 0, self.config)?))
+                let layout = self.layout_of(object)?;
+                ModeEngine::Visual(Box::new(VisualEngine::with_layout(Rc::clone(object), layout)))
             }
             DrivingMode::Audio => {
                 ModeEngine::Audio(Box::new(AudioEngine::new(object, 0, self.audio_page_len)?))
             }
         })
+    }
+
+    /// The layout of `object`'s first text segment: the one this session
+    /// built when it last entered this very `Rc`, or a fresh pagination.
+    fn layout_of(&mut self, object: &Rc<MultimediaObject>) -> Result<Rc<VisualLayout>> {
+        if let Some((paginated, layout)) = self.layouts.get(&object.id) {
+            if std::ptr::eq(paginated.as_ptr(), Rc::as_ptr(object)) {
+                return Ok(Rc::clone(layout));
+            }
+        }
+        let layout = Rc::new(VisualLayout::new(object, 0, self.config)?);
+        self.layouts.insert(object.id, (Rc::downgrade(object), Rc::clone(&layout)));
+        Ok(layout)
     }
 
     fn push_object(&mut self, object: Rc<MultimediaObject>) -> Result<Vec<BrowseEvent>> {
@@ -468,7 +502,12 @@ impl<S: ObjectStore> BrowsingSession<S> {
         if self.stack.len() <= 1 {
             return Err(MinosError::OperationUnavailable("not inside a relevant object".into()));
         }
-        self.stack.pop();
+        let left = self.stack.pop().expect("the stack holds the relevant object");
+        // An object no one else holds can never be entered again as this
+        // allocation: its layout goes with it.
+        if Rc::strong_count(&left.object) == 1 {
+            self.layouts.remove(&left.object.id);
+        }
         let parent = self.top().object.id;
         let mut events = vec![BrowseEvent::ReturnedToParent(parent)];
         // Re-announce the restored page so UIs repaint.
@@ -705,6 +744,63 @@ mod tests {
         assert_eq!(session.object().id, ObjectId::new(20));
         assert_eq!(session.audio().unwrap().position(), position);
         assert_eq!(session.audio().unwrap().state(), state);
+    }
+
+    /// A store that hands out its own `Rc`s, as the server's does.
+    struct SharedStore(HashMap<ObjectId, Rc<MultimediaObject>>);
+
+    impl ObjectStore for SharedStore {
+        fn fetch(&mut self, id: ObjectId) -> Result<MultimediaObject> {
+            self.fetch_shared(id).map(|object| MultimediaObject::clone(&object))
+        }
+
+        fn fetch_shared(&mut self, id: ObjectId) -> Result<Rc<MultimediaObject>> {
+            self.0.get(&id).cloned().ok_or_else(|| MinosError::UnknownObject(id.to_string()))
+        }
+    }
+
+    #[test]
+    fn entering_an_object_again_reuses_its_layout_until_it_is_republished() {
+        let objects = store().into_iter().map(|(id, object)| (id, Rc::new(object))).collect();
+        // Small pages, so the report spans several.
+        let config = PaginateConfig {
+            page_size: minos_types::Size::new(420, 260),
+            margin: 10,
+            block_gap: 6,
+        };
+        let (mut session, _) = BrowsingSession::open(
+            SharedStore(objects),
+            ObjectId::new(3),
+            config,
+            SimDuration::from_secs(5),
+        )
+        .unwrap();
+        let enter = |session: &mut BrowsingSession<SharedStore>| {
+            session.apply(BrowseCommand::SelectRelevant(0)).unwrap();
+            let ModeEngine::Visual(engine) = &session.top().engine else {
+                panic!("the hospitals overlay drives visually");
+            };
+            let entered = (Rc::clone(engine.layout()), engine.page_count());
+            session.apply(BrowseCommand::ReturnFromRelevant).unwrap();
+            entered
+        };
+        let (first, before) = enter(&mut session);
+        let (again, _) = enter(&mut session);
+        assert!(Rc::ptr_eq(&first, &again), "the second entry paginated the overlay again");
+
+        // The overlay is republished under its id with the report's text:
+        // the next entry pages through the new text.
+        let mut republished =
+            MultimediaObject::new(ObjectId::new(4), "hospitals, annotated", DrivingMode::Visual);
+        republished.text_segments = medical_report(ObjectId::new(1), 42).text_segments;
+        republished.archive().unwrap();
+        let republished = Rc::new(republished);
+        session.store_mut().0.insert(ObjectId::new(4), Rc::clone(&republished));
+        let (fresh, pages) = enter(&mut session);
+        assert!(!Rc::ptr_eq(&first, &fresh), "the republished object kept the old layout");
+        let expected = VisualEngine::new(republished, 0, config).unwrap().page_count();
+        assert_ne!(expected, before, "the report's text pages differently");
+        assert_eq!(pages, expected);
     }
 
     #[test]

@@ -251,6 +251,12 @@ impl Conn {
 /// whenever the client dispatches; responses land timestamped, and
 /// [`Client::wait`] charges only the time between "now" and the response's
 /// arrival — that difference is where pipelining wins.
+///
+/// A client with nothing in flight, nothing at its members and no
+/// deadline due before an instant is quiet through it: moving it there
+/// changes only its clock and its kernel. The session scheduler checks
+/// this one predicate before each tick's service pump and skips the pump
+/// when it holds.
 pub struct Client {
     pub(crate) fleet: Fleet,
     /// Per-member epoch last handshaken; a mismatch triggers the resync.
@@ -870,6 +876,36 @@ impl Client {
         self.resync();
         self.dispatch(&[]);
         self.settle();
+    }
+
+    /// Whether the client is quiet through `at`: [`Client::advance_to`]
+    /// would find no work on the way there. Every part must hold:
+    /// - the request table is empty;
+    /// - no request frame is in transit to any member;
+    /// - every member's service loop is idle: nothing queued, no served
+    ///   response waiting to be polled, no connection woken;
+    /// - no kernel deadline (a retransmit, a `Busy` hint, a heartbeat)
+    ///   falls at or before `at`;
+    /// - every member's epoch is the one last handshaken.
+    pub(crate) fn is_quiet_through(&self, at: SimInstant) -> bool {
+        self.table.is_empty()
+            && self.pending.iter().all(VecDeque::is_empty)
+            && self.kernel.next_deadline().is_none_or(|next| next > at)
+            && self
+                .fleet
+                .servers()
+                .iter()
+                .zip(&self.epochs)
+                .all(|(member, &epoch)| member.is_idle() && member.epoch() == epoch)
+    }
+
+    /// Moves a quiet client (see [`Client::is_quiet_through`]) to `at`:
+    /// its clock and its kernel, which is all [`Client::advance_to`] would
+    /// change.
+    pub(crate) fn idle_to(&mut self, at: SimInstant) {
+        debug_assert!(self.is_quiet_through(at), "transport work due before {at:?}");
+        self.clock.advance_to_at_least(at);
+        self.kernel.advance_to(self.clock.now());
     }
 
     /// Moves the request frames in transit to member `m` into its service

@@ -29,7 +29,7 @@ use std::sync::OnceLock;
 
 /// A pinned-message region: the message, its anchor span, and the related
 /// text's own pagination under the reserved top area.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct PinnedRegion {
     message: usize,
     span: CharSpan,
@@ -54,26 +54,23 @@ pub struct VisualView {
     pub reserved_top: u32,
 }
 
-/// The visual-mode engine for one text segment of an object.
-#[derive(Clone, Debug)]
-pub struct VisualEngine {
-    /// The browsed object, shared with the session that holds it: the
-    /// engine reads its text segment in place.
-    object: Rc<MultimediaObject>,
+/// The pagination of one text segment of an object: the base form, the
+/// pinned regions and the voice anchors. It is a pure function of the
+/// object, the segment and the page configuration, so one layout serves
+/// every engine on that object: a session entering an object again reuses
+/// the layout it built on the first entry.
+#[derive(Debug)]
+pub(crate) struct VisualLayout {
     segment: usize,
     base_form: PresentationForm,
     regions: Vec<PinnedRegion>,
     voice_anchors: Vec<(usize, CharSpan)>,
-    pos: u32,
-    inside_voice: HashSet<usize>,
-    shown_once: HashSet<usize>,
-    pinned_now: Option<usize>,
 }
 
-impl VisualEngine {
-    /// Builds the engine for `object`'s text segment `segment`.
-    pub fn new(
-        object: Rc<MultimediaObject>,
+impl VisualLayout {
+    /// Paginates `object`'s text segment `segment` under `config`.
+    pub(crate) fn new(
+        object: &MultimediaObject,
         segment: usize,
         config: PaginateConfig,
     ) -> Result<Self> {
@@ -84,7 +81,7 @@ impl VisualEngine {
         if segment >= object.text_segments.len() && segment != 0 {
             return Err(MinosError::UnknownComponent(format!("text segment {segment}")));
         }
-        let doc = segment_of(&object, segment);
+        let doc = segment_of(object, segment);
         let base_form = PresentationForm::paginate(doc, config);
 
         let mut regions = Vec::new();
@@ -116,21 +113,7 @@ impl VisualEngine {
                 }
             }
         }
-        let mut engine = VisualEngine {
-            object,
-            segment,
-            base_form,
-            regions,
-            voice_anchors,
-            pos: 0,
-            inside_voice: HashSet::new(),
-            shown_once: HashSet::new(),
-            pinned_now: None,
-        };
-        // Establish initial message state without reporting entry events;
-        // `open()` reports them.
-        engine.pinned_now = engine.active_region_index().map(|r| engine.regions[r].message);
-        Ok(engine)
+        Ok(VisualLayout { segment, base_form, regions, voice_anchors })
     }
 
     /// Paginates only the blocks of `doc` lying within `span` (the related
@@ -144,16 +127,60 @@ impl VisualEngine {
             .collect();
         PresentationForm::from_blocks(&blocks, config)
     }
+}
+
+/// The visual-mode engine for one text segment of an object.
+#[derive(Clone, Debug)]
+pub struct VisualEngine {
+    /// The browsed object, shared with the session that holds it: the
+    /// engine reads its text segment in place.
+    object: Rc<MultimediaObject>,
+    /// The segment's pagination, shared with every engine on the object
+    /// that the session builds.
+    layout: Rc<VisualLayout>,
+    pos: u32,
+    inside_voice: HashSet<usize>,
+    shown_once: HashSet<usize>,
+    pinned_now: Option<usize>,
+}
+
+impl VisualEngine {
+    /// Builds the engine for `object`'s text segment `segment`.
+    pub fn new(
+        object: Rc<MultimediaObject>,
+        segment: usize,
+        config: PaginateConfig,
+    ) -> Result<Self> {
+        let layout = VisualLayout::new(&object, segment, config)?;
+        Ok(Self::with_layout(object, Rc::new(layout)))
+    }
+
+    /// Builds an engine on `object` over `layout`, which must have been
+    /// paginated from this very object.
+    pub(crate) fn with_layout(object: Rc<MultimediaObject>, layout: Rc<VisualLayout>) -> Self {
+        let mut engine = VisualEngine {
+            object,
+            layout,
+            pos: 0,
+            inside_voice: HashSet::new(),
+            shown_once: HashSet::new(),
+            pinned_now: None,
+        };
+        // Establish initial message state without reporting entry events;
+        // `open()` reports them.
+        engine.pinned_now = engine.active_region_index().map(|r| engine.layout.regions[r].message);
+        engine
+    }
 
     /// The document being browsed.
     pub fn document(&self) -> &Document {
-        segment_of(&self.object, self.segment)
+        segment_of(&self.object, self.layout.segment)
     }
 
     /// The index of the active pinned region, honouring show-once
     /// suppression.
     fn active_region_index(&self) -> Option<usize> {
-        self.regions.iter().position(|r| {
+        self.layout.regions.iter().position(|r| {
             (r.span.contains(self.pos) || (r.span.is_empty() && r.span.start == self.pos))
                 && !(r.show_once && self.shown_once.contains(&r.message))
         })
@@ -163,8 +190,8 @@ impl VisualEngine {
     /// through: the region's own pagination, or the base form.
     fn active_form(&self) -> (Option<&PinnedRegion>, &PresentationForm) {
         match self.active_region_index() {
-            Some(ri) => (Some(&self.regions[ri]), &self.regions[ri].form),
-            None => (None, &self.base_form),
+            Some(ri) => (Some(&self.layout.regions[ri]), &self.layout.regions[ri].form),
+            None => (None, &self.layout.base_form),
         }
     }
 
@@ -207,7 +234,15 @@ impl VisualEngine {
     /// region honouring the restored suppression.
     pub fn restore_shown_once(&mut self, messages: &[usize]) {
         self.shown_once.extend(messages.iter().copied());
-        self.pinned_now = self.active_region_index().map(|r| self.regions[r].message);
+        self.pinned_now = self.active_region_index().map(|r| self.layout.regions[r].message);
+    }
+}
+
+#[cfg(test)]
+impl VisualEngine {
+    /// The pagination this engine pages through.
+    pub(crate) fn layout(&self) -> &Rc<VisualLayout> {
+        &self.layout
     }
 }
 
@@ -234,7 +269,7 @@ impl Browse for VisualEngine {
         let mut events = Vec::new();
         self.pos = pos.min(self.document().len());
         // Voice messages: fire on entry.
-        for &(message, span) in &self.voice_anchors {
+        for &(message, span) in &self.layout.voice_anchors {
             let inside = span.contains(self.pos) || (span.is_empty() && span.start == self.pos);
             if inside && self.inside_voice.insert(message) {
                 events.push(BrowseEvent::VoiceMessagePlayed(message));
@@ -243,7 +278,7 @@ impl Browse for VisualEngine {
             }
         }
         // Visual messages: pin/unpin transitions.
-        let now = self.active_region_index().map(|r| self.regions[r].message);
+        let now = self.active_region_index().map(|r| self.layout.regions[r].message);
         if now != self.pinned_now {
             if now.is_none() {
                 events.push(BrowseEvent::VisualMessageUnpinned);
@@ -271,15 +306,15 @@ impl Browse for VisualEngine {
     }
 
     fn page_count(&self) -> usize {
-        self.base_form.page_count()
+        self.layout.base_form.page_count()
     }
 
     fn page(&self) -> usize {
-        self.base_form.page_containing(self.pos).unwrap_or(0)
+        self.layout.base_form.page_containing(self.pos).unwrap_or(0)
     }
 
     fn page_start(&self, index: usize) -> Option<u32> {
-        self.base_form.page(index).and_then(|p| p.span).map(|s| s.start)
+        self.layout.base_form.page(index).and_then(|p| p.span).map(|s| s.start)
     }
 
     /// The shown page's index within the active form: the

@@ -341,6 +341,13 @@ impl ObjectServer {
         self.service.pending()
     }
 
+    /// Whether the service loop holds no work: no request frame queued, no
+    /// response served and not yet polled, and no connection woken since
+    /// the last drain.
+    pub fn is_idle(&self) -> bool {
+        self.service.is_idle()
+    }
+
     /// Drains the connections with a response landed (served or rejected)
     /// since the last drain — the completion wake list. Event-driven
     /// callers collect their deliveries with per-connection polls of

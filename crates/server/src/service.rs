@@ -244,6 +244,11 @@ impl ServiceQueue {
         self.pending
     }
 
+    /// Whether nothing is queued, served and uncollected, or woken.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.pending == 0 && self.ready.is_empty() && self.woken.is_empty()
+    }
+
     /// Accounting so far.
     pub(crate) fn stats(&self) -> &ServiceStats {
         &self.stats

@@ -90,3 +90,30 @@ fn entering_a_landed_overlay_copies_no_object() {
         assert_eq!(events.first(), Some(&BrowseEvent::ReturnedToParent(MAP)));
     }
 }
+
+#[test]
+fn entering_an_overlay_again_reuses_its_pagination() {
+    // The session keeps the layout it built on the first entry, keyed by
+    // the server's `Rc`: the second entry builds only the engine around
+    // it, the command's events and the prefetch hint's vectors.
+    let (map, overlays) = corpus::subway_map_object(MAP, HOSPITALS, ObjectId::new(5), 11);
+    let mut server = ObjectServer::new();
+    for object in [map].into_iter().chain(overlays) {
+        let archived = archived_form(&object);
+        server.publish(object, &archived).unwrap();
+    }
+    let mut sched = SessionScheduler::new(server, Link::ethernet());
+    let (key, _) = sched.open(MAP, PaginateConfig::default(), SimDuration::from_secs(5)).unwrap();
+    let mut entries = Vec::new();
+    for _ in 0..2 {
+        for _ in 0..4 {
+            sched.tick(SimDuration::from_secs(1));
+        }
+        let before = allocated_bytes();
+        let events = sched.apply(key, BrowseCommand::SelectRelevant(0)).unwrap();
+        entries.push(allocated_bytes() - before);
+        assert_eq!(events.first(), Some(&BrowseEvent::EnteredRelevant(HOSPITALS)));
+        sched.apply(key, BrowseCommand::ReturnFromRelevant).unwrap();
+    }
+    assert!(entries[1] <= 1024, "the second entry allocated {} bytes: {entries:?}", entries[1]);
+}
