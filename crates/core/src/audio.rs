@@ -154,13 +154,13 @@ impl AudioEngine {
 
     /// Advances playback by `dt` of simulated time; reports page crossings
     /// (speech is not interrupted at page ends), message transitions, and
-    /// the end of the part.
+    /// the end of the part, once, on the tick that reaches it.
     pub fn tick(&mut self, dt: SimDuration) -> Vec<BrowseEvent> {
-        let crossings = self.playback.tick(dt);
+        let was_finished = self.playback.state() == PlaybackState::Finished;
         let mut events: Vec<BrowseEvent> =
-            crossings.iter().map(|c| BrowseEvent::CrossedIntoPage(c.to)).collect();
+            self.playback.tick(dt).map(BrowseEvent::CrossedIntoPage).collect();
         self.refresh_messages(&mut events);
-        if self.playback.state() == PlaybackState::Finished {
+        if !was_finished && self.playback.state() == PlaybackState::Finished {
             events.push(BrowseEvent::PlaybackFinished);
         }
         events
@@ -278,6 +278,27 @@ mod tests {
         assert!(events.iter().any(|ev| matches!(ev, BrowseEvent::CrossedIntoPage(1))));
         let events = e.tick(SimDuration::from_secs(500));
         assert!(events.contains(&BrowseEvent::PlaybackFinished));
+    }
+
+    #[test]
+    fn the_end_is_reported_once_per_play_out() {
+        // As a tour's `Finished`: the tick that reaches the end reports
+        // it, the ticks after report nothing, and playing the last page
+        // out again reports it once more.
+        let (_, mut e) = engine();
+        e.open();
+        let ends = |events: Vec<BrowseEvent>| {
+            events.iter().filter(|&event| *event == BrowseEvent::PlaybackFinished).count()
+        };
+        assert_eq!(ends(e.tick(SimDuration::from_secs(500))), 1);
+        for _ in 0..3 {
+            assert_eq!(e.tick(SimDuration::from_secs(1)), Vec::new(), "a tick after the end");
+        }
+        e.resume_page_start();
+        assert_eq!(e.state(), PlaybackState::Playing);
+        assert_eq!(e.page(), e.page_count() - 1);
+        assert_eq!(ends(e.tick(SimDuration::from_secs(500))), 1);
+        assert_eq!(e.tick(SimDuration::from_secs(1)), Vec::new());
     }
 
     #[test]

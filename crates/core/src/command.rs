@@ -77,7 +77,8 @@ pub enum BrowseEvent {
     EnteredRelevant(ObjectId),
     /// Browsing returned to the parent object.
     ReturnedToParent(ObjectId),
-    /// Voice playback reached the end of the voice part.
+    /// Voice playback reached the end of the voice part; reported once,
+    /// by the tick that reaches it.
     PlaybackFinished,
     /// Voice playback crossed into an audio page (uninterrupted).
     CrossedIntoPage(usize),

@@ -198,8 +198,9 @@ impl ObjectStore for HubStore {
         self.collect();
         let mut client = self.client.borrow_mut();
         for &id in targets {
-            let arrived = matches!(self.answers.get(&id), Some(Answer::Arrived(_)));
-            if arrived || self.pending.contains_key(&id) {
+            // An answer on hand settles the object, a refusal as much as
+            // an arrival, until the next demand fetch reads it.
+            if self.answers.contains_key(&id) || self.pending.contains_key(&id) {
                 continue;
             }
             // Deadline-aware shedding, client half: with the server's
@@ -231,20 +232,12 @@ fn slot_of(conn: u64) -> Option<usize> {
     usize::try_from(conn).ok()?.checked_sub(1)
 }
 
-/// The presentation clock: the presentation time the scheduler's ticks
-/// have played, and how many ticks there were.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-struct Presentation {
-    at: SimInstant,
-    ticks: u64,
-}
-
 struct Slot {
     session: BrowsingSession<HubStore>,
     events: Vec<BrowseEvent>,
-    /// The presentation instant and tick the session was last brought up
-    /// to: every tick since then is still owed to it.
-    synced: Presentation,
+    /// The presentation instant the session was last brought up to: a
+    /// playing session still owes the time since then.
+    synced: SimInstant,
     /// The armed wake for a playing session's next observable change, and
     /// its instant in presentation time.
     wake: Option<(SimInstant, TimerId)>,
@@ -261,20 +254,13 @@ impl Slot {
     /// Brings the session up to `now`, with exactly the events per-tick
     /// stepping would have produced. A playing session plays the time owed
     /// in one tick: no change fell due in it, or its wake would have
-    /// caught it up at the first tick end after. A finished session owes
-    /// one `PlaybackFinished` per tick; an interrupted one owes nothing,
-    /// and neither does a visual one.
-    fn catch_up(&mut self, now: Presentation) {
-        match self.session.audio().map(AudioEngine::state) {
-            Some(PlaybackState::Playing) if now.at > self.synced.at => {
-                let events = self.session.tick(now.at.since(self.synced.at));
-                self.events.extend(events);
-            }
-            Some(PlaybackState::Finished) => {
-                let owed = (now.ticks - self.synced.ticks) as usize;
-                self.events.extend(std::iter::repeat_n(BrowseEvent::PlaybackFinished, owed));
-            }
-            _ => {}
+    /// caught it up at the first tick end after. Any other session owes
+    /// nothing: an idle tick reports nothing.
+    fn catch_up(&mut self, now: SimInstant) {
+        let playing = self.session.audio().map(AudioEngine::state) == Some(PlaybackState::Playing);
+        if playing && now > self.synced {
+            let events = self.session.tick(now.since(self.synced));
+            self.events.extend(events);
         }
         self.synced = now;
     }
@@ -285,7 +271,7 @@ impl Slot {
     fn rearm(&mut self, kernel: &mut Kernel, index: usize) {
         let due = self.session.audio().and_then(|audio| {
             let change = audio.next_change()?;
-            Some(self.synced.at + change.saturating_since(audio.position()))
+            Some(self.synced + change.saturating_since(audio.position()))
         });
         if self.wake.map(|(at, _)| at) == due {
             return;
@@ -307,18 +293,17 @@ impl Slot {
 /// can starve — except that audio-driven sessions always go first: their
 /// transfers have real-time deadlines, a text reader's do not.
 ///
-/// The tick runs in event time. The scheduler keeps a presentation clock
-/// (the sum of the tick lengths, and the tick count), and each slot records
-/// the presentation instant and tick it was last brought up to. An audio
-/// session is in one of three states:
+/// The tick runs in event time. The scheduler keeps one presentation
+/// instant (the sum of the tick lengths), and each slot records the
+/// instant it was last brought up to. An audio session is in one of two
+/// states:
 /// - *playing*: one [`Kernel`] timer is armed at the presentation instant
-///   of its next observable change ([`AudioEngine::next_change`]). At the
-///   first tick end at or after it, one tick over the time owed catches
-///   the session up;
-/// - *interrupted*: nothing is armed and nothing is owed;
-/// - *finished*: the ticks are counted, and the `PlaybackFinished` each
-///   would have reported is written into the slot's events when the slot
-///   is next read.
+///   of its next observable change ([`AudioEngine::next_change`]), the end
+///   of the part among them. At the first tick end at or after it, one
+///   tick over the time owed catches the session up;
+/// - *idle* (interrupted or finished): nothing is armed and nothing is
+///   owed, since a tick of an idle part reports nothing. The end was
+///   reported once, by the tick that reached it.
 ///
 /// [`SessionScheduler::apply`], [`SessionScheduler::session`] and
 /// [`SessionScheduler::drain_events`] catch a session up first, so every
@@ -326,7 +311,9 @@ impl Slot {
 /// also wakes exactly the connections the server completed work for, in
 /// the same deadline-aware order a full rotation scan would produce, so an
 /// idle session costs nothing per tick. Golden-stream fixtures recorded
-/// from that full scan pin the tick to the byte.
+/// from that full scan, and re-recorded with only the repeated
+/// `PlaybackFinished` events removed when the end came to be reported
+/// once, pin the tick to the byte.
 ///
 /// The transport costs nothing on a quiet tick either. When the shared
 /// [`Client`] is quiet through the tick's end (no request in its table,
@@ -343,7 +330,8 @@ pub struct SessionScheduler {
     /// sessions with a fired wake or a landed response are ever visited.
     /// The client's retransmit timers run on the client's own kernel.
     kernel: Kernel,
-    now: Presentation,
+    /// The presentation clock: the sum of the tick lengths.
+    now: SimInstant,
     slots: Vec<Slot>,
     /// Connection ids woken this tick, kept so a tick allocates nothing.
     woken: Vec<u64>,
@@ -361,7 +349,7 @@ impl SessionScheduler {
         SessionScheduler {
             client: Rc::new(RefCell::new(Client::new(server, link))),
             kernel: Kernel::new(),
-            now: Presentation::default(),
+            now: SimInstant::EPOCH,
             slots: Vec::new(),
             woken: Vec::new(),
             cursor: 0,
@@ -446,15 +434,15 @@ impl SessionScheduler {
     ///
     /// The presentation clock moves by `dt`, and only the audio sessions
     /// whose next change fell due are caught up and re-armed; every other
-    /// session is left owing the tick. A client quiet through `dt` from
-    /// now only has its clock moved. Otherwise the tick visits only the
-    /// connections with a completion wake, in the deadline-aware relative
-    /// order of a full scan. Last, the client's clock moves by `dt`,
+    /// playing session is left owing the time. A client quiet through `dt`
+    /// from now only has its clock moved. Otherwise the tick visits only
+    /// the connections with a completion wake, in the deadline-aware
+    /// relative order of a full scan. Last, the client's clock moves by `dt`,
     /// retransmitting whatever falls due on the way, and every response
     /// that has landed goes into its session's store.
     pub fn tick(&mut self, dt: SimDuration) {
-        self.now = Presentation { at: self.now.at + dt, ticks: self.now.ticks + 1 };
-        self.kernel.advance_to(self.now.at);
+        self.now = self.now + dt;
+        self.kernel.advance_to(self.now);
         while let Some(event) = self.kernel.take_ready() {
             let KernelEvent::AudioDeadline { session } = event else {
                 self.kernel.note_spurious();
@@ -499,9 +487,9 @@ impl SessionScheduler {
         // request_id 0 marks a connection-level wake: it covers every
         // response in the connection's ready batch.
         for conn in client.fleet.servers_mut()[0].take_woken() {
-            self.kernel.post(self.now.at, KernelEvent::ResponseLanded { conn, request_id: 0 });
+            self.kernel.post(self.now, KernelEvent::ResponseLanded { conn, request_id: 0 });
         }
-        self.kernel.advance_to(self.now.at);
+        self.kernel.advance_to(self.now);
         let woken = &mut self.woken;
         woken.clear();
         while let Some(event) = self.kernel.take_ready() {
@@ -877,6 +865,38 @@ mod tests {
     }
 
     #[test]
+    fn a_refused_object_is_not_prefetched_again() {
+        // The server does not hold the University overlay: the open's
+        // prefetch of it lands a refusal, which settles the object until a
+        // demand fetch reads it. Paging the map, whose indicators stay
+        // visible, asks the server for nothing more.
+        let mut server = ObjectServer::new();
+        let (map, overlays) =
+            subway_map_object(ObjectId::new(3), ObjectId::new(4), ObjectId::new(5), 11);
+        for object in std::iter::once(map).chain(overlays.into_iter().take(1)) {
+            let archived = archived_form(&object);
+            server.publish(object, &archived).unwrap();
+        }
+        let config = PaginateConfig::default();
+        let mut sched = SessionScheduler::new(server, Link::ethernet());
+        let (key, _) = sched.open(ObjectId::new(3), config, SimDuration::from_secs(5)).unwrap();
+        for _ in 0..4 {
+            sched.tick(SimDuration::from_secs(1));
+        }
+        let (enqueued, messages) = (sched.service_stats().enqueued, sched.link_stats().messages);
+        for _ in 0..10 {
+            let _ = sched.apply(key, BrowseCommand::NextPage);
+            sched.tick(SimDuration::from_secs(1));
+        }
+        assert_eq!(sched.service_stats().enqueued, enqueued, "a settled object was prefetched");
+        assert_eq!(sched.link_stats().messages, messages);
+        // The refusal kept is the demand fetch's answer.
+        let entered = sched.apply(key, BrowseCommand::SelectRelevant(1));
+        assert!(matches!(entered, Err(MinosError::UnknownObject(_))), "{entered:?}");
+        assert_eq!(sched.link_stats().messages, messages, "the refusal was on hand");
+    }
+
+    #[test]
     fn anticipation_suspends_under_admission_pressure() {
         let config = PaginateConfig::default();
         let page = SimDuration::from_secs(5);
@@ -977,7 +997,8 @@ mod tests {
         // in tests/command_fuzz.rs): same sessions, same commands, same
         // ticks — byte-identical events, transfer accounting and simulated
         // time to the fixture recorded from the full-rotation scan the
-        // event-driven tick replaced.
+        // event-driven tick replaced. Its voice session is interrupted
+        // before its end, so reporting the end once left it unchanged.
         let config = PaginateConfig::default();
         let page = SimDuration::from_secs(5);
         let mut sched = SessionScheduler::new(corpus_server(), Link::ethernet());

@@ -17,6 +17,7 @@
 use crate::pages::AudioPages;
 use crate::pause::{rewind_position, DetectedPause, PauseKind};
 use minos_types::{SimDuration, SimInstant};
+use std::ops::Range;
 
 /// Playback state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -27,17 +28,6 @@ pub enum PlaybackState {
     Interrupted,
     /// The end of the voice part was reached.
     Finished,
-}
-
-/// Events the engine reports as playback advances, consumed by the
-/// presentation manager (e.g. to trigger logical messages when playback
-/// enters an attached segment).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PageCrossing {
-    /// Page left.
-    pub from: usize,
-    /// Page entered.
-    pub to: usize,
 }
 
 /// The playback engine for one voice part.
@@ -143,12 +133,12 @@ impl PlaybackEngine {
         }
     }
 
-    /// Advances playback by `dt` of simulated time. Returns the page
-    /// crossings that occurred (speech is *not* interrupted at page
+    /// Advances playback by `dt` of simulated time. Returns the pages
+    /// entered, in order (speech is *not* interrupted at page
     /// boundaries). No-op unless playing.
-    pub fn tick(&mut self, dt: SimDuration) -> Vec<PageCrossing> {
+    pub fn tick(&mut self, dt: SimDuration) -> Range<usize> {
         if self.state != PlaybackState::Playing {
-            return Vec::new();
+            return 0..0;
         }
         let start_page = self.current_page().unwrap_or(0);
         let target = (self.position + dt).min(self.end());
@@ -157,7 +147,7 @@ impl PlaybackEngine {
             self.state = PlaybackState::Finished;
         }
         let end_page = self.current_page().unwrap_or(start_page);
-        (start_page..end_page).map(|p| PageCrossing { from: p, to: p + 1 }).collect()
+        start_page + 1..end_page + 1
     }
 }
 
@@ -206,13 +196,10 @@ mod tests {
     fn speech_crosses_page_boundaries_uninterrupted() {
         let mut e = engine();
         e.play();
-        let crossings = e.tick(secs(45));
+        let entered = e.tick(secs(45));
         assert_eq!(e.state(), PlaybackState::Playing);
         assert_eq!(e.current_page(), Some(2));
-        assert_eq!(
-            crossings,
-            vec![PageCrossing { from: 0, to: 1 }, PageCrossing { from: 1, to: 2 }]
-        );
+        assert_eq!(entered, 1..3);
     }
 
     #[test]

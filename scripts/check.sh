@@ -70,8 +70,13 @@ for seed in 1 2 11; do
 done
 rm -f "$sim"
 
-# A traced seed-1 round reports per-layer counters that are deterministic
-# counts; each gate below bounds one of them. The client keeps one
+# A traced seed-1 round of each workload reports per-layer counters, and
+# those named pool.*, service.*, kernel.*, transport.*, link.* and
+# device.*, but no *_ns* timing, are deterministic counts. Each round runs
+# once; its exit code gates it, four bounds below hold one counter each,
+# and every such counter must also equal, byte for byte, its line in
+# scripts/trace_seed1.txt (lines are <workload> <metric> <value> <unit>),
+# so a change that moves one says so in its diff. The client keeps one
 # retransmit timer for all of its connections, armed for the earliest
 # deadline, instead of arming and cancelling one per request: page_scan
 # may arm at most one timer per window of 16 pages, and churn's kernel
@@ -81,13 +86,18 @@ rm -f "$sim"
 # scheduler plays voice sessions in event time, waking one only when its
 # next observable change falls due instead of polling it every tick:
 # browse may fire at most one kernel event per op.
-trace_gate() {
-    value=$(cargo run --release --offline --quiet \
+traced=$(mktemp -d)
+for workload in page_scan lossy_scan churn browse; do
+    echo "==> minos-benchmark $workload, seed 1, traced"
+    cargo run --release --offline --quiet \
         --manifest-path crates/bench/src/bin/minos-benchmark/Cargo.toml \
-        -- --workload "$1" --seed 1 --seconds 0 --trace 1 |
-        awk -v metric="$2" '$1 == metric { print $2 }')
+        -- --workload "$workload" --seed 1 --seconds 0 --trace 1 >"$traced/$workload"
+done
+trace_gate() {
+    value=$(awk -v metric="$2" '$1 == metric { print $2 }' "$traced/$1")
     echo "    $1 $2 = $value (bound $3)"
     if ! awk -v v="$value" -v bound="$3" 'BEGIN { exit !(v != "" && v <= bound) }'; then
+        rm -rf "$traced"
         echo "$1: $2 = $value exceeds $3" >&2
         exit 1
     fi
@@ -97,6 +107,18 @@ trace_gate page_scan kernel.timers_per_op 0.0625
 trace_gate churn kernel.spurious_share 0.25
 trace_gate lossy_scan pool.allocs_per_page 0.01
 trace_gate browse kernel.events_per_op 1
+echo "==> traced counters at seed 1 match scripts/trace_seed1.txt"
+for workload in page_scan lossy_scan churn browse; do
+    awk -v w="$workload" '$1 ~ /^(pool|service|kernel|transport|link|device)\./ && $1 !~ /_ns/ {
+        print w, $0
+    }' "$traced/$workload"
+done >"$traced/counters"
+if ! diff -u scripts/trace_seed1.txt "$traced/counters"; then
+    rm -rf "$traced"
+    echo "traced counters differ from scripts/trace_seed1.txt" >&2
+    exit 1
+fi
+rm -rf "$traced"
 
 # Every example runs to completion, not only compiles: they drive the
 # workstation client, fleet and scheduler paths end to end from the facade.
