@@ -24,8 +24,8 @@
 //! * [`remote`] — the workstation side of the server protocol: the
 //!   client's blocking requests and typed fetches, remote views,
 //!   miniature browsing;
-//! * [`prefetch`] — anticipatory prefetching: page plans, the pipelined
-//!   prefetch buffer, and stall-time accounting (§5);
+//! * [`prefetch`] — anticipatory prefetching: page plans, read-ahead
+//!   through the client's window, and stall-time accounting (§5);
 //! * [`kernel`] — the discrete-event simulation kernel: timer heap,
 //!   typed wake events, ready queue, and trace ring;
 //! * [`sched`] — the multi-session scheduler: N concurrent sessions over
@@ -72,7 +72,7 @@ pub use fleet::{
     Replica, ScrubReport,
 };
 pub use kernel::{Kernel, KernelEvent, KernelStats, TimerId};
-pub use prefetch::{page_spans, PrefetchBuffer, PrefetchStats};
+pub use prefetch::{page_spans, read_ahead, ReadAhead};
 pub use process::{ProcessRunner, ProcessState};
 pub use remote::MiniatureBrowser;
 pub use sched::{HubStore, SessionKey, SessionScheduler};

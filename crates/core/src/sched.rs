@@ -75,12 +75,12 @@ impl Answer {
 /// Whether the server's inbound queue is under admission pressure: with
 /// half the global headroom already spoken for, anticipatory traffic
 /// should pause and leave the rest to demand fetches. Request frames still
-/// on the wire are queued first, as the server will queue them.
-fn under_pressure(client: &mut Client) -> bool {
-    client.enqueue_pending(0);
+/// on the wire count as queued, without being moved: the probe changes
+/// nothing, so probing one hint target never disturbs another's prefetch.
+fn under_pressure(client: &Client) -> bool {
     let server = &client.fleet.servers()[0];
     let cap = server.service_config().global_cap;
-    cap != usize::MAX && 2 * server.pending_frames() >= cap
+    cap != usize::MAX && 2 * (server.pending_frames() + client.in_transit(0)) >= cap
 }
 
 /// An [`ObjectStore`] over one connection of the scheduler's [`Client`]:
@@ -208,7 +208,7 @@ impl ObjectStore for HubStore {
             // rather than submitted-and-shed. The hint degrades to a
             // later demand miss, never to wire noise the server must
             // reject.
-            if under_pressure(&mut client) {
+            if under_pressure(&client) {
                 return;
             }
             let prefetch = ServerRequest::FetchObject { id };
@@ -230,6 +230,14 @@ fn conn_of(index: usize) -> u64 {
 /// The slot whose session travels on connection `conn`.
 fn slot_of(conn: u64) -> Option<usize> {
     usize::try_from(conn).ok()?.checked_sub(1)
+}
+
+/// Where slot `index` falls in the deadline-aware service order of a
+/// tick whose rotation starts at `cursor`: audio-driven sessions first,
+/// because a late audio page is a dropout, then rotation distance from
+/// the cursor, so no visual session starves.
+fn service_rank(slots: &[Slot], cursor: usize, index: usize) -> (bool, usize) {
+    (!slots[index].is_audio(), (slots.len() + index - cursor) % slots.len())
 }
 
 struct Slot {
@@ -415,15 +423,10 @@ impl SessionScheduler {
     }
 
     /// The deadline-aware service order for the next tick: a rotating
-    /// round-robin of all sessions, stably re-sorted so audio-driven
-    /// sessions come first.
+    /// round-robin of all sessions, audio-driven sessions first.
     pub fn service_order(&self) -> Vec<SessionKey> {
-        let n = self.slots.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let mut order: Vec<usize> = (0..n).map(|i| (self.cursor + i) % n).collect();
-        order.sort_by_key(|&i| !self.slots[i].is_audio());
+        let mut order: Vec<usize> = (0..self.slots.len()).collect();
+        order.sort_by_key(|&i| service_rank(&self.slots, self.cursor, i));
         order.into_iter().map(SessionKey).collect()
     }
 
@@ -498,12 +501,11 @@ impl SessionScheduler {
                 _ => self.kernel.note_spurious(),
             }
         }
-        // Deadline-aware order over the woken subset: audio-driven
-        // connections first, rotation position breaking ties — the same
-        // total order the full scan serves. A wake whose connection has
-        // nothing left to serve (an earlier fetch served it) is spurious.
+        // The woken subset in the total order a full scan serves. A wake
+        // whose connection has nothing left to serve (an earlier fetch
+        // served it) is spurious.
         woken.sort_by_key(|&conn| match slot_of(conn).filter(|&i| i < n) {
-            Some(i) => (!self.slots[i].is_audio(), (n + i - cursor) % n),
+            Some(i) => service_rank(&self.slots, cursor, i),
             None => (true, usize::MAX),
         });
         for _ in 0..client.dispatch(woken) {
@@ -707,6 +709,19 @@ mod tests {
         let waited_after = sched.session(key).unwrap().store().waited();
         assert_eq!(sched.session(key).unwrap().object().id, ObjectId::new(4));
         assert_eq!(waited_after, waited_before, "the overlay had already landed");
+    }
+
+    #[test]
+    fn probing_hint_targets_moves_no_frames() {
+        let config = PaginateConfig::default();
+        let page = SimDuration::from_secs(5);
+        let mut sched = SessionScheduler::new(corpus_server(), Link::ethernet());
+        // Opening the map announces both overlays; the admission probe
+        // before the second prefetch must leave the first on the wire.
+        sched.open(ObjectId::new(3), config, page).unwrap();
+        let client = sched.client.borrow();
+        assert_eq!(client.in_transit(0), 2, "both prefetch frames still in transit");
+        assert_eq!(client.fleet.servers()[0].pending_frames(), 0, "nothing queued yet");
     }
 
     #[test]

@@ -908,6 +908,12 @@ impl Client {
         self.kernel.advance_to(self.clock.now());
     }
 
+    /// How many request frames are in transit to member `m`: on the wire,
+    /// not yet in its service queue.
+    pub(crate) fn in_transit(&self, m: usize) -> usize {
+        self.pending[m].len()
+    }
+
     /// Moves the request frames in transit to member `m` into its service
     /// queue, stamping each slot with its frame's arrival. The member's
     /// admission control is the gate: a frame it turns away comes back as

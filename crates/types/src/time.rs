@@ -209,23 +209,6 @@ impl SimClock {
             self.now = t;
         }
     }
-
-    /// Advances through one overlapped fetch/presentation step and returns
-    /// the *stall*: the fetch time the presentation could not hide.
-    ///
-    /// Anticipatory sessions (§5) fetch the next resources while the
-    /// current ones present. Both proceed concurrently, so the clock moves
-    /// by the longer of the two; whatever fetch time exceeds the
-    /// presentation window is the time the user actually waits, and
-    /// sessions sum these stalls as their continuity metric.
-    pub fn advance_overlapped(
-        &mut self,
-        fetch: SimDuration,
-        presentation: SimDuration,
-    ) -> SimDuration {
-        self.advance(fetch.max(presentation));
-        fetch.saturating_sub(presentation)
-    }
 }
 
 #[cfg(test)]
@@ -294,28 +277,6 @@ mod tests {
         assert_eq!(clock.now().as_micros(), 3_000);
         clock.advance_to_at_least(SimInstant::from_micros(1_000)); // in the past: no-op
         assert_eq!(clock.now().as_micros(), 3_000);
-    }
-
-    #[test]
-    fn overlapped_advance_reports_stall() {
-        let mut clock = SimClock::new();
-        // Fetch longer than presentation: clock moves by the fetch, the
-        // excess is the stall.
-        let stall =
-            clock.advance_overlapped(SimDuration::from_millis(50), SimDuration::from_millis(30));
-        assert_eq!(stall, SimDuration::from_millis(20));
-        assert_eq!(clock.now().as_micros(), 50_000);
-        // Fetch fully hidden behind presentation: no stall, clock moves by
-        // the presentation.
-        let stall =
-            clock.advance_overlapped(SimDuration::from_millis(10), SimDuration::from_millis(40));
-        assert_eq!(stall, SimDuration::ZERO);
-        assert_eq!(clock.now().as_micros(), 90_000);
-        // Equal durations: perfectly overlapped.
-        let stall =
-            clock.advance_overlapped(SimDuration::from_millis(5), SimDuration::from_millis(5));
-        assert_eq!(stall, SimDuration::ZERO);
-        assert_eq!(clock.now().as_micros(), 95_000);
     }
 
     #[test]
