@@ -112,7 +112,7 @@ fn bench(c: &mut Criterion) {
 
     let (xray, _) = xray_bitmap(5, 800, 600);
     let mut group = c.benchmark_group("ablation_miniature_build");
-    for factor in [4u32, 16] {
+    for factor in [4u32, 8, 16] {
         group.bench_with_input(BenchmarkId::new("build", factor), &factor, |b, &f| {
             b.iter(|| Miniature::build(&xray, f))
         });

@@ -119,12 +119,7 @@ impl Client {
 
     /// Fetches an object's miniature.
     pub fn fetch_miniature(&mut self, id: ObjectId) -> Result<Bitmap> {
-        match self.request(&ServerRequest::FetchMiniature { id })? {
-            ServerResponse::Miniature(bytes) => {
-                DataPayload { kind: DataKind::Image, bytes }.as_image()
-            }
-            other => Err(MinosError::Protocol(format!("unexpected response {other:?}"))),
-        }
+        decode_miniature(self.request(&ServerRequest::FetchMiniature { id })?)
     }
 
     /// Evaluates a content query on the server.
@@ -148,9 +143,21 @@ impl Client {
     }
 
     /// The sequential browsing interface of §5: fetches miniatures of the
-    /// qualifying objects in order, returning `(id, miniature)` pairs.
+    /// qualifying objects as one pipelined burst, returning `(id,
+    /// miniature)` pairs in order.
     pub fn miniature_stream(&mut self, hits: &[ObjectId]) -> Result<Vec<(ObjectId, Bitmap)>> {
-        hits.iter().map(|&id| Ok((id, self.fetch_miniature(id)?))).collect()
+        let requests = hits.iter().map(|&id| ServerRequest::FetchMiniature { id }).collect();
+        let responses = self.request_batch(requests)?;
+        hits.iter().zip(responses).map(|(&id, r)| Ok((id, decode_miniature(r)?))).collect()
+    }
+}
+
+/// Decodes a `FetchMiniature` reply, surfacing a server-side error.
+fn decode_miniature(response: ServerResponse) -> Result<Bitmap> {
+    match response {
+        ServerResponse::Miniature(bytes) => DataPayload { kind: DataKind::Image, bytes }.as_image(),
+        ServerResponse::Error(message) => Err(MinosError::Protocol(message)),
+        other => Err(MinosError::Protocol(format!("unexpected response {other:?}"))),
     }
 }
 
@@ -282,6 +289,8 @@ mod tests {
     fn server_errors_surface_as_protocol_errors() {
         let (mut ws, _) = workstation();
         assert!(matches!(ws.fetch_miniature(ObjectId::new(404)), Err(MinosError::Protocol(_))));
+        let stream = ws.miniature_stream(&[ObjectId::new(1), ObjectId::new(404)]);
+        assert!(matches!(stream, Err(MinosError::Protocol(_))));
     }
 
     #[test]
@@ -306,12 +315,10 @@ mod tests {
         let (mut serial, _) = workstation();
         let (mut batched, _) = workstation();
         let ids = [ObjectId::new(1), ObjectId::new(2), ObjectId::new(3)];
-        for &id in &ids {
-            serial.fetch_miniature(id).unwrap();
-        }
-        batched
-            .request_batch(ids.iter().map(|&id| ServerRequest::FetchMiniature { id }).collect())
-            .unwrap();
+        let one_by_one: Vec<Bitmap> =
+            ids.iter().map(|&id| serial.fetch_miniature(id).unwrap()).collect();
+        let stream = batched.miniature_stream(&ids).unwrap();
+        assert_eq!(stream.into_iter().map(|(_, m)| m).collect::<Vec<_>>(), one_by_one);
         assert_eq!(serial.round_trips(), 3);
         assert_eq!(batched.round_trips(), 1);
         // Two link latencies saved per avoided round trip.

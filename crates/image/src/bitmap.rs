@@ -91,7 +91,7 @@ impl Bitmap {
             return false;
         }
         let (w, b) = self.index(x as u32, y as u32);
-        self.words[w] & b != 0
+        self.words.get(w).is_some_and(|word| word & b != 0)
     }
 
     /// Sets the pixel at `(x, y)`; out-of-bounds writes are ignored
@@ -101,10 +101,12 @@ impl Bitmap {
             return;
         }
         let (w, b) = self.index(x as u32, y as u32);
-        if ink {
-            self.words[w] |= b;
-        } else {
-            self.words[w] &= !b;
+        if let Some(word) = self.words.get_mut(w) {
+            if ink {
+                *word |= b;
+            } else {
+                *word &= !b;
+            }
         }
     }
 
@@ -139,14 +141,62 @@ impl Bitmap {
             )));
         }
         let mut out = Bitmap::new(rect.size.width, rect.size.height);
-        for y in 0..rect.size.height as i32 {
-            for x in 0..rect.size.width as i32 {
-                if self.get(rect.left() + x, rect.top() + y) {
-                    out.set(x, y, true);
-                }
+        if rect.is_empty() {
+            return Ok(out);
+        }
+        // A non-empty rect inside the bounds has a non-negative origin.
+        let (left, top) = (rect.left() as usize, rect.top() as usize);
+        let (shift, first) = (left % 64, left / 64);
+        let edge = last_word_mask(rect.size.width);
+        let src_rows = self.words.chunks_exact(self.words_per_row as usize).skip(top);
+        for (dst, src) in out.words.chunks_exact_mut(out.words_per_row as usize).zip(src_rows) {
+            for (j, word) in dst.iter_mut().enumerate() {
+                let low = src.get(first + j).map_or(0, |w| w >> shift);
+                let high = match shift {
+                    0 => 0,
+                    s => src.get(first + j + 1).map_or(0, |w| w << (64 - s)),
+                };
+                *word = low | high;
+            }
+            if let Some(last) = dst.last_mut() {
+                *last &= edge;
             }
         }
         Ok(out)
+    }
+
+    /// OR-downsamples by `factor` (at least 1): output pixel `(x, y)` is
+    /// ink when any pixel of the source block `[x·factor, (x+1)·factor) ×
+    /// [y·factor, (y+1)·factor)`, clipped to the bounds, is ink. Each band
+    /// of `factor` rows is ORed word by word into one accumulator row,
+    /// which is then tested one mask per word per block; no bit at or past
+    /// `width` is read.
+    pub(crate) fn or_downsample(&self, factor: u32) -> Bitmap {
+        let mut out = Bitmap::new(self.width.div_ceil(factor), self.height.div_ceil(factor));
+        // A zero-width image has no word rows to chunk.
+        if out.words_per_row == 0 {
+            return out;
+        }
+        let (factor, width) = (factor as usize, self.width as usize);
+        let words_per_row = self.words_per_row as usize;
+        let mut acc = vec![0u64; words_per_row];
+        let bands = self.words.chunks(words_per_row.saturating_mul(factor));
+        for (dst, band) in out.words.chunks_exact_mut(out.words_per_row as usize).zip(bands) {
+            acc.fill(0);
+            for row in band.chunks_exact(words_per_row) {
+                for (a, w) in acc.iter_mut().zip(row) {
+                    *a |= w;
+                }
+            }
+            for (x, lo) in (0..width).step_by(factor).enumerate() {
+                if any_ink(&acc, lo, (lo + factor).min(width)) {
+                    if let Some(word) = dst.get_mut(x / 64) {
+                        *word |= 1 << (x % 64);
+                    }
+                }
+            }
+        }
+        out
     }
 
     /// Blits `src` onto `self` with its top-left corner at `at`, combining
@@ -221,10 +271,128 @@ impl Bitmap {
     }
 }
 
+/// The valid bits of a row's last word for a row `width` pixels wide.
+fn last_word_mask(width: u32) -> u64 {
+    match width % 64 {
+        0 => u64::MAX,
+        rem => (1 << rem) - 1,
+    }
+}
+
+/// Whether `row` has ink in bit range `[lo, hi)`, testing each word the
+/// range touches with one mask.
+fn any_ink(row: &[u64], lo: usize, hi: usize) -> bool {
+    let mut start = lo;
+    while start < hi {
+        let end = hi.min((start / 64 + 1) * 64);
+        let mask = (u64::MAX >> (64 - (end - start))) << (start % 64);
+        if row.get(start / 64).is_some_and(|w| w & mask != 0) {
+            return true;
+        }
+        start = end;
+    }
+    false
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Widths on and either side of word boundaries.
+    pub(crate) const EDGE_WIDTHS: [u32; 14] =
+        [0, 1, 7, 63, 64, 65, 127, 128, 129, 130, 191, 192, 193, 333];
+
+    /// A `width × height` raster of one of four ink densities: 0 blank,
+    /// 1 full, 2 sparse (about one pixel in 64), 3 about half.
+    pub(crate) fn raster(width: u32, height: u32, density: u8, seed: u64) -> Bitmap {
+        let mut bm = Bitmap::new(width, height);
+        let mut state = seed | 1;
+        for y in 0..height as i32 {
+            for x in 0..width as i32 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let ink = match density {
+                    0 => false,
+                    1 => true,
+                    2 => state.is_multiple_of(64),
+                    _ => state.is_multiple_of(2),
+                };
+                bm.set(x, y, ink);
+            }
+        }
+        bm
+    }
+
+    /// The per-pixel `extract` the word kernel replaced.
+    fn extract_per_pixel(bm: &Bitmap, rect: Rect) -> Bitmap {
+        let mut out = Bitmap::new(rect.size.width, rect.size.height);
+        for y in 0..rect.size.height as i32 {
+            for x in 0..rect.size.width as i32 {
+                if bm.get(rect.left() + x, rect.top() + y) {
+                    out.set(x, y, true);
+                }
+            }
+        }
+        out
+    }
+
+    /// The bits at or past `width` in every row's last word.
+    fn tail_bits(bm: &Bitmap) -> u64 {
+        let tail = !last_word_mask(bm.width);
+        bm.words
+            .chunks(bm.words_per_row.max(1) as usize)
+            .fold(0, |acc, row| acc | row.last().map_or(0, |w| w & tail))
+    }
+
+    #[test]
+    fn bits_past_the_width_stay_zero() {
+        // `extract` and `or_downsample` mask at the width rather than rely
+        // on this; `count_ink`, `is_blank` and derived equality do rely on
+        // it.
+        for width in EDGE_WIDTHS.into_iter().filter(|w| !w.is_multiple_of(64)) {
+            let edge = width as i32 - 1;
+            let mut bm = Bitmap::new(width, 3);
+            bm.set(edge, 0, true);
+            bm.set(width as i32, 1, true);
+            bm.set(width as i32 + 1, 2, true);
+            assert_eq!(tail_bits(&bm), 0, "set, width {width}");
+            bm.fill_rect(Rect::new(edge, 0, 70, 3), true);
+            assert_eq!(tail_bits(&bm), 0, "fill_rect, width {width}");
+            let src = raster(80, 3, 1, 5);
+            for mode in [BlitMode::Replace, BlitMode::Or, BlitMode::Xor, BlitMode::Clear] {
+                bm.blit(&src, Point::new(edge, 0), mode);
+                assert_eq!(tail_bits(&bm), 0, "blit {mode:?}, width {width}");
+            }
+            let row = "#".repeat(width as usize);
+            let ascii = Bitmap::from_ascii(&[&row, &row[..width as usize - 1]]);
+            assert_eq!(tail_bits(&ascii), 0, "from_ascii, width {width}");
+            assert_eq!(ascii.count_ink(), 2 * width as u64 - 1);
+        }
+    }
+
+    #[test]
+    fn extract_matches_the_per_pixel_copy_at_every_edge() {
+        for width in EDGE_WIDTHS {
+            for density in 0..4 {
+                let bm = raster(width, 5, density, u64::from(width));
+                for left in [0, 1, 63, 64, 65].into_iter().filter(|&l| l <= width) {
+                    for right in [left, left + 1, width.saturating_sub(1).max(left), width] {
+                        if right > width {
+                            continue;
+                        }
+                        let rect = Rect::new(left as i32, 1, right - left, 4);
+                        assert_eq!(
+                            bm.extract(rect).unwrap(),
+                            extract_per_pixel(&bm, rect),
+                            "width {width} density {density} rect {rect:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn new_bitmap_is_blank() {
@@ -419,6 +587,29 @@ mod tests {
             back.fill_rect(rect, false);
             back.blit(&ex, rect.origin, BlitMode::Or);
             prop_assert_eq!(back, bm);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn extract_matches_the_per_pixel_copy(
+            (boundary, edge_width, any_width) in
+                (any::<bool>(), proptest::sample::select(EDGE_WIDTHS.to_vec()), 0u32..400),
+            (height, density, seed) in (0u32..24, 0u8..4, any::<u64>()),
+            (touch_left, touch_right, touch_top, touch_bottom) in
+                (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()),
+            (a, b, c, d) in (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
+        ) {
+            let width = if boundary { edge_width } else { any_width };
+            let bm = raster(width, height, density, seed);
+            let left = if touch_left { 0 } else { a % (width + 1) };
+            let right = if touch_right { width } else { left + b % (width - left + 1) };
+            let top = if touch_top { 0 } else { c % (height + 1) };
+            let bottom = if touch_bottom { height } else { top + d % (height - top + 1) };
+            let rect = Rect::new(left as i32, top as i32, right - left, bottom - top);
+            prop_assert_eq!(bm.extract(rect).unwrap(), extract_per_pixel(&bm, rect));
         }
     }
 }

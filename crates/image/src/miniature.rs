@@ -30,22 +30,7 @@ impl Miniature {
     /// lines, polygon outlines) visible at small scale.
     pub fn build(full: &Bitmap, factor: u32) -> Self {
         assert!(factor > 0, "factor must be positive");
-        let w = full.width().div_ceil(factor);
-        let h = full.height().div_ceil(factor);
-        let mut raster = Bitmap::new(w, h);
-        for y in 0..h as i32 {
-            for x in 0..w as i32 {
-                'block: for by in 0..factor as i32 {
-                    for bx in 0..factor as i32 {
-                        if full.get(x * factor as i32 + bx, y * factor as i32 + by) {
-                            raster.set(x, y, true);
-                            break 'block;
-                        }
-                    }
-                }
-            }
-        }
-        Miniature { raster, full_size: full.size(), factor }
+        Miniature { raster: full.or_downsample(factor), full_size: full.size(), factor }
     }
 
     /// The miniature raster.
@@ -99,6 +84,28 @@ impl Miniature {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitmap::tests::{raster, EDGE_WIDTHS};
+    use proptest::prelude::*;
+
+    /// The per-pixel OR-downsampling the word kernel replaced.
+    fn build_per_pixel(full: &Bitmap, factor: u32) -> Bitmap {
+        let w = full.width().div_ceil(factor);
+        let h = full.height().div_ceil(factor);
+        let mut raster = Bitmap::new(w, h);
+        for y in 0..h as i32 {
+            for x in 0..w as i32 {
+                'block: for by in 0..factor as i32 {
+                    for bx in 0..factor as i32 {
+                        if full.get(x * factor as i32 + bx, y * factor as i32 + by) {
+                            raster.set(x, y, true);
+                            break 'block;
+                        }
+                    }
+                }
+            }
+        }
+        raster
+    }
 
     fn striped(width: u32, height: u32) -> Bitmap {
         let mut bm = Bitmap::new(width, height);
@@ -161,6 +168,41 @@ mod tests {
         let full = Bitmap::new(65, 33);
         let mini = Miniature::build(&full, 8);
         assert_eq!(mini.raster().size(), Size::new(9, 5));
+    }
+
+    #[test]
+    fn build_matches_the_per_pixel_loop_on_the_edge_grid() {
+        let factors = [1, 2, 3, 5, 7, 8, 9, 16, 31, 64, 65, 100, 400];
+        for width in [1, 7, 63, 64, 65, 127, 128, 130, 200, 333] {
+            for height in [1, 5, 8, 9, 17, 40] {
+                for density in 0..4 {
+                    let full = raster(width, height, density, u64::from(width * height));
+                    for factor in factors {
+                        assert_eq!(
+                            *Miniature::build(&full, factor).raster(),
+                            build_per_pixel(&full, factor),
+                            "{width}x{height} density {density} factor {factor}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn build_matches_the_per_pixel_loop(
+            (boundary, edge_width, any_width) in
+                (any::<bool>(), proptest::sample::select(EDGE_WIDTHS.to_vec()), 0u32..400),
+            (height, density, seed) in (0u32..48, 0u8..4, any::<u64>()),
+            factor in 1u32..140,
+        ) {
+            let width = if boundary { edge_width } else { any_width };
+            let full = raster(width, height, density, seed);
+            prop_assert_eq!(*Miniature::build(&full, factor).raster(), build_per_pixel(&full, factor));
+        }
     }
 
     #[test]

@@ -112,15 +112,18 @@ impl Div<u64> for SimDuration {
     }
 }
 
+/// Honours the formatter's width, fill and alignment, so durations line up
+/// in padded table columns.
 impl fmt::Display for SimDuration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0 >= 1_000_000 {
-            write!(f, "{:.3}s", self.as_secs_f64())
+        let text = if self.0 >= 1_000_000 {
+            format!("{:.3}s", self.as_secs_f64())
         } else if self.0 >= 1_000 {
-            write!(f, "{:.3}ms", self.0 as f64 / 1e3)
+            format!("{:.3}ms", self.0 as f64 / 1e3)
         } else {
-            write!(f, "{}us", self.0)
-        }
+            format!("{}us", self.0)
+        };
+        f.pad(&text)
     }
 }
 
@@ -293,5 +296,7 @@ mod tests {
         assert_eq!(SimDuration::from_micros(1_500).to_string(), "1.500ms");
         assert_eq!(SimDuration::from_millis(2_500).to_string(), "2.500s");
         assert_eq!(SimInstant::from_micros(42).to_string(), "t+42us");
+        let (s, us) = (SimDuration::from_micros(1_646_000), SimDuration::from_micros(12));
+        assert_eq!(format!("{s:>9}|{us:<6}|{us:^8}|{s:2}"), "   1.646s|12us  |  12us  |1.646s");
     }
 }

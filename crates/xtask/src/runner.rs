@@ -10,9 +10,16 @@ use std::path::Path;
 
 /// Files whose non-test code must be panic-free: the crates between wire
 /// bytes and device models, where a panic on attacker-controlled input
-/// takes the server down.
-const PANIC_SCOPE: &[&str] =
-    &["crates/net/src/", "crates/server/src/", "crates/storage/src/", "crates/types/src/codec.rs"];
+/// takes the server down, and the raster kernels the server runs on every
+/// publish (miniatures) and on client-chosen `FetchView` rectangles.
+const PANIC_SCOPE: &[&str] = &[
+    "crates/net/src/",
+    "crates/server/src/",
+    "crates/storage/src/",
+    "crates/types/src/codec.rs",
+    "crates/image/src/bitmap.rs",
+    "crates/image/src/miniature.rs",
+];
 
 /// Files whose queues sit on the overload path: every `push`/`push_back`
 /// there must be reachable from a capacity check, or carry a ratcheted

@@ -84,7 +84,7 @@ fn e6_miniatures_beat_full_objects() {
     let full_time = ws.elapsed() - miniature_time;
     assert_eq!(
         (miniature_bytes, miniature_time, full_bytes, full_time),
-        (1_494, SimDuration::from_micros(361_638), 244_122, SimDuration::from_micros(1_524_954)),
+        (1_494, SimDuration::from_micros(340_638), 244_122, SimDuration::from_micros(1_524_954)),
         "exact transfer volumes and simulated times"
     );
     assert!(miniature_bytes * 10 < full_bytes, "miniatures {miniature_bytes} vs full {full_bytes}");
