@@ -907,7 +907,7 @@ impl FleetConnection {
         self.next_nonce += 1;
         self.health.note_ping(m);
         let ping = ServerRequest::Ping { nonce };
-        let sent = self.clock.now();
+        let sent = self.kernel.now();
         let up = self.link.transfer(Frame::request(CONN_ID, 0, ping).wire_size());
         let (_, arrival) = self.up.book(sent, up);
         let (answer, _) = self.fleet.members[m].handle(&ServerRequest::Ping { nonce });
@@ -926,7 +926,7 @@ impl FleetConnection {
         }
         if let Some(interval) = self.heartbeat {
             self.kernel.arm(
-                self.clock.now().max(delivered) + interval,
+                self.kernel.now().max(delivered) + interval,
                 KernelEvent::HealthTick { member: m as u64 },
             );
         }

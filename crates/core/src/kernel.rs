@@ -16,15 +16,20 @@
 //! posts for the instant it is at cost one push and one pop. Arming a
 //! future timer costs O(log n) in the timers pending, which stay few: a
 //! client keeps one retransmit timer for all of its connections, armed for
-//! the earliest deadline, and one heartbeat per member. The heap's top is
-//! always the exact next deadline.
+//! the earliest deadline, and one heartbeat per member. Cancelling a timer
+//! takes it out of the due list or the heap at once, in O(n) over those
+//! few, so every timer pending is live and the heap's top is always the
+//! exact next deadline.
+//!
+//! The kernel's clock is its consumer's clock: a client moves simulated
+//! time only through [`Kernel::advance_to`], so every timer it passes
+//! fires onto the ready queue on the way.
 //!
 //! Beside the kernel's clock sits the `Timeline`, the one rule for a
 //! serially-reusable resource (a wire direction, a device): a booking
 //! starts at the later of its ready instant and the instant the resource
 //! frees.
 
-use crate::idhash::IdSet;
 use minos_types::{SimDuration, SimInstant};
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
@@ -104,9 +109,9 @@ pub struct KernelStats {
     pub events_fired: u64,
     /// Timers armed over the kernel's lifetime.
     pub timers_armed: u64,
-    /// Wakes that found nothing to do: cancelled timers that reached
-    /// their deadline, plus staleness noted by consumers via
-    /// [`Kernel::note_spurious`].
+    /// Wakes that found nothing to do, as consumers note them via
+    /// [`Kernel::note_spurious`]: the event fired, but the state it
+    /// referred to had already moved on.
     pub spurious_wakes: u64,
     /// High-water mark of the ready-queue depth.
     pub ready_high_water: u64,
@@ -215,11 +220,6 @@ pub struct Kernel {
     /// Timers armed for `now` or earlier, in arm order: they fire on the
     /// next advance, ahead of every timer in `future`.
     due: VecDeque<Timer>,
-    /// Ids currently armed (in the heap or on the due list, not yet fired).
-    armed_ids: IdSet,
-    /// Armed ids whose timer was cancelled: dropped (and counted
-    /// spurious) when their deadline fires.
-    cancelled: IdSet,
     ready: VecDeque<KernelEvent>,
     trace: TraceLog,
     stats: KernelStats,
@@ -243,7 +243,6 @@ impl Kernel {
         let id = self.next_timer;
         self.next_timer += 1;
         self.stats.timers_armed += 1;
-        self.armed_ids.insert(id);
         let deadline = at.as_micros();
         self.trace.record(deadline, "arm", event);
         if deadline <= self.now {
@@ -260,20 +259,21 @@ impl Kernel {
         let _ = self.arm(at, event);
     }
 
-    /// Cancels an armed timer. The timer stays queued until its deadline,
-    /// where it is dropped and counted as a spurious wake. Cancelling a
-    /// fired (or unknown) timer is a no-op.
+    /// Cancels an armed timer: it leaves the due list or the heap at once
+    /// and never fires. Cancelling a fired (or unknown) timer is a no-op.
     pub fn cancel(&mut self, id: TimerId) {
-        if self.armed_ids.remove(&id.0) {
-            self.cancelled.insert(id.0);
+        if let Some(at) = self.due.iter().position(|&(_, armed, _)| armed == id.0) {
+            self.due.remove(at);
+        } else {
+            self.future.retain(|Reverse((_, armed, _))| *armed != id.0);
         }
     }
 
-    /// The earliest instant at which anything fires: `now` when timers are
-    /// already due, otherwise the earliest armed deadline (a cancelled
-    /// timer's included: it fires there as a spurious wake).
+    /// The earliest instant at which anything is to be handled: `now` when
+    /// timers are already due or a fired event waits on the ready queue,
+    /// otherwise the earliest armed deadline.
     pub fn next_deadline(&self) -> Option<SimInstant> {
-        if !self.due.is_empty() {
+        if !self.due.is_empty() || !self.ready.is_empty() {
             return Some(self.now());
         }
         self.future.peek().map(|Reverse((deadline, ..))| SimInstant::from_micros(*deadline))
@@ -296,15 +296,8 @@ impl Kernel {
         }
     }
 
-    /// Delivers one reached timer: onto the ready queue, or dropped as a
-    /// spurious wake if it was cancelled.
-    fn fire(&mut self, (deadline, id, event): Timer) {
-        if self.cancelled.remove(&id) {
-            self.stats.spurious_wakes += 1;
-            self.trace.record(deadline, "spurious", event);
-            return;
-        }
-        self.armed_ids.remove(&id);
+    /// Delivers one reached timer onto the ready queue.
+    fn fire(&mut self, (deadline, _, event): Timer) {
         self.stats.events_fired += 1;
         self.trace.record(deadline, "fire", event);
         self.admit_ready(event);
@@ -336,7 +329,7 @@ impl Kernel {
     }
 
     /// Drains the trace ring as a JSON array of `{at_us, verb, event, …}`
-    /// records (oldest first; `verb` ∈ `arm`/`fire`/`spurious`).
+    /// records (oldest first; `verb` is `arm` or `fire`).
     pub fn drain_trace_json(&mut self) -> String {
         self.trace.drain_json()
     }
@@ -387,8 +380,7 @@ mod tests {
 
     /// Drives the kernel to `target`, collecting (deadline-bounded) fired
     /// events in order via the next_deadline/advance loop consumers use.
-    /// Every instant `next_deadline` names must fire something: a
-    /// delivered event or a cancelled timer's spurious wake.
+    /// Every instant `next_deadline` names must deliver an event.
     fn run_to(kernel: &mut Kernel, target: u64) -> Vec<(u64, KernelEvent)> {
         let mut fired = Vec::new();
         let target = SimInstant::from_micros(target);
@@ -396,16 +388,12 @@ mod tests {
             if at > target {
                 break;
             }
-            let before = (fired.len(), kernel.stats().spurious_wakes);
+            let before = fired.len();
             kernel.advance_to(at);
             while let Some(event) = kernel.take_ready() {
                 fired.push((kernel.now().as_micros(), event));
             }
-            assert_ne!(
-                before,
-                (fired.len(), kernel.stats().spurious_wakes),
-                "nothing fired at {at:?}"
-            );
+            assert_ne!(before, fired.len(), "nothing fired at {at:?}");
         }
         kernel.advance_to(target);
         while let Some(event) = kernel.take_ready() {
@@ -505,21 +493,38 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_timers_are_spurious_not_delivered() {
+    fn a_cancelled_timer_leaves_at_once() {
         let mut k = Kernel::new();
         let keep = k.arm(SimInstant::from_micros(100), ev(1));
-        let drop_ = k.arm(SimInstant::from_micros(100), ev(2));
-        k.cancel(drop_);
+        let early = k.arm(SimInstant::from_micros(50), ev(2));
+        // Armed for the current instant: it waits on the due list.
+        let due = k.arm(SimInstant::EPOCH, ev(3));
+        k.cancel(due);
+        k.cancel(early);
+        assert_eq!(k.next_deadline(), Some(SimInstant::from_micros(100)));
         let fired = run_to(&mut k, 200);
-        assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].1, ev(1));
-        assert_eq!(k.stats().spurious_wakes, 1);
+        assert_eq!(fired, vec![(100, ev(1))]);
         assert_eq!(k.stats().events_fired, 1);
-        // Cancelling after the fire is a no-op.
+        assert_eq!(k.stats().spurious_wakes, 0);
+        // Cancelling a fired or unknown timer is a no-op.
+        let later = k.arm(SimInstant::from_micros(300), ev(4));
         k.cancel(keep);
-        k.cancel(drop_);
-        assert_eq!(k.stats().spurious_wakes, 1);
+        k.cancel(early);
+        k.cancel(TimerId(u64::MAX));
+        assert_eq!(k.next_deadline(), Some(SimInstant::from_micros(300)));
+        k.cancel(later);
+        assert_eq!(k.next_deadline(), None);
         assert_eq!(k.stats().events_fired, 1);
+        assert_eq!(k.stats().spurious_wakes, 0);
+    }
+
+    #[test]
+    fn a_fired_event_waiting_on_the_ready_queue_is_due_now() {
+        let mut k = Kernel::new();
+        k.arm(SimInstant::from_micros(10), ev(1));
+        k.advance_to(SimInstant::from_micros(20));
+        assert_eq!(k.next_deadline(), Some(SimInstant::from_micros(20)));
+        assert_eq!(k.take_ready(), Some(ev(1)));
         assert_eq!(k.next_deadline(), None);
     }
 
@@ -527,6 +532,9 @@ mod tests {
     fn past_deadlines_fire_on_the_next_advance() {
         let mut k = Kernel::new();
         k.advance_to(SimInstant::from_micros(500));
+        // Time never rewinds: an earlier instant leaves the clock where it is.
+        k.advance_to(SimInstant::from_micros(100));
+        assert_eq!(k.now(), SimInstant::from_micros(500));
         k.arm(SimInstant::from_micros(10), ev(7));
         assert_eq!(k.next_deadline(), Some(SimInstant::from_micros(500)));
         k.advance_to(SimInstant::from_micros(500));

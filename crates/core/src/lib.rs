@@ -49,7 +49,6 @@ pub mod chaos;
 pub mod command;
 pub mod compose;
 pub mod fleet;
-mod idhash;
 pub mod kernel;
 pub mod prefetch;
 pub mod process;

@@ -86,7 +86,7 @@ pub fn read_ahead(
         let missing = depth - window.len();
         window.extend(ahead.by_ref().take(missing).map(|request| client.submit_ref(request)));
         present(client, page, response);
-        client.advance_to(client.clock.now() + dwell);
+        client.advance_to(client.kernel.now() + dwell);
         page += 1;
     }
     Ok(waits)

@@ -166,7 +166,7 @@ impl ObjectStore for HubStore {
     fn fetch_shared(&mut self, id: ObjectId) -> Result<Rc<MultimediaObject>> {
         self.collect();
         let mut client = self.client.borrow_mut();
-        let started = client.clock.now();
+        let started = client.kernel.now();
         if !self.answers.contains_key(&id) {
             // A prefetch still on its way becomes the demand fetch.
             let ticket = match self.pending.remove(&id) {
@@ -189,8 +189,8 @@ impl ObjectStore for HubStore {
         };
         let object = client.fleet.servers()[0].resident_shared(id);
         let object = object.ok_or_else(|| MinosError::UnknownObject(id.to_string()))?;
-        client.clock.advance_to_at_least(arrived);
-        self.waited += client.clock.now().saturating_since(started);
+        client.kernel.advance_to(arrived);
+        self.waited += client.kernel.now().saturating_since(started);
         Ok(object)
     }
 
@@ -327,10 +327,10 @@ impl Slot {
 /// [`Client`] is quiet through the tick's end (no request in its table,
 /// no frame in transit, no work queued, served or woken at the server, no
 /// retransmit or `Busy` deadline due, no restart unnoticed), the tick
-/// moves only the client's clock and kernel and the rotation cursor: the
-/// service pump would find nothing to do. Most ticks of a browsing group
-/// are quiet, because a session fetches only when its user enters an
-/// object or its indicators change.
+/// moves only the client's kernel, which is its clock, and the rotation
+/// cursor: the service pump would find nothing to do. Most ticks of a
+/// browsing group are quiet, because a session fetches only when its user
+/// enters an object or its indicators change.
 pub struct SessionScheduler {
     client: Rc<RefCell<Client>>,
     /// The tick's kernel, keyed by presentation time: audio sessions' next
@@ -460,7 +460,7 @@ impl SessionScheduler {
         }
         let n = self.slots.len();
         let mut client = self.client.borrow_mut();
-        let at = client.clock.now() + dt;
+        let at = client.kernel.now() + dt;
         if client.is_quiet_through(at) {
             client.idle_to(at);
         } else if n == 0 {
@@ -975,8 +975,8 @@ mod tests {
                 sched.apply(key, command).unwrap();
                 voices.push(key);
             }
-            // Let every open's fetches and anticipations land, every idle
-            // voice session finish, and every cancelled wake pass.
+            // Let every open's fetches and anticipations land and every
+            // idle voice session finish.
             for _ in 0..6 {
                 sched.tick(SimDuration::from_secs(1));
             }

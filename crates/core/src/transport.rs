@@ -66,7 +66,7 @@ use minos_net::{
     ServerRequest, ServerResponse,
 };
 use minos_server::{ObjectServer, ServiceConfig};
-use minos_types::{ByteSpan, MinosError, ObjectId, Result, SimClock, SimDuration, SimInstant};
+use minos_types::{ByteSpan, MinosError, ObjectId, Result, SimDuration, SimInstant};
 use std::collections::VecDeque;
 
 /// Leases a buffer from `pool`, counting a hit or a fresh allocation in
@@ -254,9 +254,9 @@ impl Conn {
 ///
 /// A client with nothing in flight, nothing at its members and no
 /// deadline due before an instant is quiet through it: moving it there
-/// changes only its clock and its kernel. The session scheduler checks
-/// this one predicate before each tick's service pump and skips the pump
-/// when it holds.
+/// changes only its kernel, which is its clock. The session scheduler
+/// checks this one predicate before each tick's service pump and skips the
+/// pump when it holds.
 pub struct Client {
     pub(crate) fleet: Fleet,
     /// Per-member epoch last handshaken; a mismatch triggers the resync.
@@ -264,7 +264,6 @@ pub struct Client {
     pub(crate) link: Link,
     /// Connection `c`'s state at index `c - 1`.
     conns: Vec<Conn>,
-    pub(crate) clock: SimClock,
     /// The request table: slot `i` is request `base + i`, and the next
     /// request id is the one past its end.
     table: VecDeque<Slot>,
@@ -280,9 +279,9 @@ pub struct Client {
     /// go through [`Client::lease`], which counts them in
     /// [`TransportStats`].
     pool: BufferPool,
-    /// The client's one retransmit timer (and any heartbeat tick), so a
-    /// loss on an idle client is discovered by [`Client::advance_to`] at
-    /// its deadline.
+    /// The client's clock, with its one retransmit timer (and any
+    /// heartbeat tick), so a loss on an idle client is discovered by
+    /// [`Client::advance_to`] at its deadline.
     pub(crate) kernel: Kernel,
     /// The retransmit timer's deadline and handle, while armed. It is
     /// never later than any outstanding request's deadline.
@@ -342,7 +341,6 @@ impl Client {
             fleet,
             link,
             conns: vec![Conn::new(plan)],
-            clock: SimClock::new(),
             table: VecDeque::new(),
             base: 1,
             // A window that can never open would deadlock the pipeline.
@@ -376,7 +374,7 @@ impl Client {
 
     /// Total simulated time spent so far.
     pub fn elapsed(&self) -> SimDuration {
-        self.clock.now().since(SimInstant::EPOCH)
+        self.kernel.now().since(SimInstant::EPOCH)
     }
 
     /// Payload bytes moved over the link so far.
@@ -524,7 +522,7 @@ impl Client {
         let Some(interval) = self.heartbeat else { return };
         for m in 0..self.epochs.len() {
             self.kernel
-                .arm(self.clock.now() + interval, KernelEvent::HealthTick { member: m as u64 });
+                .arm(self.kernel.now() + interval, KernelEvent::HealthTick { member: m as u64 });
         }
     }
 
@@ -540,11 +538,11 @@ impl Client {
             if self.conn_mut(conn).open < self.window_cap {
                 break;
             }
-            let now = self.clock.now();
+            let now = self.kernel.now();
             let own = self.table.iter().filter(|slot| slot.conn == conn);
             let arriving = own.filter_map(|slot| slot.landed.as_ref());
             if let Some(next) = arriving.map(|l| l.ready_at).filter(|&t| t > now).min() {
-                self.clock.advance_to_at_least(next);
+                self.kernel.advance_to(next);
                 self.settle();
                 continue;
             }
@@ -574,7 +572,7 @@ impl Client {
                 < self.window_cap * self.conns.len(),
             "frames in transit exceed the admitted windows"
         );
-        let (_, arrival) = self.up.book(self.clock.now(), self.link.transfer(frame.wire_size()));
+        let (_, arrival) = self.up.book(self.kernel.now(), self.link.transfer(frame.wire_size()));
         if let Some(queue) = self.pending.get_mut(member) {
             queue.push_back(PendingFrame { frame, arrival });
         }
@@ -632,7 +630,7 @@ impl Client {
         debug_assert!(*open < window_cap, "a submit overran the window capacity");
         *open += 1;
         debug_assert_eq!(request_id, self.base + self.table.len() as u64, "ids are dense");
-        let deadline = self.clock.now() + self.timeout;
+        let deadline = self.kernel.now() + self.timeout;
         let out = Outstanding {
             target,
             priority,
@@ -649,8 +647,9 @@ impl Client {
     }
 
     /// Drops a request's retransmission state: any encoded bytes go back to
-    /// the pool. Its deadline dies with it; the retransmit timer is left to
-    /// find nothing due.
+    /// the pool. Its deadline dies with it; the retransmit timer stays
+    /// armed for the deadlines left, and is disarmed once the table
+    /// empties.
     fn retire(&mut self, out: Outstanding) {
         if let Resend::Encoded(bytes) = out.resend {
             self.pool.recycle(bytes);
@@ -689,7 +688,7 @@ impl Client {
         };
         let up = self.link.transfer(bytes.len() as u64);
         let deliveries = self.conns[conn_index(conn)].faults.apply(bytes);
-        let (_, arrival) = self.up.book(self.clock.now(), up);
+        let (_, arrival) = self.up.book(self.kernel.now(), up);
         for delivery in deliveries {
             match Frame::decode(&delivery.bytes) {
                 Ok(delivered) if delivered.as_request().is_some() => {
@@ -752,7 +751,7 @@ impl Client {
             self.transport.epoch_resyncs += 1;
             let hello = Frame::request(CONN_ID, 0, ServerRequest::Hello { epoch: last });
             let (_, hello_arrival) =
-                self.up.book(self.clock.now(), self.link.transfer(hello.wire_size()));
+                self.up.book(self.kernel.now(), self.link.transfer(hello.wire_size()));
             let (answer, took) =
                 self.fleet.servers_mut()[m].handle(&ServerRequest::Hello { epoch: last });
             let (_, done) = self.dev[m].book(hello_arrival, took);
@@ -760,7 +759,7 @@ impl Client {
             // measurement and is read back out of it — never cloned.
             let welcome = Frame::response(CONN_ID, 0, answer);
             let (_, delivered) = self.down.book(done, self.link.transfer(welcome.wire_size()));
-            self.clock.advance_to_at_least(delivered);
+            self.kernel.advance_to(delivered);
             self.epochs[m] = match welcome.payload {
                 FramePayload::Response(ServerResponse::Welcome { epoch }) => epoch,
                 _ => self.fleet.servers()[m].epoch(),
@@ -794,10 +793,10 @@ impl Client {
     /// that exhausts its retries comes back as an inline
     /// [`ServerResponse::Error`], as do server-side errors.
     pub fn wait(&mut self, ticket: Ticket) -> Result<(ServerResponse, SimDuration)> {
-        let started = self.clock.now();
+        let started = self.kernel.now();
         let landed = self.collect(ticket)?;
-        self.clock.advance_to_at_least(landed.ready_at);
-        Ok((landed.response, self.clock.now().saturating_since(started)))
+        self.kernel.advance_to(landed.ready_at);
+        Ok((landed.response, self.kernel.now().saturating_since(started)))
     }
 
     /// Serves and recovers `ticket`'s request until its response lands,
@@ -823,7 +822,7 @@ impl Client {
 
     /// Collects `ticket`'s response if it has landed, without moving the
     /// clock: its slot closes, and the table pops every collected slot
-    /// from its front.
+    /// from its front. An empty table disarms the retransmit timer.
     pub(crate) fn take_landed(&mut self, ticket: Ticket) -> Option<Landed> {
         let slot = self.slot_mut(ticket.0)?;
         let landed = slot.landed.take()?;
@@ -837,6 +836,11 @@ impl Client {
         while self.table.front().is_some_and(|slot| slot.collected) {
             self.table.pop_front();
             self.base += 1;
+        }
+        if self.table.is_empty() {
+            if let Some((_, timer)) = self.retry_timer.take() {
+                self.kernel.cancel(timer);
+            }
         }
         Some(landed)
     }
@@ -862,17 +866,17 @@ impl Client {
         // Step armed-deadline to armed-deadline: the clock reaches each
         // deadline exactly when it fires, so a retransmit's backoff chains
         // from the deadline — identical to the wait() discipline — instead
-        // of from the far end of the jump.
+        // of from the far end of the jump. A timer the clock has already
+        // passed (in a wait, or in a handler's resync) is due at the
+        // current instant, even one past `at`, and is handled there.
         while let Some(next) = self.kernel.next_deadline() {
-            if next > at {
+            if next > at.max(self.kernel.now()) {
                 break;
             }
-            self.clock.advance_to_at_least(next);
+            self.kernel.advance_to(next);
             self.drain_retry_wakes();
         }
-        self.clock.advance_to_at_least(at);
-        self.kernel.advance_to(self.clock.now());
-        self.drain_retry_wakes();
+        self.kernel.advance_to(at);
         self.resync();
         self.dispatch(&[]);
         self.settle();
@@ -900,12 +904,10 @@ impl Client {
     }
 
     /// Moves a quiet client (see [`Client::is_quiet_through`]) to `at`:
-    /// its clock and its kernel, which is all [`Client::advance_to`] would
-    /// change.
+    /// its kernel, which is all [`Client::advance_to`] would change.
     pub(crate) fn idle_to(&mut self, at: SimInstant) {
         debug_assert!(self.is_quiet_through(at), "transport work due before {at:?}");
-        self.clock.advance_to_at_least(at);
-        self.kernel.advance_to(self.clock.now());
+        self.kernel.advance_to(at);
     }
 
     /// How many request frames are in transit to member `m`: on the wire,
@@ -1066,14 +1068,11 @@ impl Client {
         }
     }
 
-    /// Fires every kernel event due at the current clock: the retransmit
-    /// timer and heartbeat ticks. Re-advances each round because a handler
-    /// can move the clock (a heartbeat's resync), and what falls due by
-    /// the new instant must still be flushed.
+    /// Handles every kernel event fired by now: the retransmit timer and
+    /// heartbeat ticks. A handler that moves the clock (a heartbeat's
+    /// resync) fires what it passes onto the same queue.
     fn drain_retry_wakes(&mut self) {
-        loop {
-            self.kernel.advance_to(self.clock.now());
-            let Some(event) = self.kernel.take_ready() else { break };
+        while let Some(event) = self.kernel.take_ready() {
             match event {
                 KernelEvent::RetryDue { .. } => self.retransmit_due(),
                 KernelEvent::HealthTick { member } => self.heartbeat_member(member as usize),
@@ -1086,10 +1085,15 @@ impl Client {
     /// deadline has passed, in deadline order and, among equal deadlines,
     /// in the order they were set, then re-arms the timer for the earliest
     /// deadline left. A firing that finds nothing due (its request landed
-    /// first) is a spurious wake.
+    /// first) is a spurious wake, and so is one whose timer was disarmed
+    /// or moved after the clock had passed it, so that it had already
+    /// fired.
     fn retransmit_due(&mut self) {
-        self.retry_timer = None;
-        let now = self.clock.now();
+        let now = self.kernel.now();
+        if self.retry_timer.take_if(|(at, _)| *at <= now).is_none() {
+            self.kernel.note_spurious();
+            return;
+        }
         let overdue = self.table.iter().enumerate().filter_map(|(at, slot)| {
             let out = slot.out.as_ref().filter(|o| o.deadline <= now)?;
             Some((out.deadline, out.armed, self.base + at as u64))
@@ -1135,19 +1139,19 @@ impl Client {
         if deferred {
             // The hint gates the uplink: the resubmission leaves at the
             // later of "now" and the due instant, never earlier.
-            self.clock.advance_to_at_least(deadline);
-            if self.clock.now() < deadline {
+            self.kernel.advance_to(deadline);
+            if self.kernel.now() < deadline {
                 self.transport.premature_busy_retries += 1;
             }
             if let Some(out) = self.outstanding_mut(request_id) {
                 out.deferred = false;
             }
-            self.set_deadline(request_id, self.clock.now() + self.timeout);
+            self.set_deadline(request_id, self.kernel.now() + self.timeout);
             self.transmit_request(request_id);
             return;
         }
         self.transport.timeouts += 1;
-        self.clock.advance_to_at_least(deadline);
+        self.kernel.advance_to(deadline);
         if attempt >= self.max_retries {
             if let Some(out) = self.slot_mut(request_id).and_then(|slot| slot.out.take()) {
                 self.retire(out);
@@ -1167,7 +1171,7 @@ impl Client {
         if let Some(out) = self.outstanding_mut(request_id) {
             out.attempt = attempt + 1;
         }
-        self.set_deadline(request_id, self.clock.now() + backoff);
+        self.set_deadline(request_id, self.kernel.now() + backoff);
         // A timeout is evidence against the target, not just the wire: the
         // retransmit goes wherever the fleet fails it over to.
         self.fail_over_target(request_id);
@@ -1176,7 +1180,7 @@ impl Client {
 
     /// Lands an inline error for `request_id` now.
     fn expire(&mut self, request_id: u64, message: String) {
-        let ready_at = self.clock.now();
+        let ready_at = self.kernel.now();
         if let Some(slot) = self.slot_mut(request_id) {
             let response = ServerResponse::Error(message);
             slot.landed = Some(Landed { response, ready_at, expired: true });
@@ -1185,7 +1189,7 @@ impl Client {
 
     /// Closes the window places of requests whose responses have arrived.
     fn settle(&mut self) {
-        let now = self.clock.now();
+        let now = self.kernel.now();
         for slot in &mut self.table {
             if slot.open && slot.landed.as_ref().is_some_and(|l| l.ready_at <= now) {
                 slot.open = false;
@@ -1270,13 +1274,49 @@ mod tests {
     }
 
     #[test]
+    fn collecting_the_last_ticket_disarms_the_retransmit_timer() {
+        let (mut conn, object) = clean(1, 8);
+        let ticket = fetch(&mut conn, object, 0);
+        collect(&mut conn, ticket);
+        // The request's deadline lay 500 ms after its submit; with the
+        // table empty nothing is left to fire there.
+        let later = conn.kernel.now() + SimDuration::from_secs(1);
+        // The member's completion wakes are the session scheduler's to
+        // drain; a bare client leaves them.
+        conn.fleet.servers_mut()[0].take_woken();
+        assert!(conn.is_quiet_through(later));
+    }
+
+    #[test]
+    fn a_retransmit_wake_fired_before_its_disarm_leaves_the_live_timer_armed() {
+        let (conn, object) = clean(1, 8);
+        let timeout = SimDuration::from_millis(20);
+        let mut conn = conn.with_recovery(timeout, DEFAULT_MAX_RETRIES);
+        // Waiting for the last of eight pages passes the first request's
+        // deadline, so the retransmit timer fires onto the kernel's ready
+        // queue before collecting that page empties the table.
+        let tickets: Vec<FleetTicket> = (0..8).map(|page| fetch(&mut conn, object, page)).collect();
+        for ticket in tickets {
+            collect(&mut conn, ticket);
+        }
+        assert!(conn.kernel.now() > SimInstant::EPOCH + timeout);
+        // A request whose every frame is lost stays outstanding on a new
+        // timer; the stale wake is spurious and arms nothing more.
+        conn.set_faults(CONN_ID, FaultPlan::dropping(1, 1.0));
+        let _lost = fetch(&mut conn, object, 0);
+        conn.advance_to(conn.kernel.now() + SimDuration::from_millis(1));
+        let stats = conn.kernel_stats();
+        assert_eq!((stats.timers_armed, stats.spurious_wakes), (2, 1));
+    }
+
+    #[test]
     fn a_duplicate_below_the_base_is_counted_and_never_lands() {
         let (mut conn, object) = clean(1, 8);
         let ticket = fetch(&mut conn, object, 0);
         let id = ticket.0;
         collect(&mut conn, ticket);
         assert!(id < conn.base);
-        let at = conn.clock.now();
+        let at = conn.kernel.now();
         let free = conn.pool.free_buffers();
         conn.receive(id, ServerResponse::Span(vec![0; PAGE as usize]), at);
         assert_eq!(conn.transport_stats().duplicates, 1);

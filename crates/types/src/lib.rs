@@ -24,4 +24,4 @@ pub use error::{MinosError, Result};
 pub use geom::{bounding_box, polygon_contains, Point, Rect, Size};
 pub use id::{DataFileId, ObjectId, PageNumber, PartIndex, SegmentId, VersionId};
 pub use span::{ByteSpan, CharSpan, TimeSpan};
-pub use time::{SimClock, SimDuration, SimInstant};
+pub use time::{SimDuration, SimInstant};

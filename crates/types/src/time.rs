@@ -1,4 +1,4 @@
-//! The simulated clock.
+//! Simulated time: spans and instants.
 //!
 //! The original MINOS ran against real hardware: voice boards played samples
 //! in real time, optical disks imposed seek and rotation delays, Ethernet
@@ -170,50 +170,6 @@ impl fmt::Display for SimInstant {
     }
 }
 
-/// The simulation clock.
-///
-/// A `SimClock` only ever moves forward. Components either `advance` it by a
-/// charged duration (a disk transfer, a link delay, playing an audio page) or
-/// `advance_to` a scheduled instant (discrete-event simulation in the server
-/// queueing experiments).
-#[derive(Debug, Default, Clone)]
-pub struct SimClock {
-    now: SimInstant,
-}
-
-impl SimClock {
-    /// A clock at the epoch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimInstant {
-        self.now
-    }
-
-    /// Advances the clock by `d` and returns the new time.
-    pub fn advance(&mut self, d: SimDuration) -> SimInstant {
-        self.now = self.now + d;
-        self.now
-    }
-
-    /// Advances the clock to `t`. Panics if `t` is in the past: simulated
-    /// time never rewinds.
-    pub fn advance_to(&mut self, t: SimInstant) {
-        assert!(t >= self.now, "simulated clock cannot move backwards");
-        self.now = t;
-    }
-
-    /// Advances to `t` only if `t` is later than now (convenient when
-    /// merging independent event streams).
-    pub fn advance_to_at_least(&mut self, t: SimInstant) {
-        if t > self.now {
-            self.now = t;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,25 +225,6 @@ mod tests {
         assert!(t1 > t0);
         assert_eq!(t1.since(t0), SimDuration::from_millis(5));
         assert_eq!(t0.saturating_since(t1), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn clock_advances_monotonically() {
-        let mut clock = SimClock::new();
-        clock.advance(SimDuration::from_millis(1));
-        let t = clock.now();
-        clock.advance_to(t + SimDuration::from_millis(2));
-        assert_eq!(clock.now().as_micros(), 3_000);
-        clock.advance_to_at_least(SimInstant::from_micros(1_000)); // in the past: no-op
-        assert_eq!(clock.now().as_micros(), 3_000);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot move backwards")]
-    fn clock_rejects_rewind() {
-        let mut clock = SimClock::new();
-        clock.advance(SimDuration::from_millis(2));
-        clock.advance_to(SimInstant::from_micros(500));
     }
 
     #[test]

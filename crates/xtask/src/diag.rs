@@ -123,7 +123,7 @@ pub const RULES: &[Rule] = &[
     Rule {
         code: "P003",
         pass: "panic-freedom",
-        summary: "panic!/todo!/unimplemented!/unreachable! in non-test hot-path code",
+        summary: "panic!/todo!/unimplemented!/unreachable!/assert!/assert_eq!/assert_ne! in non-test hot-path code",
         ratchetable: true,
     },
     Rule {

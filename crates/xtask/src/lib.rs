@@ -13,9 +13,9 @@
 //!   and verifies tag uniqueness, encode/decode coverage, encode/decode
 //!   agreement, and request/response tag pairing.
 //! * [`passes::panic_free`] — **panic-freedom audit** (`P0xx`): flags
-//!   `unwrap()`, `expect(`, panic-family macros, and bare slice indexing in
-//!   non-`#[cfg(test)]` code of the hot-path crates (`net`, `server`,
-//!   `storage`, `types::codec`).
+//!   `unwrap()`, `expect(`, panic-family macros, runtime asserts, and bare
+//!   slice indexing in non-`#[cfg(test)]` code of the hot-path crates
+//!   (`net`, `server`, `storage`, `types::codec`).
 //! * [`passes::queue_growth`] — **queue-growth audit** (`Q0xx`): flags
 //!   `push`/`push_back` growth sites in the transport and service scope
 //!   (`net`, `server`, `core::remote`) whose enclosing function never

@@ -6,7 +6,10 @@
 //!
 //! * `P001` — `.unwrap()`;
 //! * `P002` — `.expect(...)`;
-//! * `P003` — `panic!`, `todo!`, `unimplemented!`, `unreachable!`;
+//! * `P003` — `panic!`, `todo!`, `unimplemented!`, `unreachable!`, and the
+//!   runtime asserts `assert!`, `assert_eq!`, `assert_ne!` (a
+//!   `debug_assert*` is compiled out of release builds, and a
+//!   `const _: () = assert!(…)` fails the build, not the server);
 //! * `P004` — bare slice/collection indexing (`v[i]`, `v[0]`,
 //!   `v[a..b]`) — full-range `[..]` never panics and is not flagged.
 //!
@@ -16,7 +19,8 @@ use crate::diag::Diagnostic;
 use crate::parse::is_ident_byte;
 use crate::source::SourceFile;
 
-const PANIC_MACROS: &[&str] = &["panic!", "todo!", "unimplemented!", "unreachable!"];
+const PANIC_MACROS: &[&str] =
+    &["panic!", "todo!", "unimplemented!", "unreachable!", "assert!", "assert_eq!", "assert_ne!"];
 
 /// Runs the pass over already-scoped files.
 pub fn run(files: &[SourceFile]) -> Vec<Diagnostic> {
@@ -42,8 +46,9 @@ pub fn run(files: &[SourceFile]) -> Vec<Diagnostic> {
                     "expect() on the hot path; return a typed minos-types::error instead",
                 ));
             }
+            let const_item = line.trim_start().starts_with("const _");
             for mac in PANIC_MACROS {
-                if line.contains(mac) {
+                if !const_item && calls_macro(line, mac) {
                     out.push(Diagnostic::new(
                         "P003",
                         &file.rel,
@@ -65,6 +70,13 @@ pub fn run(files: &[SourceFile]) -> Vec<Diagnostic> {
         }
     }
     out
+}
+
+/// Whether `line` invokes `mac` itself: an occurrence not preceded by an
+/// identifier byte, so `debug_assert!` is not `assert!`.
+fn calls_macro(line: &str, mac: &str) -> bool {
+    line.match_indices(mac)
+        .any(|(at, _)| !line[..at].bytes().next_back().is_some_and(is_ident_byte))
 }
 
 /// Finds bare index expressions on one code-view line: a `[...]` whose
@@ -166,6 +178,22 @@ mod tests {
         let rules: Vec<&str> = diags.iter().map(|d| d.rule).collect();
         assert_eq!(rules, vec!["P001", "P002", "P003", "P003"]);
         assert_eq!(diags[0].line, 2);
+    }
+
+    #[test]
+    fn flags_runtime_asserts() {
+        let diags =
+            run_on("fn f() {\n    assert!(a);\n    assert_eq!(a, b);\n    assert_ne!(a, b);\n}\n");
+        let lines: Vec<usize> = diags.iter().map(|d| d.line).collect();
+        assert_eq!(lines, vec![2, 3, 4]);
+        assert!(diags.iter().all(|d| d.rule == "P003"));
+    }
+
+    #[test]
+    fn debug_and_const_asserts_are_clean() {
+        let src = "const _: () = assert!(A >= B);\nfn f() {\n    debug_assert!(a);\n    debug_assert_eq!(a, b);\n    debug_assert_ne!(a, b);\n}\n";
+        let diags = run_on(src);
+        assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]
